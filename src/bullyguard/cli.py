@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import itertools
 import json
 import sys
 from dataclasses import dataclass, field, replace
@@ -23,7 +24,7 @@ from .artifact import (
     check_fingerprint,
     data_fingerprint,
     load_artifact,
-    predict_text,
+    predict_texts,
     preprocessing_fingerprint,
     save_artifact,
 )
@@ -463,25 +464,45 @@ def cmd_tune(ns: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# Input lines scored per predict_texts call; stdin is never read whole.
+PREDICT_CHUNK_LINES = 256
+
+
+def _predict_input_lines(source: str):
+    """The predict input, one line at a time, without line terminators.
+
+    stdin splits at newlines only; an --input file splits like
+    str.splitlines() over the whole file.
+    """
+    if source == "-":
+        for line in sys.stdin:
+            yield line.rstrip("\n")
+        return
+    path = Path(source)
+    if not path.exists():
+        raise ConfigError(f"input file not found: {path}")
+    with path.open(encoding="utf-8") as handle:
+        for line in handle:
+            # each universal-newline line ends at a splitlines() boundary,
+            # so splitting it again yields the same pieces as the whole file
+            yield from line.splitlines()
+
+
 def cmd_predict(ns: argparse.Namespace) -> int:
     rt = _resolve_runtime(ns)
     artifact = load_artifact(ns.model)
     matched = check_fingerprint(artifact, rt.lexicon, rt.rules, force=ns.force)
     if not matched:
         print("warning: preprocessing fingerprint mismatch (forced)", file=sys.stderr)
-    if ns.input == "-":
-        lines = [line.rstrip("\n") for line in sys.stdin]
-    else:
-        path = Path(ns.input)
-        if not path.exists():
-            raise ConfigError(f"input file not found: {path}")
-        lines = path.read_text(encoding="utf-8").splitlines()
-    for lineno, line in enumerate(lines, start=1):
-        pred = predict_text(artifact, line, rt.lexicon, rt.rules)
-        if pred.empty_input:
-            print(f"warning: line {lineno} preprocessed to empty; "
-                  f"using majority class", file=sys.stderr)
-        print(f"{pred.label.value}\t{pred.score:.6f}")
+    lines = _predict_input_lines(ns.input)
+    lineno = 0
+    while chunk := list(itertools.islice(lines, PREDICT_CHUNK_LINES)):
+        for pred in predict_texts(artifact, chunk, rt.lexicon, rt.rules):
+            lineno += 1
+            if pred.empty_input:
+                print(f"warning: line {lineno} preprocessed to empty; "
+                      f"using majority class", file=sys.stderr)
+            print(f"{pred.label.value}\t{pred.score:.6f}")
     return EXIT_OK
 
 

@@ -196,7 +196,8 @@ def load_corpus(
     """Parse the comment CSV into records, in file order.
 
     Structural problems (wrong field count, unparseable index, unknown or
-    missing label) raise CorpusError naming the 1-based line. Empty string
+    missing label, bytes that are not UTF-8, CSV syntax errors such as an
+    oversized field) raise CorpusError naming the 1-based line. Empty string
     fields are tolerated here and surfaced by validate_corpus.
     """
     path = Path(path)
@@ -206,14 +207,15 @@ def load_corpus(
         raise CorpusError(f"cannot read corpus file {path}: {exc}") from exc
     with handle:
         reader = csv.reader(handle, delimiter=delimiter, quotechar='"', doublequote=True)
+        rows = _checked_rows(reader, path)
         try:
-            header = next(reader)
+            header = next(rows)
         except StopIteration:
             raise CorpusError(f"{path}: empty file, expected a header row") from None
         positions = _resolve_columns(header, column_map)
         expected = len(header)
         records = []
-        for row in reader:
+        for row in rows:
             line = reader.line_num
             if not row:
                 continue  # skip blank lines
@@ -243,6 +245,28 @@ def load_corpus(
                 )
             )
     return records
+
+
+def _checked_rows(reader, path: Path):
+    """The reader's rows, with decoding and CSV syntax errors as CorpusError."""
+    try:
+        yield from reader
+    except UnicodeDecodeError as exc:
+        line = _undecodable_line(path)
+        raise CorpusError(f"line {line}: not valid UTF-8 ({exc.reason})") from None
+    except csv.Error as exc:
+        raise CorpusError(f"line {reader.line_num}: {exc}") from None
+
+
+def _undecodable_line(path: Path) -> int:
+    """1-based line of the first byte that is not UTF-8; the text decoder
+    reads ahead, so the csv reader's line count cannot place it."""
+    data = path.read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return data.count(b"\n", 0, exc.start) + 1
+    return 0  # the file changed after the failed read
 
 
 def write_corpus(

@@ -302,10 +302,12 @@ def _run_lstm(
     x: np.ndarray,      # (B, T, D)
     mask: np.ndarray,   # (B, T) float64 in {0, 1}
     block: LstmBlock,
+    keep_steps: bool = True,
 ) -> tuple[np.ndarray, np.ndarray, list[_StepCache]]:
     """Masked unidirectional pass. Masked steps carry state through unchanged
     and emit exact zeros, so trailing padding cannot perturb anything.
-    Returns (outputs (B,T,H), final carried h (B,H), per-step caches).
+    Returns (outputs (B,T,H), final carried h (B,H), per-step caches); the
+    caches, needed only by the backward pass, are empty unless keep_steps.
     """
     b, t_max, _ = x.shape
     h_dim = block.b_i.shape[0]
@@ -323,7 +325,8 @@ def _run_lstm(
         c_cand = f * c + i * g
         tanh_c = np.tanh(c_cand)
         h_cand = o * tanh_c
-        steps.append(_StepCache(xt, h, c, i, f, o, g, c_cand, tanh_c, m))
+        if keep_steps:
+            steps.append(_StepCache(xt, h, c, i, f, o, g, c_cand, tanh_c, m))
         outputs[:, t, :] = m * h_cand
         h = m * h_cand + (1.0 - m) * h
         c = m * c_cand + (1.0 - m) * c
@@ -372,6 +375,7 @@ def _forward_batch(
     ids: np.ndarray,
     valid_lens: np.ndarray,
     params: NeuralNetParams,
+    keep_steps: bool = True,
 ) -> _ForwardCache:
     ids = np.asarray(ids, dtype=np.int64)
     if ids.ndim != 2:
@@ -387,8 +391,9 @@ def _forward_batch(
     b, t_max = ids.shape
     mask = (np.arange(t_max)[None, :] < valid_lens[:, None]).astype(np.float64)
     x = params.embedding[ids]
-    fwd_out, fwd_final, fwd_steps = _run_lstm(x, mask, params.fwd)
-    bwd_out_rev, bwd_final, bwd_steps = _run_lstm(x[:, ::-1, :], mask[:, ::-1], params.bwd)
+    fwd_out, fwd_final, fwd_steps = _run_lstm(x, mask, params.fwd, keep_steps)
+    bwd_out_rev, bwd_final, bwd_steps = _run_lstm(
+        x[:, ::-1, :], mask[:, ::-1], params.bwd, keep_steps)
     states = np.concatenate([fwd_out, bwd_out_rev[:, ::-1, :]], axis=2)
     att_weights = att_u = None
     if params.use_attention:
@@ -780,7 +785,8 @@ def predict_batch(
         raise NeuralError("cannot classify empty sequences; use the majority fallback")
     outputs = []
     for chunk in iter_batches(ids.shape[0], batch_size):
-        cache = _forward_batch(ids[chunk], valid_lens[chunk], params)
+        # no backward pass follows, so skip the step caches and their memory
+        cache = _forward_batch(ids[chunk], valid_lens[chunk], params, keep_steps=False)
         outputs.append(_softmax(cache.logits))
     probs = np.concatenate(outputs, axis=0) if outputs else np.zeros((0, 2))
     return probs.argmax(axis=1), probs

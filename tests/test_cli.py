@@ -1,9 +1,13 @@
+import io
 import json
+import sys
 
 import pytest
 
-from bullyguard.cli import main
+from bullyguard.artifact import load_artifact, predict_text
+from bullyguard.cli import PREDICT_CHUNK_LINES, main
 from bullyguard.corpus import Label, write_corpus
+from bullyguard.preprocess import run_pipeline
 from conftest import make_record
 
 B, N = Label.BULLYING, Label.NON_BULLYING
@@ -85,6 +89,20 @@ def test_malformed_corpus_exit_2(tmp_path):
     path.write_text("no;username;komentar;label;tanggal;akun_target\n1;u;x;Bullying\n",
                     encoding="utf-8")
     assert main(["stats", "--corpus", str(path)]) == 2
+
+
+@pytest.mark.parametrize("field, message", [
+    (b"caf\xe9", "error: line 2: not valid UTF-8"),
+    (b"a" * 200_000, "error: line 2: field larger than field limit"),
+])
+def test_unreadable_corpus_exit_2_one_line(tmp_path, capsys, field, message):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"no;username;komentar;label;tanggal;akun_target\n1;u;"
+                     + field + b";Bullying;2024-01-05;t\n")
+    assert main(["stats", "--corpus", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(message)
+    assert err.count("\n") == 1
 
 
 # ----------------------------------------------------------------------------
@@ -200,6 +218,94 @@ def test_predict_empty_line_majority_warning(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "majority" in captured.err
     assert captured.out.startswith(("Bullying", "Non-bullying"))
+
+
+# Lines that preprocess to text, to nothing (blank, emoji, URL, mention), and
+# to more tokens than a fixture model's max_seq_len.
+PREDICT_VARIANTS = [
+    "dasar jelek bego nomor1",
+    "",
+    "😂😂 🔥",
+    "kamu keren bagus nomor2",
+    "http://t.co/abc12 @user #viral",
+    " ".join(["kamu keren bagus jelek bego"] * 8),
+    "jelek bgt sih kamu",
+    "   ",
+    "kata kata baru sekali",
+]
+LONG_VARIANT = PREDICT_VARIANTS[5]
+
+
+def expected_predict_output(artifact, texts, lexicon, rules):
+    """stdout and stderr lines of predict, built from per-line predict_text."""
+    out, err = [], []
+    for lineno, text in enumerate(texts, start=1):
+        pred = predict_text(artifact, text, lexicon, rules)
+        if pred.empty_input:
+            err.append(f"warning: line {lineno} preprocessed to empty; using majority class")
+        out.append(f"{pred.label.value}\t{pred.score:.6f}")
+    return out, err
+
+
+@pytest.mark.parametrize("family", ["nb", "lr", "svm", "bilstm", "bilstm_attention"])
+def test_predict_chunks_match_per_line(tmp_path, capsys, monkeypatch, family,
+                                       default_lexicon, default_rules):
+    corpus = write_fixture_corpus(tmp_path)
+    config = write_config(tmp_path)
+    model_path = tmp_path / "model.txt"
+    assert main(["train", "--corpus", str(corpus), "--family", family,
+                 "--out", str(model_path), "--config", str(config), "--quiet"]) == 0
+    artifact = load_artifact(model_path)
+    if artifact.neural_vocab is not None:
+        long_tokens = run_pipeline(LONG_VARIANT, artifact.pipeline, default_lexicon, default_rules)
+        assert len(long_tokens) > artifact.neural_vocab.max_seq_len
+    texts = [PREDICT_VARIANTS[i % len(PREDICT_VARIANTS)]
+             for i in range(2 * PREDICT_CHUNK_LINES + 88)]
+    expected = expected_predict_output(artifact, texts, default_lexicon, default_rules)
+    assert expected[1]
+
+    path = tmp_path / "input.txt"  # alternating LF and CRLF endings
+    path.write_bytes("".join(
+        text + ("\r\n" if i % 2 else "\n") for i, text in enumerate(texts)).encode("utf-8"))
+    assert main(["predict", "--model", str(model_path), "--input", str(path),
+                 "--config", str(config)]) == 0
+    captured = capsys.readouterr()
+    assert (captured.out.splitlines(), captured.err.splitlines()) == expected
+
+    monkeypatch.setattr(sys, "stdin", io.StringIO("\n".join(texts) + "\n"))
+    assert main(["predict", "--model", str(model_path), "--config", str(config)]) == 0
+    captured = capsys.readouterr()
+    assert (captured.out.splitlines(), captured.err.splitlines()) == expected
+
+
+def test_predict_warnings_name_input_lines(tmp_path, capsys):
+    corpus = write_fixture_corpus(tmp_path)
+    model_path = tmp_path / "model.txt"
+    main(["train", "--corpus", str(corpus), "--family", "nb",
+          "--out", str(model_path), "--quiet"])
+    lines = tmp_path / "input.txt"  # an input file splits like str.splitlines()
+    lines.write_bytes("dasar jelek\n\x0c😂\u2028kamu keren\r\n@user".encode("utf-8"))
+    assert main(["predict", "--model", str(model_path), "--input", str(lines)]) == 0
+    captured = capsys.readouterr()
+    assert len(captured.out.splitlines()) == 5
+    assert [line.split(";")[0] for line in captured.err.splitlines()] == [
+        "warning: line 2 preprocessed to empty",
+        "warning: line 3 preprocessed to empty",
+        "warning: line 5 preprocessed to empty",
+    ]
+
+
+def test_predict_empty_stdin(tmp_path, capsys, monkeypatch):
+    corpus = write_fixture_corpus(tmp_path)
+    model_path = tmp_path / "model.txt"
+    main(["train", "--corpus", str(corpus), "--family", "lr",
+          "--out", str(model_path), "--quiet"])
+    capsys.readouterr()
+    monkeypatch.setattr(sys, "stdin", io.StringIO(""))
+    assert main(["predict", "--model", str(model_path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ""
 
 
 def test_predict_fingerprint_mismatch(tmp_path, capsys):

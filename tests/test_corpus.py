@@ -91,6 +91,22 @@ def test_load_missing_file(tmp_path):
         load_corpus(tmp_path / "nope.csv")
 
 
+def test_load_non_utf8_names_line(tmp_path):
+    # the bad byte sits past the text decoder's first read-ahead block
+    good = "".join(f"{i};u;komentar nomor {i};Bullying;2024-01-05;t\n" for i in range(1, 400))
+    path = tmp_path / "latin1.csv"
+    path.write_bytes((HEADER + "\n" + good).encode("utf-8") + b"400;u;caf\xe9;Bullying;d;t\n")
+    with pytest.raises(CorpusError, match=r"^line 401: not valid UTF-8 \(.+\)$"):
+        load_corpus(path)
+
+
+def test_load_oversized_field_names_line(tmp_path):
+    body = "1;u;ok;Bullying;d;t\n2;u;" + "a" * 200_000 + ";Bullying;d;t\n"
+    path = write_csv(tmp_path, body)
+    with pytest.raises(CorpusError, match=r"^line 3: field larger than field limit"):
+        load_corpus(path)
+
+
 def test_load_quoted_delimiter(tmp_path):
     path = write_csv(tmp_path, '1;u;"keren; suka banget";Non-bullying;2024-01-05;t\n')
     records = load_corpus(path)
