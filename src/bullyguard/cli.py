@@ -12,10 +12,8 @@ import configparser
 import itertools
 import json
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
-
-import numpy as np
 
 from . import __version__
 from .artifact import (
@@ -29,12 +27,11 @@ from .artifact import (
     save_artifact,
 )
 from .corpus import (
-    CLASS_ORDER,
     CorpusError,
-    Label,
     SplitSpec,
     compute_stats,
     load_corpus,
+    majority_label,
     stratified_split,
     validate_corpus,
 )
@@ -42,18 +39,13 @@ from .eval import (
     DEFAULT_GRIDS,
     BenchmarkConfig,
     benchmark_to_dict,
+    prepare_neural_data,
     render_benchmark_tables,
     run_benchmark,
 )
 from .features import TfidfConfig, fit_tfidf, transform_all
-from .linear_models import TrainingError, grid_search, train_family
-from .neural import (
-    NeuralError,
-    TrainConfig,
-    build_neural_vocab,
-    encode_batch,
-    train as train_neural,
-)
+from .linear_models import TrainingError, featurize_folds, grid_search, train_family
+from .neural import NeuralError, TrainConfig, train as train_neural
 from .preprocess import (
     LexiconError,
     NormalizationLexicon,
@@ -322,13 +314,6 @@ def _split_spec(rt: Runtime) -> SplitSpec:
     )
 
 
-def _majority_label(labels: list[Label]) -> Label:
-    counts = [0, 0]
-    for label in labels:
-        counts[label.index] += 1
-    return CLASS_ORDER[int(np.argmax(counts))]
-
-
 def _model_params(rt: Runtime, family: str) -> dict:
     cfg = rt.config
     if family == "nb":
@@ -354,7 +339,7 @@ def _train_artifact(rt: Runtime, records, family: str, params: dict | None) -> M
     base = ModelArtifact(
         family=family,
         seed=rt.seed,
-        majority_label=_majority_label(labels),
+        majority_label=majority_label(labels),
         preprocessing_fp="",
         data_fp=data_fingerprint(records),
         pipeline=rt.pipeline,
@@ -374,40 +359,27 @@ def _train_artifact(rt: Runtime, records, family: str, params: dict | None) -> M
         base.preprocessing_fp = preprocessing_fingerprint(rt.pipeline, rt.lexicon, rt.rules)
         return base
     # neural families: split for early stopping, drop empty documents
-    dl_pipeline = rt.pipeline
-    if rt.config.get_bool("pipeline", "neural_keep_function_words", False):
-        dl_pipeline = replace(dl_pipeline, remove_stopwords=False, stem=False)
     train_recs, val_recs, _ = stratified_split(records, _split_spec(rt))
-    tr_tok = preprocess_corpus([r.text for r in train_recs], dl_pipeline, rt.lexicon, rt.rules)
-    va_tok = preprocess_corpus([r.text for r in val_recs], dl_pipeline, rt.lexicon, rt.rules)
-    tr_keep = [i for i, toks in enumerate(tr_tok) if toks]
-    va_keep = [i for i, toks in enumerate(va_tok) if toks]
-    if not tr_keep or not va_keep:
-        raise TrainingError("all documents preprocessed to empty; cannot train")
-    dropped = (len(tr_tok) - len(tr_keep)) + (len(va_tok) - len(va_keep))
-    if dropped:
-        print(f"note: dropped {dropped} empty documents from neural training", file=sys.stderr)
-    vocab = build_neural_vocab(
-        [tr_tok[i] for i in tr_keep],
+    data = prepare_neural_data(
+        train_recs, val_recs, rt.pipeline,
+        rt.config.get_bool("pipeline", "neural_keep_function_words", False),
         rt.config.get_int("model", "min_freq", 1),
         rt.config.get_int("model", "max_len_cap", 40),
+        rt.lexicon, rt.rules,
     )
-    tr_ids, tr_lens = encode_batch([tr_tok[i] for i in tr_keep], vocab)
-    tr_y = np.asarray([train_recs[i].label.index for i in tr_keep], dtype=np.int64)
-    va_ids, va_lens = encode_batch([va_tok[i] for i in va_keep], vocab)
-    va_y = np.asarray([val_recs[i].label.index for i in va_keep], dtype=np.int64)
-    neural_cfg = _neural_train_config(rt)
+    dropped = data.n_dropped_train + data.n_dropped_val
+    if dropped:
+        print(f"note: dropped {dropped} empty documents from neural training", file=sys.stderr)
     params_out, trace = train_neural(
-        family == "bilstm_attention",
-        (tr_ids, tr_lens, tr_y), (va_ids, va_lens, va_y),
-        neural_cfg, vocab.size,
+        family == "bilstm_attention", data.train, data.val,
+        _neural_train_config(rt), data.vocab.size,
     )
     _say(rt, f"stopped after epoch {trace.stopped_epoch}, best epoch {trace.best_epoch}")
-    base.pipeline = dl_pipeline
-    base.majority_label = _majority_label([train_recs[i].label for i in tr_keep])
-    base.neural_vocab = vocab
+    base.pipeline = data.pipeline
+    base.majority_label = data.majority
+    base.neural_vocab = data.vocab
     base.neural_params = params_out
-    base.preprocessing_fp = preprocessing_fingerprint(dl_pipeline, rt.lexicon, rt.rules)
+    base.preprocessing_fp = preprocessing_fingerprint(data.pipeline, rt.lexicon, rt.rules)
     return base
 
 
@@ -443,11 +415,8 @@ def cmd_tune(ns: argparse.Namespace) -> int:
     grid = _tune_grid(rt, family)
     objective = rt.config.get("tune", "objective", "f1_weighted")
     tokens = preprocess_corpus([r.text for r in records], rt.pipeline, rt.lexicon, rt.rules)
-    labels = [rec.label for rec in records]
-    result = grid_search(
-        family, grid, tokens, labels,
-        k=rt.folds, seed=rt.seed, objective=objective, tfidf_config=rt.tfidf,
-    )
+    folds = featurize_folds(tokens, [rec.label for rec in records], rt.folds, rt.seed, rt.tfidf)
+    result = grid_search(family, grid, folds, rt.seed, objective)
     _say(rt, f"grid search over {len(result.per_candidate)} candidates "
              f"({rt.folds}-fold CV, objective {objective})")
     for params, scores in result.per_candidate:
@@ -481,7 +450,11 @@ def _predict_input_lines(source: str):
     path = Path(source)
     if not path.exists():
         raise ConfigError(f"input file not found: {path}")
-    with path.open(encoding="utf-8") as handle:
+    try:
+        handle = path.open(encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot read input file {path}: {exc.strerror}") from None
+    with handle:
         for line in handle:
             # each universal-newline line ends at a splitlines() boundary,
             # so splitting it again yields the same pieces as the whole file

@@ -44,6 +44,13 @@ class Label(Enum):
 # Fixed class order used for class ids, tie-breaking, and report rows.
 CLASS_ORDER: tuple[Label, Label] = (Label.BULLYING, Label.NON_BULLYING)
 
+
+def majority_label(labels: list[Label]) -> Label:
+    """The most frequent label; a tie goes to the class first in CLASS_ORDER."""
+    counts = Counter(labels)
+    return max(CLASS_ORDER, key=lambda label: counts[label])  # max keeps the first
+
+
 # Canonical field -> default CSV column name.
 DEFAULT_COLUMNS: dict[str, str] = {
     "index": "no",
@@ -418,19 +425,19 @@ def stratified_split(
 
 
 def kfold_split(
-    records: list[CommentRecord],
+    labels: list[Label],
     k: int,
     seed: int,
     stratified: bool = True,
 ) -> list[tuple[list[int], list[int]]]:
     """k disjoint folds as (train positions, test positions) pairs.
 
-    Positions are 0-based indices into the input list. Test folds partition
+    Positions are 0-based indices into the label list. Test folds partition
     the index set with sizes differing by at most one; stratified mode keeps
     per-class fold sizes within one of each other by rotating the start of
     the oversized folds across classes.
     """
-    n = len(records)
+    n = len(labels)
     if k < 2:
         raise ValueError(f"k must be at least 2, got {k}")
     if k > n:
@@ -440,7 +447,7 @@ def kfold_split(
     if stratified:
         offset = 0
         for label in CLASS_ORDER:
-            positions = [i for i, rec in enumerate(records) if rec.label is label]
+            positions = [i for i, lab in enumerate(labels) if lab is label]
             if not positions:
                 continue
             if len(positions) < k:

@@ -15,21 +15,22 @@ from __future__ import annotations
 
 import statistics
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .corpus import CLASS_ORDER, CommentRecord, Label, SplitSpec, kfold_split, stratified_split
-from .features import TfidfConfig, fit_tfidf, transform, transform_all
+from .corpus import CLASS_ORDER, CommentRecord, Label, SplitSpec, majority_label, stratified_split
+from .features import TfidfConfig
 from .linear_models import (
     GridSearchResult,
     TrainingError,
+    featurize_folds,
+    fold_reports,
     grid_search,
-    predict_family,
-    train_family,
 )
 from .metrics import MetricsReport, evaluate
 from .neural import (
+    NeuralVocab,
     TrainConfig,
     TrainTrace,
     build_neural_vocab,
@@ -92,14 +93,14 @@ def _report_values(report: MetricsReport) -> dict[str, float]:
     }
 
 
-def _aggregate(reports: list[MetricsReport]) -> tuple[dict[str, float], dict[str, float]]:
+def _aggregate(reports: list[MetricsReport]) -> CrossValResult:
     values = [_report_values(r) for r in reports]
     mean = {k: statistics.fmean(v[k] for v in values) for k in AGGREGATE_METRICS}
     if len(values) > 1:
         std = {k: statistics.stdev(v[k] for v in values) for k in AGGREGATE_METRICS}
     else:
         std = {k: 0.0 for k in AGGREGATE_METRICS}
-    return mean, std
+    return CrossValResult(fold_reports=reports, mean=mean, std=std)
 
 
 def cross_validate(
@@ -120,26 +121,64 @@ def cross_validate(
     token_lists = preprocess_corpus(
         [rec.text for rec in records], model_spec.pipeline, lexicon, rules,
     )
-    labels = [rec.label for rec in records]
-    folds = kfold_split(records, k, seed, stratified=True)
-    reports = []
-    for train_idx, test_idx in folds:
-        train_tokens = [token_lists[i] for i in train_idx]
-        train_labels = [labels[i] for i in train_idx]
-        tfidf = fit_tfidf(train_tokens, model_spec.tfidf)
-        vectors = transform_all(train_tokens, tfidf)
-        model = train_family(
-            model_spec.family, vectors, train_labels,
-            model_spec.params, tfidf.n_features, seed,
-        )
-        y_true = [labels[i] for i in test_idx]
-        y_pred = [
-            predict_family(model_spec.family, model, transform(token_lists[i], tfidf))
-            for i in test_idx
-        ]
-        reports.append(evaluate(y_true, y_pred))
-    mean, std = _aggregate(reports)
-    return CrossValResult(fold_reports=reports, mean=mean, std=std)
+    folds = featurize_folds(
+        token_lists, [rec.label for rec in records], k, seed, model_spec.tfidf,
+    )
+    return _aggregate(fold_reports(model_spec.family, model_spec.params, folds, seed))
+
+
+@dataclass
+class NeuralData:
+    """Encoded train/validation sets without the documents that preprocess to
+    empty; the vocabulary and majority class come from the kept training ones.
+    """
+    pipeline: PipelineConfig
+    vocab: NeuralVocab
+    train: tuple[np.ndarray, np.ndarray, np.ndarray]  # (ids, lengths, class ids)
+    val: tuple[np.ndarray, np.ndarray, np.ndarray]
+    majority: Label
+    n_dropped_train: int
+    n_dropped_val: int
+
+
+def prepare_neural_data(
+    train_recs: list[CommentRecord],
+    val_recs: list[CommentRecord],
+    pipeline: PipelineConfig,
+    keep_function_words: bool,
+    min_freq: int,
+    max_len_cap: int,
+    lexicon: NormalizationLexicon,
+    rules: StemmerRules,
+) -> NeuralData:
+    if keep_function_words:
+        pipeline = replace(pipeline, remove_stopwords=False, stem=False)
+
+    def kept(recs):
+        tokens = preprocess_corpus([r.text for r in recs], pipeline, lexicon, rules)
+        keep = [i for i, toks in enumerate(tokens) if toks]
+        return [tokens[i] for i in keep], [recs[i].label for i in keep]
+
+    tr_tok, tr_labels = kept(train_recs)
+    va_tok, va_labels = kept(val_recs)
+    if not tr_tok or not va_tok:
+        raise TrainingError("no non-empty training or validation documents "
+                            "after preprocessing; cannot train")
+    vocab = build_neural_vocab(tr_tok, min_freq, max_len_cap)
+
+    def encoded(tokens, labels):
+        ids, lens = encode_batch(tokens, vocab)
+        return ids, lens, np.asarray([lab.index for lab in labels], dtype=np.int64)
+
+    return NeuralData(
+        pipeline=pipeline,
+        vocab=vocab,
+        train=encoded(tr_tok, tr_labels),
+        val=encoded(va_tok, va_labels),
+        majority=majority_label(tr_labels),
+        n_dropped_train=len(train_recs) - len(tr_tok),
+        n_dropped_val=len(val_recs) - len(va_tok),
+    )
 
 
 # ----------------------------------------------------------------------------
@@ -205,64 +244,41 @@ def run_benchmark(
     split = config.resolved_split()
     train_recs, val_recs, test_recs = stratified_split(records, split)
 
-    # classical track: grid search + k-fold CV on the training portion
+    # classical track: grid search + k-fold CV on the training portion; the
+    # folds are featurized once and the CV row is the tuned candidate's folds
     train_tokens = preprocess_corpus(
         [rec.text for rec in train_recs], config.pipeline, lexicon, rules,
     )
-    train_labels = [rec.label for rec in train_recs]
+    folds = featurize_folds(
+        train_tokens, [rec.label for rec in train_recs],
+        config.folds, config.seed, config.tfidf,
+    )
     ml_rows = []
     for family in ML_FAMILIES:
         grid = grid_search(
-            family, config.grids[family], train_tokens, train_labels,
-            k=config.folds, seed=config.seed, objective=config.objective,
-            tfidf_config=config.tfidf,
+            family, config.grids[family], folds, config.seed, config.objective,
         )
-        spec = ModelSpec(
-            family=family, params=grid.best_params,
-            tfidf=config.tfidf, pipeline=config.pipeline,
-        )
-        cv = cross_validate(spec, train_recs, config.folds, config.seed, lexicon, rules)
         ml_rows.append(MlBenchRow(
-            name=ML_ROW_NAMES[family], family=family,
-            best_params=grid.best_params, grid=grid, cv=cv,
+            name=ML_ROW_NAMES[family], family=family, best_params=grid.best_params,
+            grid=grid, cv=_aggregate(grid.best_fold_reports),
         ))
+    del folds  # all k folds' vectors; free them before the neural track
 
     # neural track: static split, early stopping on validation, scored on test
-    dl_pipeline = config.pipeline
-    if config.neural_keep_function_words:
-        dl_pipeline = replace(dl_pipeline, remove_stopwords=False, stem=False)
     neural_cfg = config.resolved_neural()
-
-    def tokens_of(recs):
-        return preprocess_corpus([r.text for r in recs], dl_pipeline, lexicon, rules)
-
-    tr_tok, va_tok, te_tok = tokens_of(train_recs), tokens_of(val_recs), tokens_of(test_recs)
-    tr_keep = [i for i, toks in enumerate(tr_tok) if toks]
-    va_keep = [i for i, toks in enumerate(va_tok) if toks]
-    if not tr_keep or not va_keep:
-        raise TrainingError("neural track has no non-empty training or validation documents")
-    tr_tok_kept = [tr_tok[i] for i in tr_keep]
-    vocab = build_neural_vocab(tr_tok_kept, config.neural_min_freq, config.neural_max_len_cap)
-    tr_ids, tr_lens = encode_batch(tr_tok_kept, vocab)
-    tr_y = np.asarray([train_recs[i].label.index for i in tr_keep], dtype=np.int64)
-    va_ids, va_lens = encode_batch([va_tok[i] for i in va_keep], vocab)
-    va_y = np.asarray([val_recs[i].label.index for i in va_keep], dtype=np.int64)
-
-    majority = CLASS_ORDER[int(np.argmax(np.bincount(tr_y, minlength=2)))]
+    data = prepare_neural_data(
+        train_recs, val_recs, config.pipeline, config.neural_keep_function_words,
+        config.neural_min_freq, config.neural_max_len_cap, lexicon, rules,
+    )
+    te_tok = preprocess_corpus([r.text for r in test_recs], data.pipeline, lexicon, rules)
     test_labels = [rec.label for rec in test_recs]
     te_nonempty = [i for i, toks in enumerate(te_tok) if toks]
-    te_ids, te_lens = encode_batch([te_tok[i] for i in te_nonempty], vocab)
+    te_ids, te_lens = encode_batch([te_tok[i] for i in te_nonempty], data.vocab)
 
     dl_rows = []
     for use_attention in (False, True):
-        params, trace = train(
-            use_attention,
-            (tr_ids, tr_lens, tr_y),
-            (va_ids, va_lens, va_y),
-            neural_cfg,
-            vocab.size,
-        )
-        y_pred: list[Label] = [majority] * len(test_recs)
+        params, trace = train(use_attention, data.train, data.val, neural_cfg, data.vocab.size)
+        y_pred: list[Label] = [data.majority] * len(test_recs)
         if te_nonempty:
             pred_ids, _ = predict_batch(params, te_ids, te_lens, neural_cfg.batch_size)
             for pos, cls in zip(te_nonempty, pred_ids):
@@ -272,8 +288,8 @@ def run_benchmark(
             use_attention=use_attention,
             report=evaluate(test_labels, y_pred),
             trace=trace,
-            n_dropped_train=len(tr_tok) - len(tr_keep),
-            n_dropped_val=len(va_tok) - len(va_keep),
+            n_dropped_train=data.n_dropped_train,
+            n_dropped_val=data.n_dropped_val,
             n_empty_test=len(te_tok) - len(te_nonempty),
         ))
 
@@ -288,20 +304,8 @@ def run_benchmark(
         },
         "objective": config.objective,
         "grids": config.grids,
-        "tfidf": {
-            "sublinear_tf": config.tfidf.sublinear_tf,
-            "l2_normalize": config.tfidf.l2_normalize,
-            "min_df": config.tfidf.min_df,
-        },
-        "pipeline": {
-            "case_fold": config.pipeline.case_fold,
-            "clean": config.pipeline.clean,
-            "normalize": config.pipeline.normalize,
-            "remove_stopwords": config.pipeline.remove_stopwords,
-            "stem": config.pipeline.stem,
-            "tokenize": config.pipeline.tokenize,
-            "elongation_min_run": config.pipeline.elongation_min_run,
-        },
+        "tfidf": asdict(config.tfidf),
+        "pipeline": asdict(config.pipeline),
         "neural": {
             "batch_size": neural_cfg.batch_size,
             "embedding_dim": neural_cfg.embedding_dim,
@@ -315,8 +319,8 @@ def run_benchmark(
             "keep_function_words": config.neural_keep_function_words,
             "min_freq": config.neural_min_freq,
             "max_len_cap": config.neural_max_len_cap,
-            "vocab_size": vocab.size,
-            "max_seq_len": vocab.max_seq_len,
+            "vocab_size": data.vocab.size,
+            "max_seq_len": data.vocab.max_seq_len,
         },
         "n_records": len(records),
         "n_train": len(train_recs),

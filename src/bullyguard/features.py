@@ -45,7 +45,7 @@ class TfidfModel:
         return len(self.vocabulary)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SparseVector:
     """Sorted sparse vector; indices strictly increasing, values non-zero."""
     indices: tuple[int, ...]

@@ -18,14 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .corpus import CLASS_ORDER, Label
-from .features import (
-    SparseVector,
-    TfidfConfig,
-    fit_tfidf,
-    transform,
-    transform_all,
-)
+from .corpus import CLASS_ORDER, Label, kfold_split, majority_label
+from .features import SparseVector, TfidfConfig, fit_tfidf, transform_all
 from .metrics import MetricsReport, evaluate
 from .rng import Rng
 
@@ -297,6 +291,17 @@ class GridSearchResult:
     best_params: dict
     best_score: float
     per_candidate: list[tuple[dict, list[float]]]
+    best_fold_reports: list[MetricsReport]  # the winning candidate's held-out folds
+
+
+@dataclass
+class FeaturizedFold:
+    """One CV fold, featurized by a TF-IDF model fitted on its training part."""
+    train_vectors: list[SparseVector]
+    train_labels: list[Label]
+    test_vectors: list[SparseVector]
+    test_labels: list[Label]
+    n_features: int
 
 
 def train_family(
@@ -329,10 +334,7 @@ def train_family(
             n_features=n_features,
         )
     if family == "majority":
-        counts = [0, 0]
-        for lab in labels:
-            counts[lab.index] += 1
-        return MajorityModel(label=CLASS_ORDER[int(np.argmax(counts))])
+        return MajorityModel(label=majority_label(labels))
     raise TrainingError(f"unknown model family {family!r}")
 
 
@@ -377,60 +379,76 @@ def expand_grid(param_grid: dict[str, list]) -> list[dict]:
     return combos
 
 
-def grid_search(
-    family: str,
-    param_grid: dict[str, list],
+def featurize_folds(
     token_lists: list[list[str]],
     labels: list[Label],
     k: int,
     seed: int,
-    objective: str = "f1_weighted",
     tfidf_config: TfidfConfig | None = None,
-) -> GridSearchResult:
-    """Exhaustive search over the grid, scored by k-fold cross validation.
+) -> list[FeaturizedFold]:
+    """Stratified k folds, each featurized once for every candidate to share.
 
     The TF-IDF model is fitted on each fold's training documents only; the
-    held-out fold is transformed with that model, never fitted on. Candidates
-    are evaluated in grid order and ties keep the earliest candidate.
+    held-out fold is transformed with that model, never fitted on.
+    """
+    if k < 2:
+        raise TrainingError(f"k must be at least 2, got {k}")
+    folds = []
+    for train_idx, test_idx in kfold_split(labels, k, seed, stratified=True):
+        train_tokens = [token_lists[i] for i in train_idx]
+        tfidf = fit_tfidf(train_tokens, tfidf_config)
+        folds.append(FeaturizedFold(
+            train_vectors=transform_all(train_tokens, tfidf),
+            train_labels=[labels[i] for i in train_idx],
+            test_vectors=transform_all([token_lists[i] for i in test_idx], tfidf),
+            test_labels=[labels[i] for i in test_idx],
+            n_features=tfidf.n_features,
+        ))
+    return folds
+
+
+def fold_reports(
+    family: str,
+    params: dict,
+    folds: list[FeaturizedFold],
+    seed: int,
+) -> list[MetricsReport]:
+    """Train on each fold's training part and score its held-out part."""
+    reports = []
+    for fold in folds:
+        model = train_family(
+            family, fold.train_vectors, fold.train_labels, params, fold.n_features, seed,
+        )
+        y_pred = [predict_family(family, model, vec) for vec in fold.test_vectors]
+        reports.append(evaluate(fold.test_labels, y_pred))
+    return reports
+
+
+def grid_search(
+    family: str,
+    param_grid: dict[str, list],
+    folds: list[FeaturizedFold],
+    seed: int,
+    objective: str = "f1_weighted",
+) -> GridSearchResult:
+    """Exhaustive search over the grid, scored by cross validation on `folds`.
+
+    Candidates are evaluated in grid order and ties keep the earliest
+    candidate.
     """
     if family not in KNOWN_FAMILIES:
         raise TrainingError(f"unknown model family {family!r}")
-    if k < 2:
-        raise TrainingError(f"k must be at least 2, got {k}")
-    candidates = expand_grid(param_grid)
-    folds = _label_kfold(labels, k, seed)
     per_candidate: list[tuple[dict, list[float]]] = []
-    for params in candidates:
-        scores = []
-        for train_idx, test_idx in folds:
-            train_tokens = [token_lists[i] for i in train_idx]
-            train_labels = [labels[i] for i in train_idx]
-            tfidf = fit_tfidf(train_tokens, tfidf_config)
-            Xtr = transform_all(train_tokens, tfidf)
-            model = train_family(family, Xtr, train_labels, params, tfidf.n_features, seed)
-            y_true = [labels[i] for i in test_idx]
-            y_pred = [
-                predict_family(family, model, transform(token_lists[i], tfidf))
-                for i in test_idx
-            ]
-            scores.append(_objective_value(evaluate(y_true, y_pred), objective))
-        per_candidate.append((params, scores))
+    candidate_reports: list[list[MetricsReport]] = []
+    for params in expand_grid(param_grid):
+        reports = fold_reports(family, params, folds, seed)
+        per_candidate.append((params, [_objective_value(r, objective) for r in reports]))
+        candidate_reports.append(reports)
     means = [sum(scores) / len(scores) for _, scores in per_candidate]
     best = int(np.argmax(means))  # argmax keeps the earliest maximum
     return GridSearchResult(
         best_params=per_candidate[best][0],
         best_score=means[best],
         per_candidate=per_candidate,
+        best_fold_reports=candidate_reports[best],
     )
-
-
-def _label_kfold(labels: list[Label], k: int, seed: int) -> list[tuple[list[int], list[int]]]:
-    """Stratified k-fold over label positions (corpus.kfold_split on labels)."""
-    from .corpus import kfold_split, CommentRecord
-
-    placeholders = [
-        CommentRecord(index=i + 1, commenter_handle="x", text=f"t{i}",
-                      label=lab, posted_date="2024-01-01", target_handle="y")
-        for i, lab in enumerate(labels)
-    ]
-    return kfold_split(placeholders, k, seed, stratified=True)

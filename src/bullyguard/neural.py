@@ -268,6 +268,18 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-z))
 
 
+def _lstm_step(x_t, h_prev, c_prev, block: LstmBlock) -> tuple[np.ndarray, ...]:
+    """One LSTM step as (i, f, o, g, c_t, tanh(c_t)), the intermediates the
+    backward pass caches; h_t = o * tanh(c_t).
+    """
+    i = _sigmoid(x_t @ block.w_i + h_prev @ block.u_i + block.b_i)
+    f = _sigmoid(x_t @ block.w_f + h_prev @ block.u_f + block.b_f)
+    o = _sigmoid(x_t @ block.w_o + h_prev @ block.u_o + block.b_o)
+    g = np.tanh(x_t @ block.w_g + h_prev @ block.u_g + block.b_g)
+    c_t = f * c_prev + i * g
+    return i, f, o, g, c_t, np.tanh(c_t)
+
+
 def lstm_cell(
     x_t: np.ndarray,
     h_prev: np.ndarray,
@@ -275,13 +287,8 @@ def lstm_cell(
     block: LstmBlock,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One LSTM step; works on single vectors or batched rows."""
-    i = _sigmoid(x_t @ block.w_i + h_prev @ block.u_i + block.b_i)
-    f = _sigmoid(x_t @ block.w_f + h_prev @ block.u_f + block.b_f)
-    o = _sigmoid(x_t @ block.w_o + h_prev @ block.u_o + block.b_o)
-    g = np.tanh(x_t @ block.w_g + h_prev @ block.u_g + block.b_g)
-    c_t = f * c_prev + i * g
-    h_t = o * np.tanh(c_t)
-    return h_t, c_t
+    _, _, o, _, c_t, tanh_c = _lstm_step(x_t, h_prev, c_prev, block)
+    return o * tanh_c, c_t
 
 
 @dataclass
@@ -318,12 +325,7 @@ def _run_lstm(
     for t in range(t_max):
         xt = x[:, t, :]
         m = mask[:, t][:, None]
-        i = _sigmoid(xt @ block.w_i + h @ block.u_i + block.b_i)
-        f = _sigmoid(xt @ block.w_f + h @ block.u_f + block.b_f)
-        o = _sigmoid(xt @ block.w_o + h @ block.u_o + block.b_o)
-        g = np.tanh(xt @ block.w_g + h @ block.u_g + block.b_g)
-        c_cand = f * c + i * g
-        tanh_c = np.tanh(c_cand)
+        i, f, o, g, c_cand, tanh_c = _lstm_step(xt, h, c, block)
         h_cand = o * tanh_c
         if keep_steps:
             steps.append(_StepCache(xt, h, c, i, f, o, g, c_cand, tanh_c, m))

@@ -82,11 +82,6 @@ class Rng:
             j = self.randbelow(i + 1)
             items[i], items[j] = items[j], items[i]
 
-    def permutation(self, n: int) -> list[int]:
-        items = list(range(n))
-        self.shuffle(items)
-        return items
-
     def uniform(self, a: float, b: float) -> float:
         return a + (b - a) * self.random()
 

@@ -308,6 +308,22 @@ def test_predict_empty_stdin(tmp_path, capsys, monkeypatch):
     assert captured.err == ""
 
 
+def test_predict_input_directory_exit_1(tmp_path, capsys):
+    corpus = write_fixture_corpus(tmp_path)
+    model_path = tmp_path / "model.txt"
+    main(["train", "--corpus", str(corpus), "--family", "nb",
+          "--out", str(model_path), "--quiet"])
+    capsys.readouterr()
+    input_dir = tmp_path / "inputs"
+    input_dir.mkdir()
+    assert main(["predict", "--model", str(model_path), "--input", str(input_dir)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith(f"error: cannot read input file {input_dir}")
+    assert "Traceback" not in captured.err
+
+
 def test_predict_fingerprint_mismatch(tmp_path, capsys):
     corpus = write_fixture_corpus(tmp_path)
     model_path = tmp_path / "model.txt"

@@ -11,6 +11,7 @@ from bullyguard.corpus import (
     compute_stats,
     kfold_split,
     load_corpus,
+    majority_label,
     stratified_split,
     validate_corpus,
     write_corpus,
@@ -319,13 +320,20 @@ def test_split_unstratified():
     assert (len(train), len(val), len(test)) == (40, 5, 5)
 
 
+def test_majority_label_ties_go_to_bullying():
+    B, N = Label.BULLYING, Label.NON_BULLYING
+    assert majority_label([N, B, N]) is N
+    assert majority_label([N, B]) is B
+    assert majority_label([]) is B
+
+
 # ----------------------------------------------------------------------------
 # kfold_split
 # ----------------------------------------------------------------------------
 
 def test_kfold_partition_10_5():
     records = [make_record(index=i + 1, text=f"t {i}") for i in range(10)]
-    folds = kfold_split(records, k=5, seed=42, stratified=False)
+    folds = kfold_split([r.label for r in records], k=5, seed=42, stratified=False)
     assert len(folds) == 5
     all_test = [i for _, test_idx in folds for i in test_idx]
     assert sorted(all_test) == list(range(10))
@@ -337,7 +345,7 @@ def test_kfold_partition_10_5():
 
 def test_kfold_stratified_balanced_20():
     records = balanced_records(20)
-    folds = kfold_split(records, k=5, seed=42, stratified=True)
+    folds = kfold_split([r.label for r in records], k=5, seed=42, stratified=True)
     for _, test_idx in folds:
         counts = Counter(records[i].label for i in test_idx)
         assert counts[Label.BULLYING] == 2
@@ -347,18 +355,19 @@ def test_kfold_stratified_balanced_20():
 def test_kfold_too_many_folds():
     records = [make_record(index=i + 1, text=f"t {i}") for i in range(10)]
     with pytest.raises(CorpusError):
-        kfold_split(records, k=11, seed=1, stratified=False)
+        kfold_split([r.label for r in records], k=11, seed=1, stratified=False)
 
 
 def test_kfold_class_smaller_than_k():
     records = balanced_records(6)  # 3 per class
     with pytest.raises(CorpusError):
-        kfold_split(records, k=4, seed=1, stratified=True)
+        kfold_split([r.label for r in records], k=4, seed=1, stratified=True)
 
 
 def test_kfold_deterministic():
     records = balanced_records(30)
-    assert kfold_split(records, 5, 9) == kfold_split(records, 5, 9)
+    labels = [r.label for r in records]
+    assert kfold_split(labels, 5, 9) == kfold_split(labels, 5, 9)
 
 
 @settings(max_examples=30, deadline=None)
@@ -369,7 +378,7 @@ def test_kfold_deterministic():
 )
 def test_kfold_property(n_half, k, seed):
     records = balanced_records(2 * n_half)
-    folds = kfold_split(records, k=k, seed=seed, stratified=True)
+    folds = kfold_split([r.label for r in records], k=k, seed=seed, stratified=True)
     n = len(records)
     all_test = [i for _, test_idx in folds for i in test_idx]
     assert sorted(all_test) == list(range(n))  # every index in exactly one test fold

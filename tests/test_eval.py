@@ -1,8 +1,10 @@
 import json
+from dataclasses import replace
 
 import pytest
 
-from bullyguard.corpus import Label
+import bullyguard.linear_models as lm
+from bullyguard.corpus import Label, stratified_split
 from bullyguard.eval import (
     BenchmarkConfig,
     ModelSpec,
@@ -134,3 +136,38 @@ def test_run_benchmark_counts_empty_documents(default_lexicon, default_rules):
         for row in report.dl_rows[:1]
     )
     assert dropped == 2
+
+
+def test_run_benchmark_featurizes_each_fold_once(default_lexicon, default_rules, monkeypatch):
+    records = separable_corpus(20)
+    records[4] = make_record(index=995, text="dasar jelek bagus nomor9", label=N)
+    # over-regularized first candidates lose, so each winner is the second
+    config = replace(fast_benchmark_config(), folds=3, grids={
+        "nb": {"alpha": [50.0, 0.1]},
+        "lr": {"l2_lambda": [10.0, 1e-3]},
+        "svm": {"reg_lambda": [10.0, 1e-3]},
+    })
+    fits = []
+    real_fit = lm.fit_tfidf
+
+    def spy(token_lists, tfidf_config=None):
+        fits.append(len(token_lists))
+        return real_fit(token_lists, tfidf_config)
+
+    monkeypatch.setattr(lm, "fit_tfidf", spy)
+    report = run_benchmark(records, config, default_lexicon, default_rules)
+    assert len(fits) == config.folds  # shared by every candidate of every family
+    monkeypatch.undo()
+
+    # the CV row is the grid winner's folds, equal to a fresh CV of that candidate
+    train_recs, _, _ = stratified_split(records, config.resolved_split())
+    for row in report.ml_rows:
+        winner_params, winner_scores = row.grid.per_candidate[1]
+        assert row.best_params == winner_params
+        assert [r.weighted_f1 for r in row.cv.fold_reports] == winner_scores
+        spec = ModelSpec(family=row.family, params=row.best_params)
+        fresh = cross_validate(spec, train_recs, config.folds, config.seed,
+                               default_lexicon, default_rules)
+        assert [r.to_dict() for r in row.cv.fold_reports] == \
+            [r.to_dict() for r in fresh.fold_reports]
+        assert row.cv.mean == fresh.mean and row.cv.std == fresh.std

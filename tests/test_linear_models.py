@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 import bullyguard.linear_models as lm
-from bullyguard.corpus import Label
+from bullyguard.corpus import Label, kfold_split
 from bullyguard.features import SparseVector, fit_tfidf, transform_all
 from bullyguard.linear_models import (
     TrainingError,
     expand_grid,
+    featurize_folds,
     grid_search,
     lr_loss_grad,
     nb_log_scores,
@@ -310,7 +311,7 @@ def test_expand_grid_order():
 
 def test_grid_single_candidate():
     tokens, labels = token_corpus()
-    result = grid_search("nb", {"alpha": [1.0]}, tokens, labels, k=2, seed=42)
+    result = grid_search("nb", {"alpha": [1.0]}, featurize_folds(tokens, labels, 2, 42), 42)
     assert result.best_params == {"alpha": 1.0}
     assert len(result.per_candidate) == 1
 
@@ -321,7 +322,7 @@ def test_grid_degenerate_candidate_loses():
     tokens, labels = token_corpus(12)
     tokens, labels = tokens[:20] + tokens[20::2], labels[:20] + labels[20::2]
     result = grid_search(
-        "lr", {"l2_lambda": [1e6, 1e-3]}, tokens, labels, k=2, seed=42,
+        "lr", {"l2_lambda": [1e6, 1e-3]}, featurize_folds(tokens, labels, 2, 42), 42,
     )
     assert result.best_params == {"l2_lambda": 1e-3}
     assert result.best_score > max(
@@ -333,7 +334,9 @@ def test_grid_degenerate_candidate_loses():
 def test_grid_fold_score_counts():
     tokens, labels = token_corpus()
     k = 3
-    result = grid_search("svm", {"reg_lambda": [1e-3, 1e-2]}, tokens, labels, k=k, seed=1)
+    result = grid_search(
+        "svm", {"reg_lambda": [1e-3, 1e-2]}, featurize_folds(tokens, labels, k, 1), 1,
+    )
     assert all(len(scores) == k for _, scores in result.per_candidate)
     means = [sum(s) / len(s) for _, s in result.per_candidate]
     assert result.best_score == pytest.approx(max(means))
@@ -341,17 +344,19 @@ def test_grid_fold_score_counts():
 
 def test_grid_tie_keeps_earliest():
     tokens, labels = token_corpus()
-    result = grid_search("nb", {"alpha": [1.0, 1.0 + 1e-15]}, tokens, labels, k=2, seed=42)
+    result = grid_search(
+        "nb", {"alpha": [1.0, 1.0 + 1e-15]}, featurize_folds(tokens, labels, 2, 42), 42,
+    )
     assert result.best_params == {"alpha": 1.0}
 
 
 def test_grid_unknown_family_or_objective():
     tokens, labels = token_corpus()
+    folds = featurize_folds(tokens, labels, 2, 1)
     with pytest.raises(TrainingError, match="unknown model family"):
-        grid_search("forest", {"x": [1]}, tokens, labels, k=2, seed=1)
+        grid_search("forest", {"x": [1]}, folds, seed=1)
     with pytest.raises(TrainingError, match="unknown objective"):
-        grid_search("nb", {"alpha": [1.0]}, tokens, labels, k=2, seed=1,
-                    objective="roc_auc")
+        grid_search("nb", {"alpha": [1.0]}, folds, seed=1, objective="roc_auc")
 
 
 def test_grid_never_fits_on_test_fold(monkeypatch):
@@ -368,9 +373,9 @@ def test_grid_never_fits_on_test_fold(monkeypatch):
         return model
 
     monkeypatch.setattr(lm, "fit_tfidf", spy)
-    grid_search("nb", {"alpha": [0.5, 1.0]}, tokens, labels, k=k, seed=seed)
-    assert len(calls) == 2 * k  # one fit per candidate per fold
-    folds = lm._label_kfold(labels, k, seed)
+    grid_search("nb", {"alpha": [0.5, 1.0]}, featurize_folds(tokens, labels, k, seed), seed)
+    assert len(calls) == k  # one fit per fold, shared by both candidates
+    folds = kfold_split(labels, k, seed)
     for call_idx, (fitted_docs, model) in enumerate(calls):
         train_idx, test_idx = folds[call_idx % k]
         assert len(fitted_docs) == len(train_idx)
