@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import CLASS_ORDER, CommentRecord, Label
-from .features import TfidfConfig, TfidfModel, Vocabulary, transform
+from .features import TfidfConfig, TfidfModel, Vocabulary, transform_all
 from .linear_models import (
     LinearSvmModel,
     LogisticRegressionModel,
@@ -485,21 +485,25 @@ def predict_texts(
     majority class with the empty_input flag set. Scores are family-specific:
     NB and the neural models report the predicted class's posterior
     probability, LR the positive-class probability, SVM the signed margin.
-    The neural families score the non-empty texts in length-sorted batches
-    so each batch carries little padding.
+    NB, LR and SVM score the non-empty texts as one TF-IDF matrix; the neural
+    families score them in length-sorted batches so each batch carries
+    little padding.
     """
     token_lists = [run_pipeline(text, artifact.pipeline, lexicon, rules) for text in texts]
-    if artifact.family in ("nb", "lr", "svm"):
-        return [_predict_linear(artifact, tokens) if tokens else _fallback(artifact)
-                for tokens in token_lists]
-    ids, lens = encode_batch(token_lists, artifact.neural_vocab)
     predictions = [_fallback(artifact) for _ in texts]
-    nonempty = np.flatnonzero(lens)
-    rows = nonempty[np.argsort(lens[nonempty], kind="stable")]
-    classes, probs = predict_batch(
-        artifact.neural_params, ids[rows], lens[rows], PREDICT_BATCH_SIZE)
-    for row, cls, p in zip(rows.tolist(), classes.tolist(), probs):
-        predictions[row] = Prediction(CLASS_ORDER[cls], float(p[cls]), False)
+    if artifact.family in ("nb", "lr", "svm"):
+        rows = [i for i, tokens in enumerate(token_lists) if tokens]
+        labels, scores = _score_linear(artifact, [token_lists[i] for i in rows])
+    else:
+        ids, lens = encode_batch(token_lists, artifact.neural_vocab)
+        nonempty = np.flatnonzero(lens)
+        rows = nonempty[np.argsort(lens[nonempty], kind="stable")].tolist()
+        classes, probs = predict_batch(
+            artifact.neural_params, ids[rows], lens[rows], PREDICT_BATCH_SIZE)
+        labels = [CLASS_ORDER[cls] for cls in classes.tolist()]
+        scores = probs[np.arange(len(rows)), classes]
+    for row, label, score in zip(rows, labels, scores.tolist()):
+        predictions[row] = Prediction(label, score, False)
     return predictions
 
 
@@ -517,14 +521,14 @@ def _fallback(artifact: ModelArtifact) -> Prediction:
     return Prediction(label=artifact.majority_label, score=0.0, empty_input=True)
 
 
-def _predict_linear(artifact: ModelArtifact, tokens: list[str]) -> Prediction:
-    vec = transform(tokens, artifact.tfidf)
+def _score_linear(
+    artifact: ModelArtifact, token_lists: list[list[str]],
+) -> tuple[list[Label], np.ndarray]:
+    X = transform_all(token_lists, artifact.tfidf)
     if artifact.family == "nb":
-        label, scores = predict_nb(vec, artifact.nb)
-        shifted = np.exp(scores - scores.max())
-        return Prediction(label, float(shifted.max() / shifted.sum()), False)
+        labels, scores = predict_nb(X, artifact.nb)
+        shifted = np.exp(scores - scores.max(axis=1, keepdims=True))
+        return labels, shifted.max(axis=1) / shifted.sum(axis=1)
     if artifact.family == "lr":
-        label, p = predict_lr(vec, artifact.lr, artifact.threshold)
-        return Prediction(label, p, False)
-    label, margin = predict_svm(vec, artifact.svm)
-    return Prediction(label, margin, False)
+        return predict_lr(X, artifact.lr, artifact.threshold)
+    return predict_svm(X, artifact.svm)

@@ -43,7 +43,7 @@ from .eval import (
     render_benchmark_tables,
     run_benchmark,
 )
-from .features import TfidfConfig, fit_tfidf, transform_all
+from .features import FeatureError, TfidfConfig, fit_tfidf, transform_all
 from .linear_models import TrainingError, featurize_folds, grid_search, train_family
 from .neural import NeuralError, TrainConfig, train as train_neural
 from .preprocess import (
@@ -347,11 +347,9 @@ def _train_artifact(rt: Runtime, records, family: str, params: dict | None) -> M
     if family in ("nb", "lr", "svm"):
         tokens = preprocess_corpus([r.text for r in records], rt.pipeline, rt.lexicon, rt.rules)
         tfidf = fit_tfidf(tokens, rt.tfidf)
-        vectors = transform_all(tokens, tfidf)
         model = train_family(
-            family, vectors, labels,
-            params if params is not None else _model_params(rt, family),
-            tfidf.n_features, rt.seed,
+            family, transform_all(tokens, tfidf), labels,
+            params if params is not None else _model_params(rt, family), rt.seed,
         )
         base.tfidf = tfidf
         setattr(base, family, model)
@@ -593,7 +591,7 @@ def main(argv: list[str] | None = None) -> int:
     except CorpusError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (TrainingError, NeuralError) as exc:
+    except (FeatureError, TrainingError, NeuralError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_TRAINING
     except ValueError as exc:

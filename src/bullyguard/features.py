@@ -1,7 +1,7 @@
 """TF-IDF featurization over preprocessed token lists.
 
 IDF uses the smoothed form ln((1 + N) / (1 + df)) + 1, so every vocabulary
-term gets a strictly positive weight. Vectors are L2-normalized by default.
+term gets a strictly positive weight. Rows are L2-normalized by default.
 Vocabulary ids are assigned in first-occurrence order over the fitted
 documents, which makes fitting deterministic and independent of hashing.
 """
@@ -11,6 +11,9 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 
 class FeatureError(Exception):
@@ -45,31 +48,42 @@ class TfidfModel:
         return len(self.vocabulary)
 
 
-@dataclass(frozen=True, slots=True)
-class SparseVector:
-    """Sorted sparse vector; indices strictly increasing, values non-zero."""
-    indices: tuple[int, ...]
-    values: tuple[float, ...]
+@dataclass(frozen=True, eq=False)
+class Csr:
+    """Compressed sparse rows: row r holds data[indptr[r]:indptr[r + 1]] at the
+    columns indices[indptr[r]:indptr[r + 1]], which strictly increase.
+
+    Both mat-vecs sum each output in entry order starting from 0.0, so their
+    results do not depend on how many rows are scored together.
+    """
+    indptr: np.ndarray   # int64, n_rows + 1 offsets into indices and data
+    indices: np.ndarray  # int64 column ids
+    data: np.ndarray     # float64 non-zero values
+    n_features: int
 
     def __post_init__(self):
-        if len(self.indices) != len(self.values):
-            raise ValueError("indices and values must have equal length")
+        if len(self.indices) != len(self.data):
+            raise ValueError("indices and data must have equal length")
 
-    @property
-    def nnz(self) -> int:
-        return len(self.indices)
+    def __len__(self) -> int:
+        return len(self.indptr) - 1
 
-    def norm(self) -> float:
-        return math.sqrt(sum(v * v for v in self.values))
+    @cached_property
+    def row_of_nnz(self) -> np.ndarray:
+        return np.repeat(np.arange(len(self)), np.diff(self.indptr))
 
-    def dot_dense(self, weights) -> float:
-        """Dot product against a dense indexable weight vector."""
-        return float(sum(v * weights[i] for i, v in zip(self.indices, self.values)))
+    def matvec(self, w: np.ndarray) -> np.ndarray:
+        """X @ w."""
+        return np.bincount(self.row_of_nnz, self.data * w[self.indices], minlength=len(self))
 
-    def to_dense(self, size: int) -> list[float]:
-        dense = [0.0] * size
-        for i, v in zip(self.indices, self.values):
-            dense[i] = v
+    def rmatvec(self, c: np.ndarray) -> np.ndarray:
+        """X.T @ c."""
+        return np.bincount(self.indices, self.data * c[self.row_of_nnz],
+                           minlength=self.n_features)
+
+    def toarray(self) -> np.ndarray:
+        dense = np.zeros((len(self), self.n_features))
+        dense[self.row_of_nnz, self.indices] = self.data
         return dense
 
 
@@ -109,33 +123,38 @@ def fit_tfidf(token_lists: list[list[str]], config: TfidfConfig | None = None) -
     )
 
 
-def transform(tokens: list[str], model: TfidfModel) -> SparseVector:
-    """TF-IDF vector for one document; OOV tokens are ignored.
+def transform_all(token_lists: list[list[str]], model: TfidfModel) -> Csr:
+    """TF-IDF matrix with one row per document; OOV tokens are ignored.
 
     tf is the raw in-document count (1 + ln(count) when sublinear_tf).
-    Documents with no in-vocabulary tokens become the zero vector, including
-    under L2 normalization.
+    Documents with no in-vocabulary tokens become zero rows, including under
+    L2 normalization.
     """
-    counts: Counter = Counter()
     vocab = model.vocabulary.token_to_id
-    for token in tokens:
-        idx = vocab.get(token)
-        if idx is not None:
-            counts[idx] += 1
-    if not counts:
-        return SparseVector(indices=(), values=())
-    indices = sorted(counts)
-    values = []
-    for i in indices:
-        tf = float(counts[i])
-        if model.config.sublinear_tf:
-            tf = 1.0 + math.log(tf)
-        values.append(tf * model.idf[i])
-    if model.config.l2_normalize:
-        norm = math.sqrt(sum(v * v for v in values))
-        values = [v / norm for v in values]
-    return SparseVector(indices=tuple(indices), values=tuple(values))
+    indptr = [0]
+    indices: list[int] = []
+    data: list[float] = []
+    for tokens in token_lists:
+        counts = Counter(vocab[token] for token in tokens if token in vocab)
+        row = sorted(counts)
+        values = []
+        for i in row:
+            tf = float(counts[i])
+            if model.config.sublinear_tf:
+                tf = 1.0 + math.log(tf)
+            values.append(tf * model.idf[i])
+        if model.config.l2_normalize and values:
+            norm = math.sqrt(sum(v * v for v in values))
+            values = [v / norm for v in values]
+        indices.extend(row)
+        data.extend(values)
+        indptr.append(len(indices))
+    return Csr(
+        np.asarray(indptr, dtype=np.int64), np.asarray(indices, dtype=np.int64),
+        np.asarray(data, dtype=np.float64), model.n_features,
+    )
 
 
-def transform_all(token_lists: list[list[str]], model: TfidfModel) -> list[SparseVector]:
-    return [transform(tokens, model) for tokens in token_lists]
+def transform(tokens: list[str], model: TfidfModel) -> Csr:
+    """One-row transform_all."""
+    return transform_all([tokens], model)

@@ -16,31 +16,15 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .corpus import CLASS_ORDER, Label, kfold_split, majority_label
-from .features import SparseVector, TfidfConfig, fit_tfidf, transform_all
+from .features import Csr, TfidfConfig, fit_tfidf, transform_all
 from .metrics import MetricsReport, evaluate
 from .rng import Rng
 
 
 class TrainingError(Exception):
     """Invalid training request or diverged optimization."""
-
-
-def _to_csr(vectors: list[SparseVector], n_features: int) -> sp.csr_matrix:
-    indptr = [0]
-    indices: list[int] = []
-    data: list[float] = []
-    for vec in vectors:
-        indices.extend(vec.indices)
-        data.extend(vec.values)
-        indptr.append(len(indices))
-    return sp.csr_matrix(
-        (np.asarray(data, dtype=np.float64), np.asarray(indices, dtype=np.int64),
-         np.asarray(indptr, dtype=np.int64)),
-        shape=(len(vectors), n_features),
-    )
 
 
 # ----------------------------------------------------------------------------
@@ -58,53 +42,43 @@ class NaiveBayesModel:
         return self.log_likelihood.shape[1]
 
 
-def train_nb(
-    vectors: list[SparseVector],
-    labels: list[Label],
-    alpha: float = 1.0,
-    n_features: int | None = None,
-) -> NaiveBayesModel:
+def train_nb(X: Csr, labels: list[Label], alpha: float = 1.0) -> NaiveBayesModel:
     """Multinomial NB over (possibly fractional) TF-IDF term masses.
 
     log_likelihood[c][t] = ln((alpha + m_ct) / (alpha*V + m_c)) where m_ct is
     the total mass of term t in class c and m_c its row sum, so each class's
     likelihoods exponentiate to a proper distribution over the vocabulary.
     """
-    if len(vectors) != len(labels):
-        raise TrainingError("vectors and labels must align")
+    if len(X) != len(labels):
+        raise TrainingError("rows and labels must align")
     if alpha <= 0:
         raise TrainingError(f"alpha must be positive, got {alpha}")
-    if n_features is None:
-        n_features = max((max(v.indices) + 1 for v in vectors if v.indices), default=0)
-    if n_features == 0:
+    if X.n_features == 0:
         raise TrainingError("cannot train on an empty feature space")
-    mass = np.zeros((2, n_features), dtype=np.float64)
-    counts = [0, 0]
-    for vec, label in zip(vectors, labels):
-        c = label.index
-        counts[c] += 1
-        for i, v in zip(vec.indices, vec.values):
-            mass[c, i] += v
+    class_ids = np.asarray([label.index for label in labels], dtype=np.int64)
+    counts = np.bincount(class_ids, minlength=2)
     for label in CLASS_ORDER:
         if counts[label.index] == 0:
             raise TrainingError(f"class {label.value} has no training documents")
+    mass = np.zeros((2, X.n_features), dtype=np.float64)
+    np.add.at(mass, (class_ids[X.row_of_nnz], X.indices), X.data)  # in entry order
     total = mass.sum(axis=1, keepdims=True)
-    log_likelihood = np.log(alpha + mass) - np.log(alpha * n_features + total)
-    n = len(vectors)
-    log_prior = np.log(np.asarray(counts, dtype=np.float64) / n)
+    log_likelihood = np.log(alpha + mass) - np.log(alpha * X.n_features + total)
+    log_prior = np.log(counts.astype(np.float64) / len(X))
     return NaiveBayesModel(log_prior=log_prior, log_likelihood=log_likelihood, alpha=alpha)
 
 
-def nb_log_scores(vector: SparseVector, model: NaiveBayesModel) -> np.ndarray:
-    scores = model.log_prior.copy()
-    for i, v in zip(vector.indices, vector.values):
-        scores += v * model.log_likelihood[:, i]
+def nb_log_scores(X: Csr, model: NaiveBayesModel) -> np.ndarray:
+    """Class log scores per row, shape (n, 2): the log prior plus each term's
+    weighted log likelihood, added in entry order."""
+    scores = np.tile(model.log_prior, (len(X), 1))
+    np.add.at(scores, X.row_of_nnz, X.data[:, None] * model.log_likelihood[:, X.indices].T)
     return scores
 
 
-def predict_nb(vector: SparseVector, model: NaiveBayesModel) -> tuple[Label, np.ndarray]:
-    scores = nb_log_scores(vector, model)
-    return CLASS_ORDER[int(np.argmax(scores))], scores
+def predict_nb(X: Csr, model: NaiveBayesModel) -> tuple[list[Label], np.ndarray]:
+    scores = nb_log_scores(X, model)
+    return [CLASS_ORDER[c] for c in np.argmax(scores, axis=1).tolist()], scores
 
 
 # ----------------------------------------------------------------------------
@@ -124,7 +98,7 @@ class LogisticRegressionModel:
 
 
 def lr_loss_grad(
-    X: sp.csr_matrix,
+    X: Csr,
     y_signed: np.ndarray,
     weights: np.ndarray,
     bias: float,
@@ -135,13 +109,13 @@ def lr_loss_grad(
     J = (1/N) sum log(1 + exp(-y (Xw + b))) + (lambda/2) ||w||^2 with
     y in {-1, +1}; the bias is unregularized.
     """
-    n = X.shape[0]
-    z = X @ weights + bias
+    n = len(X)
+    z = X.matvec(weights) + bias
     margins = y_signed * z
     loss = float(np.logaddexp(0.0, -margins).mean() + 0.5 * l2_lambda * weights @ weights)
     # d/dz log(1+exp(-m)) = -y * sigmoid(-m)
     coef = -y_signed * _sigmoid(-margins) / n
-    grad_w = np.asarray(X.T @ coef) + l2_lambda * weights
+    grad_w = X.rmatvec(coef) + l2_lambda * weights
     grad_b = float(coef.sum())
     return loss, grad_w, grad_b
 
@@ -151,12 +125,11 @@ def _sigmoid(z: np.ndarray | float):
 
 
 def train_lr(
-    vectors: list[SparseVector],
+    X: Csr,
     labels01: list[int],
     l2_lambda: float = 1e-3,
     lr: float = 0.1,
     epochs: int = 500,
-    n_features: int | None = None,
     grad_tol: float = 1e-6,
 ) -> LogisticRegressionModel:
     """Full-batch gradient descent from zero weights.
@@ -172,11 +145,8 @@ def train_lr(
         raise TrainingError(f"l2_lambda must be non-negative, got {l2_lambda}")
     if l2_lambda > 0:
         lr = min(lr, 1.0 / l2_lambda)
-    if n_features is None:
-        n_features = max((max(v.indices) + 1 for v in vectors if v.indices), default=1)
-    X = _to_csr(vectors, n_features)
     y_signed = np.asarray([1.0 if y == 1 else -1.0 for y in labels01])
-    weights = np.zeros(n_features, dtype=np.float64)
+    weights = np.zeros(X.n_features, dtype=np.float64)
     bias = 0.0
     history = []
     for it in range(epochs):
@@ -194,14 +164,13 @@ def train_lr(
 
 
 def predict_lr(
-    vector: SparseVector,
+    X: Csr,
     model: LogisticRegressionModel,
     threshold: float = 0.5,
-) -> tuple[Label, float]:
+) -> tuple[list[Label], np.ndarray]:
     """p = sigma(w.x + b) is the probability of the positive (Bullying) class."""
-    p = float(_sigmoid(vector.dot_dense(model.weights) + model.bias))
-    label = Label.BULLYING if p >= threshold else Label.NON_BULLYING
-    return label, p
+    p = _sigmoid(X.matvec(model.weights) + model.bias)
+    return [Label.BULLYING if q >= threshold else Label.NON_BULLYING for q in p.tolist()], p
 
 
 # ----------------------------------------------------------------------------
@@ -220,7 +189,7 @@ class LinearSvmModel:
 
 
 def svm_objective(
-    vectors: list[SparseVector],
+    X: Csr,
     labels_signed: list[int],
     weights: np.ndarray,
     bias: float,
@@ -228,18 +197,17 @@ def svm_objective(
 ) -> float:
     """(lambda/2)||w||^2 + mean hinge loss."""
     hinge = 0.0
-    for vec, y in zip(vectors, labels_signed):
-        hinge += max(0.0, 1.0 - y * (vec.dot_dense(weights) + bias))
-    return 0.5 * reg_lambda * float(weights @ weights) + hinge / len(vectors)
+    for score, y in zip(X.matvec(weights).tolist(), labels_signed):
+        hinge += max(0.0, 1.0 - y * (score + bias))
+    return 0.5 * reg_lambda * float(weights @ weights) + hinge / len(X)
 
 
 def train_svm(
-    vectors: list[SparseVector],
+    X: Csr,
     labels_signed: list[int],
     reg_lambda: float = 1e-3,
     epochs: int = 200,
     seed: int = 42,
-    n_features: int | None = None,
 ) -> LinearSvmModel:
     """Pegasos: step size 1/(lambda*t), example order reshuffled per epoch
     with the pinned PRNG. The bias follows the subgradient without
@@ -247,36 +215,37 @@ def train_svm(
     """
     if reg_lambda <= 0:
         raise TrainingError(f"reg_lambda must be positive, got {reg_lambda}")
-    if not vectors:
+    if not len(X):
         raise TrainingError("cannot train on an empty dataset")
-    if n_features is None:
-        n_features = max((max(v.indices) + 1 for v in vectors if v.indices), default=1)
+    # each step sums its row in Python, in entry order; a numpy dot would reorder it
+    bounds = X.indptr.tolist()
+    rows = [(X.indices[a:b].tolist(), X.data[a:b].tolist())
+            for a, b in zip(bounds, bounds[1:])]
     rng = Rng(seed)
-    weights = np.zeros(n_features, dtype=np.float64)
+    weights = np.zeros(X.n_features, dtype=np.float64)
     bias = 0.0
     t = 0
-    order = list(range(len(vectors)))
+    order = list(range(len(X)))
     for _ in range(epochs):
         rng.shuffle(order)
         for idx in order:
             t += 1
             eta = 1.0 / (reg_lambda * t)
-            vec = vectors[idx]
+            indices, values = rows[idx]
             y = labels_signed[idx]
-            margin = y * (vec.dot_dense(weights) + bias)
+            margin = y * (float(sum(v * weights[i] for i, v in zip(indices, values))) + bias)
             weights *= 1.0 - eta * reg_lambda
             if margin < 1.0:
-                for i, v in zip(vec.indices, vec.values):
+                for i, v in zip(indices, values):
                     weights[i] += eta * y * v
                 bias += eta * y
     return LinearSvmModel(weights=weights, bias=bias, reg_lambda=reg_lambda)
 
 
-def predict_svm(vector: SparseVector, model: LinearSvmModel) -> tuple[Label, float]:
+def predict_svm(X: Csr, model: LinearSvmModel) -> tuple[list[Label], np.ndarray]:
     """sign(w.x + b); a score of exactly 0 goes to the positive class."""
-    score = float(vector.dot_dense(model.weights) + model.bias)
-    label = Label.BULLYING if score >= 0.0 else Label.NON_BULLYING
-    return label, score
+    scores = X.matvec(model.weights) + model.bias
+    return [Label.BULLYING if s >= 0.0 else Label.NON_BULLYING for s in scores.tolist()], scores
 
 
 # ----------------------------------------------------------------------------
@@ -297,41 +266,31 @@ class GridSearchResult:
 @dataclass
 class FeaturizedFold:
     """One CV fold, featurized by a TF-IDF model fitted on its training part."""
-    train_vectors: list[SparseVector]
+    train: Csr
     train_labels: list[Label]
-    test_vectors: list[SparseVector]
+    test: Csr
     test_labels: list[Label]
-    n_features: int
 
 
-def train_family(
-    family: str,
-    vectors: list[SparseVector],
-    labels: list[Label],
-    params: dict,
-    n_features: int,
-    seed: int = 42,
-):
+def train_family(family: str, X: Csr, labels: list[Label], params: dict, seed: int = 42):
     """Dispatch to the family trainer with Label lists as the common input."""
     if family == "nb":
-        return train_nb(vectors, labels, alpha=params.get("alpha", 1.0), n_features=n_features)
+        return train_nb(X, labels, alpha=params.get("alpha", 1.0))
     if family == "lr":
         y01 = [1 if lab is Label.BULLYING else 0 for lab in labels]
         return train_lr(
-            vectors, y01,
+            X, y01,
             l2_lambda=params.get("l2_lambda", 1e-3),
             lr=params.get("lr", 0.1),
             epochs=params.get("epochs", 500),
-            n_features=n_features,
         )
     if family == "svm":
         ysign = [1 if lab is Label.BULLYING else -1 for lab in labels]
         return train_svm(
-            vectors, ysign,
+            X, ysign,
             reg_lambda=params.get("reg_lambda", 1e-3),
             epochs=params.get("epochs", 200),
             seed=params.get("seed", seed),
-            n_features=n_features,
         )
     if family == "majority":
         return MajorityModel(label=majority_label(labels))
@@ -344,15 +303,15 @@ class MajorityModel:
     label: Label
 
 
-def predict_family(family: str, model, vector: SparseVector) -> Label:
+def predict_family(family: str, model, X: Csr) -> list[Label]:
     if family == "nb":
-        return predict_nb(vector, model)[0]
+        return predict_nb(X, model)[0]
     if family == "lr":
-        return predict_lr(vector, model)[0]
+        return predict_lr(X, model)[0]
     if family == "svm":
-        return predict_svm(vector, model)[0]
+        return predict_svm(X, model)[0]
     if family == "majority":
-        return model.label
+        return [model.label] * len(X)
     raise TrainingError(f"unknown model family {family!r}")
 
 
@@ -398,11 +357,10 @@ def featurize_folds(
         train_tokens = [token_lists[i] for i in train_idx]
         tfidf = fit_tfidf(train_tokens, tfidf_config)
         folds.append(FeaturizedFold(
-            train_vectors=transform_all(train_tokens, tfidf),
+            train=transform_all(train_tokens, tfidf),
             train_labels=[labels[i] for i in train_idx],
-            test_vectors=transform_all([token_lists[i] for i in test_idx], tfidf),
+            test=transform_all([token_lists[i] for i in test_idx], tfidf),
             test_labels=[labels[i] for i in test_idx],
-            n_features=tfidf.n_features,
         ))
     return folds
 
@@ -416,11 +374,8 @@ def fold_reports(
     """Train on each fold's training part and score its held-out part."""
     reports = []
     for fold in folds:
-        model = train_family(
-            family, fold.train_vectors, fold.train_labels, params, fold.n_features, seed,
-        )
-        y_pred = [predict_family(family, model, vec) for vec in fold.test_vectors]
-        reports.append(evaluate(fold.test_labels, y_pred))
+        model = train_family(family, fold.train, fold.train_labels, params, seed)
+        reports.append(evaluate(fold.test_labels, predict_family(family, model, fold.test)))
     return reports
 
 

@@ -24,7 +24,6 @@ from bullyguard.linear_models import (
     train_lr,
     train_nb,
     train_svm,
-    _to_csr,
 )
 from bullyguard.metrics import ConfusionMatrix, metrics
 from bullyguard.neural import (
@@ -42,7 +41,7 @@ from bullyguard.neural import (
 )
 from bullyguard.rng import Rng
 from test_features import dense_tfidf_oracle
-from test_linear_models import nb_posterior_oracle, separable_toy, sv
+from test_linear_models import csr, nb_posterior_oracle, separable_toy, sv
 from test_neural import keyword_task
 
 B, N = Label.BULLYING, Label.NON_BULLYING
@@ -70,7 +69,7 @@ def test_acceptance_1_tfidf_oracle_equivalence():
         model = fit_tfidf(docs, TfidfConfig(sublinear_tf=sublinear, l2_normalize=l2))
         query = docs[rng.randbelow(len(docs))] + [alphabet[rng.randbelow(vocab_size)]]
         vocab, expected = dense_tfidf_oracle(docs, query, sublinear, l2)
-        dense = transform(query, model).to_dense(model.n_features)
+        dense = transform(query, model).toarray()[0]
         for token, want in zip(vocab, expected):
             got = dense[model.vocabulary.token_to_id[token]]
             assert abs(got - want) <= 1e-9, (case, token)
@@ -94,9 +93,9 @@ def test_acceptance_2_nb_oracle_equivalence():
             class_ids.append(i % 2)
         alpha = 0.25 + 2.0 * rng.random()
         labels = [B if c == 0 else N for c in class_ids]
-        model = train_nb([sv(d) for d in docs], labels, alpha=alpha, n_features=v)
+        model = train_nb(csr(docs), labels, alpha=alpha)
         query = [float(rng.randbelow(3)) for _ in range(v)]
-        _, scores = predict_nb(sv(query), model)
+        _, (scores,) = predict_nb(sv(query), model)
         shifted = np.exp(scores - scores.max())
         got = shifted / shifted.sum()
         want = nb_posterior_oracle(docs, class_ids, query, alpha)
@@ -109,8 +108,7 @@ def test_acceptance_2_nb_oracle_equivalence():
 def test_acceptance_3_lr_gradient_and_descent():
     docs = [["a", "b"], ["b"], ["a", "c"], ["c"], ["a"], ["b", "c"]]
     tfidf = fit_tfidf(docs)
-    vectors = transform_all(docs, tfidf)
-    X = _to_csr(vectors, tfidf.n_features)
+    X = transform_all(docs, tfidf)
     y = np.asarray([1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
     lam, h = 1e-2, 1e-5
     rng = Rng(3003)
@@ -139,8 +137,7 @@ def test_acceptance_3_lr_gradient_and_descent():
         ([0, 1, 0, 1, 1, 1], 0.0),
     ]
     for labels01, fix_lam in fixtures:
-        model = train_lr(vectors, labels01, l2_lambda=fix_lam, lr=0.1, epochs=200,
-                         n_features=tfidf.n_features)
+        model = train_lr(X, labels01, l2_lambda=fix_lam, lr=0.1, epochs=200)
         history = model.loss_history
         assert all(b2 <= a2 + 1e-12 for a2, b2 in zip(history, history[1:]))
     ok(3, f"LR analytic gradient within {worst:.2e} of finite differences; "
@@ -231,20 +228,18 @@ def test_acceptance_6_early_stopping_contract():
 
 def test_acceptance_7_separable_sanity():
     vectors, labels01 = separable_toy(10)
-    lr_model = train_lr(vectors, labels01, l2_lambda=0.0, lr=0.5, epochs=2000,
-                        n_features=2)
+    lr_model = train_lr(vectors, labels01, l2_lambda=0.0, lr=0.5, epochs=2000)
     lr_acc = np.mean([
-        (predict_lr(v, lr_model)[0] is B) == bool(y)
-        for v, y in zip(vectors, labels01)
+        (label is B) == bool(y)
+        for label, y in zip(predict_lr(vectors, lr_model)[0], labels01)
     ])
     assert lr_acc == 1.0
 
     signed = [1 if y == 1 else -1 for y in labels01]
-    svm_model = train_svm(vectors, signed, reg_lambda=1e-2, epochs=200, seed=42,
-                          n_features=2)
+    svm_model = train_svm(vectors, signed, reg_lambda=1e-2, epochs=200, seed=42)
     svm_acc = np.mean([
-        (predict_svm(v, svm_model)[0] is B) == (y == 1)
-        for v, y in zip(vectors, signed)
+        (label is B) == (y == 1)
+        for label, y in zip(predict_svm(vectors, svm_model)[0], signed)
     ])
     assert svm_acc == 1.0
 

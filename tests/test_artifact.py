@@ -40,8 +40,7 @@ def build_classical_artifact(family, records, lexicon, rules, params=None):
     tokens = preprocess_corpus([r.text for r in records], pipeline, lexicon, rules)
     labels = [r.label for r in records]
     tfidf = fit_tfidf(tokens, TfidfConfig())
-    vectors = transform_all(tokens, tfidf)
-    model = train_family(family, vectors, labels, params or {}, tfidf.n_features, 42)
+    model = train_family(family, transform_all(tokens, tfidf), labels, params or {}, 42)
     artifact = ModelArtifact(
         family=family, seed=42, majority_label=B,
         preprocessing_fp=preprocessing_fingerprint(pipeline, lexicon, rules),

@@ -1,9 +1,13 @@
 import io
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import bullyguard
 from bullyguard.artifact import load_artifact, predict_text
 from bullyguard.cli import PREDICT_CHUNK_LINES, main
 from bullyguard.corpus import Label, write_corpus
@@ -322,6 +326,30 @@ def test_predict_input_directory_exit_1(tmp_path, capsys):
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith(f"error: cannot read input file {input_dir}")
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("command", ["train", "tune", "benchmark"])
+def test_all_empty_corpus_exit_3_one_line(tmp_path, capsys, command):
+    records = [make_record(index=i + 1, text=f"!!! {i}", label=B if i % 2 else N)
+               for i in range(20)]
+    corpus = tmp_path / "corpus.csv"
+    write_corpus(records, corpus)
+    out = ["--out-dir", str(tmp_path / "reports")] if command == "benchmark" else [
+        "--family", "nb", "--out", str(tmp_path / "model.txt")]
+    assert main([command, "--corpus", str(corpus), "--quiet", *out]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "error: empty corpus after preprocessing\n"
+
+
+def test_cli_import_does_not_load_scipy():
+    src = str(Path(bullyguard.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, bullyguard.cli; "
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout == "[]\n"
 
 
 def test_predict_fingerprint_mismatch(tmp_path, capsys):

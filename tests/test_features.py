@@ -1,14 +1,16 @@
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bullyguard.features import (
+    Csr,
     FeatureError,
-    SparseVector,
     TfidfConfig,
     fit_tfidf,
     transform,
+    transform_all,
 )
 from bullyguard.rng import Rng
 
@@ -73,9 +75,9 @@ def test_fit_rejects_empty():
 def test_transform_hand_case_unnormalized():
     model = fit_tfidf([["a", "b"], ["a"]], TfidfConfig(l2_normalize=False))
     vec = transform(["a", "a", "b"], model)
-    assert vec.indices == (0, 1)
-    assert vec.values[0] == pytest.approx(2.0)
-    assert vec.values[1] == pytest.approx(math.log(3 / 2) + 1.0)
+    assert vec.indices.tolist() == [0, 1]
+    assert vec.data[0] == pytest.approx(2.0)
+    assert vec.data[1] == pytest.approx(math.log(3 / 2) + 1.0)
 
 
 def test_transform_l2_normalized():
@@ -83,22 +85,22 @@ def test_transform_l2_normalized():
     vec = transform(["a", "a", "b"], model)
     b_idf = math.log(3 / 2) + 1.0
     norm = math.sqrt(2.0 ** 2 + b_idf ** 2)
-    assert vec.values[0] == pytest.approx(2.0 / norm)
-    assert vec.values[1] == pytest.approx(b_idf / norm)
-    assert vec.norm() == pytest.approx(1.0, abs=1e-9)
+    assert vec.data[0] == pytest.approx(2.0 / norm)
+    assert vec.data[1] == pytest.approx(b_idf / norm)
+    assert math.sqrt(sum(v * v for v in vec.data)) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_transform_oov_zero_vector():
     model = fit_tfidf([["a", "b"], ["a"]])
     vec = transform(["zzz"], model)
-    assert vec.indices == () and vec.values == ()
-    assert transform([], model).nnz == 0
+    assert len(vec) == 1 and vec.indices.size == 0 and vec.data.size == 0
+    assert transform([], model).data.size == 0
 
 
 def test_transform_sublinear_tf():
     model = fit_tfidf([["a"]], TfidfConfig(sublinear_tf=True, l2_normalize=False))
     vec = transform(["a", "a", "a"], model)
-    assert vec.values[0] == pytest.approx(1.0 + math.log(3.0))
+    assert vec.data[0] == pytest.approx(1.0 + math.log(3.0))
 
 
 def test_idf_monotone_in_rarity():
@@ -131,7 +133,7 @@ def test_oracle_equivalence_modes(sublinear, l2):
         model = fit_tfidf(docs, config)
         query = docs[rng.randbelow(len(docs))] + ["w0"]
         vocab, expected = dense_tfidf_oracle(docs, query, sublinear, l2)
-        got = transform(query, model).to_dense(model.n_features)
+        got = transform(query, model).toarray()[0]
         assert len(vocab) == model.n_features
         for tok, want in zip(vocab, expected):
             has = got[model.vocabulary.token_to_id[tok]]
@@ -143,15 +145,62 @@ def test_transform_independent_of_other_documents_order():
     model = fit_tfidf(docs)
     v1 = transform(["a", "c"], model)
     v2 = transform(["a", "c"], model)
-    assert v1 == v2
+    for field in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(v1, field), getattr(v2, field))
+    assert v1.n_features == v2.n_features
 
 
 def test_sparse_vector_invariants():
     with pytest.raises(ValueError):
-        SparseVector(indices=(0, 1), values=(1.0,))
-    vec = SparseVector(indices=(1, 3), values=(2.0, -1.0))
-    assert vec.dot_dense([0.0, 10.0, 0.0, 4.0]) == pytest.approx(16.0)
-    assert vec.to_dense(5) == [0.0, 2.0, 0.0, -1.0, 0.0]
+        Csr(np.asarray([0, 2]), np.asarray([0, 1]), np.asarray([1.0]), 2)
+    vec = Csr(np.asarray([0, 2]), np.asarray([1, 3]), np.asarray([2.0, -1.0]), 5)
+    assert vec.matvec(np.asarray([0.0, 10.0, 0.0, 4.0])) == pytest.approx([16.0])
+    assert vec.toarray().tolist() == [[0.0, 2.0, 0.0, -1.0, 0.0]]
+
+
+def csr_rows(rows: list[dict[int, float]], n_features: int) -> Csr:
+    """Csr with one row per {column: value} dict."""
+    indptr, indices, data = [0], [], []
+    for row in rows:
+        for i in sorted(row):
+            indices.append(i)
+            data.append(float(row[i]))
+        indptr.append(len(indices))
+    return Csr(np.asarray(indptr, dtype=np.int64), np.asarray(indices, dtype=np.int64),
+               np.asarray(data, dtype=np.float64), n_features)
+
+
+# wide magnitudes, so a sum taken in any other order would show
+FLOATS = st.floats(-1e12, 1e12, allow_nan=False, allow_infinity=False)
+N_COLS, MAX_ROWS = 6, 8
+ROWS = st.lists(
+    st.dictionaries(st.integers(0, N_COLS - 1), FLOATS.filter(lambda v: v != 0.0)),
+    max_size=MAX_ROWS,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=ROWS, w=st.lists(FLOATS, min_size=N_COLS, max_size=N_COLS),
+       c=st.lists(FLOATS, min_size=MAX_ROWS, max_size=MAX_ROWS))
+@example(rows=[], w=[1.0] * N_COLS, c=[1.0] * MAX_ROWS)
+@example(rows=[{}, {}, {}], w=[1.0] * N_COLS, c=[1.0] * MAX_ROWS)
+@example(rows=[{4: 2.5}, {}, {0: -1e12}], w=[3.0] * N_COLS, c=[0.5] * MAX_ROWS)
+@example(rows=[{0: 1e12, 1: 1.0, 2: -1e12}, {0: 1.0}, {0: 1e12}, {0: -1e12}],
+         w=[1.0] * N_COLS, c=[1.0] * MAX_ROWS)
+def test_matvec_bit_identical_to_sequential_loops(rows, w, c):
+    X = csr_rows(rows, N_COLS)
+    want_xw = []
+    for row in rows:
+        acc = 0.0
+        for i in sorted(row):
+            acc += row[i] * w[i]
+        want_xw.append(acc)
+    want_xtc = [0.0] * N_COLS
+    for row, cr in zip(rows, c):
+        for i in sorted(row):
+            want_xtc[i] += row[i] * cr
+    assert X.matvec(np.asarray(w)).tolist() == want_xw
+    assert X.rmatvec(np.asarray(c[:len(rows)])).tolist() == want_xtc
 
 
 @settings(max_examples=50, deadline=None)
@@ -164,4 +213,10 @@ def test_transform_indices_sorted_values_nonzero(docs):
     for doc in docs:
         vec = transform(doc, model)
         assert list(vec.indices) == sorted(set(vec.indices))
-        assert all(v != 0.0 for v in vec.values)
+        assert all(v != 0.0 for v in vec.data)
+    X = transform_all(docs, model)
+    assert len(X) == len(docs) and X.indptr[0] == 0 and X.indptr[-1] == X.data.size
+    for r, doc in enumerate(docs):
+        row = slice(X.indptr[r], X.indptr[r + 1])
+        assert np.array_equal(X.indices[row], transform(doc, model).indices)
+        assert np.array_equal(X.data[row], transform(doc, model).data)

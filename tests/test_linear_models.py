@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import bullyguard.linear_models as lm
 from bullyguard.corpus import Label, kfold_split
-from bullyguard.features import SparseVector, fit_tfidf, transform_all
+from bullyguard.features import fit_tfidf, transform_all
 from bullyguard.linear_models import (
     TrainingError,
     expand_grid,
@@ -22,13 +23,19 @@ from bullyguard.linear_models import (
     train_svm,
 )
 from bullyguard.rng import Rng
+from test_features import FLOATS, MAX_ROWS, N_COLS, ROWS, csr_rows
 
 B, N = Label.BULLYING, Label.NON_BULLYING
 
 
+def csr(dense_rows):
+    """Csr of equal-length dense rows; zero entries are left out."""
+    return csr_rows([{i: v for i, v in enumerate(dense) if v != 0.0} for dense in dense_rows],
+                    len(dense_rows[0]))
+
+
 def sv(dense):
-    indices = tuple(i for i, v in enumerate(dense) if v != 0.0)
-    return SparseVector(indices=indices, values=tuple(dense[i] for i in indices))
+    return csr([dense])
 
 
 def nb_posterior_oracle(docs_dense, class_ids, query_dense, alpha):
@@ -55,9 +62,9 @@ def nb_posterior_oracle(docs_dense, class_ids, query_dense, alpha):
 
 def test_nb_hand_counts():
     # class Bullying: {a:2}, {a:1,b:1}; class Non: {b:2}, {b:1,a:1}
-    vectors = [sv([2, 0]), sv([1, 1]), sv([0, 2]), sv([1, 1])]
+    vectors = csr([[2, 0], [1, 1], [0, 2], [1, 1]])
     labels = [B, B, N, N]
-    model = train_nb(vectors, labels, alpha=1.0, n_features=2)
+    model = train_nb(vectors, labels, alpha=1.0)
     # P(a|Bullying) = (1 + 3) / (1*2 + 4) = 2/3
     assert math.exp(model.log_likelihood[0][0]) == pytest.approx(2 / 3)
     assert math.exp(model.log_likelihood[0][1]) == pytest.approx(1 / 3)
@@ -69,48 +76,48 @@ def test_nb_hand_counts():
 
 
 def test_nb_large_alpha_uniform_limit():
-    vectors = [sv([5, 0]), sv([0, 5])]
-    model = train_nb(vectors, [B, N], alpha=1e9, n_features=2)
+    vectors = csr([[5, 0], [0, 5]])
+    model = train_nb(vectors, [B, N], alpha=1e9)
     for c in (0, 1):
         np.testing.assert_allclose(np.exp(model.log_likelihood[c]), 0.5, atol=1e-6)
 
 
 def test_nb_missing_class_error():
     with pytest.raises(TrainingError, match="has no training documents"):
-        train_nb([sv([1, 0])], [B], alpha=1.0, n_features=2)
+        train_nb(sv([1, 0]), [B], alpha=1.0)
     with pytest.raises(TrainingError, match="alpha"):
-        train_nb([sv([1, 0]), sv([0, 1])], [B, N], alpha=0.0, n_features=2)
+        train_nb(csr([[1, 0], [0, 1]]), [B, N], alpha=0.0)
 
 
 def test_nb_zero_vector_falls_back_to_priors():
-    vectors = [sv([2, 0]), sv([1, 1]), sv([0, 2])]
-    model = train_nb(vectors, [B, B, N], alpha=1.0, n_features=2)
-    label, scores = predict_nb(sv([0, 0]), model)
+    vectors = csr([[2, 0], [1, 1], [0, 2]])
+    model = train_nb(vectors, [B, B, N], alpha=1.0)
+    (label,), (scores,) = predict_nb(sv([0, 0]), model)
     np.testing.assert_allclose(scores, model.log_prior)
     assert label is B  # 2/3 prior
 
 
 def test_nb_predict_hand_posterior():
-    vectors = [sv([2, 0]), sv([1, 1]), sv([0, 2]), sv([1, 1])]
-    model = train_nb(vectors, [B, B, N, N], alpha=1.0, n_features=2)
-    label, _ = predict_nb(sv([1, 0]), model)
+    vectors = csr([[2, 0], [1, 1], [0, 2], [1, 1]])
+    model = train_nb(vectors, [B, B, N, N], alpha=1.0)
+    (label,), _ = predict_nb(sv([1, 0]), model)
     assert label is B  # P(a|Bullying)=2/3 beats P(a|Non)=1/3 with equal priors
 
 
 def test_nb_scaling_preserves_argmax_under_equal_priors():
-    vectors = [sv([2, 0]), sv([1, 1]), sv([0, 2]), sv([1, 1])]
-    model = train_nb(vectors, [B, B, N, N], alpha=1.0, n_features=2)
-    base = nb_log_scores(sv([1, 0.5]), model) - model.log_prior
+    vectors = csr([[2, 0], [1, 1], [0, 2], [1, 1]])
+    model = train_nb(vectors, [B, B, N, N], alpha=1.0)
+    base = nb_log_scores(sv([1, 0.5]), model)[0] - model.log_prior
     for k in (0.5, 2.0, 7.0):
-        scaled = nb_log_scores(sv([k * 1, k * 0.5]), model) - model.log_prior
+        scaled = nb_log_scores(sv([k * 1, k * 0.5]), model)[0] - model.log_prior
         np.testing.assert_allclose(scaled, k * base, rtol=1e-12)
-    assert predict_nb(sv([1, 0.5]), model)[0] is predict_nb(sv([5, 2.5]), model)[0]
+    assert predict_nb(sv([1, 0.5]), model)[0][0] is predict_nb(sv([5, 2.5]), model)[0][0]
 
 
 def test_nb_tie_breaks_to_lower_class_id():
-    vectors = [sv([1, 0]), sv([0, 1])]
-    model = train_nb(vectors, [B, N], alpha=1.0, n_features=2)
-    label, scores = predict_nb(sv([0, 0]), model)  # symmetric: exact tie
+    vectors = csr([[1, 0], [0, 1]])
+    model = train_nb(vectors, [B, N], alpha=1.0)
+    (label,), (scores,) = predict_nb(sv([0, 0]), model)  # symmetric: exact tie
     assert scores[0] == pytest.approx(scores[1])
     assert label is B
 
@@ -126,13 +133,48 @@ def test_nb_oracle_equivalence_random():
             class_ids.append(i % 2)       # both classes present
         alpha = 0.25 + rng.random() * 2
         labels = [Label.BULLYING if c == 0 else Label.NON_BULLYING for c in class_ids]
-        model = train_nb([sv(d) for d in docs], labels, alpha=alpha, n_features=v)
+        model = train_nb(csr(docs), labels, alpha=alpha)
         query = [float(rng.randbelow(3)) for _ in range(v)]
-        _, scores = predict_nb(sv(query), model)
+        _, (scores,) = predict_nb(sv(query), model)
         shifted = np.exp(scores - scores.max())
         got = shifted / shifted.sum()
         want = nb_posterior_oracle(docs, class_ids, query, alpha)
         np.testing.assert_allclose(got, want, atol=1e-9)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=ROWS,
+       classes=st.lists(st.sampled_from([B, N]), min_size=MAX_ROWS, max_size=MAX_ROWS),
+       prior=st.lists(FLOATS, min_size=2, max_size=2),
+       ll=st.lists(FLOATS, min_size=2 * N_COLS, max_size=2 * N_COLS))
+@example(rows=[], classes=[B, N] * 4, prior=[-1.0, -2.0], ll=[-1.0] * 12)
+@example(rows=[{}, {}], classes=[B, N] * 4, prior=[-1.0, -2.0], ll=[-1.0] * 12)
+@example(rows=[{3: 2.5}, {0: 1e12}], classes=[N, B] * 4, prior=[-1.0, -2.0],
+         ll=[1e12, -1.0, 1e-3, 2.0, -1e12, 0.5] * 2)
+def test_nb_bit_identical_to_sequential_loops(rows, classes, prior, ll):
+    """Batched NB scoring and training add in the order of the per-row loops."""
+    X = csr_rows(rows, N_COLS)
+    model = lm.NaiveBayesModel(log_prior=np.asarray(prior),
+                               log_likelihood=np.asarray(ll).reshape(2, N_COLS), alpha=1.0)
+    want = []
+    for row in rows:
+        scores = model.log_prior.copy()
+        for i in sorted(row):
+            scores += row[i] * model.log_likelihood[:, i]
+        want.append(scores.tolist())
+    assert nb_log_scores(X, model).tolist() == want
+
+    labels = classes[:len(rows)]
+    if set(labels) != {B, N}:
+        return
+    masses = [{i: abs(v) for i, v in row.items()} for row in rows]
+    mass = np.zeros((2, N_COLS))
+    for row, label in zip(masses, labels):
+        for i in sorted(row):
+            mass[label.index, i] += row[i]
+    want_ll = np.log(1.0 + mass) - np.log(N_COLS + mass.sum(axis=1, keepdims=True))
+    got = train_nb(csr_rows(masses, N_COLS), labels, alpha=1.0)
+    assert got.log_likelihood.tolist() == want_ll.tolist()
 
 
 # ----------------------------------------------------------------------------
@@ -140,32 +182,32 @@ def test_nb_oracle_equivalence_random():
 # ----------------------------------------------------------------------------
 
 def separable_toy(copies=10):
-    vectors = [sv([1.0, 0.0])] * copies + [sv([0.0, 1.0])] * copies
+    vectors = csr([[1.0, 0.0]] * copies + [[0.0, 1.0]] * copies)
     labels01 = [1] * copies + [0] * copies
     return vectors, labels01
 
 
 def test_lr_separable_reaches_perfect_train_accuracy():
     vectors, labels01 = separable_toy()
-    model = train_lr(vectors, labels01, l2_lambda=0.0, lr=0.5, epochs=2000, n_features=2)
-    preds = [1 if predict_lr(v, model)[0] is B else 0 for v in vectors]
+    model = train_lr(vectors, labels01, l2_lambda=0.0, lr=0.5, epochs=2000)
+    preds = [1 if label is B else 0 for label in predict_lr(vectors, model)[0]]
     assert preds == labels01
 
 
 def test_lr_huge_lambda_collapses_to_majority():
     # 3:1 imbalance: in the regularization limit the bias term dominates the
     # vanishing weights, so every prediction is the majority class
-    vectors = [sv([1.0, 0.0])] * 15 + [sv([0.0, 1.0])] * 5
+    vectors = csr([[1.0, 0.0]] * 15 + [[0.0, 1.0]] * 5)
     labels01 = [1] * 15 + [0] * 5
-    model = train_lr(vectors, labels01, l2_lambda=1e6, lr=0.1, epochs=500, n_features=2)
+    model = train_lr(vectors, labels01, l2_lambda=1e6, lr=0.1, epochs=500)
     assert np.abs(model.weights).max() < 1e-3
-    preds = {predict_lr(v, model)[0] for v in vectors}
+    preds = set(predict_lr(vectors, model)[0])
     assert preds == {B}
 
 
 def test_lr_single_step_matches_hand_gradient():
     x = sv([2.0, 3.0])
-    model = train_lr([x], [1], l2_lambda=0.0, lr=0.1, epochs=1, n_features=2)
+    model = train_lr(x, [1], l2_lambda=0.0, lr=0.1, epochs=1)
     # gradient at zero weights: (sigma(0) - y) * x = -x/2; bias likewise -1/2
     np.testing.assert_allclose(model.weights, [0.1, 0.15], rtol=1e-12)
     assert model.bias == pytest.approx(0.05)
@@ -177,8 +219,7 @@ def test_lr_loss_nonincreasing_on_fixture():
     model_tfidf = fit_tfidf(docs)
     vectors = transform_all(docs, model_tfidf)
     labels01 = [1, 0, 1, 0, 0, 1]
-    model = train_lr(vectors, labels01, l2_lambda=1e-3, lr=0.1, epochs=300,
-                     n_features=model_tfidf.n_features)
+    model = train_lr(vectors, labels01, l2_lambda=1e-3, lr=0.1, epochs=300)
     history = model.loss_history
     assert len(history) > 1
     assert all(b <= a + 1e-12 for a, b in zip(history, history[1:]))
@@ -188,8 +229,7 @@ def test_lr_gradient_matches_finite_differences():
     rng = Rng(11)
     docs = [["a", "b"], ["b"], ["a", "c"], ["c"]]
     tfidf = fit_tfidf(docs)
-    vectors = transform_all(docs, tfidf)
-    X = lm._to_csr(vectors, tfidf.n_features)
+    X = transform_all(docs, tfidf)
     y = np.asarray([1.0, -1.0, 1.0, -1.0])
     lam = 1e-2
     h = 1e-5
@@ -212,18 +252,18 @@ def test_lr_gradient_matches_finite_differences():
 
 def test_lr_nonfinite_loss_reports_iteration():
     with pytest.raises(TrainingError, match="learning rate"):
-        train_lr([sv([1.0])], [1], lr=0.0)
+        train_lr(sv([1.0]), [1], lr=0.0)
 
 
 def test_predict_lr_hand_cases():
     model = lm.LogisticRegressionModel(weights=np.zeros(2), bias=0.0, l2_lambda=0.0)
-    label, p = predict_lr(sv([1.0, 1.0]), model)
+    (label,), (p,) = predict_lr(sv([1.0, 1.0]), model)
     assert p == pytest.approx(0.5)
     assert label is B  # threshold rule assigns the positive class at exactly 0.5
     model_b = lm.LogisticRegressionModel(weights=np.zeros(2), bias=10.0, l2_lambda=0.0)
-    assert predict_lr(sv([0.0, 0.0]), model_b)[1] > 0.9999
+    assert predict_lr(sv([0.0, 0.0]), model_b)[1][0] > 0.9999
     model_w = lm.LogisticRegressionModel(weights=np.asarray([2.0, -2.0]), bias=0.0, l2_lambda=0.0)
-    assert predict_lr(sv([1.0, 1.0]), model_w)[1] == pytest.approx(0.5)
+    assert predict_lr(sv([1.0, 1.0]), model_w)[1][0] == pytest.approx(0.5)
 
 
 # ----------------------------------------------------------------------------
@@ -233,26 +273,26 @@ def test_predict_lr_hand_cases():
 def test_svm_separable_positive_margins():
     vectors, labels01 = separable_toy()
     signed = [1 if y == 1 else -1 for y in labels01]
-    model = train_svm(vectors, signed, reg_lambda=1e-2, epochs=200, seed=42, n_features=2)
-    for vec, y in zip(vectors, signed):
-        assert y * (vec.dot_dense(model.weights) + model.bias) > 0.0
+    model = train_svm(vectors, signed, reg_lambda=1e-2, epochs=200, seed=42)
+    for score, y in zip(vectors.matvec(model.weights), signed):
+        assert y * (score + model.bias) > 0.0
 
 
 def test_svm_single_example_hinge_to_zero():
-    vectors = [sv([1.0, 0.5])] * 4
+    vectors = csr([[1.0, 0.5]] * 4)
     signed = [1] * 4
-    model = train_svm(vectors, signed, reg_lambda=0.1, epochs=500, seed=1, n_features=2)
-    hinge = max(0.0, 1.0 - (vectors[0].dot_dense(model.weights) + model.bias))
+    model = train_svm(vectors, signed, reg_lambda=0.1, epochs=500, seed=1)
+    hinge = max(0.0, 1.0 - (vectors.matvec(model.weights)[0] + model.bias))
     assert hinge < 1e-2
 
 
 def test_svm_deterministic_under_seed():
     vectors, labels01 = separable_toy(5)
     signed = [1 if y == 1 else -1 for y in labels01]
-    m1 = train_svm(vectors, signed, reg_lambda=1e-2, epochs=50, seed=9, n_features=2)
-    m2 = train_svm(vectors, signed, reg_lambda=1e-2, epochs=50, seed=9, n_features=2)
+    m1 = train_svm(vectors, signed, reg_lambda=1e-2, epochs=50, seed=9)
+    m2 = train_svm(vectors, signed, reg_lambda=1e-2, epochs=50, seed=9)
     assert np.array_equal(m1.weights, m2.weights) and m1.bias == m2.bias
-    m3 = train_svm(vectors, signed, reg_lambda=1e-2, epochs=50, seed=10, n_features=2)
+    m3 = train_svm(vectors, signed, reg_lambda=1e-2, epochs=50, seed=10)
     assert not np.array_equal(m1.weights, m3.weights)
 
 
@@ -264,8 +304,7 @@ def test_svm_objective_decreases_from_init():
     signed = [1, -1, 1, -1, 1, -1]
     lam = 1e-2
     initial = svm_objective(vectors, signed, np.zeros(tfidf.n_features), 0.0, lam)
-    model = train_svm(vectors, signed, reg_lambda=lam, epochs=200, seed=42,
-                      n_features=tfidf.n_features)
+    model = train_svm(vectors, signed, reg_lambda=lam, epochs=200, seed=42)
     final = svm_objective(vectors, signed, model.weights, model.bias, lam)
     assert initial == pytest.approx(1.0)
     assert final < initial
@@ -273,18 +312,18 @@ def test_svm_objective_decreases_from_init():
 
 def test_svm_invalid_lambda():
     with pytest.raises(TrainingError, match="reg_lambda"):
-        train_svm([sv([1.0])], [1], reg_lambda=0.0)
+        train_svm(sv([1.0]), [1], reg_lambda=0.0)
 
 
 def test_predict_svm_tie_and_scaling():
     model = lm.LinearSvmModel(weights=np.zeros(2), bias=0.0, reg_lambda=1e-2)
-    label, score = predict_svm(sv([1.0, 1.0]), model)
+    (label,), (score,) = predict_svm(sv([1.0, 1.0]), model)
     assert score == 0.0 and label is B  # documented tie rule
     model2 = lm.LinearSvmModel(weights=np.asarray([1.0, -2.0]), bias=0.5, reg_lambda=1e-2)
-    assert predict_svm(sv([3.0, 1.0]), model2)[1] == pytest.approx(1.5)
+    assert predict_svm(sv([3.0, 1.0]), model2)[1][0] == pytest.approx(1.5)
     for k in (0.5, 2.0, 10.0):
-        base = predict_svm(sv([3.0, 1.0]), model2)[0]
-        assert predict_svm(sv([3.0 * k, 1.0 * k]), model2)[0] is base
+        base = predict_svm(sv([3.0, 1.0]), model2)[0][0]
+        assert predict_svm(sv([3.0 * k, 1.0 * k]), model2)[0][0] is base
 
 
 # ----------------------------------------------------------------------------
