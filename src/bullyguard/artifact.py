@@ -16,6 +16,7 @@ the same thing.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -41,8 +42,8 @@ from .neural import (
 from .preprocess import (
     NormalizationLexicon,
     PipelineConfig,
+    Preprocessor,
     StemmerRules,
-    run_pipeline,
 )
 
 FORMAT_VERSION = 1
@@ -285,7 +286,7 @@ def _parse_tfidf(cur: _Cursor) -> TfidfModel:
         parts = cur.next().split(" ")
         if len(parts) != 5 or parts[0] != "token":
             raise ArtifactError(f"bad tfidf token line: {parts!r}")
-        token, idx, df, value = parts[1], int(parts[2]), int(parts[3]), float(parts[4])
+        token, idx, df, value = parts[1], int(parts[2]), int(parts[3]), _parse_float(parts[4])
         token_to_id[token] = idx
         document_frequency[idx] = df
         idf[idx] = value
@@ -296,8 +297,25 @@ def _parse_tfidf(cur: _Cursor) -> TfidfModel:
     )
 
 
-def _parse_floats(raw: str) -> np.ndarray:
-    return np.asarray([float(x) for x in raw.split(" ") if x], dtype=np.float64)
+def _parse_float(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ArtifactError(f"non-finite number {raw!r}")
+    return value
+
+
+def _parse_floats(raw: str, size: int | None = None) -> np.ndarray:
+    """A row of numbers; exactly size of them when size is given."""
+    values = np.asarray([float(x) for x in raw.split(" ") if x], dtype=np.float64)
+    if size is not None and values.size != size:
+        raise ArtifactError(f"parameter row has {values.size} numbers, expected {size}")
+    return values
+
+
+def _finite(name: str, values: np.ndarray) -> np.ndarray:
+    if not np.isfinite(values).all():
+        raise ArtifactError(f"non-finite number in {name}")
+    return values
 
 
 def load_artifact(path: str | Path) -> ModelArtifact:
@@ -344,32 +362,35 @@ def _parse_artifact(path: str | Path, text: str) -> ModelArtifact:
     if family == "nb":
         if cur.next() != "[nb]":
             raise ArtifactError("missing [nb] section")
-        alpha = float(cur.expect_kv("alpha"))
-        log_prior = _parse_floats(cur.expect_kv("log_prior"))
+        alpha = _parse_float(cur.expect_kv("alpha"))
+        log_prior = _finite("log_prior", _parse_floats(cur.expect_kv("log_prior"), 2))
         rows = []
         for cls in range(2):
             raw = cur.expect_kv("log_likelihood")
             idx, _, values = raw.partition(" ")
             if int(idx) != cls:
                 raise ArtifactError("log_likelihood rows out of order")
-            rows.append(_parse_floats(values))
+            rows.append(_parse_floats(values, artifact.tfidf.n_features))
         artifact.nb = NaiveBayesModel(
-            log_prior=log_prior, log_likelihood=np.vstack(rows), alpha=alpha,
+            log_prior=log_prior, log_likelihood=_finite("log_likelihood", np.vstack(rows)),
+            alpha=alpha,
         )
     elif family == "lr":
         if cur.next() != "[lr]":
             raise ArtifactError("missing [lr] section")
-        l2 = float(cur.expect_kv("l2_lambda"))
-        artifact.threshold = float(cur.expect_kv("threshold"))
-        bias = float(cur.expect_kv("bias"))
-        weights = _parse_floats(cur.expect_kv("weights"))
+        l2 = _parse_float(cur.expect_kv("l2_lambda"))
+        artifact.threshold = _parse_float(cur.expect_kv("threshold"))
+        bias = _parse_float(cur.expect_kv("bias"))
+        weights = _finite("weights", _parse_floats(cur.expect_kv("weights"),
+                                                   artifact.tfidf.n_features))
         artifact.lr = LogisticRegressionModel(weights=weights, bias=bias, l2_lambda=l2)
     elif family == "svm":
         if cur.next() != "[svm]":
             raise ArtifactError("missing [svm] section")
-        reg = float(cur.expect_kv("reg_lambda"))
-        bias = float(cur.expect_kv("bias"))
-        weights = _parse_floats(cur.expect_kv("weights"))
+        reg = _parse_float(cur.expect_kv("reg_lambda"))
+        bias = _parse_float(cur.expect_kv("bias"))
+        weights = _finite("weights", _parse_floats(cur.expect_kv("weights"),
+                                                   artifact.tfidf.n_features))
         artifact.svm = LinearSvmModel(weights=weights, bias=bias, reg_lambda=reg)
     else:
         if cur.next() != "[neural]":
@@ -396,7 +417,7 @@ def _parse_artifact(path: str | Path, text: str) -> ModelArtifact:
             shape = tuple(int(d) for d in cur.expect_kv("shape").split(" "))
             n_rows = shape[0] if len(shape) > 1 else 1
             rows = [_parse_floats(cur.next()) for _ in range(n_rows)]
-            arrays[name] = np.vstack(rows).reshape(shape)
+            arrays[name] = _finite(name, np.vstack(rows).reshape(shape))
         artifact.neural_vocab = vocab
         artifact.neural_params = _assemble_neural_params(arrays, use_att)
         if artifact.neural_params.vocab_size != size:
@@ -476,8 +497,7 @@ PREDICT_BATCH_SIZE = 16
 def predict_texts(
     artifact: ModelArtifact,
     texts: list[str],
-    lexicon: NormalizationLexicon,
-    rules: StemmerRules,
+    prep: Preprocessor,
 ) -> list[Prediction]:
     """Classify raw comments, one Prediction per text in input order.
 
@@ -487,9 +507,12 @@ def predict_texts(
     probability, LR the positive-class probability, SVM the signed margin.
     NB, LR and SVM score the non-empty texts as one TF-IDF matrix; the neural
     families score them in length-sorted batches so each batch carries
-    little padding.
+    little padding. prep must run the artifact's own pipeline; one instance
+    can serve every chunk of a stream, so its word memo carries over.
     """
-    token_lists = [run_pipeline(text, artifact.pipeline, lexicon, rules) for text in texts]
+    if prep.config != artifact.pipeline:
+        raise ValueError("the preprocessor's pipeline differs from the model's")
+    token_lists = prep.corpus(texts)
     predictions = [_fallback(artifact) for _ in texts]
     if artifact.family in ("nb", "lr", "svm"):
         rows = [i for i, tokens in enumerate(token_lists) if tokens]
@@ -514,7 +537,7 @@ def predict_text(
     rules: StemmerRules,
 ) -> Prediction:
     """Classify one raw comment; see predict_texts."""
-    return predict_texts(artifact, [text], lexicon, rules)[0]
+    return predict_texts(artifact, [text], Preprocessor(artifact.pipeline, lexicon, rules))[0]
 
 
 def _fallback(artifact: ModelArtifact) -> Prediction:

@@ -50,6 +50,7 @@ from .preprocess import (
     LexiconError,
     NormalizationLexicon,
     PipelineConfig,
+    Preprocessor,
     StemmerRules,
     default_lexicon_paths,
     load_lexicon,
@@ -465,10 +466,13 @@ def cmd_predict(ns: argparse.Namespace) -> int:
     matched = check_fingerprint(artifact, rt.lexicon, rt.rules, force=ns.force)
     if not matched:
         print("warning: preprocessing fingerprint mismatch (forced)", file=sys.stderr)
+    # the model's pipeline, not rt.pipeline: neural artifacts may keep
+    # function words; one instance for the run keeps its word memo warm
+    prep = Preprocessor(artifact.pipeline, rt.lexicon, rt.rules)
     lines = _predict_input_lines(ns.input)
     lineno = 0
     while chunk := list(itertools.islice(lines, PREDICT_CHUNK_LINES)):
-        for pred in predict_texts(artifact, chunk, rt.lexicon, rt.rules):
+        for pred in predict_texts(artifact, chunk, prep):
             lineno += 1
             if pred.empty_input:
                 print(f"warning: line {lineno} preprocessed to empty; "

@@ -144,7 +144,12 @@ def transform_all(token_lists: list[list[str]], model: TfidfModel) -> Csr:
                 tf = 1.0 + math.log(tf)
             values.append(tf * model.idf[i])
         if model.config.l2_normalize and values:
-            norm = math.sqrt(sum(v * v for v in values))
+            # a plain left-to-right sum: sum() compensates floats on Python
+            # 3.12+, which would tie the values to the Python version
+            squares = 0.0
+            for v in values:
+                squares += v * v
+            norm = math.sqrt(squares)
             values = [v / norm for v in values]
         indices.extend(row)
         data.extend(values)

@@ -5,6 +5,8 @@ collapse followed by slang normalization, (4) stopword removal, (5) stemming,
 (6) tokenization. Stages can be disabled individually for ablation but never
 reordered. Stages 3-5 operate per word, so the pipeline splits on whitespace
 after cleaning and stage 6 is the final materialization of the token list.
+Preprocessor runs the stages with a memo of each word's stage 3-5 output;
+run_pipeline_trace runs them uncached and is the spec it must match.
 
 Lexicons and stemmer rules are plain-text resources (see load_lexicon /
 load_stemmer_rules); packaged starter files live under bullyguard/data.
@@ -13,7 +15,8 @@ load_stemmer_rules); packaged starter files live under bullyguard/data.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 
@@ -74,6 +77,11 @@ class PipelineConfig:
     stem: bool = True
     tokenize: bool = True           # final materialization; kept for stage traces
     elongation_min_run: int = 3
+
+    def __post_init__(self):
+        if self.elongation_min_run < 2:
+            raise ValueError(
+                f"elongation_min_run must be at least 2, got {self.elongation_min_run}")
 
     def flags(self) -> tuple[bool, ...]:
         return (self.case_fold, self.clean, self.normalize,
@@ -218,9 +226,15 @@ def collapse_elongation(word: str, min_run: int = 3) -> str:
     Indonesian roots ("maaf", "tunggu") while squashing typographic emphasis
     ("jelekkk" -> "jelek").
     """
+    return _elongation_re(min_run).sub(r"\1", word)
+
+
+@lru_cache(maxsize=8)
+def _elongation_re(min_run: int) -> re.Pattern[str]:
+    """Compiled once per threshold: building it costs more than applying it."""
     if min_run < 2:
         raise ValueError("min_run must be at least 2")
-    return re.sub(r"(.)\1{%d,}" % (min_run - 1), r"\1", word)
+    return re.compile(r"(.)\1{%d,}" % (min_run - 1))
 
 
 def normalize_slang(word: str, lexicon: NormalizationLexicon) -> str:
@@ -332,7 +346,7 @@ def run_pipeline(
     rules: StemmerRules,
 ) -> list[str]:
     """Apply the enabled stages in the fixed order and return tokens."""
-    return run_pipeline_trace(text, config, lexicon, rules)[-1][1]
+    return Preprocessor(config, lexicon, rules).tokens(text)
 
 
 def run_pipeline_trace(
@@ -380,4 +394,58 @@ def preprocess_corpus(
     lexicon: NormalizationLexicon,
     rules: StemmerRules,
 ) -> list[list[str]]:
-    return [run_pipeline(text, config, lexicon, rules) for text in texts]
+    return Preprocessor(config, lexicon, rules).corpus(texts)
+
+
+# Distinct words one Preprocessor remembers before it starts over, so a long
+# predict stream cannot grow its memory without bound.
+_MEMO_LIMIT = 65_536
+
+
+@dataclass(frozen=True, eq=False)
+class Preprocessor:
+    """The pipeline of one (config, lexicon, rules), with a per-word memo.
+
+    Stages 3-5 act on one whitespace word at a time, so a cleaned word's
+    output tokens depend on that word alone. Each instance remembers them for
+    up to _MEMO_LIMIT distinct words and then starts over; a memo is valid
+    only for the config, lexicon and rules it was built with.
+    run_pipeline_trace is the uncached spec that tokens() must equal.
+    """
+    config: PipelineConfig
+    lexicon: NormalizationLexicon
+    rules: StemmerRules
+    _memo: dict[str, tuple[str, ...]] = field(default_factory=dict, init=False, repr=False)
+
+    def tokens(self, text: str) -> list[str]:
+        config = self.config
+        text = case_fold(text) if config.case_fold else text
+        text = clean(text) if config.clean else text
+        memo = self._memo
+        out: list[str] = []
+        for word in tokenize(text):
+            done = memo.get(word)
+            if done is None:
+                done = self._word_tokens(word)
+                if len(memo) >= _MEMO_LIMIT:
+                    memo.clear()
+                memo[word] = done
+            out.extend(done)
+        return out
+
+    def corpus(self, texts: list[str]) -> list[list[str]]:
+        return [self.tokens(text) for text in texts]
+
+    def _word_tokens(self, word: str) -> tuple[str, ...]:
+        """Stages 3-5 of one cleaned word, through the module-level stage
+        functions (so that wrappers installed on them see every call)."""
+        config, lexicon = self.config, self.lexicon
+        tokens = [word]
+        if config.normalize:
+            word = collapse_elongation(word, config.elongation_min_run)
+            tokens = [tok for tok in normalize_slang(word, lexicon).split(" ") if tok]
+        if config.remove_stopwords:
+            tokens = remove_stopwords(tokens, lexicon)
+        if config.stem:
+            tokens = [stem(tok, self.rules, lexicon) for tok in tokens]
+        return tuple(tokens)

@@ -8,6 +8,7 @@ from bullyguard.artifact import (
     data_fingerprint,
     load_artifact,
     predict_text,
+    predict_texts,
     preprocessing_fingerprint,
     save_artifact,
 )
@@ -18,6 +19,7 @@ from bullyguard.neural import TrainConfig, build_neural_vocab, encode_batch, tra
 from bullyguard.preprocess import (
     NormalizationLexicon,
     PipelineConfig,
+    Preprocessor,
     preprocess_corpus,
 )
 from conftest import make_record
@@ -209,3 +211,15 @@ def test_predict_empty_input_majority_fallback(default_lexicon, default_rules):
                                         default_lexicon, default_rules)
     pred = predict_text(artifact, "!!! 123 @user", default_lexicon, default_rules)
     assert pred.empty_input and pred.label is artifact.majority_label
+
+
+def test_predict_texts_rejects_a_preprocessor_for_another_pipeline(
+        default_lexicon, default_rules):
+    artifact = build_classical_artifact("nb", corpus_fixture(),
+                                        default_lexicon, default_rules)
+    other = Preprocessor(PipelineConfig(stem=False), default_lexicon, default_rules)
+    with pytest.raises(ValueError, match="pipeline differs"):
+        predict_texts(artifact, FIXTURE_LINES, other)
+    same = Preprocessor(PipelineConfig(), default_lexicon, default_rules)
+    assert predict_texts(artifact, FIXTURE_LINES, same) == [
+        predict_text(artifact, line, default_lexicon, default_rules) for line in FIXTURE_LINES]

@@ -11,10 +11,18 @@ import bullyguard
 from bullyguard.artifact import load_artifact, predict_text
 from bullyguard.cli import PREDICT_CHUNK_LINES, main
 from bullyguard.corpus import Label, write_corpus
-from bullyguard.preprocess import run_pipeline
+from bullyguard.preprocess import PipelineConfig, run_pipeline
 from conftest import make_record
 
 B, N = Label.BULLYING, Label.NON_BULLYING
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def src_env() -> dict[str, str]:
+    """The environment with this checkout's package first on PYTHONPATH."""
+    src = str(Path(bullyguard.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
 def write_fixture_corpus(tmp_path, n_half=10, name="corpus.csv"):
@@ -143,6 +151,15 @@ def test_preprocess_clean_text_unchanged(tmp_path, capsys):
     assert "jelek\tjelek" in capsys.readouterr().out
 
 
+def test_preprocess_elongation_min_run_below_2_exit_1(tmp_path, capsys):
+    corpus = write_fixture_corpus(tmp_path)
+    config = write_config(tmp_path, "[pipeline]\nelongation_min_run = 1\n", name="bad.ini")
+    assert main(["preprocess", "--corpus", str(corpus), "--config", str(config)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: elongation_min_run must be at least 2, got 1\n"
+
+
 # ----------------------------------------------------------------------------
 # train / tune / predict
 # ----------------------------------------------------------------------------
@@ -251,15 +268,26 @@ def expected_predict_output(artifact, texts, lexicon, rules):
     return out, err
 
 
-@pytest.mark.parametrize("family", ["nb", "lr", "svm", "bilstm", "bilstm_attention"])
-def test_predict_chunks_match_per_line(tmp_path, capsys, monkeypatch, family,
+KEEP_FUNCTION_WORDS_INI = "\n[pipeline]\nneural_keep_function_words = true\n"
+
+
+# the keep-function-words artifact carries its own pipeline (no stopword
+# removal, no stemming) and is predicted under the default config
+@pytest.mark.parametrize("family, train_ini", [
+    *(pytest.param(f, "", id=f) for f in ("nb", "lr", "svm", "bilstm", "bilstm_attention")),
+    pytest.param("bilstm_attention", KEEP_FUNCTION_WORDS_INI,
+                 id="bilstm_attention_keep_function_words"),
+])
+def test_predict_chunks_match_per_line(tmp_path, capsys, monkeypatch, family, train_ini,
                                        default_lexicon, default_rules):
     corpus = write_fixture_corpus(tmp_path)
     config = write_config(tmp_path)
+    train_config = write_config(tmp_path, FAST_MODEL_INI + train_ini, name="train.ini")
     model_path = tmp_path / "model.txt"
     assert main(["train", "--corpus", str(corpus), "--family", family,
-                 "--out", str(model_path), "--config", str(config), "--quiet"]) == 0
+                 "--out", str(model_path), "--config", str(train_config), "--quiet"]) == 0
     artifact = load_artifact(model_path)
+    assert (artifact.pipeline == PipelineConfig()) == (not train_ini)
     if artifact.neural_vocab is not None:
         long_tokens = run_pipeline(LONG_VARIANT, artifact.pipeline, default_lexicon, default_rules)
         assert len(long_tokens) > artifact.neural_vocab.max_seq_len
@@ -342,14 +370,104 @@ def test_all_empty_corpus_exit_3_one_line(tmp_path, capsys, command):
 
 
 def test_cli_import_does_not_load_scipy():
-    src = str(Path(bullyguard.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = ("import sys, bullyguard.cli; "
             "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
+    proc = subprocess.run([sys.executable, "-c", code], env=src_env(),
                           capture_output=True, text=True, check=True)
     assert proc.stdout == "[]\n"
+
+
+def test_benchmark_entry_points_run(tmp_path, default_lexicon, default_rules):
+    """The benchmark's set-up probe and predict probe run against this
+    checkout, so a changed signature they call fails here first."""
+    pytest.importorskip("scipy")  # perfbench/worker.py records its version
+    corpus = write_fixture_corpus(tmp_path)
+    model = tmp_path / "nb.model"
+    assert main(["train", "--corpus", str(corpus), "--family", "nb",
+                 "--out", str(model), "--quiet"]) == 0
+    texts = ["dasar jelek bego", "kamu keren bagus", "😂", "jelek bgt sih kamu"]
+    lines = tmp_path / "lines.txt"
+    lines.write_text("\n".join(texts) + "\n", encoding="utf-8")
+    out = tmp_path / "probe.json"
+    for argv in (["setup_probe.py", "artifact", str(model)],
+                 ["worker.py", "probe", str(lines), str(out), "0", "1", str(model)]):
+        proc = subprocess.run([sys.executable, str(PERFBENCH / argv[0]), *argv[1:]],
+                              env=src_env(), capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+    probe = json.loads(out.read_text(encoding="utf-8"))
+    assert list(probe) == ["nb"]
+    assert probe["nb"]["line"] == list(range(len(texts)))
+    assert all(isinstance(ns, int) and ns > 0 for ns in probe["nb"]["latency_ns"])
+    printed, _ = expected_predict_output(load_artifact(model), texts,
+                                         default_lexicon, default_rules)
+    assert probe["nb"]["printed"] == printed
+
+
+# ----------------------------------------------------------------------------
+# fault injection: each bad input exits with its code and one stderr line
+# ----------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def trained_models(tmp_path_factory):
+    """One small artifact per family under test, trained once for the module."""
+    tmp = tmp_path_factory.mktemp("models")
+    corpus = write_fixture_corpus(tmp)
+    config = write_config(tmp)
+    models = {}
+    for family in ("nb", "lr", "svm", "bilstm"):
+        models[family] = tmp / f"{family}.model"
+        assert main(["train", "--corpus", str(corpus), "--family", family, "--config",
+                     str(config), "--out", str(models[family]), "--quiet"]) == 0
+    return models
+
+
+def edit_line(key, new):
+    """Artifact edit: the first line whose first word is key becomes new(line)."""
+    def edit(lines):
+        i = next(i for i, line in enumerate(lines) if line.split(" ", 1)[0] == key)
+        return lines[:i] + [new(lines[i])] + lines[i + 1:]
+    return edit
+
+
+def nan_row_after(header):
+    """Artifact edit: the first value row after the header line becomes NaN."""
+    def edit(lines):
+        i = lines.index(header) + 2  # skip the shape line
+        return lines[:i] + [" ".join("nan" for _ in lines[i].split(" "))] + lines[i + 1:]
+    return edit
+
+
+# family and edit of the artifact's lines; each must exit 1
+BAD_ARTIFACTS = {
+    "lr_two_weights": ("lr", edit_line("weights", lambda line: "weights 1 2")),
+    "lr_nan_weights": ("lr", edit_line(
+        "weights", lambda line: " ".join(["weights"] + ["nan"] * (len(line.split()) - 1)))),
+    "lr_nan_bias": ("lr", edit_line("bias", lambda line: "bias nan")),
+    "lr_inf_threshold": ("lr", edit_line("threshold", lambda line: "threshold inf")),
+    "lr_truncated": ("lr", lambda lines: lines[: len(lines) // 2]),
+    "svm_extra_weight": ("svm", edit_line("weights", lambda line: line + " 0.5")),
+    "nb_three_priors": ("nb", edit_line("log_prior", lambda line: line + " -1")),
+    "nb_short_likelihood": ("nb", edit_line(
+        "log_likelihood", lambda line: line.rsplit(" ", 1)[0])),
+    "nb_inf_idf": ("nb", edit_line("token", lambda line: line.rsplit(" ", 1)[0] + " inf")),
+    "bilstm_nan_head_bias": ("bilstm", nan_row_after("[param head.b]")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_ARTIFACTS))
+def test_bad_artifact_exit_code_one_line(tmp_path, capsys, trained_models, case):
+    family, edit = BAD_ARTIFACTS[case]
+    lines = trained_models[family].read_text(encoding="utf-8").splitlines()
+    model = tmp_path / "bad.model"
+    model.write_text("\n".join(edit(lines)) + "\n", encoding="utf-8")
+    text = tmp_path / "input.txt"
+    text.write_text("halo bodoh jelek anjing\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["predict", "--model", str(model), "--input", str(text)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
 
 
 def test_predict_fingerprint_mismatch(tmp_path, capsys):

@@ -8,6 +8,8 @@ from bullyguard.features import (
     Csr,
     FeatureError,
     TfidfConfig,
+    TfidfModel,
+    Vocabulary,
     fit_tfidf,
     transform,
     transform_all,
@@ -88,6 +90,23 @@ def test_transform_l2_normalized():
     assert vec.data[0] == pytest.approx(2.0 / norm)
     assert vec.data[1] == pytest.approx(b_idf / norm)
     assert math.sqrt(sum(v * v for v in vec.data)) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_l2_norm_is_a_sequential_sum():
+    # squares 1, 1e16, 1: left to right each 1 is lost to rounding, while a
+    # compensated sum (math.fsum, or sum() on Python 3.12+) keeps both
+    model = TfidfModel(
+        vocabulary=Vocabulary({"a": 0, "b": 1, "c": 2}, {0: 1, 1: 1, 2: 1}, 1),
+        idf=[1.0, 1e8, 1.0],
+        config=TfidfConfig(l2_normalize=True),
+    )
+    values = [1.0, 1e8, 1.0]
+    squares = 0.0
+    for v in values:
+        squares += v * v
+    assert squares != math.fsum(v * v for v in values)
+    expected = [v / math.sqrt(squares) for v in values]
+    assert transform_all([["a", "b", "c"]], model).data.tolist() == expected
 
 
 def test_transform_oov_zero_vector():

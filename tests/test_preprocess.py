@@ -1,12 +1,15 @@
+import itertools
 import re
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from bullyguard import preprocess
 from bullyguard.preprocess import (
     LexiconError,
     NormalizationLexicon,
     PipelineConfig,
+    Preprocessor,
     case_fold,
     clean,
     collapse_elongation,
@@ -60,6 +63,8 @@ def test_collapse_elongation_threshold_configurable():
     assert collapse_elongation("maaf", min_run=2) == "maf"
     with pytest.raises(ValueError):
         collapse_elongation("x", min_run=1)
+    with pytest.raises(ValueError, match="elongation_min_run must be at least 2"):
+        PipelineConfig(elongation_min_run=1)
 
 
 def test_normalize_slang(tiny_lexicon):
@@ -224,6 +229,58 @@ def test_pipeline_idempotent_on_synthetic_corpus(
         assert run_pipeline(" ".join(tokens), config, default_lexicon, default_rules) == tokens
         assert all(re.fullmatch(r"[a-z]+", tok) for tok in tokens)
         assert all(tok not in default_lexicon.stopwords for tok in tokens)
+
+
+# ----------------------------------------------------------------------------
+# Preprocessor: the memoized pipeline against the uncached spec
+# ----------------------------------------------------------------------------
+
+# slang that collapses from an elongation, expands to several words, or
+# expands to a stopword
+MEMO_LEXICON = NormalizationLexicon(
+    slang_map={"bgt": "banget", "gk": "tidak", "mksh": "terima kasih",
+               "yg": "yang", "tq": "terima kasih banyak"},
+    stopwords=frozenset({"yang", "di", "dan", "kasih"}),
+    root_words=frozenset({"jelek", "banget", "makan", "bilang", "terima", "main"}),
+)
+MEMO_WORDS = [
+    "Jelekkk", "jelekkk", "bgt", "bgttt", "BGT", "gk", "mksh", "mkshh", "tq", "yg",
+    "yang", "yangan", "di", "Dan", "makanan", "dibilang", "mempermainkan", "maaf",
+    "aaa", "http://t.co/x", "www.contoh.id/a", "@seseorang", "@a.b_c", "#tagar",
+    "!!", "b3go", "123", "😂", "\t", "  ",
+]
+MEMO_TEXTS = st.lists(
+    st.lists(st.sampled_from(MEMO_WORDS) | st.text(max_size=6), max_size=8).map(" ".join),
+    min_size=1, max_size=4,
+)
+ALL_FLAGS = list(itertools.product((False, True), repeat=6))
+
+
+@settings(max_examples=40, deadline=None)
+@given(texts=MEMO_TEXTS, min_run=st.sampled_from([2, 3, 4]))
+@example(texts=[" ".join(MEMO_WORDS), " ".join(reversed(MEMO_WORDS))], min_run=3)
+def test_preprocessor_equals_spec_for_all_stage_flags(default_rules, texts, min_run):
+    assert len(ALL_FLAGS) == 64
+    for flags in ALL_FLAGS:
+        config = PipelineConfig(*flags, elongation_min_run=min_run)
+        prep = Preprocessor(config, MEMO_LEXICON, default_rules)
+        for text in texts + texts:  # the second pass reads the memo
+            want = run_pipeline_trace(text, config, MEMO_LEXICON, default_rules)[-1][1]
+            assert prep.tokens(text) == want, (flags, text)
+        assert prep.corpus(texts) == [run_pipeline(t, config, MEMO_LEXICON, default_rules)
+                                      for t in texts]
+
+
+def test_preprocessor_memo_stays_bounded(monkeypatch, default_lexicon, default_rules):
+    monkeypatch.setattr(preprocess, "_MEMO_LIMIT", 5)
+    config = PipelineConfig()
+    prep = Preprocessor(config, default_lexicon, default_rules)
+    words = ["makanan", "dibilang", "jelekkk", "bgt", "yang", "mempermainkan", "kamu"]
+    texts = [" ".join(words[i % 7:] + words[:i % 7]) for i in range(20)] + words
+    for text in texts:
+        want = run_pipeline_trace(text, config, default_lexicon, default_rules)[-1][1]
+        assert prep.tokens(text) == want
+        assert len(prep._memo) <= 5
 
 
 # ----------------------------------------------------------------------------
