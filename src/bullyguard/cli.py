@@ -11,6 +11,7 @@ import argparse
 import configparser
 import itertools
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -152,18 +153,24 @@ class RunConfig:
         if raw is None:
             return default
         try:
-            return float(raw)
+            value = float(raw)
         except ValueError:
             raise ConfigError(f"config [{section}] {key}: expected a number, got {raw!r}") from None
+        if not math.isfinite(value):
+            raise ConfigError(f"config [{section}] {key}: expected a finite number, got {raw!r}")
+        return value
 
     def get_float_list(self, section: str, key: str, default: list[float]) -> list[float]:
         raw = self.get(section, key)
         if raw is None:
             return default
         try:
-            return [float(part) for part in raw.split(",") if part.strip()]
+            values = [float(part) for part in raw.split(",") if part.strip()]
         except ValueError:
             raise ConfigError(f"config [{section}] {key}: expected comma-separated numbers") from None
+        if not all(math.isfinite(v) for v in values):
+            raise ConfigError(f"config [{section}] {key}: expected finite numbers, got {raw!r}")
+        return values
 
 
 @dataclass

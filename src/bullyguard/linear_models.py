@@ -141,6 +141,8 @@ def train_lr(
     """
     if lr <= 0:
         raise TrainingError(f"learning rate must be positive, got {lr}")
+    if epochs < 1:
+        raise TrainingError(f"epochs must be at least 1, got {epochs}")
     if l2_lambda < 0:
         raise TrainingError(f"l2_lambda must be non-negative, got {l2_lambda}")
     if l2_lambda > 0:
@@ -212,34 +214,45 @@ def train_svm(
     """Pegasos: step size 1/(lambda*t), example order reshuffled per epoch
     with the pinned PRNG. The bias follows the subgradient without
     regularization shrinkage.
+
+    The weights are kept as scale * v (Shalev-Shwartz et al. 2011), so the
+    per-step shrinkage multiplies one scalar and each step costs O(nnz).
     """
     if reg_lambda <= 0:
         raise TrainingError(f"reg_lambda must be positive, got {reg_lambda}")
+    if epochs < 1:
+        raise TrainingError(f"epochs must be at least 1, got {epochs}")
     if not len(X):
         raise TrainingError("cannot train on an empty dataset")
     # each step sums its row in Python, in entry order; a numpy dot would reorder it
     bounds = X.indptr.tolist()
     rows = [(X.indices[a:b].tolist(), X.data[a:b].tolist())
             for a, b in zip(bounds, bounds[1:])]
-    rng = Rng(seed)
-    weights = np.zeros(X.n_features, dtype=np.float64)
+    v = [0.0] * X.n_features
+    scale = 1.0
     bias = 0.0
     t = 0
     order = list(range(len(X)))
-    for _ in range(epochs):
-        rng.shuffle(order)
+    for _ in Rng(seed).shuffles(order, epochs):
         for idx in order:
             t += 1
             eta = 1.0 / (reg_lambda * t)
             indices, values = rows[idx]
             y = labels_signed[idx]
-            margin = y * (float(sum(v * weights[i] for i, v in zip(indices, values))) + bias)
-            weights *= 1.0 - eta * reg_lambda
+            dot = 0.0
+            for i, x in zip(indices, values):
+                dot += x * v[i]
+            margin = y * (scale * dot + bias)
+            scale *= 1.0 - eta * reg_lambda
+            if scale < 1e-9:  # the first step takes the scale to 0 or one ulp above it
+                v = [scale * w for w in v]
+                scale = 1.0
             if margin < 1.0:
-                for i, v in zip(indices, values):
-                    weights[i] += eta * y * v
+                step = eta * y / scale
+                for i, x in zip(indices, values):
+                    v[i] += step * x
                 bias += eta * y
-    return LinearSvmModel(weights=weights, bias=bias, reg_lambda=reg_lambda)
+    return LinearSvmModel(weights=scale * np.asarray(v), bias=bias, reg_lambda=reg_lambda)
 
 
 def predict_svm(X: Csr, model: LinearSvmModel) -> tuple[list[Label], np.ndarray]:

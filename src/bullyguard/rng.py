@@ -14,14 +14,28 @@ delegated to a platform RNG:
 * ``uniform(a, b)``: ``a + (b - a) * random()``.
 
 Any change to these rules breaks seeded reproducibility and is a format break.
+
+The scalar methods (``next_u64``, ``randbelow``, ``shuffle``) are the spec
+and the test oracle. ``uniform_array`` and ``shuffles`` draw the same stream
+in bulk: the xoshiro256** step is linear over GF(2), so a block of outputs
+comes from up to 256 lanes, each started at a jump-ahead of the state and
+each giving 64 consecutive outputs, all advanced in lockstep as numpy
+``uint64`` arrays. A block leaves the state exactly where as many scalar
+``next_u64`` calls would.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
 _DOUBLE_UNIT = 1.0 / (1 << 53)
+_LANE = 64                # consecutive outputs per lane of a bulk draw
+_BLOCK = 256 * _LANE      # outputs per bulk draw: the jump table covers 256 lanes
+_ROW_CHUNK = 32           # matrix rows per step of _jump, so temporaries stay <= 256 KB
+_SHIFTS = np.arange(64, dtype=np.uint64)
 
 
 def _splitmix64(state: int) -> tuple[int, int]:
@@ -35,6 +49,65 @@ def _splitmix64(state: int) -> tuple[int, int]:
 
 def _rotl(x: int, k: int) -> int:
     return ((x << k) | (x >> (64 - k))) & _MASK64
+
+
+def _step_lanes(s0, s1, s2, s3) -> np.ndarray:
+    """One xoshiro256** step of every lane, in place; returns the outputs."""
+    out = s1 * 5
+    out = ((out << 7) | (out >> 57)) * 9
+    t = s1 << 17
+    s2 ^= s0
+    s3 ^= s1
+    s1 ^= s2
+    s0 ^= s3
+    s2 ^= t
+    s3[:] = (s3 << 45) | (s3 >> 19)
+    return out
+
+
+def _jump(rows: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """GF(2) matrix times each state: rows (256, 4) and states (B, 4) packed
+    little-endian (bit 64*w + b is bit b of word w); returns (B, 4).
+
+    Output bit i is the parity of (row i AND state).
+    """
+    out = np.zeros_like(states)
+    for c in range(0, 256, _ROW_CHUNK):
+        both = rows[c:c + _ROW_CHUNK, None, :] & states[None, :, :]
+        folded = both[..., 0] ^ both[..., 1] ^ both[..., 2] ^ both[..., 3]
+        bits = (np.bitwise_count(folded) & 1).astype(np.uint64)
+        shifts = _SHIFTS[c % 64:c % 64 + _ROW_CHUNK, None]
+        out[:, c // 64] |= np.bitwise_or.reduce(bits << shifts, axis=0)
+    return out
+
+
+def _pack(bits: np.ndarray) -> np.ndarray:
+    """(256, 256) 0/1 matrix -> its rows packed as (256, 4) uint64."""
+    packed = np.ascontiguousarray(np.packbits(bits, axis=1, bitorder="little"))
+    return packed.view("<u8").astype(np.uint64)
+
+
+def _transpose(cols: np.ndarray) -> np.ndarray:
+    """Packed columns (256, 4) of a GF(2) matrix -> its packed rows."""
+    return _pack(np.unpackbits(cols.astype("<u8").view(np.uint8), axis=1, bitorder="little").T)
+
+
+@functools.cache
+def _jump_table() -> np.ndarray:
+    """Packed rows of A^(64 * 2^k) for k = 0..7, shape (8, 256, 4), where A is
+    one xoshiro256** step. Built on the first bulk draw, then kept."""
+    basis = _pack(np.eye(256, dtype=np.uint8))
+    words = [basis[:, w].copy() for w in range(4)]
+    for _ in range(_LANE):
+        _step_lanes(*words)
+    cols = np.stack(words, axis=1)  # column i of A^64 is A^64 applied to bit i
+    table = [_transpose(cols)]
+    while len(table) < 8:
+        cols = _jump(table[-1], cols)  # the columns of M @ M
+        table.append(_transpose(cols))
+    out = np.stack(table)
+    out.flags.writeable = False
+    return out
 
 
 class Rng:
@@ -82,15 +155,79 @@ class Rng:
             j = self.randbelow(i + 1)
             items[i], items[j] = items[j], items[i]
 
+    def shuffles(self, items: list, count: int):
+        """Shuffle `items` in place `count` times, yielding after each shuffle.
+
+        Items and state end as after `count` calls of `shuffle`. The draws of
+        many shuffles come from one bulk draw, so while the generator runs
+        the state is ahead of the shuffles yielded so far: draw nothing else
+        from this Rng until the generator is exhausted.
+        """
+        n = len(items)
+        if n < 2:
+            for _ in range(count):
+                yield
+            return
+        positions = range(n - 1, 0, -1)
+        # draw k of a shuffle is randbelow(n - k): words above the bound are rejected
+        moduli = np.arange(n, 1, -1, dtype=np.uint64)
+        accept_max = np.array([_MASK64 - (1 << 64) % m for m in range(n, 1, -1)], dtype=np.uint64)
+        per_block = max(1, _BLOCK // (n - 1))
+        while count > 0:
+            k = min(per_block, count)
+            count -= k
+            saved = list(self._s)
+            total = k * (n - 1)
+            words = np.concatenate([self._block(min(_BLOCK, total - start))
+                                    for start in range(0, total, _BLOCK)]).reshape(k, n - 1)
+            if (words > accept_max).any():
+                self._s = saved
+                for _ in range(k):
+                    self.shuffle(items)
+                    yield
+                continue
+            for js in (words % moduli).tolist():
+                for i, j in zip(positions, js):
+                    items[i], items[j] = items[j], items[i]
+                yield
+
     def uniform(self, a: float, b: float) -> float:
         return a + (b - a) * self.random()
 
     def uniform_array(self, shape: tuple[int, ...], a: float, b: float) -> np.ndarray:
         """Dense array of uniforms, filled in C (row-major) order."""
         out = np.empty(int(np.prod(shape)), dtype=np.float64)
-        for i in range(out.size):
-            out[i] = a + (b - a) * self.random()
+        for start in range(0, out.size, _BLOCK):
+            words = self._block(min(_BLOCK, out.size - start))
+            out[start:start + words.size] = a + (b - a) * ((words >> 11) * _DOUBLE_UNIT)
         return out.reshape(shape)
+
+    def _block(self, n: int) -> np.ndarray:
+        """The next n <= _BLOCK outputs of next_u64 as a uint64 array.
+
+        Lane k starts at the state 64*k steps ahead, so lane k's 64 outputs
+        are outputs 64*k .. 64*k + 63 of the block.
+        """
+        lanes = -(-n // _LANE)
+        if lanes == 0:
+            return np.empty(0, dtype=np.uint64)
+        starts = np.empty((lanes, 4), dtype=np.uint64)
+        starts[0] = self._s
+        have = 1
+        for rows in _jump_table():  # lanes [have, 2*have) jump 64*have from lanes [0, have)
+            if have >= lanes:
+                break
+            new = min(have, lanes - have)
+            starts[have:have + new] = _jump(rows, starts[:new])
+            have += new
+        words = [starts[:, w].copy() for w in range(4)]
+        out = np.empty((_LANE, lanes), dtype=np.uint64)
+        last_steps = n - _LANE * (lanes - 1)  # the last lane's share of the block
+        for t in range(_LANE):
+            out[t] = _step_lanes(*words)
+            if t + 1 == last_steps:
+                self._s = [int(w[-1]) for w in words]
+        return out.T.reshape(-1)[:n]
 
     def sample_indices(self, n: int, k: int) -> list[int]:
         """k distinct indices from range(n), in draw order."""

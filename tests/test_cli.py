@@ -369,6 +369,43 @@ def test_all_empty_corpus_exit_3_one_line(tmp_path, capsys, command):
     assert captured.err == "error: empty corpus after preprocessing\n"
 
 
+@pytest.mark.parametrize("command, family, section, key, raw", [
+    ("train", "nb", "model", "alpha", "nan"),
+    ("train", "lr", "model", "l2_lambda", "inf"),
+    ("train", "lr", "model", "lr", "-inf"),
+    ("train", "lr", "model", "threshold", "NaN"),
+    ("train", "svm", "model", "reg_lambda", "nan"),
+    ("train", "bilstm", "model", "learning_rate", "inf"),
+    ("train", "bilstm", "model", "min_improvement", "nan"),
+    ("train", "bilstm", "split", "train_fraction", "nan"),
+    ("tune", "svm", "tune", "grid_reg_lambda", "0.01, nan"),
+])
+def test_non_finite_config_number_exit_1_one_line(tmp_path, capsys, command, family,
+                                                   section, key, raw):
+    corpus = write_fixture_corpus(tmp_path)
+    config = write_config(tmp_path, f"[{section}]\n{key} = {raw}\n", name="bad.ini")
+    model_path = tmp_path / "model.txt"
+    assert main([command, "--corpus", str(corpus), "--family", family, "--quiet",
+                 "--out", str(model_path), "--config", str(config)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    expected = "finite numbers" if "," in raw else "a finite number"
+    assert captured.err == f"error: config [{section}] {key}: expected {expected}, got {raw!r}\n"
+    assert not model_path.exists()
+
+
+@pytest.mark.parametrize("family, epochs", [("svm", 0), ("lr", -3)])
+def test_epochs_below_1_exit_3_one_line(tmp_path, capsys, family, epochs):
+    corpus = write_fixture_corpus(tmp_path)
+    config = write_config(tmp_path, f"[model]\nepochs = {epochs}\n", name="bad.ini")
+    model_path = tmp_path / "model.txt"
+    assert main(["train", "--corpus", str(corpus), "--family", family, "--quiet",
+                 "--out", str(model_path), "--config", str(config)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == f"error: epochs must be at least 1, got {epochs}\n"
+    assert not model_path.exists()
+
+
 def test_cli_import_does_not_load_scipy():
     code = ("import sys, bullyguard.cli; "
             "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
@@ -468,6 +505,24 @@ def test_bad_artifact_exit_code_one_line(tmp_path, capsys, trained_models, case)
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert "Traceback" not in captured.err
+
+
+def test_import_and_predict_build_no_jump_table(tmp_path, trained_models):
+    # the bulk PRNG's jump table costs set-up time; only drawing in bulk builds it
+    lines = tmp_path / "input.txt"
+    lines.write_text("dasar jelek banget\nkamu keren bagus\n", encoding="utf-8")
+    code = (
+        "import sys, bullyguard.cli as cli, bullyguard.rng as rng\n"
+        "print(rng._jump_table.cache_info().currsize)\n"
+        "for model in sys.argv[2:]:\n"
+        "    assert cli.main(['predict', '--quiet', '--input', sys.argv[1], '--model', model]) == 0\n"
+        "print(rng._jump_table.cache_info().currsize, file=sys.stderr)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code, str(lines),
+                           *(str(path) for path in trained_models.values())],
+                          env=src_env(), capture_output=True, text=True, check=True)
+    assert proc.stdout.splitlines()[0] == "0"
+    assert proc.stderr == "0\n"
 
 
 def test_predict_fingerprint_mismatch(tmp_path, capsys):

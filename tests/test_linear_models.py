@@ -315,6 +315,77 @@ def test_svm_invalid_lambda():
         train_svm(sv([1.0]), [1], reg_lambda=0.0)
 
 
+@pytest.mark.parametrize("train", [
+    lambda X, y, epochs: train_svm(X, [1 if v else -1 for v in y], epochs=epochs),
+    lambda X, y, epochs: train_lr(X, y, epochs=epochs),
+], ids=["svm", "lr"])
+@pytest.mark.parametrize("epochs", [0, -3])
+def test_epochs_below_1_rejected(train, epochs):
+    with pytest.raises(TrainingError, match="epochs must be at least 1"):
+        train(sv([1.0]), [1], epochs)
+
+
+def pegasos_oracle(X, labels_signed, reg_lambda, epochs, seed):
+    """Pegasos with a dense weight vector that every step shrinks: O(V) a step."""
+    rows = [(X.indices[a:b].tolist(), X.data[a:b].tolist())
+            for a, b in zip(X.indptr.tolist(), X.indptr.tolist()[1:])]
+    rng = Rng(seed)
+    weights = np.zeros(X.n_features, dtype=np.float64)
+    bias = 0.0
+    t = 0
+    order = list(range(len(X)))
+    for _ in range(epochs):
+        rng.shuffle(order)
+        for idx in order:
+            t += 1
+            eta = 1.0 / (reg_lambda * t)
+            indices, values = rows[idx]
+            y = labels_signed[idx]
+            margin = y * (float(sum(v * weights[i] for i, v in zip(indices, values))) + bias)
+            weights *= 1.0 - eta * reg_lambda
+            if margin < 1.0:
+                for i, v in zip(indices, values):
+                    weights[i] += eta * y * v
+                bias += eta * y
+    return weights, bias
+
+
+def assert_matches_pegasos_oracle(X, signed, reg_lambda, epochs, seed):
+    model = train_svm(X, signed, reg_lambda=reg_lambda, epochs=epochs, seed=seed)
+    weights, bias = pegasos_oracle(X, signed, reg_lambda, epochs, seed)
+    largest = max(np.abs(weights).max(initial=0.0), abs(bias))
+    assert np.abs(model.weights - weights).max(initial=0.0) <= 1e-12 * largest
+    assert abs(model.bias - bias) <= 1e-12 * largest
+    oracle = lm.LinearSvmModel(weights=weights, bias=bias, reg_lambda=reg_lambda)
+    assert predict_svm(X, model)[0] == predict_svm(X, oracle)[0]
+    return model, weights
+
+
+@pytest.mark.parametrize("case", range(40))
+def test_svm_matches_dense_pegasos_oracle(case):
+    gen = np.random.default_rng(case)
+    n, n_features = int(gen.integers(1, 13)), int(gen.integers(1, 9))
+    rows = [{int(i): float(gen.uniform(0.05, 1.0))
+             for i in gen.choice(n_features, int(gen.integers(0, n_features + 1)), replace=False)}
+            for _ in range(n)]
+    signed = [int(s) for s in gen.choice([-1, 1], n)]
+    reg_lambda = float(gen.choice([1e-4, 1e-3, 1e-2, 0.013, 0.1, 1.0]))
+    assert_matches_pegasos_oracle(csr_rows(rows, n_features), signed, reg_lambda,
+                                  int(gen.integers(1, 41)), int(gen.integers(0, 2**32)))
+
+
+@pytest.mark.parametrize("reg_lambda", [0.01, 0.013])
+def test_svm_first_step_scale_collapse(reg_lambda):
+    # 1 - eta*lambda at t = 1 is exactly 0 for 0.01 and one ulp for 0.013: the
+    # scale is folded into the weights before the first hinge step divides by it
+    assert 1.0 - (1.0 / reg_lambda) * reg_lambda == (0.0 if reg_lambda == 0.01 else 2.0**-53)
+    X = csr([[0.5, 0.0, 0.25]])
+    model, weights = assert_matches_pegasos_oracle(X, [1], reg_lambda, 1, 0)
+    assert model.weights.tobytes() == weights.tobytes()
+    assert_matches_pegasos_oracle(csr([[0.5, 0.0, 0.25], [0.0, 1.0, 0.5]]), [1, -1],
+                                  reg_lambda, 30, 4)
+
+
 def test_predict_svm_tie_and_scaling():
     model = lm.LinearSvmModel(weights=np.zeros(2), bias=0.0, reg_lambda=1e-2)
     (label,), (score,) = predict_svm(sv([1.0, 1.0]), model)

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from bullyguard.rng import Rng
 
@@ -92,3 +92,92 @@ def test_uniformity_coarse():
     for _ in range(10000):
         buckets[int(r.random() * 10)] += 1
     assert min(buckets) > 800 and max(buckets) < 1200
+
+
+# ----------------------------------------------------------------------------
+# the bulk stream: uniform_array and shuffles must replay the scalar spec
+# ----------------------------------------------------------------------------
+
+SEEDS = st.integers(min_value=0, max_value=2**64 - 1)
+BLOCK_SIZES = [0, 1, 63, 64, 65, 16383, 16384, 16385]
+
+
+@settings(max_examples=5, deadline=None)
+@given(SEEDS)
+def test_block_equals_scalar_stream(seed):
+    for n in BLOCK_SIZES:
+        bulk, scalar = Rng(seed), Rng(seed)
+        got = []
+        while len(got) < n:
+            got.extend(bulk._block(min(16384, n - len(got))).tolist())
+        assert got == [scalar.next_u64() for _ in range(n)], n
+        assert bulk._s == scalar._s, n
+
+
+@settings(max_examples=25, deadline=None)
+@given(SEEDS, st.integers(min_value=0, max_value=300), st.integers(min_value=0, max_value=120))
+def test_shuffles_equal_repeated_shuffle(seed, n, count):
+    bulk, scalar = Rng(seed), Rng(seed)
+    items, expected = list(range(n)), list(range(n))
+    seen = []
+    for _ in bulk.shuffles(items, count):
+        scalar.shuffle(expected)
+        seen.append(items == expected)
+    assert seen == [True] * count
+    assert bulk._s == scalar._s
+
+
+def test_shuffles_epochs_longer_than_a_block():
+    bulk, scalar = Rng(3), Rng(3)
+    items, expected = list(range(16390)), list(range(16390))
+    for _ in bulk.shuffles(items, 2):
+        scalar.shuffle(expected)
+        assert items == expected
+    assert bulk._s == scalar._s
+
+
+def uniform_array_oracle(rng, shape, a, b):
+    out = np.empty(int(np.prod(shape)), dtype=np.float64)
+    for i in range(out.size):
+        out[i] = a + (b - a) * ((rng.next_u64() >> 11) * (1.0 / (1 << 53)))
+    return out.reshape(shape)
+
+
+@settings(max_examples=10, deadline=None)
+@given(SEEDS, st.sampled_from([(), (0,), (1,), (7, 9), (130, 128), (3, 16385)]),
+       st.floats(-10, 10), st.floats(0.001, 10))
+def test_uniform_array_equals_scalar_oracle(seed, shape, a, width):
+    bulk, scalar = Rng(seed), Rng(seed)
+    got = bulk.uniform_array(shape, a, a + width)
+    want = uniform_array_oracle(scalar, shape, a, a + width)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert bulk._s == scalar._s
+
+
+# the largest word and the smallest word that randbelow(10) rejects
+@pytest.mark.parametrize("rejected", [2**64 - 1, 2**64 - 2**64 % 10])
+def test_rejected_draw_replays_the_scalar_shuffle(monkeypatch, rejected):
+    # the first of the 9 draws of a 10-item shuffle is randbelow(10)
+    real_block = Rng._block
+
+    def block_with_rejection(self, n):
+        words = real_block(self, n)
+        words[(n // 9 // 2) * 9] = rejected
+        return words
+
+    real_shuffle = Rng.shuffle
+    replayed = []
+
+    def counted_shuffle(self, items):
+        replayed.append(self is bulk)
+        real_shuffle(self, items)
+
+    monkeypatch.setattr(Rng, "_block", block_with_rejection)
+    monkeypatch.setattr(Rng, "shuffle", counted_shuffle)
+    bulk, scalar = Rng(8), Rng(8)
+    items, expected = list(range(10)), list(range(10))
+    for _ in bulk.shuffles(items, 40):
+        scalar.shuffle(expected)
+        assert items == expected
+    assert bulk._s == scalar._s
+    assert replayed.count(True) == 40  # the whole block fell back to the scalar shuffle
