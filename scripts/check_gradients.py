@@ -9,7 +9,7 @@ clear of cancellation noise; see the test suite for the same check run as an
 assertion.
 
 Usage: python scripts/check_gradients.py [--attention/--no-attention]
-       [--h 1e-5] [--seed 11] [--coords 20]
+       [--h 1e-5] [--seed 11] [--coords 48]
 """
 
 from __future__ import annotations
@@ -30,7 +30,8 @@ def main() -> int:
     parser.add_argument("--h", type=float, default=1e-5)
     parser.add_argument("--tolerance", type=float, default=1e-4)
     parser.add_argument("--seed", type=int, default=11)
-    parser.add_argument("--coords", type=int, default=20, help="coordinates per block")
+    parser.add_argument("--coords", type=int, default=48,
+                        help="coordinates per block (48 is all of a fused LSTM w)")
     args = parser.parse_args()
 
     config = TrainConfig(embedding_dim=4, hidden_dim=3, attention_dim=3, batch_size=2)

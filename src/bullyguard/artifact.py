@@ -33,7 +33,7 @@ from .linear_models import (
     predict_svm,
 )
 from .neural import (
-    LstmBlock,
+    BLOCK_NAMES,
     NeuralNetParams,
     NeuralVocab,
     encode_batch,
@@ -46,7 +46,7 @@ from .preprocess import (
     StemmerRules,
 )
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2  # version 2 stores one fused w, u, b per LSTM direction
 MAGIC = "bullyguard-model"
 FAMILIES = ("nb", "lr", "svm", "bilstm", "bilstm_attention")
 
@@ -186,7 +186,8 @@ def save_artifact(artifact: ModelArtifact, path: str | Path) -> None:
         lines.extend([
             "[lr]",
             f"l2_lambda {_fmt(model.l2_lambda)}",
-            f"threshold {_fmt(artifact.threshold)}",
+            # shortest exact form: 12 digits would round 0.9999999999999 up to 1
+            f"threshold {float(artifact.threshold)!r}",
             f"bias {_fmt(model.bias)}",
             f"weights {_fmt_row(model.weights)}",
         ])
@@ -380,6 +381,9 @@ def _parse_artifact(path: str | Path, text: str) -> ModelArtifact:
             raise ArtifactError("missing [lr] section")
         l2 = _parse_float(cur.expect_kv("l2_lambda"))
         artifact.threshold = _parse_float(cur.expect_kv("threshold"))
+        if not 0.0 < artifact.threshold < 1.0:
+            raise ArtifactError(
+                f"lr threshold must lie strictly between 0 and 1, got {artifact.threshold!r}")
         bias = _parse_float(cur.expect_kv("bias"))
         weights = _finite("weights", _parse_floats(cur.expect_kv("weights"),
                                                    artifact.tfidf.n_features))
@@ -409,8 +413,7 @@ def _parse_artifact(path: str | Path, text: str) -> ModelArtifact:
             token_to_id[parts[1]] = int(parts[2])
         vocab = NeuralVocab(token_to_id=token_to_id, max_seq_len=max_len)
         arrays: dict[str, np.ndarray] = {}
-        expected = _neural_block_names()
-        for name in expected:
+        for name in BLOCK_NAMES:
             header = cur.next()
             if header != f"[param {name}]":
                 raise ArtifactError(f"expected [param {name}], found {header!r}")
@@ -419,42 +422,12 @@ def _parse_artifact(path: str | Path, text: str) -> ModelArtifact:
             rows = [_parse_floats(cur.next()) for _ in range(n_rows)]
             arrays[name] = _finite(name, np.vstack(rows).reshape(shape))
         artifact.neural_vocab = vocab
-        artifact.neural_params = _assemble_neural_params(arrays, use_att)
+        artifact.neural_params = NeuralNetParams.from_blocks(arrays, use_att)
         if artifact.neural_params.vocab_size != size:
             raise ArtifactError("embedding rows do not match vocab size")
     if cur.next() != "end":
         raise ArtifactError("missing end marker")
     return artifact
-
-
-def _neural_block_names() -> list[str]:
-    names = ["embedding"]
-    for direction in ("fwd", "bwd"):
-        for kind in ("w", "u", "b"):
-            for gate in ("i", "f", "o", "g"):
-                names.append(f"{direction}.{kind}_{gate}")
-    names.extend(["att.w", "att.v", "att.b", "head.w", "head.b"])
-    return names
-
-
-def _assemble_neural_params(arrays: dict[str, np.ndarray], use_attention: bool) -> NeuralNetParams:
-    def block(direction: str) -> LstmBlock:
-        return LstmBlock(**{
-            f"{kind}_{gate}": arrays[f"{direction}.{kind}_{gate}"]
-            for kind in ("w", "u", "b") for gate in ("i", "f", "o", "g")
-        })
-
-    return NeuralNetParams(
-        embedding=arrays["embedding"],
-        fwd=block("fwd"),
-        bwd=block("bwd"),
-        w_att=arrays["att.w"],
-        b_att=arrays["att.b"],
-        v_att=arrays["att.v"],
-        w_head=arrays["head.w"],
-        b_head=arrays["head.b"],
-        use_attention=use_attention,
-    )
 
 
 # ----------------------------------------------------------------------------

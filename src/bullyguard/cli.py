@@ -170,6 +170,8 @@ class RunConfig:
             raise ConfigError(f"config [{section}] {key}: expected comma-separated numbers") from None
         if not all(math.isfinite(v) for v in values):
             raise ConfigError(f"config [{section}] {key}: expected finite numbers, got {raw!r}")
+        if not values:
+            raise ConfigError(f"config [{section}] {key}: expected at least one number, got {raw!r}")
         return values
 
 
@@ -186,6 +188,7 @@ class Runtime:
     rules: StemmerRules
     column_map: dict[str, str]
     delimiter: str
+    threshold: float  # LR decision threshold on P(Bullying)
 
 
 def _resolve_runtime(ns: argparse.Namespace) -> Runtime:
@@ -206,6 +209,11 @@ def _resolve_runtime(ns: argparse.Namespace) -> Runtime:
         l2_normalize=config.get_bool("tfidf", "l2_normalize", True),
         min_df=config.get_int("tfidf", "min_df", 1),
     )
+    # p can reach exactly 0 or 1, so only an open-interval threshold splits both ways
+    threshold = config.get_float("model", "threshold", 0.5)
+    if not 0.0 < threshold < 1.0:
+        raise ConfigError(f"config [model] threshold: expected a number strictly "
+                          f"between 0 and 1, got {config.get('model', 'threshold')!r}")
     defaults = default_lexicon_paths()
     lexicon = load_lexicon(
         config.get("lexicons", "slang", str(defaults["slang"])),
@@ -229,6 +237,7 @@ def _resolve_runtime(ns: argparse.Namespace) -> Runtime:
         pipeline=pipeline, tfidf=tfidf, lexicon=lexicon, rules=rules,
         column_map=column_map,
         delimiter=config.get("corpus", "delimiter", ";"),
+        threshold=threshold,
     )
 
 
@@ -361,7 +370,7 @@ def _train_artifact(rt: Runtime, records, family: str, params: dict | None) -> M
         )
         base.tfidf = tfidf
         setattr(base, family, model)
-        base.threshold = rt.config.get_float("model", "threshold", 0.5)
+        base.threshold = rt.threshold
         base.preprocessing_fp = preprocessing_fingerprint(rt.pipeline, rt.lexicon, rt.rules)
         return base
     # neural families: split for early stopping, drop empty documents

@@ -14,7 +14,7 @@ under the pinned PRNG seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -97,37 +97,19 @@ def encode_batch(token_lists: list[list[str]], vocab: NeuralVocab) -> tuple[np.n
 # parameters
 # ----------------------------------------------------------------------------
 
-_GATES = ("i", "f", "o", "g")
-
-
 @dataclass
 class LstmBlock:
-    w_i: np.ndarray
-    w_f: np.ndarray
-    w_o: np.ndarray
-    w_g: np.ndarray
-    u_i: np.ndarray
-    u_f: np.ndarray
-    u_o: np.ndarray
-    u_g: np.ndarray
-    b_i: np.ndarray
-    b_f: np.ndarray
-    b_o: np.ndarray
-    b_g: np.ndarray
+    """One direction's LSTM, gate columns in the order i, f, o, g."""
+    w: np.ndarray  # (D, 4H) input weights
+    u: np.ndarray  # (H, 4H) recurrent weights
+    b: np.ndarray  # (4H,)
 
-    def named(self, prefix: str) -> list[tuple[str, np.ndarray]]:
-        pairs = []
-        for kind in ("w", "u", "b"):
-            for gate in _GATES:
-                name = f"{kind}_{gate}"
-                pairs.append((f"{prefix}.{name}", getattr(self, name)))
-        return pairs
 
-    def copy(self) -> "LstmBlock":
-        return LstmBlock(**{
-            f"{kind}_{gate}": getattr(self, f"{kind}_{gate}").copy()
-            for kind in ("w", "u", "b") for gate in _GATES
-        })
+# Parameter block names in the fixed serialization order of blocks().
+BLOCK_NAMES = (
+    "embedding", "fwd.w", "fwd.u", "fwd.b", "bwd.w", "bwd.u", "bwd.b",
+    "att.w", "att.v", "att.b", "head.w", "head.b",
+)
 
 
 @dataclass
@@ -152,38 +134,37 @@ class NeuralNetParams:
 
     @property
     def hidden_dim(self) -> int:
-        return self.fwd.u_i.shape[0]
+        return self.fwd.u.shape[0]
 
     @property
     def attention_dim(self) -> int:
         return self.b_att.shape[0]
 
     def blocks(self) -> list[tuple[str, np.ndarray]]:
-        """All parameter arrays in the fixed serialization order."""
-        pairs = [("embedding", self.embedding)]
-        pairs.extend(self.fwd.named("fwd"))
-        pairs.extend(self.bwd.named("bwd"))
-        pairs.extend([
-            ("att.w", self.w_att),
-            ("att.v", self.v_att),
-            ("att.b", self.b_att),
-            ("head.w", self.w_head),
-            ("head.b", self.b_head),
-        ])
-        return pairs
+        """All parameter arrays, named by BLOCK_NAMES in that order."""
+        return list(zip(BLOCK_NAMES, (
+            self.embedding, self.fwd.w, self.fwd.u, self.fwd.b,
+            self.bwd.w, self.bwd.u, self.bwd.b,
+            self.w_att, self.v_att, self.b_att, self.w_head, self.b_head,
+        )))
+
+    @classmethod
+    def from_blocks(cls, arrays: dict[str, np.ndarray], use_attention: bool) -> "NeuralNetParams":
+        """The inverse of blocks(): parameters from arrays keyed by BLOCK_NAMES."""
+        (embedding, fwd_w, fwd_u, fwd_b, bwd_w, bwd_u, bwd_b,
+         w_att, v_att, b_att, w_head, b_head) = (arrays[name] for name in BLOCK_NAMES)
+        return cls(
+            embedding=embedding,
+            fwd=LstmBlock(fwd_w, fwd_u, fwd_b),
+            bwd=LstmBlock(bwd_w, bwd_u, bwd_b),
+            w_att=w_att, b_att=b_att, v_att=v_att,
+            w_head=w_head, b_head=b_head,
+            use_attention=use_attention,
+        )
 
     def copy(self) -> "NeuralNetParams":
-        return NeuralNetParams(
-            embedding=self.embedding.copy(),
-            fwd=self.fwd.copy(),
-            bwd=self.bwd.copy(),
-            w_att=self.w_att.copy(),
-            b_att=self.b_att.copy(),
-            v_att=self.v_att.copy(),
-            w_head=self.w_head.copy(),
-            b_head=self.b_head.copy(),
-            use_attention=self.use_attention,
-        )
+        return NeuralNetParams.from_blocks(
+            {name: arr.copy() for name, arr in self.blocks()}, self.use_attention)
 
 
 @dataclass(frozen=True)
@@ -224,11 +205,12 @@ def _xavier(rng: Rng, fan_in: int, fan_out: int, shape: tuple[int, ...]) -> np.n
 
 
 def _init_lstm_block(rng: Rng, d: int, h: int) -> LstmBlock:
-    weights = {f"w_{g}": _xavier(rng, d, h, (d, h)) for g in _GATES}
-    weights.update({f"u_{g}": _xavier(rng, h, h, (h, h)) for g in _GATES})
-    biases = {f"b_{g}": np.zeros(h) for g in _GATES}
-    biases["b_f"] = np.ones(h)  # forget-gate bias 1.0 eases early memory carry
-    return LstmBlock(**weights, **biases)
+    # one Xavier draw per gate in the order i, f, o, g, all of w before u
+    w = np.concatenate([_xavier(rng, d, h, (d, h)) for _ in range(4)], axis=1)
+    u = np.concatenate([_xavier(rng, h, h, (h, h)) for _ in range(4)], axis=1)
+    b = np.zeros(4 * h)
+    b[h:2 * h] = 1.0  # forget-gate bias 1.0 eases early memory carry
+    return LstmBlock(w, u, b)
 
 
 def init_params(
@@ -269,15 +251,19 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 
 def _lstm_step(x_t, h_prev, c_prev, block: LstmBlock) -> tuple[np.ndarray, ...]:
-    """One LSTM step as (i, f, o, g, c_t, tanh(c_t)), the intermediates the
-    backward pass caches; h_t = o * tanh(c_t).
+    """One LSTM step as (gates, c_t, tanh(c_t), h_t). gates holds the
+    activated i, f, o, g columns; it and tanh(c_t) are what the backward pass
+    caches. Works on single vectors or batched rows.
     """
-    i = _sigmoid(x_t @ block.w_i + h_prev @ block.u_i + block.b_i)
-    f = _sigmoid(x_t @ block.w_f + h_prev @ block.u_f + block.b_f)
-    o = _sigmoid(x_t @ block.w_o + h_prev @ block.u_o + block.b_o)
-    g = np.tanh(x_t @ block.w_g + h_prev @ block.u_g + block.b_g)
+    gates = x_t @ block.w + h_prev @ block.u + block.b
+    h = gates.shape[-1] // 4
+    gates[..., :3 * h] = _sigmoid(gates[..., :3 * h])
+    np.tanh(gates[..., 3 * h:], out=gates[..., 3 * h:])
+    # plain slices: np.split costs more than the gate arithmetic at these sizes
+    i, f, o, g = (gates[..., k * h:(k + 1) * h] for k in range(4))
     c_t = f * c_prev + i * g
-    return i, f, o, g, c_t, np.tanh(c_t)
+    tanh_c = np.tanh(c_t)
+    return gates, c_t, tanh_c, o * tanh_c
 
 
 def lstm_cell(
@@ -286,9 +272,9 @@ def lstm_cell(
     c_prev: np.ndarray,
     block: LstmBlock,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One LSTM step; works on single vectors or batched rows."""
-    _, _, o, _, c_t, tanh_c = _lstm_step(x_t, h_prev, c_prev, block)
-    return o * tanh_c, c_t
+    """One LSTM step as (h_t, c_t); works on single vectors or batched rows."""
+    _, c_t, _, h_t = _lstm_step(x_t, h_prev, c_prev, block)
+    return h_t, c_t
 
 
 @dataclass
@@ -296,11 +282,7 @@ class _StepCache:
     x: np.ndarray
     h_prev: np.ndarray
     c_prev: np.ndarray
-    i: np.ndarray
-    f: np.ndarray
-    o: np.ndarray
-    g: np.ndarray
-    c_cand: np.ndarray
+    gates: np.ndarray   # (B, 4H) activated i, f, o, g
     tanh_c: np.ndarray
     m: np.ndarray  # (B, 1) 0/1 mask
 
@@ -317,7 +299,7 @@ def _run_lstm(
     caches, needed only by the backward pass, are empty unless keep_steps.
     """
     b, t_max, _ = x.shape
-    h_dim = block.b_i.shape[0]
+    h_dim = block.u.shape[0]
     h = np.zeros((b, h_dim))
     c = np.zeros((b, h_dim))
     outputs = np.zeros((b, t_max, h_dim))
@@ -325,10 +307,9 @@ def _run_lstm(
     for t in range(t_max):
         xt = x[:, t, :]
         m = mask[:, t][:, None]
-        i, f, o, g, c_cand, tanh_c = _lstm_step(xt, h, c, block)
-        h_cand = o * tanh_c
+        gates, c_cand, tanh_c, h_cand = _lstm_step(xt, h, c, block)
         if keep_steps:
-            steps.append(_StepCache(xt, h, c, i, f, o, g, c_cand, tanh_c, m))
+            steps.append(_StepCache(xt, h, c, gates, tanh_c, m))
         outputs[:, t, :] = m * h_cand
         h = m * h_cand + (1.0 - m) * h
         c = m * c_cand + (1.0 - m) * c
@@ -415,18 +396,10 @@ def _forward_batch(
 def bilstm_forward(ids, valid_len: int, params: NeuralNetParams) -> np.ndarray:
     """Encoder states for one sequence: (T, 2H), zeros at padded positions."""
     ids = np.asarray(ids, dtype=np.int64).reshape(1, -1)
-    t_total = ids.shape[1]
-    t_eff = max(1, min(int(valid_len), t_total))
-    window = ids[:, :t_eff]
-    mask = (np.arange(t_eff)[None, :] < valid_len).astype(np.float64)
-    x = params.embedding[window]
-    fwd_out, _, _ = _run_lstm(x, mask, params.fwd)
-    bwd_out_rev, _, _ = _run_lstm(x[:, ::-1, :], mask[:, ::-1], params.bwd)
-    states = np.concatenate([fwd_out, bwd_out_rev[:, ::-1, :]], axis=2)[0]
-    if t_eff < t_total:
-        h2 = states.shape[1]
-        states = np.concatenate([states, np.zeros((t_total - t_eff, h2))], axis=0)
-    return states
+    # the encoder alone: without attention a zero valid_len is allowed
+    encoder = replace(params, use_attention=False)
+    states = _forward_batch(ids, [valid_len], encoder, keep_steps=False).states[0]
+    return np.pad(states, ((0, ids.shape[1] - states.shape[0]), (0, 0)))
 
 
 def attention(
@@ -437,15 +410,10 @@ def attention(
     """Context vector and weights over the first valid_len encoder states."""
     if valid_len <= 0:
         raise NeuralError("attention over empty sequence")
-    states = np.asarray(states, dtype=np.float64)
-    t_total = states.shape[0]
-    t_eff = min(int(valid_len), t_total)
-    window = states[None, :t_eff, :]
-    mask = np.ones((1, t_eff), dtype=np.float64)
-    context, weights, _ = _attention_core(window, mask, params)
-    padded = np.zeros(t_total)
-    padded[:t_eff] = weights[0]
-    return context[0], padded
+    states = np.asarray(states, dtype=np.float64)[None]
+    mask = (np.arange(states.shape[1])[None, :] < valid_len).astype(np.float64)
+    context, weights, _ = _attention_core(states, mask, params)
+    return context[0], weights[0]
 
 
 def forward_classify(ids, valid_len: int, params: NeuralNetParams) -> np.ndarray:
@@ -487,45 +455,32 @@ def _backprop_lstm(
     block: LstmBlock,
     d_out: np.ndarray,          # (B, T, H) gradient on masked outputs
     d_final: np.ndarray | None,  # (B, H) gradient on the final carried state
-) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+) -> tuple[np.ndarray, LstmBlock]:
+    """(dx (B,T,D), the gradient of every block array as an LstmBlock)."""
     t_max = len(steps)
     b, h_dim = steps[0].h_prev.shape
-    d_dim = steps[0].x.shape[1]
-    grads = {f"{kind}_{g}": np.zeros_like(getattr(block, f"{kind}_{g}"))
-             for kind in ("w", "u", "b") for g in _GATES}
+    grad = LstmBlock(np.zeros_like(block.w), np.zeros_like(block.u), np.zeros_like(block.b))
     dh = d_final.copy() if d_final is not None else np.zeros((b, h_dim))
     dc = np.zeros((b, h_dim))
-    dx = np.zeros((b, t_max, d_dim))
+    dx = np.zeros((b, t_max, block.w.shape[0]))
     for t in range(t_max - 1, -1, -1):
         st = steps[t]
         m = st.m
+        i, f, o, g = (st.gates[:, k * h_dim:(k + 1) * h_dim] for k in range(4))
         g_hcand = m * (dh + d_out[:, t, :])
-        dh_carry = (1.0 - m) * dh
-        dc_cand = m * dc
-        dc_carry = (1.0 - m) * dc
-        d_o = g_hcand * st.tanh_c
-        dc_cand = dc_cand + g_hcand * st.o * (1.0 - st.tanh_c ** 2)
-        d_f = dc_cand * st.c_prev
-        d_i = dc_cand * st.g
-        d_g = dc_cand * st.i
-        dc = dc_cand * st.f + dc_carry
-        da = {
-            "i": d_i * st.i * (1.0 - st.i),
-            "f": d_f * st.f * (1.0 - st.f),
-            "o": d_o * st.o * (1.0 - st.o),
-            "g": d_g * (1.0 - st.g ** 2),
-        }
-        dh = dh_carry
-        dxt = np.zeros((b, d_dim))
-        for gate in _GATES:
-            a = da[gate]
-            grads[f"w_{gate}"] += st.x.T @ a
-            grads[f"u_{gate}"] += st.h_prev.T @ a
-            grads[f"b_{gate}"] += a.sum(axis=0)
-            dxt += a @ getattr(block, f"w_{gate}").T
-            dh += a @ getattr(block, f"u_{gate}").T
-        dx[:, t, :] = dxt
-    return dx, grads
+        dc_cand = m * dc + g_hcand * o * (1.0 - st.tanh_c ** 2)
+        # da: the gradient on the gate pre-activations, columns i, f, o, g
+        da = np.concatenate([dc_cand * g, dc_cand * st.c_prev, g_hcand * st.tanh_c,
+                             dc_cand * i * (1.0 - g ** 2)], axis=1)
+        sig = st.gates[:, :3 * h_dim]
+        da[:, :3 * h_dim] = da[:, :3 * h_dim] * sig * (1.0 - sig)
+        dc = dc_cand * f + (1.0 - m) * dc
+        grad.w += st.x.T @ da
+        grad.u += st.h_prev.T @ da
+        grad.b += da.sum(axis=0)
+        dx[:, t, :] = da @ block.w.T
+        dh = (1.0 - m) * dh + da @ block.u.T
+    return dx, grad
 
 
 def _backward_from_cache(
@@ -533,17 +488,14 @@ def _backward_from_cache(
     labels: np.ndarray,
     params: NeuralNetParams,
 ) -> dict[str, np.ndarray]:
+    """Gradients keyed by BLOCK_NAMES; raises on any non-finite one, naming
+    the offending parameter block."""
     b = cache.logits.shape[0]
     h_dim = params.hidden_dim
     probs = _softmax(cache.logits)
     d_logits = probs.copy()
     d_logits[np.arange(b), labels] -= 1.0
     d_logits /= b
-
-    grads: dict[str, np.ndarray] = {
-        "head.w": cache.features.T @ d_logits,
-        "head.b": d_logits.sum(axis=0),
-    }
     d_features = d_logits @ params.w_head.T
 
     if params.use_attention:
@@ -554,28 +506,28 @@ def _backward_from_cache(
         d_alpha = np.einsum("bh,bth->bt", d_ctx, s)
         d_states = alpha[:, :, None] * d_ctx[:, None, :]
         d_scores = alpha * (d_alpha - (alpha * d_alpha).sum(axis=1, keepdims=True))
-        grads["att.v"] = np.einsum("bta,bt->a", u, d_scores)
+        d_v_att = np.einsum("bta,bt->a", u, d_scores)
         d_u = d_scores[:, :, None] * params.v_att[None, None, :]
         d_z = d_u * (1.0 - u ** 2)
-        grads["att.w"] = np.einsum("bth,bta->ha", s, d_z)
-        grads["att.b"] = d_z.sum(axis=(0, 1))
+        d_w_att = np.einsum("bth,bta->ha", s, d_z)
+        d_b_att = d_z.sum(axis=(0, 1))
         d_states = d_states + d_z @ params.w_att.T
         d_fwd_out = d_states[:, :, :h_dim]
         d_bwd_out = d_states[:, :, h_dim:]
         d_fwd_final = None
         d_bwd_final = None
     else:
-        grads["att.w"] = np.zeros_like(params.w_att)
-        grads["att.v"] = np.zeros_like(params.v_att)
-        grads["att.b"] = np.zeros_like(params.b_att)
+        d_w_att = np.zeros_like(params.w_att)
+        d_v_att = np.zeros_like(params.v_att)
+        d_b_att = np.zeros_like(params.b_att)
         t_max = cache.ids.shape[1]
         d_fwd_out = np.zeros((b, t_max, h_dim))
         d_bwd_out = np.zeros((b, t_max, h_dim))
         d_fwd_final = d_features[:, :h_dim]
         d_bwd_final = d_features[:, h_dim:]
 
-    dx_fwd, fwd_grads = _backprop_lstm(cache.fwd_steps, params.fwd, d_fwd_out, d_fwd_final)
-    dx_bwd_rev, bwd_grads = _backprop_lstm(
+    dx_fwd, d_fwd = _backprop_lstm(cache.fwd_steps, params.fwd, d_fwd_out, d_fwd_final)
+    dx_bwd_rev, d_bwd = _backprop_lstm(
         cache.bwd_steps, params.bwd, d_bwd_out[:, ::-1, :], d_bwd_final,
     )
     dx = dx_fwd + dx_bwd_rev[:, ::-1, :]
@@ -583,12 +535,16 @@ def _backward_from_cache(
     d_embedding = np.zeros_like(params.embedding)
     flat_ids = cache.ids.reshape(-1)
     np.add.at(d_embedding, flat_ids, dx.reshape(-1, params.embedding_dim))
-    grads["embedding"] = d_embedding
-    for name, g in fwd_grads.items():
-        grads[f"fwd.{name}"] = g
-    for name, g in bwd_grads.items():
-        grads[f"bwd.{name}"] = g
-    return grads
+    grads = NeuralNetParams(
+        embedding=d_embedding, fwd=d_fwd, bwd=d_bwd,
+        w_att=d_w_att, b_att=d_b_att, v_att=d_v_att,
+        w_head=cache.features.T @ d_logits, b_head=d_logits.sum(axis=0),
+        use_attention=params.use_attention,
+    ).blocks()
+    for name, grad in grads:
+        if not np.all(np.isfinite(grad)):
+            raise NeuralError(f"non-finite gradient in block {name}")
+    return dict(grads)
 
 
 def backward(
@@ -602,11 +558,7 @@ def backward(
     """
     ids, valid_lens, labels = batch
     cache = _forward_batch(ids, valid_lens, params)
-    grads = _backward_from_cache(cache, np.asarray(labels, dtype=np.int64), params)
-    for name, _ in params.blocks():
-        if not np.all(np.isfinite(grads[name])):
-            raise NeuralError(f"non-finite gradient in block {name}")
-    return grads
+    return _backward_from_cache(cache, np.asarray(labels, dtype=np.int64), params)
 
 
 # ----------------------------------------------------------------------------
@@ -753,9 +705,6 @@ def train(
             cache = _forward_batch(train_ids[chunk], train_lens[chunk], params)
             loss = batch_loss(cache, train_labels[chunk])
             grads = _backward_from_cache(cache, train_labels[chunk], params)
-            for name, _ in params.blocks():
-                if not np.all(np.isfinite(grads[name])):
-                    raise NeuralError(f"non-finite gradient in block {name}")
             adam_step(params, grads, state, config)
             loss_sum += loss * len(chunk)
         val_loss, val_acc = evaluate_loss(

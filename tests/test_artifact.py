@@ -1,7 +1,12 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bullyguard.artifact import (
+    FORMAT_VERSION,
     ArtifactError,
     ModelArtifact,
     check_fingerprint,
@@ -13,15 +18,28 @@ from bullyguard.artifact import (
     save_artifact,
 )
 from bullyguard.corpus import Label
-from bullyguard.features import TfidfConfig, fit_tfidf, transform_all
-from bullyguard.linear_models import train_family
-from bullyguard.neural import TrainConfig, build_neural_vocab, encode_batch, train
+from bullyguard.features import TfidfConfig, TfidfModel, Vocabulary, fit_tfidf, transform_all
+from bullyguard.linear_models import (
+    LinearSvmModel,
+    LogisticRegressionModel,
+    NaiveBayesModel,
+    train_family,
+)
+from bullyguard.neural import (
+    NeuralVocab,
+    TrainConfig,
+    build_neural_vocab,
+    encode_batch,
+    init_params,
+    train,
+)
 from bullyguard.preprocess import (
     NormalizationLexicon,
     PipelineConfig,
     Preprocessor,
     preprocess_corpus,
 )
+from bullyguard.rng import Rng
 from conftest import make_record
 
 B, N = Label.BULLYING, Label.NON_BULLYING
@@ -141,10 +159,22 @@ def test_artifact_version_rejected(tmp_path, default_lexicon, default_rules):
     path = tmp_path / "m.model"
     save_artifact(artifact, path)
     text = path.read_text(encoding="utf-8")
-    path.write_text(text.replace("bullyguard-model 1", "bullyguard-model 2", 1),
-                    encoding="utf-8")
-    with pytest.raises(ArtifactError, match="unsupported format version"):
-        load_artifact(path)
+    assert text.startswith("bullyguard-model 2\n") and FORMAT_VERSION == 2
+    for other in (1, 3):  # 1 is the per-gate LSTM layout, which must be retrained
+        path.write_text(text.replace("bullyguard-model 2", f"bullyguard-model {other}", 1),
+                        encoding="utf-8")
+        with pytest.raises(ArtifactError, match="unsupported format version"):
+            load_artifact(path)
+
+
+def test_lr_threshold_saved_exactly(tmp_path, default_lexicon, default_rules):
+    artifact = build_classical_artifact("lr", corpus_fixture(), default_lexicon, default_rules)
+    path = tmp_path / "m.model"
+    # 12 significant digits would write the first as 1, which loading refuses
+    for threshold in (float(np.nextafter(1.0, 0.0)), 5e-324, 0.3):
+        artifact.threshold = threshold
+        save_artifact(artifact, path)
+        assert load_artifact(path).threshold == threshold
 
 
 def test_artifact_not_a_model(tmp_path):
@@ -223,3 +253,103 @@ def test_predict_texts_rejects_a_preprocessor_for_another_pipeline(
     same = Preprocessor(PipelineConfig(), default_lexicon, default_rules)
     assert predict_texts(artifact, FIXTURE_LINES, same) == [
         predict_text(artifact, line, default_lexicon, default_rules) for line in FIXTURE_LINES]
+
+
+# ----------------------------------------------------------------------------
+# round-trip properties
+# ----------------------------------------------------------------------------
+
+TOKENS = st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=6).filter(
+    lambda tok: not any(ch.isspace() for ch in tok))
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def floats(draw, shape):
+    return np.asarray(draw(st.lists(FINITE, min_size=int(np.prod(shape)),
+                                    max_size=int(np.prod(shape))))).reshape(shape)
+
+
+@st.composite
+def artifacts(draw):
+    """Any savable artifact: arbitrary tokens, flags and finite numbers."""
+    family = draw(st.sampled_from(["nb", "lr", "svm", "bilstm", "bilstm_attention"]))
+    artifact = ModelArtifact(
+        family=family,
+        seed=draw(st.integers(0, 2**63 - 1)),
+        majority_label=draw(st.sampled_from([B, N])),
+        preprocessing_fp=draw(st.text("0123456789abcdef", min_size=64, max_size=64)),
+        data_fp=draw(st.text("0123456789abcdef", min_size=64, max_size=64)),
+        pipeline=PipelineConfig(*draw(st.lists(st.booleans(), min_size=6, max_size=6)),
+                                elongation_min_run=draw(st.integers(2, 6))),
+    )
+    tokens = draw(st.lists(TOKENS, min_size=1, max_size=6, unique=True))
+    v = len(tokens)
+    if family in ("bilstm", "bilstm_attention"):
+        artifact.neural_vocab = NeuralVocab({tok: i + 2 for i, tok in enumerate(tokens)},
+                                            max_seq_len=draw(st.integers(1, 8)))
+        config = TrainConfig(embedding_dim=draw(st.integers(1, 4)),
+                             hidden_dim=draw(st.integers(1, 3)),
+                             attention_dim=draw(st.integers(1, 3)))
+        params = init_params(v + 2, config, family == "bilstm_attention",
+                             Rng(draw(st.integers(0, 2**32))))
+        for _, arr in params.blocks():  # one arbitrary number per block
+            arr.reshape(-1)[draw(st.integers(0, arr.size - 1))] = draw(FINITE)
+        artifact.neural_params = params
+        return artifact
+    artifact.tfidf = TfidfModel(
+        vocabulary=Vocabulary({tok: i for i, tok in enumerate(tokens)},
+                              {i: draw(st.integers(1, 50)) for i in range(v)},
+                              draw(st.integers(1, 50))),
+        idf=floats(draw, (v,)).tolist(),
+        config=TfidfConfig(draw(st.booleans()), draw(st.booleans()), draw(st.integers(1, 3))),
+    )
+    if family == "nb":
+        artifact.nb = NaiveBayesModel(floats(draw, (2,)), floats(draw, (2, v)), draw(FINITE))
+    elif family == "lr":
+        artifact.lr = LogisticRegressionModel(floats(draw, (v,)), draw(FINITE), draw(FINITE))
+        artifact.threshold = draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    else:
+        artifact.svm = LinearSvmModel(floats(draw, (v,)), draw(FINITE), draw(FINITE))
+    return artifact
+
+
+@settings(max_examples=60, deadline=None)
+@given(artifacts())
+def test_artifact_save_load_save_is_byte_identical(artifact):
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp) / "first.model", Path(tmp) / "second.model"
+        save_artifact(artifact, first)
+        save_artifact(load_artifact(first), second)
+        assert second.read_bytes() == first.read_bytes()
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2**32), use_attention=st.booleans(),
+       dims=st.tuples(st.integers(1, 6), st.integers(1, 4), st.integers(1, 4)))
+def test_loaded_neural_artifact_predicts_the_same(seed, use_attention, dims,
+                                                  default_lexicon, default_rules):
+    prep = Preprocessor(PipelineConfig(), default_lexicon, default_rules)
+    vocab = build_neural_vocab(prep.corpus(FIXTURE_LINES[::2]))  # odd lines meet OOV tokens
+    embedding_dim, hidden_dim, attention_dim = dims
+    config = TrainConfig(embedding_dim=embedding_dim, hidden_dim=hidden_dim,
+                         attention_dim=attention_dim)
+    artifact = ModelArtifact(
+        family="bilstm_attention" if use_attention else "bilstm", seed=seed,
+        majority_label=N, preprocessing_fp="0" * 64, data_fp="0" * 64,
+        pipeline=PipelineConfig(), neural_vocab=vocab,
+        neural_params=init_params(vocab.size, config, use_attention, Rng(seed)),
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.model"
+        save_artifact(artifact, path)
+        loaded = load_artifact(path)
+        save_artifact(loaded, path)
+        reloaded = load_artifact(path)
+    before = predict_texts(artifact, FIXTURE_LINES, prep)
+    after = predict_texts(loaded, FIXTURE_LINES, prep)
+    assert [p.label for p in after] == [p.label for p in before]
+    assert [p.empty_input for p in after] == [p.empty_input for p in before]
+    # the file keeps 12 significant digits, so scores move by far less than 1e-9
+    np.testing.assert_allclose([p.score for p in after], [p.score for p in before],
+                               rtol=0, atol=1e-9)
+    assert predict_texts(reloaded, FIXTURE_LINES, prep) == after

@@ -11,6 +11,7 @@ import bullyguard
 from bullyguard.artifact import load_artifact, predict_text
 from bullyguard.cli import PREDICT_CHUNK_LINES, main
 from bullyguard.corpus import Label, write_corpus
+from bullyguard.neural import BLOCK_NAMES
 from bullyguard.preprocess import PipelineConfig, run_pipeline
 from conftest import make_record
 
@@ -394,6 +395,48 @@ def test_non_finite_config_number_exit_1_one_line(tmp_path, capsys, command, fam
     assert not model_path.exists()
 
 
+@pytest.mark.parametrize("command, key, raw", [
+    ("tune", "grid_reg_lambda", ","),
+    ("tune", "grid_reg_lambda", ""),
+    ("benchmark", "grid_alpha", " , "),
+])
+def test_empty_tuning_grid_exit_1_one_line(tmp_path, capsys, command, key, raw):
+    corpus = write_fixture_corpus(tmp_path)
+    config = write_config(tmp_path, f"[tune]\n{key} = {raw}\n", name="bad.ini")
+    out_path = tmp_path / "out"
+    out = ["--out-dir", str(out_path)] if command == "benchmark" else [
+        "--family", "svm", "--out", str(out_path)]
+    assert main([command, "--corpus", str(corpus), "--quiet", "--config", str(config),
+                 *out]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: config [tune] {key}: expected at least one number, "
+                            f"got {raw.strip()!r}\n")
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("command, family, raw", [
+    ("train", "lr", "7"),
+    ("train", "lr", "1"),
+    ("train", "lr", "1.0000001"),
+    ("train", "svm", "0"),
+    ("tune", "lr", "-0.25"),
+    ("tune", "nb", "1"),
+])
+def test_threshold_outside_open_unit_interval_exit_1_one_line(tmp_path, capsys, command,
+                                                             family, raw):
+    corpus = write_fixture_corpus(tmp_path)
+    config = write_config(tmp_path, f"[model]\nthreshold = {raw}\n", name="bad.ini")
+    model_path = tmp_path / "model.txt"
+    assert main([command, "--corpus", str(corpus), "--family", family, "--quiet",
+                 "--out", str(model_path), "--config", str(config)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: config [model] threshold: expected a number strictly "
+                            f"between 0 and 1, got {raw!r}\n")
+    assert not model_path.exists()
+
+
 @pytest.mark.parametrize("family, epochs", [("svm", 0), ("lr", -3)])
 def test_epochs_below_1_exit_3_one_line(tmp_path, capsys, family, epochs):
     corpus = write_fixture_corpus(tmp_path)
@@ -440,6 +483,17 @@ def test_benchmark_entry_points_run(tmp_path, default_lexicon, default_rules):
     assert probe["nb"]["printed"] == printed
 
 
+@pytest.mark.parametrize("flag", ["--attention", "--no-attention"])
+def test_check_gradients_script_reports_every_block(flag):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "check_gradients.py"
+    proc = subprocess.run([sys.executable, str(script), flag], env=src_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    block_lines = [line.split(":")[0].strip() for line in proc.stdout.splitlines()
+                   if ": max rel err " in line]
+    assert block_lines == list(BLOCK_NAMES)
+
+
 # ----------------------------------------------------------------------------
 # fault injection: each bad input exits with its code and one stderr line
 # ----------------------------------------------------------------------------
@@ -481,6 +535,11 @@ BAD_ARTIFACTS = {
         "weights", lambda line: " ".join(["weights"] + ["nan"] * (len(line.split()) - 1)))),
     "lr_nan_bias": ("lr", edit_line("bias", lambda line: "bias nan")),
     "lr_inf_threshold": ("lr", edit_line("threshold", lambda line: "threshold inf")),
+    "lr_threshold_0": ("lr", edit_line("threshold", lambda line: "threshold 0")),
+    "lr_threshold_1": ("lr", edit_line("threshold", lambda line: "threshold 1")),
+    "lr_threshold_7": ("lr", edit_line("threshold", lambda line: "threshold 7")),
+    "bilstm_format_1": ("bilstm", edit_line(
+        "bullyguard-model", lambda line: "bullyguard-model 1")),
     "lr_truncated": ("lr", lambda lines: lines[: len(lines) // 2]),
     "svm_extra_weight": ("svm", edit_line("weights", lambda line: line + " 0.5")),
     "nb_three_priors": ("nb", edit_line("log_prior", lambda line: line + " -1")),

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from bullyguard.neural import (
+    BLOCK_NAMES,
     PAD_ID,
     UNK_ID,
     EarlyStopper,
     LstmBlock,
     NeuralError,
+    NeuralNetParams,
     TrainConfig,
     adam_step,
     attention,
@@ -27,6 +29,7 @@ from bullyguard.neural import (
     predict_batch,
     train,
 )
+from bullyguard.neural import _backprop_lstm, _run_lstm
 from bullyguard.rng import Rng
 
 TINY = TrainConfig(embedding_dim=4, hidden_dim=3, attention_dim=3, batch_size=2)
@@ -108,18 +111,85 @@ def test_encode_empty_is_all_pad():
 
 
 # ----------------------------------------------------------------------------
+# parameter layout
+# ----------------------------------------------------------------------------
+
+def gate(arr, k, h):
+    """Gate k's columns (0 i, 1 f, 2 o, 3 g) of a fused (..., 4H) array."""
+    return arr[..., k * h:(k + 1) * h]
+
+
+def test_init_gate_columns_replay_the_per_gate_draws():
+    d, h, a, vocab_size = 5, 3, 2, 11
+    config = TrainConfig(embedding_dim=d, hidden_dim=h, attention_dim=a)
+    init_rng = Rng(9)
+    params = init_params(vocab_size, config, True, init_rng)
+    oracle = Rng(9)
+
+    def xavier(fan_in, fan_out, shape):
+        limit = float(np.sqrt(6.0 / (fan_in + fan_out)))
+        return oracle.uniform_array(shape, -limit, limit)
+
+    np.testing.assert_array_equal(params.embedding, oracle.uniform_array((vocab_size, d), -0.05, 0.05))
+    for block in (params.fwd, params.bwd):
+        for k in range(4):  # i, f, o, g, one draw each, all of w before u
+            np.testing.assert_array_equal(gate(block.w, k, h), xavier(d, h, (d, h)))
+        for k in range(4):
+            np.testing.assert_array_equal(gate(block.u, k, h), xavier(h, h, (h, h)))
+        np.testing.assert_array_equal(block.b, [0.0] * h + [1.0] * h + [0.0] * (2 * h))
+    np.testing.assert_array_equal(params.w_att, xavier(2 * h, a, (2 * h, a)))
+    np.testing.assert_array_equal(params.v_att, xavier(a, 1, (a,)))
+    np.testing.assert_array_equal(params.w_head, xavier(2 * h, 2, (2 * h, 2)))
+    assert init_rng.next_u64() == oracle.next_u64()  # the same number of draws
+
+
+def test_blocks_are_twelve_fused_arrays_and_from_blocks_inverts_them():
+    params = tiny_params()
+    d, h = TINY.embedding_dim, TINY.hidden_dim
+    shapes = dict((name, arr.shape) for name, arr in params.blocks())
+    assert list(shapes) == list(BLOCK_NAMES) and len(shapes) == 12
+    for direction in ("fwd", "bwd"):
+        assert shapes[f"{direction}.w"] == (d, 4 * h)
+        assert shapes[f"{direction}.u"] == (h, 4 * h)
+        assert shapes[f"{direction}.b"] == (4 * h,)
+    rebuilt = NeuralNetParams.from_blocks(dict(params.blocks()), params.use_attention)
+    assert rebuilt.use_attention == params.use_attention
+    for (name, a), (_, b) in zip(params.blocks(), rebuilt.blocks()):
+        assert a is b, name
+    copied = params.copy()
+    for (name, a), (_, b) in zip(params.blocks(), copied.blocks()):
+        assert a is not b and np.array_equal(a, b), name
+
+
+def test_lstm_cell_matches_per_gate_oracle():
+    params = tiny_params(seed=4)
+    block, h = params.bwd, TINY.hidden_dim
+    rng = Rng(8)
+    x = rng.uniform_array((6, TINY.embedding_dim), -1, 1)
+    h_prev = rng.uniform_array((6, h), -1, 1)
+    c_prev = rng.uniform_array((6, h), -1, 1)
+
+    def pre(k):
+        return x @ gate(block.w, k, h) + h_prev @ gate(block.u, k, h) + gate(block.b, k, h)
+
+    def sigma(z):
+        return 1.0 / (1.0 + np.exp(-z))
+
+    i, f, o, g = sigma(pre(0)), sigma(pre(1)), sigma(pre(2)), np.tanh(pre(3))
+    c_want = f * c_prev + i * g
+    h_got, c_got = lstm_cell(x, h_prev, c_prev, block)
+    # one fused GEMM and four per-gate ones may differ in the last ulp
+    np.testing.assert_allclose(c_got, c_want, rtol=1e-13, atol=1e-16)
+    np.testing.assert_allclose(h_got, o * np.tanh(c_want), rtol=1e-13, atol=1e-16)
+
+
+# ----------------------------------------------------------------------------
 # cells and forward passes
 # ----------------------------------------------------------------------------
 
 def _scalar_block(w=1.0, u=1.0, b=0.0):
-    one = np.full((1, 1), w)
-    rec = np.full((1, 1), u)
-    bias = np.full(1, b)
-    return LstmBlock(
-        w_i=one.copy(), w_f=one.copy(), w_o=one.copy(), w_g=one.copy(),
-        u_i=rec.copy(), u_f=rec.copy(), u_o=rec.copy(), u_g=rec.copy(),
-        b_i=bias.copy(), b_f=bias.copy(), b_o=bias.copy(), b_g=bias.copy(),
-    )
+    # H = D = 1: every gate's column of w, u and b holds the same value
+    return LstmBlock(w=np.full((1, 4), w), u=np.full((1, 4), u), b=np.full(4, b))
 
 
 def test_lstm_cell_zero_everything():
@@ -130,7 +200,7 @@ def test_lstm_cell_zero_everything():
 
 def test_lstm_cell_forget_saturation_carries_memory():
     block = _scalar_block(w=0.0, u=0.0, b=0.0)
-    block.b_f[:] = 50.0  # forget gate saturated open, input gate at 1/2, g = 0
+    gate(block.b, 1, 1)[:] = 50.0  # forget gate saturated open, input gate at 1/2, g = 0
     c_prev = np.asarray([0.8])
     _, c = lstm_cell(np.zeros(1), np.zeros(1), c_prev, block)
     assert c[0] == pytest.approx(0.8, abs=1e-9)
@@ -197,7 +267,8 @@ def test_bilstm_length_one_single_step():
 
 def test_bilstm_mirrored_params_reverse_palindrome():
     params = tiny_params()
-    params.bwd = params.fwd.copy()  # both directions share weights
+    for kind in ("w", "u", "b"):  # both directions share weights
+        getattr(params.bwd, kind)[:] = getattr(params.fwd, kind)
     ids = [2, 5, 7, 5, 2]  # palindrome
     states = bilstm_forward(ids, 5, params)
     fwd_half, bwd_half = states[:, :3], states[:, 3:]
@@ -339,15 +410,16 @@ def test_backward_pad_embedding_row_zero():
 def test_gradient_check_head_only_linear():
     # zeroed recurrent weights leave the head as the only active path
     params = tiny_params(use_attention=False)
+    h = TINY.hidden_dim
     for block in (params.fwd, params.bwd):
-        for kind in ("w", "u"):
-            for gate in ("i", "f", "o", "g"):
-                getattr(block, f"{kind}_{gate}")[:] = 0.0
-        block.b_g[:] = 0.7
-        block.b_o[:] = 0.3
-        block.b_f[:] = 0.0
-        block.b_i[:] = 0.0
-    report = gradient_check(params, _tiny_batch(), n_per_block=10, seed=2)
+        block.w[:] = 0.0
+        block.u[:] = 0.0
+        gate(block.b, 3, h)[:] = 0.7
+        gate(block.b, 2, h)[:] = 0.3
+        gate(block.b, 1, h)[:] = 0.0
+        gate(block.b, 0, h)[:] = 0.0
+    # 48 is every coordinate of the fused LSTM blocks (w is 4 x 12)
+    report = gradient_check(params, _tiny_batch(), n_per_block=48, seed=2)
     assert report.per_block["head.w"] < 1e-7
     assert report.per_block["head.b"] < 1e-7
 
@@ -360,7 +432,8 @@ def test_gradient_check_full_tiny_network():
     params.w_head *= 3.0
     rng = Rng(12)
     params.b_att[:] = [rng.uniform(-0.8, 0.8) for _ in range(3)]
-    report = gradient_check(params, _tiny_batch(), n_per_block=20, seed=3)
+    # 48 is every coordinate of the fused LSTM blocks (w is 4 x 12)
+    report = gradient_check(params, _tiny_batch(), n_per_block=48, seed=3)
     assert report.max_rel_error < 1e-4
 
 
@@ -368,9 +441,52 @@ def test_gradient_check_larger_h_degrades():
     params = tiny_params(seed=11)
     params.embedding *= 20.0
     batch = _tiny_batch()
-    fine = gradient_check(params, batch, h=1e-5, n_per_block=12, seed=3)
-    coarse = gradient_check(params, batch, h=1e-1, n_per_block=12, seed=3)
+    fine = gradient_check(params, batch, h=1e-5, n_per_block=48, seed=3)
+    coarse = gradient_check(params, batch, h=1e-1, n_per_block=48, seed=3)
     assert coarse.max_rel_error > fine.max_rel_error
+
+
+def per_gate_backprop(steps, block, d_out, d_final):
+    """Reference LSTM backward, one gate at a time: (dx, {"w", "u", "b"})."""
+    b, h = steps[0].h_prev.shape
+    grads = {kind: np.zeros_like(getattr(block, kind)) for kind in ("w", "u", "b")}
+    dh = d_final.copy()
+    dc = np.zeros((b, h))
+    dx = np.zeros((b, len(steps), block.w.shape[0]))
+    for t in range(len(steps) - 1, -1, -1):
+        st = steps[t]
+        i, f, o, g = (gate(st.gates, k, h) for k in range(4))
+        g_hcand = st.m * (dh + d_out[:, t, :])
+        dc_cand = st.m * dc + g_hcand * o * (1.0 - st.tanh_c ** 2)
+        da = [dc_cand * g * i * (1.0 - i), dc_cand * st.c_prev * f * (1.0 - f),
+              g_hcand * st.tanh_c * o * (1.0 - o), dc_cand * i * (1.0 - g ** 2)]
+        dc = dc_cand * f + (1.0 - st.m) * dc
+        dh = (1.0 - st.m) * dh
+        for k, a in enumerate(da):
+            gate(grads["w"], k, h)[:] += st.x.T @ a
+            gate(grads["u"], k, h)[:] += st.h_prev.T @ a
+            gate(grads["b"], k, h)[:] += a.sum(axis=0)
+            dx[:, t, :] += a @ gate(block.w, k, h).T
+            dh += a @ gate(block.u, k, h).T
+    return dx, grads
+
+
+def test_backprop_matches_per_gate_oracle():
+    params = tiny_params(seed=6)
+    rng = Rng(17)
+    b, t_max, h = 3, 5, TINY.hidden_dim
+    x = rng.uniform_array((b, t_max, TINY.embedding_dim), -1, 1)
+    mask = (np.arange(t_max)[None, :] < np.asarray([5, 3, 1])[:, None]).astype(np.float64)
+    d_out = rng.uniform_array((b, t_max, h), -1, 1)
+    d_final = rng.uniform_array((b, h), -1, 1)
+    _, _, steps = _run_lstm(x, mask, params.fwd)
+    dx, grad = _backprop_lstm(steps, params.fwd, d_out, d_final)
+    dx_want, want = per_gate_backprop(steps, params.fwd, d_out, d_final)
+    # one fused GEMM sums over all four gates at once, so the last ulps may differ
+    np.testing.assert_allclose(dx, dx_want, rtol=1e-12, atol=1e-15)
+    for kind in ("w", "u", "b"):
+        np.testing.assert_allclose(getattr(grad, kind), want[kind], rtol=1e-12, atol=1e-15,
+                                   err_msg=kind)
 
 
 def test_backward_rejects_empty_and_reports_block():
