@@ -36,6 +36,7 @@ from .neural import (
     BLOCK_NAMES,
     NeuralNetParams,
     NeuralVocab,
+    block_shapes,
     encode_batch,
     predict_batch,
 )
@@ -413,18 +414,20 @@ def _parse_artifact(path: str | Path, text: str) -> ModelArtifact:
             token_to_id[parts[1]] = int(parts[2])
         vocab = NeuralVocab(token_to_id=token_to_id, max_seq_len=max_len)
         arrays: dict[str, np.ndarray] = {}
+        expected = block_shapes(size, emb_dim, hidden, att_dim)
         for name in BLOCK_NAMES:
             header = cur.next()
             if header != f"[param {name}]":
                 raise ArtifactError(f"expected [param {name}], found {header!r}")
             shape = tuple(int(d) for d in cur.expect_kv("shape").split(" "))
+            if shape != expected[name]:
+                raise ArtifactError(f"[param {name}] has shape {shape}, expected "
+                                    f"{expected[name]} from the vocabulary and [neural] header")
             n_rows = shape[0] if len(shape) > 1 else 1
-            rows = [_parse_floats(cur.next()) for _ in range(n_rows)]
+            rows = [_parse_floats(cur.next(), shape[-1]) for _ in range(n_rows)]
             arrays[name] = _finite(name, np.vstack(rows).reshape(shape))
         artifact.neural_vocab = vocab
         artifact.neural_params = NeuralNetParams.from_blocks(arrays, use_att)
-        if artifact.neural_params.vocab_size != size:
-            raise ArtifactError("embedding rows do not match vocab size")
     if cur.next() != "end":
         raise ArtifactError("missing end marker")
     return artifact

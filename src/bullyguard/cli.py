@@ -56,7 +56,6 @@ from .preprocess import (
     default_lexicon_paths,
     load_lexicon,
     load_stemmer_rules,
-    preprocess_corpus,
     run_pipeline_trace,
 )
 
@@ -350,8 +349,10 @@ def _model_params(rt: Runtime, family: str) -> dict:
     raise ConfigError(f"unknown model family {family!r}")
 
 
-def _train_artifact(rt: Runtime, records, family: str, params: dict | None) -> ModelArtifact:
-    """Shared by train and tune: fit one model and wrap it as an artifact."""
+def _train_artifact(rt: Runtime, prep: Preprocessor, records, family: str,
+                    params: dict | None) -> ModelArtifact:
+    """Shared by train and tune: fit one model, preprocessed by prep (which
+    runs rt's pipeline), and wrap it as an artifact."""
     labels = [rec.label for rec in records]
     base = ModelArtifact(
         family=family,
@@ -362,7 +363,7 @@ def _train_artifact(rt: Runtime, records, family: str, params: dict | None) -> M
         pipeline=rt.pipeline,
     )
     if family in ("nb", "lr", "svm"):
-        tokens = preprocess_corpus([r.text for r in records], rt.pipeline, rt.lexicon, rt.rules)
+        tokens = prep.corpus([r.text for r in records])
         tfidf = fit_tfidf(tokens, rt.tfidf)
         model = train_family(
             family, transform_all(tokens, tfidf), labels,
@@ -376,11 +377,10 @@ def _train_artifact(rt: Runtime, records, family: str, params: dict | None) -> M
     # neural families: split for early stopping, drop empty documents
     train_recs, val_recs, _ = stratified_split(records, _split_spec(rt))
     data = prepare_neural_data(
-        train_recs, val_recs, rt.pipeline,
+        train_recs, val_recs, prep,
         rt.config.get_bool("pipeline", "neural_keep_function_words", False),
         rt.config.get_int("model", "min_freq", 1),
         rt.config.get_int("model", "max_len_cap", 40),
-        rt.lexicon, rt.rules,
     )
     dropped = data.n_dropped_train + data.n_dropped_val
     if dropped:
@@ -390,11 +390,11 @@ def _train_artifact(rt: Runtime, records, family: str, params: dict | None) -> M
         _neural_train_config(rt), data.vocab.size,
     )
     _say(rt, f"stopped after epoch {trace.stopped_epoch}, best epoch {trace.best_epoch}")
-    base.pipeline = data.pipeline
+    base.pipeline = data.prep.config
     base.majority_label = data.majority
     base.neural_vocab = data.vocab
     base.neural_params = params_out
-    base.preprocessing_fp = preprocessing_fingerprint(data.pipeline, rt.lexicon, rt.rules)
+    base.preprocessing_fp = preprocessing_fingerprint(data.prep.config, rt.lexicon, rt.rules)
     return base
 
 
@@ -402,7 +402,8 @@ def cmd_train(ns: argparse.Namespace) -> int:
     rt = _resolve_runtime(ns)
     records = _load_records(ns, rt)
     family = ns.family or rt.config.get("model", "family", "lr")
-    artifact = _train_artifact(rt, records, family, None)
+    artifact = _train_artifact(rt, Preprocessor(rt.pipeline, rt.lexicon, rt.rules),
+                               records, family, None)
     save_artifact(artifact, ns.out)
     _say(rt, f"wrote {family} model to {ns.out}")
     return EXIT_OK
@@ -429,7 +430,8 @@ def cmd_tune(ns: argparse.Namespace) -> int:
         raise ConfigError(f"family {family!r} does not support grid search")
     grid = _tune_grid(rt, family)
     objective = rt.config.get("tune", "objective", "f1_weighted")
-    tokens = preprocess_corpus([r.text for r in records], rt.pipeline, rt.lexicon, rt.rules)
+    prep = Preprocessor(rt.pipeline, rt.lexicon, rt.rules)
+    tokens = prep.corpus([r.text for r in records])
     folds = featurize_folds(tokens, [rec.label for rec in records], rt.folds, rt.seed, rt.tfidf)
     result = grid_search(family, grid, folds, rt.seed, objective)
     _say(rt, f"grid search over {len(result.per_candidate)} candidates "
@@ -442,7 +444,7 @@ def cmd_tune(ns: argparse.Namespace) -> int:
     _say(rt, f"best: {result.best_params} (mean {result.best_score:.4f})")
     full_params = dict(_model_params(rt, family))
     full_params.update(result.best_params)
-    artifact = _train_artifact(rt, records, family, full_params)
+    artifact = _train_artifact(rt, prep, records, family, full_params)
     save_artifact(artifact, ns.out)
     _say(rt, f"wrote tuned {family} model to {ns.out}")
     return EXIT_OK

@@ -41,6 +41,7 @@ from .neural import (
 from .preprocess import (
     NormalizationLexicon,
     PipelineConfig,
+    Preprocessor,
     StemmerRules,
     preprocess_corpus,
 )
@@ -132,7 +133,7 @@ class NeuralData:
     """Encoded train/validation sets without the documents that preprocess to
     empty; the vocabulary and majority class come from the kept training ones.
     """
-    pipeline: PipelineConfig
+    prep: Preprocessor  # the neural track's pipeline, with its word memo
     vocab: NeuralVocab
     train: tuple[np.ndarray, np.ndarray, np.ndarray]  # (ids, lengths, class ids)
     val: tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -144,18 +145,17 @@ class NeuralData:
 def prepare_neural_data(
     train_recs: list[CommentRecord],
     val_recs: list[CommentRecord],
-    pipeline: PipelineConfig,
+    prep: Preprocessor,
     keep_function_words: bool,
     min_freq: int,
     max_len_cap: int,
-    lexicon: NormalizationLexicon,
-    rules: StemmerRules,
 ) -> NeuralData:
     if keep_function_words:
-        pipeline = replace(pipeline, remove_stopwords=False, stem=False)
+        pipeline = replace(prep.config, remove_stopwords=False, stem=False)
+        prep = Preprocessor(pipeline, prep.lexicon, prep.rules)
 
     def kept(recs):
-        tokens = preprocess_corpus([r.text for r in recs], pipeline, lexicon, rules)
+        tokens = prep.corpus([r.text for r in recs])
         keep = [i for i, toks in enumerate(tokens) if toks]
         return [tokens[i] for i in keep], [recs[i].label for i in keep]
 
@@ -171,7 +171,7 @@ def prepare_neural_data(
         return ids, lens, np.asarray([lab.index for lab in labels], dtype=np.int64)
 
     return NeuralData(
-        pipeline=pipeline,
+        prep=prep,
         vocab=vocab,
         train=encoded(tr_tok, tr_labels),
         val=encoded(va_tok, va_labels),
@@ -246,9 +246,8 @@ def run_benchmark(
 
     # classical track: grid search + k-fold CV on the training portion; the
     # folds are featurized once and the CV row is the tuned candidate's folds
-    train_tokens = preprocess_corpus(
-        [rec.text for rec in train_recs], config.pipeline, lexicon, rules,
-    )
+    prep = Preprocessor(config.pipeline, lexicon, rules)
+    train_tokens = prep.corpus([rec.text for rec in train_recs])
     folds = featurize_folds(
         train_tokens, [rec.label for rec in train_recs],
         config.folds, config.seed, config.tfidf,
@@ -267,10 +266,10 @@ def run_benchmark(
     # neural track: static split, early stopping on validation, scored on test
     neural_cfg = config.resolved_neural()
     data = prepare_neural_data(
-        train_recs, val_recs, config.pipeline, config.neural_keep_function_words,
-        config.neural_min_freq, config.neural_max_len_cap, lexicon, rules,
+        train_recs, val_recs, prep, config.neural_keep_function_words,
+        config.neural_min_freq, config.neural_max_len_cap,
     )
-    te_tok = preprocess_corpus([r.text for r in test_recs], data.pipeline, lexicon, rules)
+    te_tok = data.prep.corpus([r.text for r in test_recs])
     test_labels = [rec.label for rec in test_recs]
     te_nonempty = [i for i, toks in enumerate(te_tok) if toks]
     te_ids, te_lens = encode_batch([te_tok[i] for i in te_nonempty], data.vocab)

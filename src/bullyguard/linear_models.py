@@ -190,20 +190,6 @@ class LinearSvmModel:
         return self.weights.shape[0]
 
 
-def svm_objective(
-    X: Csr,
-    labels_signed: list[int],
-    weights: np.ndarray,
-    bias: float,
-    reg_lambda: float,
-) -> float:
-    """(lambda/2)||w||^2 + mean hinge loss."""
-    hinge = 0.0
-    for score, y in zip(X.matvec(weights).tolist(), labels_signed):
-        hinge += max(0.0, 1.0 - y * (score + bias))
-    return 0.5 * reg_lambda * float(weights @ weights) + hinge / len(X)
-
-
 def train_svm(
     X: Csr,
     labels_signed: list[int],

@@ -5,16 +5,17 @@ additive-attention pooled context (score v.tanh(Ws + b) with a learned global
 query folded into the parameters) or the concatenation of the last valid
 forward state and the position-0 backward state -> linear head -> softmax.
 
-Everything runs in float64 numpy with hand-written reverse-mode gradients,
-full unrolling over the padded length, and strict masking: padded positions
-produce zero outputs, contribute zero gradient, and never perturb logits
-(appending extra padding is bit-exact invariant). Training is deterministic
-under the pinned PRNG seed.
+Everything runs in float64 numpy with hand-written reverse-mode gradients.
+The LSTMs run on a packed batch: rows sorted by length, real tokens only,
+step-major; one input GEMM covers every step, and each step then touches
+only the rows still running. Padding is never read, so padded positions have
+zero states and gradients, and extra padding leaves the logits bit-exactly
+unchanged. Training is deterministic under the pinned PRNG seed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -110,6 +111,13 @@ BLOCK_NAMES = (
     "embedding", "fwd.w", "fwd.u", "fwd.b", "bwd.w", "bwd.u", "bwd.b",
     "att.w", "att.v", "att.b", "head.w", "head.b",
 )
+
+
+def block_shapes(vocab_size: int, d: int, h: int, a: int) -> dict[str, tuple[int, ...]]:
+    """Each block's shape, by BLOCK_NAMES: embedding dim d, hidden h, attention a."""
+    lstm = ((d, 4 * h), (h, 4 * h), (4 * h,))
+    return dict(zip(BLOCK_NAMES, ((vocab_size, d), *lstm, *lstm,
+                                  (2 * h, a), (a,), (a,), (2 * h, 2), (2,))))
 
 
 @dataclass
@@ -246,91 +254,109 @@ def init_params(
 # forward pass
 # ----------------------------------------------------------------------------
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-z))
-
-
-def _lstm_step(x_t, h_prev, c_prev, block: LstmBlock) -> tuple[np.ndarray, ...]:
-    """One LSTM step as (gates, c_t, tanh(c_t), h_t). gates holds the
-    activated i, f, o, g columns; it and tanh(c_t) are what the backward pass
-    caches. Works on single vectors or batched rows.
+def _lstm_gates(gates, c_prev, c_t, tanh_c, h_t) -> None:
+    """The gate arithmetic of one LSTM step. gates holds the pre-activations
+    with columns i, f, o, g and is activated in place; c_t, tanh(c_t) and h_t
+    are written to the arrays given.
     """
-    gates = x_t @ block.w + h_prev @ block.u + block.b
     h = gates.shape[-1] // 4
-    gates[..., :3 * h] = _sigmoid(gates[..., :3 * h])
+    sig = gates[..., :3 * h]
+    np.divide(1.0, 1.0 + np.exp(-sig), out=sig)
     np.tanh(gates[..., 3 * h:], out=gates[..., 3 * h:])
     # plain slices: np.split costs more than the gate arithmetic at these sizes
     i, f, o, g = (gates[..., k * h:(k + 1) * h] for k in range(4))
-    c_t = f * c_prev + i * g
-    tanh_c = np.tanh(c_t)
-    return gates, c_t, tanh_c, o * tanh_c
-
-
-def lstm_cell(
-    x_t: np.ndarray,
-    h_prev: np.ndarray,
-    c_prev: np.ndarray,
-    block: LstmBlock,
-) -> tuple[np.ndarray, np.ndarray]:
-    """One LSTM step as (h_t, c_t); works on single vectors or batched rows."""
-    _, c_t, _, h_t = _lstm_step(x_t, h_prev, c_prev, block)
-    return h_t, c_t
+    np.multiply(f, c_prev, out=c_t)
+    c_t += i * g
+    np.tanh(c_t, out=tanh_c)
+    np.multiply(o, tanh_c, out=h_t)
 
 
 @dataclass
-class _StepCache:
-    x: np.ndarray
-    h_prev: np.ndarray
-    c_prev: np.ndarray
-    gates: np.ndarray   # (B, 4H) activated i, f, o, g
-    tanh_c: np.ndarray
-    m: np.ndarray  # (B, 1) 0/1 mask
+class _Pack:
+    """Where a batch's real tokens sit in the packed layout of both directions.
 
-
-def _run_lstm(
-    x: np.ndarray,      # (B, T, D)
-    mask: np.ndarray,   # (B, T) float64 in {0, 1}
-    block: LstmBlock,
-    keep_steps: bool = True,
-) -> tuple[np.ndarray, np.ndarray, list[_StepCache]]:
-    """Masked unidirectional pass. Masked steps carry state through unchanged
-    and emit exact zeros, so trailing padding cannot perturb anything.
-    Returns (outputs (B,T,H), final carried h (B,H), per-step caches); the
-    caches, needed only by the backward pass, are empty unless keep_steps.
+    Rows are sorted by length, longest first and stable, so the rows still
+    running at step t are a prefix of that order: packed row start_t + j is
+    sorted row j at step t. Padding takes no packed row.
     """
-    b, t_max, _ = x.shape
-    h_dim = block.u.shape[0]
-    h = np.zeros((b, h_dim))
-    c = np.zeros((b, h_dim))
-    outputs = np.zeros((b, t_max, h_dim))
-    steps: list[_StepCache] = []
-    for t in range(t_max):
-        xt = x[:, t, :]
-        m = mask[:, t][:, None]
-        gates, c_cand, tanh_c, h_cand = _lstm_step(xt, h, c, block)
-        if keep_steps:
-            steps.append(_StepCache(xt, h, c, gates, tanh_c, m))
-        outputs[:, t, :] = m * h_cand
-        h = m * h_cand + (1.0 - m) * h
-        c = m * c_cand + (1.0 - m) * c
-    return outputs, h, steps
+    steps: list[tuple[slice, slice | None]]  # a step's rows, the same rows a step before
+    first: int        # rows at step 0 (all non-empty rows); rev[:first] is their last step
+    rows: np.ndarray  # (N,) batch row of each forward packed row
+    cols: np.ndarray  # (N,) its position in that row
+    prev: np.ndarray  # packed row one step earlier, for the rows after step 0
+    rev: np.ndarray   # (N,) backward packed row <-> forward row of the same token
+
+
+def _pack(valid_lens: np.ndarray) -> _Pack:
+    order = np.argsort(-valid_lens, kind="stable")
+    lens = valid_lens[order]
+    t_max = int(lens[0]) if lens.size else 0
+    step, j = np.nonzero(np.arange(t_max)[:, None] < lens[None, :])  # step-major
+    starts = np.searchsorted(step, np.arange(t_max + 1))  # and N at the end
+    edges = starts.tolist()
+    now = [slice(a, b) for a, b in zip(edges, edges[1:])]
+    before = [slice(p.start, p.start + t.stop - t.start) for p, t in zip(now, now[1:])]
+    first = edges[1] if t_max else 0
+    return _Pack(
+        steps=list(zip(now, [None] + before)),
+        first=first,
+        rows=order[j],
+        cols=step,
+        prev=starts[step[first:] - 1] + j[first:],
+        # the backward direction's step t reads position lens[j] - 1 - t
+        rev=starts[lens[j] - 1 - step] + j,
+    )
+
+
+@dataclass
+class _LstmRun:
+    """One direction's forward pass, in packed (N, .) arrays."""
+    gates: np.ndarray   # activated i, f, o, g
+    c: np.ndarray
+    tanh_c: np.ndarray
+    h: np.ndarray
+
+
+def _run_lstm(gates: np.ndarray, pack: _Pack, block: LstmBlock) -> _LstmRun:
+    """Unidirectional pass, given x @ w for every packed row at once (N, 4H),
+    which becomes the activated gates: per step only the recurrent GEMM and
+    the gate arithmetic run, on the rows still running.
+    """
+    gates += block.b
+    c, tanh_c, h = (np.empty((gates.shape[0], block.u.shape[0])) for _ in range(3))
+    for now, before in pack.steps:
+        if before is not None:
+            gates[now] += h[before] @ block.u
+        c_prev = 0.0 if before is None else c[before]
+        _lstm_gates(gates[now], c_prev, c[now], tanh_c[now], h[now])
+    return _LstmRun(gates, c, tanh_c, h)
+
+
+def _encoder_states(pack: _Pack, fwd: _LstmRun, bwd: _LstmRun, batch: int) -> np.ndarray:
+    """(B, T, 2H) encoder states in batch order, exact zeros at padding."""
+    h_dim = fwd.h.shape[1]
+    states = np.zeros((batch, len(pack.steps), 2 * h_dim))
+    states[pack.rows, pack.cols, :h_dim] = fwd.h
+    states[pack.rows, pack.cols, h_dim:] = bwd.h[pack.rev]
+    return states
 
 
 def _attention_core(
-    states: np.ndarray,  # (B, T, 2H)
-    mask: np.ndarray,    # (B, T)
+    states: np.ndarray,      # (B, T, 2H)
+    valid_lens: np.ndarray,  # (B,)
     params: NeuralNetParams,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Additive attention over valid positions.
+    """Additive attention over the first valid_lens positions of each row.
 
     Returns (context (B,2H), weights (B,T), pre-activation u (B,T,A)).
     """
+    mask = np.arange(states.shape[1])[None, :] < np.asarray(valid_lens)[:, None]
     u = np.tanh(states @ params.w_att + params.b_att)
     scores = u @ params.v_att
-    masked = np.where(mask > 0.0, scores, -np.inf)
+    masked = np.where(mask, scores, -np.inf)
     peak = masked.max(axis=1, keepdims=True)
     expd = np.exp(masked - peak)
-    expd = np.where(mask > 0.0, expd, 0.0)
+    expd = np.where(mask, expd, 0.0)
     weights = expd / expd.sum(axis=1, keepdims=True)
     context = np.einsum("bt,bth->bh", weights, states)
     return context, weights, u
@@ -338,16 +364,11 @@ def _attention_core(
 
 @dataclass
 class _ForwardCache:
-    ids: np.ndarray
-    mask: np.ndarray
-    x: np.ndarray
-    fwd_out: np.ndarray
-    fwd_final: np.ndarray
-    fwd_steps: list[_StepCache]
-    bwd_out_rev: np.ndarray
-    bwd_final: np.ndarray
-    bwd_steps: list[_StepCache]
-    states: np.ndarray
+    pack: _Pack
+    tokens: np.ndarray   # (N,) token id of each forward packed row
+    fwd: _LstmRun
+    bwd: _LstmRun        # its packed rows read each batch row reversed
+    states: np.ndarray | None      # (B, T, 2H); attention only
     features: np.ndarray
     att_weights: np.ndarray | None
     att_u: np.ndarray | None
@@ -358,7 +379,6 @@ def _forward_batch(
     ids: np.ndarray,
     valid_lens: np.ndarray,
     params: NeuralNetParams,
-    keep_steps: bool = True,
 ) -> _ForwardCache:
     ids = np.asarray(ids, dtype=np.int64)
     if ids.ndim != 2:
@@ -366,40 +386,25 @@ def _forward_batch(
     valid_lens = np.asarray(valid_lens, dtype=np.int64)
     if params.use_attention and np.any(valid_lens == 0):
         raise NeuralError("attention over empty sequence")
-    # Truncate to the longest valid length: trailing padding would only add
-    # masked no-op steps, and keeping the reduction extents fixed makes
-    # logits bit-exactly invariant to extra padding.
-    t_eff = max(1, int(valid_lens.max(initial=0)))
-    ids = ids[:, :t_eff]
-    b, t_max = ids.shape
-    mask = (np.arange(t_max)[None, :] < valid_lens[:, None]).astype(np.float64)
-    x = params.embedding[ids]
-    fwd_out, fwd_final, fwd_steps = _run_lstm(x, mask, params.fwd, keep_steps)
-    bwd_out_rev, bwd_final, bwd_steps = _run_lstm(
-        x[:, ::-1, :], mask[:, ::-1], params.bwd, keep_steps)
-    states = np.concatenate([fwd_out, bwd_out_rev[:, ::-1, :]], axis=2)
-    att_weights = att_u = None
+    # Padded positions are never read, so extra padding leaves every
+    # reduction, and so the logits, bit-exactly unchanged.
+    pack = _pack(valid_lens)
+    tokens = ids[pack.rows, pack.cols]
+    fwd = _run_lstm(params.embedding[tokens] @ params.fwd.w, pack, params.fwd)
+    bwd = _run_lstm(params.embedding[tokens[pack.rev]] @ params.bwd.w, pack, params.bwd)
+    states = att_weights = att_u = None
     if params.use_attention:
-        features, att_weights, att_u = _attention_core(states, mask, params)
+        states = _encoder_states(pack, fwd, bwd, ids.shape[0])
+        features, att_weights, att_u = _attention_core(states, valid_lens, params)
     else:
-        features = np.concatenate([fwd_final, bwd_final], axis=1)
+        last = pack.rev[:pack.first]
+        features = np.zeros((ids.shape[0], 2 * params.hidden_dim))
+        features[pack.rows[:pack.first]] = np.concatenate([fwd.h[last], bwd.h[last]], axis=1)
     logits = features @ params.w_head + params.b_head
     return _ForwardCache(
-        ids=ids, mask=mask, x=x,
-        fwd_out=fwd_out, fwd_final=fwd_final, fwd_steps=fwd_steps,
-        bwd_out_rev=bwd_out_rev, bwd_final=bwd_final, bwd_steps=bwd_steps,
-        states=states, features=features,
+        pack=pack, tokens=tokens, fwd=fwd, bwd=bwd, states=states, features=features,
         att_weights=att_weights, att_u=att_u, logits=logits,
     )
-
-
-def bilstm_forward(ids, valid_len: int, params: NeuralNetParams) -> np.ndarray:
-    """Encoder states for one sequence: (T, 2H), zeros at padded positions."""
-    ids = np.asarray(ids, dtype=np.int64).reshape(1, -1)
-    # the encoder alone: without attention a zero valid_len is allowed
-    encoder = replace(params, use_attention=False)
-    states = _forward_batch(ids, [valid_len], encoder, keep_steps=False).states[0]
-    return np.pad(states, ((0, ids.shape[1] - states.shape[0]), (0, 0)))
 
 
 def attention(
@@ -411,8 +416,7 @@ def attention(
     if valid_len <= 0:
         raise NeuralError("attention over empty sequence")
     states = np.asarray(states, dtype=np.float64)[None]
-    mask = (np.arange(states.shape[1])[None, :] < valid_len).astype(np.float64)
-    context, weights, _ = _attention_core(states, mask, params)
+    context, weights, _ = _attention_core(states, [valid_len], params)
     return context[0], weights[0]
 
 
@@ -424,13 +428,6 @@ def forward_classify(ids, valid_len: int, params: NeuralNetParams) -> np.ndarray
         params,
     )
     return cache.logits[0]
-
-
-def cross_entropy(logits: np.ndarray, label: int) -> float:
-    """-log softmax(logits)[label] with max-subtraction stabilization."""
-    logits = np.asarray(logits, dtype=np.float64)
-    peak = logits.max()
-    return float(np.log(np.exp(logits - peak).sum()) + peak - logits[label])
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -451,36 +448,43 @@ def batch_loss(cache: _ForwardCache, labels: np.ndarray) -> float:
 # ----------------------------------------------------------------------------
 
 def _backprop_lstm(
-    steps: list[_StepCache],
+    x: np.ndarray,  # (N, D) the run's inputs
+    run: _LstmRun,
+    pack: _Pack,
     block: LstmBlock,
-    d_out: np.ndarray,          # (B, T, H) gradient on masked outputs
-    d_final: np.ndarray | None,  # (B, H) gradient on the final carried state
+    d_h: np.ndarray,  # (N, H) gradient on each packed output; overwritten
 ) -> tuple[np.ndarray, LstmBlock]:
-    """(dx (B,T,D), the gradient of every block array as an LstmBlock)."""
-    t_max = len(steps)
-    b, h_dim = steps[0].h_prev.shape
-    grad = LstmBlock(np.zeros_like(block.w), np.zeros_like(block.u), np.zeros_like(block.b))
-    dh = d_final.copy() if d_final is not None else np.zeros((b, h_dim))
-    dc = np.zeros((b, h_dim))
-    dx = np.zeros((b, t_max, block.w.shape[0]))
-    for t in range(t_max - 1, -1, -1):
-        st = steps[t]
-        m = st.m
-        i, f, o, g = (st.gates[:, k * h_dim:(k + 1) * h_dim] for k in range(4))
-        g_hcand = m * (dh + d_out[:, t, :])
-        dc_cand = m * dc + g_hcand * o * (1.0 - st.tanh_c ** 2)
-        # da: the gradient on the gate pre-activations, columns i, f, o, g
-        da = np.concatenate([dc_cand * g, dc_cand * st.c_prev, g_hcand * st.tanh_c,
-                             dc_cand * i * (1.0 - g ** 2)], axis=1)
-        sig = st.gates[:, :3 * h_dim]
-        da[:, :3 * h_dim] = da[:, :3 * h_dim] * sig * (1.0 - sig)
-        dc = dc_cand * f + (1.0 - m) * dc
-        grad.w += st.x.T @ da
-        grad.u += st.h_prev.T @ da
-        grad.b += da.sum(axis=0)
-        dx[:, t, :] = da @ block.w.T
-        dh = (1.0 - m) * dh + da @ block.u.T
-    return dx, grad
+    """(dx (N, D), the gradient of every block array as an LstmBlock).
+
+    Only the recurrence runs per step; the gradients of w, u and b and of
+    the inputs are one GEMM or sum each over all packed rows.
+    """
+    h_dim = block.u.shape[0]
+    da = np.empty((d_h.shape[0], 4 * h_dim))  # gradient on the gate pre-activations
+    # a row that ends at step t was not touched by later steps: its dh, dc are 0
+    dh = np.zeros((pack.first, h_dim))
+    dc = np.zeros((pack.first, h_dim))
+    for now, before in reversed(pack.steps):
+        n = now.stop - now.start
+        i, f, o, g = (run.gates[now, k * h_dim:(k + 1) * h_dim] for k in range(4))
+        tanh_c = run.tanh_c[now]
+        g_h = d_h[now]
+        g_h += dh[:n]
+        dc_t = dc[:n] + g_h * o * (1.0 - tanh_c ** 2)
+        c_prev = 0.0 if before is None else run.c[before]
+        da_t = da[now]
+        np.multiply(dc_t, g, out=da_t[:, :h_dim])
+        np.multiply(dc_t, c_prev, out=da_t[:, h_dim:2 * h_dim])
+        np.multiply(g_h, tanh_c, out=da_t[:, 2 * h_dim:3 * h_dim])
+        np.multiply(dc_t * i, 1.0 - g ** 2, out=da_t[:, 3 * h_dim:])
+        sig = run.gates[now, :3 * h_dim]
+        da_t[:, :3 * h_dim] *= sig
+        da_t[:, :3 * h_dim] *= 1.0 - sig
+        np.multiply(dc_t, f, out=dc[:n])
+        if before is not None:
+            np.matmul(da_t, block.u.T, out=dh[:n])
+    grad = LstmBlock(x.T @ da, run.h[pack.prev].T @ da[pack.first:], da.sum(axis=0))
+    return da @ block.w.T, grad
 
 
 def _backward_from_cache(
@@ -492,6 +496,7 @@ def _backward_from_cache(
     the offending parameter block."""
     b = cache.logits.shape[0]
     h_dim = params.hidden_dim
+    pack = cache.pack
     probs = _softmax(cache.logits)
     d_logits = probs.copy()
     d_logits[np.arange(b), labels] -= 1.0
@@ -512,29 +517,25 @@ def _backward_from_cache(
         d_w_att = np.einsum("bth,bta->ha", s, d_z)
         d_b_att = d_z.sum(axis=(0, 1))
         d_states = d_states + d_z @ params.w_att.T
-        d_fwd_out = d_states[:, :, :h_dim]
-        d_bwd_out = d_states[:, :, h_dim:]
-        d_fwd_final = None
-        d_bwd_final = None
+        d_fwd_h = d_states[pack.rows, pack.cols, :h_dim]
+        d_bwd_h = d_states[pack.rows, pack.cols, h_dim:][pack.rev]
     else:
         d_w_att = np.zeros_like(params.w_att)
         d_v_att = np.zeros_like(params.v_att)
         d_b_att = np.zeros_like(params.b_att)
-        t_max = cache.ids.shape[1]
-        d_fwd_out = np.zeros((b, t_max, h_dim))
-        d_bwd_out = np.zeros((b, t_max, h_dim))
-        d_fwd_final = d_features[:, :h_dim]
-        d_bwd_final = d_features[:, h_dim:]
+        last, first = pack.rev[:pack.first], pack.rows[:pack.first]
+        d_fwd_h, d_bwd_h = np.zeros((2, pack.rows.size, h_dim))
+        d_fwd_h[last] = d_features[first, :h_dim]
+        d_bwd_h[last] = d_features[first, h_dim:]
 
-    dx_fwd, d_fwd = _backprop_lstm(cache.fwd_steps, params.fwd, d_fwd_out, d_fwd_final)
-    dx_bwd_rev, d_bwd = _backprop_lstm(
-        cache.bwd_steps, params.bwd, d_bwd_out[:, ::-1, :], d_bwd_final,
-    )
-    dx = dx_fwd + dx_bwd_rev[:, ::-1, :]
+    tokens = cache.tokens
+    dx, d_fwd = _backprop_lstm(params.embedding[tokens], cache.fwd, pack, params.fwd, d_fwd_h)
+    dx_bwd, d_bwd = _backprop_lstm(params.embedding[tokens[pack.rev]], cache.bwd, pack,
+                                   params.bwd, d_bwd_h)
+    dx += dx_bwd[pack.rev]
 
     d_embedding = np.zeros_like(params.embedding)
-    flat_ids = cache.ids.reshape(-1)
-    np.add.at(d_embedding, flat_ids, dx.reshape(-1, params.embedding_dim))
+    np.add.at(d_embedding, tokens, dx)
     grads = NeuralNetParams(
         embedding=d_embedding, fwd=d_fwd, bwd=d_bwd,
         w_att=d_w_att, b_att=d_b_att, v_att=d_v_att,
@@ -569,6 +570,7 @@ def backward(
 class AdamState:
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
+    scratch: np.ndarray  # (2, largest block size): the update's temporaries
     t: int = 0
 
 
@@ -576,6 +578,7 @@ def init_adam_state(params: NeuralNetParams) -> AdamState:
     return AdamState(
         m={name: np.zeros_like(arr) for name, arr in params.blocks()},
         v={name: np.zeros_like(arr) for name, arr in params.blocks()},
+        scratch=np.empty((2, max(arr.size for _, arr in params.blocks()))),
         t=0,
     )
 
@@ -586,17 +589,24 @@ def adam_step(
     state: AdamState,
     config: TrainConfig,
 ) -> tuple[NeuralNetParams, AdamState]:
-    """Standard bias-corrected Adam update, applied in place."""
+    """Standard bias-corrected Adam update, applied in place through the
+    state's scratch rows in the plain formula's order: b1*m + (1-b1)*g, and
+    lr*(m/bc1) before the division by sqrt(v/bc2) + eps.
+    """
     state.t += 1
-    bc1 = 1.0 - config.beta1 ** state.t
-    bc2 = 1.0 - config.beta2 ** state.t
+    b1, b2 = config.beta1, config.beta2
+    bc1, bc2 = 1.0 - b1 ** state.t, 1.0 - b2 ** state.t
     for name, arr in params.blocks():
-        g = grads[name]
-        state.m[name] = config.beta1 * state.m[name] + (1.0 - config.beta1) * g
-        state.v[name] = config.beta2 * state.v[name] + (1.0 - config.beta2) * (g * g)
-        m_hat = state.m[name] / bc1
-        v_hat = state.v[name] / bc2
-        arr -= config.learning_rate * m_hat / (np.sqrt(v_hat) + config.epsilon)
+        g, m, v = grads[name], state.m[name], state.v[name]
+        step, denom = (row[:arr.size].reshape(arr.shape) for row in state.scratch)
+        m *= b1
+        m += np.multiply(g, 1.0 - b1, out=step)
+        v *= b2
+        v += np.multiply(np.square(g, out=step), 1.0 - b2, out=step)
+        np.sqrt(np.divide(v, bc2, out=denom), out=denom)
+        denom += config.epsilon
+        np.multiply(np.divide(m, bc1, out=step), config.learning_rate, out=step)
+        arr -= np.divide(step, denom, out=step)
     return params, state
 
 
@@ -736,9 +746,8 @@ def predict_batch(
         raise NeuralError("cannot classify empty sequences; use the majority fallback")
     outputs = []
     for chunk in iter_batches(ids.shape[0], batch_size):
-        # no backward pass follows, so skip the step caches and their memory
-        cache = _forward_batch(ids[chunk], valid_lens[chunk], params, keep_steps=False)
-        outputs.append(_softmax(cache.logits))
+        # keep no cache across batches: it holds what a backward pass would need
+        outputs.append(_softmax(_forward_batch(ids[chunk], valid_lens[chunk], params).logits))
     probs = np.concatenate(outputs, axis=0) if outputs else np.zeros((0, 2))
     return probs.argmax(axis=1), probs
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import bullyguard
-from bullyguard.artifact import load_artifact, predict_text
+from bullyguard.artifact import ArtifactError, load_artifact, predict_text
 from bullyguard.cli import PREDICT_CHUNK_LINES, main
 from bullyguard.corpus import Label, write_corpus
 from bullyguard.neural import BLOCK_NAMES
@@ -505,7 +505,7 @@ def trained_models(tmp_path_factory):
     corpus = write_fixture_corpus(tmp)
     config = write_config(tmp)
     models = {}
-    for family in ("nb", "lr", "svm", "bilstm"):
+    for family in ("nb", "lr", "svm", "bilstm", "bilstm_attention"):
         models[family] = tmp / f"{family}.model"
         assert main(["train", "--corpus", str(corpus), "--family", family, "--config",
                      str(config), "--out", str(models[family]), "--quiet"]) == 0
@@ -528,6 +528,17 @@ def nan_row_after(header):
     return edit
 
 
+def drop_last_value(header):
+    """Artifact edit: the 1-D block after the header loses its last number,
+    in its shape line and its value row alike."""
+    def edit(lines):
+        i = lines.index(header)
+        size = int(lines[i + 1].split(" ")[1])
+        cut = [f"shape {size - 1}", lines[i + 2].rsplit(" ", 1)[0]]
+        return lines[:i + 1] + cut + lines[i + 3:]
+    return edit
+
+
 # family and edit of the artifact's lines; each must exit 1
 BAD_ARTIFACTS = {
     "lr_two_weights": ("lr", edit_line("weights", lambda line: "weights 1 2")),
@@ -547,6 +558,7 @@ BAD_ARTIFACTS = {
         "log_likelihood", lambda line: line.rsplit(" ", 1)[0])),
     "nb_inf_idf": ("nb", edit_line("token", lambda line: line.rsplit(" ", 1)[0] + " inf")),
     "bilstm_nan_head_bias": ("bilstm", nan_row_after("[param head.b]")),
+    "bilstm_attention_short_att_v": ("bilstm_attention", drop_last_value("[param att.v]")),
 }
 
 
@@ -564,6 +576,8 @@ def test_bad_artifact_exit_code_one_line(tmp_path, capsys, trained_models, case)
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert "Traceback" not in captured.err
+    with pytest.raises(ArtifactError):  # rejected on load, not when first used
+        load_artifact(model)
 
 
 def test_import_and_predict_build_no_jump_table(tmp_path, trained_models):

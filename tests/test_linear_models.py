@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import bullyguard.linear_models as lm
 from bullyguard.corpus import Label, kfold_split
-from bullyguard.features import fit_tfidf, transform_all
+from bullyguard.features import Csr, fit_tfidf, transform_all
 from bullyguard.linear_models import (
     TrainingError,
     expand_grid,
@@ -17,7 +17,6 @@ from bullyguard.linear_models import (
     predict_lr,
     predict_nb,
     predict_svm,
-    svm_objective,
     train_lr,
     train_nb,
     train_svm,
@@ -294,6 +293,20 @@ def test_svm_deterministic_under_seed():
     assert np.array_equal(m1.weights, m2.weights) and m1.bias == m2.bias
     m3 = train_svm(vectors, signed, reg_lambda=1e-2, epochs=50, seed=10)
     assert not np.array_equal(m1.weights, m3.weights)
+
+
+def svm_objective(
+    X: Csr,
+    labels_signed: list[int],
+    weights: np.ndarray,
+    bias: float,
+    reg_lambda: float,
+) -> float:
+    """(lambda/2)||w||^2 + mean hinge loss: the objective Pegasos minimizes."""
+    hinge = 0.0
+    for score, y in zip(X.matvec(weights).tolist(), labels_signed):
+        hinge += max(0.0, 1.0 - y * (score + bias))
+    return 0.5 * reg_lambda * float(weights @ weights) + hinge / len(X)
 
 
 def test_svm_objective_decreases_from_init():

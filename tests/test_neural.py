@@ -1,4 +1,6 @@
 import math
+from dataclasses import dataclass, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,9 +17,8 @@ from bullyguard.neural import (
     adam_step,
     attention,
     backward,
-    bilstm_forward,
+    batch_loss,
     build_neural_vocab,
-    cross_entropy,
     encode_batch,
     encode_pad,
     forward_classify,
@@ -25,11 +26,19 @@ from bullyguard.neural import (
     init_adam_state,
     init_params,
     iter_batches,
-    lstm_cell,
     predict_batch,
     train,
 )
-from bullyguard.neural import _backprop_lstm, _run_lstm
+from bullyguard.neural import (
+    _attention_core,
+    _backprop_lstm,
+    _backward_from_cache,
+    _encoder_states,
+    _forward_batch,
+    _lstm_gates,
+    _pack,
+    _run_lstm,
+)
 from bullyguard.rng import Rng
 
 TINY = TrainConfig(embedding_dim=4, hidden_dim=3, attention_dim=3, batch_size=2)
@@ -159,6 +168,23 @@ def test_blocks_are_twelve_fused_arrays_and_from_blocks_inverts_them():
     copied = params.copy()
     for (name, a), (_, b) in zip(params.blocks(), copied.blocks()):
         assert a is not b and np.array_equal(a, b), name
+
+
+def lstm_cell(x_t, h_prev, c_prev, block):
+    """One step of the packed core's gate arithmetic, as (h_t, c_t)."""
+    gates = x_t @ block.w + h_prev @ block.u + block.b
+    c_t, tanh_c, h_t = (np.empty(gates.shape[:-1] + (block.u.shape[0],)) for _ in range(3))
+    _lstm_gates(gates, c_prev, c_t, tanh_c, h_t)
+    return h_t, c_t
+
+
+def bilstm_forward(ids, valid_len, params):
+    """The packed core's encoder states for one sequence: (T, 2H), zeros at
+    padded positions. Without attention a zero valid_len is allowed."""
+    ids = np.asarray(ids, dtype=np.int64).reshape(1, -1)
+    cache = _forward_batch(ids, [valid_len], replace(params, use_attention=False))
+    states = _encoder_states(cache.pack, cache.fwd, cache.bwd, 1)[0]
+    return np.pad(states, ((0, ids.shape[1] - states.shape[0]), (0, 0)))
 
 
 def test_lstm_cell_matches_per_gate_oracle():
@@ -352,6 +378,11 @@ def test_padding_invariance_bit_exact():
                     forward_classify(padded, length, params), base)
 
 
+def cross_entropy(logits, label):
+    """batch_loss of a one-row batch."""
+    return batch_loss(SimpleNamespace(logits=np.asarray([logits])), np.asarray([label]))
+
+
 def test_cross_entropy_cases():
     assert cross_entropy(np.asarray([0.0, 0.0]), 0) == pytest.approx(math.log(2.0))
     assert cross_entropy(np.asarray([0.0, 0.0]), 1) == pytest.approx(math.log(2.0))
@@ -446,6 +477,165 @@ def test_gradient_check_larger_h_degrades():
     assert coarse.max_rel_error > fine.max_rel_error
 
 
+def test_backward_rejects_empty_and_reports_block():
+    params = tiny_params()
+    params.w_head[:] = np.inf
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(NeuralError, match="non-finite gradient"):
+            backward(_tiny_batch(), params)
+
+
+# ----------------------------------------------------------------------------
+# the masked recurrence: the reference for the packed core
+# ----------------------------------------------------------------------------
+
+@dataclass
+class MaskedStep:
+    x: np.ndarray
+    h_prev: np.ndarray
+    c_prev: np.ndarray
+    gates: np.ndarray   # (B, 4H) activated i, f, o, g
+    tanh_c: np.ndarray
+    m: np.ndarray       # (B, 1) 0/1 mask
+
+
+def masked_run_lstm(x, mask, block):
+    """Every step over all B padded rows; masked steps carry the state through
+    unchanged and emit zeros. (outputs (B,T,H), final h (B,H), steps)."""
+    b, t_max, _ = x.shape
+    h_dim = block.u.shape[0]
+    h, c = np.zeros((b, h_dim)), np.zeros((b, h_dim))
+    outputs = np.zeros((b, t_max, h_dim))
+    steps = []
+    for t in range(t_max):
+        xt, m = x[:, t, :], mask[:, t][:, None]
+        gates = xt @ block.w + h @ block.u + block.b
+        gates[:, :3 * h_dim] = 1.0 / (1.0 + np.exp(-gates[:, :3 * h_dim]))
+        gates[:, 3 * h_dim:] = np.tanh(gates[:, 3 * h_dim:])
+        i, f, o, g = (gate(gates, k, h_dim) for k in range(4))
+        c_cand = f * c + i * g
+        tanh_c = np.tanh(c_cand)
+        h_cand = o * tanh_c
+        steps.append(MaskedStep(xt, h, c, gates, tanh_c, m))
+        outputs[:, t, :] = m * h_cand
+        h = m * h_cand + (1.0 - m) * h
+        c = m * c_cand + (1.0 - m) * c
+    return outputs, h, steps
+
+
+def masked_backprop_lstm(steps, block, d_out, d_final):
+    """(dx (B,T,D), {"w", "u", "b"}) of masked_run_lstm's steps."""
+    b, h_dim = steps[0].h_prev.shape
+    grads = {kind: np.zeros_like(getattr(block, kind)) for kind in ("w", "u", "b")}
+    dh = d_final.copy() if d_final is not None else np.zeros((b, h_dim))
+    dc = np.zeros((b, h_dim))
+    dx = np.zeros((b, len(steps), block.w.shape[0]))
+    for t in range(len(steps) - 1, -1, -1):
+        st, m = steps[t], steps[t].m
+        i, f, o, g = (gate(st.gates, k, h_dim) for k in range(4))
+        g_hcand = m * (dh + d_out[:, t, :])
+        dc_cand = m * dc + g_hcand * o * (1.0 - st.tanh_c ** 2)
+        da = np.concatenate([dc_cand * g, dc_cand * st.c_prev, g_hcand * st.tanh_c,
+                             dc_cand * i * (1.0 - g ** 2)], axis=1)
+        sig = st.gates[:, :3 * h_dim]
+        da[:, :3 * h_dim] = da[:, :3 * h_dim] * sig * (1.0 - sig)
+        dc = dc_cand * f + (1.0 - m) * dc
+        grads["w"] += st.x.T @ da
+        grads["u"] += st.h_prev.T @ da
+        grads["b"] += da.sum(axis=0)
+        dx[:, t, :] = da @ block.w.T
+        dh = (1.0 - m) * dh + da @ block.u.T
+    return dx, grads
+
+
+def masked_model(ids, lens, labels, params):
+    """The whole network on the masked recurrence: (states, features, logits,
+    gradients keyed by BLOCK_NAMES)."""
+    h_dim = params.hidden_dim
+    t_max = max(1, int(lens.max()))
+    ids = ids[:, :t_max]
+    mask = (np.arange(t_max)[None, :] < lens[:, None]).astype(np.float64)
+    x = params.embedding[ids]
+    fwd_out, fwd_final, fwd_steps = masked_run_lstm(x, mask, params.fwd)
+    bwd_rev, bwd_final, bwd_steps = masked_run_lstm(x[:, ::-1], mask[:, ::-1], params.bwd)
+    states = np.concatenate([fwd_out, bwd_rev[:, ::-1]], axis=2)
+    if params.use_attention:
+        features, alpha, u = _attention_core(states, lens, params)
+    else:
+        features = np.concatenate([fwd_final, bwd_final], axis=1)
+    logits = features @ params.w_head + params.b_head
+
+    b = len(labels)
+    d_logits = np.exp(logits - logits.max(axis=1, keepdims=True))
+    d_logits /= d_logits.sum(axis=1, keepdims=True)
+    d_logits[np.arange(b), labels] -= 1.0
+    d_logits /= b
+    d_features = d_logits @ params.w_head.T
+    grads = {"att.w": np.zeros_like(params.w_att), "att.v": np.zeros_like(params.v_att),
+             "att.b": np.zeros_like(params.b_att)}
+    d_states = np.zeros_like(states)
+    d_fwd_final = d_bwd_final = None
+    if params.use_attention:
+        d_alpha = np.einsum("bh,bth->bt", d_features, states)
+        d_scores = alpha * (d_alpha - (alpha * d_alpha).sum(axis=1, keepdims=True))
+        d_z = d_scores[:, :, None] * params.v_att[None, None, :] * (1.0 - u ** 2)
+        grads["att.v"] = np.einsum("bta,bt->a", u, d_scores)
+        grads["att.w"] = np.einsum("bth,bta->ha", states, d_z)
+        grads["att.b"] = d_z.sum(axis=(0, 1))
+        d_states = alpha[:, :, None] * d_features[:, None, :] + d_z @ params.w_att.T
+    else:
+        d_fwd_final, d_bwd_final = d_features[:, :h_dim], d_features[:, h_dim:]
+    dx_fwd, g_fwd = masked_backprop_lstm(fwd_steps, params.fwd, d_states[:, :, :h_dim],
+                                         d_fwd_final)
+    dx_bwd, g_bwd = masked_backprop_lstm(bwd_steps, params.bwd,
+                                         d_states[:, ::-1, h_dim:], d_bwd_final)
+    dx = dx_fwd + dx_bwd[:, ::-1]
+    d_embedding = np.zeros_like(params.embedding)
+    np.add.at(d_embedding, ids.reshape(-1), dx.reshape(-1, params.embedding_dim))
+    grads.update({"embedding": d_embedding, "head.w": features.T @ d_logits,
+                  "head.b": d_logits.sum(axis=0)})
+    for direction, g in (("fwd", g_fwd), ("bwd", g_bwd)):
+        grads.update({f"{direction}.{kind}": g[kind] for kind in ("w", "u", "b")})
+    return states, features, logits, grads
+
+
+PACK_CASES = {
+    "mixed_with_ones": ([5, 3, 1, 4, 1, 2], 7),
+    "all_equal": ([4, 4, 4], 4),
+    "one_row": ([3], 5),
+    "zero_length_row": ([3, 0, 2], 4),
+}
+
+
+@pytest.mark.parametrize("case, use_attention", [
+    (case, use_attention) for case in sorted(PACK_CASES) for use_attention in (False, True)
+    if not (use_attention and 0 in PACK_CASES[case][0])  # attention rejects empty rows
+])
+def test_packed_core_matches_masked_oracle(case, use_attention):
+    lens, width = PACK_CASES[case]
+    params = tiny_params(seed=8, use_attention=use_attention)
+    params.embedding *= 10.0  # O(1) inputs, so no state is near zero
+    rng = Rng(31)
+    lens = np.asarray(lens)
+    ids = np.zeros((len(lens), width), dtype=np.int64)
+    for row, n in enumerate(lens):
+        ids[row, :n] = [2 + rng.randbelow(8) for _ in range(n)]
+    labels = np.asarray([row % 2 for row in range(len(lens))])
+    states, features, logits, grads_want = masked_model(ids, lens, labels, params)
+
+    cache = _forward_batch(ids, lens, params)
+    states_got = _encoder_states(cache.pack, cache.fwd, cache.bwd, len(lens))
+    width_got = states_got.shape[1]
+    np.testing.assert_array_equal(states[:, width_got:], 0.0)
+    np.testing.assert_allclose(states_got, states[:, :width_got], rtol=1e-12, atol=0)
+    np.testing.assert_allclose(cache.features, features, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(cache.logits, logits, rtol=1e-12, atol=0)
+    grads = _backward_from_cache(cache, labels, params)
+    for name in BLOCK_NAMES:
+        np.testing.assert_allclose(grads[name], grads_want[name], rtol=1e-12, atol=0,
+                                   err_msg=name)
+
+
 def per_gate_backprop(steps, block, d_out, d_final):
     """Reference LSTM backward, one gate at a time: (dx, {"w", "u", "b"})."""
     b, h = steps[0].h_prev.shape
@@ -475,26 +665,27 @@ def test_backprop_matches_per_gate_oracle():
     params = tiny_params(seed=6)
     rng = Rng(17)
     b, t_max, h = 3, 5, TINY.hidden_dim
+    lens = np.asarray([5, 3, 1])
     x = rng.uniform_array((b, t_max, TINY.embedding_dim), -1, 1)
-    mask = (np.arange(t_max)[None, :] < np.asarray([5, 3, 1])[:, None]).astype(np.float64)
+    mask = (np.arange(t_max)[None, :] < lens[:, None]).astype(np.float64)
     d_out = rng.uniform_array((b, t_max, h), -1, 1)
     d_final = rng.uniform_array((b, h), -1, 1)
-    _, _, steps = _run_lstm(x, mask, params.fwd)
-    dx, grad = _backprop_lstm(steps, params.fwd, d_out, d_final)
+    _, _, steps = masked_run_lstm(x, mask, params.fwd)
     dx_want, want = per_gate_backprop(steps, params.fwd, d_out, d_final)
+    # the packed core takes the final-state gradient on each row's last output
+    pack = _pack(lens)
+    d_h = d_out[pack.rows, pack.cols]
+    d_h[pack.rev[:pack.first]] += d_final[pack.rows[:pack.first]]
+    x_packed = x[pack.rows, pack.cols]
+    run = _run_lstm(x_packed @ params.fwd.w, pack, params.fwd)
+    dx_packed, grad = _backprop_lstm(x_packed, run, pack, params.fwd, d_h)
+    dx = np.zeros_like(dx_want)
+    dx[pack.rows, pack.cols] = dx_packed
     # one fused GEMM sums over all four gates at once, so the last ulps may differ
     np.testing.assert_allclose(dx, dx_want, rtol=1e-12, atol=1e-15)
     for kind in ("w", "u", "b"):
         np.testing.assert_allclose(getattr(grad, kind), want[kind], rtol=1e-12, atol=1e-15,
                                    err_msg=kind)
-
-
-def test_backward_rejects_empty_and_reports_block():
-    params = tiny_params()
-    params.w_head[:] = np.inf
-    with np.errstate(invalid="ignore"):
-        with pytest.raises(NeuralError, match="non-finite gradient"):
-            backward(_tiny_batch(), params)
 
 
 # ----------------------------------------------------------------------------
@@ -521,6 +712,30 @@ def test_adam_first_step_is_signed_lr():
     adam_step(params, grads, state, TINY)
     delta = params.b_head - before
     np.testing.assert_allclose(delta, [-TINY.learning_rate, TINY.learning_rate], rtol=1e-6)
+
+
+def test_adam_in_place_is_bit_identical_to_the_plain_formula():
+    cfg = TrainConfig(embedding_dim=4, hidden_dim=3, attention_dim=3, learning_rate=0.01)
+    params = tiny_params(seed=9)
+    want = {name: arr.copy() for name, arr in params.blocks()}
+    m = {name: np.zeros_like(arr) for name, arr in want.items()}
+    v = {name: np.zeros_like(arr) for name, arr in want.items()}
+    state = init_adam_state(params)
+    rng = Rng(10)
+    for t in range(1, 6):
+        grads = {name: rng.uniform_array(arr.shape, -2, 2) for name, arr in want.items()}
+        adam_step(params, grads, state, cfg)
+        for name, g in grads.items():
+            m[name] = cfg.beta1 * m[name] + (1.0 - cfg.beta1) * g
+            v[name] = cfg.beta2 * v[name] + (1.0 - cfg.beta2) * (g * g)
+            m_hat = m[name] / (1.0 - cfg.beta1 ** t)
+            v_hat = v[name] / (1.0 - cfg.beta2 ** t)
+            want[name] -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
+    assert state.t == 5
+    for name, arr in params.blocks():
+        np.testing.assert_array_equal(arr, want[name], err_msg=name)
+        np.testing.assert_array_equal(state.m[name], m[name], err_msg=name)
+        np.testing.assert_array_equal(state.v[name], v[name], err_msg=name)
 
 
 def test_adam_statefulness():
