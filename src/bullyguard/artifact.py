@@ -25,6 +25,7 @@ import numpy as np
 from .corpus import CLASS_ORDER, CommentRecord, Label
 from .features import TfidfConfig, TfidfModel, Vocabulary, transform_all
 from .linear_models import (
+    CLASSICAL_FAMILIES,
     LinearSvmModel,
     LogisticRegressionModel,
     NaiveBayesModel,
@@ -49,7 +50,7 @@ from .preprocess import (
 
 FORMAT_VERSION = 2  # version 2 stores one fused w, u, b per LSTM direction
 MAGIC = "bullyguard-model"
-FAMILIES = ("nb", "lr", "svm", "bilstm", "bilstm_attention")
+FAMILIES = CLASSICAL_FAMILIES + ("bilstm", "bilstm_attention")
 
 
 class ArtifactError(Exception):
@@ -169,7 +170,7 @@ def save_artifact(artifact: ModelArtifact, path: str | Path) -> None:
         f"data_fingerprint {artifact.data_fp}",
     ]
     lines.extend(_pipeline_lines(artifact.pipeline))
-    if artifact.family in ("nb", "lr", "svm"):
+    if artifact.family in CLASSICAL_FAMILIES:
         if artifact.tfidf is None:
             raise ArtifactError("classical artifact requires a fitted tfidf model")
         lines.extend(_tfidf_lines(artifact.tfidf))
@@ -359,7 +360,7 @@ def _parse_artifact(path: str | Path, text: str) -> ModelArtifact:
         preprocessing_fp=preprocessing_fp, data_fp=data_fp,
         pipeline=pipeline, format_version=version,
     )
-    if family in ("nb", "lr", "svm"):
+    if family in CLASSICAL_FAMILIES:
         artifact.tfidf = _parse_tfidf(cur)
     if family == "nb":
         if cur.next() != "[nb]":
@@ -490,7 +491,7 @@ def predict_texts(
         raise ValueError("the preprocessor's pipeline differs from the model's")
     token_lists = prep.corpus(texts)
     predictions = [_fallback(artifact) for _ in texts]
-    if artifact.family in ("nb", "lr", "svm"):
+    if artifact.family in CLASSICAL_FAMILIES:
         rows = [i for i, tokens in enumerate(token_lists) if tokens]
         labels, scores = _score_linear(artifact, [token_lists[i] for i in rows])
     else:

@@ -9,15 +9,17 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import inspect
 import itertools
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-from . import __version__
+from . import __version__, linear_models
 from .artifact import (
+    FAMILIES,
     ArtifactError,
     ModelArtifact,
     check_fingerprint,
@@ -45,7 +47,13 @@ from .eval import (
     run_benchmark,
 )
 from .features import FeatureError, TfidfConfig, fit_tfidf, transform_all
-from .linear_models import TrainingError, featurize_folds, grid_search, train_family
+from .linear_models import (
+    CLASSICAL_FAMILIES,
+    TrainingError,
+    featurize_folds,
+    grid_search,
+    train_family,
+)
 from .neural import NeuralError, TrainConfig, train as train_neural
 from .preprocess import (
     LexiconError,
@@ -174,6 +182,21 @@ class RunConfig:
         return values
 
 
+def _typed_keys(config: RunConfig, section: str, defaults: dict) -> dict:
+    """The keys of `defaults` that the section sets, each read as the type of
+    its default."""
+    read = {bool: config.get_bool, int: config.get_int, float: config.get_float}
+    return {key: read[type(default)](section, key, default)
+            for key, default in defaults.items() if config.get(section, key) is not None}
+
+
+def _from_section(config: RunConfig, section: str, cls, **fixed):
+    """A cls dataclass from the section's keys that name its fields. Fields in
+    `fixed` take the given value; the others keep their dataclass default."""
+    defaults = {f.name: f.default for f in fields(cls) if f.name not in fixed}
+    return cls(**_typed_keys(config, section, defaults), **fixed)
+
+
 @dataclass
 class Runtime:
     """Everything a command needs, resolved from CLI args + config + defaults."""
@@ -192,24 +215,14 @@ class Runtime:
 
 def _resolve_runtime(ns: argparse.Namespace) -> Runtime:
     config = RunConfig.load(ns.config)
-    seed = ns.seed if ns.seed is not None else config.get_int("split", "seed", 42)
-    folds = ns.folds if ns.folds is not None else config.get_int("split", "folds", 5)
-    pipeline = PipelineConfig(
-        case_fold=config.get_bool("pipeline", "case_fold", True),
-        clean=config.get_bool("pipeline", "clean", True),
-        normalize=config.get_bool("pipeline", "normalize", True),
-        remove_stopwords=config.get_bool("pipeline", "remove_stopwords", True),
-        stem=config.get_bool("pipeline", "stem", True),
-        tokenize=config.get_bool("pipeline", "tokenize", True),
-        elongation_min_run=config.get_int("pipeline", "elongation_min_run", 3),
-    )
-    tfidf = TfidfConfig(
-        sublinear_tf=config.get_bool("tfidf", "sublinear_tf", False),
-        l2_normalize=config.get_bool("tfidf", "l2_normalize", True),
-        min_df=config.get_int("tfidf", "min_df", 1),
-    )
+    seed = (ns.seed if ns.seed is not None
+            else config.get_int("split", "seed", BenchmarkConfig.seed))
+    folds = (ns.folds if ns.folds is not None
+             else config.get_int("split", "folds", BenchmarkConfig.folds))
+    pipeline = _from_section(config, "pipeline", PipelineConfig)
+    tfidf = _from_section(config, "tfidf", TfidfConfig)
     # p can reach exactly 0 or 1, so only an open-interval threshold splits both ways
-    threshold = config.get_float("model", "threshold", 0.5)
+    threshold = config.get_float("model", "threshold", ModelArtifact.threshold)
     if not 0.0 < threshold < 1.0:
         raise ConfigError(f"config [model] threshold: expected a number strictly "
                           f"between 0 and 1, got {config.get('model', 'threshold')!r}")
@@ -304,49 +317,28 @@ def cmd_preprocess(ns: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _neural_train_config(rt: Runtime) -> TrainConfig:
-    cfg = rt.config
-    return TrainConfig(
-        batch_size=cfg.get_int("model", "batch_size", 32),
-        embedding_dim=cfg.get_int("model", "embedding_dim", 128),
-        hidden_dim=cfg.get_int("model", "hidden_dim", 64),
-        attention_dim=cfg.get_int("model", "attention_dim", 64),
-        learning_rate=cfg.get_float("model", "learning_rate", 0.001),
-        max_epochs=cfg.get_int("model", "max_epochs", 15),
-        patience=cfg.get_int("model", "patience", 3),
-        min_improvement=cfg.get_float("model", "min_improvement", 1e-4),
-        seed=rt.seed,
-    )
-
-
-def _split_spec(rt: Runtime) -> SplitSpec:
-    cfg = rt.config
-    return SplitSpec(
-        train_fraction=cfg.get_float("split", "train_fraction", 0.8),
-        val_fraction=cfg.get_float("split", "val_fraction", 0.1),
-        test_fraction=cfg.get_float("split", "test_fraction", 0.1),
-        seed=rt.seed,
-        stratified=cfg.get_bool("split", "stratified", True),
+def _study_config(rt: Runtime, **tuning) -> BenchmarkConfig:
+    """The run's study settings: train's neural families read the split and
+    neural ones, and benchmark adds its grids and objective as `tuning`."""
+    cfg, default = rt.config, BenchmarkConfig
+    return BenchmarkConfig(
+        folds=rt.folds, seed=rt.seed, pipeline=rt.pipeline, tfidf=rt.tfidf,
+        split=_from_section(cfg, "split", SplitSpec, seed=rt.seed),
+        neural_keep_function_words=cfg.get_bool(
+            "pipeline", "neural_keep_function_words", default.neural_keep_function_words),
+        neural_min_freq=cfg.get_int("model", "min_freq", default.neural_min_freq),
+        neural_max_len_cap=cfg.get_int("model", "max_len_cap", default.neural_max_len_cap),
+        neural=_from_section(cfg, "model", TrainConfig, seed=rt.seed),
+        **tuning,
     )
 
 
 def _model_params(rt: Runtime, family: str) -> dict:
-    cfg = rt.config
-    if family == "nb":
-        return {"alpha": cfg.get_float("model", "alpha", 1.0)}
-    if family == "lr":
-        return {
-            "l2_lambda": cfg.get_float("model", "l2_lambda", 1e-3),
-            "lr": cfg.get_float("model", "lr", 0.1),
-            "epochs": cfg.get_int("model", "epochs", 500),
-        }
-    if family == "svm":
-        return {
-            "reg_lambda": cfg.get_float("model", "reg_lambda", 1e-3),
-            "epochs": cfg.get_int("model", "epochs", 200),
-            "seed": rt.seed,
-        }
-    raise ConfigError(f"unknown model family {family!r}")
+    """The [model] keys that family's trainer takes and the config sets; the
+    trainer's defaults fill in the rest."""
+    trainer = getattr(linear_models, f"train_{family}")
+    return _typed_keys(rt.config, "model", {
+        name: p.default for name, p in inspect.signature(trainer).parameters.items()})
 
 
 def _train_artifact(rt: Runtime, prep: Preprocessor, records, family: str,
@@ -362,7 +354,7 @@ def _train_artifact(rt: Runtime, prep: Preprocessor, records, family: str,
         data_fp=data_fingerprint(records),
         pipeline=rt.pipeline,
     )
-    if family in ("nb", "lr", "svm"):
+    if family in CLASSICAL_FAMILIES:
         tokens = prep.corpus([r.text for r in records])
         tfidf = fit_tfidf(tokens, rt.tfidf)
         model = train_family(
@@ -375,19 +367,17 @@ def _train_artifact(rt: Runtime, prep: Preprocessor, records, family: str,
         base.preprocessing_fp = preprocessing_fingerprint(rt.pipeline, rt.lexicon, rt.rules)
         return base
     # neural families: split for early stopping, drop empty documents
-    train_recs, val_recs, _ = stratified_split(records, _split_spec(rt))
+    study = _study_config(rt)
+    train_recs, val_recs, _ = stratified_split(records, study.split)
     data = prepare_neural_data(
-        train_recs, val_recs, prep,
-        rt.config.get_bool("pipeline", "neural_keep_function_words", False),
-        rt.config.get_int("model", "min_freq", 1),
-        rt.config.get_int("model", "max_len_cap", 40),
+        train_recs, val_recs, prep, study.neural_keep_function_words,
+        study.neural_min_freq, study.neural_max_len_cap,
     )
     dropped = data.n_dropped_train + data.n_dropped_val
     if dropped:
         print(f"note: dropped {dropped} empty documents from neural training", file=sys.stderr)
     params_out, trace = train_neural(
-        family == "bilstm_attention", data.train, data.val,
-        _neural_train_config(rt), data.vocab.size,
+        family == "bilstm_attention", data.train, data.val, study.neural, data.vocab.size,
     )
     _say(rt, f"stopped after epoch {trace.stopped_epoch}, best epoch {trace.best_epoch}")
     base.pipeline = data.prep.config
@@ -398,10 +388,14 @@ def _train_artifact(rt: Runtime, prep: Preprocessor, records, family: str,
     return base
 
 
+def _family(ns: argparse.Namespace, rt: Runtime) -> str:
+    return ns.family or rt.config.get("model", "family", "lr")
+
+
 def cmd_train(ns: argparse.Namespace) -> int:
     rt = _resolve_runtime(ns)
     records = _load_records(ns, rt)
-    family = ns.family or rt.config.get("model", "family", "lr")
+    family = _family(ns, rt)
     artifact = _train_artifact(rt, Preprocessor(rt.pipeline, rt.lexicon, rt.rules),
                                records, family, None)
     save_artifact(artifact, ns.out)
@@ -410,26 +404,18 @@ def cmd_train(ns: argparse.Namespace) -> int:
 
 
 def _tune_grid(rt: Runtime, family: str) -> dict[str, list]:
-    cfg = rt.config
-    if family == "nb":
-        return {"alpha": cfg.get_float_list("tune", "grid_alpha", DEFAULT_GRIDS["nb"]["alpha"])}
-    if family == "lr":
-        return {"l2_lambda": cfg.get_float_list("tune", "grid_l2_lambda",
-                                                DEFAULT_GRIDS["lr"]["l2_lambda"])}
-    if family == "svm":
-        return {"reg_lambda": cfg.get_float_list("tune", "grid_reg_lambda",
-                                                 DEFAULT_GRIDS["svm"]["reg_lambda"])}
-    raise ConfigError(f"family {family!r} does not support grid search")
+    if family not in DEFAULT_GRIDS:
+        raise ConfigError(f"family {family!r} does not support grid search")
+    return {param: rt.config.get_float_list("tune", f"grid_{param}", values)
+            for param, values in DEFAULT_GRIDS[family].items()}
 
 
 def cmd_tune(ns: argparse.Namespace) -> int:
     rt = _resolve_runtime(ns)
     records = _load_records(ns, rt)
-    family = ns.family or rt.config.get("model", "family", "lr")
-    if family not in ("nb", "lr", "svm"):
-        raise ConfigError(f"family {family!r} does not support grid search")
+    family = _family(ns, rt)
     grid = _tune_grid(rt, family)
-    objective = rt.config.get("tune", "objective", "f1_weighted")
+    objective = rt.config.get("tune", "objective", BenchmarkConfig.objective)
     prep = Preprocessor(rt.pipeline, rt.lexicon, rt.rules)
     tokens = prep.corpus([r.text for r in records])
     folds = featurize_folds(tokens, [rec.label for rec in records], rt.folds, rt.seed, rt.tfidf)
@@ -442,9 +428,8 @@ def cmd_tune(ns: argparse.Namespace) -> int:
         _say(rt, f"  {params} -> mean {mean:.4f} folds "
                  + " ".join(f"{s:.4f}" for s in scores) + marker)
     _say(rt, f"best: {result.best_params} (mean {result.best_score:.4f})")
-    full_params = dict(_model_params(rt, family))
-    full_params.update(result.best_params)
-    artifact = _train_artifact(rt, prep, records, family, full_params)
+    artifact = _train_artifact(rt, prep, records, family,
+                               {**_model_params(rt, family), **result.best_params})
     save_artifact(artifact, ns.out)
     _say(rt, f"wrote tuned {family} model to {ns.out}")
     return EXIT_OK
@@ -502,20 +487,9 @@ def cmd_predict(ns: argparse.Namespace) -> int:
 def cmd_benchmark(ns: argparse.Namespace) -> int:
     rt = _resolve_runtime(ns)
     records = _load_records(ns, rt)
-    neural_cfg = _neural_train_config(rt)
-    config = BenchmarkConfig(
-        folds=rt.folds,
-        seed=rt.seed,
-        split=_split_spec(rt),
-        pipeline=rt.pipeline,
-        tfidf=rt.tfidf,
-        grids={family: _tune_grid(rt, family) for family in ("nb", "lr", "svm")},
-        objective=rt.config.get("tune", "objective", "f1_weighted"),
-        neural=neural_cfg,
-        neural_keep_function_words=rt.config.get_bool(
-            "pipeline", "neural_keep_function_words", False),
-        neural_min_freq=rt.config.get_int("model", "min_freq", 1),
-        neural_max_len_cap=rt.config.get_int("model", "max_len_cap", 40),
+    config = _study_config(
+        rt, grids={family: _tune_grid(rt, family) for family in CLASSICAL_FAMILIES},
+        objective=rt.config.get("tune", "objective", BenchmarkConfig.objective),
     )
     report = run_benchmark(records, config, rt.lexicon, rt.rules)
     out_dir = Path(ns.out_dir or rt.config.get("output", "dir", "benchmark_out"))
@@ -572,14 +546,14 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("train", parents=[common], help="train a model and save it")
     p.add_argument("--corpus", help="comment CSV path")
-    p.add_argument("--family", choices=("nb", "lr", "svm", "bilstm", "bilstm_attention"))
+    p.add_argument("--family", choices=FAMILIES)
     p.add_argument("--out", required=True, help="model artifact output path")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("tune", parents=[common],
                        help="grid-search hyperparameters, then train the best model")
     p.add_argument("--corpus", help="comment CSV path")
-    p.add_argument("--family", choices=("nb", "lr", "svm"))
+    p.add_argument("--family", choices=CLASSICAL_FAMILIES)
     p.add_argument("--out", required=True, help="model artifact output path")
     p.set_defaults(func=cmd_tune)
 

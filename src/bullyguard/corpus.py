@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import statistics
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import KW_ONLY, dataclass, field
 from enum import Enum
 from pathlib import Path
 
@@ -76,9 +76,10 @@ class CommentRecord:
 
 @dataclass(frozen=True)
 class SplitSpec:
-    train_fraction: float
-    val_fraction: float
-    test_fraction: float
+    train_fraction: float = 0.8
+    val_fraction: float = 0.1
+    test_fraction: float = 0.1
+    _: KW_ONLY
     seed: int
     stratified: bool = True
 

@@ -22,6 +22,7 @@ import numpy as np
 from .corpus import CLASS_ORDER, CommentRecord, Label, SplitSpec, majority_label, stratified_split
 from .features import TfidfConfig
 from .linear_models import (
+    CLASSICAL_FAMILIES,
     GridSearchResult,
     TrainingError,
     featurize_folds,
@@ -46,7 +47,6 @@ from .preprocess import (
     preprocess_corpus,
 )
 
-ML_FAMILIES = ("nb", "lr", "svm")
 ML_ROW_NAMES = {"nb": "Naive Bayes", "lr": "Logistic Regression", "svm": "SVM"}
 DL_ROW_NAMES = {False: "BiLSTM", True: "BiLSTM+Attention"}
 
@@ -189,7 +189,7 @@ def prepare_neural_data(
 class BenchmarkConfig:
     folds: int = 5
     seed: int = 42
-    split: SplitSpec | None = None          # defaults to 80/10/10 at `seed`
+    split: SplitSpec | None = None          # defaults to SplitSpec(seed=seed)
     pipeline: PipelineConfig = field(default_factory=PipelineConfig)
     tfidf: TfidfConfig = field(default_factory=TfidfConfig)
     grids: dict[str, dict[str, list]] = field(default_factory=lambda: DEFAULT_GRIDS)
@@ -200,7 +200,7 @@ class BenchmarkConfig:
     neural_max_len_cap: int = 40
 
     def resolved_split(self) -> SplitSpec:
-        return self.split or SplitSpec(0.8, 0.1, 0.1, seed=self.seed, stratified=True)
+        return self.split or SplitSpec(seed=self.seed)
 
     def resolved_neural(self) -> TrainConfig:
         return self.neural or TrainConfig(seed=self.seed)
@@ -253,7 +253,7 @@ def run_benchmark(
         config.folds, config.seed, config.tfidf,
     )
     ml_rows = []
-    for family in ML_FAMILIES:
+    for family in CLASSICAL_FAMILIES:
         grid = grid_search(
             family, config.grids[family], folds, config.seed, config.objective,
         )
@@ -306,15 +306,9 @@ def run_benchmark(
         "tfidf": asdict(config.tfidf),
         "pipeline": asdict(config.pipeline),
         "neural": {
-            "batch_size": neural_cfg.batch_size,
-            "embedding_dim": neural_cfg.embedding_dim,
-            "hidden_dim": neural_cfg.hidden_dim,
-            "attention_dim": neural_cfg.attention_dim,
-            "learning_rate": neural_cfg.learning_rate,
-            "max_epochs": neural_cfg.max_epochs,
-            "patience": neural_cfg.patience,
-            "min_improvement": neural_cfg.min_improvement,
-            "seed": neural_cfg.seed,
+            # every TrainConfig field but Adam's constants, which no config sets
+            **{k: v for k, v in asdict(neural_cfg).items()
+               if k not in ("beta1", "beta2", "epsilon")},
             "keep_function_words": config.neural_keep_function_words,
             "min_freq": config.neural_min_freq,
             "max_len_cap": config.neural_max_len_cap,

@@ -251,7 +251,8 @@ def predict_svm(X: Csr, model: LinearSvmModel) -> tuple[list[Label], np.ndarray]
 # grid search
 # ----------------------------------------------------------------------------
 
-KNOWN_FAMILIES = ("nb", "lr", "svm", "majority")
+CLASSICAL_FAMILIES = ("nb", "lr", "svm")  # the study's TF-IDF models
+KNOWN_FAMILIES = CLASSICAL_FAMILIES + ("majority",)
 
 
 @dataclass
@@ -272,25 +273,18 @@ class FeaturizedFold:
 
 
 def train_family(family: str, X: Csr, labels: list[Label], params: dict, seed: int = 42):
-    """Dispatch to the family trainer with Label lists as the common input."""
+    """Dispatch to the family trainer with Label lists as the common input.
+
+    params are the trainer's keyword arguments; any it leaves out keep the
+    trainer's defaults.
+    """
     if family == "nb":
-        return train_nb(X, labels, alpha=params.get("alpha", 1.0))
+        return train_nb(X, labels, **params)
     if family == "lr":
-        y01 = [1 if lab is Label.BULLYING else 0 for lab in labels]
-        return train_lr(
-            X, y01,
-            l2_lambda=params.get("l2_lambda", 1e-3),
-            lr=params.get("lr", 0.1),
-            epochs=params.get("epochs", 500),
-        )
+        return train_lr(X, [1 if lab is Label.BULLYING else 0 for lab in labels], **params)
     if family == "svm":
         ysign = [1 if lab is Label.BULLYING else -1 for lab in labels]
-        return train_svm(
-            X, ysign,
-            reg_lambda=params.get("reg_lambda", 1e-3),
-            epochs=params.get("epochs", 200),
-            seed=params.get("seed", seed),
-        )
+        return train_svm(X, ysign, seed=seed, **params)
     if family == "majority":
         return MajorityModel(label=majority_label(labels))
     raise TrainingError(f"unknown model family {family!r}")

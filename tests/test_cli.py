@@ -1,3 +1,5 @@
+import importlib.util
+import inspect
 import io
 import json
 import os
@@ -8,15 +10,19 @@ from pathlib import Path
 import pytest
 
 import bullyguard
+from bullyguard import cli, linear_models
 from bullyguard.artifact import ArtifactError, load_artifact, predict_text
 from bullyguard.cli import PREDICT_CHUNK_LINES, main
-from bullyguard.corpus import Label, write_corpus
-from bullyguard.neural import BLOCK_NAMES
+from bullyguard.corpus import Label, SplitSpec, write_corpus
+from bullyguard.eval import BenchmarkConfig
+from bullyguard.features import TfidfConfig
+from bullyguard.neural import BLOCK_NAMES, TrainConfig
 from bullyguard.preprocess import PipelineConfig, run_pipeline
 from conftest import make_record
 
 B, N = Label.BULLYING, Label.NON_BULLYING
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+REPO = Path(__file__).resolve().parents[1]
+PERFBENCH = REPO / "perfbench"
 
 
 def src_env() -> dict[str, str]:
@@ -483,6 +489,23 @@ def test_benchmark_entry_points_run(tmp_path, default_lexicon, default_rules):
     assert probe["nb"]["printed"] == printed
 
 
+def test_benchmark_tracer_hooks_resolve():
+    """Every function that a per-layer metric of the benchmark needs, and each
+    private step its tracer wraps by name, can still be hooked, so a renamed
+    function fails here rather than turning its metrics into "missing"."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", PERFBENCH / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    recorder = tracer.Tracer()
+    try:
+        recorder.install(tracer.package_modules(), hooks={})
+    finally:
+        recorder.uninstall()
+    needs = {need for _, _, metric_needs, _ in tracer.LAYER_METRICS for need in metric_needs}
+    assert recorder.missing == set()
+    assert needs | set(tracer.EXTRA_HOOKS) <= recorder.hooked
+
+
 @pytest.mark.parametrize("flag", ["--attention", "--no-attention"])
 def test_check_gradients_script_reports_every_block(flag):
     script = Path(__file__).resolve().parents[1] / "scripts" / "check_gradients.py"
@@ -492,6 +515,128 @@ def test_check_gradients_script_reports_every_block(flag):
     block_lines = [line.split(":")[0].strip() for line in proc.stdout.splitlines()
                    if ": max rel err " in line]
     assert block_lines == list(BLOCK_NAMES)
+
+
+# ----------------------------------------------------------------------------
+# config keys: each one reaches its dataclass field or trainer keyword
+# ----------------------------------------------------------------------------
+
+def resolve(argv):
+    ns = cli.build_parser().parse_args(argv)
+    return ns, cli._resolve_runtime(ns)
+
+
+def trainer_kwargs(rt, family):
+    """The keywords train_family hands the family's trainer under rt's config."""
+    params, seen = cli._model_params(rt, family), {}
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(linear_models, f"train_{family}",
+                      lambda X, labels, **kwargs: seen.update(kwargs))
+        linear_models.train_family(family, None, [], params, rt.seed)
+    return seen
+
+
+def run_settings(config):
+    """What train, tune and benchmark read from a config file (or none)."""
+    ns, rt = resolve(["train", "--out", "unused"] + (["--config", str(config)] if config else []))
+    study = cli._study_config(
+        rt, grids={f: cli._tune_grid(rt, f) for f in linear_models.CLASSICAL_FAMILIES},
+        objective=rt.config.get("tune", "objective", BenchmarkConfig.objective))
+    trainers = {}
+    for family in linear_models.CLASSICAL_FAMILIES:
+        signature = inspect.signature(getattr(linear_models, f"train_{family}"))
+        trainers[family] = {name: p.default for name, p in signature.parameters.items()
+                            if p.default is not p.empty}
+        trainers[family].update(trainer_kwargs(rt, family))
+    return {
+        "family": cli._family(ns, rt), "threshold": rt.threshold, "study": study,
+        "delimiter": rt.delimiter, "columns": rt.column_map, "trainers": trainers,
+        "fingerprint": cli.preprocessing_fingerprint(rt.pipeline, rt.lexicon, rt.rules),
+    }
+
+
+def test_example_config_restates_the_defaults(monkeypatch):
+    monkeypatch.chdir(REPO)  # its [corpus] path is relative to the checkout
+    example = REPO / "config.example.ini"
+    assert cli.RunConfig.load(example).get("corpus", "path") is not None
+    assert run_settings(example) == run_settings(None)
+
+
+EVERY_KEY_INI = """\
+[pipeline]
+case_fold = false
+clean = false
+normalize = false
+remove_stopwords = false
+stem = false
+tokenize = false
+elongation_min_run = 4
+neural_keep_function_words = true
+
+[tfidf]
+sublinear_tf = true
+l2_normalize = false
+min_df = 2
+
+[model]
+family = svm
+alpha = 0.5
+l2_lambda = 0.02
+lr = 0.3
+epochs = 7
+reg_lambda = 0.04
+threshold = 0.6
+batch_size = 5
+embedding_dim = 6
+hidden_dim = 7
+attention_dim = 8
+learning_rate = 0.02
+max_epochs = 9
+patience = 4
+min_improvement = 0.003
+min_freq = 2
+max_len_cap = 11
+
+[split]
+train_fraction = 0.6
+val_fraction = 0.3
+test_fraction = 0.1
+seed = 9
+folds = 3
+stratified = false
+"""
+
+
+def test_every_config_key_reaches_its_setting(tmp_path):
+    config = write_config(tmp_path, EVERY_KEY_INI, name="every.ini")
+    loaded = cli.RunConfig.load(config)
+    for section in ("pipeline", "tfidf", "model", "split"):
+        assert {key for sec, key in loaded.values if sec == section} == \
+            set(cli._SCHEMA[section])
+    ns, rt = resolve(["train", "--out", "unused", "--config", str(config)])
+    assert (rt.seed, rt.folds, rt.threshold, cli._family(ns, rt)) == (9, 3, 0.6, "svm")
+    assert rt.pipeline == PipelineConfig(False, False, False, False, False, False, 4)
+    assert rt.tfidf == TfidfConfig(sublinear_tf=True, l2_normalize=False, min_df=2)
+    study = cli._study_config(rt)
+    assert study.split == SplitSpec(0.6, 0.3, 0.1, seed=9, stratified=False)
+    assert study.neural == TrainConfig(
+        batch_size=5, embedding_dim=6, hidden_dim=7, attention_dim=8, learning_rate=0.02,
+        max_epochs=9, patience=4, min_improvement=0.003, seed=9)
+    assert (study.neural_keep_function_words, study.neural_min_freq,
+            study.neural_max_len_cap) == (True, 2, 11)
+    assert trainer_kwargs(rt, "nb") == {"alpha": 0.5}
+    assert trainer_kwargs(rt, "lr") == {"l2_lambda": 0.02, "lr": 0.3, "epochs": 7}
+    assert trainer_kwargs(rt, "svm") == {"reg_lambda": 0.04, "epochs": 7, "seed": 9}
+
+
+@pytest.mark.parametrize("key", ["beta1", "beta2", "epsilon"])
+def test_adam_constants_are_not_config_keys(tmp_path, capsys, key):
+    config = write_config(tmp_path, f"[model]\n{key} = 0.5\n", name="adam.ini")
+    corpus = write_fixture_corpus(tmp_path)
+    assert main(["train", "--corpus", str(corpus), "--family", "bilstm", "--quiet",
+                 "--out", str(tmp_path / "m.txt"), "--config", str(config)]) == 1
+    assert capsys.readouterr().err == \
+        f"error: unknown config key {key!r} in section [model]\n"
 
 
 # ----------------------------------------------------------------------------
