@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -29,9 +29,7 @@ from .linear_models import (
     LinearSvmModel,
     LogisticRegressionModel,
     NaiveBayesModel,
-    predict_lr,
-    predict_nb,
-    predict_svm,
+    predict_family,
 )
 from .neural import (
     BLOCK_NAMES,
@@ -72,12 +70,7 @@ def preprocessing_fingerprint(
 ) -> str:
     """SHA-256 over a canonical rendering of the preprocessing setup."""
     parts = [
-        "pipeline:" + ",".join(
-            f"{name}={int(flag)}" for name, flag in zip(
-                ("case_fold", "clean", "normalize", "remove_stopwords", "stem", "tokenize"),
-                pipeline.flags(),
-            )
-        ) + f",elongation_min_run={pipeline.elongation_min_run}",
+        "pipeline:" + ",".join(f"{k}={int(v)}" for k, v in asdict(pipeline).items()),
         "slang:" + ";".join(f"{k}={v}" for k, v in sorted(lexicon.slang_map.items())),
         "stopwords:" + ";".join(sorted(lexicon.stopwords)),
         "roots:" + ";".join(sorted(lexicon.root_words)),
@@ -134,11 +127,9 @@ class ModelArtifact:
 # ----------------------------------------------------------------------------
 
 def _pipeline_lines(pipeline: PipelineConfig) -> list[str]:
-    names = ("case_fold", "clean", "normalize", "remove_stopwords", "stem", "tokenize")
-    lines = ["[pipeline]"]
-    lines.extend(f"{n} {'true' if f else 'false'}" for n, f in zip(names, pipeline.flags()))
-    lines.append(f"elongation_min_run {pipeline.elongation_min_run}")
-    return lines
+    """One line per field; the flags as true/false, the others as numbers."""
+    return ["[pipeline]"] + [
+        f"{k} {str(v).lower() if isinstance(v, bool) else v}" for k, v in asdict(pipeline).items()]
 
 
 def _tfidf_lines(model: TfidfModel) -> list[str]:
@@ -265,11 +256,9 @@ def _parse_bool(raw: str) -> bool:
 def _parse_pipeline(cur: _Cursor) -> PipelineConfig:
     if cur.next() != "[pipeline]":
         raise ArtifactError("missing [pipeline] section")
-    flags = {}
-    for name in ("case_fold", "clean", "normalize", "remove_stopwords", "stem", "tokenize"):
-        flags[name] = _parse_bool(cur.expect_kv(name))
-    min_run = int(cur.expect_kv("elongation_min_run"))
-    return PipelineConfig(**flags, elongation_min_run=min_run)
+    return PipelineConfig(**{
+        f.name: (_parse_bool if isinstance(f.default, bool) else int)(cur.expect_kv(f.name))
+        for f in fields(PipelineConfig)})
 
 
 def _parse_tfidf(cur: _Cursor) -> TfidfModel:
@@ -493,7 +482,12 @@ def predict_texts(
     predictions = [_fallback(artifact) for _ in texts]
     if artifact.family in CLASSICAL_FAMILIES:
         rows = [i for i, tokens in enumerate(token_lists) if tokens]
-        labels, scores = _score_linear(artifact, [token_lists[i] for i in rows])
+        X = transform_all([token_lists[i] for i in rows], artifact.tfidf)
+        labels, scores = predict_family(
+            artifact.family, getattr(artifact, artifact.family), X, artifact.threshold)
+        if artifact.family == "nb":  # the predicted class's posterior
+            shifted = np.exp(scores - scores.max(axis=1, keepdims=True))
+            scores = shifted.max(axis=1) / shifted.sum(axis=1)
     else:
         ids, lens = encode_batch(token_lists, artifact.neural_vocab)
         nonempty = np.flatnonzero(lens)
@@ -519,16 +513,3 @@ def predict_text(
 
 def _fallback(artifact: ModelArtifact) -> Prediction:
     return Prediction(label=artifact.majority_label, score=0.0, empty_input=True)
-
-
-def _score_linear(
-    artifact: ModelArtifact, token_lists: list[list[str]],
-) -> tuple[list[Label], np.ndarray]:
-    X = transform_all(token_lists, artifact.tfidf)
-    if artifact.family == "nb":
-        labels, scores = predict_nb(X, artifact.nb)
-        shifted = np.exp(scores - scores.max(axis=1, keepdims=True))
-        return labels, shifted.max(axis=1) / shifted.sum(axis=1)
-    if artifact.family == "lr":
-        return predict_lr(X, artifact.lr, artifact.threshold)
-    return predict_svm(X, artifact.svm)

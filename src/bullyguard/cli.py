@@ -102,6 +102,20 @@ _FILE_KEYS = {("corpus", "path"), ("lexicons", "slang"), ("lexicons", "stopwords
               ("lexicons", "root_words"), ("lexicons", "stemmer_rules")}
 
 
+def _parse_bool(raw: str) -> bool:
+    lowered = raw.strip().lower()
+    if lowered in ("true", "yes", "1", "on"):
+        return True
+    if lowered in ("false", "no", "0", "off"):
+        return False
+    raise ValueError(raw)
+
+
+# each config value type: its parser and what the error message expects
+_TYPED_READERS = {bool: (_parse_bool, "a boolean"), int: (int, "an integer"),
+                  float: (float, "a number")}
+
+
 @dataclass
 class RunConfig:
     values: dict[tuple[str, str], str] = field(default_factory=dict)
@@ -135,35 +149,17 @@ class RunConfig:
     def get(self, section: str, key: str, default: str | None = None) -> str | None:
         return self.values.get((section, key), default)
 
-    def get_bool(self, section: str, key: str, default: bool) -> bool:
+    def get_typed(self, section: str, key: str, default: bool | int | float):
+        """The key's value read as the type of its default."""
         raw = self.get(section, key)
         if raw is None:
             return default
-        lowered = raw.strip().lower()
-        if lowered in ("true", "yes", "1", "on"):
-            return True
-        if lowered in ("false", "no", "0", "off"):
-            return False
-        raise ConfigError(f"config [{section}] {key}: expected a boolean, got {raw!r}")
-
-    def get_int(self, section: str, key: str, default: int) -> int:
-        raw = self.get(section, key)
-        if raw is None:
-            return default
+        parse, expected = _TYPED_READERS[type(default)]
         try:
-            return int(raw)
+            value = parse(raw)
         except ValueError:
-            raise ConfigError(f"config [{section}] {key}: expected an integer, got {raw!r}") from None
-
-    def get_float(self, section: str, key: str, default: float) -> float:
-        raw = self.get(section, key)
-        if raw is None:
-            return default
-        try:
-            value = float(raw)
-        except ValueError:
-            raise ConfigError(f"config [{section}] {key}: expected a number, got {raw!r}") from None
-        if not math.isfinite(value):
+            raise ConfigError(f"config [{section}] {key}: expected {expected}, got {raw!r}") from None
+        if isinstance(value, float) and not math.isfinite(value):
             raise ConfigError(f"config [{section}] {key}: expected a finite number, got {raw!r}")
         return value
 
@@ -185,8 +181,7 @@ class RunConfig:
 def _typed_keys(config: RunConfig, section: str, defaults: dict) -> dict:
     """The keys of `defaults` that the section sets, each read as the type of
     its default."""
-    read = {bool: config.get_bool, int: config.get_int, float: config.get_float}
-    return {key: read[type(default)](section, key, default)
+    return {key: config.get_typed(section, key, default)
             for key, default in defaults.items() if config.get(section, key) is not None}
 
 
@@ -216,13 +211,13 @@ class Runtime:
 def _resolve_runtime(ns: argparse.Namespace) -> Runtime:
     config = RunConfig.load(ns.config)
     seed = (ns.seed if ns.seed is not None
-            else config.get_int("split", "seed", BenchmarkConfig.seed))
+            else config.get_typed("split", "seed", BenchmarkConfig.seed))
     folds = (ns.folds if ns.folds is not None
-             else config.get_int("split", "folds", BenchmarkConfig.folds))
+             else config.get_typed("split", "folds", BenchmarkConfig.folds))
     pipeline = _from_section(config, "pipeline", PipelineConfig)
     tfidf = _from_section(config, "tfidf", TfidfConfig)
     # p can reach exactly 0 or 1, so only an open-interval threshold splits both ways
-    threshold = config.get_float("model", "threshold", ModelArtifact.threshold)
+    threshold = config.get_typed("model", "threshold", ModelArtifact.threshold)
     if not 0.0 < threshold < 1.0:
         raise ConfigError(f"config [model] threshold: expected a number strictly "
                           f"between 0 and 1, got {config.get('model', 'threshold')!r}")
@@ -324,10 +319,10 @@ def _study_config(rt: Runtime, **tuning) -> BenchmarkConfig:
     return BenchmarkConfig(
         folds=rt.folds, seed=rt.seed, pipeline=rt.pipeline, tfidf=rt.tfidf,
         split=_from_section(cfg, "split", SplitSpec, seed=rt.seed),
-        neural_keep_function_words=cfg.get_bool(
+        neural_keep_function_words=cfg.get_typed(
             "pipeline", "neural_keep_function_words", default.neural_keep_function_words),
-        neural_min_freq=cfg.get_int("model", "min_freq", default.neural_min_freq),
-        neural_max_len_cap=cfg.get_int("model", "max_len_cap", default.neural_max_len_cap),
+        neural_min_freq=cfg.get_typed("model", "min_freq", default.neural_min_freq),
+        neural_max_len_cap=cfg.get_typed("model", "max_len_cap", default.neural_max_len_cap),
         neural=_from_section(cfg, "model", TrainConfig, seed=rt.seed),
         **tuning,
     )

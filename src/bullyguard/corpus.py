@@ -61,8 +61,6 @@ DEFAULT_COLUMNS: dict[str, str] = {
     "target_handle": "akun_target",
 }
 
-FIELD_NAMES = tuple(DEFAULT_COLUMNS)
-
 
 @dataclass(frozen=True)
 class CommentRecord:
@@ -180,7 +178,7 @@ def _resolve_columns(header: list[str], column_map: dict[str, str] | None) -> di
     """Map canonical field names to positions in the header row."""
     names = dict(DEFAULT_COLUMNS)
     if column_map:
-        unknown = set(column_map) - set(FIELD_NAMES)
+        unknown = set(column_map) - set(DEFAULT_COLUMNS)
         if unknown:
             raise CorpusError(f"unknown column-map keys: {sorted(unknown)}")
         names.update(column_map)
@@ -217,53 +215,63 @@ def load_corpus(
         reader = csv.reader(handle, delimiter=delimiter, quotechar='"', doublequote=True)
         rows = _checked_rows(reader, path)
         try:
-            header = next(rows)
+            _, _, header = next(rows)
         except StopIteration:
             raise CorpusError(f"{path}: empty file, expected a header row") from None
         positions = _resolve_columns(header, column_map)
-        expected = len(header)
         records = []
-        for row in rows:
-            line = reader.line_num
+        for first, last, row in rows:
             if not row:
                 continue  # skip blank lines
-            if len(row) != expected:
-                raise CorpusError(f"line {line}: expected {expected} fields, found {len(row)}")
-            raw = {name: row[pos] for name, pos in positions.items()}
             try:
-                index = int(raw["index"].strip())
-            except ValueError:
-                raise CorpusError(f"line {line}: invalid index {raw['index']!r}") from None
-            if index <= 0:
-                raise CorpusError(f"line {line}: index must be positive, got {index}")
-            if not raw["label"].strip():
-                raise CorpusError(f"line {line}: missing value for field 'label'")
-            try:
-                label = Label.parse(raw["label"])
+                records.append(_record(row, positions, len(header)))
             except ValueError as exc:
-                raise CorpusError(f"line {line}: {exc}") from None
-            records.append(
-                CommentRecord(
-                    index=index,
-                    commenter_handle=raw["commenter_handle"].strip(),
-                    text=raw["text"],
-                    label=label,
-                    posted_date=raw["posted_date"].strip(),
-                    target_handle=raw["target_handle"].strip(),
-                )
-            )
+                raise CorpusError(_at_lines(first, last, exc)) from None
     return records
 
 
-def _checked_rows(reader, path: Path):
-    """The reader's rows, with decoding and CSV syntax errors as CorpusError."""
+def _record(row: list[str], positions: dict[str, int], expected: int) -> CommentRecord:
+    """One data row as a record; a ValueError says what is wrong with it."""
+    if len(row) != expected:
+        raise ValueError(f"expected {expected} fields, found {len(row)}")
+    raw = {name: row[pos] for name, pos in positions.items()}
     try:
-        yield from reader
+        index = int(raw["index"].strip())
+    except ValueError:
+        raise ValueError(f"invalid index {raw['index']!r}") from None
+    if index <= 0:
+        raise ValueError(f"index must be positive, got {index}")
+    if not raw["label"].strip():
+        raise ValueError("missing value for field 'label'")
+    return CommentRecord(
+        index=index,
+        commenter_handle=raw["commenter_handle"].strip(),
+        text=raw["text"],
+        label=Label.parse(raw["label"]),
+        posted_date=raw["posted_date"].strip(),
+        target_handle=raw["target_handle"].strip(),
+    )
+
+
+def _checked_rows(reader, path: Path):
+    """(first line, last line, row) for each of the reader's rows, with
+    decoding and CSV syntax errors as CorpusError."""
+    last = 0
+    try:
+        for row in reader:
+            yield last + 1, reader.line_num, row
+            last = reader.line_num
     except UnicodeDecodeError as exc:
         line = _undecodable_line(path)
         raise CorpusError(f"line {line}: not valid UTF-8 ({exc.reason})") from None
     except csv.Error as exc:
-        raise CorpusError(f"line {reader.line_num}: {exc}") from None
+        raise CorpusError(_at_lines(last + 1, reader.line_num, exc)) from None
+
+
+def _at_lines(first: int, last: int, problem: Exception) -> str:
+    """An error message naming a record by its first line."""
+    span = f" (record spans lines {first}-{last})" if last > first else ""
+    return f"line {first}: {problem}{span}"
 
 
 def _undecodable_line(path: Path) -> int:
@@ -281,27 +289,24 @@ def write_corpus(
     records: list[CommentRecord],
     path: str | Path,
     delimiter: str = ";",
-    column_map: dict[str, str] | None = None,
 ) -> None:
     """Write records back to CSV; inverse of load_corpus."""
-    names = dict(DEFAULT_COLUMNS)
-    if column_map:
-        names.update(column_map)
     with Path(path).open("w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(
-            handle, delimiter=delimiter, quotechar='"', doublequote=True,
-            quoting=csv.QUOTE_MINIMAL, lineterminator="\n",
-        )
-        writer.writerow([names[f] for f in FIELD_NAMES])
+        options = dict(delimiter=delimiter, quotechar='"', doublequote=True, lineterminator="\n")
+        writer = csv.writer(handle, quoting=csv.QUOTE_MINIMAL, **options)
+        quote_all = csv.writer(handle, quoting=csv.QUOTE_ALL, **options)
+        writer.writerow(DEFAULT_COLUMNS.values())
         for rec in records:
-            writer.writerow([
+            row = [
                 str(rec.index),
                 rec.commenter_handle,
                 rec.text,
                 rec.label.value,
                 rec.posted_date,
                 rec.target_handle,
-            ])
+            ]
+            # a minimal writer leaves a bare \r unquoted, which ends the record on reading
+            (quote_all if any("\r" in f for f in row) else writer).writerow(row)
 
 
 def validate_corpus(records: list[CommentRecord]) -> ValidationReport:
@@ -329,12 +334,11 @@ def validate_corpus(records: list[CommentRecord]) -> ValidationReport:
     )
 
 
-def compute_stats(records: list[CommentRecord], population_stddev: bool = True) -> CorpusStats:
+def compute_stats(records: list[CommentRecord]) -> CorpusStats:
     """Descriptive statistics over raw text: character lengths and word counts.
 
     Word counts split on whitespace runs. The standard deviation is the
-    population form by default (divide by N); pass population_stddev=False
-    for the sample form.
+    population form (divide by N).
     """
     if not records:
         raise ValueError("compute_stats requires a non-empty record list")
@@ -344,12 +348,6 @@ def compute_stats(records: list[CommentRecord], population_stddev: bool = True) 
     for rec in records:
         per_class_counts[rec.label] += 1
         per_class_words.setdefault(rec.label, []).append(len(rec.text.split()))
-    if len(lengths) == 1:
-        stddev = 0.0
-    elif population_stddev:
-        stddev = statistics.pstdev(lengths)
-    else:
-        stddev = statistics.stdev(lengths)
     return CorpusStats(
         n_total=len(records),
         n_per_class=dict(per_class_counts),
@@ -357,7 +355,7 @@ def compute_stats(records: list[CommentRecord], population_stddev: bool = True) 
         char_len_max=float(max(lengths)),
         char_len_median=float(statistics.median(lengths)),
         char_len_mean=float(statistics.fmean(lengths)),
-        char_len_stddev=float(stddev),
+        char_len_stddev=float(statistics.pstdev(lengths)),
         avg_words_per_class={
             label: statistics.fmean(words) for label, words in per_class_words.items()
         },
@@ -429,14 +427,13 @@ def kfold_split(
     labels: list[Label],
     k: int,
     seed: int,
-    stratified: bool = True,
 ) -> list[tuple[list[int], list[int]]]:
-    """k disjoint folds as (train positions, test positions) pairs.
+    """k disjoint stratified folds as (train positions, test positions) pairs.
 
     Positions are 0-based indices into the label list. Test folds partition
-    the index set with sizes differing by at most one; stratified mode keeps
-    per-class fold sizes within one of each other by rotating the start of
-    the oversized folds across classes.
+    the index set with sizes differing by at most one, and per-class fold
+    sizes stay within one of each other by rotating the start of the
+    oversized folds across classes.
     """
     n = len(labels)
     if k < 2:
@@ -445,33 +442,23 @@ def kfold_split(
         raise CorpusError(f"cannot make {k} folds from {n} records")
     rng = Rng(seed)
     fold_members: list[list[int]] = [[] for _ in range(k)]
-    if stratified:
-        offset = 0
-        for label in CLASS_ORDER:
-            positions = [i for i, lab in enumerate(labels) if lab is label]
-            if not positions:
-                continue
-            if len(positions) < k:
-                raise CorpusError(
-                    f"class {label.value} has {len(positions)} records, fewer than k={k}"
-                )
-            rng.shuffle(positions)
-            base, extra = divmod(len(positions), k)
-            start = 0
-            for f in range(k):
-                size = base + (1 if (f - offset) % k < extra else 0)
-                fold_members[f].extend(positions[start:start + size])
-                start += size
-            offset += extra
-    else:
-        order = list(range(n))
-        rng.shuffle(order)
-        base, extra = divmod(n, k)
+    offset = 0
+    for label in CLASS_ORDER:
+        positions = [i for i, lab in enumerate(labels) if lab is label]
+        if not positions:
+            continue
+        if len(positions) < k:
+            raise CorpusError(
+                f"class {label.value} has {len(positions)} records, fewer than k={k}"
+            )
+        rng.shuffle(positions)
+        base, extra = divmod(len(positions), k)
         start = 0
         for f in range(k):
-            size = base + (1 if f < extra else 0)
-            fold_members[f] = order[start:start + size]
+            size = base + (1 if (f - offset) % k < extra else 0)
+            fold_members[f].extend(positions[start:start + size])
             start += size
+        offset += extra
     folds = []
     for f in range(k):
         test_idx = sorted(fold_members[f])

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import CLASS_ORDER, Label, kfold_split, majority_label
+from .corpus import CLASS_ORDER, Label, kfold_split
 from .features import Csr, TfidfConfig, fit_tfidf, transform_all
 from .metrics import MetricsReport, evaluate
 from .rng import Rng
@@ -36,10 +36,6 @@ class NaiveBayesModel:
     log_prior: np.ndarray       # shape (2,), indexed by class id
     log_likelihood: np.ndarray  # shape (2, V)
     alpha: float
-
-    @property
-    def n_features(self) -> int:
-        return self.log_likelihood.shape[1]
 
 
 def train_nb(X: Csr, labels: list[Label], alpha: float = 1.0) -> NaiveBayesModel:
@@ -91,10 +87,6 @@ class LogisticRegressionModel:
     bias: float
     l2_lambda: float
     loss_history: list[float] = field(default_factory=list, repr=False)
-
-    @property
-    def n_features(self) -> int:
-        return self.weights.shape[0]
 
 
 def lr_loss_grad(
@@ -185,10 +177,6 @@ class LinearSvmModel:
     bias: float
     reg_lambda: float
 
-    @property
-    def n_features(self) -> int:
-        return self.weights.shape[0]
-
 
 def train_svm(
     X: Csr,
@@ -252,7 +240,6 @@ def predict_svm(X: Csr, model: LinearSvmModel) -> tuple[list[Label], np.ndarray]
 # ----------------------------------------------------------------------------
 
 CLASSICAL_FAMILIES = ("nb", "lr", "svm")  # the study's TF-IDF models
-KNOWN_FAMILIES = CLASSICAL_FAMILIES + ("majority",)
 
 
 @dataclass
@@ -285,26 +272,19 @@ def train_family(family: str, X: Csr, labels: list[Label], params: dict, seed: i
     if family == "svm":
         ysign = [1 if lab is Label.BULLYING else -1 for lab in labels]
         return train_svm(X, ysign, seed=seed, **params)
-    if family == "majority":
-        return MajorityModel(label=majority_label(labels))
     raise TrainingError(f"unknown model family {family!r}")
 
 
-@dataclass
-class MajorityModel:
-    """Constant-prediction baseline: training-set majority class."""
-    label: Label
-
-
-def predict_family(family: str, model, X: Csr) -> list[Label]:
+def predict_family(
+    family: str, model, X: Csr, threshold: float = 0.5,
+) -> tuple[list[Label], np.ndarray]:
+    """Labels and the family's raw scores; threshold applies to LR only."""
     if family == "nb":
-        return predict_nb(X, model)[0]
+        return predict_nb(X, model)
     if family == "lr":
-        return predict_lr(X, model)[0]
+        return predict_lr(X, model, threshold)
     if family == "svm":
-        return predict_svm(X, model)[0]
-    if family == "majority":
-        return [model.label] * len(X)
+        return predict_svm(X, model)
     raise TrainingError(f"unknown model family {family!r}")
 
 
@@ -346,7 +326,7 @@ def featurize_folds(
     if k < 2:
         raise TrainingError(f"k must be at least 2, got {k}")
     folds = []
-    for train_idx, test_idx in kfold_split(labels, k, seed, stratified=True):
+    for train_idx, test_idx in kfold_split(labels, k, seed):
         train_tokens = [token_lists[i] for i in train_idx]
         tfidf = fit_tfidf(train_tokens, tfidf_config)
         folds.append(FeaturizedFold(
@@ -368,7 +348,7 @@ def fold_reports(
     reports = []
     for fold in folds:
         model = train_family(family, fold.train, fold.train_labels, params, seed)
-        reports.append(evaluate(fold.test_labels, predict_family(family, model, fold.test)))
+        reports.append(evaluate(fold.test_labels, predict_family(family, model, fold.test)[0]))
     return reports
 
 
@@ -384,7 +364,7 @@ def grid_search(
     Candidates are evaluated in grid order and ties keep the earliest
     candidate.
     """
-    if family not in KNOWN_FAMILIES:
+    if family not in CLASSICAL_FAMILIES:
         raise TrainingError(f"unknown model family {family!r}")
     per_candidate: list[tuple[dict, list[float]]] = []
     candidate_reports: list[list[MetricsReport]] = []

@@ -22,9 +22,6 @@ class ConfusionMatrix:
     def total(self) -> int:
         return sum(sum(row) for row in self.counts)
 
-    def row(self, i: int) -> tuple[int, int]:
-        return self.counts[i]
-
     def to_dict(self) -> dict:
         return {
             "classes": [label.value for label in CLASS_ORDER],

@@ -133,10 +133,6 @@ class NeuralNetParams:
     use_attention: bool
 
     @property
-    def vocab_size(self) -> int:
-        return self.embedding.shape[0]
-
-    @property
     def embedding_dim(self) -> int:
         return self.embedding.shape[1]
 
@@ -405,19 +401,6 @@ def _forward_batch(
         pack=pack, tokens=tokens, fwd=fwd, bwd=bwd, states=states, features=features,
         att_weights=att_weights, att_u=att_u, logits=logits,
     )
-
-
-def attention(
-    states: np.ndarray,
-    valid_len: int,
-    params: NeuralNetParams,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Context vector and weights over the first valid_len encoder states."""
-    if valid_len <= 0:
-        raise NeuralError("attention over empty sequence")
-    states = np.asarray(states, dtype=np.float64)[None]
-    context, weights, _ = _attention_core(states, [valid_len], params)
-    return context[0], weights[0]
 
 
 def forward_classify(ids, valid_len: int, params: NeuralNetParams) -> np.ndarray:

@@ -83,10 +83,6 @@ class PipelineConfig:
             raise ValueError(
                 f"elongation_min_run must be at least 2, got {self.elongation_min_run}")
 
-    def flags(self) -> tuple[bool, ...]:
-        return (self.case_fold, self.clean, self.normalize,
-                self.remove_stopwords, self.stem, self.tokenize)
-
 
 # ----------------------------------------------------------------------------
 # lexicon / rules file loading

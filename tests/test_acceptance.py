@@ -30,7 +30,6 @@ from bullyguard.neural import (
     EarlyStopper,
     PAD_ID,
     TrainConfig,
-    attention,
     build_neural_vocab,
     encode_batch,
     forward_classify,
@@ -42,7 +41,7 @@ from bullyguard.neural import (
 from bullyguard.rng import Rng
 from test_features import dense_tfidf_oracle
 from test_linear_models import csr, nb_posterior_oracle, separable_toy, sv
-from test_neural import keyword_task
+from test_neural import attention, keyword_task
 
 B, N = Label.BULLYING, Label.NON_BULLYING
 

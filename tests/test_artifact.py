@@ -227,6 +227,27 @@ def test_fingerprint_sensitive_to_pipeline_flags(default_lexicon, default_rules)
     assert fp1 != fp2
 
 
+def test_pipeline_text_in_artifacts_is_pinned(tmp_path, default_lexicon, default_rules):
+    """Saved artifacts carry these fingerprints and this [pipeline] section;
+    renaming or reordering a PipelineConfig field must change neither."""
+    keep_function_words = PipelineConfig(remove_stopwords=False, stem=False)
+    assert preprocessing_fingerprint(PipelineConfig(), default_lexicon, default_rules) == (
+        "636086e8f8ba65ab916470b19972398dd65ece7b53facc7dcd19423eb19348e5")
+    assert preprocessing_fingerprint(keep_function_words, default_lexicon, default_rules) == (
+        "114bf777f5ed32453d181e6136c4d745aa2af553a9003af617a87214cea24171")
+    artifact = build_classical_artifact("nb", corpus_fixture(), default_lexicon, default_rules)
+    artifact.pipeline = PipelineConfig(remove_stopwords=False, stem=False, elongation_min_run=4)
+    path = tmp_path / "m.model"
+    save_artifact(artifact, path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    start = lines.index("[pipeline]")
+    assert lines[start:lines.index("[tfidf]")] == [
+        "[pipeline]", "case_fold true", "clean true", "normalize true",
+        "remove_stopwords false", "stem false", "tokenize true", "elongation_min_run 4",
+    ]
+    assert load_artifact(path).pipeline == artifact.pipeline
+
+
 def test_data_fingerprint_orders_and_content():
     records = corpus_fixture()
     fp = data_fingerprint(records)

@@ -124,6 +124,17 @@ def test_unreadable_corpus_exit_2_one_line(tmp_path, capsys, field, message):
     assert err.count("\n") == 1
 
 
+def test_unclosed_quote_corpus_exit_2_names_its_line(tmp_path, capsys):
+    rows = [f"{i};u;teks {i};Bullying;2024-01-05;t" for i in range(1, 40)]
+    rows[4] = '5;u;"teks tanpa tutup;Bullying;2024-01-05;t'  # line 6 of 40
+    path = tmp_path / "bad.csv"
+    path.write_text("no;username;komentar;label;tanggal;akun_target\n" + "\n".join(rows) + "\n",
+                    encoding="utf-8")
+    assert main(["stats", "--corpus", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: line 6: expected 6 fields, found 3 (record spans lines 6-40)\n")
+
+
 # ----------------------------------------------------------------------------
 # preprocess
 # ----------------------------------------------------------------------------
@@ -506,6 +517,15 @@ def test_benchmark_tracer_hooks_resolve():
     assert needs | set(tracer.EXTRA_HOOKS) <= recorder.hooked
 
 
+def test_generate_corpus_script_reproduces_the_bundled_corpus(tmp_path):
+    out = tmp_path / "corpus.csv"
+    proc = subprocess.run([sys.executable, str(REPO / "scripts" / "generate_corpus.py"),
+                           "--out", str(out)], env=src_env(), capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert out.read_bytes() == (REPO / "data" / "comments_synthetic.csv").read_bytes()
+
+
 @pytest.mark.parametrize("flag", ["--attention", "--no-attention"])
 def test_check_gradients_script_reports_every_block(flag):
     script = Path(__file__).resolve().parents[1] / "scripts" / "check_gradients.py"
@@ -673,6 +693,15 @@ def nan_row_after(header):
     return edit
 
 
+def cut_in_line(key, keep):
+    """Artifact edit: the file ends inside the first line whose first word is
+    key, after its first keep(line) characters."""
+    def edit(lines):
+        i = next(i for i, line in enumerate(lines) if line.split(" ", 1)[0] == key)
+        return lines[:i] + [lines[i][:keep(lines[i])]]
+    return edit
+
+
 def drop_last_value(header):
     """Artifact edit: the 1-D block after the header loses its last number,
     in its shape line and its value row alike."""
@@ -697,6 +726,10 @@ BAD_ARTIFACTS = {
     "bilstm_format_1": ("bilstm", edit_line(
         "bullyguard-model", lambda line: "bullyguard-model 1")),
     "lr_truncated": ("lr", lambda lines: lines[: len(lines) // 2]),
+    "lr_cut_in_weights_row": ("lr", cut_in_line(
+        "weights", lambda line: line.rindex(" ", 0, len(line) // 2))),
+    "lr_cut_in_number": ("lr", cut_in_line(
+        "weights", lambda line: line.rindex(" ", 0, len(line) // 2) + 3)),
     "svm_extra_weight": ("svm", edit_line("weights", lambda line: line + " 0.5")),
     "nb_three_priors": ("nb", edit_line("log_prior", lambda line: line + " -1")),
     "nb_short_likelihood": ("nb", edit_line(

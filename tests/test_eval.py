@@ -35,15 +35,6 @@ FAST_NEURAL = TrainConfig(
 )
 
 
-def test_cross_validate_dummy_base_rate(default_lexicon, default_rules):
-    records = balanced_records(40)
-    spec = ModelSpec(family="majority")
-    result = cross_validate(spec, records, k=4, seed=42,
-                            lexicon=default_lexicon, rules=default_rules)
-    assert len(result.fold_reports) == 4
-    assert result.mean["accuracy"] == pytest.approx(0.5, abs=0.11)
-
-
 def test_cross_validate_structural_k2(default_lexicon, default_rules):
     records = separable_corpus(4)
     spec = ModelSpec(family="nb", params={"alpha": 1.0})

@@ -15,7 +15,6 @@ from bullyguard.neural import (
     NeuralNetParams,
     TrainConfig,
     adam_step,
-    attention,
     backward,
     batch_loss,
     build_neural_vocab,
@@ -302,6 +301,11 @@ def test_bilstm_mirrored_params_reverse_palindrome():
     np.testing.assert_allclose(bwd_half, fwd_half[::-1], atol=1e-12)
 
 
+def attention(states, valid_len, params):  # one row through the batched attention
+    context, weights, _ = _attention_core(np.asarray(states)[None], [valid_len], params)
+    return context[0], weights[0]
+
+
 def test_attention_singleton_and_uniform():
     params = tiny_params()
     states = Rng(3).uniform_array((4, 6), -1, 1)
@@ -330,8 +334,6 @@ def test_attention_hand_case():
 
 def test_attention_empty_sequence_error():
     params = tiny_params()
-    with pytest.raises(NeuralError, match="attention over empty sequence"):
-        attention(np.zeros((3, 6)), 0, params)
     with pytest.raises(NeuralError, match="attention over empty sequence"):
         forward_classify([0, 0], 0, params)
 

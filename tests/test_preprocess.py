@@ -13,6 +13,8 @@ from bullyguard.preprocess import (
     case_fold,
     clean,
     collapse_elongation,
+    default_lexicon_paths,
+    load_lexicon,
     load_slang_map,
     load_stemmer_rules,
     load_wordlist,
@@ -304,6 +306,15 @@ def test_load_wordlist(tmp_path):
     path = tmp_path / "words.txt"
     path.write_text("# c\njelek\nbanget\n", encoding="utf-8")
     assert load_wordlist(path) == frozenset({"jelek", "banget"})
+
+
+def test_crlf_lexicon_files_load_like_lf(tmp_path, default_lexicon, default_rules):
+    crlf = {}
+    for name, path in default_lexicon_paths().items():
+        crlf[name] = tmp_path / path.name
+        crlf[name].write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    assert load_lexicon(crlf["slang"], crlf["stopwords"], crlf["root_words"]) == default_lexicon
+    assert load_stemmer_rules(crlf["stemmer_rules"]) == default_rules
 
 
 def test_lexicon_invariants_enforced():
