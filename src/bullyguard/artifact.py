@@ -106,53 +106,72 @@ class ModelArtifact:
     preprocessing_fp: str
     data_fp: str
     pipeline: PipelineConfig
-    format_version: int = FORMAT_VERSION
-    # classical payload
-    tfidf: TfidfModel | None = None
-    nb: NaiveBayesModel | None = None
-    lr: LogisticRegressionModel | None = None
-    svm: LinearSvmModel | None = None
-    threshold: float = 0.5
-    # neural payload
+    model: NaiveBayesModel | LogisticRegressionModel | LinearSvmModel | NeuralNetParams | None = None
+    tfidf: TfidfModel | None = None  # classical families
+    threshold: float = 0.5  # LR only
     neural_vocab: NeuralVocab | None = None
-    neural_params: NeuralNetParams | None = None
 
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ArtifactError(f"unknown model family {self.family!r}")
 
 
+# Per classical family, in file order: the model class, its scalar keys and
+# its row keys (a 2-D row key takes one indexed line per row). threshold
+# belongs to the artifact, not to the LR model.
+_CLASSICAL_SECTIONS = {
+    "nb": (NaiveBayesModel, ("alpha",), ("log_prior", "log_likelihood")),
+    "lr": (LogisticRegressionModel, ("l2_lambda", "threshold", "bias"), ("weights",)),
+    "svm": (LinearSvmModel, ("reg_lambda", "bias"), ("weights",)),
+}
+
+
 # ----------------------------------------------------------------------------
 # saving
 # ----------------------------------------------------------------------------
 
-def _pipeline_lines(pipeline: PipelineConfig) -> list[str]:
-    """One line per field; the flags as true/false, the others as numbers."""
-    return ["[pipeline]"] + [
-        f"{k} {str(v).lower() if isinstance(v, bool) else v}" for k, v in asdict(pipeline).items()]
+def _flag_lines(section: str, config) -> list[str]:
+    """One line per dataclass field; the booleans as true/false, the others as numbers."""
+    return [f"[{section}]"] + [
+        f"{k} {str(v).lower() if isinstance(v, bool) else v}" for k, v in asdict(config).items()]
 
 
-def _tfidf_lines(model: TfidfModel) -> list[str]:
-    lines = [
-        "[tfidf]",
-        f"sublinear_tf {'true' if model.config.sublinear_tf else 'false'}",
-        f"l2_normalize {'true' if model.config.l2_normalize else 'false'}",
-        f"min_df {model.config.min_df}",
-        f"n_documents {model.vocabulary.n_documents}",
-        f"vocab {len(model.vocabulary)}",
-    ]
-    by_id = sorted(model.vocabulary.token_to_id.items(), key=lambda kv: kv[1])
-    for token, idx in by_id:
+def _token_lines(token_to_id: dict[str, int], rest) -> list[str]:
+    """One `token t id` line per token in id order, followed by rest(id)."""
+    lines = []
+    for token, idx in sorted(token_to_id.items(), key=lambda kv: kv[1]):
         if not token or any(ch.isspace() for ch in token):
             raise ArtifactError(f"token not serializable: {token!r}")
-        df = model.vocabulary.document_frequency[idx]
-        lines.append(f"token {token} {idx} {df} {_fmt(model.idf[idx])}")
+        lines.append(f"token {token} {idx}{rest(idx)}")
+    return lines
+
+
+def _classical_lines(artifact: ModelArtifact) -> list[str]:
+    """[tfidf], then the family's section."""
+    tfidf, model = artifact.tfidf, artifact.model
+    lines = _flag_lines("tfidf", tfidf.config) + [
+        f"n_documents {tfidf.vocabulary.n_documents}", f"vocab {len(tfidf.vocabulary)}"]
+    lines += _token_lines(tfidf.vocabulary.token_to_id, lambda idx: (
+        f" {tfidf.vocabulary.document_frequency[idx]} {_fmt(tfidf.idf[idx])}"))
+    _, scalars, rows = _CLASSICAL_SECTIONS[artifact.family]
+    lines.append(f"[{artifact.family}]")
+    for key in scalars:
+        if key == "threshold":  # shortest exact form: 12 digits would round 0.9999999999999 up to 1
+            lines.append(f"{key} {float(artifact.threshold)!r}")
+        else:
+            lines.append(f"{key} {_fmt(getattr(model, key))}")
+    for key in rows:
+        values = getattr(model, key)
+        if values.ndim == 1:
+            lines.append(f"{key} {_fmt_row(values)}")
+        else:
+            lines.extend(f"{key} {i} {_fmt_row(row)}" for i, row in enumerate(values))
     return lines
 
 
 def save_artifact(artifact: ModelArtifact, path: str | Path) -> None:
     lines = [
-        f"{MAGIC} {artifact.format_version}",
+        f"{MAGIC} {FORMAT_VERSION}",
         f"family {artifact.family}",
         "[meta]",
         f"seed {artifact.seed}",
@@ -160,40 +179,13 @@ def save_artifact(artifact: ModelArtifact, path: str | Path) -> None:
         f"preprocessing_fingerprint {artifact.preprocessing_fp}",
         f"data_fingerprint {artifact.data_fp}",
     ]
-    lines.extend(_pipeline_lines(artifact.pipeline))
+    lines.extend(_flag_lines("pipeline", artifact.pipeline))
     if artifact.family in CLASSICAL_FAMILIES:
-        if artifact.tfidf is None:
-            raise ArtifactError("classical artifact requires a fitted tfidf model")
-        lines.extend(_tfidf_lines(artifact.tfidf))
-    if artifact.family == "nb":
-        model = artifact.nb
-        lines.extend([
-            "[nb]",
-            f"alpha {_fmt(model.alpha)}",
-            f"log_prior {_fmt_row(model.log_prior)}",
-            f"log_likelihood 0 {_fmt_row(model.log_likelihood[0])}",
-            f"log_likelihood 1 {_fmt_row(model.log_likelihood[1])}",
-        ])
-    elif artifact.family == "lr":
-        model = artifact.lr
-        lines.extend([
-            "[lr]",
-            f"l2_lambda {_fmt(model.l2_lambda)}",
-            # shortest exact form: 12 digits would round 0.9999999999999 up to 1
-            f"threshold {float(artifact.threshold)!r}",
-            f"bias {_fmt(model.bias)}",
-            f"weights {_fmt_row(model.weights)}",
-        ])
-    elif artifact.family == "svm":
-        model = artifact.svm
-        lines.extend([
-            "[svm]",
-            f"reg_lambda {_fmt(model.reg_lambda)}",
-            f"bias {_fmt(model.bias)}",
-            f"weights {_fmt_row(model.weights)}",
-        ])
+        if artifact.tfidf is None or artifact.model is None:
+            raise ArtifactError("classical artifact requires a fitted tfidf model and classifier")
+        lines.extend(_classical_lines(artifact))
     else:
-        vocab, params = artifact.neural_vocab, artifact.neural_params
+        vocab, params = artifact.neural_vocab, artifact.model
         if vocab is None or params is None:
             raise ArtifactError("neural artifact requires vocab and parameters")
         lines.extend([
@@ -205,10 +197,7 @@ def save_artifact(artifact: ModelArtifact, path: str | Path) -> None:
             f"use_attention {'true' if params.use_attention else 'false'}",
             f"vocab {vocab.size}",
         ])
-        for token, idx in sorted(vocab.token_to_id.items(), key=lambda kv: kv[1]):
-            if not token or any(ch.isspace() for ch in token):
-                raise ArtifactError(f"token not serializable: {token!r}")
-            lines.append(f"token {token} {idx}")
+        lines.extend(_token_lines(vocab.token_to_id, lambda idx: ""))
         for name, arr in params.blocks():
             lines.append(f"[param {name}]")
             lines.append("shape " + " ".join(str(d) for d in arr.shape))
@@ -227,15 +216,11 @@ class _Cursor:
         self.lines = lines
         self.pos = 0
 
-    def peek(self) -> str | None:
-        return self.lines[self.pos] if self.pos < len(self.lines) else None
-
     def next(self) -> str:
-        line = self.peek()
-        if line is None:
+        if self.pos == len(self.lines):
             raise ArtifactError("unexpected end of artifact")
         self.pos += 1
-        return line
+        return self.lines[self.pos - 1]
 
     def expect_kv(self, key: str) -> str:
         line = self.next()
@@ -243,6 +228,10 @@ class _Cursor:
         if head != key:
             raise ArtifactError(f"expected {key!r}, found {line!r}")
         return rest
+
+    def section(self, name: str) -> None:
+        if self.next() != f"[{name}]":
+            raise ArtifactError(f"missing [{name}] section")
 
 
 def _parse_bool(raw: str) -> bool:
@@ -253,40 +242,70 @@ def _parse_bool(raw: str) -> bool:
     raise ArtifactError(f"expected true/false, found {raw!r}")
 
 
-def _parse_pipeline(cur: _Cursor) -> PipelineConfig:
-    if cur.next() != "[pipeline]":
-        raise ArtifactError("missing [pipeline] section")
-    return PipelineConfig(**{
+def _parse_flags(cur: _Cursor, section: str, cls):
+    """The section written by _flag_lines, as a cls instance."""
+    cur.section(section)
+    return cls(**{
         f.name: (_parse_bool if isinstance(f.default, bool) else int)(cur.expect_kv(f.name))
-        for f in fields(PipelineConfig)})
+        for f in fields(cls)})
+
+
+def _parse_tokens(cur: _Cursor, kind: str, n: int, first: int,
+                  n_fields: int) -> tuple[dict[str, int], list[list[str]]]:
+    """n lines `token t id ...` of n_fields words, with the ids first ..
+    first + n - 1 each once; token -> id and the further words by id - first."""
+    token_to_id: dict[str, int] = {}
+    rest: list = [None] * n
+    for _ in range(n):
+        parts = cur.next().split(" ")
+        if len(parts) != n_fields or parts[0] != "token":
+            raise ArtifactError(f"bad {kind} token line: {parts!r}")
+        idx = int(parts[2])
+        if not first <= idx < first + n or rest[idx - first] is not None:
+            raise ArtifactError(f"{kind} token id {idx} is repeated or outside "
+                                f"{first}..{first + n - 1}")
+        token_to_id[parts[1]] = idx
+        rest[idx - first] = parts[3:]
+    return token_to_id, rest
 
 
 def _parse_tfidf(cur: _Cursor) -> TfidfModel:
-    if cur.next() != "[tfidf]":
-        raise ArtifactError("missing [tfidf] section")
-    config = TfidfConfig(
-        sublinear_tf=_parse_bool(cur.expect_kv("sublinear_tf")),
-        l2_normalize=_parse_bool(cur.expect_kv("l2_normalize")),
-        min_df=int(cur.expect_kv("min_df")),
-    )
+    config = _parse_flags(cur, "tfidf", TfidfConfig)
     n_documents = int(cur.expect_kv("n_documents"))
     size = int(cur.expect_kv("vocab"))
-    token_to_id: dict[str, int] = {}
-    document_frequency: dict[int, int] = {}
-    idf = [0.0] * size
-    for _ in range(size):
-        parts = cur.next().split(" ")
-        if len(parts) != 5 or parts[0] != "token":
-            raise ArtifactError(f"bad tfidf token line: {parts!r}")
-        token, idx, df, value = parts[1], int(parts[2]), int(parts[3]), _parse_float(parts[4])
-        token_to_id[token] = idx
-        document_frequency[idx] = df
-        idf[idx] = value
+    token_to_id, rest = _parse_tokens(cur, "tfidf", size, 0, 5)
     return TfidfModel(
-        vocabulary=Vocabulary(token_to_id, document_frequency, n_documents),
-        idf=idf,
+        vocabulary=Vocabulary(token_to_id, {idx: int(df) for idx, (df, _) in enumerate(rest)},
+                              n_documents),
+        idf=[_parse_float(idf) for _, idf in rest],
         config=config,
     )
+
+
+def _parse_classical(cur: _Cursor, artifact: ModelArtifact) -> None:
+    """Read the family's section into artifact.model (and the LR threshold)."""
+    cls, scalars, rows = _CLASSICAL_SECTIONS[artifact.family]
+    cur.section(artifact.family)
+    values = {key: _parse_float(cur.expect_kv(key)) for key in scalars}
+    artifact.threshold = values.pop("threshold", artifact.threshold)
+    if not 0.0 < artifact.threshold < 1.0:
+        raise ArtifactError(
+            f"lr threshold must lie strictly between 0 and 1, got {artifact.threshold!r}")
+    v = artifact.tfidf.n_features
+    shapes = {"log_prior": (2,), "log_likelihood": (2, v), "weights": (v,)}
+    for key in rows:
+        shape = shapes[key]
+        if len(shape) == 1:
+            values[key] = _finite(key, _parse_floats(cur.expect_kv(key), shape[0]))
+            continue
+        matrix = []
+        for i in range(shape[0]):
+            idx, _, raw = cur.expect_kv(key).partition(" ")
+            if int(idx) != i:
+                raise ArtifactError(f"{key} rows out of order")
+            matrix.append(_parse_floats(raw, shape[1]))
+        values[key] = _finite(key, np.vstack(matrix))
+    artifact.model = cls(**values)
 
 
 def _parse_float(raw: str) -> float:
@@ -333,76 +352,31 @@ def _parse_artifact(path: str | Path, text: str) -> ModelArtifact:
         raise ArtifactError(
             f"unsupported format version {version} (expected {FORMAT_VERSION})"
         )
-    family = cur.expect_kv("family")
-    if family not in FAMILIES:
-        raise ArtifactError(f"unknown model family {family!r}")
-    if cur.next() != "[meta]":
-        raise ArtifactError("missing [meta] section")
-    seed = int(cur.expect_kv("seed"))
-    majority = Label.parse(cur.expect_kv("majority_label"))
-    preprocessing_fp = cur.expect_kv("preprocessing_fingerprint")
-    data_fp = cur.expect_kv("data_fingerprint")
-    pipeline = _parse_pipeline(cur)
-
+    family = cur.expect_kv("family")  # ModelArtifact rejects an unknown one
+    cur.section("meta")
     artifact = ModelArtifact(
-        family=family, seed=seed, majority_label=majority,
-        preprocessing_fp=preprocessing_fp, data_fp=data_fp,
-        pipeline=pipeline, format_version=version,
+        family=family,
+        seed=int(cur.expect_kv("seed")),
+        majority_label=Label.parse(cur.expect_kv("majority_label")),
+        preprocessing_fp=cur.expect_kv("preprocessing_fingerprint"),
+        data_fp=cur.expect_kv("data_fingerprint"),
+        pipeline=_parse_flags(cur, "pipeline", PipelineConfig),
     )
     if family in CLASSICAL_FAMILIES:
         artifact.tfidf = _parse_tfidf(cur)
-    if family == "nb":
-        if cur.next() != "[nb]":
-            raise ArtifactError("missing [nb] section")
-        alpha = _parse_float(cur.expect_kv("alpha"))
-        log_prior = _finite("log_prior", _parse_floats(cur.expect_kv("log_prior"), 2))
-        rows = []
-        for cls in range(2):
-            raw = cur.expect_kv("log_likelihood")
-            idx, _, values = raw.partition(" ")
-            if int(idx) != cls:
-                raise ArtifactError("log_likelihood rows out of order")
-            rows.append(_parse_floats(values, artifact.tfidf.n_features))
-        artifact.nb = NaiveBayesModel(
-            log_prior=log_prior, log_likelihood=_finite("log_likelihood", np.vstack(rows)),
-            alpha=alpha,
-        )
-    elif family == "lr":
-        if cur.next() != "[lr]":
-            raise ArtifactError("missing [lr] section")
-        l2 = _parse_float(cur.expect_kv("l2_lambda"))
-        artifact.threshold = _parse_float(cur.expect_kv("threshold"))
-        if not 0.0 < artifact.threshold < 1.0:
-            raise ArtifactError(
-                f"lr threshold must lie strictly between 0 and 1, got {artifact.threshold!r}")
-        bias = _parse_float(cur.expect_kv("bias"))
-        weights = _finite("weights", _parse_floats(cur.expect_kv("weights"),
-                                                   artifact.tfidf.n_features))
-        artifact.lr = LogisticRegressionModel(weights=weights, bias=bias, l2_lambda=l2)
-    elif family == "svm":
-        if cur.next() != "[svm]":
-            raise ArtifactError("missing [svm] section")
-        reg = _parse_float(cur.expect_kv("reg_lambda"))
-        bias = _parse_float(cur.expect_kv("bias"))
-        weights = _finite("weights", _parse_floats(cur.expect_kv("weights"),
-                                                   artifact.tfidf.n_features))
-        artifact.svm = LinearSvmModel(weights=weights, bias=bias, reg_lambda=reg)
+        _parse_classical(cur, artifact)
     else:
-        if cur.next() != "[neural]":
-            raise ArtifactError("missing [neural] section")
+        cur.section("neural")
         emb_dim = int(cur.expect_kv("embedding_dim"))
         hidden = int(cur.expect_kv("hidden_dim"))
         att_dim = int(cur.expect_kv("attention_dim"))
         max_len = int(cur.expect_kv("max_seq_len"))
         use_att = _parse_bool(cur.expect_kv("use_attention"))
         size = int(cur.expect_kv("vocab"))
-        token_to_id: dict[str, int] = {}
-        for _ in range(size - 2):  # PAD and UNK are implicit
-            parts = cur.next().split(" ")
-            if len(parts) != 3 or parts[0] != "token":
-                raise ArtifactError(f"bad neural token line: {parts!r}")
-            token_to_id[parts[1]] = int(parts[2])
-        vocab = NeuralVocab(token_to_id=token_to_id, max_seq_len=max_len)
+        if size < 2:
+            raise ArtifactError(f"[neural] vocab {size} leaves no rows for PAD and UNK")
+        token_to_id, _ = _parse_tokens(cur, "neural", size - 2, 2, 3)  # PAD, UNK implicit
+        artifact.neural_vocab = NeuralVocab(token_to_id=token_to_id, max_seq_len=max_len)
         arrays: dict[str, np.ndarray] = {}
         expected = block_shapes(size, emb_dim, hidden, att_dim)
         for name in BLOCK_NAMES:
@@ -416,8 +390,7 @@ def _parse_artifact(path: str | Path, text: str) -> ModelArtifact:
             n_rows = shape[0] if len(shape) > 1 else 1
             rows = [_parse_floats(cur.next(), shape[-1]) for _ in range(n_rows)]
             arrays[name] = _finite(name, np.vstack(rows).reshape(shape))
-        artifact.neural_vocab = vocab
-        artifact.neural_params = NeuralNetParams.from_blocks(arrays, use_att)
+        artifact.model = NeuralNetParams.from_blocks(arrays, use_att)
     if cur.next() != "end":
         raise ArtifactError("missing end marker")
     return artifact
@@ -483,8 +456,7 @@ def predict_texts(
     if artifact.family in CLASSICAL_FAMILIES:
         rows = [i for i, tokens in enumerate(token_lists) if tokens]
         X = transform_all([token_lists[i] for i in rows], artifact.tfidf)
-        labels, scores = predict_family(
-            artifact.family, getattr(artifact, artifact.family), X, artifact.threshold)
+        labels, scores = predict_family(artifact.family, artifact.model, X, artifact.threshold)
         if artifact.family == "nb":  # the predicted class's posterior
             shifted = np.exp(scores - scores.max(axis=1, keepdims=True))
             scores = shifted.max(axis=1) / shifted.sum(axis=1)
@@ -493,7 +465,7 @@ def predict_texts(
         nonempty = np.flatnonzero(lens)
         rows = nonempty[np.argsort(lens[nonempty], kind="stable")].tolist()
         classes, probs = predict_batch(
-            artifact.neural_params, ids[rows], lens[rows], PREDICT_BATCH_SIZE)
+            artifact.model, ids[rows], lens[rows], PREDICT_BATCH_SIZE)
         labels = [CLASS_ORDER[cls] for cls in classes.tolist()]
         scores = probs[np.arange(len(rows)), classes]
     for row, label, score in zip(rows, labels, scores.tolist()):

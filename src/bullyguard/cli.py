@@ -357,17 +357,14 @@ def _train_artifact(rt: Runtime, prep: Preprocessor, records, family: str,
             params if params is not None else _model_params(rt, family), rt.seed,
         )
         base.tfidf = tfidf
-        setattr(base, family, model)
+        base.model = model
         base.threshold = rt.threshold
         base.preprocessing_fp = preprocessing_fingerprint(rt.pipeline, rt.lexicon, rt.rules)
         return base
     # neural families: split for early stopping, drop empty documents
     study = _study_config(rt)
     train_recs, val_recs, _ = stratified_split(records, study.split)
-    data = prepare_neural_data(
-        train_recs, val_recs, prep, study.neural_keep_function_words,
-        study.neural_min_freq, study.neural_max_len_cap,
-    )
+    data = prepare_neural_data(train_recs, val_recs, prep, study)
     dropped = data.n_dropped_train + data.n_dropped_val
     if dropped:
         print(f"note: dropped {dropped} empty documents from neural training", file=sys.stderr)
@@ -378,7 +375,7 @@ def _train_artifact(rt: Runtime, prep: Preprocessor, records, family: str,
     base.pipeline = data.prep.config
     base.majority_label = data.majority
     base.neural_vocab = data.vocab
-    base.neural_params = params_out
+    base.model = params_out
     base.preprocessing_fp = preprocessing_fingerprint(data.prep.config, rt.lexicon, rt.rules)
     return base
 

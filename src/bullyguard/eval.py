@@ -56,16 +56,6 @@ DEFAULT_GRIDS: dict[str, dict[str, list]] = {
     "svm": {"reg_lambda": [1e-4, 1e-3, 1e-2]},
 }
 
-AGGREGATE_METRICS = (
-    "accuracy",
-    "precision_weighted",
-    "recall_weighted",
-    "f1_weighted",
-    "precision_macro",
-    "recall_macro",
-    "f1_macro",
-)
-
 
 @dataclass(frozen=True)
 class ModelSpec:
@@ -96,11 +86,11 @@ def _report_values(report: MetricsReport) -> dict[str, float]:
 
 def _aggregate(reports: list[MetricsReport]) -> CrossValResult:
     values = [_report_values(r) for r in reports]
-    mean = {k: statistics.fmean(v[k] for v in values) for k in AGGREGATE_METRICS}
+    mean = {k: statistics.fmean(v[k] for v in values) for k in values[0]}
     if len(values) > 1:
-        std = {k: statistics.stdev(v[k] for v in values) for k in AGGREGATE_METRICS}
+        std = {k: statistics.stdev(v[k] for v in values) for k in values[0]}
     else:
-        std = {k: 0.0 for k in AGGREGATE_METRICS}
+        std = {k: 0.0 for k in values[0]}
     return CrossValResult(fold_reports=reports, mean=mean, std=std)
 
 
@@ -146,11 +136,10 @@ def prepare_neural_data(
     train_recs: list[CommentRecord],
     val_recs: list[CommentRecord],
     prep: Preprocessor,
-    keep_function_words: bool,
-    min_freq: int,
-    max_len_cap: int,
+    config: BenchmarkConfig,
 ) -> NeuralData:
-    if keep_function_words:
+    """The neural track's data under config's neural_* settings."""
+    if config.neural_keep_function_words:
         pipeline = replace(prep.config, remove_stopwords=False, stem=False)
         prep = Preprocessor(pipeline, prep.lexicon, prep.rules)
 
@@ -164,7 +153,7 @@ def prepare_neural_data(
     if not tr_tok or not va_tok:
         raise TrainingError("no non-empty training or validation documents "
                             "after preprocessing; cannot train")
-    vocab = build_neural_vocab(tr_tok, min_freq, max_len_cap)
+    vocab = build_neural_vocab(tr_tok, config.neural_min_freq, config.neural_max_len_cap)
 
     def encoded(tokens, labels):
         ids, lens = encode_batch(tokens, vocab)
@@ -265,10 +254,7 @@ def run_benchmark(
 
     # neural track: static split, early stopping on validation, scored on test
     neural_cfg = config.resolved_neural()
-    data = prepare_neural_data(
-        train_recs, val_recs, prep, config.neural_keep_function_words,
-        config.neural_min_freq, config.neural_max_len_cap,
-    )
+    data = prepare_neural_data(train_recs, val_recs, prep, config)
     te_tok = data.prep.corpus([r.text for r in test_recs])
     test_labels = [rec.label for rec in test_recs]
     te_nonempty = [i for i, toks in enumerate(te_tok) if toks]

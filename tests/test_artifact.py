@@ -61,14 +61,12 @@ def build_classical_artifact(family, records, lexicon, rules, params=None):
     labels = [r.label for r in records]
     tfidf = fit_tfidf(tokens, TfidfConfig())
     model = train_family(family, transform_all(tokens, tfidf), labels, params or {}, 42)
-    artifact = ModelArtifact(
+    return ModelArtifact(
         family=family, seed=42, majority_label=B,
         preprocessing_fp=preprocessing_fingerprint(pipeline, lexicon, rules),
         data_fp=data_fingerprint(records),
-        pipeline=pipeline, tfidf=tfidf,
+        pipeline=pipeline, tfidf=tfidf, model=model,
     )
-    setattr(artifact, family, model)
-    return artifact
 
 
 def build_neural_artifact(use_attention, records, lexicon, rules):
@@ -87,7 +85,7 @@ def build_neural_artifact(use_attention, records, lexicon, rules):
         seed=42, majority_label=B,
         preprocessing_fp=preprocessing_fingerprint(pipeline, lexicon, rules),
         data_fp=data_fingerprint(records),
-        pipeline=pipeline, neural_vocab=vocab, neural_params=params,
+        pipeline=pipeline, neural_vocab=vocab, model=params,
     )
 
 
@@ -248,6 +246,30 @@ def test_pipeline_text_in_artifacts_is_pinned(tmp_path, default_lexicon, default
     assert load_artifact(path).pipeline == artifact.pipeline
 
 
+@pytest.mark.parametrize("family, section", [
+    ("nb", ["[nb]", "alpha", "log_prior", "log_likelihood", "log_likelihood"]),
+    ("lr", ["[lr]", "l2_lambda", "threshold", "bias", "weights"]),
+    ("svm", ["[svm]", "reg_lambda", "bias", "weights"]),
+])
+def test_classical_text_in_artifacts_is_pinned(tmp_path, default_lexicon, default_rules,
+                                               family, section):
+    """Saved classical artifacts keep this key order from [tfidf] to the end
+    marker, token ids in order and the log_likelihood row indices."""
+    artifact = build_classical_artifact(family, corpus_fixture(), default_lexicon, default_rules)
+    path = tmp_path / "m.model"
+    save_artifact(artifact, path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines = lines[lines.index("[tfidf]"):]
+    n_tokens = artifact.tfidf.n_features
+    assert [line.split(" ", 1)[0] for line in lines] == (
+        ["[tfidf]", "sublinear_tf", "l2_normalize", "min_df", "n_documents", "vocab"]
+        + ["token"] * n_tokens + section + ["end"])
+    assert [line.split(" ")[2] for line in lines[6:6 + n_tokens]] == [
+        str(i) for i in range(n_tokens)]
+    assert [line.split(" ")[1] for line in lines if line.startswith("log_likelihood ")] == (
+        ["0", "1"] if family == "nb" else [])
+
+
 def test_data_fingerprint_orders_and_content():
     records = corpus_fixture()
     fp = data_fingerprint(records)
@@ -315,7 +337,7 @@ def artifacts(draw):
                              Rng(draw(st.integers(0, 2**32))))
         for _, arr in params.blocks():  # one arbitrary number per block
             arr.reshape(-1)[draw(st.integers(0, arr.size - 1))] = draw(FINITE)
-        artifact.neural_params = params
+        artifact.model = params
         return artifact
     artifact.tfidf = TfidfModel(
         vocabulary=Vocabulary({tok: i for i, tok in enumerate(tokens)},
@@ -325,12 +347,12 @@ def artifacts(draw):
         config=TfidfConfig(draw(st.booleans()), draw(st.booleans()), draw(st.integers(1, 3))),
     )
     if family == "nb":
-        artifact.nb = NaiveBayesModel(floats(draw, (2,)), floats(draw, (2, v)), draw(FINITE))
+        artifact.model = NaiveBayesModel(floats(draw, (2,)), floats(draw, (2, v)), draw(FINITE))
     elif family == "lr":
-        artifact.lr = LogisticRegressionModel(floats(draw, (v,)), draw(FINITE), draw(FINITE))
+        artifact.model = LogisticRegressionModel(floats(draw, (v,)), draw(FINITE), draw(FINITE))
         artifact.threshold = draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
     else:
-        artifact.svm = LinearSvmModel(floats(draw, (v,)), draw(FINITE), draw(FINITE))
+        artifact.model = LinearSvmModel(floats(draw, (v,)), draw(FINITE), draw(FINITE))
     return artifact
 
 
@@ -358,7 +380,7 @@ def test_loaded_neural_artifact_predicts_the_same(seed, use_attention, dims,
         family="bilstm_attention" if use_attention else "bilstm", seed=seed,
         majority_label=N, preprocessing_fp="0" * 64, data_fp="0" * 64,
         pipeline=PipelineConfig(), neural_vocab=vocab,
-        neural_params=init_params(vocab.size, config, use_attention, Rng(seed)),
+        model=init_params(vocab.size, config, use_attention, Rng(seed)),
     )
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "m.model"

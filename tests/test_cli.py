@@ -713,6 +713,25 @@ def drop_last_value(header):
     return edit
 
 
+def set_token_id(nth, new_id):
+    """Artifact edit: the nth token line, counting from 0, gets the id new_id."""
+    def edit(lines):
+        i = [i for i, line in enumerate(lines) if line.split(" ", 1)[0] == "token"][nth]
+        parts = lines[i].split(" ")
+        return lines[:i] + [" ".join(parts[:2] + [str(new_id)] + parts[3:])] + lines[i + 1:]
+    return edit
+
+
+def neural_vocab_1(lines):
+    """Artifact edit: a neural vocabulary of PAD alone, consistent across the
+    [neural] header, the token lines and the embedding block."""
+    i = lines.index("[param embedding]")
+    _, rows, dim = lines[i + 1].split(" ")
+    head = [("vocab 1" if line.startswith("vocab ") else line)
+            for line in lines[:i] if not line.startswith("token ")]
+    return head + [lines[i], f"shape 1 {dim}", lines[i + 2]] + lines[i + 2 + int(rows):]
+
+
 # family and edit of the artifact's lines; each must exit 1
 BAD_ARTIFACTS = {
     "lr_two_weights": ("lr", edit_line("weights", lambda line: "weights 1 2")),
@@ -737,6 +756,11 @@ BAD_ARTIFACTS = {
     "nb_inf_idf": ("nb", edit_line("token", lambda line: line.rsplit(" ", 1)[0] + " inf")),
     "bilstm_nan_head_bias": ("bilstm", nan_row_after("[param head.b]")),
     "bilstm_attention_short_att_v": ("bilstm_attention", drop_last_value("[param att.v]")),
+    "bilstm_token_id_out_of_range": ("bilstm", set_token_id(0, 99999)),
+    "bilstm_negative_token_id": ("bilstm", set_token_id(0, -5)),
+    "bilstm_vocab_1": ("bilstm", neural_vocab_1),
+    "lr_duplicate_token_id": ("lr", set_token_id(1, 0)),
+    "lr_negative_token_id": ("lr", set_token_id(0, -1)),
 }
 
 
