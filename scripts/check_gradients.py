@@ -36,12 +36,12 @@ def main() -> int:
 
     config = TrainConfig(embedding_dim=4, hidden_dim=3, attention_dim=3, batch_size=2)
     params = init_params(10, config, use_attention=args.attention, rng=Rng(args.seed))
-    params.embedding *= 20.0
-    params.w_att *= 3.0
-    params.v_att *= 3.0
-    params.w_head *= 3.0
+    params.blocks["embedding"] *= 20.0
+    params.blocks["att.w"] *= 3.0
+    params.blocks["att.v"] *= 3.0
+    params.blocks["head.w"] *= 3.0
     rng = Rng(args.seed + 1)
-    params.b_att[:] = [rng.uniform(-0.8, 0.8) for _ in range(config.attention_dim)]
+    params.blocks["att.b"][:] = [rng.uniform(-0.8, 0.8) for _ in range(config.attention_dim)]
 
     ids = np.asarray([[2, 3, 4, 5, 0], [6, 7, 8, 0, 0]])
     lens = np.asarray([4, 3])

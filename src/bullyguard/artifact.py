@@ -198,7 +198,7 @@ def save_artifact(artifact: ModelArtifact, path: str | Path) -> None:
             f"vocab {vocab.size}",
         ])
         lines.extend(_token_lines(vocab.token_to_id, lambda idx: ""))
-        for name, arr in params.blocks():
+        for name, arr in params.blocks.items():
             lines.append(f"[param {name}]")
             lines.append("shape " + " ".join(str(d) for d in arr.shape))
             matrix = arr.reshape(arr.shape[0], -1) if arr.ndim > 1 else arr.reshape(1, -1)
@@ -371,6 +371,8 @@ def _parse_artifact(path: str | Path, text: str) -> ModelArtifact:
         hidden = int(cur.expect_kv("hidden_dim"))
         att_dim = int(cur.expect_kv("attention_dim"))
         max_len = int(cur.expect_kv("max_seq_len"))
+        if max_len < 1:
+            raise ArtifactError(f"[neural] max_seq_len {max_len} leaves no token to classify")
         use_att = _parse_bool(cur.expect_kv("use_attention"))
         size = int(cur.expect_kv("vocab"))
         if size < 2:
@@ -390,7 +392,7 @@ def _parse_artifact(path: str | Path, text: str) -> ModelArtifact:
             n_rows = shape[0] if len(shape) > 1 else 1
             rows = [_parse_floats(cur.next(), shape[-1]) for _ in range(n_rows)]
             arrays[name] = _finite(name, np.vstack(rows).reshape(shape))
-        artifact.model = NeuralNetParams.from_blocks(arrays, use_att)
+        artifact.model = NeuralNetParams(arrays, use_att)
     if cur.next() != "end":
         raise ArtifactError("missing end marker")
     return artifact

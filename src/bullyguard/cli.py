@@ -221,6 +221,9 @@ def _resolve_runtime(ns: argparse.Namespace) -> Runtime:
     if not 0.0 < threshold < 1.0:
         raise ConfigError(f"config [model] threshold: expected a number strictly "
                           f"between 0 and 1, got {config.get('model', 'threshold')!r}")
+    delimiter = config.get("corpus", "delimiter", ";")
+    if len(delimiter) != 1:  # csv.reader takes exactly one character
+        raise ConfigError(f"config [corpus] delimiter: expected one character, got {delimiter!r}")
     defaults = default_lexicon_paths()
     lexicon = load_lexicon(
         config.get("lexicons", "slang", str(defaults["slang"])),
@@ -242,9 +245,7 @@ def _resolve_runtime(ns: argparse.Namespace) -> Runtime:
     return Runtime(
         config=config, seed=seed, folds=folds, quiet=ns.quiet,
         pipeline=pipeline, tfidf=tfidf, lexicon=lexicon, rules=rules,
-        column_map=column_map,
-        delimiter=config.get("corpus", "delimiter", ";"),
-        threshold=threshold,
+        column_map=column_map, delimiter=delimiter, threshold=threshold,
     )
 
 
@@ -290,6 +291,8 @@ def cmd_stats(ns: argparse.Namespace) -> int:
 
 
 def cmd_preprocess(ns: argparse.Namespace) -> int:
+    if ns.limit is not None and ns.limit < 0:  # a negative slice would drop the last comments
+        raise ConfigError(f"--limit must be 0 or more, got {ns.limit}")
     rt = _resolve_runtime(ns)
     records = _load_records(ns, rt)
     if ns.limit is not None:
@@ -533,7 +536,7 @@ def build_parser() -> _Parser:
                        help="show the pipeline output for each comment")
     p.add_argument("--corpus", help="comment CSV path")
     p.add_argument("--trace", action="store_true", help="show all six stage columns")
-    p.add_argument("--limit", type=int, help="only the first N comments")
+    p.add_argument("--limit", type=int, help="only the first N comments (N >= 0)")
     p.set_defaults(func=cmd_preprocess)
 
     p = sub.add_parser("train", parents=[common], help="train a model and save it")

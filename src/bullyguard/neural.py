@@ -98,15 +98,9 @@ def encode_batch(token_lists: list[list[str]], vocab: NeuralVocab) -> tuple[np.n
 # parameters
 # ----------------------------------------------------------------------------
 
-@dataclass
-class LstmBlock:
-    """One direction's LSTM, gate columns in the order i, f, o, g."""
-    w: np.ndarray  # (D, 4H) input weights
-    u: np.ndarray  # (H, 4H) recurrent weights
-    b: np.ndarray  # (4H,)
-
-
-# Parameter block names in the fixed serialization order of blocks().
+# Parameter block names in their fixed serialization order. One direction's
+# LSTM is w (D, 4H) input weights, u (H, 4H) recurrent weights and b (4H,),
+# gate columns in the order i, f, o, g.
 BLOCK_NAMES = (
     "embedding", "fwd.w", "fwd.u", "fwd.b", "bwd.w", "bwd.u", "bwd.b",
     "att.w", "att.v", "att.b", "head.w", "head.b",
@@ -122,53 +116,24 @@ def block_shapes(vocab_size: int, d: int, h: int, a: int) -> dict[str, tuple[int
 
 @dataclass
 class NeuralNetParams:
-    embedding: np.ndarray   # (V, D)
-    fwd: LstmBlock
-    bwd: LstmBlock
-    w_att: np.ndarray       # (2H, A)
-    b_att: np.ndarray       # (A,)
-    v_att: np.ndarray       # (A,)
-    w_head: np.ndarray      # (2H, 2)
-    b_head: np.ndarray      # (2,)
+    blocks: dict[str, np.ndarray]  # keyed by BLOCK_NAMES, in that order
     use_attention: bool
 
     @property
     def embedding_dim(self) -> int:
-        return self.embedding.shape[1]
+        return self.blocks["embedding"].shape[1]
 
     @property
     def hidden_dim(self) -> int:
-        return self.fwd.u.shape[0]
+        return self.blocks["fwd.u"].shape[0]
 
     @property
     def attention_dim(self) -> int:
-        return self.b_att.shape[0]
-
-    def blocks(self) -> list[tuple[str, np.ndarray]]:
-        """All parameter arrays, named by BLOCK_NAMES in that order."""
-        return list(zip(BLOCK_NAMES, (
-            self.embedding, self.fwd.w, self.fwd.u, self.fwd.b,
-            self.bwd.w, self.bwd.u, self.bwd.b,
-            self.w_att, self.v_att, self.b_att, self.w_head, self.b_head,
-        )))
-
-    @classmethod
-    def from_blocks(cls, arrays: dict[str, np.ndarray], use_attention: bool) -> "NeuralNetParams":
-        """The inverse of blocks(): parameters from arrays keyed by BLOCK_NAMES."""
-        (embedding, fwd_w, fwd_u, fwd_b, bwd_w, bwd_u, bwd_b,
-         w_att, v_att, b_att, w_head, b_head) = (arrays[name] for name in BLOCK_NAMES)
-        return cls(
-            embedding=embedding,
-            fwd=LstmBlock(fwd_w, fwd_u, fwd_b),
-            bwd=LstmBlock(bwd_w, bwd_u, bwd_b),
-            w_att=w_att, b_att=b_att, v_att=v_att,
-            w_head=w_head, b_head=b_head,
-            use_attention=use_attention,
-        )
+        return self.blocks["att.b"].shape[0]
 
     def copy(self) -> "NeuralNetParams":
-        return NeuralNetParams.from_blocks(
-            {name: arr.copy() for name, arr in self.blocks()}, self.use_attention)
+        return NeuralNetParams({name: arr.copy() for name, arr in self.blocks.items()},
+                               self.use_attention)
 
 
 @dataclass(frozen=True)
@@ -208,42 +173,34 @@ def _xavier(rng: Rng, fan_in: int, fan_out: int, shape: tuple[int, ...]) -> np.n
     return rng.uniform_array(shape, -limit, limit)
 
 
-def _init_lstm_block(rng: Rng, d: int, h: int) -> LstmBlock:
-    # one Xavier draw per gate in the order i, f, o, g, all of w before u
-    w = np.concatenate([_xavier(rng, d, h, (d, h)) for _ in range(4)], axis=1)
-    u = np.concatenate([_xavier(rng, h, h, (h, h)) for _ in range(4)], axis=1)
-    b = np.zeros(4 * h)
-    b[h:2 * h] = 1.0  # forget-gate bias 1.0 eases early memory carry
-    return LstmBlock(w, u, b)
-
-
 def init_params(
     vocab_size: int,
     config: TrainConfig,
     use_attention: bool,
     rng: Rng,
 ) -> NeuralNetParams:
-    """Seeded initialization, drawing in blocks() order.
+    """Seeded initialization, drawing in BLOCK_NAMES order.
 
     Embedding rows ~ U(-0.05, 0.05); every weight matrix Xavier-uniform;
     biases zero except the forget gate at 1.0. Attention parameters are drawn
     even for the plain model so both variants share the draw sequence.
     """
     d, h, a = config.embedding_dim, config.hidden_dim, config.attention_dim
-    embedding = rng.uniform_array((vocab_size, d), -0.05, 0.05)
-    fwd = _init_lstm_block(rng, d, h)
-    bwd = _init_lstm_block(rng, d, h)
-    w_att = _xavier(rng, 2 * h, a, (2 * h, a))
-    v_att = _xavier(rng, a, 1, (a,))
-    b_att = np.zeros(a)
-    w_head = _xavier(rng, 2 * h, 2, (2 * h, 2))
-    b_head = np.zeros(2)
-    return NeuralNetParams(
-        embedding=embedding, fwd=fwd, bwd=bwd,
-        w_att=w_att, b_att=b_att, v_att=v_att,
-        w_head=w_head, b_head=b_head,
-        use_attention=use_attention,
-    )
+    blocks = {"embedding": rng.uniform_array((vocab_size, d), -0.05, 0.05)}
+    for direction in ("fwd", "bwd"):
+        # one Xavier draw per gate in the order i, f, o, g, all of w before u
+        blocks[f"{direction}.w"] = np.concatenate(
+            [_xavier(rng, d, h, (d, h)) for _ in range(4)], axis=1)
+        blocks[f"{direction}.u"] = np.concatenate(
+            [_xavier(rng, h, h, (h, h)) for _ in range(4)], axis=1)
+        b = blocks[f"{direction}.b"] = np.zeros(4 * h)
+        b[h:2 * h] = 1.0  # forget-gate bias 1.0 eases early memory carry
+    blocks["att.w"] = _xavier(rng, 2 * h, a, (2 * h, a))
+    blocks["att.v"] = _xavier(rng, a, 1, (a,))
+    blocks["att.b"] = np.zeros(a)
+    blocks["head.w"] = _xavier(rng, 2 * h, 2, (2 * h, 2))
+    blocks["head.b"] = np.zeros(2)
+    return NeuralNetParams(blocks, use_attention)
 
 
 # ----------------------------------------------------------------------------
@@ -313,16 +270,19 @@ class _LstmRun:
     h: np.ndarray
 
 
-def _run_lstm(gates: np.ndarray, pack: _Pack, block: LstmBlock) -> _LstmRun:
-    """Unidirectional pass, given x @ w for every packed row at once (N, 4H),
-    which becomes the activated gates: per step only the recurrent GEMM and
-    the gate arithmetic run, on the rows still running.
+def _run_lstm(x: np.ndarray, pack: _Pack, w: np.ndarray, u: np.ndarray,
+              b: np.ndarray) -> _LstmRun:
+    """Unidirectional pass over the packed inputs x (N, D) with one
+    direction's w, u and b. One GEMM gives x @ w for every packed row, which
+    becomes the activated gates: per step only the recurrent GEMM and the
+    gate arithmetic run, on the rows still running.
     """
-    gates += block.b
-    c, tanh_c, h = (np.empty((gates.shape[0], block.u.shape[0])) for _ in range(3))
+    gates = x @ w
+    gates += b
+    c, tanh_c, h = (np.empty((gates.shape[0], u.shape[0])) for _ in range(3))
     for now, before in pack.steps:
         if before is not None:
-            gates[now] += h[before] @ block.u
+            gates[now] += h[before] @ u
         c_prev = 0.0 if before is None else c[before]
         _lstm_gates(gates[now], c_prev, c[now], tanh_c[now], h[now])
     return _LstmRun(gates, c, tanh_c, h)
@@ -347,8 +307,9 @@ def _attention_core(
     Returns (context (B,2H), weights (B,T), pre-activation u (B,T,A)).
     """
     mask = np.arange(states.shape[1])[None, :] < np.asarray(valid_lens)[:, None]
-    u = np.tanh(states @ params.w_att + params.b_att)
-    scores = u @ params.v_att
+    p = params.blocks
+    u = np.tanh(states @ p["att.w"] + p["att.b"])
+    scores = u @ p["att.v"]
     masked = np.where(mask, scores, -np.inf)
     peak = masked.max(axis=1, keepdims=True)
     expd = np.exp(masked - peak)
@@ -384,10 +345,11 @@ def _forward_batch(
         raise NeuralError("attention over empty sequence")
     # Padded positions are never read, so extra padding leaves every
     # reduction, and so the logits, bit-exactly unchanged.
+    p = params.blocks
     pack = _pack(valid_lens)
     tokens = ids[pack.rows, pack.cols]
-    fwd = _run_lstm(params.embedding[tokens] @ params.fwd.w, pack, params.fwd)
-    bwd = _run_lstm(params.embedding[tokens[pack.rev]] @ params.bwd.w, pack, params.bwd)
+    fwd = _run_lstm(p["embedding"][tokens], pack, p["fwd.w"], p["fwd.u"], p["fwd.b"])
+    bwd = _run_lstm(p["embedding"][tokens[pack.rev]], pack, p["bwd.w"], p["bwd.u"], p["bwd.b"])
     states = att_weights = att_u = None
     if params.use_attention:
         states = _encoder_states(pack, fwd, bwd, ids.shape[0])
@@ -396,7 +358,7 @@ def _forward_batch(
         last = pack.rev[:pack.first]
         features = np.zeros((ids.shape[0], 2 * params.hidden_dim))
         features[pack.rows[:pack.first]] = np.concatenate([fwd.h[last], bwd.h[last]], axis=1)
-    logits = features @ params.w_head + params.b_head
+    logits = features @ p["head.w"] + p["head.b"]
     return _ForwardCache(
         pack=pack, tokens=tokens, fwd=fwd, bwd=bwd, states=states, features=features,
         att_weights=att_weights, att_u=att_u, logits=logits,
@@ -434,15 +396,16 @@ def _backprop_lstm(
     x: np.ndarray,  # (N, D) the run's inputs
     run: _LstmRun,
     pack: _Pack,
-    block: LstmBlock,
+    w: np.ndarray,
+    u: np.ndarray,
     d_h: np.ndarray,  # (N, H) gradient on each packed output; overwritten
-) -> tuple[np.ndarray, LstmBlock]:
-    """(dx (N, D), the gradient of every block array as an LstmBlock).
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(dx (N, D), dw, du, db) for the direction whose w and u are given.
 
     Only the recurrence runs per step; the gradients of w, u and b and of
     the inputs are one GEMM or sum each over all packed rows.
     """
-    h_dim = block.u.shape[0]
+    h_dim = u.shape[0]
     da = np.empty((d_h.shape[0], 4 * h_dim))  # gradient on the gate pre-activations
     # a row that ends at step t was not touched by later steps: its dh, dc are 0
     dh = np.zeros((pack.first, h_dim))
@@ -465,9 +428,8 @@ def _backprop_lstm(
         da_t[:, :3 * h_dim] *= 1.0 - sig
         np.multiply(dc_t, f, out=dc[:n])
         if before is not None:
-            np.matmul(da_t, block.u.T, out=dh[:n])
-    grad = LstmBlock(x.T @ da, run.h[pack.prev].T @ da[pack.first:], da.sum(axis=0))
-    return da @ block.w.T, grad
+            np.matmul(da_t, u.T, out=dh[:n])
+    return da @ w.T, x.T @ da, run.h[pack.prev].T @ da[pack.first:], da.sum(axis=0)
 
 
 def _backward_from_cache(
@@ -477,6 +439,7 @@ def _backward_from_cache(
 ) -> dict[str, np.ndarray]:
     """Gradients keyed by BLOCK_NAMES; raises on any non-finite one, naming
     the offending parameter block."""
+    p = params.blocks
     b = cache.logits.shape[0]
     h_dim = params.hidden_dim
     pack = cache.pack
@@ -484,7 +447,7 @@ def _backward_from_cache(
     d_logits = probs.copy()
     d_logits[np.arange(b), labels] -= 1.0
     d_logits /= b
-    d_features = d_logits @ params.w_head.T
+    d_features = d_logits @ p["head.w"].T
 
     if params.use_attention:
         s = cache.states
@@ -494,41 +457,42 @@ def _backward_from_cache(
         d_alpha = np.einsum("bh,bth->bt", d_ctx, s)
         d_states = alpha[:, :, None] * d_ctx[:, None, :]
         d_scores = alpha * (d_alpha - (alpha * d_alpha).sum(axis=1, keepdims=True))
-        d_v_att = np.einsum("bta,bt->a", u, d_scores)
-        d_u = d_scores[:, :, None] * params.v_att[None, None, :]
+        d_att_v = np.einsum("bta,bt->a", u, d_scores)
+        d_u = d_scores[:, :, None] * p["att.v"][None, None, :]
         d_z = d_u * (1.0 - u ** 2)
-        d_w_att = np.einsum("bth,bta->ha", s, d_z)
-        d_b_att = d_z.sum(axis=(0, 1))
-        d_states = d_states + d_z @ params.w_att.T
+        d_att_w = np.einsum("bth,bta->ha", s, d_z)
+        d_att_b = d_z.sum(axis=(0, 1))
+        d_states = d_states + d_z @ p["att.w"].T
         d_fwd_h = d_states[pack.rows, pack.cols, :h_dim]
         d_bwd_h = d_states[pack.rows, pack.cols, h_dim:][pack.rev]
     else:
-        d_w_att = np.zeros_like(params.w_att)
-        d_v_att = np.zeros_like(params.v_att)
-        d_b_att = np.zeros_like(params.b_att)
+        d_att_w, d_att_v, d_att_b = (np.zeros_like(p[name])
+                                     for name in ("att.w", "att.v", "att.b"))
         last, first = pack.rev[:pack.first], pack.rows[:pack.first]
         d_fwd_h, d_bwd_h = np.zeros((2, pack.rows.size, h_dim))
         d_fwd_h[last] = d_features[first, :h_dim]
         d_bwd_h[last] = d_features[first, h_dim:]
 
     tokens = cache.tokens
-    dx, d_fwd = _backprop_lstm(params.embedding[tokens], cache.fwd, pack, params.fwd, d_fwd_h)
-    dx_bwd, d_bwd = _backprop_lstm(params.embedding[tokens[pack.rev]], cache.bwd, pack,
-                                   params.bwd, d_bwd_h)
+    dx, d_fwd_w, d_fwd_u, d_fwd_b = _backprop_lstm(
+        p["embedding"][tokens], cache.fwd, pack, p["fwd.w"], p["fwd.u"], d_fwd_h)
+    dx_bwd, d_bwd_w, d_bwd_u, d_bwd_b = _backprop_lstm(
+        p["embedding"][tokens[pack.rev]], cache.bwd, pack, p["bwd.w"], p["bwd.u"], d_bwd_h)
     dx += dx_bwd[pack.rev]
 
-    d_embedding = np.zeros_like(params.embedding)
+    d_embedding = np.zeros_like(p["embedding"])
     np.add.at(d_embedding, tokens, dx)
-    grads = NeuralNetParams(
-        embedding=d_embedding, fwd=d_fwd, bwd=d_bwd,
-        w_att=d_w_att, b_att=d_b_att, v_att=d_v_att,
-        w_head=cache.features.T @ d_logits, b_head=d_logits.sum(axis=0),
-        use_attention=params.use_attention,
-    ).blocks()
-    for name, grad in grads:
+    grads = {
+        "embedding": d_embedding,
+        "fwd.w": d_fwd_w, "fwd.u": d_fwd_u, "fwd.b": d_fwd_b,
+        "bwd.w": d_bwd_w, "bwd.u": d_bwd_u, "bwd.b": d_bwd_b,
+        "att.w": d_att_w, "att.v": d_att_v, "att.b": d_att_b,
+        "head.w": cache.features.T @ d_logits, "head.b": d_logits.sum(axis=0),
+    }
+    for name, grad in grads.items():
         if not np.all(np.isfinite(grad)):
             raise NeuralError(f"non-finite gradient in block {name}")
-    return dict(grads)
+    return grads
 
 
 def backward(
@@ -559,9 +523,9 @@ class AdamState:
 
 def init_adam_state(params: NeuralNetParams) -> AdamState:
     return AdamState(
-        m={name: np.zeros_like(arr) for name, arr in params.blocks()},
-        v={name: np.zeros_like(arr) for name, arr in params.blocks()},
-        scratch=np.empty((2, max(arr.size for _, arr in params.blocks()))),
+        m={name: np.zeros_like(arr) for name, arr in params.blocks.items()},
+        v={name: np.zeros_like(arr) for name, arr in params.blocks.items()},
+        scratch=np.empty((2, max(arr.size for arr in params.blocks.values()))),
         t=0,
     )
 
@@ -579,7 +543,7 @@ def adam_step(
     state.t += 1
     b1, b2 = config.beta1, config.beta2
     bc1, bc2 = 1.0 - b1 ** state.t, 1.0 - b2 ** state.t
-    for name, arr in params.blocks():
+    for name, arr in params.blocks.items():
         g, m, v = grads[name], state.m[name], state.v[name]
         step, denom = (row[:arr.size].reshape(arr.shape) for row in state.scratch)
         m *= b1
@@ -789,7 +753,7 @@ def gradient_check(
     def loss_now() -> float:
         return batch_loss(_forward_batch(ids, valid_lens, params), labels)
 
-    for name, arr in params.blocks():
+    for name, arr in params.blocks.items():
         flat = arr.reshape(-1)
         k = min(n_per_block, flat.size)
         coords = rng.sample_indices(flat.size, k)

@@ -151,12 +151,12 @@ def test_acceptance_4_neural_gradient_check():
     params = init_params(10, config, use_attention=True, rng=Rng(11))
     # a well-conditioned check point: O(1) embeddings and scaled attention so
     # finite differences at h=1e-5 stay clear of cancellation noise
-    params.embedding *= 20.0
-    params.w_att *= 3.0
-    params.v_att *= 3.0
-    params.w_head *= 3.0
+    params.blocks["embedding"] *= 20.0
+    params.blocks["att.w"] *= 3.0
+    params.blocks["att.v"] *= 3.0
+    params.blocks["head.w"] *= 3.0
     rng = Rng(12)
-    params.b_att[:] = [rng.uniform(-0.8, 0.8) for _ in range(3)]
+    params.blocks["att.b"][:] = [rng.uniform(-0.8, 0.8) for _ in range(3)]
     ids = np.asarray([[2, 3, 4, 5, 0], [6, 7, 8, 0, 0]])   # T = 5, batch 2
     lens = np.asarray([4, 3])
     labels = np.asarray([0, 1])

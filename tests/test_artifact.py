@@ -270,6 +270,40 @@ def test_classical_text_in_artifacts_is_pinned(tmp_path, default_lexicon, defaul
         ["0", "1"] if family == "nb" else [])
 
 
+@pytest.mark.parametrize("family", ["bilstm", "bilstm_attention"])
+def test_neural_text_in_artifacts_is_pinned(tmp_path, default_lexicon, default_rules, family):
+    """Saved neural artifacts keep this key order from [neural] to the end
+    marker, token ids in order, and these parameter blocks: their order, shape
+    lines and row counts (embedding dim 8, hidden 4, attention 4)."""
+    artifact = build_neural_artifact(family == "bilstm_attention", corpus_fixture(),
+                                     default_lexicon, default_rules)
+    path = tmp_path / "m.model"
+    save_artifact(artifact, path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines = lines[lines.index("[neural]"):]
+    v = artifact.neural_vocab.size
+    blocks = [
+        ("embedding", (v, 8)),
+        ("fwd.w", (8, 16)), ("fwd.u", (4, 16)), ("fwd.b", (16,)),
+        ("bwd.w", (8, 16)), ("bwd.u", (4, 16)), ("bwd.b", (16,)),
+        ("att.w", (8, 4)), ("att.v", (4,)), ("att.b", (4,)),
+        ("head.w", (8, 2)), ("head.b", (2,)),
+    ]
+    head = lines[:lines.index("[param embedding]")]
+    assert [line.split(" ", 1)[0] for line in head] == (
+        ["[neural]", "embedding_dim", "hidden_dim", "attention_dim", "max_seq_len",
+         "use_attention", "vocab"] + ["token"] * (v - 2))
+    assert [line.split(" ")[2] for line in head[7:]] == [str(i) for i in range(2, v)]
+    i = len(head)
+    for name, shape in blocks:
+        n_rows = shape[0] if len(shape) > 1 else 1
+        assert lines[i:i + 2] == [f"[param {name}]", "shape " + " ".join(map(str, shape))]
+        rows = lines[i + 2:i + 2 + n_rows]
+        assert [len(row.split(" ")) for row in rows] == [shape[-1]] * n_rows, name
+        i += 2 + n_rows
+    assert lines[i:] == ["end"]
+
+
 def test_data_fingerprint_orders_and_content():
     records = corpus_fixture()
     fp = data_fingerprint(records)
@@ -335,7 +369,7 @@ def artifacts(draw):
                              attention_dim=draw(st.integers(1, 3)))
         params = init_params(v + 2, config, family == "bilstm_attention",
                              Rng(draw(st.integers(0, 2**32))))
-        for _, arr in params.blocks():  # one arbitrary number per block
+        for arr in params.blocks.values():  # one arbitrary number per block
             arr.reshape(-1)[draw(st.integers(0, arr.size - 1))] = draw(FINITE)
         artifact.model = params
         return artifact

@@ -178,6 +178,16 @@ def test_preprocess_elongation_min_run_below_2_exit_1(tmp_path, capsys):
     assert captured.err == "error: elongation_min_run must be at least 2, got 1\n"
 
 
+def test_preprocess_negative_limit_exit_1_one_line(tmp_path, capsys):
+    corpus = write_fixture_corpus(tmp_path)
+    assert main(["preprocess", "--corpus", str(corpus), "--limit", "-18"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --limit must be 0 or more, got -18\n"
+    assert main(["preprocess", "--corpus", str(corpus), "--limit", "0"]) == 0
+    assert capsys.readouterr().out == "raw\tprocessed\n"
+
+
 # ----------------------------------------------------------------------------
 # train / tune / predict
 # ----------------------------------------------------------------------------
@@ -451,6 +461,26 @@ def test_threshold_outside_open_unit_interval_exit_1_one_line(tmp_path, capsys, 
     assert captured.out == ""
     assert captured.err == ("error: config [model] threshold: expected a number strictly "
                             f"between 0 and 1, got {raw!r}\n")
+    assert not model_path.exists()
+
+
+@pytest.mark.parametrize("command, raw", [
+    ("stats", ";;"),
+    ("stats", ""),
+    ("preprocess", ",,"),
+    ("train", "ab"),
+])
+def test_delimiter_not_one_character_exit_1_one_line(tmp_path, capsys, command, raw):
+    corpus = write_fixture_corpus(tmp_path)
+    config = write_config(tmp_path, f"[corpus]\ndelimiter = {raw}\n", name="bad.ini")
+    model_path = tmp_path / "model.txt"
+    extra = ["--family", "nb", "--out", str(model_path)] if command == "train" else []
+    assert main([command, "--corpus", str(corpus), "--quiet", "--config", str(config),
+                 *extra]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: config [corpus] delimiter: expected one character, "
+                            f"got {raw!r}\n")
     assert not model_path.exists()
 
 
@@ -759,6 +789,9 @@ BAD_ARTIFACTS = {
     "bilstm_token_id_out_of_range": ("bilstm", set_token_id(0, 99999)),
     "bilstm_negative_token_id": ("bilstm", set_token_id(0, -5)),
     "bilstm_vocab_1": ("bilstm", neural_vocab_1),
+    "bilstm_max_seq_len_0": ("bilstm", edit_line("max_seq_len", lambda line: "max_seq_len 0")),
+    "bilstm_max_seq_len_negative": ("bilstm", edit_line(
+        "max_seq_len", lambda line: "max_seq_len -2")),
     "lr_duplicate_token_id": ("lr", set_token_id(1, 0)),
     "lr_negative_token_id": ("lr", set_token_id(0, -1)),
 }

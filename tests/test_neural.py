@@ -10,7 +10,6 @@ from bullyguard.neural import (
     PAD_ID,
     UNK_ID,
     EarlyStopper,
-    LstmBlock,
     NeuralError,
     NeuralNetParams,
     TrainConfig,
@@ -122,6 +121,11 @@ def test_encode_empty_is_all_pad():
 # parameter layout
 # ----------------------------------------------------------------------------
 
+def lstm_of(params, direction):
+    """One direction's w, u and b blocks (the arrays themselves) as attributes."""
+    return SimpleNamespace(**{kind: params.blocks[f"{direction}.{kind}"] for kind in "wub"})
+
+
 def gate(arr, k, h):
     """Gate k's columns (0 i, 1 f, 2 o, 3 g) of a fused (..., 4H) array."""
     return arr[..., k * h:(k + 1) * h]
@@ -138,34 +142,35 @@ def test_init_gate_columns_replay_the_per_gate_draws():
         limit = float(np.sqrt(6.0 / (fan_in + fan_out)))
         return oracle.uniform_array(shape, -limit, limit)
 
-    np.testing.assert_array_equal(params.embedding, oracle.uniform_array((vocab_size, d), -0.05, 0.05))
-    for block in (params.fwd, params.bwd):
+    np.testing.assert_array_equal(params.blocks["embedding"],
+                                  oracle.uniform_array((vocab_size, d), -0.05, 0.05))
+    for block in (lstm_of(params, "fwd"), lstm_of(params, "bwd")):
         for k in range(4):  # i, f, o, g, one draw each, all of w before u
             np.testing.assert_array_equal(gate(block.w, k, h), xavier(d, h, (d, h)))
         for k in range(4):
             np.testing.assert_array_equal(gate(block.u, k, h), xavier(h, h, (h, h)))
         np.testing.assert_array_equal(block.b, [0.0] * h + [1.0] * h + [0.0] * (2 * h))
-    np.testing.assert_array_equal(params.w_att, xavier(2 * h, a, (2 * h, a)))
-    np.testing.assert_array_equal(params.v_att, xavier(a, 1, (a,)))
-    np.testing.assert_array_equal(params.w_head, xavier(2 * h, 2, (2 * h, 2)))
+    np.testing.assert_array_equal(params.blocks["att.w"], xavier(2 * h, a, (2 * h, a)))
+    np.testing.assert_array_equal(params.blocks["att.v"], xavier(a, 1, (a,)))
+    np.testing.assert_array_equal(params.blocks["head.w"], xavier(2 * h, 2, (2 * h, 2)))
     assert init_rng.next_u64() == oracle.next_u64()  # the same number of draws
 
 
-def test_blocks_are_twelve_fused_arrays_and_from_blocks_inverts_them():
+def test_blocks_are_twelve_fused_arrays_keyed_by_block_names():
     params = tiny_params()
     d, h = TINY.embedding_dim, TINY.hidden_dim
-    shapes = dict((name, arr.shape) for name, arr in params.blocks())
+    shapes = {name: arr.shape for name, arr in params.blocks.items()}
     assert list(shapes) == list(BLOCK_NAMES) and len(shapes) == 12
     for direction in ("fwd", "bwd"):
         assert shapes[f"{direction}.w"] == (d, 4 * h)
         assert shapes[f"{direction}.u"] == (h, 4 * h)
         assert shapes[f"{direction}.b"] == (4 * h,)
-    rebuilt = NeuralNetParams.from_blocks(dict(params.blocks()), params.use_attention)
+    rebuilt = NeuralNetParams(dict(params.blocks), params.use_attention)
     assert rebuilt.use_attention == params.use_attention
-    for (name, a), (_, b) in zip(params.blocks(), rebuilt.blocks()):
+    for (name, a), (_, b) in zip(params.blocks.items(), rebuilt.blocks.items()):
         assert a is b, name
     copied = params.copy()
-    for (name, a), (_, b) in zip(params.blocks(), copied.blocks()):
+    for (name, a), (_, b) in zip(params.blocks.items(), copied.blocks.items()):
         assert a is not b and np.array_equal(a, b), name
 
 
@@ -188,7 +193,7 @@ def bilstm_forward(ids, valid_len, params):
 
 def test_lstm_cell_matches_per_gate_oracle():
     params = tiny_params(seed=4)
-    block, h = params.bwd, TINY.hidden_dim
+    block, h = lstm_of(params, "bwd"), TINY.hidden_dim
     rng = Rng(8)
     x = rng.uniform_array((6, TINY.embedding_dim), -1, 1)
     h_prev = rng.uniform_array((6, h), -1, 1)
@@ -214,7 +219,7 @@ def test_lstm_cell_matches_per_gate_oracle():
 
 def _scalar_block(w=1.0, u=1.0, b=0.0):
     # H = D = 1: every gate's column of w, u and b holds the same value
-    return LstmBlock(w=np.full((1, 4), w), u=np.full((1, 4), u), b=np.full(4, b))
+    return SimpleNamespace(w=np.full((1, 4), w), u=np.full((1, 4), u), b=np.full(4, b))
 
 
 def test_lstm_cell_zero_everything():
@@ -259,10 +264,11 @@ def test_lstm_cell_broadcasts_over_batch():
     x = Rng(1).uniform_array((5, 4), -1, 1)
     h = np.zeros((5, 3))
     c = np.zeros((5, 3))
-    h_all, c_all = lstm_cell(x, h, c, params.fwd)
+    fwd = lstm_of(params, "fwd")
+    h_all, c_all = lstm_cell(x, h, c, fwd)
     # batched GEMM and single-row matvec may differ in the last ulp
     for row in range(5):
-        h_one, c_one = lstm_cell(x[row], h[row], c[row], params.fwd)
+        h_one, c_one = lstm_cell(x[row], h[row], c[row], fwd)
         np.testing.assert_allclose(h_all[row], h_one, rtol=1e-13, atol=1e-16)
         np.testing.assert_allclose(c_all[row], c_one, rtol=1e-13, atol=1e-16)
 
@@ -284,8 +290,9 @@ def test_bilstm_padded_positions_zero():
 def test_bilstm_length_one_single_step():
     params = tiny_params()
     states = bilstm_forward([5], 1, params)
-    h_f, c_f = lstm_cell(params.embedding[5], np.zeros(3), np.zeros(3), params.fwd)
-    h_b, c_b = lstm_cell(params.embedding[5], np.zeros(3), np.zeros(3), params.bwd)
+    x = params.blocks["embedding"][5]
+    h_f, c_f = lstm_cell(x, np.zeros(3), np.zeros(3), lstm_of(params, "fwd"))
+    h_b, c_b = lstm_cell(x, np.zeros(3), np.zeros(3), lstm_of(params, "bwd"))
     np.testing.assert_allclose(states[0, :3], h_f, atol=1e-15)
     np.testing.assert_allclose(states[0, 3:], h_b, atol=1e-15)
 
@@ -293,7 +300,7 @@ def test_bilstm_length_one_single_step():
 def test_bilstm_mirrored_params_reverse_palindrome():
     params = tiny_params()
     for kind in ("w", "u", "b"):  # both directions share weights
-        getattr(params.bwd, kind)[:] = getattr(params.fwd, kind)
+        params.blocks[f"bwd.{kind}"][:] = params.blocks[f"fwd.{kind}"]
     ids = [2, 5, 7, 5, 2]  # palindrome
     states = bilstm_forward(ids, 5, params)
     fwd_half, bwd_half = states[:, :3], states[:, 3:]
@@ -319,9 +326,9 @@ def test_attention_singleton_and_uniform():
 
 def test_attention_hand_case():
     params = tiny_params()
-    params.w_att = np.asarray([[0.5], [1.0]])
-    params.b_att = np.asarray([0.1])
-    params.v_att = np.asarray([2.0])
+    params.blocks["att.w"] = np.asarray([[0.5], [1.0]])
+    params.blocks["att.b"] = np.asarray([0.1])
+    params.blocks["att.v"] = np.asarray([2.0])
     states = np.asarray([[1.0, 0.0], [0.0, 1.0]])
     context, weights = attention(states, 2, params)
     e1 = 2.0 * math.tanh(0.5 * 1.0 + 0.1)
@@ -353,8 +360,8 @@ def test_attention_invariants_random():
 
 def test_forward_zero_head_gives_even_logits():
     params = tiny_params()
-    params.w_head[:] = 0.0
-    params.b_head[:] = 0.0
+    params.blocks["head.w"][:] = 0.0
+    params.blocks["head.b"][:] = 0.0
     logits = forward_classify([2, 3], 2, params)
     np.testing.assert_array_equal(logits, [0.0, 0.0])
 
@@ -444,7 +451,7 @@ def test_gradient_check_head_only_linear():
     # zeroed recurrent weights leave the head as the only active path
     params = tiny_params(use_attention=False)
     h = TINY.hidden_dim
-    for block in (params.fwd, params.bwd):
+    for block in (lstm_of(params, "fwd"), lstm_of(params, "bwd")):
         block.w[:] = 0.0
         block.u[:] = 0.0
         gate(block.b, 3, h)[:] = 0.7
@@ -459,12 +466,12 @@ def test_gradient_check_head_only_linear():
 
 def test_gradient_check_full_tiny_network():
     params = tiny_params(seed=11)
-    params.embedding *= 20.0  # O(1) inputs keep gradients clear of fd noise
-    params.w_att *= 3.0
-    params.v_att *= 3.0
-    params.w_head *= 3.0
+    params.blocks["embedding"] *= 20.0  # O(1) inputs keep gradients clear of fd noise
+    params.blocks["att.w"] *= 3.0
+    params.blocks["att.v"] *= 3.0
+    params.blocks["head.w"] *= 3.0
     rng = Rng(12)
-    params.b_att[:] = [rng.uniform(-0.8, 0.8) for _ in range(3)]
+    params.blocks["att.b"][:] = [rng.uniform(-0.8, 0.8) for _ in range(3)]
     # 48 is every coordinate of the fused LSTM blocks (w is 4 x 12)
     report = gradient_check(params, _tiny_batch(), n_per_block=48, seed=3)
     assert report.max_rel_error < 1e-4
@@ -472,7 +479,7 @@ def test_gradient_check_full_tiny_network():
 
 def test_gradient_check_larger_h_degrades():
     params = tiny_params(seed=11)
-    params.embedding *= 20.0
+    params.blocks["embedding"] *= 20.0
     batch = _tiny_batch()
     fine = gradient_check(params, batch, h=1e-5, n_per_block=48, seed=3)
     coarse = gradient_check(params, batch, h=1e-1, n_per_block=48, seed=3)
@@ -481,7 +488,7 @@ def test_gradient_check_larger_h_degrades():
 
 def test_backward_rejects_empty_and_reports_block():
     params = tiny_params()
-    params.w_head[:] = np.inf
+    params.blocks["head.w"][:] = np.inf
     with np.errstate(invalid="ignore"):
         with pytest.raises(NeuralError, match="non-finite gradient"):
             backward(_tiny_batch(), params)
@@ -557,42 +564,42 @@ def masked_model(ids, lens, labels, params):
     t_max = max(1, int(lens.max()))
     ids = ids[:, :t_max]
     mask = (np.arange(t_max)[None, :] < lens[:, None]).astype(np.float64)
-    x = params.embedding[ids]
-    fwd_out, fwd_final, fwd_steps = masked_run_lstm(x, mask, params.fwd)
-    bwd_rev, bwd_final, bwd_steps = masked_run_lstm(x[:, ::-1], mask[:, ::-1], params.bwd)
+    p = params.blocks
+    fwd, bwd = lstm_of(params, "fwd"), lstm_of(params, "bwd")
+    x = p["embedding"][ids]
+    fwd_out, fwd_final, fwd_steps = masked_run_lstm(x, mask, fwd)
+    bwd_rev, bwd_final, bwd_steps = masked_run_lstm(x[:, ::-1], mask[:, ::-1], bwd)
     states = np.concatenate([fwd_out, bwd_rev[:, ::-1]], axis=2)
     if params.use_attention:
         features, alpha, u = _attention_core(states, lens, params)
     else:
         features = np.concatenate([fwd_final, bwd_final], axis=1)
-    logits = features @ params.w_head + params.b_head
+    logits = features @ p["head.w"] + p["head.b"]
 
     b = len(labels)
     d_logits = np.exp(logits - logits.max(axis=1, keepdims=True))
     d_logits /= d_logits.sum(axis=1, keepdims=True)
     d_logits[np.arange(b), labels] -= 1.0
     d_logits /= b
-    d_features = d_logits @ params.w_head.T
-    grads = {"att.w": np.zeros_like(params.w_att), "att.v": np.zeros_like(params.v_att),
-             "att.b": np.zeros_like(params.b_att)}
+    d_features = d_logits @ p["head.w"].T
+    grads = {"att.w": np.zeros_like(p["att.w"]), "att.v": np.zeros_like(p["att.v"]),
+             "att.b": np.zeros_like(p["att.b"])}
     d_states = np.zeros_like(states)
     d_fwd_final = d_bwd_final = None
     if params.use_attention:
         d_alpha = np.einsum("bh,bth->bt", d_features, states)
         d_scores = alpha * (d_alpha - (alpha * d_alpha).sum(axis=1, keepdims=True))
-        d_z = d_scores[:, :, None] * params.v_att[None, None, :] * (1.0 - u ** 2)
+        d_z = d_scores[:, :, None] * p["att.v"][None, None, :] * (1.0 - u ** 2)
         grads["att.v"] = np.einsum("bta,bt->a", u, d_scores)
         grads["att.w"] = np.einsum("bth,bta->ha", states, d_z)
         grads["att.b"] = d_z.sum(axis=(0, 1))
-        d_states = alpha[:, :, None] * d_features[:, None, :] + d_z @ params.w_att.T
+        d_states = alpha[:, :, None] * d_features[:, None, :] + d_z @ p["att.w"].T
     else:
         d_fwd_final, d_bwd_final = d_features[:, :h_dim], d_features[:, h_dim:]
-    dx_fwd, g_fwd = masked_backprop_lstm(fwd_steps, params.fwd, d_states[:, :, :h_dim],
-                                         d_fwd_final)
-    dx_bwd, g_bwd = masked_backprop_lstm(bwd_steps, params.bwd,
-                                         d_states[:, ::-1, h_dim:], d_bwd_final)
+    dx_fwd, g_fwd = masked_backprop_lstm(fwd_steps, fwd, d_states[:, :, :h_dim], d_fwd_final)
+    dx_bwd, g_bwd = masked_backprop_lstm(bwd_steps, bwd, d_states[:, ::-1, h_dim:], d_bwd_final)
     dx = dx_fwd + dx_bwd[:, ::-1]
-    d_embedding = np.zeros_like(params.embedding)
+    d_embedding = np.zeros_like(p["embedding"])
     np.add.at(d_embedding, ids.reshape(-1), dx.reshape(-1, params.embedding_dim))
     grads.update({"embedding": d_embedding, "head.w": features.T @ d_logits,
                   "head.b": d_logits.sum(axis=0)})
@@ -616,7 +623,7 @@ PACK_CASES = {
 def test_packed_core_matches_masked_oracle(case, use_attention):
     lens, width = PACK_CASES[case]
     params = tiny_params(seed=8, use_attention=use_attention)
-    params.embedding *= 10.0  # O(1) inputs, so no state is near zero
+    params.blocks["embedding"] *= 10.0  # O(1) inputs, so no state is near zero
     rng = Rng(31)
     lens = np.asarray(lens)
     ids = np.zeros((len(lens), width), dtype=np.int64)
@@ -672,22 +679,22 @@ def test_backprop_matches_per_gate_oracle():
     mask = (np.arange(t_max)[None, :] < lens[:, None]).astype(np.float64)
     d_out = rng.uniform_array((b, t_max, h), -1, 1)
     d_final = rng.uniform_array((b, h), -1, 1)
-    _, _, steps = masked_run_lstm(x, mask, params.fwd)
-    dx_want, want = per_gate_backprop(steps, params.fwd, d_out, d_final)
+    fwd = lstm_of(params, "fwd")
+    _, _, steps = masked_run_lstm(x, mask, fwd)
+    dx_want, want = per_gate_backprop(steps, fwd, d_out, d_final)
     # the packed core takes the final-state gradient on each row's last output
     pack = _pack(lens)
     d_h = d_out[pack.rows, pack.cols]
     d_h[pack.rev[:pack.first]] += d_final[pack.rows[:pack.first]]
     x_packed = x[pack.rows, pack.cols]
-    run = _run_lstm(x_packed @ params.fwd.w, pack, params.fwd)
-    dx_packed, grad = _backprop_lstm(x_packed, run, pack, params.fwd, d_h)
+    run = _run_lstm(x_packed, pack, fwd.w, fwd.u, fwd.b)
+    dx_packed, *grad = _backprop_lstm(x_packed, run, pack, fwd.w, fwd.u, d_h)
     dx = np.zeros_like(dx_want)
     dx[pack.rows, pack.cols] = dx_packed
     # one fused GEMM sums over all four gates at once, so the last ulps may differ
     np.testing.assert_allclose(dx, dx_want, rtol=1e-12, atol=1e-15)
-    for kind in ("w", "u", "b"):
-        np.testing.assert_allclose(getattr(grad, kind), want[kind], rtol=1e-12, atol=1e-15,
-                                   err_msg=kind)
+    for kind, got in zip(("w", "u", "b"), grad):
+        np.testing.assert_allclose(got, want[kind], rtol=1e-12, atol=1e-15, err_msg=kind)
 
 
 # ----------------------------------------------------------------------------
@@ -696,11 +703,11 @@ def test_backprop_matches_per_gate_oracle():
 
 def test_adam_zero_gradient_no_change():
     params = tiny_params()
-    before = {name: arr.copy() for name, arr in params.blocks()}
+    before = {name: arr.copy() for name, arr in params.blocks.items()}
     state = init_adam_state(params)
-    grads = {name: np.zeros_like(arr) for name, arr in params.blocks()}
+    grads = {name: np.zeros_like(arr) for name, arr in params.blocks.items()}
     adam_step(params, grads, state, TINY)
-    for name, arr in params.blocks():
+    for name, arr in params.blocks.items():
         np.testing.assert_array_equal(arr, before[name])
     assert state.t == 1
 
@@ -708,18 +715,18 @@ def test_adam_zero_gradient_no_change():
 def test_adam_first_step_is_signed_lr():
     params = tiny_params()
     state = init_adam_state(params)
-    grads = {name: np.zeros_like(arr) for name, arr in params.blocks()}
+    grads = {name: np.zeros_like(arr) for name, arr in params.blocks.items()}
     grads["head.b"] = np.asarray([3.0, -0.5])
-    before = params.b_head.copy()
+    before = params.blocks["head.b"].copy()
     adam_step(params, grads, state, TINY)
-    delta = params.b_head - before
+    delta = params.blocks["head.b"] - before
     np.testing.assert_allclose(delta, [-TINY.learning_rate, TINY.learning_rate], rtol=1e-6)
 
 
 def test_adam_in_place_is_bit_identical_to_the_plain_formula():
     cfg = TrainConfig(embedding_dim=4, hidden_dim=3, attention_dim=3, learning_rate=0.01)
     params = tiny_params(seed=9)
-    want = {name: arr.copy() for name, arr in params.blocks()}
+    want = {name: arr.copy() for name, arr in params.blocks.items()}
     m = {name: np.zeros_like(arr) for name, arr in want.items()}
     v = {name: np.zeros_like(arr) for name, arr in want.items()}
     state = init_adam_state(params)
@@ -734,7 +741,7 @@ def test_adam_in_place_is_bit_identical_to_the_plain_formula():
             v_hat = v[name] / (1.0 - cfg.beta2 ** t)
             want[name] -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
     assert state.t == 5
-    for name, arr in params.blocks():
+    for name, arr in params.blocks.items():
         np.testing.assert_array_equal(arr, want[name], err_msg=name)
         np.testing.assert_array_equal(state.m[name], m[name], err_msg=name)
         np.testing.assert_array_equal(state.v[name], v[name], err_msg=name)
@@ -746,10 +753,10 @@ def test_adam_statefulness():
         params = tiny_params(seed=3)
         state = init_adam_state(params)
         for g in grad_values:
-            grads = {name: np.zeros_like(arr) for name, arr in params.blocks()}
+            grads = {name: np.zeros_like(arr) for name, arr in params.blocks.items()}
             grads["head.b"] = np.asarray([g, g])
             adam_step(params, grads, state, TINY)
-        return params.b_head.copy()
+        return params.blocks["head.b"].copy()
 
     assert not np.allclose(run([1.0, 1.0]), run([2.0]))
 
@@ -798,7 +805,7 @@ def test_train_determinism_and_trace_shape():
     p2, t2 = train(True, (ids, lens, labels), (ids, lens, labels), cfg, vocab.size)
     assert t1.train_losses == t2.train_losses
     assert t1.val_losses == t2.val_losses
-    for (name, a), (_, b) in zip(p1.blocks(), p2.blocks()):
+    for (name, a), (_, b) in zip(p1.blocks.items(), p2.blocks.items()):
         np.testing.assert_array_equal(a, b, err_msg=name)
     assert len(t1.train_losses) == t1.stopped_epoch <= cfg.max_epochs
     assert t1.best_epoch >= 1
