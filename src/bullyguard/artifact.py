@@ -374,6 +374,8 @@ def _parse_artifact(path: str | Path, text: str) -> ModelArtifact:
         if max_len < 1:
             raise ArtifactError(f"[neural] max_seq_len {max_len} leaves no token to classify")
         use_att = _parse_bool(cur.expect_kv("use_attention"))
+        if use_att != (family == "bilstm_attention"):
+            raise ArtifactError(f"[neural] use_attention contradicts family {family}")
         size = int(cur.expect_kv("vocab"))
         if size < 2:
             raise ArtifactError(f"[neural] vocab {size} leaves no rows for PAD and UNK")

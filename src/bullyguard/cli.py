@@ -56,6 +56,7 @@ from .linear_models import (
 )
 from .neural import NeuralError, TrainConfig, train as train_neural
 from .preprocess import (
+    STAGE_NAMES,
     LexiconError,
     NormalizationLexicon,
     PipelineConfig,
@@ -98,8 +99,8 @@ _SCHEMA: dict[str, tuple[str, ...]] = {
     "output": ("dir",),
 }
 
-_FILE_KEYS = {("corpus", "path"), ("lexicons", "slang"), ("lexicons", "stopwords"),
-              ("lexicons", "root_words"), ("lexicons", "stemmer_rules")}
+# checked in this order, so a config with several missing files names the same one each run
+_FILE_KEYS = (("corpus", "path"), *(("lexicons", key) for key in _SCHEMA["lexicons"]))
 
 
 def _parse_bool(raw: str) -> bool:
@@ -224,15 +225,10 @@ def _resolve_runtime(ns: argparse.Namespace) -> Runtime:
     delimiter = config.get("corpus", "delimiter", ";")
     if len(delimiter) != 1:  # csv.reader takes exactly one character
         raise ConfigError(f"config [corpus] delimiter: expected one character, got {delimiter!r}")
-    defaults = default_lexicon_paths()
-    lexicon = load_lexicon(
-        config.get("lexicons", "slang", str(defaults["slang"])),
-        config.get("lexicons", "stopwords", str(defaults["stopwords"])),
-        config.get("lexicons", "root_words", str(defaults["root_words"])),
-    )
-    rules = load_stemmer_rules(
-        config.get("lexicons", "stemmer_rules", str(defaults["stemmer_rules"])),
-    )
+    paths = {key: config.get("lexicons", key, str(default))
+             for key, default in default_lexicon_paths().items()}
+    lexicon = load_lexicon(paths["slang"], paths["stopwords"], paths["root_words"])
+    rules = load_stemmer_rules(paths["stemmer_rules"])
     column_map = {}
     for key, field_name in (
         ("col_index", "index"), ("col_username", "commenter_handle"),
@@ -297,9 +293,8 @@ def cmd_preprocess(ns: argparse.Namespace) -> int:
     records = _load_records(ns, rt)
     if ns.limit is not None:
         records = records[: ns.limit]
-    stage_names = ("case_fold", "clean", "normalize", "stopwords", "stem", "tokenize")
     if ns.trace:
-        print("raw\t" + "\t".join(stage_names))
+        print("raw\t" + "\t".join(STAGE_NAMES))
     else:
         print("raw\tprocessed")
     for rec in records:
@@ -319,13 +314,16 @@ def _study_config(rt: Runtime, **tuning) -> BenchmarkConfig:
     """The run's study settings: train's neural families read the split and
     neural ones, and benchmark adds its grids and objective as `tuning`."""
     cfg, default = rt.config, BenchmarkConfig
+    max_len_cap = cfg.get_typed("model", "max_len_cap", default.neural_max_len_cap)
+    if max_len_cap < 1:  # a cap of 0 would leave no token to classify
+        raise ConfigError(f"config [model] max_len_cap: expected at least 1, got {max_len_cap}")
     return BenchmarkConfig(
         folds=rt.folds, seed=rt.seed, pipeline=rt.pipeline, tfidf=rt.tfidf,
         split=_from_section(cfg, "split", SplitSpec, seed=rt.seed),
         neural_keep_function_words=cfg.get_typed(
             "pipeline", "neural_keep_function_words", default.neural_keep_function_words),
         neural_min_freq=cfg.get_typed("model", "min_freq", default.neural_min_freq),
-        neural_max_len_cap=cfg.get_typed("model", "max_len_cap", default.neural_max_len_cap),
+        neural_max_len_cap=max_len_cap,
         neural=_from_section(cfg, "model", TrainConfig, seed=rt.seed),
         **tuning,
     )

@@ -65,6 +65,8 @@ def build_neural_vocab(
         (tok for tok, n in freq.items() if n >= min_freq),
         key=lambda tok: (-freq[tok], tok),
     )
+    if not kept:  # every input would be UNK, leaving the model only lengths to learn
+        raise NeuralError(f"no token reaches min_freq={min_freq}")
     token_to_id = {tok: i + 2 for i, tok in enumerate(kept)}
     lengths = sorted(len(toks) for toks in token_lists)
     rank = max(1, int(np.ceil(0.95 * len(lengths))))

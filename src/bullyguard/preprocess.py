@@ -5,8 +5,8 @@ collapse followed by slang normalization, (4) stopword removal, (5) stemming,
 (6) tokenization. Stages can be disabled individually for ablation but never
 reordered. Stages 3-5 operate per word, so the pipeline splits on whitespace
 after cleaning and stage 6 is the final materialization of the token list.
-Preprocessor runs the stages with a memo of each word's stage 3-5 output;
-run_pipeline_trace runs them uncached and is the spec it must match.
+Stages 3-5 of one word are one function: Preprocessor memoizes its output
+tokens, and run_pipeline_trace joins each of its states over a text's words.
 
 Lexicons and stemmer rules are plain-text resources (see load_lexicon /
 load_stemmer_rules); packaged starter files live under bullyguard/data.
@@ -82,6 +82,10 @@ class PipelineConfig:
         if self.elongation_min_run < 2:
             raise ValueError(
                 f"elongation_min_run must be at least 2, got {self.elongation_min_run}")
+
+
+# The six stages in their fixed order, as run_pipeline_trace names their states.
+STAGE_NAMES = ("case_fold", "clean", "normalize", "stopwords", "stem", "tokenize")
 
 
 # ----------------------------------------------------------------------------
@@ -335,6 +339,36 @@ def stem(word: str, rules: StemmerRules, lexicon: NormalizationLexicon) -> str:
     return fallback if fallback is not None else base
 
 
+def _clean_words(text: str, config: PipelineConfig) -> tuple[str, str, list[str]]:
+    """Stages 1-2: the text after case folding, after cleaning, and the
+    cleaned text's whitespace words."""
+    folded = case_fold(text) if config.case_fold else text
+    cleaned = clean(folded) if config.clean else folded
+    return folded, cleaned, tokenize(cleaned)
+
+
+def _word_stages(
+    word: str,
+    config: PipelineConfig,
+    lexicon: NormalizationLexicon,
+    rules: StemmerRules,
+) -> tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...]]:
+    """Stages 3-5 of one cleaned word: its tokens after normalization, after
+    stopword removal and after stemming. Calls the module-level stage
+    functions, so that wrappers installed on them see every call."""
+    tokens = [word]
+    if config.normalize:
+        word = collapse_elongation(word, config.elongation_min_run)
+        tokens = [tok for tok in normalize_slang(word, lexicon).split(" ") if tok]
+    normalized = tuple(tokens)
+    if config.remove_stopwords:
+        tokens = remove_stopwords(tokens, lexicon)
+    kept = tuple(tokens)
+    if config.stem:
+        tokens = [stem(tok, rules, lexicon) for tok in tokens]
+    return normalized, kept, tuple(tokens)
+
+
 def run_pipeline(
     text: str,
     config: PipelineConfig,
@@ -353,35 +387,16 @@ def run_pipeline_trace(
 ) -> list[tuple[str, str | list[str]]]:
     """Like run_pipeline but returns the intermediate state after each stage.
 
-    Yields six (stage name, state) pairs; states are strings for stages 1-2
-    and token lists afterwards. Disabled stages pass their input through.
+    Yields six (stage name, state) pairs, named by STAGE_NAMES; states are
+    strings for stages 1-2 and token lists afterwards. Disabled stages pass
+    their input through.
     """
-    state = text
-    trace: list[tuple[str, str | list[str]]] = []
-    state = case_fold(state) if config.case_fold else state
-    trace.append(("case_fold", state))
-    state = clean(state) if config.clean else state
-    trace.append(("clean", state))
-
-    tokens = tokenize(state)
-    if config.normalize:
-        normalized: list[str] = []
-        for tok in tokens:
-            tok = collapse_elongation(tok, config.elongation_min_run)
-            normalized.extend(normalize_slang(tok, lexicon).split(" "))
-        tokens = [tok for tok in normalized if tok]
-    trace.append(("normalize", list(tokens)))
-
-    if config.remove_stopwords:
-        tokens = remove_stopwords(tokens, lexicon)
-    trace.append(("stopwords", list(tokens)))
-
-    if config.stem:
-        tokens = [stem(tok, rules, lexicon) for tok in tokens]
-    trace.append(("stem", list(tokens)))
-
-    trace.append(("tokenize", list(tokens)))
-    return trace
+    folded, cleaned, words = _clean_words(text, config)
+    states: tuple[list[str], ...] = ([], [], [])  # normalize, stopwords, stem
+    for word in words:
+        for state, tokens in zip(states, _word_stages(word, config, lexicon, rules)):
+            state.extend(tokens)
+    return list(zip(STAGE_NAMES, (folded, cleaned, *states, list(states[-1]))))
 
 
 def preprocess_corpus(
@@ -406,7 +421,6 @@ class Preprocessor:
     output tokens depend on that word alone. Each instance remembers them for
     up to _MEMO_LIMIT distinct words and then starts over; a memo is valid
     only for the config, lexicon and rules it was built with.
-    run_pipeline_trace is the uncached spec that tokens() must equal.
     """
     config: PipelineConfig
     lexicon: NormalizationLexicon
@@ -414,15 +428,12 @@ class Preprocessor:
     _memo: dict[str, tuple[str, ...]] = field(default_factory=dict, init=False, repr=False)
 
     def tokens(self, text: str) -> list[str]:
-        config = self.config
-        text = case_fold(text) if config.case_fold else text
-        text = clean(text) if config.clean else text
         memo = self._memo
         out: list[str] = []
-        for word in tokenize(text):
+        for word in _clean_words(text, self.config)[-1]:
             done = memo.get(word)
             if done is None:
-                done = self._word_tokens(word)
+                done = _word_stages(word, self.config, self.lexicon, self.rules)[-1]
                 if len(memo) >= _MEMO_LIMIT:
                     memo.clear()
                 memo[word] = done
@@ -431,17 +442,3 @@ class Preprocessor:
 
     def corpus(self, texts: list[str]) -> list[list[str]]:
         return [self.tokens(text) for text in texts]
-
-    def _word_tokens(self, word: str) -> tuple[str, ...]:
-        """Stages 3-5 of one cleaned word, through the module-level stage
-        functions (so that wrappers installed on them see every call)."""
-        config, lexicon = self.config, self.lexicon
-        tokens = [word]
-        if config.normalize:
-            word = collapse_elongation(word, config.elongation_min_run)
-            tokens = [tok for tok in normalize_slang(word, lexicon).split(" ") if tok]
-        if config.remove_stopwords:
-            tokens = remove_stopwords(tokens, lexicon)
-        if config.stem:
-            tokens = [stem(tok, self.rules, lexicon) for tok in tokens]
-        return tuple(tokens)

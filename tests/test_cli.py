@@ -17,7 +17,7 @@ from bullyguard.corpus import Label, SplitSpec, write_corpus
 from bullyguard.eval import BenchmarkConfig
 from bullyguard.features import TfidfConfig
 from bullyguard.neural import BLOCK_NAMES, TrainConfig
-from bullyguard.preprocess import PipelineConfig, run_pipeline
+from bullyguard.preprocess import PipelineConfig, default_lexicon_paths, run_pipeline
 from conftest import make_record
 
 B, N = Label.BULLYING, Label.NON_BULLYING
@@ -496,6 +496,38 @@ def test_epochs_below_1_exit_3_one_line(tmp_path, capsys, family, epochs):
     assert not model_path.exists()
 
 
+@pytest.mark.parametrize("command, family", [
+    ("train", "bilstm"), ("train", "bilstm_attention"), ("benchmark", None)])
+def test_min_freq_no_token_reaches_exit_3_one_line(tmp_path, capsys, command, family):
+    corpus = write_fixture_corpus(tmp_path)
+    config = write_config(tmp_path, FAST_MODEL_INI.replace(
+        "[model]\n", "[model]\nmin_freq = 100000\n"), name="bad.ini")
+    out_path = tmp_path / "out"
+    out = ["--out-dir", str(out_path)] if command == "benchmark" else [
+        "--family", family, "--out", str(out_path)]
+    assert main([command, "--corpus", str(corpus), "--quiet", "--config", str(config),
+                 *out]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: no token reaches min_freq=100000\n"
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("command, raw", [("train", 0), ("train", -3), ("benchmark", 0)])
+def test_max_len_cap_below_1_exit_1_one_line(tmp_path, capsys, command, raw):
+    corpus = write_fixture_corpus(tmp_path)
+    config = write_config(tmp_path, f"[model]\nmax_len_cap = {raw}\n", name="bad.ini")
+    out_path = tmp_path / "out"
+    out = ["--out-dir", str(out_path)] if command == "benchmark" else [
+        "--family", "bilstm", "--out", str(out_path)]
+    assert main([command, "--corpus", str(corpus), "--quiet", "--config", str(config),
+                 *out]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: config [model] max_len_cap: expected at least 1, got {raw}\n"
+    assert not out_path.exists()
+
+
 def test_cli_import_does_not_load_scipy():
     code = ("import sys, bullyguard.cli; "
             "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
@@ -545,6 +577,27 @@ def test_benchmark_tracer_hooks_resolve():
     needs = {need for _, _, metric_needs, _ in tracer.LAYER_METRICS for need in metric_needs}
     assert recorder.missing == set()
     assert needs | set(tracer.EXTRA_HOOKS) <= recorder.hooked
+
+
+def test_benchmark_tracer_counts_a_traced_preprocess_run(capsys, synthetic_corpus_path):
+    """The tracer's hook on run_pipeline_trace reads its result by position:
+    a traced `preprocess --trace` counts each comment once, misses no hook and
+    prints what an untraced run prints."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", PERFBENCH / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    argv = ["preprocess", "--corpus", str(synthetic_corpus_path), "--limit", "5", "--trace"]
+    assert main(argv) == 0
+    untraced = capsys.readouterr().out
+    recorder = tracer.Tracer()
+    recorder.install(tracer.package_modules())
+    try:
+        assert cli.main(argv) == 0
+    finally:
+        recorder.uninstall()
+    assert recorder.counters["preprocess.docs"] == 5
+    assert recorder.missing == set()
+    assert capsys.readouterr().out == untraced
 
 
 def test_generate_corpus_script_reproduces_the_bundled_corpus(tmp_path):
@@ -792,6 +845,10 @@ BAD_ARTIFACTS = {
     "bilstm_max_seq_len_0": ("bilstm", edit_line("max_seq_len", lambda line: "max_seq_len 0")),
     "bilstm_max_seq_len_negative": ("bilstm", edit_line(
         "max_seq_len", lambda line: "max_seq_len -2")),
+    "bilstm_use_attention_true": ("bilstm", edit_line(
+        "use_attention", lambda line: "use_attention true")),
+    "bilstm_attention_use_attention_false": ("bilstm_attention", edit_line(
+        "use_attention", lambda line: "use_attention false")),
     "lr_duplicate_token_id": ("lr", set_token_id(1, 0)),
     "lr_negative_token_id": ("lr", set_token_id(0, -1)),
 }
@@ -859,6 +916,45 @@ def test_missing_lexicon_path_exit_1(tmp_path):
     )
     corpus = write_fixture_corpus(tmp_path)
     assert main(["stats", "--corpus", str(corpus), "--config", str(config)]) == 1
+
+
+@pytest.mark.parametrize("key", cli._SCHEMA["lexicons"])
+def test_missing_lexicons_file_exit_1_one_line(tmp_path, capsys, key):
+    config = write_config(tmp_path, f"[lexicons]\n{key} = /nonexistent/{key}\n", name="bad.ini")
+    corpus = write_fixture_corpus(tmp_path)
+    assert main(["stats", "--corpus", str(corpus), "--config", str(config)]) == 1
+    assert capsys.readouterr().err == \
+        f"error: config [lexicons] {key}: file not found: /nonexistent/{key}\n"
+
+
+def test_several_missing_files_name_the_first_at_any_hash_seed(tmp_path):
+    corpus = write_fixture_corpus(tmp_path)
+    config = write_config(tmp_path, "[lexicons]\n" + "".join(
+        f"{key} = /nonexistent/{key}\n" for key in cli._SCHEMA["lexicons"]), name="bad.ini")
+    code = "import sys, bullyguard.cli as cli; sys.exit(cli.main(sys.argv[1:]))"
+    for seed in ("1", "2", "3", "4"):
+        proc = subprocess.run(
+            [sys.executable, "-c", code, "stats", "--corpus", str(corpus), "--config", str(config)],
+            env=dict(src_env(), PYTHONHASHSEED=seed), capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert proc.stderr == "error: config [lexicons] slang: file not found: /nonexistent/slang\n"
+
+
+def test_every_lexicons_key_reaches_its_loader(tmp_path):
+    paths = default_lexicon_paths()
+    assert tuple(paths) == cli._SCHEMA["lexicons"]
+    extra = {"slang": "zzq\tbanget", "stopwords": "zzq", "root_words": "zzq",
+             "stemmer_rules": "min_stem_length 4"}
+    lines = ["[lexicons]"]
+    for key, path in paths.items():
+        copy = tmp_path / path.name
+        copy.write_text(path.read_text(encoding="utf-8") + f"\n{extra[key]}\n", encoding="utf-8")
+        lines.append(f"{key} = {copy}")
+    config = write_config(tmp_path, "\n".join(lines) + "\n", name="lexicons.ini")
+    _, rt = resolve(["train", "--out", "unused", "--config", str(config)])
+    assert rt.lexicon.slang_map["zzq"] == "banget"
+    assert "zzq" in rt.lexicon.stopwords and "zzq" in rt.lexicon.root_words
+    assert rt.rules.min_stem_length == 4
 
 
 def test_unknown_config_key_exit_1(tmp_path):

@@ -96,6 +96,12 @@ def test_vocab_rejects_empty():
         build_neural_vocab([[], []])
 
 
+def test_vocab_rejects_min_freq_that_no_token_reaches():
+    assert build_neural_vocab([["a", "b", "a"]], min_freq=2).size == 3  # "a" alone is kept
+    with pytest.raises(NeuralError, match=r"^no token reaches min_freq=3$"):
+        build_neural_vocab([["a", "b", "a"]], min_freq=3)
+
+
 def test_encode_pad_spec_case():
     vocab = build_neural_vocab([["a", "c", "a", "b"]])
     vocab.max_seq_len = 4

@@ -234,8 +234,39 @@ def test_pipeline_idempotent_on_synthetic_corpus(
 
 
 # ----------------------------------------------------------------------------
-# Preprocessor: the memoized pipeline against the uncached spec
+# Preprocessor and run_pipeline_trace against an independent whole-list spec
 # ----------------------------------------------------------------------------
+
+def reference_trace(text, config, lexicon, rules):
+    """The six stage states of text, each stage applied to the whole token
+    list in turn: the spec that the per-word stages must reproduce."""
+    state = text
+    trace = []
+    state = case_fold(state) if config.case_fold else state
+    trace.append(("case_fold", state))
+    state = clean(state) if config.clean else state
+    trace.append(("clean", state))
+
+    tokens = tokenize(state)
+    if config.normalize:
+        normalized = []
+        for tok in tokens:
+            tok = collapse_elongation(tok, config.elongation_min_run)
+            normalized.extend(normalize_slang(tok, lexicon).split(" "))
+        tokens = [tok for tok in normalized if tok]
+    trace.append(("normalize", list(tokens)))
+
+    if config.remove_stopwords:
+        tokens = remove_stopwords(tokens, lexicon)
+    trace.append(("stopwords", list(tokens)))
+
+    if config.stem:
+        tokens = [stem(tok, rules, lexicon) for tok in tokens]
+    trace.append(("stem", list(tokens)))
+
+    trace.append(("tokenize", list(tokens)))
+    return trace
+
 
 # slang that collapses from an elongation, expands to several words, or
 # expands to a stopword
@@ -267,8 +298,9 @@ def test_preprocessor_equals_spec_for_all_stage_flags(default_rules, texts, min_
         config = PipelineConfig(*flags, elongation_min_run=min_run)
         prep = Preprocessor(config, MEMO_LEXICON, default_rules)
         for text in texts + texts:  # the second pass reads the memo
-            want = run_pipeline_trace(text, config, MEMO_LEXICON, default_rules)[-1][1]
-            assert prep.tokens(text) == want, (flags, text)
+            want = reference_trace(text, config, MEMO_LEXICON, default_rules)
+            assert prep.tokens(text) == want[-1][1], (flags, text)
+            assert run_pipeline_trace(text, config, MEMO_LEXICON, default_rules) == want
         assert prep.corpus(texts) == [run_pipeline(t, config, MEMO_LEXICON, default_rules)
                                       for t in texts]
 
@@ -280,8 +312,9 @@ def test_preprocessor_memo_stays_bounded(monkeypatch, default_lexicon, default_r
     words = ["makanan", "dibilang", "jelekkk", "bgt", "yang", "mempermainkan", "kamu"]
     texts = [" ".join(words[i % 7:] + words[:i % 7]) for i in range(20)] + words
     for text in texts:
-        want = run_pipeline_trace(text, config, default_lexicon, default_rules)[-1][1]
-        assert prep.tokens(text) == want
+        want = reference_trace(text, config, default_lexicon, default_rules)
+        assert prep.tokens(text) == want[-1][1]
+        assert run_pipeline_trace(text, config, default_lexicon, default_rules) == want
         assert len(prep._memo) <= 5
 
 
