@@ -11,6 +11,7 @@ Conventions shared by all three model families:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -178,6 +179,13 @@ class LinearSvmModel:
     reg_lambda: float
 
 
+@functools.lru_cache(maxsize=4)
+def _epoch_orders(seed: int, n: int, epochs: int) -> np.ndarray:
+    """train_svm's example order per epoch, read-only and shared by every
+    training with the same seed, row count and epochs (a grid search's)."""
+    return Rng(seed).permutations(n, epochs)
+
+
 def train_svm(
     X: Csr,
     labels_signed: list[int],
@@ -191,6 +199,8 @@ def train_svm(
 
     The weights are kept as scale * v (Shalev-Shwartz et al. 2011), so the
     per-step shrinkage multiplies one scalar and each step costs O(nnz).
+    Non-finite weights or a non-finite bias (a reg_lambda so small that
+    1/lambda overflows) raise TrainingError.
     """
     if reg_lambda <= 0:
         raise TrainingError(f"reg_lambda must be positive, got {reg_lambda}")
@@ -200,21 +210,19 @@ def train_svm(
         raise TrainingError("cannot train on an empty dataset")
     # each step sums its row in Python, in entry order; a numpy dot would reorder it
     bounds = X.indptr.tolist()
-    rows = [(X.indices[a:b].tolist(), X.data[a:b].tolist())
-            for a, b in zip(bounds, bounds[1:])]
+    rows = [(tuple(zip(X.indices[a:b].tolist(), X.data[a:b].tolist())), y)
+            for a, b, y in zip(bounds, bounds[1:], labels_signed)]
     v = [0.0] * X.n_features
     scale = 1.0
     bias = 0.0
     t = 0
-    order = list(range(len(X)))
-    for _ in Rng(seed).shuffles(order, epochs):
-        for idx in order:
+    for order in _epoch_orders(seed, len(X), epochs):
+        for idx in order.tolist():
             t += 1
             eta = 1.0 / (reg_lambda * t)
-            indices, values = rows[idx]
-            y = labels_signed[idx]
+            pairs, y = rows[idx]
             dot = 0.0
-            for i, x in zip(indices, values):
+            for i, x in pairs:
                 dot += x * v[i]
             margin = y * (scale * dot + bias)
             scale *= 1.0 - eta * reg_lambda
@@ -223,10 +231,14 @@ def train_svm(
                 scale = 1.0
             if margin < 1.0:
                 step = eta * y / scale
-                for i, x in zip(indices, values):
+                for i, x in pairs:
                     v[i] += step * x
                 bias += eta * y
-    return LinearSvmModel(weights=scale * np.asarray(v), bias=bias, reg_lambda=reg_lambda)
+    weights = scale * np.asarray(v)
+    if not (np.isfinite(weights).all() and math.isfinite(bias)):
+        raise TrainingError(f"SVM training diverged to non-finite weights or bias "
+                            f"at reg_lambda {reg_lambda}")
+    return LinearSvmModel(weights=weights, bias=bias, reg_lambda=reg_lambda)
 
 
 def predict_svm(X: Csr, model: LinearSvmModel) -> tuple[list[Label], np.ndarray]:

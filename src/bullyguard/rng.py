@@ -16,12 +16,17 @@ delegated to a platform RNG:
 Any change to these rules breaks seeded reproducibility and is a format break.
 
 The scalar methods (``next_u64``, ``randbelow``, ``shuffle``) are the spec
-and the test oracle. ``uniform_array`` and ``shuffles`` draw the same stream
+and the test oracle. ``uniform_array`` and ``permutations`` draw the same stream
 in bulk: the xoshiro256** step is linear over GF(2), so a block of outputs
 comes from up to 256 lanes, each started at a jump-ahead of the state and
 each giving 64 consecutive outputs, all advanced in lockstep as numpy
 ``uint64`` arrays. A block leaves the state exactly where as many scalar
 ``next_u64`` calls would.
+
+``permutations`` replaces the generator ``shuffles``: it returns the orders
+of successive shuffles as one read-only array, which a caller can keep and
+share, and leaves the state where the last shuffle would, so other draws may
+follow at once.
 """
 
 from __future__ import annotations
@@ -155,41 +160,39 @@ class Rng:
             j = self.randbelow(i + 1)
             items[i], items[j] = items[j], items[i]
 
-    def shuffles(self, items: list, count: int):
-        """Shuffle `items` in place `count` times, yielding after each shuffle.
+    def permutations(self, n: int, count: int) -> np.ndarray:
+        """The orders of `count` successive shuffles of list(range(n)).
 
-        Items and state end as after `count` calls of `shuffle`. The draws of
-        many shuffles come from one bulk draw, so while the generator runs
-        the state is ahead of the shuffles yielded so far: draw nothing else
-        from this Rng until the generator is exhausted.
+        Returns a read-only (count, n) int32 array whose row e is the list
+        after e + 1 calls of `shuffle`; the state ends as after `count` calls.
+        The draws of many shuffles come from one bulk draw; a bulk draw with
+        a rejected word is replayed with the scalar `shuffle`.
         """
-        n = len(items)
-        if n < 2:
-            for _ in range(count):
-                yield
-            return
+        out = np.tile(np.arange(n, dtype=np.int32), (count, 1))
+        items = list(range(n))
         positions = range(n - 1, 0, -1)
         # draw k of a shuffle is randbelow(n - k): words above the bound are rejected
         moduli = np.arange(n, 1, -1, dtype=np.uint64)
         accept_max = np.array([_MASK64 - (1 << 64) % m for m in range(n, 1, -1)], dtype=np.uint64)
-        per_block = max(1, _BLOCK // (n - 1))
-        while count > 0:
-            k = min(per_block, count)
-            count -= k
+        per_block = max(1, _BLOCK // max(1, n - 1))
+        for first in range(0, count if n > 1 else 0, per_block):  # fewer than 2 items draw nothing
+            rows = out[first:first + per_block]
             saved = list(self._s)
-            total = k * (n - 1)
+            total = len(rows) * (n - 1)
             words = np.concatenate([self._block(min(_BLOCK, total - start))
-                                    for start in range(0, total, _BLOCK)]).reshape(k, n - 1)
+                                    for start in range(0, total, _BLOCK)]).reshape(len(rows), n - 1)
             if (words > accept_max).any():
                 self._s = saved
-                for _ in range(k):
+                for row in rows:
                     self.shuffle(items)
-                    yield
+                    row[:] = items
                 continue
-            for js in (words % moduli).tolist():
+            for row, js in zip(rows, (words % moduli).tolist()):
                 for i, j in zip(positions, js):
                     items[i], items[j] = items[j], items[i]
-                yield
+                row[:] = items
+        out.flags.writeable = False
+        return out
 
     def uniform(self, a: float, b: float) -> float:
         return a + (b - a) * self.random()

@@ -496,6 +496,21 @@ def test_epochs_below_1_exit_3_one_line(tmp_path, capsys, family, epochs):
     assert not model_path.exists()
 
 
+@pytest.mark.parametrize("command, section, key", [
+    ("train", "model", "reg_lambda"), ("tune", "tune", "grid_reg_lambda")])
+def test_svm_non_finite_weights_exit_3_one_line(tmp_path, capsys, command, section, key):
+    corpus = write_fixture_corpus(tmp_path)
+    config = write_config(tmp_path, f"[{section}]\n{key} = 1e-320\n", name="bad.ini")
+    model_path = tmp_path / "model.txt"
+    assert main([command, "--corpus", str(corpus), "--family", "svm", "--quiet", "--folds", "2",
+                 "--out", str(model_path), "--config", str(config)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: SVM training diverged to non-finite weights or bias "
+                            "at reg_lambda 1e-320\n")
+    assert not model_path.exists()
+
+
 @pytest.mark.parametrize("command, family", [
     ("train", "bilstm"), ("train", "bilstm_attention"), ("benchmark", None)])
 def test_min_freq_no_token_reaches_exit_3_one_line(tmp_path, capsys, command, family):
@@ -596,6 +611,28 @@ def test_benchmark_tracer_counts_a_traced_preprocess_run(capsys, synthetic_corpu
     finally:
         recorder.uninstall()
     assert recorder.counters["preprocess.docs"] == 5
+    assert recorder.missing == set()
+    assert capsys.readouterr().out == untraced
+
+
+def test_benchmark_tracer_counts_a_traced_svm_training(tmp_path, capsys, synthetic_corpus_path):
+    """The tracer's hook on train_svm reads X at position 0 and epochs at
+    position 3 or by keyword: a traced `train --family svm` counts every
+    Pegasos step, misses no hook and prints what an untraced run prints."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", PERFBENCH / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    argv = ["train", "--corpus", str(synthetic_corpus_path), "--family", "svm",
+            "--out", str(tmp_path / "svm.model")]
+    assert main(argv) == 0
+    untraced = capsys.readouterr().out
+    recorder = tracer.Tracer()
+    recorder.install(tracer.package_modules())
+    try:
+        assert cli.main(argv) == 0
+    finally:
+        recorder.uninstall()
+    assert recorder.counters["linear_models.svm_steps"] == 200 * 200
     assert recorder.missing == set()
     assert capsys.readouterr().out == untraced
 

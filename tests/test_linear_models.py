@@ -5,7 +5,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import bullyguard.linear_models as lm
-from bullyguard.corpus import Label, kfold_split
+from bullyguard.corpus import Label, kfold_split, load_corpus
+from bullyguard.eval import DEFAULT_GRIDS
 from bullyguard.features import Csr, fit_tfidf, transform_all
 from bullyguard.linear_models import (
     TrainingError,
@@ -21,6 +22,7 @@ from bullyguard.linear_models import (
     train_nb,
     train_svm,
 )
+from bullyguard.preprocess import PipelineConfig, preprocess_corpus
 from bullyguard.rng import Rng
 from test_features import FLOATS, MAX_ROWS, N_COLS, ROWS, csr_rows
 
@@ -328,6 +330,13 @@ def test_svm_invalid_lambda():
         train_svm(sv([1.0]), [1], reg_lambda=0.0)
 
 
+@pytest.mark.parametrize("reg_lambda", [1e-320, 5e-324])
+def test_svm_non_finite_weights_refused(reg_lambda):
+    # 1/(lambda*t) overflows to inf at t = 1, so the first step makes the scale -inf
+    with pytest.raises(TrainingError, match=f"non-finite .* reg_lambda {reg_lambda}"):
+        train_svm(csr([[0.5, 0.25], [0.0, 1.0]]), [1, -1], reg_lambda=reg_lambda, epochs=2)
+
+
 @pytest.mark.parametrize("train", [
     lambda X, y, epochs: train_svm(X, [1 if v else -1 for v in y], epochs=epochs),
     lambda X, y, epochs: train_lr(X, y, epochs=epochs),
@@ -374,8 +383,8 @@ def assert_matches_pegasos_oracle(X, signed, reg_lambda, epochs, seed):
     return model, weights
 
 
-@pytest.mark.parametrize("case", range(40))
-def test_svm_matches_dense_pegasos_oracle(case):
+def random_svm_case(case):
+    """(X, signed labels, reg_lambda, epochs, seed) of a small random problem."""
     gen = np.random.default_rng(case)
     n, n_features = int(gen.integers(1, 13)), int(gen.integers(1, 9))
     rows = [{int(i): float(gen.uniform(0.05, 1.0))
@@ -383,8 +392,13 @@ def test_svm_matches_dense_pegasos_oracle(case):
             for _ in range(n)]
     signed = [int(s) for s in gen.choice([-1, 1], n)]
     reg_lambda = float(gen.choice([1e-4, 1e-3, 1e-2, 0.013, 0.1, 1.0]))
-    assert_matches_pegasos_oracle(csr_rows(rows, n_features), signed, reg_lambda,
-                                  int(gen.integers(1, 41)), int(gen.integers(0, 2**32)))
+    return (csr_rows(rows, n_features), signed, reg_lambda,
+            int(gen.integers(1, 41)), int(gen.integers(0, 2**32)))
+
+
+@pytest.mark.parametrize("case", range(40))
+def test_svm_matches_dense_pegasos_oracle(case):
+    assert_matches_pegasos_oracle(*random_svm_case(case))
 
 
 @pytest.mark.parametrize("reg_lambda", [0.01, 0.013])
@@ -397,6 +411,85 @@ def test_svm_first_step_scale_collapse(reg_lambda):
     assert model.weights.tobytes() == weights.tobytes()
     assert_matches_pegasos_oracle(csr([[0.5, 0.0, 0.25], [0.0, 1.0, 0.5]]), [1, -1],
                                   reg_lambda, 30, 4)
+
+
+def pegasos_reference(X, labels_signed, reg_lambda, epochs, seed):
+    """Scaled Pegasos with train_svm's arithmetic in its order, but each
+    epoch's order from the scalar Rng.shuffle of one list and each row as
+    separate index and value lists: train_svm must match it bit for bit."""
+    bounds = X.indptr.tolist()
+    rows = [(X.indices[a:b].tolist(), X.data[a:b].tolist())
+            for a, b in zip(bounds, bounds[1:])]
+    v = [0.0] * X.n_features
+    scale = 1.0
+    bias = 0.0
+    t = 0
+    rng = Rng(seed)
+    order = list(range(len(X)))
+    for _ in range(epochs):
+        rng.shuffle(order)
+        for idx in order:
+            t += 1
+            eta = 1.0 / (reg_lambda * t)
+            indices, values = rows[idx]
+            y = labels_signed[idx]
+            dot = 0.0
+            for i, x in zip(indices, values):
+                dot += x * v[i]
+            margin = y * (scale * dot + bias)
+            scale *= 1.0 - eta * reg_lambda
+            if scale < 1e-9:
+                v = [scale * w for w in v]
+                scale = 1.0
+            if margin < 1.0:
+                step = eta * y / scale
+                for i, x in zip(indices, values):
+                    v[i] += step * x
+                bias += eta * y
+    return scale * np.asarray(v), bias
+
+
+def assert_bit_identical_to_reference(X, signed, reg_lambda, epochs, seed):
+    model = train_svm(X, signed, reg_lambda=reg_lambda, epochs=epochs, seed=seed)
+    weights, bias = pegasos_reference(X, signed, reg_lambda, epochs, seed)
+    assert model.weights.tobytes() == weights.tobytes()
+    assert np.float64(model.bias).tobytes() == np.float64(bias).tobytes()
+
+
+@pytest.mark.parametrize("case", range(40))
+def test_svm_bit_identical_to_reference_random(case):
+    assert_bit_identical_to_reference(*random_svm_case(case))
+
+
+@pytest.mark.parametrize("reg_lambda", [0.01, 0.013])
+def test_svm_bit_identical_to_reference_scale_collapse(reg_lambda):
+    assert_bit_identical_to_reference(csr([[0.5, 0.0, 0.25]]), [1], reg_lambda, 1, 0)
+    assert_bit_identical_to_reference(csr([[0.5, 0.0, 0.25], [0.0, 1.0, 0.5]]), [1, -1],
+                                      reg_lambda, 30, 4)
+
+
+@pytest.fixture(scope="module")
+def bundled_folds(synthetic_corpus_path, default_lexicon, default_rules):
+    """The bundled corpus in 5 stratified folds of equal size, featurized."""
+    records = load_corpus(synthetic_corpus_path)
+    tokens = preprocess_corpus([r.text for r in records], PipelineConfig(),
+                               default_lexicon, default_rules)
+    return featurize_folds(tokens, [r.label for r in records], 5, 42)
+
+
+@pytest.mark.parametrize("reg_lambda", DEFAULT_GRIDS["svm"]["reg_lambda"])
+def test_svm_bit_identical_to_reference_on_bundled_folds(bundled_folds, reg_lambda):
+    for fold in bundled_folds:
+        signed = [1 if lab is B else -1 for lab in fold.train_labels]
+        assert_bit_identical_to_reference(fold.train, signed, reg_lambda, 200, 42)
+
+
+def test_grid_search_draws_the_epoch_orders_once(bundled_folds):
+    assert len({len(fold.train) for fold in bundled_folds}) == 1
+    lm._epoch_orders.cache_clear()
+    grid_search("svm", DEFAULT_GRIDS["svm"], bundled_folds, 42)
+    info = lm._epoch_orders.cache_info()
+    assert (info.misses, info.hits) == (1, 14)
 
 
 def test_predict_svm_tie_and_scaling():

@@ -95,7 +95,7 @@ def test_uniformity_coarse():
 
 
 # ----------------------------------------------------------------------------
-# the bulk stream: uniform_array and shuffles must replay the scalar spec
+# the bulk stream: uniform_array and permutations must replay the scalar spec
 # ----------------------------------------------------------------------------
 
 SEEDS = st.integers(min_value=0, max_value=2**64 - 1)
@@ -116,24 +116,33 @@ def test_block_equals_scalar_stream(seed):
 
 @settings(max_examples=25, deadline=None)
 @given(SEEDS, st.integers(min_value=0, max_value=300), st.integers(min_value=0, max_value=120))
-def test_shuffles_equal_repeated_shuffle(seed, n, count):
+def test_permutations_equal_repeated_shuffle(seed, n, count):
     bulk, scalar = Rng(seed), Rng(seed)
-    items, expected = list(range(n)), list(range(n))
+    orders = bulk.permutations(n, count)
+    assert orders.shape == (count, n) and orders.dtype == np.int32
+    expected = list(range(n))
     seen = []
-    for _ in bulk.shuffles(items, count):
+    for row in orders.tolist():
         scalar.shuffle(expected)
-        seen.append(items == expected)
+        seen.append(row == expected)
     assert seen == [True] * count
     assert bulk._s == scalar._s
 
 
-def test_shuffles_epochs_longer_than_a_block():
+def test_permutations_epochs_longer_than_a_block():
     bulk, scalar = Rng(3), Rng(3)
-    items, expected = list(range(16390)), list(range(16390))
-    for _ in bulk.shuffles(items, 2):
+    expected = list(range(16390))
+    for row in bulk.permutations(16390, 2).tolist():
         scalar.shuffle(expected)
-        assert items == expected
+        assert row == expected
     assert bulk._s == scalar._s
+
+
+def test_permutations_are_read_only():
+    orders = Rng(1).permutations(5, 3)
+    assert not orders.flags.writeable
+    with pytest.raises(ValueError):
+        orders[0, 0] = 4
 
 
 def uniform_array_oracle(rng, shape, a, b):
@@ -175,9 +184,9 @@ def test_rejected_draw_replays_the_scalar_shuffle(monkeypatch, rejected):
     monkeypatch.setattr(Rng, "_block", block_with_rejection)
     monkeypatch.setattr(Rng, "shuffle", counted_shuffle)
     bulk, scalar = Rng(8), Rng(8)
-    items, expected = list(range(10)), list(range(10))
-    for _ in bulk.shuffles(items, 40):
+    expected = list(range(10))
+    for row in bulk.permutations(10, 40).tolist():
         scalar.shuffle(expected)
-        assert items == expected
+        assert row == expected
     assert bulk._s == scalar._s
     assert replayed.count(True) == 40  # the whole block fell back to the scalar shuffle
