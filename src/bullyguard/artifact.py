@@ -19,6 +19,7 @@ import hashlib
 import math
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -31,20 +32,17 @@ from .linear_models import (
     NaiveBayesModel,
     predict_family,
 )
-from .neural import (
-    BLOCK_NAMES,
-    NeuralNetParams,
-    NeuralVocab,
-    block_shapes,
-    encode_batch,
-    predict_batch,
-)
 from .preprocess import (
     NormalizationLexicon,
     PipelineConfig,
     Preprocessor,
     StemmerRules,
 )
+
+# neural is imported only where a neural artifact is read or scored, so a
+# classical predict never loads it
+if TYPE_CHECKING:
+    from .neural import NeuralNetParams, NeuralVocab
 
 FORMAT_VERSION = 2  # version 2 stores one fused w, u, b per LSTM direction
 MAGIC = "bullyguard-model"
@@ -342,6 +340,42 @@ def load_artifact(path: str | Path) -> ModelArtifact:
         raise ArtifactError(f"{path}: malformed model artifact: {exc}") from exc
 
 
+def _parse_neural(cur: _Cursor, artifact: ModelArtifact) -> None:
+    """Read the [neural] header, the vocabulary and the parameter blocks
+    into artifact.neural_vocab and artifact.model."""
+    from .neural import BLOCK_NAMES, NeuralNetParams, NeuralVocab, block_shapes
+
+    cur.section("neural")
+    emb_dim = int(cur.expect_kv("embedding_dim"))
+    hidden = int(cur.expect_kv("hidden_dim"))
+    att_dim = int(cur.expect_kv("attention_dim"))
+    max_len = int(cur.expect_kv("max_seq_len"))
+    if max_len < 1:
+        raise ArtifactError(f"[neural] max_seq_len {max_len} leaves no token to classify")
+    use_att = _parse_bool(cur.expect_kv("use_attention"))
+    if use_att != (artifact.family == "bilstm_attention"):
+        raise ArtifactError(f"[neural] use_attention contradicts family {artifact.family}")
+    size = int(cur.expect_kv("vocab"))
+    if size < 2:
+        raise ArtifactError(f"[neural] vocab {size} leaves no rows for PAD and UNK")
+    token_to_id, _ = _parse_tokens(cur, "neural", size - 2, 2, 3)  # PAD, UNK implicit
+    artifact.neural_vocab = NeuralVocab(token_to_id=token_to_id, max_seq_len=max_len)
+    arrays: dict[str, np.ndarray] = {}
+    expected = block_shapes(size, emb_dim, hidden, att_dim)
+    for name in BLOCK_NAMES:
+        header = cur.next()
+        if header != f"[param {name}]":
+            raise ArtifactError(f"expected [param {name}], found {header!r}")
+        shape = tuple(int(d) for d in cur.expect_kv("shape").split(" "))
+        if shape != expected[name]:
+            raise ArtifactError(f"[param {name}] has shape {shape}, expected "
+                                f"{expected[name]} from the vocabulary and [neural] header")
+        n_rows = shape[0] if len(shape) > 1 else 1
+        rows = [_parse_floats(cur.next(), shape[-1]) for _ in range(n_rows)]
+        arrays[name] = _finite(name, np.vstack(rows).reshape(shape))
+    artifact.model = NeuralNetParams(arrays, use_att)
+
+
 def _parse_artifact(path: str | Path, text: str) -> ModelArtifact:
     cur = _Cursor(text.splitlines())
     head = cur.next().split(" ")
@@ -366,35 +400,7 @@ def _parse_artifact(path: str | Path, text: str) -> ModelArtifact:
         artifact.tfidf = _parse_tfidf(cur)
         _parse_classical(cur, artifact)
     else:
-        cur.section("neural")
-        emb_dim = int(cur.expect_kv("embedding_dim"))
-        hidden = int(cur.expect_kv("hidden_dim"))
-        att_dim = int(cur.expect_kv("attention_dim"))
-        max_len = int(cur.expect_kv("max_seq_len"))
-        if max_len < 1:
-            raise ArtifactError(f"[neural] max_seq_len {max_len} leaves no token to classify")
-        use_att = _parse_bool(cur.expect_kv("use_attention"))
-        if use_att != (family == "bilstm_attention"):
-            raise ArtifactError(f"[neural] use_attention contradicts family {family}")
-        size = int(cur.expect_kv("vocab"))
-        if size < 2:
-            raise ArtifactError(f"[neural] vocab {size} leaves no rows for PAD and UNK")
-        token_to_id, _ = _parse_tokens(cur, "neural", size - 2, 2, 3)  # PAD, UNK implicit
-        artifact.neural_vocab = NeuralVocab(token_to_id=token_to_id, max_seq_len=max_len)
-        arrays: dict[str, np.ndarray] = {}
-        expected = block_shapes(size, emb_dim, hidden, att_dim)
-        for name in BLOCK_NAMES:
-            header = cur.next()
-            if header != f"[param {name}]":
-                raise ArtifactError(f"expected [param {name}], found {header!r}")
-            shape = tuple(int(d) for d in cur.expect_kv("shape").split(" "))
-            if shape != expected[name]:
-                raise ArtifactError(f"[param {name}] has shape {shape}, expected "
-                                    f"{expected[name]} from the vocabulary and [neural] header")
-            n_rows = shape[0] if len(shape) > 1 else 1
-            rows = [_parse_floats(cur.next(), shape[-1]) for _ in range(n_rows)]
-            arrays[name] = _finite(name, np.vstack(rows).reshape(shape))
-        artifact.model = NeuralNetParams(arrays, use_att)
+        _parse_neural(cur, artifact)
     if cur.next() != "end":
         raise ArtifactError("missing end marker")
     return artifact
@@ -465,6 +471,8 @@ def predict_texts(
             shifted = np.exp(scores - scores.max(axis=1, keepdims=True))
             scores = shifted.max(axis=1) / shifted.sum(axis=1)
     else:
+        from .neural import encode_batch, predict_batch
+
         ids, lens = encode_batch(token_lists, artifact.neural_vocab)
         nonempty = np.flatnonzero(lens)
         rows = nonempty[np.argsort(lens[nonempty], kind="stable")].tolist()

@@ -3,6 +3,10 @@
 Settings come from (highest precedence first) command-line flags, an INI-style
 config file (``--config``), and built-in defaults. Exit codes: 0 success,
 1 usage or configuration error, 2 data-validation failure, 3 training failure.
+
+Each command imports what it runs: the study code (``eval``) and the neural
+network (``neural``) load only in ``benchmark`` and in a neural ``train``, and
+``neural`` also when ``predict`` reads a neural model.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ import math
 import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import __version__, linear_models
 from .artifact import (
@@ -38,23 +43,18 @@ from .corpus import (
     stratified_split,
     validate_corpus,
 )
-from .eval import (
-    DEFAULT_GRIDS,
-    BenchmarkConfig,
-    benchmark_to_dict,
-    prepare_neural_data,
-    render_benchmark_tables,
-    run_benchmark,
-)
 from .features import FeatureError, TfidfConfig, fit_tfidf, transform_all
 from .linear_models import (
     CLASSICAL_FAMILIES,
+    DEFAULT_FOLDS,
+    DEFAULT_GRIDS,
+    DEFAULT_OBJECTIVE,
+    OBJECTIVES,
     TrainingError,
     featurize_folds,
     grid_search,
     train_family,
 )
-from .neural import NeuralError, TrainConfig, train as train_neural
 from .preprocess import (
     STAGE_NAMES,
     LexiconError,
@@ -67,6 +67,10 @@ from .preprocess import (
     load_stemmer_rules,
     run_pipeline_trace,
 )
+from .rng import DEFAULT_SEED
+
+if TYPE_CHECKING:
+    from .eval import BenchmarkConfig
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -212,9 +216,9 @@ class Runtime:
 def _resolve_runtime(ns: argparse.Namespace) -> Runtime:
     config = RunConfig.load(ns.config)
     seed = (ns.seed if ns.seed is not None
-            else config.get_typed("split", "seed", BenchmarkConfig.seed))
+            else config.get_typed("split", "seed", DEFAULT_SEED))
     folds = (ns.folds if ns.folds is not None
-             else config.get_typed("split", "folds", BenchmarkConfig.folds))
+             else config.get_typed("split", "folds", DEFAULT_FOLDS))
     pipeline = _from_section(config, "pipeline", PipelineConfig)
     tfidf = _from_section(config, "tfidf", TfidfConfig)
     # p can reach exactly 0 or 1, so only an open-interval threshold splits both ways
@@ -313,6 +317,9 @@ def cmd_preprocess(ns: argparse.Namespace) -> int:
 def _study_config(rt: Runtime, **tuning) -> BenchmarkConfig:
     """The run's study settings: train's neural families read the split and
     neural ones, and benchmark adds its grids and objective as `tuning`."""
+    from .eval import BenchmarkConfig
+    from .neural import TrainConfig
+
     cfg, default = rt.config, BenchmarkConfig
     max_len_cap = cfg.get_typed("model", "max_len_cap", default.neural_max_len_cap)
     if max_len_cap < 1:  # a cap of 0 would leave no token to classify
@@ -363,6 +370,9 @@ def _train_artifact(rt: Runtime, prep: Preprocessor, records, family: str,
         base.preprocessing_fp = preprocessing_fingerprint(rt.pipeline, rt.lexicon, rt.rules)
         return base
     # neural families: split for early stopping, drop empty documents
+    from .eval import prepare_neural_data
+    from .neural import train as train_neural
+
     study = _study_config(rt)
     train_recs, val_recs, _ = stratified_split(records, study.split)
     data = prepare_neural_data(train_recs, val_recs, prep, study)
@@ -403,12 +413,20 @@ def _tune_grid(rt: Runtime, family: str) -> dict[str, list]:
             for param, values in DEFAULT_GRIDS[family].items()}
 
 
+def _objective(rt: Runtime) -> str:
+    objective = rt.config.get("tune", "objective", DEFAULT_OBJECTIVE)
+    if objective not in OBJECTIVES:
+        raise ConfigError(f"config [tune] objective: expected one of "
+                          f"{', '.join(OBJECTIVES)}, got {objective!r}")
+    return objective
+
+
 def cmd_tune(ns: argparse.Namespace) -> int:
     rt = _resolve_runtime(ns)
     records = _load_records(ns, rt)
     family = _family(ns, rt)
     grid = _tune_grid(rt, family)
-    objective = rt.config.get("tune", "objective", BenchmarkConfig.objective)
+    objective = _objective(rt)
     prep = Preprocessor(rt.pipeline, rt.lexicon, rt.rules)
     tokens = prep.corpus([r.text for r in records])
     folds = featurize_folds(tokens, [rec.label for rec in records], rt.folds, rt.seed, rt.tfidf)
@@ -478,11 +496,13 @@ def cmd_predict(ns: argparse.Namespace) -> int:
 
 
 def cmd_benchmark(ns: argparse.Namespace) -> int:
+    from .eval import benchmark_to_dict, render_benchmark_tables, run_benchmark
+
     rt = _resolve_runtime(ns)
     records = _load_records(ns, rt)
     config = _study_config(
         rt, grids={family: _tune_grid(rt, family) for family in CLASSICAL_FAMILIES},
-        objective=rt.config.get("tune", "objective", BenchmarkConfig.objective),
+        objective=_objective(rt),
     )
     report = run_benchmark(records, config, rt.lexicon, rt.rules)
     out_dir = Path(ns.out_dir or rt.config.get("output", "dir", "benchmark_out"))
@@ -517,8 +537,9 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="INI config file")
-    common.add_argument("--seed", type=int, help="random seed (default 42)")
-    common.add_argument("--folds", type=int, help="cross-validation folds (default 5)")
+    common.add_argument("--seed", type=int, help=f"random seed (default {DEFAULT_SEED})")
+    common.add_argument("--folds", type=int,
+                        help=f"cross-validation folds (default {DEFAULT_FOLDS})")
     common.add_argument("--quiet", action="store_true", help="suppress informational output")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -580,7 +601,7 @@ def main(argv: list[str] | None = None) -> int:
     except CorpusError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (FeatureError, TrainingError, NeuralError) as exc:
+    except (FeatureError, TrainingError) as exc:  # neural.NeuralError is a TrainingError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_TRAINING
     except ValueError as exc:

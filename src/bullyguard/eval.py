@@ -23,6 +23,9 @@ from .corpus import CLASS_ORDER, CommentRecord, Label, SplitSpec, majority_label
 from .features import TfidfConfig
 from .linear_models import (
     CLASSICAL_FAMILIES,
+    DEFAULT_FOLDS,
+    DEFAULT_GRIDS,
+    DEFAULT_OBJECTIVE,
     GridSearchResult,
     TrainingError,
     featurize_folds,
@@ -46,15 +49,10 @@ from .preprocess import (
     StemmerRules,
     preprocess_corpus,
 )
+from .rng import DEFAULT_SEED
 
 ML_ROW_NAMES = {"nb": "Naive Bayes", "lr": "Logistic Regression", "svm": "SVM"}
 DL_ROW_NAMES = {False: "BiLSTM", True: "BiLSTM+Attention"}
-
-DEFAULT_GRIDS: dict[str, dict[str, list]] = {
-    "nb": {"alpha": [0.1, 0.5, 1.0, 2.0]},
-    "lr": {"l2_lambda": [1e-4, 1e-3, 1e-2]},
-    "svm": {"reg_lambda": [1e-4, 1e-3, 1e-2]},
-}
 
 
 @dataclass(frozen=True)
@@ -176,13 +174,13 @@ def prepare_neural_data(
 
 @dataclass(frozen=True)
 class BenchmarkConfig:
-    folds: int = 5
-    seed: int = 42
+    folds: int = DEFAULT_FOLDS
+    seed: int = DEFAULT_SEED
     split: SplitSpec | None = None          # defaults to SplitSpec(seed=seed)
     pipeline: PipelineConfig = field(default_factory=PipelineConfig)
     tfidf: TfidfConfig = field(default_factory=TfidfConfig)
     grids: dict[str, dict[str, list]] = field(default_factory=lambda: DEFAULT_GRIDS)
-    objective: str = "f1_weighted"
+    objective: str = DEFAULT_OBJECTIVE
     neural: TrainConfig | None = None       # defaults to TrainConfig(seed=seed)
     neural_keep_function_words: bool = False  # skip stopword/stem stages for the DL track
     neural_min_freq: int = 1

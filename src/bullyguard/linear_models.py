@@ -21,11 +21,26 @@ import numpy as np
 from .corpus import CLASS_ORDER, Label, kfold_split
 from .features import Csr, TfidfConfig, fit_tfidf, transform_all
 from .metrics import MetricsReport, evaluate
-from .rng import Rng
+from .rng import DEFAULT_SEED, Rng
 
 
 class TrainingError(Exception):
     """Invalid training request or diverged optimization."""
+
+
+CLASSICAL_FAMILIES = ("nb", "lr", "svm")  # the study's TF-IDF models
+
+# The study's tuning defaults: the cross-validation folds, each family's
+# grid, and the objective grid_search selects by.
+DEFAULT_FOLDS = 5
+DEFAULT_GRIDS: dict[str, dict[str, list]] = {
+    "nb": {"alpha": [0.1, 0.5, 1.0, 2.0]},
+    "lr": {"l2_lambda": [1e-4, 1e-3, 1e-2]},
+    "svm": {"reg_lambda": [1e-4, 1e-3, 1e-2]},
+}
+DEFAULT_OBJECTIVE = "f1_weighted"
+# Each objective grid_search can score by, and the MetricsReport field it reads.
+OBJECTIVES = {"f1_weighted": "weighted_f1", "f1_macro": "macro_f1", "accuracy": "accuracy"}
 
 
 # ----------------------------------------------------------------------------
@@ -179,6 +194,11 @@ class LinearSvmModel:
     reg_lambda: float
 
 
+# train_svm refuses a weight or bias above this magnitude: a reg_lambda so
+# small that Pegasos's first steps (eta = 1/(lambda t)) blow the model up.
+SVM_MAX_MAGNITUDE = 1e12
+
+
 @functools.lru_cache(maxsize=4)
 def _epoch_orders(seed: int, n: int, epochs: int) -> np.ndarray:
     """train_svm's example order per epoch, read-only and shared by every
@@ -191,7 +211,7 @@ def train_svm(
     labels_signed: list[int],
     reg_lambda: float = 1e-3,
     epochs: int = 200,
-    seed: int = 42,
+    seed: int = DEFAULT_SEED,
 ) -> LinearSvmModel:
     """Pegasos: step size 1/(lambda*t), example order reshuffled per epoch
     with the pinned PRNG. The bias follows the subgradient without
@@ -199,8 +219,8 @@ def train_svm(
 
     The weights are kept as scale * v (Shalev-Shwartz et al. 2011), so the
     per-step shrinkage multiplies one scalar and each step costs O(nnz).
-    Non-finite weights or a non-finite bias (a reg_lambda so small that
-    1/lambda overflows) raise TrainingError.
+    A non-finite weight or bias (a reg_lambda so small that 1/lambda
+    overflows), or one above SVM_MAX_MAGNITUDE, raises TrainingError.
     """
     if reg_lambda <= 0:
         raise TrainingError(f"reg_lambda must be positive, got {reg_lambda}")
@@ -238,6 +258,9 @@ def train_svm(
     if not (np.isfinite(weights).all() and math.isfinite(bias)):
         raise TrainingError(f"SVM training diverged to non-finite weights or bias "
                             f"at reg_lambda {reg_lambda}")
+    if max(np.abs(weights).max(initial=0.0), abs(bias)) > SVM_MAX_MAGNITUDE:
+        raise TrainingError(f"SVM training diverged to weights or bias above "
+                            f"{SVM_MAX_MAGNITUDE:g} in magnitude at reg_lambda {reg_lambda}")
     return LinearSvmModel(weights=weights, bias=bias, reg_lambda=reg_lambda)
 
 
@@ -250,9 +273,6 @@ def predict_svm(X: Csr, model: LinearSvmModel) -> tuple[list[Label], np.ndarray]
 # ----------------------------------------------------------------------------
 # grid search
 # ----------------------------------------------------------------------------
-
-CLASSICAL_FAMILIES = ("nb", "lr", "svm")  # the study's TF-IDF models
-
 
 @dataclass
 class GridSearchResult:
@@ -271,7 +291,8 @@ class FeaturizedFold:
     test_labels: list[Label]
 
 
-def train_family(family: str, X: Csr, labels: list[Label], params: dict, seed: int = 42):
+def train_family(family: str, X: Csr, labels: list[Label], params: dict,
+                 seed: int = DEFAULT_SEED):
     """Dispatch to the family trainer with Label lists as the common input.
 
     params are the trainer's keyword arguments; any it leaves out keep the
@@ -301,13 +322,8 @@ def predict_family(
 
 
 def _objective_value(report: MetricsReport, objective: str) -> float:
-    values = {
-        "f1_weighted": report.weighted_f1,
-        "f1_macro": report.macro_f1,
-        "accuracy": report.accuracy,
-    }
     try:
-        return values[objective]
+        return getattr(report, OBJECTIVES[objective])
     except KeyError:
         raise TrainingError(f"unknown objective {objective!r}") from None
 
@@ -369,7 +385,7 @@ def grid_search(
     param_grid: dict[str, list],
     folds: list[FeaturizedFold],
     seed: int,
-    objective: str = "f1_weighted",
+    objective: str = DEFAULT_OBJECTIVE,
 ) -> GridSearchResult:
     """Exhaustive search over the grid, scored by cross validation on `folds`.
 

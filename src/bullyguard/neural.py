@@ -19,14 +19,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .rng import Rng
+from .linear_models import TrainingError
+from .rng import DEFAULT_SEED, Rng
 
 PAD_ID = 0
 UNK_ID = 1
 
 
-class NeuralError(Exception):
-    """Invalid neural-network request or diverged training."""
+class NeuralError(TrainingError):
+    """Invalid neural-network request or diverged training. A TrainingError,
+    so the CLI maps it to exit 3 without loading this module."""
 
 
 # ----------------------------------------------------------------------------
@@ -151,7 +153,7 @@ class TrainConfig:
     max_epochs: int = 15
     patience: int = 3
     min_improvement: float = 1e-4
-    seed: int = 42
+    seed: int = DEFAULT_SEED
 
     def __post_init__(self):
         positive = {

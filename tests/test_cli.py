@@ -14,7 +14,6 @@ from bullyguard import cli, linear_models
 from bullyguard.artifact import ArtifactError, load_artifact, predict_text
 from bullyguard.cli import PREDICT_CHUNK_LINES, main
 from bullyguard.corpus import Label, SplitSpec, write_corpus
-from bullyguard.eval import BenchmarkConfig
 from bullyguard.features import TfidfConfig
 from bullyguard.neural import BLOCK_NAMES, TrainConfig
 from bullyguard.preprocess import PipelineConfig, default_lexicon_paths, run_pipeline
@@ -511,6 +510,42 @@ def test_svm_non_finite_weights_exit_3_one_line(tmp_path, capsys, command, secti
     assert not model_path.exists()
 
 
+@pytest.mark.parametrize("command, section, key", [
+    ("train", "model", "reg_lambda"), ("tune", "tune", "grid_reg_lambda")])
+def test_svm_huge_weights_exit_3_one_line(tmp_path, capsys, command, section, key):
+    # the first Pegasos step is 1/lambda: 1e300, finite but no usable score
+    corpus = write_fixture_corpus(tmp_path)
+    config = write_config(tmp_path, f"[{section}]\n{key} = 1e-300\n", name="bad.ini")
+    model_path = tmp_path / "model.txt"
+    assert main([command, "--corpus", str(corpus), "--family", "svm", "--quiet", "--folds", "2",
+                 "--out", str(model_path), "--config", str(config)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: SVM training diverged to weights or bias above 1e+12 "
+                            "in magnitude at reg_lambda 1e-300\n")
+    assert not model_path.exists()
+
+
+@pytest.mark.parametrize("command, family", [
+    ("tune", "nb"), ("tune", "lr"), ("tune", "svm"), ("benchmark", None)])
+def test_unknown_objective_exit_1_one_line(tmp_path, capsys, monkeypatch, command, family):
+    def no_preprocessing(self, texts):
+        raise AssertionError("preprocessed before the objective was checked")
+    monkeypatch.setattr(cli.Preprocessor, "corpus", no_preprocessing)
+    corpus = write_fixture_corpus(tmp_path)
+    config = write_config(tmp_path, "[tune]\nobjective = roc_auc\n", name="bad.ini")
+    out_path = tmp_path / "out"
+    out = ["--out-dir", str(out_path)] if command == "benchmark" else [
+        "--family", family, "--out", str(out_path)]
+    assert main([command, "--corpus", str(corpus), "--quiet", "--config", str(config),
+                 *out]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: config [tune] objective: expected one of f1_weighted, "
+                            "f1_macro, accuracy, got 'roc_auc'\n")
+    assert not out_path.exists()
+
+
 @pytest.mark.parametrize("command, family", [
     ("train", "bilstm"), ("train", "bilstm_attention"), ("benchmark", None)])
 def test_min_freq_no_token_reaches_exit_3_one_line(tmp_path, capsys, command, family):
@@ -681,7 +716,7 @@ def run_settings(config):
     ns, rt = resolve(["train", "--out", "unused"] + (["--config", str(config)] if config else []))
     study = cli._study_config(
         rt, grids={f: cli._tune_grid(rt, f) for f in linear_models.CLASSICAL_FAMILIES},
-        objective=rt.config.get("tune", "objective", BenchmarkConfig.objective))
+        objective=cli._objective(rt))
     trainers = {}
     for family in linear_models.CLASSICAL_FAMILIES:
         signature = inspect.signature(getattr(linear_models, f"train_{family}"))
@@ -925,6 +960,118 @@ def test_import_and_predict_build_no_jump_table(tmp_path, trained_models):
                           env=src_env(), capture_output=True, text=True, check=True)
     assert proc.stdout.splitlines()[0] == "0"
     assert proc.stderr == "0\n"
+
+
+# ----------------------------------------------------------------------------
+# what each command loads: a classical run never compiles the neural or study code
+# ----------------------------------------------------------------------------
+
+LOADED_MODULES = (
+    "import sys\n"
+    "from bullyguard import cli\n"
+    "code = cli.main(sys.argv[1:])\n"
+    "print(' '.join(sorted(m for m in sys.modules if m.startswith('bullyguard.'))))\n"
+    "sys.exit(code)\n"
+)
+
+
+def loaded_modules(args) -> set[str]:
+    """The bullyguard modules a fresh process has loaded after cli.main(args),
+    which must return 0."""
+    proc = subprocess.run([sys.executable, "-c", LOADED_MODULES, *map(str, args)],
+                          env=src_env(), capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+@pytest.fixture(scope="module")
+def bundled_models(tmp_path_factory, synthetic_corpus_path):
+    """One artifact per family, trained on the bundled corpus."""
+    tmp = tmp_path_factory.mktemp("bundled")
+    config = write_config(tmp)
+    models = {}
+    for family in ("nb", "lr", "svm", "bilstm", "bilstm_attention"):
+        models[family] = tmp / f"{family}.model"
+        assert main(["train", "--corpus", str(synthetic_corpus_path), "--family", family,
+                     "--config", str(config), "--out", str(models[family]), "--quiet"]) == 0
+    return models
+
+
+NEURAL, STUDY = "bullyguard.neural", "bullyguard.eval"
+
+
+@pytest.mark.parametrize("family, unloaded", [
+    ("nb", {NEURAL, STUDY}), ("lr", {NEURAL, STUDY}), ("svm", {NEURAL, STUDY}),
+    ("bilstm", {STUDY}), ("bilstm_attention", {STUDY})])
+def test_predict_loads_only_its_family(tmp_path, bundled_models, family, unloaded):
+    lines = tmp_path / "input.txt"
+    lines.write_text("dasar jelek banget\nkamu keren bagus\n\n", encoding="utf-8")
+    loaded = loaded_modules(["predict", "--model", bundled_models[family], "--input", lines])
+    assert "bullyguard.artifact" in loaded and not loaded & unloaded
+
+
+@pytest.mark.parametrize("args", [
+    ["stats"], ["preprocess"],
+    *(["train", "--family", family] for family in linear_models.CLASSICAL_FAMILIES),
+    *(["tune", "--family", family] for family in linear_models.CLASSICAL_FAMILIES)],
+    ids=lambda args: "-".join(arg for arg in args if not arg.startswith("--")))
+def test_classical_commands_load_no_neural_or_study_code(tmp_path, synthetic_corpus_path, args):
+    out = ["--out", tmp_path / "model.txt"] if args[0] in ("train", "tune") else []
+    loaded = loaded_modules([*args, "--corpus", synthetic_corpus_path, "--quiet", *out])
+    assert "bullyguard.preprocess" in loaded and not loaded & {NEURAL, STUDY}
+
+
+@pytest.mark.parametrize("args", [["train", "--family", "bilstm_attention"], ["benchmark"]],
+                         ids=["train-bilstm_attention", "benchmark"])
+def test_neural_train_and_benchmark_load_what_they_run(tmp_path, args):
+    corpus = write_fixture_corpus(tmp_path)
+    config = write_config(tmp_path, FAST_MODEL_INI + "\n[tune]\ngrid_alpha = 1.0\n"
+                          "grid_l2_lambda = 0.001\ngrid_reg_lambda = 0.001\n")
+    out = (["--out-dir", tmp_path / "reports"] if args[0] == "benchmark"
+           else ["--out", tmp_path / "model.txt"])
+    loaded = loaded_modules([*args, "--corpus", corpus, "--config", config, "--folds", "2",
+                             "--quiet", *out])
+    assert {NEURAL, STUDY} <= loaded
+
+
+def run_module_cli(args) -> subprocess.CompletedProcess:
+    """`python -m bullyguard.cli args` in a fresh process: each module loads
+    only when the command reaches it."""
+    return subprocess.run([sys.executable, "-m", "bullyguard.cli", *map(str, args)],
+                          env=src_env(), capture_output=True, text=True, timeout=300)
+
+
+def wrong_block_shape(lines):
+    """Artifact edit: [param head.b] declares 3 rows of output instead of 2."""
+    i = lines.index("[param head.b]")
+    return lines[:i + 1] + ["shape 3"] + lines[i + 2:]
+
+
+@pytest.mark.parametrize("case", ["neural_min_freq", "neural_block_shape", "svm_reg_lambda"])
+def test_exit_codes_hold_when_the_raising_module_loads_late(tmp_path, trained_models, case):
+    corpus = write_fixture_corpus(tmp_path)
+    if case == "neural_min_freq":
+        config = write_config(tmp_path, FAST_MODEL_INI.replace(
+            "[model]\n", "[model]\nmin_freq = 100000\n"), name="bad.ini")
+        args, code = ["train", "--family", "bilstm", "--corpus", corpus, "--config", config,
+                      "--out", tmp_path / "m.txt"], 3
+    elif case == "neural_block_shape":
+        model = tmp_path / "bad.model"
+        lines = trained_models["bilstm"].read_text(encoding="utf-8").splitlines()
+        model.write_text("\n".join(wrong_block_shape(lines)) + "\n", encoding="utf-8")
+        text = tmp_path / "input.txt"
+        text.write_text("halo bodoh jelek anjing\n", encoding="utf-8")
+        args, code = ["predict", "--model", model, "--input", text], 1
+    else:
+        config = write_config(tmp_path, "[model]\nreg_lambda = 1e-320\n", name="bad.ini")
+        args, code = ["train", "--family", "svm", "--corpus", corpus, "--config", config,
+                      "--out", tmp_path / "m.txt"], 3
+    proc = run_module_cli([*args, "--quiet"])
+    assert proc.returncode == code
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "m.txt").exists()
 
 
 def test_predict_fingerprint_mismatch(tmp_path, capsys):

@@ -6,9 +6,10 @@ from hypothesis import example, given, settings, strategies as st
 
 import bullyguard.linear_models as lm
 from bullyguard.corpus import Label, kfold_split, load_corpus
-from bullyguard.eval import DEFAULT_GRIDS
 from bullyguard.features import Csr, fit_tfidf, transform_all
 from bullyguard.linear_models import (
+    DEFAULT_GRIDS,
+    SVM_MAX_MAGNITUDE,
     TrainingError,
     expand_grid,
     featurize_folds,
@@ -335,6 +336,21 @@ def test_svm_non_finite_weights_refused(reg_lambda):
     # 1/(lambda*t) overflows to inf at t = 1, so the first step makes the scale -inf
     with pytest.raises(TrainingError, match=f"non-finite .* reg_lambda {reg_lambda}"):
         train_svm(csr([[0.5, 0.25], [0.0, 1.0]]), [1, -1], reg_lambda=reg_lambda, epochs=2)
+
+
+@pytest.mark.parametrize("reg_lambda", [1e-300, 1e-20])
+def test_svm_huge_weights_refused(reg_lambda):
+    # the first step is 1/lambda: finite, but far above any usable weight
+    with pytest.raises(TrainingError, match=f"above 1e\\+12 in magnitude at reg_lambda {reg_lambda}$"):
+        train_svm(csr([[0.5, 0.25], [0.0, 1.0]]), [1, -1], reg_lambda=reg_lambda, epochs=2)
+
+
+def test_svm_weights_at_the_default_grid_stay_far_below_the_bound(bundled_folds):
+    for reg_lambda in DEFAULT_GRIDS["svm"]["reg_lambda"]:
+        for fold in bundled_folds:
+            model = train_svm(fold.train, [1 if lab is B else -1 for lab in fold.train_labels],
+                              reg_lambda=reg_lambda)
+            assert max(np.abs(model.weights).max(), abs(model.bias)) < SVM_MAX_MAGNITUDE * 1e-6
 
 
 @pytest.mark.parametrize("train", [
