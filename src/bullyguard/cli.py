@@ -18,6 +18,7 @@ import itertools
 import json
 import math
 import sys
+import time
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -70,7 +71,7 @@ from .preprocess import (
 from .rng import DEFAULT_SEED
 
 if TYPE_CHECKING:
-    from .eval import BenchmarkConfig
+    from .neural import TrainConfig
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -263,6 +264,33 @@ def _load_records(ns: argparse.Namespace, rt: Runtime):
     return load_corpus(_corpus_path(ns, rt), rt.delimiter, rt.column_map or None)
 
 
+def _out_file(raw: str) -> Path:
+    """The --out path, refused before any work if it cannot be written."""
+    path = Path(raw)
+    if path.is_dir():
+        raise ConfigError(f"--out {path}: is a directory")
+    if not path.parent.is_dir():
+        raise ConfigError(f"--out {path}: directory not found: {path.parent}")
+    return path
+
+
+def _out_dir(ns: argparse.Namespace, rt: Runtime) -> Path:
+    """The report directory, refused before any work if a file stands where
+    it or the nearest of its parents that exists should be a directory."""
+    path = Path(ns.out_dir or rt.config.get("output", "dir", "benchmark_out"))
+    existing = next(p for p in (path, *path.parents) if p.exists())
+    if not existing.is_dir():
+        raise ConfigError(f"--out-dir {path}: not a directory: {existing}")
+    return path
+
+
+def _study_folds(rt: Runtime) -> int:
+    """The cross-validation folds of tune and benchmark."""
+    if rt.folds < 2:
+        raise ConfigError(f"--folds / [split] folds: expected at least 2, got {rt.folds}")
+    return rt.folds
+
+
 def _say(rt: Runtime, message: str) -> None:
     if not rt.quiet:
         print(message)
@@ -290,6 +318,10 @@ def cmd_stats(ns: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# one TSV row per comment: a tab or any str.splitlines line boundary becomes a space
+_TSV_BLANKS = str.maketrans(dict.fromkeys("\t\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029", " "))
+
+
 def cmd_preprocess(ns: argparse.Namespace) -> int:
     if ns.limit is not None and ns.limit < 0:  # a negative slice would drop the last comments
         raise ConfigError(f"--limit must be 0 or more, got {ns.limit}")
@@ -297,43 +329,35 @@ def cmd_preprocess(ns: argparse.Namespace) -> int:
     records = _load_records(ns, rt)
     if ns.limit is not None:
         records = records[: ns.limit]
-    if ns.trace:
-        print("raw\t" + "\t".join(STAGE_NAMES))
-    else:
-        print("raw\tprocessed")
+    print("raw\t" + "\t".join(STAGE_NAMES if ns.trace else ["processed"]))
     for rec in records:
         trace = run_pipeline_trace(rec.text, rt.pipeline, rt.lexicon, rt.rules)
-        if ns.trace:
-            cells = [
-                state if isinstance(state, str) else " ".join(state)
-                for _, state in trace
-            ]
-            print(rec.text.replace("\t", " ") + "\t" + "\t".join(cells))
-        else:
-            print(rec.text.replace("\t", " ") + "\t" + " ".join(trace[-1][1]))
+        states = [state if isinstance(state, str) else " ".join(state)
+                  for _, state in (trace if ns.trace else trace[-1:])]
+        print("\t".join(cell.translate(_TSV_BLANKS) for cell in [rec.text, *states]))
     return EXIT_OK
 
 
-def _study_config(rt: Runtime, **tuning) -> BenchmarkConfig:
-    """The run's study settings: train's neural families read the split and
-    neural ones, and benchmark adds its grids and objective as `tuning`."""
-    from .eval import BenchmarkConfig
+def _neural_config(rt: Runtime) -> TrainConfig:
+    """The run's neural settings: the [model] keys that name TrainConfig
+    fields, and [pipeline] neural_keep_function_words."""
     from .neural import TrainConfig
 
-    cfg, default = rt.config, BenchmarkConfig
-    max_len_cap = cfg.get_typed("model", "max_len_cap", default.neural_max_len_cap)
-    if max_len_cap < 1:  # a cap of 0 would leave no token to classify
-        raise ConfigError(f"config [model] max_len_cap: expected at least 1, got {max_len_cap}")
-    return BenchmarkConfig(
-        folds=rt.folds, seed=rt.seed, pipeline=rt.pipeline, tfidf=rt.tfidf,
-        split=_from_section(cfg, "split", SplitSpec, seed=rt.seed),
-        neural_keep_function_words=cfg.get_typed(
-            "pipeline", "neural_keep_function_words", default.neural_keep_function_words),
-        neural_min_freq=cfg.get_typed("model", "min_freq", default.neural_min_freq),
-        neural_max_len_cap=max_len_cap,
-        neural=_from_section(cfg, "model", TrainConfig, seed=rt.seed),
-        **tuning,
-    )
+    config = _from_section(
+        rt.config, "model", TrainConfig, seed=rt.seed,
+        keep_function_words=rt.config.get_typed(
+            "pipeline", "neural_keep_function_words", TrainConfig.keep_function_words))
+    # a cap of 0 would leave no token to classify; a min_freq below 1 keeps
+    # the same tokens as 1
+    for key in ("min_freq", "max_len_cap"):
+        if getattr(config, key) < 1:
+            raise ConfigError(f"config [model] {key}: expected at least 1, "
+                              f"got {getattr(config, key)}")
+    return config
+
+
+def _split(rt: Runtime) -> SplitSpec:
+    return _from_section(rt.config, "split", SplitSpec, seed=rt.seed)
 
 
 def _model_params(rt: Runtime, family: str) -> dict:
@@ -373,14 +397,14 @@ def _train_artifact(rt: Runtime, prep: Preprocessor, records, family: str,
     from .eval import prepare_neural_data
     from .neural import train as train_neural
 
-    study = _study_config(rt)
-    train_recs, val_recs, _ = stratified_split(records, study.split)
-    data = prepare_neural_data(train_recs, val_recs, prep, study)
+    neural = _neural_config(rt)
+    train_recs, val_recs, _ = stratified_split(records, _split(rt))
+    data = prepare_neural_data(train_recs, val_recs, prep, neural)
     dropped = data.n_dropped_train + data.n_dropped_val
     if dropped:
         print(f"note: dropped {dropped} empty documents from neural training", file=sys.stderr)
     params_out, trace = train_neural(
-        family == "bilstm_attention", data.train, data.val, study.neural, data.vocab.size,
+        family == "bilstm_attention", data.train, data.val, neural, data.vocab.size,
     )
     _say(rt, f"stopped after epoch {trace.stopped_epoch}, best epoch {trace.best_epoch}")
     base.pipeline = data.prep.config
@@ -397,11 +421,12 @@ def _family(ns: argparse.Namespace, rt: Runtime) -> str:
 
 def cmd_train(ns: argparse.Namespace) -> int:
     rt = _resolve_runtime(ns)
+    out = _out_file(ns.out)
     records = _load_records(ns, rt)
     family = _family(ns, rt)
     artifact = _train_artifact(rt, Preprocessor(rt.pipeline, rt.lexicon, rt.rules),
                                records, family, None)
-    save_artifact(artifact, ns.out)
+    save_artifact(artifact, out)
     _say(rt, f"wrote {family} model to {ns.out}")
     return EXIT_OK
 
@@ -423,16 +448,18 @@ def _objective(rt: Runtime) -> str:
 
 def cmd_tune(ns: argparse.Namespace) -> int:
     rt = _resolve_runtime(ns)
-    records = _load_records(ns, rt)
     family = _family(ns, rt)
     grid = _tune_grid(rt, family)
     objective = _objective(rt)
+    k = _study_folds(rt)
+    out = _out_file(ns.out)
+    records = _load_records(ns, rt)
     prep = Preprocessor(rt.pipeline, rt.lexicon, rt.rules)
     tokens = prep.corpus([r.text for r in records])
-    folds = featurize_folds(tokens, [rec.label for rec in records], rt.folds, rt.seed, rt.tfidf)
+    folds = featurize_folds(tokens, [rec.label for rec in records], k, rt.seed, rt.tfidf)
     result = grid_search(family, grid, folds, rt.seed, objective)
     _say(rt, f"grid search over {len(result.per_candidate)} candidates "
-             f"({rt.folds}-fold CV, objective {objective})")
+             f"({k}-fold CV, objective {objective})")
     for params, scores in result.per_candidate:
         mean = sum(scores) / len(scores)
         marker = " *" if params == result.best_params else ""
@@ -441,7 +468,7 @@ def cmd_tune(ns: argparse.Namespace) -> int:
     _say(rt, f"best: {result.best_params} (mean {result.best_score:.4f})")
     artifact = _train_artifact(rt, prep, records, family,
                                {**_model_params(rt, family), **result.best_params})
-    save_artifact(artifact, ns.out)
+    save_artifact(artifact, out)
     _say(rt, f"wrote tuned {family} model to {ns.out}")
     return EXIT_OK
 
@@ -496,26 +523,27 @@ def cmd_predict(ns: argparse.Namespace) -> int:
 
 
 def cmd_benchmark(ns: argparse.Namespace) -> int:
-    from .eval import benchmark_to_dict, render_benchmark_tables, run_benchmark
+    from .eval import BenchmarkConfig, render_benchmark_tables, run_benchmark
 
     rt = _resolve_runtime(ns)
-    records = _load_records(ns, rt)
-    config = _study_config(
-        rt, grids={family: _tune_grid(rt, family) for family in CLASSICAL_FAMILIES},
-        objective=_objective(rt),
+    config = BenchmarkConfig(
+        folds=_study_folds(rt), seed=rt.seed, split=_split(rt),
+        pipeline=rt.pipeline, tfidf=rt.tfidf,
+        grids={family: _tune_grid(rt, family) for family in CLASSICAL_FAMILIES},
+        objective=_objective(rt), neural=_neural_config(rt),
     )
+    out_dir = _out_dir(ns, rt)
+    records = _load_records(ns, rt)
+    started = time.perf_counter()
     report = run_benchmark(records, config, rt.lexicon, rt.rules)
-    out_dir = Path(ns.out_dir or rt.config.get("output", "dir", "benchmark_out"))
+    elapsed = time.perf_counter() - started
     out_dir.mkdir(parents=True, exist_ok=True)
     tables = render_benchmark_tables(report)
     (out_dir / "benchmark_tables.txt").write_text(tables, encoding="utf-8")
     (out_dir / "benchmark_report.json").write_text(
-        json.dumps(benchmark_to_dict(report), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
+        json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     _say(rt, tables)
-    print(f"benchmark finished in {report.elapsed_seconds:.1f}s; "
-          f"reports in {out_dir}", file=sys.stderr)
+    print(f"benchmark finished in {elapsed:.1f}s; reports in {out_dir}", file=sys.stderr)
     return EXIT_OK
 
 
@@ -604,7 +632,7 @@ def main(argv: list[str] | None = None) -> int:
     except (FeatureError, TrainingError) as exc:  # neural.NeuralError is a TrainingError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_TRAINING
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # OSError: an output that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

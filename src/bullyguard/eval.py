@@ -6,15 +6,14 @@ training portion (fold featurizers fitted on fold-training documents only),
 while the two neural models use the static 80/10/10 split with early stopping
 on the validation part and are scored once on the test part.
 
-Report rendering is fully deterministic for a given seed: wall-clock timing
-is kept on the in-memory report but never written into the rendered tables or
-the machine-readable document.
+The benchmark returns its report as the JSON-ready document that the
+``benchmark`` command writes, and the tables render from that document; both
+are deterministic for a given seed.
 """
 
 from __future__ import annotations
 
 import statistics
-import time
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -26,7 +25,6 @@ from .linear_models import (
     DEFAULT_FOLDS,
     DEFAULT_GRIDS,
     DEFAULT_OBJECTIVE,
-    GridSearchResult,
     TrainingError,
     featurize_folds,
     fold_reports,
@@ -36,7 +34,6 @@ from .metrics import MetricsReport, evaluate
 from .neural import (
     NeuralVocab,
     TrainConfig,
-    TrainTrace,
     build_neural_vocab,
     encode_batch,
     predict_batch,
@@ -83,12 +80,10 @@ def _report_values(report: MetricsReport) -> dict[str, float]:
 
 
 def _aggregate(reports: list[MetricsReport]) -> CrossValResult:
+    """Mean and sample std over k >= 2 folds' reports."""
     values = [_report_values(r) for r in reports]
     mean = {k: statistics.fmean(v[k] for v in values) for k in values[0]}
-    if len(values) > 1:
-        std = {k: statistics.stdev(v[k] for v in values) for k in values[0]}
-    else:
-        std = {k: 0.0 for k in values[0]}
+    std = {k: statistics.stdev(v[k] for v in values) for k in values[0]}
     return CrossValResult(fold_reports=reports, mean=mean, std=std)
 
 
@@ -105,8 +100,6 @@ def cross_validate(
     Per fold: featurizer fitted on the fold-training documents only, model
     trained there, metrics computed on the held-out fold.
     """
-    if k < 2:
-        raise ValueError(f"k must be at least 2, got {k}")
     token_lists = preprocess_corpus(
         [rec.text for rec in records], model_spec.pipeline, lexicon, rules,
     )
@@ -134,10 +127,10 @@ def prepare_neural_data(
     train_recs: list[CommentRecord],
     val_recs: list[CommentRecord],
     prep: Preprocessor,
-    config: BenchmarkConfig,
+    config: TrainConfig,
 ) -> NeuralData:
-    """The neural track's data under config's neural_* settings."""
-    if config.neural_keep_function_words:
+    """The neural track's data under config's data settings."""
+    if config.keep_function_words:
         pipeline = replace(prep.config, remove_stopwords=False, stem=False)
         prep = Preprocessor(pipeline, prep.lexicon, prep.rules)
 
@@ -151,7 +144,7 @@ def prepare_neural_data(
     if not tr_tok or not va_tok:
         raise TrainingError("no non-empty training or validation documents "
                             "after preprocessing; cannot train")
-    vocab = build_neural_vocab(tr_tok, config.neural_min_freq, config.neural_max_len_cap)
+    vocab = build_neural_vocab(tr_tok, config.min_freq, config.max_len_cap)
 
     def encoded(tokens, labels):
         ids, lens = encode_batch(tokens, vocab)
@@ -182,9 +175,6 @@ class BenchmarkConfig:
     grids: dict[str, dict[str, list]] = field(default_factory=lambda: DEFAULT_GRIDS)
     objective: str = DEFAULT_OBJECTIVE
     neural: TrainConfig | None = None       # defaults to TrainConfig(seed=seed)
-    neural_keep_function_words: bool = False  # skip stopword/stem stages for the DL track
-    neural_min_freq: int = 1
-    neural_max_len_cap: int = 40
 
     def resolved_split(self) -> SplitSpec:
         return self.split or SplitSpec(seed=self.seed)
@@ -193,41 +183,13 @@ class BenchmarkConfig:
         return self.neural or TrainConfig(seed=self.seed)
 
 
-@dataclass
-class MlBenchRow:
-    name: str
-    family: str
-    best_params: dict
-    grid: GridSearchResult
-    cv: CrossValResult
-
-
-@dataclass
-class DlBenchRow:
-    name: str
-    use_attention: bool
-    report: MetricsReport
-    trace: TrainTrace
-    n_dropped_train: int
-    n_dropped_val: int
-    n_empty_test: int
-
-
-@dataclass
-class BenchmarkReport:
-    ml_rows: list[MlBenchRow]
-    dl_rows: list[DlBenchRow]
-    config_echo: dict
-    elapsed_seconds: float  # informational only; never rendered
-
-
 def run_benchmark(
     records: list[CommentRecord],
     config: BenchmarkConfig,
     lexicon: NormalizationLexicon,
     rules: StemmerRules,
-) -> BenchmarkReport:
-    started = time.perf_counter()
+) -> dict:
+    """The study's report document: {"config", "ml_models", "dl_models"}."""
     split = config.resolved_split()
     train_recs, val_recs, test_recs = stratified_split(records, split)
 
@@ -239,26 +201,30 @@ def run_benchmark(
         train_tokens, [rec.label for rec in train_recs],
         config.folds, config.seed, config.tfidf,
     )
-    ml_rows = []
+    ml_models = []
     for family in CLASSICAL_FAMILIES:
         grid = grid_search(
             family, config.grids[family], folds, config.seed, config.objective,
         )
-        ml_rows.append(MlBenchRow(
-            name=ML_ROW_NAMES[family], family=family, best_params=grid.best_params,
-            grid=grid, cv=_aggregate(grid.best_fold_reports),
-        ))
+        cv = _aggregate(grid.best_fold_reports)
+        ml_models.append({
+            "name": ML_ROW_NAMES[family], "family": family, "best_params": grid.best_params,
+            "grid": [{"params": params, "fold_scores": scores}
+                     for params, scores in grid.per_candidate],
+            "cv_mean": cv.mean, "cv_std": cv.std,
+            "fold_reports": [r.to_dict() for r in cv.fold_reports],
+        })
     del folds  # all k folds' vectors; free them before the neural track
 
     # neural track: static split, early stopping on validation, scored on test
     neural_cfg = config.resolved_neural()
-    data = prepare_neural_data(train_recs, val_recs, prep, config)
+    data = prepare_neural_data(train_recs, val_recs, prep, neural_cfg)
     te_tok = data.prep.corpus([r.text for r in test_recs])
     test_labels = [rec.label for rec in test_recs]
     te_nonempty = [i for i, toks in enumerate(te_tok) if toks]
     te_ids, te_lens = encode_batch([te_tok[i] for i in te_nonempty], data.vocab)
 
-    dl_rows = []
+    dl_models = []
     for use_attention in (False, True):
         params, trace = train(use_attention, data.train, data.val, neural_cfg, data.vocab.size)
         y_pred: list[Label] = [data.majority] * len(test_recs)
@@ -266,25 +232,21 @@ def run_benchmark(
             pred_ids, _ = predict_batch(params, te_ids, te_lens, neural_cfg.batch_size)
             for pos, cls in zip(te_nonempty, pred_ids):
                 y_pred[pos] = CLASS_ORDER[int(cls)]
-        dl_rows.append(DlBenchRow(
-            name=DL_ROW_NAMES[use_attention],
-            use_attention=use_attention,
-            report=evaluate(test_labels, y_pred),
-            trace=trace,
-            n_dropped_train=data.n_dropped_train,
-            n_dropped_val=data.n_dropped_val,
-            n_empty_test=len(te_tok) - len(te_nonempty),
-        ))
+        dl_models.append({
+            "name": DL_ROW_NAMES[use_attention],
+            "use_attention": use_attention,
+            "test_report": evaluate(test_labels, y_pred).to_dict(),
+            **asdict(trace),  # per-epoch losses and accuracies, stopping epochs
+            "dropped_empty_train": data.n_dropped_train,
+            "dropped_empty_val": data.n_dropped_val,
+            "empty_test_fallbacks": len(te_tok) - len(te_nonempty),
+        })
 
     echo = {
         "folds": config.folds,
         "seed": config.seed,
-        "split": {
-            "train": split.train_fraction,
-            "val": split.val_fraction,
-            "test": split.test_fraction,
-            "stratified": split.stratified,
-        },
+        "split": {"train": split.train_fraction, "val": split.val_fraction,
+                  "test": split.test_fraction, "stratified": split.stratified},
         "objective": config.objective,
         "grids": config.grids,
         "tfidf": asdict(config.tfidf),
@@ -293,9 +255,6 @@ def run_benchmark(
             # every TrainConfig field but Adam's constants, which no config sets
             **{k: v for k, v in asdict(neural_cfg).items()
                if k not in ("beta1", "beta2", "epsilon")},
-            "keep_function_words": config.neural_keep_function_words,
-            "min_freq": config.neural_min_freq,
-            "max_len_cap": config.neural_max_len_cap,
             "vocab_size": data.vocab.size,
             "max_seq_len": data.vocab.max_seq_len,
         },
@@ -304,12 +263,7 @@ def run_benchmark(
         "n_val": len(val_recs),
         "n_test": len(test_recs),
     }
-    return BenchmarkReport(
-        ml_rows=ml_rows,
-        dl_rows=dl_rows,
-        config_echo=echo,
-        elapsed_seconds=time.perf_counter() - started,
-    )
+    return {"config": echo, "ml_models": ml_models, "dl_models": dl_models}
 
 
 # ----------------------------------------------------------------------------
@@ -328,27 +282,26 @@ def _format_table(headers: list[str], rows: list[list[str]]) -> str:
     return "\n".join(lines)
 
 
-def render_benchmark_tables(report: BenchmarkReport) -> str:
+def render_benchmark_tables(report: dict) -> str:
+    """The study's two tables from the document run_benchmark returns."""
     ml_rows = [
         [
-            row.name,
-            f"{row.cv.mean['accuracy']:.4f}",
-            f"{row.cv.mean['precision_weighted']:.4f}",
-            f"{row.cv.mean['recall_weighted']:.4f}",
-            f"{row.cv.mean['f1_weighted']:.4f}",
+            row["name"],
+            *(f"{row['cv_mean'][key]:.4f}" for key in
+              ("accuracy", "precision_weighted", "recall_weighted", "f1_weighted")),
         ]
-        for row in report.ml_rows
+        for row in report["ml_models"]
     ]
     dl_rows = [
         [
-            row.name,
-            f"{row.report.accuracy:.4f}",
-            f"{row.report.macro_f1:.4f}",
-            f"{row.report.weighted_f1:.4f}",
+            row["name"],
+            f"{row['test_report']['accuracy']:.4f}",
+            f"{row['test_report']['macro']['f1']:.4f}",
+            f"{row['test_report']['weighted']['f1']:.4f}",
         ]
-        for row in report.dl_rows
+        for row in report["dl_models"]
     ]
-    echo = report.config_echo
+    echo = report["config"]
     parts = [
         "Classical model comparison "
         f"({echo['folds']}-fold cross validation on the training split, "
@@ -363,41 +316,3 @@ def render_benchmark_tables(report: BenchmarkReport) -> str:
         f"(train {echo['n_train']} / val {echo['n_val']} / test {echo['n_test']})",
     ]
     return "\n".join(parts) + "\n"
-
-
-def benchmark_to_dict(report: BenchmarkReport) -> dict:
-    """Machine-readable structure with full per-fold detail (timing excluded)."""
-    return {
-        "config": report.config_echo,
-        "ml_models": [
-            {
-                "name": row.name,
-                "family": row.family,
-                "best_params": row.best_params,
-                "grid": [
-                    {"params": params, "fold_scores": scores}
-                    for params, scores in row.grid.per_candidate
-                ],
-                "cv_mean": row.cv.mean,
-                "cv_std": row.cv.std,
-                "fold_reports": [r.to_dict() for r in row.cv.fold_reports],
-            }
-            for row in report.ml_rows
-        ],
-        "dl_models": [
-            {
-                "name": row.name,
-                "use_attention": row.use_attention,
-                "test_report": row.report.to_dict(),
-                "train_losses": row.trace.train_losses,
-                "val_losses": row.trace.val_losses,
-                "val_accuracies": row.trace.val_accuracies,
-                "stopped_epoch": row.trace.stopped_epoch,
-                "best_epoch": row.trace.best_epoch,
-                "dropped_empty_train": row.n_dropped_train,
-                "dropped_empty_val": row.n_dropped_val,
-                "empty_test_fallbacks": row.n_empty_test,
-            }
-            for row in report.dl_rows
-        ],
-    }

@@ -351,8 +351,6 @@ def featurize_folds(
     The TF-IDF model is fitted on each fold's training documents only; the
     held-out fold is transformed with that model, never fitted on.
     """
-    if k < 2:
-        raise TrainingError(f"k must be at least 2, got {k}")
     folds = []
     for train_idx, test_idx in kfold_split(labels, k, seed):
         train_tokens = [token_lists[i] for i in train_idx]

@@ -154,20 +154,17 @@ class TrainConfig:
     patience: int = 3
     min_improvement: float = 1e-4
     seed: int = DEFAULT_SEED
+    # the neural track's data: its pipeline skips stopword removal and
+    # stemming when keep_function_words; see build_neural_vocab for the others
+    keep_function_words: bool = False
+    min_freq: int = 1
+    max_len_cap: int = 40
 
     def __post_init__(self):
-        positive = {
-            "batch_size": self.batch_size,
-            "embedding_dim": self.embedding_dim,
-            "hidden_dim": self.hidden_dim,
-            "attention_dim": self.attention_dim,
-            "learning_rate": self.learning_rate,
-            "max_epochs": self.max_epochs,
-            "patience": self.patience,
-        }
-        for name, value in positive.items():
-            if value <= 0:
-                raise ValueError(f"{name} must be positive, got {value}")
+        for name in ("batch_size", "embedding_dim", "hidden_dim", "attention_dim",
+                     "learning_rate", "max_epochs", "patience"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if self.patience > self.max_epochs:
             raise ValueError("patience cannot exceed max_epochs")
 

@@ -314,16 +314,16 @@ def test_acceptance_10_original_dataset_reproduction():
         records, BenchmarkConfig(seed=42),
         load_default_lexicon(), load_default_stemmer_rules(),
     )
-    by_name = {row.name: row for row in report.ml_rows}
+    by_name = {row["name"]: row for row in report["ml_models"]}
     lr_row = by_name["Logistic Regression"]
     nb_row = by_name["Naive Bayes"]
-    assert abs(lr_row.cv.mean["accuracy"] - 0.8525) <= 0.05
-    assert abs(lr_row.cv.mean["f1_weighted"] - 0.8522) <= 0.05
-    assert lr_row.cv.mean["accuracy"] > nb_row.cv.mean["accuracy"]
+    assert abs(lr_row["cv_mean"]["accuracy"] - 0.8525) <= 0.05
+    assert abs(lr_row["cv_mean"]["f1_weighted"] - 0.8522) <= 0.05
+    assert lr_row["cv_mean"]["accuracy"] > nb_row["cv_mean"]["accuracy"]
 
-    dl = {row.name: row for row in report.dl_rows}
+    dl = {row["name"]: row["test_report"] for row in report["dl_models"]}
     att, plain = dl["BiLSTM+Attention"], dl["BiLSTM"]
-    assert abs(att.report.accuracy - 0.8462) <= 0.05
-    assert att.report.accuracy > plain.report.accuracy
-    assert att.report.macro_f1 > plain.report.macro_f1
+    assert abs(att["accuracy"] - 0.8462) <= 0.05
+    assert att["accuracy"] > plain["accuracy"]
+    assert att["macro"]["f1"] > plain["macro"]["f1"]
     ok(10, "study-scale results reproduced within tolerance on the original dataset")

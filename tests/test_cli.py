@@ -3,6 +3,7 @@ import inspect
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import bullyguard
-from bullyguard import cli, linear_models
+from bullyguard import cli, eval as study, linear_models
 from bullyguard.artifact import ArtifactError, load_artifact, predict_text
 from bullyguard.cli import PREDICT_CHUNK_LINES, main
 from bullyguard.corpus import Label, SplitSpec, write_corpus
@@ -166,6 +167,23 @@ def test_preprocess_clean_text_unchanged(tmp_path, capsys):
     write_corpus(records, path)
     main(["preprocess", "--corpus", str(path)])
     assert "jelek\tjelek" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("trace, columns", [(False, 2), (True, 7)])
+def test_preprocess_keeps_one_row_per_comment(tmp_path, capsys, trace, columns):
+    records = [make_record(index=1, text="jelek\nbgt\r\nsih\rkamu\tdasar\v\u2028bego"),
+               make_record(index=2, text="Kamu\r\n\nkeren")]
+    path = tmp_path / "two.csv"
+    write_corpus(records, path)
+    assert main(["preprocess", "--corpus", str(path), *(["--trace"] if trace else [])]) == 0
+    out = capsys.readouterr().out
+    assert out.endswith("\n")
+    rows = [line.split("\t") for line in out.splitlines()]
+    assert len(rows) == 1 + len(records)
+    assert all(len(row) == columns and "\r" not in "".join(row) for row in rows)
+    assert rows[1][0] == "jelek bgt  sih kamu dasar  bego"
+    if trace:
+        assert rows[2][1] == "kamu   keren"  # the case_fold cell
 
 
 def test_preprocess_elongation_min_run_below_2_exit_1(tmp_path, capsys):
@@ -563,10 +581,20 @@ def test_min_freq_no_token_reaches_exit_3_one_line(tmp_path, capsys, command, fa
     assert not out_path.exists()
 
 
-@pytest.mark.parametrize("command, raw", [("train", 0), ("train", -3), ("benchmark", 0)])
-def test_max_len_cap_below_1_exit_1_one_line(tmp_path, capsys, command, raw):
+@pytest.mark.parametrize("key, command, raw", [
+    pytest.param("max_len_cap", "train", 0, id="train-0"),
+    pytest.param("max_len_cap", "train", -3, id="train--3"),
+    pytest.param("max_len_cap", "benchmark", 0, id="benchmark-0"),
+    pytest.param("min_freq", "train", 0, id="min_freq-train-0"),
+    pytest.param("min_freq", "train", -5, id="min_freq-train--5"),
+    pytest.param("min_freq", "benchmark", 0, id="min_freq-benchmark-0"),
+])
+def test_max_len_cap_below_1_exit_1_one_line(tmp_path, capsys, monkeypatch, key, command, raw):
+    def no_preprocessing(self, texts):
+        raise AssertionError("preprocessed before the config was checked")
+    monkeypatch.setattr(cli.Preprocessor, "corpus", no_preprocessing)
     corpus = write_fixture_corpus(tmp_path)
-    config = write_config(tmp_path, f"[model]\nmax_len_cap = {raw}\n", name="bad.ini")
+    config = write_config(tmp_path, f"[model]\n{key} = {raw}\n", name="bad.ini")
     out_path = tmp_path / "out"
     out = ["--out-dir", str(out_path)] if command == "benchmark" else [
         "--family", "bilstm", "--out", str(out_path)]
@@ -574,8 +602,69 @@ def test_max_len_cap_below_1_exit_1_one_line(tmp_path, capsys, command, raw):
                  *out]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: config [model] max_len_cap: expected at least 1, got {raw}\n"
+    assert captured.err == f"error: config [model] {key}: expected at least 1, got {raw}\n"
     assert not out_path.exists()
+
+
+def fail_if_reached(monkeypatch):
+    """Make loading or preprocessing the corpus fail the test."""
+    def unreachable(*args, **kwargs):
+        raise AssertionError("read the corpus before the arguments were checked")
+    monkeypatch.setattr(cli, "load_corpus", unreachable)
+    monkeypatch.setattr(cli.Preprocessor, "corpus", unreachable)
+
+
+@pytest.mark.parametrize("command, via", [
+    ("tune", "flag"), ("tune", "config"), ("benchmark", "flag"), ("benchmark", "config")])
+def test_folds_below_2_exit_1_one_line(tmp_path, capsys, monkeypatch, command, via):
+    corpus = write_fixture_corpus(tmp_path)
+    fail_if_reached(monkeypatch)
+    folds = (["--folds", "1"] if via == "flag" else
+             ["--config", str(write_config(tmp_path, "[split]\nfolds = 1\n", name="f.ini"))])
+    out_path = tmp_path / "out"
+    out = ["--out-dir", str(out_path)] if command == "benchmark" else [
+        "--family", "nb", "--out", str(out_path)]
+    assert main([command, "--corpus", str(corpus), "--quiet", *folds, *out]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --folds / [split] folds: expected at least 2, got 1\n"
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("command, family, dest, problem", [
+    ("train", "nb", "missing_dir/m.txt", "directory not found: {tmp}/missing_dir"),
+    ("train", "bilstm", "missing_dir/m.txt", "directory not found: {tmp}/missing_dir"),
+    ("tune", "svm", "missing_dir/m.txt", "directory not found: {tmp}/missing_dir"),
+    ("train", "nb", ".", "is a directory"),
+    ("benchmark", None, "taken", "not a directory: {tmp}/taken"),
+    ("benchmark", None, "taken/reports", "not a directory: {tmp}/taken"),
+])
+def test_unwritable_output_exit_1_one_line(tmp_path, capsys, monkeypatch, command, family,
+                                           dest, problem):
+    corpus = write_fixture_corpus(tmp_path)
+    (tmp_path / "taken").write_text("", encoding="utf-8")
+    fail_if_reached(monkeypatch)
+    path = tmp_path / dest
+    flag = "--out-dir" if command == "benchmark" else "--out"
+    family_args = ["--family", family] if family else []
+    assert main([command, "--corpus", str(corpus), "--quiet", *family_args,
+                 flag, str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {flag} {path}: {problem.format(tmp=tmp_path)}\n"
+
+
+def test_failed_write_exit_1_one_line(tmp_path, capsys, monkeypatch):
+    def disk_full(artifact, path):
+        raise OSError(28, "No space left on device", str(path))
+    monkeypatch.setattr(cli, "save_artifact", disk_full)
+    corpus = write_fixture_corpus(tmp_path)
+    out_path = tmp_path / "m.txt"
+    assert main(["train", "--corpus", str(corpus), "--family", "nb", "--quiet",
+                 "--out", str(out_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: [Errno 28] No space left on device: '{out_path}'\n"
 
 
 def test_cli_import_does_not_load_scipy():
@@ -714,9 +803,9 @@ def trainer_kwargs(rt, family):
 def run_settings(config):
     """What train, tune and benchmark read from a config file (or none)."""
     ns, rt = resolve(["train", "--out", "unused"] + (["--config", str(config)] if config else []))
-    study = cli._study_config(
-        rt, grids={f: cli._tune_grid(rt, f) for f in linear_models.CLASSICAL_FAMILIES},
-        objective=cli._objective(rt))
+    study = {"split": cli._split(rt), "neural": cli._neural_config(rt),
+             "grids": {f: cli._tune_grid(rt, f) for f in linear_models.CLASSICAL_FAMILIES},
+             "objective": cli._objective(rt), "folds": cli._study_folds(rt)}
     trainers = {}
     for family in linear_models.CLASSICAL_FAMILIES:
         signature = inspect.signature(getattr(linear_models, f"train_{family}"))
@@ -792,13 +881,11 @@ def test_every_config_key_reaches_its_setting(tmp_path):
     assert (rt.seed, rt.folds, rt.threshold, cli._family(ns, rt)) == (9, 3, 0.6, "svm")
     assert rt.pipeline == PipelineConfig(False, False, False, False, False, False, 4)
     assert rt.tfidf == TfidfConfig(sublinear_tf=True, l2_normalize=False, min_df=2)
-    study = cli._study_config(rt)
-    assert study.split == SplitSpec(0.6, 0.3, 0.1, seed=9, stratified=False)
-    assert study.neural == TrainConfig(
+    assert cli._split(rt) == SplitSpec(0.6, 0.3, 0.1, seed=9, stratified=False)
+    assert cli._neural_config(rt) == TrainConfig(
         batch_size=5, embedding_dim=6, hidden_dim=7, attention_dim=8, learning_rate=0.02,
-        max_epochs=9, patience=4, min_improvement=0.003, seed=9)
-    assert (study.neural_keep_function_words, study.neural_min_freq,
-            study.neural_max_len_cap) == (True, 2, 11)
+        max_epochs=9, patience=4, min_improvement=0.003, seed=9,
+        keep_function_words=True, min_freq=2, max_len_cap=11)
     assert trainer_kwargs(rt, "nb") == {"alpha": 0.5}
     assert trainer_kwargs(rt, "lr") == {"l2_lambda": 0.02, "lr": 0.3, "epochs": 7}
     assert trainer_kwargs(rt, "svm") == {"reg_lambda": 0.04, "epochs": 7, "seed": 9}
@@ -1181,7 +1268,7 @@ def test_commands_never_mutate_inputs(tmp_path):
 # benchmark
 # ----------------------------------------------------------------------------
 
-def test_benchmark_writes_reports(tmp_path, capsys):
+def test_benchmark_writes_reports(tmp_path, capsys, monkeypatch):
     corpus = write_fixture_corpus(tmp_path, n_half=20)
     config = write_config(
         tmp_path,
@@ -1189,10 +1276,23 @@ def test_benchmark_writes_reports(tmp_path, capsys):
         "grid_l2_lambda = 0.001\ngrid_reg_lambda = 0.001\n",
     )
     out_dir = tmp_path / "reports"
+    returned = []
+    real_run = study.run_benchmark
+    monkeypatch.setattr(study, "run_benchmark",
+                        lambda *args: returned.append(real_run(*args)) or returned[-1])
     assert main([
         "benchmark", "--corpus", str(corpus), "--config", str(config),
         "--out-dir", str(out_dir), "--folds", "2", "--quiet",
     ]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(rf"benchmark finished in \d+\.\ds; reports in {re.escape(str(out_dir))}\n",
+                        captured.err)
+    [doc] = returned
+    assert (out_dir / "benchmark_report.json").read_text(encoding="utf-8") == \
+        json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    assert (out_dir / "benchmark_tables.txt").read_text(encoding="utf-8") == \
+        study.render_benchmark_tables(doc)
     tables = (out_dir / "benchmark_tables.txt").read_text(encoding="utf-8")
     assert "Logistic Regression" in tables and "BiLSTM+Attention" in tables
     payload = json.loads((out_dir / "benchmark_report.json").read_text(encoding="utf-8"))

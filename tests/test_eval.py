@@ -8,7 +8,6 @@ from bullyguard.corpus import Label, stratified_split
 from bullyguard.eval import (
     BenchmarkConfig,
     ModelSpec,
-    benchmark_to_dict,
     cross_validate,
     render_benchmark_tables,
     run_benchmark,
@@ -85,13 +84,12 @@ def test_run_benchmark_structure(default_lexicon, default_rules):
     records = separable_corpus(20)
     report = run_benchmark(records, fast_benchmark_config(),
                            default_lexicon, default_rules)
-    assert [row.name for row in report.ml_rows] == \
+    assert [row["name"] for row in report["ml_models"]] == \
         ["Naive Bayes", "Logistic Regression", "SVM"]
-    assert [row.name for row in report.dl_rows] == ["BiLSTM", "BiLSTM+Attention"]
-    assert len(report.ml_rows) + len(report.dl_rows) == 5
-    for row in report.ml_rows:
-        assert len(row.cv.fold_reports) == 2
-    assert report.elapsed_seconds > 0
+    assert [row["name"] for row in report["dl_models"]] == ["BiLSTM", "BiLSTM+Attention"]
+    assert len(report["ml_models"]) + len(report["dl_models"]) == 5
+    for row in report["ml_models"]:
+        assert len(row["fold_reports"]) == 2
 
     tables = render_benchmark_tables(report)
     assert "Naive Bayes" in tables and "BiLSTM+Attention" in tables
@@ -99,10 +97,10 @@ def test_run_benchmark_structure(default_lexicon, default_rules):
     # wall-clock timing never appears in rendered output
     assert "elapsed" not in tables and "seconds" not in tables
 
-    payload = benchmark_to_dict(report)
-    assert json.dumps(payload)  # JSON-serializable
-    assert len(payload["ml_models"]) == 3 and len(payload["dl_models"]) == 2
-    assert "elapsed" not in json.dumps(payload)
+    assert json.dumps(report)  # JSON-serializable
+    assert set(report) == {"config", "ml_models", "dl_models"}
+    assert len(report["ml_models"]) == 3 and len(report["dl_models"]) == 2
+    assert "elapsed" not in json.dumps(report)
 
 
 def test_run_benchmark_deterministic_rendering(default_lexicon, default_rules):
@@ -111,8 +109,7 @@ def test_run_benchmark_deterministic_rendering(default_lexicon, default_rules):
     r1 = run_benchmark(records, config, default_lexicon, default_rules)
     r2 = run_benchmark(records, config, default_lexicon, default_rules)
     assert render_benchmark_tables(r1) == render_benchmark_tables(r2)
-    assert json.dumps(benchmark_to_dict(r1), sort_keys=True) == \
-        json.dumps(benchmark_to_dict(r2), sort_keys=True)
+    assert json.dumps(r1, sort_keys=True) == json.dumps(r2, sort_keys=True)
 
 
 def test_run_benchmark_counts_empty_documents(default_lexicon, default_rules):
@@ -123,8 +120,8 @@ def test_run_benchmark_counts_empty_documents(default_lexicon, default_rules):
     report = run_benchmark(records, fast_benchmark_config(),
                            default_lexicon, default_rules)
     dropped = sum(
-        row.n_dropped_train + row.n_dropped_val + row.n_empty_test
-        for row in report.dl_rows[:1]
+        row["dropped_empty_train"] + row["dropped_empty_val"] + row["empty_test_fallbacks"]
+        for row in report["dl_models"][:1]
     )
     assert dropped == 2
 
@@ -152,13 +149,12 @@ def test_run_benchmark_featurizes_each_fold_once(default_lexicon, default_rules,
 
     # the CV row is the grid winner's folds, equal to a fresh CV of that candidate
     train_recs, _, _ = stratified_split(records, config.resolved_split())
-    for row in report.ml_rows:
-        winner_params, winner_scores = row.grid.per_candidate[1]
-        assert row.best_params == winner_params
-        assert [r.weighted_f1 for r in row.cv.fold_reports] == winner_scores
-        spec = ModelSpec(family=row.family, params=row.best_params)
+    for row in report["ml_models"]:
+        winner = row["grid"][1]
+        assert row["best_params"] == winner["params"]
+        assert [r["weighted"]["f1"] for r in row["fold_reports"]] == winner["fold_scores"]
+        spec = ModelSpec(family=row["family"], params=row["best_params"])
         fresh = cross_validate(spec, train_recs, config.folds, config.seed,
                                default_lexicon, default_rules)
-        assert [r.to_dict() for r in row.cv.fold_reports] == \
-            [r.to_dict() for r in fresh.fold_reports]
-        assert row.cv.mean == fresh.mean and row.cv.std == fresh.std
+        assert row["fold_reports"] == [r.to_dict() for r in fresh.fold_reports]
+        assert row["cv_mean"] == fresh.mean and row["cv_std"] == fresh.std
