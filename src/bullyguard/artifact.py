@@ -21,8 +21,6 @@ from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from .corpus import CLASS_ORDER, CommentRecord, Label
 from .features import TfidfConfig, TfidfModel, Vocabulary, transform_all
 from .linear_models import (
@@ -39,8 +37,8 @@ from .preprocess import (
     StemmerRules,
 )
 
-# neural is imported only where a neural artifact is read or scored, so a
-# classical predict never loads it
+# neural and numpy are imported only where a neural artifact is read or
+# scored, so a classical predict never loads them
 if TYPE_CHECKING:
     from .neural import NeuralNetParams, NeuralVocab
 
@@ -160,10 +158,10 @@ def _classical_lines(artifact: ModelArtifact) -> list[str]:
             lines.append(f"{key} {_fmt(getattr(model, key))}")
     for key in rows:
         values = getattr(model, key)
-        if values.ndim == 1:
-            lines.append(f"{key} {_fmt_row(values)}")
-        else:
+        if isinstance(values[0], list):
             lines.extend(f"{key} {i} {_fmt_row(row)}" for i, row in enumerate(values))
+        else:
+            lines.append(f"{key} {_fmt_row(values)}")
     return lines
 
 
@@ -294,15 +292,15 @@ def _parse_classical(cur: _Cursor, artifact: ModelArtifact) -> None:
     for key in rows:
         shape = shapes[key]
         if len(shape) == 1:
-            values[key] = _finite(key, _parse_floats(cur.expect_kv(key), shape[0]))
+            values[key] = _parse_floats(cur.expect_kv(key), shape[0], key)
             continue
         matrix = []
         for i in range(shape[0]):
             idx, _, raw = cur.expect_kv(key).partition(" ")
             if int(idx) != i:
                 raise ArtifactError(f"{key} rows out of order")
-            matrix.append(_parse_floats(raw, shape[1]))
-        values[key] = _finite(key, np.vstack(matrix))
+            matrix.append(_parse_floats(raw, shape[1], key))
+        values[key] = matrix
     artifact.model = cls(**values)
 
 
@@ -313,16 +311,12 @@ def _parse_float(raw: str) -> float:
     return value
 
 
-def _parse_floats(raw: str, size: int | None = None) -> np.ndarray:
-    """A row of numbers; exactly size of them when size is given."""
-    values = np.asarray([float(x) for x in raw.split(" ") if x], dtype=np.float64)
-    if size is not None and values.size != size:
-        raise ArtifactError(f"parameter row has {values.size} numbers, expected {size}")
-    return values
-
-
-def _finite(name: str, values: np.ndarray) -> np.ndarray:
-    if not np.isfinite(values).all():
+def _parse_floats(raw: str, size: int, name: str) -> list[float]:
+    """A row of exactly size finite numbers of the block name."""
+    values = [float(x) for x in raw.split(" ") if x]
+    if len(values) != size:
+        raise ArtifactError(f"parameter row has {len(values)} numbers, expected {size}")
+    if not all(map(math.isfinite, values)):
         raise ArtifactError(f"non-finite number in {name}")
     return values
 
@@ -343,6 +337,8 @@ def load_artifact(path: str | Path) -> ModelArtifact:
 def _parse_neural(cur: _Cursor, artifact: ModelArtifact) -> None:
     """Read the [neural] header, the vocabulary and the parameter blocks
     into artifact.neural_vocab and artifact.model."""
+    import numpy as np
+
     from .neural import BLOCK_NAMES, NeuralNetParams, NeuralVocab, block_shapes
 
     cur.section("neural")
@@ -371,8 +367,8 @@ def _parse_neural(cur: _Cursor, artifact: ModelArtifact) -> None:
             raise ArtifactError(f"[param {name}] has shape {shape}, expected "
                                 f"{expected[name]} from the vocabulary and [neural] header")
         n_rows = shape[0] if len(shape) > 1 else 1
-        rows = [_parse_floats(cur.next(), shape[-1]) for _ in range(n_rows)]
-        arrays[name] = _finite(name, np.vstack(rows).reshape(shape))
+        rows = [np.asarray(_parse_floats(cur.next(), shape[-1], name)) for _ in range(n_rows)]
+        arrays[name] = np.vstack(rows).reshape(shape)
     artifact.model = NeuralNetParams(arrays, use_att)
 
 
@@ -454,10 +450,10 @@ def predict_texts(
     majority class with the empty_input flag set. Scores are family-specific:
     NB and the neural models report the predicted class's posterior
     probability, LR the positive-class probability, SVM the signed margin.
-    NB, LR and SVM score the non-empty texts as one TF-IDF matrix; the neural
-    families score them in length-sorted batches so each batch carries
-    little padding. prep must run the artifact's own pipeline; one instance
-    can serve every chunk of a stream, so its word memo carries over.
+    NB, LR and SVM score the non-empty texts' TF-IDF rows with Python sums;
+    the neural families score them in length-sorted batches so each batch
+    carries little padding. prep must run the artifact's own pipeline; one
+    instance can serve every chunk of a stream, so its word memo carries over.
     """
     if prep.config != artifact.pipeline:
         raise ValueError("the preprocessor's pipeline differs from the model's")
@@ -467,10 +463,9 @@ def predict_texts(
         rows = [i for i, tokens in enumerate(token_lists) if tokens]
         X = transform_all([token_lists[i] for i in rows], artifact.tfidf)
         labels, scores = predict_family(artifact.family, artifact.model, X, artifact.threshold)
-        if artifact.family == "nb":  # the predicted class's posterior
-            shifted = np.exp(scores - scores.max(axis=1, keepdims=True))
-            scores = shifted.max(axis=1) / shifted.sum(axis=1)
     else:
+        import numpy as np
+
         from .neural import encode_batch, predict_batch
 
         ids, lens = encode_batch(token_lists, artifact.neural_vocab)
@@ -479,8 +474,8 @@ def predict_texts(
         classes, probs = predict_batch(
             artifact.model, ids[rows], lens[rows], PREDICT_BATCH_SIZE)
         labels = [CLASS_ORDER[cls] for cls in classes.tolist()]
-        scores = probs[np.arange(len(rows)), classes]
-    for row, label, score in zip(rows, labels, scores.tolist()):
+        scores = probs[np.arange(len(rows)), classes].tolist()
+    for row, label, score in zip(rows, labels, scores):
         predictions[row] = Prediction(label, score, False)
     return predictions
 

@@ -6,7 +6,9 @@ config file (``--config``), and built-in defaults. Exit codes: 0 success,
 
 Each command imports what it runs: the study code (``eval``) and the neural
 network (``neural``) load only in ``benchmark`` and in a neural ``train``, and
-``neural`` also when ``predict`` reads a neural model.
+``neural`` also when ``predict`` reads a neural model. numpy loads only where
+a model is trained or a neural model is read, so a classical ``predict``
+never imports it.
 """
 
 from __future__ import annotations
@@ -385,7 +387,7 @@ def _train_artifact(rt: Runtime, prep: Preprocessor, records, family: str,
         tokens = prep.corpus([r.text for r in records])
         tfidf = fit_tfidf(tokens, rt.tfidf)
         model = train_family(
-            family, transform_all(tokens, tfidf), labels,
+            family, transform_all(tokens, tfidf), tfidf.n_features, labels,
             params if params is not None else _model_params(rt, family), rt.seed,
         )
         base.tfidf = tfidf

@@ -11,9 +11,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
-
-import numpy as np
 
 
 class FeatureError(Exception):
@@ -48,43 +45,8 @@ class TfidfModel:
         return len(self.vocabulary)
 
 
-@dataclass(frozen=True, eq=False)
-class Csr:
-    """Compressed sparse rows: row r holds data[indptr[r]:indptr[r + 1]] at the
-    columns indices[indptr[r]:indptr[r + 1]], which strictly increase.
-
-    Both mat-vecs sum each output in entry order starting from 0.0, so their
-    results do not depend on how many rows are scored together.
-    """
-    indptr: np.ndarray   # int64, n_rows + 1 offsets into indices and data
-    indices: np.ndarray  # int64 column ids
-    data: np.ndarray     # float64 non-zero values
-    n_features: int
-
-    def __post_init__(self):
-        if len(self.indices) != len(self.data):
-            raise ValueError("indices and data must have equal length")
-
-    def __len__(self) -> int:
-        return len(self.indptr) - 1
-
-    @cached_property
-    def row_of_nnz(self) -> np.ndarray:
-        return np.repeat(np.arange(len(self)), np.diff(self.indptr))
-
-    def matvec(self, w: np.ndarray) -> np.ndarray:
-        """X @ w."""
-        return np.bincount(self.row_of_nnz, self.data * w[self.indices], minlength=len(self))
-
-    def rmatvec(self, c: np.ndarray) -> np.ndarray:
-        """X.T @ c."""
-        return np.bincount(self.indices, self.data * c[self.row_of_nnz],
-                           minlength=self.n_features)
-
-    def toarray(self) -> np.ndarray:
-        dense = np.zeros((len(self), self.n_features))
-        dense[self.row_of_nnz, self.indices] = self.data
-        return dense
+# One TF-IDF document: its column ids, strictly increasing, and their values.
+Row = tuple[list[int], list[float]]
 
 
 def fit_tfidf(token_lists: list[list[str]], config: TfidfConfig | None = None) -> TfidfModel:
@@ -123,22 +85,20 @@ def fit_tfidf(token_lists: list[list[str]], config: TfidfConfig | None = None) -
     )
 
 
-def transform_all(token_lists: list[list[str]], model: TfidfModel) -> Csr:
-    """TF-IDF matrix with one row per document; OOV tokens are ignored.
+def transform_all(token_lists: list[list[str]], model: TfidfModel) -> list[Row]:
+    """TF-IDF rows, one (ids, values) pair per document; OOV tokens are ignored.
 
     tf is the raw in-document count (1 + ln(count) when sublinear_tf).
-    Documents with no in-vocabulary tokens become zero rows, including under
+    Documents with no in-vocabulary tokens become empty rows, including under
     L2 normalization.
     """
     vocab = model.vocabulary.token_to_id
-    indptr = [0]
-    indices: list[int] = []
-    data: list[float] = []
+    rows = []
     for tokens in token_lists:
         counts = Counter(vocab[token] for token in tokens if token in vocab)
-        row = sorted(counts)
+        ids = sorted(counts)
         values = []
-        for i in row:
+        for i in ids:
             tf = float(counts[i])
             if model.config.sublinear_tf:
                 tf = 1.0 + math.log(tf)
@@ -151,15 +111,10 @@ def transform_all(token_lists: list[list[str]], model: TfidfModel) -> Csr:
                 squares += v * v
             norm = math.sqrt(squares)
             values = [v / norm for v in values]
-        indices.extend(row)
-        data.extend(values)
-        indptr.append(len(indices))
-    return Csr(
-        np.asarray(indptr, dtype=np.int64), np.asarray(indices, dtype=np.int64),
-        np.asarray(data, dtype=np.float64), model.n_features,
-    )
+        rows.append((ids, values))
+    return rows
 
 
-def transform(tokens: list[str], model: TfidfModel) -> Csr:
-    """One-row transform_all."""
-    return transform_all([tokens], model)
+def transform(tokens: list[str], model: TfidfModel) -> Row:
+    """One document's transform_all row."""
+    return transform_all([tokens], model)[0]

@@ -6,7 +6,10 @@ Conventions shared by all three model families:
     encodings are y=1 / y=+1 for Bullying and y=0 / y=-1 for Non-bullying;
   * score ties break toward the class with the lower id (Bullying);
   * training is deterministic: logistic regression is full-batch, the SVM
-    shuffles with the pinned PRNG under its seed.
+    shuffles with the pinned PRNG under its seed;
+  * models hold Python lists, and scoring sums each TF-IDF row's terms in
+    entry order in plain Python, so predict never loads numpy; NB and LR
+    train over a Csr built from the rows, importing numpy where they use it.
 """
 
 from __future__ import annotations
@@ -15,13 +18,15 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .corpus import CLASS_ORDER, Label, kfold_split
-from .features import Csr, TfidfConfig, fit_tfidf, transform_all
+from .features import Row, TfidfConfig, fit_tfidf, transform_all
 from .metrics import MetricsReport, evaluate
 from .rng import DEFAULT_SEED, Rng
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class TrainingError(Exception):
@@ -43,14 +48,60 @@ DEFAULT_OBJECTIVE = "f1_weighted"
 OBJECTIVES = {"f1_weighted": "weighted_f1", "f1_macro": "macro_f1", "accuracy": "accuracy"}
 
 
+@dataclass(frozen=True, eq=False)
+class Csr:
+    """Compressed sparse rows for the NB and LR trainers: row r holds
+    data[indptr[r]:indptr[r + 1]] at the columns indices[indptr[r]:indptr[r + 1]],
+    which strictly increase.
+
+    Both mat-vecs sum each output in entry order starting from 0.0, so their
+    results do not depend on how many rows are multiplied together.
+    """
+    indptr: np.ndarray   # int64, n_rows + 1 offsets into indices and data
+    indices: np.ndarray  # int64 column ids
+    data: np.ndarray     # float64 non-zero values
+    n_features: int
+
+    def __post_init__(self):
+        if len(self.indices) != len(self.data):
+            raise ValueError("indices and data must have equal length")
+
+    @classmethod
+    def from_rows(cls, rows: list[Row], n_features: int) -> Csr:
+        import numpy as np
+        return cls(np.cumsum([0] + [len(ids) for ids, _ in rows], dtype=np.int64),
+                   np.asarray([i for ids, _ in rows for i in ids], dtype=np.int64),
+                   np.asarray([v for _, values in rows for v in values], dtype=np.float64),
+                   n_features)
+
+    def __len__(self) -> int:
+        return len(self.indptr) - 1
+
+    @functools.cached_property
+    def row_of_nnz(self) -> np.ndarray:
+        import numpy as np
+        return np.repeat(np.arange(len(self)), np.diff(self.indptr))
+
+    def matvec(self, w: np.ndarray) -> np.ndarray:
+        """X @ w."""
+        import numpy as np
+        return np.bincount(self.row_of_nnz, self.data * w[self.indices], minlength=len(self))
+
+    def rmatvec(self, c: np.ndarray) -> np.ndarray:
+        """X.T @ c."""
+        import numpy as np
+        return np.bincount(self.indices, self.data * c[self.row_of_nnz],
+                           minlength=self.n_features)
+
+
 # ----------------------------------------------------------------------------
 # multinomial Naive Bayes
 # ----------------------------------------------------------------------------
 
 @dataclass
 class NaiveBayesModel:
-    log_prior: np.ndarray       # shape (2,), indexed by class id
-    log_likelihood: np.ndarray  # shape (2, V)
+    log_prior: list[float]             # 2 values, indexed by class id
+    log_likelihood: list[list[float]]  # 2 rows of V values
     alpha: float
 
 
@@ -61,6 +112,7 @@ def train_nb(X: Csr, labels: list[Label], alpha: float = 1.0) -> NaiveBayesModel
     the total mass of term t in class c and m_c its row sum, so each class's
     likelihoods exponentiate to a proper distribution over the vocabulary.
     """
+    import numpy as np
     if len(X) != len(labels):
         raise TrainingError("rows and labels must align")
     if alpha <= 0:
@@ -77,20 +129,28 @@ def train_nb(X: Csr, labels: list[Label], alpha: float = 1.0) -> NaiveBayesModel
     total = mass.sum(axis=1, keepdims=True)
     log_likelihood = np.log(alpha + mass) - np.log(alpha * X.n_features + total)
     log_prior = np.log(counts.astype(np.float64) / len(X))
-    return NaiveBayesModel(log_prior=log_prior, log_likelihood=log_likelihood, alpha=alpha)
+    return NaiveBayesModel(log_prior=log_prior.tolist(), log_likelihood=log_likelihood.tolist(),
+                           alpha=alpha)
 
 
-def nb_log_scores(X: Csr, model: NaiveBayesModel) -> np.ndarray:
-    """Class log scores per row, shape (n, 2): the log prior plus each term's
-    weighted log likelihood, added in entry order."""
-    scores = np.tile(model.log_prior, (len(X), 1))
-    np.add.at(scores, X.row_of_nnz, X.data[:, None] * model.log_likelihood[:, X.indices].T)
+def nb_log_scores(X: list[Row], model: NaiveBayesModel) -> list[list[float]]:
+    """Class log scores per row: the log prior plus each term's weighted log
+    likelihood, added in entry order."""
+    ll_b, ll_n = model.log_likelihood
+    scores = []
+    for ids, values in X:
+        s_b, s_n = model.log_prior
+        for i, x in zip(ids, values):
+            s_b += x * ll_b[i]
+            s_n += x * ll_n[i]
+        scores.append([s_b, s_n])
     return scores
 
 
-def predict_nb(X: Csr, model: NaiveBayesModel) -> tuple[list[Label], np.ndarray]:
+def predict_nb(X: list[Row], model: NaiveBayesModel) -> tuple[list[Label], list[list[float]]]:
+    """The higher log score's class per row, and the log scores."""
     scores = nb_log_scores(X, model)
-    return [CLASS_ORDER[c] for c in np.argmax(scores, axis=1).tolist()], scores
+    return [CLASS_ORDER[0] if s_b >= s_n else CLASS_ORDER[1] for s_b, s_n in scores], scores
 
 
 # ----------------------------------------------------------------------------
@@ -99,7 +159,7 @@ def predict_nb(X: Csr, model: NaiveBayesModel) -> tuple[list[Label], np.ndarray]
 
 @dataclass
 class LogisticRegressionModel:
-    weights: np.ndarray
+    weights: list[float]
     bias: float
     l2_lambda: float
     loss_history: list[float] = field(default_factory=list, repr=False)
@@ -117,19 +177,16 @@ def lr_loss_grad(
     J = (1/N) sum log(1 + exp(-y (Xw + b))) + (lambda/2) ||w||^2 with
     y in {-1, +1}; the bias is unregularized.
     """
+    import numpy as np
     n = len(X)
     z = X.matvec(weights) + bias
     margins = y_signed * z
     loss = float(np.logaddexp(0.0, -margins).mean() + 0.5 * l2_lambda * weights @ weights)
     # d/dz log(1+exp(-m)) = -y * sigmoid(-m)
-    coef = -y_signed * _sigmoid(-margins) / n
+    coef = -y_signed * (1.0 / (1.0 + np.exp(np.clip(margins, -500.0, 500.0)))) / n
     grad_w = X.rmatvec(coef) + l2_lambda * weights
     grad_b = float(coef.sum())
     return loss, grad_w, grad_b
-
-
-def _sigmoid(z: np.ndarray | float):
-    return 1.0 / (1.0 + np.exp(-np.clip(z, -500.0, 500.0)))
 
 
 def train_lr(
@@ -147,6 +204,7 @@ def train_lr(
     which keeps descent monotone for arbitrarily strong regularization
     (grid searches deliberately probe degenerate lambdas).
     """
+    import numpy as np
     if lr <= 0:
         raise TrainingError(f"learning rate must be positive, got {lr}")
     if epochs < 1:
@@ -169,18 +227,30 @@ def train_lr(
         weights -= lr * grad_w
         bias -= lr * grad_b
     return LogisticRegressionModel(
-        weights=weights, bias=bias, l2_lambda=l2_lambda, loss_history=history,
+        weights=weights.tolist(), bias=bias, l2_lambda=l2_lambda, loss_history=history,
     )
 
 
+def _margins(X: list[Row], weights: list[float], bias: float) -> list[float]:
+    """w.x + b per row, the row summed in entry order from 0.0."""
+    margins = []
+    for ids, values in X:
+        dot = 0.0
+        for i, x in zip(ids, values):
+            dot += x * weights[i]
+        margins.append(dot + bias)
+    return margins
+
+
 def predict_lr(
-    X: Csr,
+    X: list[Row],
     model: LogisticRegressionModel,
     threshold: float = 0.5,
-) -> tuple[list[Label], np.ndarray]:
+) -> tuple[list[Label], list[float]]:
     """p = sigma(w.x + b) is the probability of the positive (Bullying) class."""
-    p = _sigmoid(X.matvec(model.weights) + model.bias)
-    return [Label.BULLYING if q >= threshold else Label.NON_BULLYING for q in p.tolist()], p
+    p = [1.0 / (1.0 + math.exp(-min(max(z, -500.0), 500.0)))
+         for z in _margins(X, model.weights, model.bias)]
+    return [Label.BULLYING if q >= threshold else Label.NON_BULLYING for q in p], p
 
 
 # ----------------------------------------------------------------------------
@@ -189,7 +259,7 @@ def predict_lr(
 
 @dataclass
 class LinearSvmModel:
-    weights: np.ndarray
+    weights: list[float]
     bias: float
     reg_lambda: float
 
@@ -207,11 +277,13 @@ def _epoch_orders(seed: int, n: int, epochs: int) -> np.ndarray:
 
 
 def train_svm(
-    X: Csr,
+    X: list[Row],
     labels_signed: list[int],
     reg_lambda: float = 1e-3,
     epochs: int = 200,
     seed: int = DEFAULT_SEED,
+    *,
+    n_features: int,
 ) -> LinearSvmModel:
     """Pegasos: step size 1/(lambda*t), example order reshuffled per epoch
     with the pinned PRNG. The bias follows the subgradient without
@@ -229,10 +301,8 @@ def train_svm(
     if not len(X):
         raise TrainingError("cannot train on an empty dataset")
     # each step sums its row in Python, in entry order; a numpy dot would reorder it
-    bounds = X.indptr.tolist()
-    rows = [(tuple(zip(X.indices[a:b].tolist(), X.data[a:b].tolist())), y)
-            for a, b, y in zip(bounds, bounds[1:], labels_signed)]
-    v = [0.0] * X.n_features
+    rows = [(tuple(zip(ids, values)), y) for (ids, values), y in zip(X, labels_signed)]
+    v = [0.0] * n_features
     scale = 1.0
     bias = 0.0
     t = 0
@@ -254,20 +324,20 @@ def train_svm(
                 for i, x in pairs:
                     v[i] += step * x
                 bias += eta * y
-    weights = scale * np.asarray(v)
-    if not (np.isfinite(weights).all() and math.isfinite(bias)):
+    weights = [scale * w for w in v]
+    if not all(map(math.isfinite, weights + [bias])):
         raise TrainingError(f"SVM training diverged to non-finite weights or bias "
                             f"at reg_lambda {reg_lambda}")
-    if max(np.abs(weights).max(initial=0.0), abs(bias)) > SVM_MAX_MAGNITUDE:
+    if max(map(abs, weights + [bias])) > SVM_MAX_MAGNITUDE:
         raise TrainingError(f"SVM training diverged to weights or bias above "
                             f"{SVM_MAX_MAGNITUDE:g} in magnitude at reg_lambda {reg_lambda}")
     return LinearSvmModel(weights=weights, bias=bias, reg_lambda=reg_lambda)
 
 
-def predict_svm(X: Csr, model: LinearSvmModel) -> tuple[list[Label], np.ndarray]:
+def predict_svm(X: list[Row], model: LinearSvmModel) -> tuple[list[Label], list[float]]:
     """sign(w.x + b); a score of exactly 0 goes to the positive class."""
-    scores = X.matvec(model.weights) + model.bias
-    return [Label.BULLYING if s >= 0.0 else Label.NON_BULLYING for s in scores.tolist()], scores
+    scores = _margins(X, model.weights, model.bias)
+    return [Label.BULLYING if s >= 0.0 else Label.NON_BULLYING for s in scores], scores
 
 
 # ----------------------------------------------------------------------------
@@ -285,35 +355,41 @@ class GridSearchResult:
 @dataclass
 class FeaturizedFold:
     """One CV fold, featurized by a TF-IDF model fitted on its training part."""
-    train: Csr
+    train: list[Row]
     train_labels: list[Label]
-    test: Csr
+    test: list[Row]
     test_labels: list[Label]
+    n_features: int
 
 
-def train_family(family: str, X: Csr, labels: list[Label], params: dict,
-                 seed: int = DEFAULT_SEED):
-    """Dispatch to the family trainer with Label lists as the common input.
+def train_family(family: str, rows: list[Row], n_features: int, labels: list[Label],
+                 params: dict, seed: int = DEFAULT_SEED):
+    """Dispatch to the family trainer with TF-IDF rows over n_features
+    columns and Label lists as the common input.
 
     params are the trainer's keyword arguments; any it leaves out keep the
     trainer's defaults.
     """
     if family == "nb":
-        return train_nb(X, labels, **params)
+        return train_nb(Csr.from_rows(rows, n_features), labels, **params)
     if family == "lr":
-        return train_lr(X, [1 if lab is Label.BULLYING else 0 for lab in labels], **params)
+        return train_lr(Csr.from_rows(rows, n_features),
+                        [1 if lab is Label.BULLYING else 0 for lab in labels], **params)
     if family == "svm":
         ysign = [1 if lab is Label.BULLYING else -1 for lab in labels]
-        return train_svm(X, ysign, seed=seed, **params)
+        return train_svm(rows, ysign, seed=seed, n_features=n_features, **params)
     raise TrainingError(f"unknown model family {family!r}")
 
 
 def predict_family(
-    family: str, model, X: Csr, threshold: float = 0.5,
-) -> tuple[list[Label], np.ndarray]:
-    """Labels and the family's raw scores; threshold applies to LR only."""
-    if family == "nb":
-        return predict_nb(X, model)
+    family: str, model, X: list[Row], threshold: float = 0.5,
+) -> tuple[list[Label], list[float]]:
+    """Labels and the scores predict reports: NB the predicted class's
+    posterior, LR the positive-class probability, SVM the margin. threshold
+    applies to LR only."""
+    if family == "nb":  # the posterior is the sigmoid of the log-score gap
+        labels, scores = predict_nb(X, model)
+        return labels, [1.0 / (1.0 + math.exp(-abs(s_b - s_n))) for s_b, s_n in scores]
     if family == "lr":
         return predict_lr(X, model, threshold)
     if family == "svm":
@@ -360,6 +436,7 @@ def featurize_folds(
             train_labels=[labels[i] for i in train_idx],
             test=transform_all([token_lists[i] for i in test_idx], tfidf),
             test_labels=[labels[i] for i in test_idx],
+            n_features=tfidf.n_features,
         ))
     return folds
 
@@ -373,7 +450,7 @@ def fold_reports(
     """Train on each fold's training part and score its held-out part."""
     reports = []
     for fold in folds:
-        model = train_family(family, fold.train, fold.train_labels, params, seed)
+        model = train_family(family, fold.train, fold.n_features, fold.train_labels, params, seed)
         reports.append(evaluate(fold.test_labels, predict_family(family, model, fold.test)[0]))
     return reports
 
@@ -399,7 +476,7 @@ def grid_search(
         per_candidate.append((params, [_objective_value(r, objective) for r in reports]))
         candidate_reports.append(reports)
     means = [sum(scores) / len(scores) for _, scores in per_candidate]
-    best = int(np.argmax(means))  # argmax keeps the earliest maximum
+    best = means.index(max(means))  # the earliest maximum
     return GridSearchResult(
         best_params=per_candidate[best][0],
         best_score=means[best],

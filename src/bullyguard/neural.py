@@ -48,8 +48,8 @@ class NeuralVocab:
 
 def build_neural_vocab(
     token_lists: list[list[str]],
-    min_freq: int = 1,
-    max_len_cap: int = 40,
+    min_freq: int,
+    max_len_cap: int,
 ) -> NeuralVocab:
     """Vocabulary from training token lists only.
 

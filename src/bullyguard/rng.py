@@ -21,7 +21,8 @@ in bulk: the xoshiro256** step is linear over GF(2), so a block of outputs
 comes from up to 256 lanes, each started at a jump-ahead of the state and
 each giving 64 consecutive outputs, all advanced in lockstep as numpy
 ``uint64`` arrays. A block leaves the state exactly where as many scalar
-``next_u64`` calls would.
+``next_u64`` calls would. numpy is imported by the bulk draws only, so a
+command that draws nothing in bulk never loads it.
 
 ``permutations`` replaces the generator ``shuffles``: it returns the orders
 of successive shuffles as one read-only array, which a caller can keep and
@@ -32,8 +33,10 @@ follow at once.
 from __future__ import annotations
 
 import functools
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_SEED = 42  # the seed of a run that sets none: its split, folds, SVM and BiLSTM
 
@@ -42,7 +45,6 @@ _DOUBLE_UNIT = 1.0 / (1 << 53)
 _LANE = 64                # consecutive outputs per lane of a bulk draw
 _BLOCK = 256 * _LANE      # outputs per bulk draw: the jump table covers 256 lanes
 _ROW_CHUNK = 32           # matrix rows per step of _jump, so temporaries stay <= 256 KB
-_SHIFTS = np.arange(64, dtype=np.uint64)
 
 
 def _splitmix64(state: int) -> tuple[int, int]:
@@ -78,24 +80,27 @@ def _jump(rows: np.ndarray, states: np.ndarray) -> np.ndarray:
 
     Output bit i is the parity of (row i AND state).
     """
+    import numpy as np
     out = np.zeros_like(states)
     for c in range(0, 256, _ROW_CHUNK):
         both = rows[c:c + _ROW_CHUNK, None, :] & states[None, :, :]
         folded = both[..., 0] ^ both[..., 1] ^ both[..., 2] ^ both[..., 3]
         bits = (np.bitwise_count(folded) & 1).astype(np.uint64)
-        shifts = _SHIFTS[c % 64:c % 64 + _ROW_CHUNK, None]
+        shifts = np.arange(c % 64, c % 64 + _ROW_CHUNK, dtype=np.uint64)[:, None]
         out[:, c // 64] |= np.bitwise_or.reduce(bits << shifts, axis=0)
     return out
 
 
 def _pack(bits: np.ndarray) -> np.ndarray:
     """(256, 256) 0/1 matrix -> its rows packed as (256, 4) uint64."""
+    import numpy as np
     packed = np.ascontiguousarray(np.packbits(bits, axis=1, bitorder="little"))
     return packed.view("<u8").astype(np.uint64)
 
 
 def _transpose(cols: np.ndarray) -> np.ndarray:
     """Packed columns (256, 4) of a GF(2) matrix -> its packed rows."""
+    import numpy as np
     return _pack(np.unpackbits(cols.astype("<u8").view(np.uint8), axis=1, bitorder="little").T)
 
 
@@ -103,6 +108,7 @@ def _transpose(cols: np.ndarray) -> np.ndarray:
 def _jump_table() -> np.ndarray:
     """Packed rows of A^(64 * 2^k) for k = 0..7, shape (8, 256, 4), where A is
     one xoshiro256** step. Built on the first bulk draw, then kept."""
+    import numpy as np
     basis = _pack(np.eye(256, dtype=np.uint8))
     words = [basis[:, w].copy() for w in range(4)]
     for _ in range(_LANE):
@@ -170,6 +176,7 @@ class Rng:
         The draws of many shuffles come from one bulk draw; a bulk draw with
         a rejected word is replayed with the scalar `shuffle`.
         """
+        import numpy as np
         out = np.tile(np.arange(n, dtype=np.int32), (count, 1))
         items = list(range(n))
         positions = range(n - 1, 0, -1)
@@ -201,6 +208,7 @@ class Rng:
 
     def uniform_array(self, shape: tuple[int, ...], a: float, b: float) -> np.ndarray:
         """Dense array of uniforms, filled in C (row-major) order."""
+        import numpy as np
         out = np.empty(int(np.prod(shape)), dtype=np.float64)
         for start in range(0, out.size, _BLOCK):
             words = self._block(min(_BLOCK, out.size - start))
@@ -213,6 +221,7 @@ class Rng:
         Lane k starts at the state 64*k steps ahead, so lane k's 64 outputs
         are outputs 64*k .. 64*k + 63 of the block.
         """
+        import numpy as np
         lanes = -(-n // _LANE)
         if lanes == 0:
             return np.empty(0, dtype=np.uint64)

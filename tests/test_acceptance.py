@@ -17,6 +17,7 @@ from bullyguard.corpus import Label, load_corpus
 from bullyguard.eval import BenchmarkConfig, run_benchmark
 from bullyguard.features import TfidfConfig, fit_tfidf, transform, transform_all
 from bullyguard.linear_models import (
+    Csr,
     lr_loss_grad,
     predict_lr,
     predict_nb,
@@ -39,11 +40,12 @@ from bullyguard.neural import (
     train,
 )
 from bullyguard.rng import Rng
-from test_features import dense_tfidf_oracle
-from test_linear_models import csr, nb_posterior_oracle, separable_toy, sv
+from test_features import dense as dense_row, dense_tfidf_oracle
+from test_linear_models import csr, nb_posterior_oracle, rows, separable_toy, sv
 from test_neural import attention, keyword_task
 
 B, N = Label.BULLYING, Label.NON_BULLYING
+DEFAULT = TrainConfig()  # its min_freq and max_len_cap build each vocabulary
 
 
 def ok(criterion: int, message: str) -> None:
@@ -68,7 +70,7 @@ def test_acceptance_1_tfidf_oracle_equivalence():
         model = fit_tfidf(docs, TfidfConfig(sublinear_tf=sublinear, l2_normalize=l2))
         query = docs[rng.randbelow(len(docs))] + [alphabet[rng.randbelow(vocab_size)]]
         vocab, expected = dense_tfidf_oracle(docs, query, sublinear, l2)
-        dense = transform(query, model).toarray()[0]
+        dense = dense_row(transform(query, model), model.n_features)
         for token, want in zip(vocab, expected):
             got = dense[model.vocabulary.token_to_id[token]]
             assert abs(got - want) <= 1e-9, (case, token)
@@ -95,7 +97,7 @@ def test_acceptance_2_nb_oracle_equivalence():
         model = train_nb(csr(docs), labels, alpha=alpha)
         query = [float(rng.randbelow(3)) for _ in range(v)]
         _, (scores,) = predict_nb(sv(query), model)
-        shifted = np.exp(scores - scores.max())
+        shifted = np.exp(np.subtract(scores, max(scores)))
         got = shifted / shifted.sum()
         want = nb_posterior_oracle(docs, class_ids, query, alpha)
         assert np.max(np.abs(got - np.asarray(want))) <= 1e-9, case
@@ -107,7 +109,7 @@ def test_acceptance_2_nb_oracle_equivalence():
 def test_acceptance_3_lr_gradient_and_descent():
     docs = [["a", "b"], ["b"], ["a", "c"], ["c"], ["a"], ["b", "c"]]
     tfidf = fit_tfidf(docs)
-    X = transform_all(docs, tfidf)
+    X = Csr.from_rows(transform_all(docs, tfidf), tfidf.n_features)
     y = np.asarray([1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
     lam, h = 1e-2, 1e-5
     rng = Rng(3003)
@@ -227,8 +229,9 @@ def test_acceptance_6_early_stopping_contract():
 # criterion 7 -----------------------------------------------------------------
 
 def test_acceptance_7_separable_sanity():
-    vectors, labels01 = separable_toy(10)
-    lr_model = train_lr(vectors, labels01, l2_lambda=0.0, lr=0.5, epochs=2000)
+    dense, labels01 = separable_toy(10)
+    vectors = rows(dense)
+    lr_model = train_lr(csr(dense), labels01, l2_lambda=0.0, lr=0.5, epochs=2000)
     lr_acc = np.mean([
         (label is B) == bool(y)
         for label, y in zip(predict_lr(vectors, lr_model)[0], labels01)
@@ -236,7 +239,7 @@ def test_acceptance_7_separable_sanity():
     assert lr_acc == 1.0
 
     signed = [1 if y == 1 else -1 for y in labels01]
-    svm_model = train_svm(vectors, signed, reg_lambda=1e-2, epochs=200, seed=42)
+    svm_model = train_svm(vectors, signed, reg_lambda=1e-2, epochs=200, seed=42, n_features=2)
     svm_acc = np.mean([
         (label is B) == (y == 1)
         for label, y in zip(predict_svm(vectors, svm_model)[0], signed)
@@ -244,7 +247,7 @@ def test_acceptance_7_separable_sanity():
     assert svm_acc == 1.0
 
     token_lists, labels = keyword_task(16)
-    vocab = build_neural_vocab(token_lists)
+    vocab = build_neural_vocab(token_lists, DEFAULT.min_freq, DEFAULT.max_len_cap)
     ids, lens = encode_batch(token_lists, vocab)
     config = TrainConfig(batch_size=4, embedding_dim=16, hidden_dim=8,
                          attention_dim=8, learning_rate=0.01,

@@ -43,6 +43,7 @@ from bullyguard.rng import Rng
 from conftest import make_record
 
 B, N = Label.BULLYING, Label.NON_BULLYING
+DEFAULT = TrainConfig()  # its min_freq and max_len_cap build each vocabulary
 
 
 def corpus_fixture():
@@ -60,7 +61,8 @@ def build_classical_artifact(family, records, lexicon, rules, params=None):
     tokens = preprocess_corpus([r.text for r in records], pipeline, lexicon, rules)
     labels = [r.label for r in records]
     tfidf = fit_tfidf(tokens, TfidfConfig())
-    model = train_family(family, transform_all(tokens, tfidf), labels, params or {}, 42)
+    model = train_family(family, transform_all(tokens, tfidf), tfidf.n_features, labels,
+                         params or {}, 42)
     return ModelArtifact(
         family=family, seed=42, majority_label=B,
         preprocessing_fp=preprocessing_fingerprint(pipeline, lexicon, rules),
@@ -73,7 +75,7 @@ def build_neural_artifact(use_attention, records, lexicon, rules):
     pipeline = PipelineConfig()
     tokens = preprocess_corpus([r.text for r in records], pipeline, lexicon, rules)
     labels = np.asarray([r.label.index for r in records], dtype=np.int64)
-    vocab = build_neural_vocab(tokens)
+    vocab = build_neural_vocab(tokens, DEFAULT.min_freq, DEFAULT.max_len_cap)
     ids, lens = encode_batch(tokens, vocab)
     config = TrainConfig(batch_size=8, embedding_dim=8, hidden_dim=4,
                          attention_dim=4, learning_rate=0.05,
@@ -381,12 +383,14 @@ def artifacts(draw):
         config=TfidfConfig(draw(st.booleans()), draw(st.booleans()), draw(st.integers(1, 3))),
     )
     if family == "nb":
-        artifact.model = NaiveBayesModel(floats(draw, (2,)), floats(draw, (2, v)), draw(FINITE))
+        artifact.model = NaiveBayesModel(floats(draw, (2,)).tolist(),
+                                         floats(draw, (2, v)).tolist(), draw(FINITE))
     elif family == "lr":
-        artifact.model = LogisticRegressionModel(floats(draw, (v,)), draw(FINITE), draw(FINITE))
+        artifact.model = LogisticRegressionModel(floats(draw, (v,)).tolist(), draw(FINITE),
+                                                 draw(FINITE))
         artifact.threshold = draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
     else:
-        artifact.model = LinearSvmModel(floats(draw, (v,)), draw(FINITE), draw(FINITE))
+        artifact.model = LinearSvmModel(floats(draw, (v,)).tolist(), draw(FINITE), draw(FINITE))
     return artifact
 
 
@@ -406,7 +410,8 @@ def test_artifact_save_load_save_is_byte_identical(artifact):
 def test_loaded_neural_artifact_predicts_the_same(seed, use_attention, dims,
                                                   default_lexicon, default_rules):
     prep = Preprocessor(PipelineConfig(), default_lexicon, default_rules)
-    vocab = build_neural_vocab(prep.corpus(FIXTURE_LINES[::2]))  # odd lines meet OOV tokens
+    vocab = build_neural_vocab(prep.corpus(FIXTURE_LINES[::2]),  # odd lines meet OOV tokens
+                               DEFAULT.min_freq, DEFAULT.max_len_cap)
     embedding_dim, hidden_dim, attention_dim = dims
     config = TrainConfig(embedding_dim=embedding_dim, hidden_dim=hidden_dim,
                          attention_dim=attention_dim)

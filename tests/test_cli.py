@@ -794,9 +794,9 @@ def trainer_kwargs(rt, family):
     """The keywords train_family hands the family's trainer under rt's config."""
     params, seen = cli._model_params(rt, family), {}
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(linear_models, f"train_{family}",
-                      lambda X, labels, **kwargs: seen.update(kwargs))
-        linear_models.train_family(family, None, [], params, rt.seed)
+        patch.setattr(linear_models, f"train_{family}",  # n_features comes from the data
+                      lambda X, labels, n_features=None, **kwargs: seen.update(kwargs))
+        linear_models.train_family(family, [], 0, [], params, rt.seed)
     return seen
 
 
@@ -964,6 +964,15 @@ def set_token_id(nth, new_id):
     return edit
 
 
+def swap_with_next(key):
+    """Artifact edit: the first line whose first word is key trades places
+    with the line after it."""
+    def edit(lines):
+        i = next(i for i, line in enumerate(lines) if line.split(" ", 1)[0] == key)
+        return lines[:i] + [lines[i + 1], lines[i]] + lines[i + 2:]
+    return edit
+
+
 def neural_vocab_1(lines):
     """Artifact edit: a neural vocabulary of PAD alone, consistent across the
     [neural] header, the token lines and the embedding block."""
@@ -992,6 +1001,15 @@ BAD_ARTIFACTS = {
     "lr_cut_in_number": ("lr", cut_in_line(
         "weights", lambda line: line.rindex(" ", 0, len(line) // 2) + 3)),
     "svm_extra_weight": ("svm", edit_line("weights", lambda line: line + " 0.5")),
+    "svm_inf_weight": ("svm", edit_line("weights", lambda line: line.rsplit(" ", 1)[0] + " inf")),
+    "svm_1e999_weight": ("svm", edit_line(
+        "weights", lambda line: line.rsplit(" ", 1)[0] + " 1e999")),
+    "svm_nan_bias": ("svm", edit_line("bias", lambda line: "bias nan")),
+    "nb_nan_likelihood": ("nb", edit_line(
+        "log_likelihood", lambda line: line.rsplit(" ", 1)[0] + " nan")),
+    "nb_likelihood_rows_swapped": ("nb", swap_with_next("log_likelihood")),
+    "nb_minus_inf_prior": ("nb", edit_line(
+        "log_prior", lambda line: "log_prior -inf " + line.split(" ")[2])),
     "nb_three_priors": ("nb", edit_line("log_prior", lambda line: line + " -1")),
     "nb_short_likelihood": ("nb", edit_line(
         "log_likelihood", lambda line: line.rsplit(" ", 1)[0])),
@@ -1057,14 +1075,15 @@ LOADED_MODULES = (
     "import sys\n"
     "from bullyguard import cli\n"
     "code = cli.main(sys.argv[1:])\n"
-    "print(' '.join(sorted(m for m in sys.modules if m.startswith('bullyguard.'))))\n"
+    "print(' '.join(sorted(m for m in sys.modules\n"
+    "                      if m.startswith('bullyguard.') or m == 'numpy')))\n"
     "sys.exit(code)\n"
 )
 
 
 def loaded_modules(args) -> set[str]:
-    """The bullyguard modules a fresh process has loaded after cli.main(args),
-    which must return 0."""
+    """The bullyguard modules, and numpy if loaded, that a fresh process has
+    loaded after cli.main(args), which must return 0."""
     proc = subprocess.run([sys.executable, "-c", LOADED_MODULES, *map(str, args)],
                           env=src_env(), capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
@@ -1084,17 +1103,25 @@ def bundled_models(tmp_path_factory, synthetic_corpus_path):
     return models
 
 
-NEURAL, STUDY = "bullyguard.neural", "bullyguard.eval"
+NEURAL, STUDY, NUMPY = "bullyguard.neural", "bullyguard.eval", "numpy"
 
 
 @pytest.mark.parametrize("family, unloaded", [
-    ("nb", {NEURAL, STUDY}), ("lr", {NEURAL, STUDY}), ("svm", {NEURAL, STUDY}),
+    *((family, {NEURAL, STUDY, NUMPY}) for family in linear_models.CLASSICAL_FAMILIES),
     ("bilstm", {STUDY}), ("bilstm_attention", {STUDY})])
 def test_predict_loads_only_its_family(tmp_path, bundled_models, family, unloaded):
     lines = tmp_path / "input.txt"
     lines.write_text("dasar jelek banget\nkamu keren bagus\n\n", encoding="utf-8")
     loaded = loaded_modules(["predict", "--model", bundled_models[family], "--input", lines])
     assert "bullyguard.artifact" in loaded and not loaded & unloaded
+    assert (NUMPY in loaded) == (NUMPY not in unloaded)
+
+
+def test_importing_the_cli_loads_no_numpy():
+    code = "import sys, bullyguard.cli\nprint('numpy' in sys.modules)\n"
+    proc = subprocess.run([sys.executable, "-c", code], env=src_env(), capture_output=True,
+                          text=True, timeout=120)
+    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
 
 
 @pytest.mark.parametrize("args", [

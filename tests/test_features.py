@@ -5,7 +5,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from bullyguard.features import (
-    Csr,
     FeatureError,
     TfidfConfig,
     TfidfModel,
@@ -14,6 +13,7 @@ from bullyguard.features import (
     transform,
     transform_all,
 )
+from bullyguard.linear_models import Csr
 from bullyguard.rng import Rng
 
 
@@ -74,22 +74,30 @@ def test_fit_rejects_empty():
         fit_tfidf([[], []])
 
 
+def dense(row, n_features: int) -> list[float]:
+    """A TF-IDF row as a dense list."""
+    out = [0.0] * n_features
+    for i, v in zip(*row):
+        out[i] = v
+    return out
+
+
 def test_transform_hand_case_unnormalized():
     model = fit_tfidf([["a", "b"], ["a"]], TfidfConfig(l2_normalize=False))
-    vec = transform(["a", "a", "b"], model)
-    assert vec.indices.tolist() == [0, 1]
-    assert vec.data[0] == pytest.approx(2.0)
-    assert vec.data[1] == pytest.approx(math.log(3 / 2) + 1.0)
+    ids, values = transform(["a", "a", "b"], model)
+    assert ids == [0, 1]
+    assert values[0] == pytest.approx(2.0)
+    assert values[1] == pytest.approx(math.log(3 / 2) + 1.0)
 
 
 def test_transform_l2_normalized():
     model = fit_tfidf([["a", "b"], ["a"]], TfidfConfig(l2_normalize=True))
-    vec = transform(["a", "a", "b"], model)
+    _, values = transform(["a", "a", "b"], model)
     b_idf = math.log(3 / 2) + 1.0
     norm = math.sqrt(2.0 ** 2 + b_idf ** 2)
-    assert vec.data[0] == pytest.approx(2.0 / norm)
-    assert vec.data[1] == pytest.approx(b_idf / norm)
-    assert math.sqrt(sum(v * v for v in vec.data)) == pytest.approx(1.0, abs=1e-9)
+    assert values[0] == pytest.approx(2.0 / norm)
+    assert values[1] == pytest.approx(b_idf / norm)
+    assert math.sqrt(sum(v * v for v in values)) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_l2_norm_is_a_sequential_sum():
@@ -106,20 +114,20 @@ def test_l2_norm_is_a_sequential_sum():
         squares += v * v
     assert squares != math.fsum(v * v for v in values)
     expected = [v / math.sqrt(squares) for v in values]
-    assert transform_all([["a", "b", "c"]], model).data.tolist() == expected
+    assert transform_all([["a", "b", "c"]], model)[0][1] == expected
 
 
 def test_transform_oov_zero_vector():
     model = fit_tfidf([["a", "b"], ["a"]])
-    vec = transform(["zzz"], model)
-    assert len(vec) == 1 and vec.indices.size == 0 and vec.data.size == 0
-    assert transform([], model).data.size == 0
+    rows = transform_all([["zzz"]], model)
+    assert len(rows) == 1 and rows[0] == ([], [])
+    assert transform([], model) == ([], [])
 
 
 def test_transform_sublinear_tf():
     model = fit_tfidf([["a"]], TfidfConfig(sublinear_tf=True, l2_normalize=False))
-    vec = transform(["a", "a", "a"], model)
-    assert vec.data[0] == pytest.approx(1.0 + math.log(3.0))
+    _, values = transform(["a", "a", "a"], model)
+    assert values[0] == pytest.approx(1.0 + math.log(3.0))
 
 
 def test_idf_monotone_in_rarity():
@@ -152,7 +160,7 @@ def test_oracle_equivalence_modes(sublinear, l2):
         model = fit_tfidf(docs, config)
         query = docs[rng.randbelow(len(docs))] + ["w0"]
         vocab, expected = dense_tfidf_oracle(docs, query, sublinear, l2)
-        got = transform(query, model).toarray()[0]
+        got = dense(transform(query, model), model.n_features)
         assert len(vocab) == model.n_features
         for tok, want in zip(vocab, expected):
             has = got[model.vocabulary.token_to_id[tok]]
@@ -164,9 +172,8 @@ def test_transform_independent_of_other_documents_order():
     model = fit_tfidf(docs)
     v1 = transform(["a", "c"], model)
     v2 = transform(["a", "c"], model)
-    for field in ("indptr", "indices", "data"):
-        assert np.array_equal(getattr(v1, field), getattr(v2, field))
-    assert v1.n_features == v2.n_features
+    for field in (0, 1):  # ids, values
+        assert v1[field] == v2[field]
 
 
 def test_sparse_vector_invariants():
@@ -174,19 +181,19 @@ def test_sparse_vector_invariants():
         Csr(np.asarray([0, 2]), np.asarray([0, 1]), np.asarray([1.0]), 2)
     vec = Csr(np.asarray([0, 2]), np.asarray([1, 3]), np.asarray([2.0, -1.0]), 5)
     assert vec.matvec(np.asarray([0.0, 10.0, 0.0, 4.0])) == pytest.approx([16.0])
-    assert vec.toarray().tolist() == [[0.0, 2.0, 0.0, -1.0, 0.0]]
+    built = Csr.from_rows([([1, 3], [2.0, -1.0])], 5)
+    assert [built.indptr.tolist(), built.indices.tolist(), built.data.tolist(),
+            built.n_features] == [[0, 2], [1, 3], [2.0, -1.0], 5]
+
+
+def py_rows(rows: list[dict[int, float]]) -> list[tuple[list[int], list[float]]]:
+    """TF-IDF rows, one per {column: value} dict."""
+    return [(sorted(row), [float(row[i]) for i in sorted(row)]) for row in rows]
 
 
 def csr_rows(rows: list[dict[int, float]], n_features: int) -> Csr:
     """Csr with one row per {column: value} dict."""
-    indptr, indices, data = [0], [], []
-    for row in rows:
-        for i in sorted(row):
-            indices.append(i)
-            data.append(float(row[i]))
-        indptr.append(len(indices))
-    return Csr(np.asarray(indptr, dtype=np.int64), np.asarray(indices, dtype=np.int64),
-               np.asarray(data, dtype=np.float64), n_features)
+    return Csr.from_rows(py_rows(rows), n_features)
 
 
 # wide magnitudes, so a sum taken in any other order would show
@@ -230,12 +237,14 @@ def test_matvec_bit_identical_to_sequential_loops(rows, w, c):
 def test_transform_indices_sorted_values_nonzero(docs):
     model = fit_tfidf(docs)
     for doc in docs:
-        vec = transform(doc, model)
-        assert list(vec.indices) == sorted(set(vec.indices))
-        assert all(v != 0.0 for v in vec.data)
-    X = transform_all(docs, model)
+        ids, values = transform(doc, model)
+        assert ids == sorted(set(ids))
+        assert all(v != 0.0 for v in values)
+    rows = transform_all(docs, model)
+    X = Csr.from_rows(rows, model.n_features)
     assert len(X) == len(docs) and X.indptr[0] == 0 and X.indptr[-1] == X.data.size
     for r, doc in enumerate(docs):
         row = slice(X.indptr[r], X.indptr[r + 1])
-        assert np.array_equal(X.indices[row], transform(doc, model).indices)
-        assert np.array_equal(X.data[row], transform(doc, model).data)
+        assert np.array_equal(X.indices[row], transform(doc, model)[0])
+        assert np.array_equal(X.data[row], transform(doc, model)[1])
+        assert rows[r] == transform(doc, model)

@@ -5,17 +5,20 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import bullyguard.linear_models as lm
-from bullyguard.corpus import Label, kfold_split, load_corpus
-from bullyguard.features import Csr, fit_tfidf, transform_all
+from bullyguard.corpus import CLASS_ORDER, Label, kfold_split, load_corpus
+from bullyguard.features import fit_tfidf, transform_all
 from bullyguard.linear_models import (
+    CLASSICAL_FAMILIES,
     DEFAULT_GRIDS,
     SVM_MAX_MAGNITUDE,
+    Csr,
     TrainingError,
     expand_grid,
     featurize_folds,
     grid_search,
     lr_loss_grad,
     nb_log_scores,
+    predict_family,
     predict_lr,
     predict_nb,
     predict_svm,
@@ -25,19 +28,23 @@ from bullyguard.linear_models import (
 )
 from bullyguard.preprocess import PipelineConfig, preprocess_corpus
 from bullyguard.rng import Rng
-from test_features import FLOATS, MAX_ROWS, N_COLS, ROWS, csr_rows
+from test_features import FLOATS, MAX_ROWS, N_COLS, ROWS, csr_rows, py_rows
 
 B, N = Label.BULLYING, Label.NON_BULLYING
 
 
+def rows(dense_rows):
+    """TF-IDF rows of dense rows; zero entries are left out."""
+    return py_rows([{i: v for i, v in enumerate(dense) if v != 0.0} for dense in dense_rows])
+
+
 def csr(dense_rows):
     """Csr of equal-length dense rows; zero entries are left out."""
-    return csr_rows([{i: v for i, v in enumerate(dense) if v != 0.0} for dense in dense_rows],
-                    len(dense_rows[0]))
+    return Csr.from_rows(rows(dense_rows), len(dense_rows[0]))
 
 
 def sv(dense):
-    return csr([dense])
+    return rows([dense])
 
 
 def nb_posterior_oracle(docs_dense, class_ids, query_dense, alpha):
@@ -86,7 +93,7 @@ def test_nb_large_alpha_uniform_limit():
 
 def test_nb_missing_class_error():
     with pytest.raises(TrainingError, match="has no training documents"):
-        train_nb(sv([1, 0]), [B], alpha=1.0)
+        train_nb(csr([[1, 0]]), [B], alpha=1.0)
     with pytest.raises(TrainingError, match="alpha"):
         train_nb(csr([[1, 0], [0, 1]]), [B, N], alpha=0.0)
 
@@ -109,9 +116,9 @@ def test_nb_predict_hand_posterior():
 def test_nb_scaling_preserves_argmax_under_equal_priors():
     vectors = csr([[2, 0], [1, 1], [0, 2], [1, 1]])
     model = train_nb(vectors, [B, B, N, N], alpha=1.0)
-    base = nb_log_scores(sv([1, 0.5]), model)[0] - model.log_prior
+    base = np.subtract(nb_log_scores(sv([1, 0.5]), model)[0], model.log_prior)
     for k in (0.5, 2.0, 7.0):
-        scaled = nb_log_scores(sv([k * 1, k * 0.5]), model)[0] - model.log_prior
+        scaled = np.subtract(nb_log_scores(sv([k * 1, k * 0.5]), model)[0], model.log_prior)
         np.testing.assert_allclose(scaled, k * base, rtol=1e-12)
     assert predict_nb(sv([1, 0.5]), model)[0][0] is predict_nb(sv([5, 2.5]), model)[0][0]
 
@@ -138,7 +145,7 @@ def test_nb_oracle_equivalence_random():
         model = train_nb(csr(docs), labels, alpha=alpha)
         query = [float(rng.randbelow(3)) for _ in range(v)]
         _, (scores,) = predict_nb(sv(query), model)
-        shifted = np.exp(scores - scores.max())
+        shifted = np.exp(np.subtract(scores, max(scores)))
         got = shifted / shifted.sum()
         want = nb_posterior_oracle(docs, class_ids, query, alpha)
         np.testing.assert_allclose(got, want, atol=1e-9)
@@ -154,17 +161,16 @@ def test_nb_oracle_equivalence_random():
 @example(rows=[{3: 2.5}, {0: 1e12}], classes=[N, B] * 4, prior=[-1.0, -2.0],
          ll=[1e12, -1.0, 1e-3, 2.0, -1e12, 0.5] * 2)
 def test_nb_bit_identical_to_sequential_loops(rows, classes, prior, ll):
-    """Batched NB scoring and training add in the order of the per-row loops."""
-    X = csr_rows(rows, N_COLS)
-    model = lm.NaiveBayesModel(log_prior=np.asarray(prior),
-                               log_likelihood=np.asarray(ll).reshape(2, N_COLS), alpha=1.0)
+    """NB scoring and batched training add in the order of the per-row loops."""
+    model = lm.NaiveBayesModel(log_prior=prior, log_likelihood=[ll[:N_COLS], ll[N_COLS:]],
+                               alpha=1.0)
     want = []
     for row in rows:
-        scores = model.log_prior.copy()
+        scores = np.array(model.log_prior)
         for i in sorted(row):
-            scores += row[i] * model.log_likelihood[:, i]
+            scores += row[i] * np.asarray(model.log_likelihood)[:, i]
         want.append(scores.tolist())
-    assert nb_log_scores(X, model).tolist() == want
+    assert nb_log_scores(py_rows(rows), model) == want
 
     labels = classes[:len(rows)]
     if set(labels) != {B, N}:
@@ -176,7 +182,7 @@ def test_nb_bit_identical_to_sequential_loops(rows, classes, prior, ll):
             mass[label.index, i] += row[i]
     want_ll = np.log(1.0 + mass) - np.log(N_COLS + mass.sum(axis=1, keepdims=True))
     got = train_nb(csr_rows(masses, N_COLS), labels, alpha=1.0)
-    assert got.log_likelihood.tolist() == want_ll.tolist()
+    assert got.log_likelihood == want_ll.tolist()
 
 
 # ----------------------------------------------------------------------------
@@ -184,31 +190,31 @@ def test_nb_bit_identical_to_sequential_loops(rows, classes, prior, ll):
 # ----------------------------------------------------------------------------
 
 def separable_toy(copies=10):
-    vectors = csr([[1.0, 0.0]] * copies + [[0.0, 1.0]] * copies)
+    dense = [[1.0, 0.0]] * copies + [[0.0, 1.0]] * copies
     labels01 = [1] * copies + [0] * copies
-    return vectors, labels01
+    return dense, labels01
 
 
 def test_lr_separable_reaches_perfect_train_accuracy():
-    vectors, labels01 = separable_toy()
-    model = train_lr(vectors, labels01, l2_lambda=0.0, lr=0.5, epochs=2000)
-    preds = [1 if label is B else 0 for label in predict_lr(vectors, model)[0]]
+    dense, labels01 = separable_toy()
+    model = train_lr(csr(dense), labels01, l2_lambda=0.0, lr=0.5, epochs=2000)
+    preds = [1 if label is B else 0 for label in predict_lr(rows(dense), model)[0]]
     assert preds == labels01
 
 
 def test_lr_huge_lambda_collapses_to_majority():
     # 3:1 imbalance: in the regularization limit the bias term dominates the
     # vanishing weights, so every prediction is the majority class
-    vectors = csr([[1.0, 0.0]] * 15 + [[0.0, 1.0]] * 5)
+    dense = [[1.0, 0.0]] * 15 + [[0.0, 1.0]] * 5
     labels01 = [1] * 15 + [0] * 5
-    model = train_lr(vectors, labels01, l2_lambda=1e6, lr=0.1, epochs=500)
+    model = train_lr(csr(dense), labels01, l2_lambda=1e6, lr=0.1, epochs=500)
     assert np.abs(model.weights).max() < 1e-3
-    preds = set(predict_lr(vectors, model)[0])
+    preds = set(predict_lr(rows(dense), model)[0])
     assert preds == {B}
 
 
 def test_lr_single_step_matches_hand_gradient():
-    x = sv([2.0, 3.0])
+    x = csr([[2.0, 3.0]])
     model = train_lr(x, [1], l2_lambda=0.0, lr=0.1, epochs=1)
     # gradient at zero weights: (sigma(0) - y) * x = -x/2; bias likewise -1/2
     np.testing.assert_allclose(model.weights, [0.1, 0.15], rtol=1e-12)
@@ -219,7 +225,7 @@ def test_lr_loss_nonincreasing_on_fixture():
     rng = Rng(5)
     docs = [["a", "b"], ["b", "c"], ["a"], ["c", "c"], ["a", "c"], ["b"]]
     model_tfidf = fit_tfidf(docs)
-    vectors = transform_all(docs, model_tfidf)
+    vectors = Csr.from_rows(transform_all(docs, model_tfidf), model_tfidf.n_features)
     labels01 = [1, 0, 1, 0, 0, 1]
     model = train_lr(vectors, labels01, l2_lambda=1e-3, lr=0.1, epochs=300)
     history = model.loss_history
@@ -231,7 +237,7 @@ def test_lr_gradient_matches_finite_differences():
     rng = Rng(11)
     docs = [["a", "b"], ["b"], ["a", "c"], ["c"]]
     tfidf = fit_tfidf(docs)
-    X = transform_all(docs, tfidf)
+    X = Csr.from_rows(transform_all(docs, tfidf), tfidf.n_features)
     y = np.asarray([1.0, -1.0, 1.0, -1.0])
     lam = 1e-2
     h = 1e-5
@@ -254,17 +260,17 @@ def test_lr_gradient_matches_finite_differences():
 
 def test_lr_nonfinite_loss_reports_iteration():
     with pytest.raises(TrainingError, match="learning rate"):
-        train_lr(sv([1.0]), [1], lr=0.0)
+        train_lr(csr([[1.0]]), [1], lr=0.0)
 
 
 def test_predict_lr_hand_cases():
-    model = lm.LogisticRegressionModel(weights=np.zeros(2), bias=0.0, l2_lambda=0.0)
+    model = lm.LogisticRegressionModel(weights=[0.0, 0.0], bias=0.0, l2_lambda=0.0)
     (label,), (p,) = predict_lr(sv([1.0, 1.0]), model)
     assert p == pytest.approx(0.5)
     assert label is B  # threshold rule assigns the positive class at exactly 0.5
-    model_b = lm.LogisticRegressionModel(weights=np.zeros(2), bias=10.0, l2_lambda=0.0)
+    model_b = lm.LogisticRegressionModel(weights=[0.0, 0.0], bias=10.0, l2_lambda=0.0)
     assert predict_lr(sv([0.0, 0.0]), model_b)[1][0] > 0.9999
-    model_w = lm.LogisticRegressionModel(weights=np.asarray([2.0, -2.0]), bias=0.0, l2_lambda=0.0)
+    model_w = lm.LogisticRegressionModel(weights=[2.0, -2.0], bias=0.0, l2_lambda=0.0)
     assert predict_lr(sv([1.0, 1.0]), model_w)[1][0] == pytest.approx(0.5)
 
 
@@ -273,43 +279,45 @@ def test_predict_lr_hand_cases():
 # ----------------------------------------------------------------------------
 
 def test_svm_separable_positive_margins():
-    vectors, labels01 = separable_toy()
+    dense, labels01 = separable_toy()
     signed = [1 if y == 1 else -1 for y in labels01]
-    model = train_svm(vectors, signed, reg_lambda=1e-2, epochs=200, seed=42)
-    for score, y in zip(vectors.matvec(model.weights), signed):
+    model = train_svm(rows(dense), signed, reg_lambda=1e-2, epochs=200, seed=42, n_features=2)
+    for score, y in zip(np.asarray(dense) @ model.weights, signed):
         assert y * (score + model.bias) > 0.0
 
 
 def test_svm_single_example_hinge_to_zero():
-    vectors = csr([[1.0, 0.5]] * 4)
+    dense = [[1.0, 0.5]] * 4
     signed = [1] * 4
-    model = train_svm(vectors, signed, reg_lambda=0.1, epochs=500, seed=1)
-    hinge = max(0.0, 1.0 - (vectors.matvec(model.weights)[0] + model.bias))
+    model = train_svm(rows(dense), signed, reg_lambda=0.1, epochs=500, seed=1, n_features=2)
+    hinge = max(0.0, 1.0 - (np.dot(dense[0], model.weights) + model.bias))
     assert hinge < 1e-2
 
 
 def test_svm_deterministic_under_seed():
-    vectors, labels01 = separable_toy(5)
+    dense, labels01 = separable_toy(5)
+    vectors = rows(dense)
     signed = [1 if y == 1 else -1 for y in labels01]
-    m1 = train_svm(vectors, signed, reg_lambda=1e-2, epochs=50, seed=9)
-    m2 = train_svm(vectors, signed, reg_lambda=1e-2, epochs=50, seed=9)
+    m1 = train_svm(vectors, signed, reg_lambda=1e-2, epochs=50, seed=9, n_features=2)
+    m2 = train_svm(vectors, signed, reg_lambda=1e-2, epochs=50, seed=9, n_features=2)
     assert np.array_equal(m1.weights, m2.weights) and m1.bias == m2.bias
-    m3 = train_svm(vectors, signed, reg_lambda=1e-2, epochs=50, seed=10)
+    m3 = train_svm(vectors, signed, reg_lambda=1e-2, epochs=50, seed=10, n_features=2)
     assert not np.array_equal(m1.weights, m3.weights)
 
 
 def svm_objective(
-    X: Csr,
+    X: list,
     labels_signed: list[int],
-    weights: np.ndarray,
+    weights,
     bias: float,
     reg_lambda: float,
 ) -> float:
     """(lambda/2)||w||^2 + mean hinge loss: the objective Pegasos minimizes."""
     hinge = 0.0
-    for score, y in zip(X.matvec(weights).tolist(), labels_signed):
+    for (ids, values), y in zip(X, labels_signed):
+        score = sum(x * weights[i] for i, x in zip(ids, values))
         hinge += max(0.0, 1.0 - y * (score + bias))
-    return 0.5 * reg_lambda * float(weights @ weights) + hinge / len(X)
+    return 0.5 * reg_lambda * float(np.dot(weights, weights)) + hinge / len(X)
 
 
 def test_svm_objective_decreases_from_init():
@@ -320,7 +328,8 @@ def test_svm_objective_decreases_from_init():
     signed = [1, -1, 1, -1, 1, -1]
     lam = 1e-2
     initial = svm_objective(vectors, signed, np.zeros(tfidf.n_features), 0.0, lam)
-    model = train_svm(vectors, signed, reg_lambda=lam, epochs=200, seed=42)
+    model = train_svm(vectors, signed, reg_lambda=lam, epochs=200, seed=42,
+                      n_features=tfidf.n_features)
     final = svm_objective(vectors, signed, model.weights, model.bias, lam)
     assert initial == pytest.approx(1.0)
     assert final < initial
@@ -328,47 +337,48 @@ def test_svm_objective_decreases_from_init():
 
 def test_svm_invalid_lambda():
     with pytest.raises(TrainingError, match="reg_lambda"):
-        train_svm(sv([1.0]), [1], reg_lambda=0.0)
+        train_svm(sv([1.0]), [1], reg_lambda=0.0, n_features=1)
 
 
 @pytest.mark.parametrize("reg_lambda", [1e-320, 5e-324])
 def test_svm_non_finite_weights_refused(reg_lambda):
     # 1/(lambda*t) overflows to inf at t = 1, so the first step makes the scale -inf
     with pytest.raises(TrainingError, match=f"non-finite .* reg_lambda {reg_lambda}"):
-        train_svm(csr([[0.5, 0.25], [0.0, 1.0]]), [1, -1], reg_lambda=reg_lambda, epochs=2)
+        train_svm(rows([[0.5, 0.25], [0.0, 1.0]]), [1, -1], reg_lambda=reg_lambda, epochs=2,
+                  n_features=2)
 
 
 @pytest.mark.parametrize("reg_lambda", [1e-300, 1e-20])
 def test_svm_huge_weights_refused(reg_lambda):
     # the first step is 1/lambda: finite, but far above any usable weight
     with pytest.raises(TrainingError, match=f"above 1e\\+12 in magnitude at reg_lambda {reg_lambda}$"):
-        train_svm(csr([[0.5, 0.25], [0.0, 1.0]]), [1, -1], reg_lambda=reg_lambda, epochs=2)
+        train_svm(rows([[0.5, 0.25], [0.0, 1.0]]), [1, -1], reg_lambda=reg_lambda, epochs=2,
+                  n_features=2)
 
 
 def test_svm_weights_at_the_default_grid_stay_far_below_the_bound(bundled_folds):
     for reg_lambda in DEFAULT_GRIDS["svm"]["reg_lambda"]:
         for fold in bundled_folds:
             model = train_svm(fold.train, [1 if lab is B else -1 for lab in fold.train_labels],
-                              reg_lambda=reg_lambda)
+                              reg_lambda=reg_lambda, n_features=fold.n_features)
             assert max(np.abs(model.weights).max(), abs(model.bias)) < SVM_MAX_MAGNITUDE * 1e-6
 
 
 @pytest.mark.parametrize("train", [
-    lambda X, y, epochs: train_svm(X, [1 if v else -1 for v in y], epochs=epochs),
-    lambda X, y, epochs: train_lr(X, y, epochs=epochs),
+    lambda dense, y, epochs: train_svm(rows(dense), [1 if v else -1 for v in y], epochs=epochs,
+                                       n_features=1),
+    lambda dense, y, epochs: train_lr(csr(dense), y, epochs=epochs),
 ], ids=["svm", "lr"])
 @pytest.mark.parametrize("epochs", [0, -3])
 def test_epochs_below_1_rejected(train, epochs):
     with pytest.raises(TrainingError, match="epochs must be at least 1"):
-        train(sv([1.0]), [1], epochs)
+        train([[1.0]], [1], epochs)
 
 
-def pegasos_oracle(X, labels_signed, reg_lambda, epochs, seed):
+def pegasos_oracle(X, n_features, labels_signed, reg_lambda, epochs, seed):
     """Pegasos with a dense weight vector that every step shrinks: O(V) a step."""
-    rows = [(X.indices[a:b].tolist(), X.data[a:b].tolist())
-            for a, b in zip(X.indptr.tolist(), X.indptr.tolist()[1:])]
     rng = Rng(seed)
-    weights = np.zeros(X.n_features, dtype=np.float64)
+    weights = np.zeros(n_features, dtype=np.float64)
     bias = 0.0
     t = 0
     order = list(range(len(X)))
@@ -377,7 +387,7 @@ def pegasos_oracle(X, labels_signed, reg_lambda, epochs, seed):
         for idx in order:
             t += 1
             eta = 1.0 / (reg_lambda * t)
-            indices, values = rows[idx]
+            indices, values = X[idx]
             y = labels_signed[idx]
             margin = y * (float(sum(v * weights[i] for i, v in zip(indices, values))) + bias)
             weights *= 1.0 - eta * reg_lambda
@@ -388,19 +398,21 @@ def pegasos_oracle(X, labels_signed, reg_lambda, epochs, seed):
     return weights, bias
 
 
-def assert_matches_pegasos_oracle(X, signed, reg_lambda, epochs, seed):
-    model = train_svm(X, signed, reg_lambda=reg_lambda, epochs=epochs, seed=seed)
-    weights, bias = pegasos_oracle(X, signed, reg_lambda, epochs, seed)
+def assert_matches_pegasos_oracle(X, n_features, signed, reg_lambda, epochs, seed):
+    model = train_svm(X, signed, reg_lambda=reg_lambda, epochs=epochs, seed=seed,
+                      n_features=n_features)
+    weights, bias = pegasos_oracle(X, n_features, signed, reg_lambda, epochs, seed)
     largest = max(np.abs(weights).max(initial=0.0), abs(bias))
     assert np.abs(model.weights - weights).max(initial=0.0) <= 1e-12 * largest
     assert abs(model.bias - bias) <= 1e-12 * largest
-    oracle = lm.LinearSvmModel(weights=weights, bias=bias, reg_lambda=reg_lambda)
+    oracle = lm.LinearSvmModel(weights=weights.tolist(), bias=bias, reg_lambda=reg_lambda)
     assert predict_svm(X, model)[0] == predict_svm(X, oracle)[0]
     return model, weights
 
 
 def random_svm_case(case):
-    """(X, signed labels, reg_lambda, epochs, seed) of a small random problem."""
+    """(rows, n_features, signed labels, reg_lambda, epochs, seed) of a small
+    random problem."""
     gen = np.random.default_rng(case)
     n, n_features = int(gen.integers(1, 13)), int(gen.integers(1, 9))
     rows = [{int(i): float(gen.uniform(0.05, 1.0))
@@ -408,7 +420,7 @@ def random_svm_case(case):
             for _ in range(n)]
     signed = [int(s) for s in gen.choice([-1, 1], n)]
     reg_lambda = float(gen.choice([1e-4, 1e-3, 1e-2, 0.013, 0.1, 1.0]))
-    return (csr_rows(rows, n_features), signed, reg_lambda,
+    return (py_rows(rows), n_features, signed, reg_lambda,
             int(gen.integers(1, 41)), int(gen.integers(0, 2**32)))
 
 
@@ -422,21 +434,18 @@ def test_svm_first_step_scale_collapse(reg_lambda):
     # 1 - eta*lambda at t = 1 is exactly 0 for 0.01 and one ulp for 0.013: the
     # scale is folded into the weights before the first hinge step divides by it
     assert 1.0 - (1.0 / reg_lambda) * reg_lambda == (0.0 if reg_lambda == 0.01 else 2.0**-53)
-    X = csr([[0.5, 0.0, 0.25]])
-    model, weights = assert_matches_pegasos_oracle(X, [1], reg_lambda, 1, 0)
-    assert model.weights.tobytes() == weights.tobytes()
-    assert_matches_pegasos_oracle(csr([[0.5, 0.0, 0.25], [0.0, 1.0, 0.5]]), [1, -1],
+    X = rows([[0.5, 0.0, 0.25]])
+    model, weights = assert_matches_pegasos_oracle(X, 3, [1], reg_lambda, 1, 0)
+    assert np.asarray(model.weights).tobytes() == weights.tobytes()
+    assert_matches_pegasos_oracle(rows([[0.5, 0.0, 0.25], [0.0, 1.0, 0.5]]), 3, [1, -1],
                                   reg_lambda, 30, 4)
 
 
-def pegasos_reference(X, labels_signed, reg_lambda, epochs, seed):
+def pegasos_reference(X, n_features, labels_signed, reg_lambda, epochs, seed):
     """Scaled Pegasos with train_svm's arithmetic in its order, but each
     epoch's order from the scalar Rng.shuffle of one list and each row as
     separate index and value lists: train_svm must match it bit for bit."""
-    bounds = X.indptr.tolist()
-    rows = [(X.indices[a:b].tolist(), X.data[a:b].tolist())
-            for a, b in zip(bounds, bounds[1:])]
-    v = [0.0] * X.n_features
+    v = [0.0] * n_features
     scale = 1.0
     bias = 0.0
     t = 0
@@ -447,7 +456,7 @@ def pegasos_reference(X, labels_signed, reg_lambda, epochs, seed):
         for idx in order:
             t += 1
             eta = 1.0 / (reg_lambda * t)
-            indices, values = rows[idx]
+            indices, values = X[idx]
             y = labels_signed[idx]
             dot = 0.0
             for i, x in zip(indices, values):
@@ -465,10 +474,11 @@ def pegasos_reference(X, labels_signed, reg_lambda, epochs, seed):
     return scale * np.asarray(v), bias
 
 
-def assert_bit_identical_to_reference(X, signed, reg_lambda, epochs, seed):
-    model = train_svm(X, signed, reg_lambda=reg_lambda, epochs=epochs, seed=seed)
-    weights, bias = pegasos_reference(X, signed, reg_lambda, epochs, seed)
-    assert model.weights.tobytes() == weights.tobytes()
+def assert_bit_identical_to_reference(X, n_features, signed, reg_lambda, epochs, seed):
+    model = train_svm(X, signed, reg_lambda=reg_lambda, epochs=epochs, seed=seed,
+                      n_features=n_features)
+    weights, bias = pegasos_reference(X, n_features, signed, reg_lambda, epochs, seed)
+    assert np.asarray(model.weights).tobytes() == weights.tobytes()
     assert np.float64(model.bias).tobytes() == np.float64(bias).tobytes()
 
 
@@ -479,8 +489,8 @@ def test_svm_bit_identical_to_reference_random(case):
 
 @pytest.mark.parametrize("reg_lambda", [0.01, 0.013])
 def test_svm_bit_identical_to_reference_scale_collapse(reg_lambda):
-    assert_bit_identical_to_reference(csr([[0.5, 0.0, 0.25]]), [1], reg_lambda, 1, 0)
-    assert_bit_identical_to_reference(csr([[0.5, 0.0, 0.25], [0.0, 1.0, 0.5]]), [1, -1],
+    assert_bit_identical_to_reference(rows([[0.5, 0.0, 0.25]]), 3, [1], reg_lambda, 1, 0)
+    assert_bit_identical_to_reference(rows([[0.5, 0.0, 0.25], [0.0, 1.0, 0.5]]), 3, [1, -1],
                                       reg_lambda, 30, 4)
 
 
@@ -497,7 +507,8 @@ def bundled_folds(synthetic_corpus_path, default_lexicon, default_rules):
 def test_svm_bit_identical_to_reference_on_bundled_folds(bundled_folds, reg_lambda):
     for fold in bundled_folds:
         signed = [1 if lab is B else -1 for lab in fold.train_labels]
-        assert_bit_identical_to_reference(fold.train, signed, reg_lambda, 200, 42)
+        assert_bit_identical_to_reference(fold.train, fold.n_features, signed, reg_lambda,
+                                          200, 42)
 
 
 def test_grid_search_draws_the_epoch_orders_once(bundled_folds):
@@ -509,14 +520,84 @@ def test_grid_search_draws_the_epoch_orders_once(bundled_folds):
 
 
 def test_predict_svm_tie_and_scaling():
-    model = lm.LinearSvmModel(weights=np.zeros(2), bias=0.0, reg_lambda=1e-2)
+    model = lm.LinearSvmModel(weights=[0.0, 0.0], bias=0.0, reg_lambda=1e-2)
     (label,), (score,) = predict_svm(sv([1.0, 1.0]), model)
     assert score == 0.0 and label is B  # documented tie rule
-    model2 = lm.LinearSvmModel(weights=np.asarray([1.0, -2.0]), bias=0.5, reg_lambda=1e-2)
+    model2 = lm.LinearSvmModel(weights=[1.0, -2.0], bias=0.5, reg_lambda=1e-2)
     assert predict_svm(sv([3.0, 1.0]), model2)[1][0] == pytest.approx(1.5)
     for k in (0.5, 2.0, 10.0):
         base = predict_svm(sv([3.0, 1.0]), model2)[0][0]
         assert predict_svm(sv([3.0 * k, 1.0 * k]), model2)[0][0] is base
+
+
+# ----------------------------------------------------------------------------
+# the one scorer against the numpy scorer it replaced
+# ----------------------------------------------------------------------------
+
+def random_scoring_case(case):
+    """(rows, n_features, weights, bias, log_prior, log_likelihood): empty,
+    single-entry and 1-40-entry rows over a vocabulary of up to 3,000."""
+    gen = np.random.default_rng(1000 + case)
+    n_features = int(gen.integers(1, 3001))
+    lengths = [0, 1, 0, 1] + gen.integers(1, 41, size=396).tolist()
+    rows = []
+    for k in lengths:
+        ids = np.sort(gen.choice(n_features, min(k, n_features), replace=False)).tolist()
+        scale = 1.0 if case % 2 else 10.0  # L2-normalized or raw tf-idf magnitudes
+        rows.append((ids, (scale * gen.uniform(0.01, 1.0, len(ids))).tolist()))
+    # the classes' log likelihoods close together, so posteriors spread over (0.5, 1)
+    ll = gen.uniform(-12.0, -1.0, n_features) + gen.normal(0.0, 0.1, (2, n_features))
+    return (rows, n_features, gen.normal(0.0, 3.0, n_features), float(gen.normal()),
+            np.log([0.4, 0.6]), ll)
+
+
+def numpy_scores(X: Csr, weights, bias, log_prior, log_likelihood):
+    """The numpy scorer's margins and NB log scores: bincount mat-vec and np.add.at."""
+    margins = np.bincount(X.row_of_nnz, X.data * weights[X.indices], minlength=len(X)) + bias
+    nb = np.tile(log_prior, (len(X), 1))
+    np.add.at(nb, X.row_of_nnz, X.data[:, None] * log_likelihood[:, X.indices].T)
+    return margins, nb
+
+
+def exp_score_mismatches() -> dict[str, int]:
+    """Rows, of 3,200, whose LR probability or NB posterior from math.exp
+    differ from the numpy scorer's np.exp formulas; the labels and every sum
+    must not."""
+    mismatches = {family: 0 for family in CLASSICAL_FAMILIES}
+    for case in range(8):
+        X_rows, n_features, w, bias, log_prior, ll = random_scoring_case(case)
+        margins, nb = numpy_scores(Csr.from_rows(X_rows, n_features), w, bias, log_prior, ll)
+        models = {
+            "nb": lm.NaiveBayesModel(log_prior.tolist(), ll.tolist(), alpha=1.0),
+            "lr": lm.LogisticRegressionModel(w.tolist(), bias, l2_lambda=0.0),
+            "svm": lm.LinearSvmModel(w.tolist(), bias, reg_lambda=1e-3),
+        }
+        assert predict_svm(X_rows, models["svm"])[1] == margins.tolist()
+        assert nb_log_scores(X_rows, models["nb"]) == nb.tolist()
+        p_old = 1.0 / (1.0 + np.exp(-np.clip(margins, -500.0, 500.0)))
+        shifted = np.exp(nb - nb.max(axis=1, keepdims=True))
+        threshold = 0.3 + 0.05 * case
+        old = {
+            "nb": ([CLASS_ORDER[c] for c in np.argmax(nb, axis=1).tolist()],
+                   (shifted.max(axis=1) / shifted.sum(axis=1)).tolist()),
+            "lr": ([B if q >= threshold else N for q in p_old.tolist()], p_old.tolist()),
+            "svm": ([B if z >= 0.0 else N for z in margins.tolist()], margins.tolist()),
+        }
+        for family in CLASSICAL_FAMILIES:
+            labels, scores = predict_family(family, models[family], X_rows, threshold)
+            assert labels == old[family][0]
+            assert len(scores) == len(X_rows)
+            for new, was in zip(scores, old[family][1]):
+                assert abs(new - was) <= 2 * math.ulp(was)
+                mismatches[family] += new != was
+    assert mismatches.pop("svm") == 0
+    return mismatches
+
+
+def test_one_scorer_matches_the_numpy_scorer():
+    """Margins and NB log scores bit for bit, labels equal; the probabilities
+    may differ by up to 2 ulp where math.exp and np.exp round apart."""
+    exp_score_mismatches()
 
 
 # ----------------------------------------------------------------------------

@@ -40,6 +40,7 @@ from bullyguard.neural import (
 from bullyguard.rng import Rng
 
 TINY = TrainConfig(embedding_dim=4, hidden_dim=3, attention_dim=3, batch_size=2)
+DEFAULT = TrainConfig()  # its min_freq and max_len_cap build each vocabulary
 
 
 def tiny_params(seed=7, use_attention=True, vocab_size=10):
@@ -65,18 +66,18 @@ def keyword_task(n=16, seq_len=4, seed=123):
 # ----------------------------------------------------------------------------
 
 def test_vocab_frequency_order():
-    vocab = build_neural_vocab([["a", "b", "a"]])
+    vocab = build_neural_vocab([["a", "b", "a"]], DEFAULT.min_freq, DEFAULT.max_len_cap)
     assert vocab.token_to_id == {"a": 2, "b": 3}
     assert vocab.size == 4
 
 
 def test_vocab_tie_breaks_lexicographic():
-    vocab = build_neural_vocab([["zz", "aa"], ["zz", "aa"]])
+    vocab = build_neural_vocab([["zz", "aa"], ["zz", "aa"]], DEFAULT.min_freq, DEFAULT.max_len_cap)
     assert vocab.token_to_id == {"aa": 2, "zz": 3}
 
 
 def test_vocab_min_freq_excludes_rare():
-    vocab = build_neural_vocab([["a", "b", "a"]], min_freq=2)
+    vocab = build_neural_vocab([["a", "b", "a"]], min_freq=2, max_len_cap=DEFAULT.max_len_cap)
     assert "b" not in vocab.token_to_id
     ids, length = encode_pad(["a", "b"], vocab)
     assert ids[:2] == [2, UNK_ID] and length == 2
@@ -84,26 +85,28 @@ def test_vocab_min_freq_excludes_rare():
 
 def test_vocab_percentile_rule():
     lists = [["x"] * n for n in (3, 5, 10, 12)]
-    assert build_neural_vocab(lists).max_seq_len == 12
+    assert build_neural_vocab(lists, DEFAULT.min_freq, DEFAULT.max_len_cap).max_seq_len == 12
     long_lists = [["x"] * 50] * 5
-    assert build_neural_vocab(long_lists).max_seq_len == 40  # capped
+    capped = build_neural_vocab(long_lists, DEFAULT.min_freq, DEFAULT.max_len_cap)
+    assert capped.max_seq_len == 40
 
 
 def test_vocab_rejects_empty():
     with pytest.raises(NeuralError):
-        build_neural_vocab([])
+        build_neural_vocab([], DEFAULT.min_freq, DEFAULT.max_len_cap)
     with pytest.raises(NeuralError):
-        build_neural_vocab([[], []])
+        build_neural_vocab([[], []], DEFAULT.min_freq, DEFAULT.max_len_cap)
 
 
 def test_vocab_rejects_min_freq_that_no_token_reaches():
-    assert build_neural_vocab([["a", "b", "a"]], min_freq=2).size == 3  # "a" alone is kept
+    vocab = build_neural_vocab([["a", "b", "a"]], min_freq=2, max_len_cap=DEFAULT.max_len_cap)
+    assert vocab.size == 3  # "a" alone is kept
     with pytest.raises(NeuralError, match=r"^no token reaches min_freq=3$"):
-        build_neural_vocab([["a", "b", "a"]], min_freq=3)
+        build_neural_vocab([["a", "b", "a"]], min_freq=3, max_len_cap=DEFAULT.max_len_cap)
 
 
 def test_encode_pad_spec_case():
-    vocab = build_neural_vocab([["a", "c", "a", "b"]])
+    vocab = build_neural_vocab([["a", "c", "a", "b"]], DEFAULT.min_freq, DEFAULT.max_len_cap)
     vocab.max_seq_len = 4
     ids, length = encode_pad(["a", "zzz"], vocab)
     assert ids == [2, UNK_ID, PAD_ID, PAD_ID]
@@ -111,14 +114,14 @@ def test_encode_pad_spec_case():
 
 
 def test_encode_pad_truncates():
-    vocab = build_neural_vocab([["a"] * 50] * 20)
+    vocab = build_neural_vocab([["a"] * 50] * 20, DEFAULT.min_freq, DEFAULT.max_len_cap)
     assert vocab.max_seq_len == 40
     ids, length = encode_pad(["a"] * 50, vocab)
     assert length == 40 and len(ids) == 40
 
 
 def test_encode_empty_is_all_pad():
-    vocab = build_neural_vocab([["a", "b"]])
+    vocab = build_neural_vocab([["a", "b"]], DEFAULT.min_freq, DEFAULT.max_len_cap)
     ids, length = encode_pad([], vocab)
     assert length == 0 and all(i == PAD_ID for i in ids)
 
@@ -803,7 +806,7 @@ def test_iter_batches_counts():
 
 def test_train_determinism_and_trace_shape():
     token_lists, labels = keyword_task()
-    vocab = build_neural_vocab(token_lists)
+    vocab = build_neural_vocab(token_lists, DEFAULT.min_freq, DEFAULT.max_len_cap)
     ids, lens = encode_batch(token_lists, vocab)
     cfg = TrainConfig(batch_size=4, embedding_dim=8, hidden_dim=4, attention_dim=4,
                       learning_rate=0.01, max_epochs=3, patience=3, seed=42)
@@ -819,7 +822,7 @@ def test_train_determinism_and_trace_shape():
 
 def test_train_early_stop_bound():
     token_lists, labels = keyword_task()
-    vocab = build_neural_vocab(token_lists)
+    vocab = build_neural_vocab(token_lists, DEFAULT.min_freq, DEFAULT.max_len_cap)
     ids, lens = encode_batch(token_lists, vocab)
     noise = np.asarray([i % 2 for i in range(len(labels))])[::-1]
     cfg = TrainConfig(batch_size=8, embedding_dim=4, hidden_dim=2, attention_dim=2,
@@ -831,7 +834,7 @@ def test_train_early_stop_bound():
 
 def test_train_single_epoch():
     token_lists, labels = keyword_task()
-    vocab = build_neural_vocab(token_lists)
+    vocab = build_neural_vocab(token_lists, DEFAULT.min_freq, DEFAULT.max_len_cap)
     ids, lens = encode_batch(token_lists, vocab)
     cfg = TrainConfig(batch_size=32, embedding_dim=4, hidden_dim=2, attention_dim=2,
                       max_epochs=1, patience=1, seed=1)
@@ -842,7 +845,7 @@ def test_train_single_epoch():
 
 def test_train_rejects_empty_and_zero_lengths():
     token_lists, labels = keyword_task()
-    vocab = build_neural_vocab(token_lists)
+    vocab = build_neural_vocab(token_lists, DEFAULT.min_freq, DEFAULT.max_len_cap)
     ids, lens = encode_batch(token_lists, vocab)
     cfg = TrainConfig(max_epochs=1, patience=1)
     with pytest.raises(NeuralError, match="empty training set"):
@@ -855,7 +858,7 @@ def test_train_rejects_empty_and_zero_lengths():
 
 def test_overfit_keyword_task_within_15_epochs():
     token_lists, labels = keyword_task()
-    vocab = build_neural_vocab(token_lists)
+    vocab = build_neural_vocab(token_lists, DEFAULT.min_freq, DEFAULT.max_len_cap)
     ids, lens = encode_batch(token_lists, vocab)
     cfg = TrainConfig(batch_size=4, embedding_dim=16, hidden_dim=8, attention_dim=8,
                       learning_rate=0.01, max_epochs=15, patience=15, seed=42)
