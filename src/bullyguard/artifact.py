@@ -56,7 +56,9 @@ def _fmt(x: float) -> str:
 
 
 def _fmt_row(values) -> str:
-    return " ".join(_fmt(v) for v in values)
+    """Numbers as _fmt writes them, in one format operation: %-formatting
+    with .12g converts each float exactly as format(x, ".12g") does."""
+    return " ".join(["%.12g"] * len(values)) % tuple(values)
 
 
 def preprocessing_fingerprint(
@@ -198,7 +200,7 @@ def save_artifact(artifact: ModelArtifact, path: str | Path) -> None:
             lines.append(f"[param {name}]")
             lines.append("shape " + " ".join(str(d) for d in arr.shape))
             matrix = arr.reshape(arr.shape[0], -1) if arr.ndim > 1 else arr.reshape(1, -1)
-            lines.extend(_fmt_row(row) for row in matrix)
+            lines.extend(_fmt_row(row) for row in matrix.tolist())
     lines.append("end")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
@@ -322,12 +324,12 @@ def _parse_floats(raw: str, size: int, name: str) -> list[float]:
 
 
 def load_artifact(path: str | Path) -> ModelArtifact:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
+    try:  # only the lines outlive this statement, not the whole-file string
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
     except OSError as exc:
         raise ArtifactError(f"cannot read model file {path}: {exc}") from exc
     try:
-        return _parse_artifact(path, text)
+        return _parse_artifact(path, lines)
     except ArtifactError:
         raise
     except (ValueError, IndexError, KeyError) as exc:
@@ -366,14 +368,21 @@ def _parse_neural(cur: _Cursor, artifact: ModelArtifact) -> None:
         if shape != expected[name]:
             raise ArtifactError(f"[param {name}] has shape {shape}, expected "
                                 f"{expected[name]} from the vocabulary and [neural] header")
-        n_rows = shape[0] if len(shape) > 1 else 1
-        rows = [np.asarray(_parse_floats(cur.next(), shape[-1], name)) for _ in range(n_rows)]
-        arrays[name] = np.vstack(rows).reshape(shape)
+        block = np.empty((shape[0] if len(shape) > 1 else 1, shape[-1]))
+        for row in block:  # numpy reads each number as float() does
+            numbers = cur.next().split(" ")
+            if len(numbers) != row.size:
+                raise ArtifactError(
+                    f"parameter row has {len(numbers)} numbers, expected {row.size}")
+            row[:] = np.array(numbers, dtype=np.float64)
+        if not np.isfinite(block).all():
+            raise ArtifactError(f"non-finite number in {name}")
+        arrays[name] = block.reshape(shape)
     artifact.model = NeuralNetParams(arrays, use_att)
 
 
-def _parse_artifact(path: str | Path, text: str) -> ModelArtifact:
-    cur = _Cursor(text.splitlines())
+def _parse_artifact(path: str | Path, lines: list[str]) -> ModelArtifact:
+    cur = _Cursor(lines)
     head = cur.next().split(" ")
     if len(head) != 2 or head[0] != MAGIC:
         raise ArtifactError(f"{path}: not a model artifact")
@@ -434,11 +443,6 @@ def check_fingerprint(
     )
 
 
-# Neural rows per forward pass: 16 scores as fast as 32, and each larger
-# batch only adds peak memory.
-PREDICT_BATCH_SIZE = 16
-
-
 def predict_texts(
     artifact: ModelArtifact,
     texts: list[str],
@@ -451,9 +455,10 @@ def predict_texts(
     NB and the neural models report the predicted class's posterior
     probability, LR the positive-class probability, SVM the signed margin.
     NB, LR and SVM score the non-empty texts' TF-IDF rows with Python sums;
-    the neural families score them in length-sorted batches so each batch
-    carries little padding. prep must run the artifact's own pipeline; one
-    instance can serve every chunk of a stream, so its word memo carries over.
+    the neural families score them in length-sorted passes of a fixed token
+    budget (neural.predict_batch). prep must run the artifact's own pipeline;
+    one instance can serve every chunk of a stream, so its word memo carries
+    over.
     """
     if prep.config != artifact.pipeline:
         raise ValueError("the preprocessor's pipeline differs from the model's")
@@ -469,10 +474,8 @@ def predict_texts(
         from .neural import encode_batch, predict_batch
 
         ids, lens = encode_batch(token_lists, artifact.neural_vocab)
-        nonempty = np.flatnonzero(lens)
-        rows = nonempty[np.argsort(lens[nonempty], kind="stable")].tolist()
-        classes, probs = predict_batch(
-            artifact.model, ids[rows], lens[rows], PREDICT_BATCH_SIZE)
+        rows = np.flatnonzero(lens).tolist()
+        classes, probs = predict_batch(artifact.model, ids[rows], lens[rows])
         labels = [CLASS_ORDER[cls] for cls in classes.tolist()]
         scores = probs[np.arange(len(rows)), classes].tolist()
     for row, label, score in zip(rows, labels, scores):

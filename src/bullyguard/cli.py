@@ -17,7 +17,6 @@ import argparse
 import configparser
 import inspect
 import itertools
-import json
 import math
 import sys
 import time
@@ -308,6 +307,8 @@ def cmd_stats(ns: argparse.Namespace) -> int:
     report = validate_corpus(records)
     stats = compute_stats(records)
     if ns.json:
+        import json
+
         print(json.dumps({"validation": report.to_dict(), "stats": stats.to_dict()},
                          indent=2, sort_keys=True))
     else:
@@ -525,6 +526,8 @@ def cmd_predict(ns: argparse.Namespace) -> int:
 
 
 def cmd_benchmark(ns: argparse.Namespace) -> int:
+    import json
+
     from .eval import BenchmarkConfig, render_benchmark_tables, run_benchmark
 
     rt = _resolve_runtime(ns)

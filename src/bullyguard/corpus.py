@@ -9,8 +9,6 @@ double quote, or a newline are double-quoted with embedded quotes doubled
 
 from __future__ import annotations
 
-import csv
-import statistics
 from collections import Counter
 from dataclasses import KW_ONLY, dataclass, field
 from enum import Enum
@@ -206,6 +204,8 @@ def load_corpus(
     oversized field) raise CorpusError naming the 1-based line. Empty string
     fields are tolerated here and surfaced by validate_corpus.
     """
+    import csv
+
     path = Path(path)
     try:
         handle = path.open("r", encoding="utf-8", newline="")
@@ -256,6 +256,8 @@ def _record(row: list[str], positions: dict[str, int], expected: int) -> Comment
 def _checked_rows(reader, path: Path):
     """(first line, last line, row) for each of the reader's rows, with
     decoding and CSV syntax errors as CorpusError."""
+    import csv
+
     last = 0
     try:
         for row in reader:
@@ -291,6 +293,8 @@ def write_corpus(
     delimiter: str = ";",
 ) -> None:
     """Write records back to CSV; inverse of load_corpus."""
+    import csv
+
     with Path(path).open("w", encoding="utf-8", newline="") as handle:
         options = dict(delimiter=delimiter, quotechar='"', doublequote=True, lineterminator="\n")
         writer = csv.writer(handle, quoting=csv.QUOTE_MINIMAL, **options)
@@ -340,6 +344,8 @@ def compute_stats(records: list[CommentRecord]) -> CorpusStats:
     Word counts split on whitespace runs. The standard deviation is the
     population form (divide by N).
     """
+    import statistics
+
     if not records:
         raise ValueError("compute_stats requires a non-empty record list")
     lengths = [len(rec.text) for rec in records]

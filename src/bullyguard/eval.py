@@ -229,7 +229,7 @@ def run_benchmark(
         params, trace = train(use_attention, data.train, data.val, neural_cfg, data.vocab.size)
         y_pred: list[Label] = [data.majority] * len(test_recs)
         if te_nonempty:
-            pred_ids, _ = predict_batch(params, te_ids, te_lens, neural_cfg.batch_size)
+            pred_ids, _ = predict_batch(params, te_ids, te_lens)
             for pos, cls in zip(te_nonempty, pred_ids):
                 y_pred[pos] = CLASS_ORDER[int(cls)]
         dl_models.append({

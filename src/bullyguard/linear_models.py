@@ -22,11 +22,12 @@ from typing import TYPE_CHECKING
 
 from .corpus import CLASS_ORDER, Label, kfold_split
 from .features import Row, TfidfConfig, fit_tfidf, transform_all
-from .metrics import MetricsReport, evaluate
 from .rng import DEFAULT_SEED, Rng
 
 if TYPE_CHECKING:
     import numpy as np
+
+    from .metrics import MetricsReport
 
 
 class TrainingError(Exception):
@@ -448,6 +449,8 @@ def fold_reports(
     seed: int,
 ) -> list[MetricsReport]:
     """Train on each fold's training part and score its held-out part."""
+    from .metrics import evaluate
+
     reports = []
     for fold in folds:
         model = train_family(family, fold.train, fold.n_features, fold.train_labels, params, seed)

@@ -11,10 +11,17 @@ step-major; one input GEMM covers every step, and each step then touches
 only the rows still running. Padding is never read, so padded positions have
 zero states and gradients, and extra padding leaves the logits bit-exactly
 unchanged. Training is deterministic under the pinned PRNG seed.
+
+`train` and `predict_batch` each give their passes one workspace: the arrays
+that grow with the batch, but for the embedding gradient, are written into its
+buffers, so the passes after the largest allocate little and only one pass's
+arrays exist at a time. The same code without a workspace allocates fresh
+arrays.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -205,24 +212,81 @@ def init_params(
 
 
 # ----------------------------------------------------------------------------
+# workspaces
+# ----------------------------------------------------------------------------
+
+class _Fresh:
+    """Hands out new arrays: the passes' memory without a workspace."""
+
+    def take(self, name: str, *shape: int, dtype=np.float64) -> np.ndarray:
+        return np.empty(shape, dtype)
+
+    def zeros(self, name: str, *shape: int) -> np.ndarray:
+        return np.zeros(shape)
+
+
+class _Workspace(_Fresh):
+    """One buffer per array name, grown to the largest shape taken under that
+    name and shared by every pass of one call; a pass's arrays are views of
+    it, overwritten by the next pass. aliases maps a name to the name whose
+    buffer it shares. Arrays that die before the next take of their name
+    share one: "tmp" for the short-lived ones, "da" for both directions'
+    gate gradients."""
+
+    def __init__(self, aliases: dict[str, str] | None = None):
+        self._buffers: dict[str, np.ndarray] = {}
+        self._aliases = aliases or {}
+
+    def take(self, name: str, *shape: int, dtype=np.float64) -> np.ndarray:
+        name = self._aliases.get(name, name)
+        size = math.prod(shape)
+        buf = self._buffers.get(name)
+        if buf is None or buf.size < size:
+            buf = self._buffers[name] = np.empty(size, dtype)
+        return buf[:size].reshape(shape)
+
+    def zeros(self, name: str, *shape: int) -> np.ndarray:
+        arr = self.take(name, *shape)
+        arr.fill(0.0)
+        return arr
+
+
+# Without a backward pass nothing reads a direction's inputs, gates and cell
+# states once its h is computed: the backward direction reuses the forward
+# direction's buffers, and attention the inputs' and gates' (the runs in the
+# cache are then stale).
+_FORWARD_ONLY = {
+    **{f"bwd.{part}": f"fwd.{part}" for part in ("x", "gates", "c")},
+    "states": "fwd.x", "att.u": "fwd.gates",
+}
+
+
+_FRESH = _Fresh()
+
+
+# ----------------------------------------------------------------------------
 # forward pass
 # ----------------------------------------------------------------------------
 
-def _lstm_gates(gates, c_prev, c_t, tanh_c, h_t) -> None:
+def _lstm_gates(gates, c_prev, c_t, h_t) -> None:
     """The gate arithmetic of one LSTM step. gates holds the pre-activations
-    with columns i, f, o, g and is activated in place; c_t, tanh(c_t) and h_t
-    are written to the arrays given.
+    with columns i, f, o, g and is activated in place; c_t and h_t are
+    written to the arrays given. tanh(c_t) is kept nowhere: the backward
+    pass recomputes it from c_t, to the same bits.
     """
     h = gates.shape[-1] // 4
-    sig = gates[..., :3 * h]
-    np.divide(1.0, 1.0 + np.exp(-sig), out=sig)
+    sig = gates[..., :3 * h]  # 1 / (1 + exp(-sig)), one step at a time in place
+    np.negative(sig, out=sig)
+    np.exp(sig, out=sig)
+    sig += 1.0
+    np.divide(1.0, sig, out=sig)
     np.tanh(gates[..., 3 * h:], out=gates[..., 3 * h:])
     # plain slices: np.split costs more than the gate arithmetic at these sizes
     i, f, o, g = (gates[..., k * h:(k + 1) * h] for k in range(4))
     np.multiply(f, c_prev, out=c_t)
     c_t += i * g
-    np.tanh(c_t, out=tanh_c)
-    np.multiply(o, tanh_c, out=h_t)
+    np.tanh(c_t, out=h_t)
+    h_t *= o
 
 
 @dataclass
@@ -265,36 +329,40 @@ def _pack(valid_lens: np.ndarray) -> _Pack:
 @dataclass
 class _LstmRun:
     """One direction's forward pass, in packed (N, .) arrays."""
+    x: np.ndarray       # the inputs
     gates: np.ndarray   # activated i, f, o, g
     c: np.ndarray
-    tanh_c: np.ndarray
     h: np.ndarray
 
 
 def _run_lstm(x: np.ndarray, pack: _Pack, w: np.ndarray, u: np.ndarray,
-              b: np.ndarray) -> _LstmRun:
+              b: np.ndarray, ws: _Fresh = _FRESH, name: str = "fwd") -> _LstmRun:
     """Unidirectional pass over the packed inputs x (N, D) with one
-    direction's w, u and b. One GEMM gives x @ w for every packed row, which
-    becomes the activated gates: per step only the recurrent GEMM and the
-    gate arithmetic run, on the rows still running.
+    direction's w, u and b, into ws under that direction's name. One GEMM
+    gives x @ w for every packed row, which becomes the activated gates: per
+    step only the recurrent GEMM and the gate arithmetic run, on the rows
+    still running.
     """
-    gates = x @ w
+    n, h_dim = x.shape[0], u.shape[0]
+    gates = np.matmul(x, w, out=ws.take(f"{name}.gates", n, 4 * h_dim))
     gates += b
-    c, tanh_c, h = (np.empty((gates.shape[0], u.shape[0])) for _ in range(3))
+    c, h = ws.take(f"{name}.c", n, h_dim), ws.take(f"{name}.h", n, h_dim)
     for now, before in pack.steps:
         if before is not None:
             gates[now] += h[before] @ u
         c_prev = 0.0 if before is None else c[before]
-        _lstm_gates(gates[now], c_prev, c[now], tanh_c[now], h[now])
-    return _LstmRun(gates, c, tanh_c, h)
+        _lstm_gates(gates[now], c_prev, c[now], h[now])
+    return _LstmRun(x, gates, c, h)
 
 
-def _encoder_states(pack: _Pack, fwd: _LstmRun, bwd: _LstmRun, batch: int) -> np.ndarray:
+def _encoder_states(pack: _Pack, fwd: _LstmRun, bwd: _LstmRun, batch: int,
+                    ws: _Fresh = _FRESH) -> np.ndarray:
     """(B, T, 2H) encoder states in batch order, exact zeros at padding."""
     h_dim = fwd.h.shape[1]
-    states = np.zeros((batch, len(pack.steps), 2 * h_dim))
+    states = ws.zeros("states", batch, len(pack.steps), 2 * h_dim)
     states[pack.rows, pack.cols, :h_dim] = fwd.h
-    states[pack.rows, pack.cols, h_dim:] = bwd.h[pack.rev]
+    # rev pairs the two directions' rows of a token both ways
+    states[pack.rows[pack.rev], pack.cols[pack.rev], h_dim:] = bwd.h
     return states
 
 
@@ -302,6 +370,7 @@ def _attention_core(
     states: np.ndarray,      # (B, T, 2H)
     valid_lens: np.ndarray,  # (B,)
     params: NeuralNetParams,
+    ws: _Fresh = _FRESH,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Additive attention over the first valid_lens positions of each row.
 
@@ -309,7 +378,9 @@ def _attention_core(
     """
     mask = np.arange(states.shape[1])[None, :] < np.asarray(valid_lens)[:, None]
     p = params.blocks
-    u = np.tanh(states @ p["att.w"] + p["att.b"])
+    u = np.matmul(states, p["att.w"], out=ws.take("att.u", *states.shape[:2], params.attention_dim))
+    u += p["att.b"]
+    np.tanh(u, out=u)
     scores = u @ p["att.v"]
     masked = np.where(mask, scores, -np.inf)
     peak = masked.max(axis=1, keepdims=True)
@@ -337,6 +408,7 @@ def _forward_batch(
     ids: np.ndarray,
     valid_lens: np.ndarray,
     params: NeuralNetParams,
+    ws: _Fresh = _FRESH,
 ) -> _ForwardCache:
     ids = np.asarray(ids, dtype=np.int64)
     if ids.ndim != 2:
@@ -349,12 +421,17 @@ def _forward_batch(
     p = params.blocks
     pack = _pack(valid_lens)
     tokens = ids[pack.rows, pack.cols]
-    fwd = _run_lstm(p["embedding"][tokens], pack, p["fwd.w"], p["fwd.u"], p["fwd.b"])
-    bwd = _run_lstm(p["embedding"][tokens[pack.rev]], pack, p["bwd.w"], p["bwd.u"], p["bwd.b"])
+    n, d = tokens.size, params.embedding_dim
+    # mode="clip" skips the bounds check that would make take copy through a
+    # temporary; encode_batch gives ids inside the embedding
+    x = np.take(p["embedding"], tokens, axis=0, out=ws.take("fwd.x", n, d), mode="clip")
+    fwd = _run_lstm(x, pack, p["fwd.w"], p["fwd.u"], p["fwd.b"], ws, "fwd")
+    x = np.take(p["embedding"], tokens[pack.rev], axis=0, out=ws.take("bwd.x", n, d), mode="clip")
+    bwd = _run_lstm(x, pack, p["bwd.w"], p["bwd.u"], p["bwd.b"], ws, "bwd")
     states = att_weights = att_u = None
     if params.use_attention:
-        states = _encoder_states(pack, fwd, bwd, ids.shape[0])
-        features, att_weights, att_u = _attention_core(states, valid_lens, params)
+        states = _encoder_states(pack, fwd, bwd, ids.shape[0], ws)
+        features, att_weights, att_u = _attention_core(states, valid_lens, params, ws)
     else:
         last = pack.rev[:pack.first]
         features = np.zeros((ids.shape[0], 2 * params.hidden_dim))
@@ -394,27 +471,29 @@ def batch_loss(cache: _ForwardCache, labels: np.ndarray) -> float:
 # ----------------------------------------------------------------------------
 
 def _backprop_lstm(
-    x: np.ndarray,  # (N, D) the run's inputs
     run: _LstmRun,
     pack: _Pack,
     w: np.ndarray,
     u: np.ndarray,
     d_h: np.ndarray,  # (N, H) gradient on each packed output; overwritten
+    ws: _Fresh = _FRESH,
+    name: str = "fwd",
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(dx (N, D), dw, du, db) for the direction whose w and u are given.
+    """(dx (N, D), dw, du, db) for the direction whose w and u are given,
+    into ws under that direction's name.
 
     Only the recurrence runs per step; the gradients of w, u and b and of
     the inputs are one GEMM or sum each over all packed rows.
     """
-    h_dim = u.shape[0]
-    da = np.empty((d_h.shape[0], 4 * h_dim))  # gradient on the gate pre-activations
+    (n_rows, d), h_dim = run.x.shape, u.shape[0]
+    da = ws.take("da", n_rows, 4 * h_dim)  # gradient on the gate pre-activations
     # a row that ends at step t was not touched by later steps: its dh, dc are 0
     dh = np.zeros((pack.first, h_dim))
     dc = np.zeros((pack.first, h_dim))
     for now, before in reversed(pack.steps):
         n = now.stop - now.start
         i, f, o, g = (run.gates[now, k * h_dim:(k + 1) * h_dim] for k in range(4))
-        tanh_c = run.tanh_c[now]
+        tanh_c = np.tanh(run.c[now])
         g_h = d_h[now]
         g_h += dh[:n]
         dc_t = dc[:n] + g_h * o * (1.0 - tanh_c ** 2)
@@ -430,13 +509,19 @@ def _backprop_lstm(
         np.multiply(dc_t, f, out=dc[:n])
         if before is not None:
             np.matmul(da_t, u.T, out=dh[:n])
-    return da @ w.T, x.T @ da, run.h[pack.prev].T @ da[pack.first:], da.sum(axis=0)
+    h_prev = np.take(run.h, pack.prev, axis=0, mode="clip",
+                     out=ws.take("tmp", n_rows - pack.first, h_dim))
+    return (np.matmul(da, w.T, out=ws.take(f"{name}.dx", n_rows, d)),
+            np.matmul(run.x.T, da, out=ws.take(f"d.{name}.w", d, 4 * h_dim)),
+            np.matmul(h_prev.T, da[pack.first:], out=ws.take(f"d.{name}.u", h_dim, 4 * h_dim)),
+            np.sum(da, axis=0, out=ws.take(f"d.{name}.b", 4 * h_dim)))
 
 
 def _backward_from_cache(
     cache: _ForwardCache,
     labels: np.ndarray,
     params: NeuralNetParams,
+    ws: _Fresh = _FRESH,
 ) -> dict[str, np.ndarray]:
     """Gradients keyed by BLOCK_NAMES; raises on any non-finite one, naming
     the offending parameter block."""
@@ -444,6 +529,7 @@ def _backward_from_cache(
     b = cache.logits.shape[0]
     h_dim = params.hidden_dim
     pack = cache.pack
+    n = pack.rows.size
     probs = _softmax(cache.logits)
     d_logits = probs.copy()
     d_logits[np.arange(b), labels] -= 1.0
@@ -456,35 +542,41 @@ def _backward_from_cache(
         u = cache.att_u
         d_ctx = d_features
         d_alpha = np.einsum("bh,bth->bt", d_ctx, s)
-        d_states = alpha[:, :, None] * d_ctx[:, None, :]
+        d_states = np.multiply(alpha[:, :, None], d_ctx[:, None, :],
+                               out=ws.take("d_states", *s.shape))
         d_scores = alpha * (d_alpha - (alpha * d_alpha).sum(axis=1, keepdims=True))
-        d_att_v = np.einsum("bta,bt->a", u, d_scores)
-        d_u = d_scores[:, :, None] * p["att.v"][None, None, :]
-        d_z = d_u * (1.0 - u ** 2)
-        d_att_w = np.einsum("bth,bta->ha", s, d_z)
-        d_att_b = d_z.sum(axis=(0, 1))
-        d_states = d_states + d_z @ p["att.w"].T
-        d_fwd_h = d_states[pack.rows, pack.cols, :h_dim]
-        d_bwd_h = d_states[pack.rows, pack.cols, h_dim:][pack.rev]
+        d_att_v = np.einsum("bta,bt->a", u, d_scores, out=ws.take("d.att.v", u.shape[2]))
+        # d_z = d_u * (1 - u ** 2), with d_u the gradient on u
+        d_z = np.multiply(d_scores[:, :, None], p["att.v"][None, None, :],
+                          out=ws.take("d_z", *u.shape))
+        tmp = np.square(u, out=ws.take("tmp", *u.shape))
+        d_z *= np.subtract(1.0, tmp, out=tmp)
+        d_att_w = np.einsum("bth,bta->ha", s, d_z, out=ws.take("d.att.w", *p["att.w"].shape))
+        d_att_b = np.sum(d_z, axis=(0, 1), out=ws.take("d.att.b", u.shape[2]))
+        d_states += np.matmul(d_z, p["att.w"].T, out=ws.take("tmp", *s.shape))
+        # each packed row's gradient, read through the (B * T, 2H) layout
+        d_flat = d_states.reshape(-1, 2 * h_dim)
+        at = pack.rows * s.shape[1] + pack.cols
+        d_fwd_h = np.take(d_flat[:, :h_dim], at, axis=0, mode="clip",
+                          out=ws.take("fwd.d_h", n, h_dim))
+        d_bwd_h = np.take(d_flat[:, h_dim:], at[pack.rev], axis=0, mode="clip",
+                          out=ws.take("bwd.d_h", n, h_dim))
     else:
-        d_att_w, d_att_v, d_att_b = (np.zeros_like(p[name])
+        d_att_w, d_att_v, d_att_b = (ws.zeros(f"d.{name}", *p[name].shape)
                                      for name in ("att.w", "att.v", "att.b"))
         last, first = pack.rev[:pack.first], pack.rows[:pack.first]
-        d_fwd_h, d_bwd_h = np.zeros((2, pack.rows.size, h_dim))
+        d_fwd_h, d_bwd_h = (ws.zeros(f"{name}.d_h", n, h_dim) for name in ("fwd", "bwd"))
         d_fwd_h[last] = d_features[first, :h_dim]
         d_bwd_h[last] = d_features[first, h_dim:]
 
-    tokens = cache.tokens
     dx, d_fwd_w, d_fwd_u, d_fwd_b = _backprop_lstm(
-        p["embedding"][tokens], cache.fwd, pack, p["fwd.w"], p["fwd.u"], d_fwd_h)
+        cache.fwd, pack, p["fwd.w"], p["fwd.u"], d_fwd_h, ws, "fwd")
     dx_bwd, d_bwd_w, d_bwd_u, d_bwd_b = _backprop_lstm(
-        p["embedding"][tokens[pack.rev]], cache.bwd, pack, p["bwd.w"], p["bwd.u"], d_bwd_h)
-    dx += dx_bwd[pack.rev]
+        cache.bwd, pack, p["bwd.w"], p["bwd.u"], d_bwd_h, ws, "bwd")
+    dx += np.take(dx_bwd, pack.rev, axis=0, mode="clip", out=ws.take("tmp", *dx.shape))
 
-    d_embedding = np.zeros_like(p["embedding"])
-    np.add.at(d_embedding, tokens, dx)
     grads = {
-        "embedding": d_embedding,
+        "embedding": _embedding_grad(cache.tokens, dx, p["embedding"].shape, ws),
         "fwd.w": d_fwd_w, "fwd.u": d_fwd_u, "fwd.b": d_fwd_b,
         "bwd.w": d_bwd_w, "bwd.u": d_bwd_u, "bwd.b": d_bwd_b,
         "att.w": d_att_w, "att.v": d_att_v, "att.b": d_att_b,
@@ -494,6 +586,16 @@ def _backward_from_cache(
         if not np.all(np.isfinite(grad)):
             raise NeuralError(f"non-finite gradient in block {name}")
     return grads
+
+
+def _embedding_grad(tokens: np.ndarray, dx: np.ndarray, shape: tuple[int, int],
+                    ws: _Fresh = _FRESH) -> np.ndarray:
+    """(V, D) array whose row t sums the dx rows of token t in row order from
+    0.0, as np.add.at would: one bincount over the flat (token, column) slots."""
+    v, d = shape
+    slots = np.add(np.multiply(tokens, d)[:, None], np.arange(d),
+                   out=ws.take("slots", tokens.size, d, dtype=np.int64))
+    return np.bincount(slots.ravel(), weights=dx.ravel(), minlength=v * d).reshape(v, d)
 
 
 def backward(
@@ -614,15 +716,17 @@ def evaluate_loss(
     valid_lens: np.ndarray,
     labels: np.ndarray,
     batch_size: int,
+    ws: _Fresh = _FRESH,
 ) -> tuple[float, float]:
     """(mean loss, accuracy) over a dataset in fixed evaluation order."""
     total_loss = 0.0
     correct = 0
     n = ids.shape[0]
     for chunk in iter_batches(n, batch_size):
-        cache = _forward_batch(ids[chunk], valid_lens[chunk], params)
+        cache = _forward_batch(ids[chunk], valid_lens[chunk], params, ws)
         total_loss += batch_loss(cache, labels[chunk]) * len(chunk)
         correct += int((cache.logits.argmax(axis=1) == labels[chunk]).sum())
+        del cache  # before the next batch's pass, which may grow a buffer it views
     return total_loss / n, correct / n
 
 
@@ -651,6 +755,7 @@ def train(
     rng = Rng(config.seed)
     params = init_params(vocab_size, config, use_attention, rng)
     state = init_adam_state(params)
+    ws = _Workspace()
     stopper = EarlyStopper(config.patience, config.min_improvement)
     trace = TrainTrace()
     best_params = params.copy()
@@ -660,13 +765,14 @@ def train(
         rng.shuffle(order)
         loss_sum = 0.0
         for chunk in iter_batches(n, config.batch_size, order):
-            cache = _forward_batch(train_ids[chunk], train_lens[chunk], params)
+            cache = _forward_batch(train_ids[chunk], train_lens[chunk], params, ws)
             loss = batch_loss(cache, train_labels[chunk])
-            grads = _backward_from_cache(cache, train_labels[chunk], params)
+            grads = _backward_from_cache(cache, train_labels[chunk], params, ws)
             adam_step(params, grads, state, config)
             loss_sum += loss * len(chunk)
+            del cache, grads  # so no two batches' arrays are alive at once
         val_loss, val_acc = evaluate_loss(
-            params, val_ids, val_lens, val_labels, config.batch_size,
+            params, val_ids, val_lens, val_labels, config.batch_size, ws,
         )
         trace.train_losses.append(loss_sum / n)
         trace.val_losses.append(val_loss)
@@ -681,22 +787,46 @@ def train(
     return best_params, trace
 
 
+# Real tokens per predict pass. One pass of 256 tokens runs faster than
+# several smaller ones; a larger pass only adds peak memory.
+PREDICT_TOKEN_BUDGET = 256
+
+
+def _token_passes(lens: list[int], budget: int):
+    """Slices of consecutive rows with at most budget tokens between them;
+    a row longer than budget runs alone."""
+    start = total = 0
+    for row, n in enumerate(lens):
+        if total + n > budget and row > start:
+            yield slice(start, row)
+            start, total = row, 0
+        total += n
+    if start < len(lens):
+        yield slice(start, len(lens))
+
+
 def predict_batch(
     params: NeuralNetParams,
     ids: np.ndarray,
     valid_lens: np.ndarray,
-    batch_size: int = 32,
+    token_budget: int = PREDICT_TOKEN_BUDGET,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(predicted class ids, class probabilities) in input order."""
+    """(predicted class ids, class probabilities) in input order.
+
+    The rows run sorted by length, shortest first, in passes of at most
+    token_budget real tokens, so short rows share a pass and a pass carries
+    little padding; every pass writes into one workspace.
+    """
     ids = np.asarray(ids, dtype=np.int64)
     valid_lens = np.asarray(valid_lens, dtype=np.int64)
     if np.any(valid_lens == 0):
         raise NeuralError("cannot classify empty sequences; use the majority fallback")
-    outputs = []
-    for chunk in iter_batches(ids.shape[0], batch_size):
-        # keep no cache across batches: it holds what a backward pass would need
-        outputs.append(_softmax(_forward_batch(ids[chunk], valid_lens[chunk], params).logits))
-    probs = np.concatenate(outputs, axis=0) if outputs else np.zeros((0, 2))
+    order = np.argsort(valid_lens, kind="stable")
+    probs = np.empty((ids.shape[0], 2))
+    ws = _Workspace(_FORWARD_ONLY)
+    for part in _token_passes(valid_lens[order].tolist(), token_budget):
+        rows = order[part]
+        probs[rows] = _softmax(_forward_batch(ids[rows], valid_lens[rows], params, ws).logits)
     return probs.argmax(axis=1), probs
 
 

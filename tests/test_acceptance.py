@@ -254,7 +254,7 @@ def test_acceptance_7_separable_sanity():
                          max_epochs=15, patience=15, seed=42)
     params, trace = train(True, (ids, lens, labels), (ids, lens, labels),
                           config, vocab.size)
-    preds, _ = predict_batch(params, ids, lens, config.batch_size)
+    preds, _ = predict_batch(params, ids, lens)
     assert (preds == labels).all()
     assert trace.stopped_epoch <= 15
     ok(7, "LR, SVM, and BiLSTM+attention all reach 100% training accuracy "

@@ -9,6 +9,7 @@ from bullyguard.artifact import (
     FORMAT_VERSION,
     ArtifactError,
     ModelArtifact,
+    _fmt_row,
     check_fingerprint,
     data_fingerprint,
     load_artifact,
@@ -435,3 +436,42 @@ def test_loaded_neural_artifact_predicts_the_same(seed, use_attention, dims,
     np.testing.assert_allclose([p.score for p in after], [p.score for p in before],
                                rtol=0, atol=1e-9)
     assert predict_texts(reloaded, FIXTURE_LINES, prep) == after
+
+
+# Numbers at the edges of the .12g text: signed zeros, subnormals, the
+# switches to exponent form below 1e-4 and at 1e12, integral values, and
+# values that round up to the next power of ten.
+EDGE_NUMBERS = [
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -2.225073858507201e-308,
+    1e-05, -1e-05, 9.9999999999995e-06, 0.0001, 9.99999999999949e-05,
+    1e16, -1e16, 9.999999999995e15, 1e15, 999999999999.5, 1e12, 123456789012.0,
+    3.0, -7.0, 1.0, 2.0**53, 1 / 3, -2 / 3, 0.1, 1.7976931348623157e308,
+]
+
+
+def test_rows_are_written_as_the_per_number_writer_wrote_them():
+    rng = Rng(9)
+    rows = [EDGE_NUMBERS, EDGE_NUMBERS[::-1], rng.uniform_array((50,), -4.0, 4.0).tolist(),
+            [x * 1e-300 for x in rng.uniform_array((20,), -1.0, 1.0).tolist()],
+            list(np.float64(EDGE_NUMBERS)), [7.5]]
+    for row in rows:
+        assert _fmt_row(row) == " ".join(format(float(x), ".12g") for x in row)
+
+
+def test_neural_blocks_read_back_as_float_reads_their_text(tmp_path):
+    vocab = NeuralVocab(token_to_id={"halo": 2, "jelek": 3}, max_seq_len=3)
+    config = TrainConfig(embedding_dim=len(EDGE_NUMBERS), hidden_dim=2, attention_dim=2)
+    params = init_params(vocab.size, config, True, Rng(4))
+    params.blocks["embedding"][1] = EDGE_NUMBERS
+    params.blocks["embedding"][2] = [-x for x in EDGE_NUMBERS]
+    artifact = ModelArtifact(
+        family="bilstm_attention", seed=4, majority_label=N, preprocessing_fp="0" * 64,
+        data_fp="0" * 64, pipeline=PipelineConfig(), neural_vocab=vocab, model=params)
+    path = tmp_path / "m.model"
+    save_artifact(artifact, path)
+    loaded = load_artifact(path).model
+    for name, arr in params.blocks.items():
+        want = np.asarray([float(format(x, ".12g")) for x in arr.ravel().tolist()])
+        got = loaded.blocks[name]
+        assert got.shape == arr.shape
+        assert got.ravel().tobytes() == want.tobytes(), name

@@ -1,3 +1,4 @@
+import functools
 import importlib.util
 import inspect
 import io
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import bullyguard
-from bullyguard import cli, eval as study, linear_models
+from bullyguard import cli, eval as study, linear_models, neural
 from bullyguard.artifact import ArtifactError, load_artifact, predict_text
 from bullyguard.cli import PREDICT_CHUNK_LINES, main
 from bullyguard.corpus import Label, SplitSpec, write_corpus
@@ -353,6 +354,18 @@ def test_predict_chunks_match_per_line(tmp_path, capsys, monkeypatch, family, tr
     assert main(["predict", "--model", str(model_path), "--config", str(config)]) == 0
     captured = capsys.readouterr()
     assert (captured.out.splitlines(), captured.err.splitlines()) == expected
+
+    if artifact.neural_vocab is None:
+        return
+    # a pass per row, and one pass per chunk, print the same lines
+    predict_batch = neural.predict_batch
+    for budget in (1, PREDICT_CHUNK_LINES * artifact.neural_vocab.max_seq_len):
+        monkeypatch.setattr(neural, "predict_batch",
+                            functools.partial(predict_batch, token_budget=budget))
+        assert main(["predict", "--model", str(model_path), "--input", str(path),
+                     "--config", str(config)]) == 0
+        captured = capsys.readouterr()
+        assert (captured.out.splitlines(), captured.err.splitlines()) == expected, budget
 
 
 def test_predict_warnings_name_input_lines(tmp_path, capsys):
@@ -935,6 +948,15 @@ def nan_row_after(header):
     return edit
 
 
+def double_space_after(header):
+    """Artifact edit: the first value row after the header line gets an empty
+    field between its first two numbers."""
+    def edit(lines):
+        i = lines.index(header) + 2  # skip the shape line
+        return lines[:i] + [lines[i].replace(" ", "  ", 1)] + lines[i + 1:]
+    return edit
+
+
 def cut_in_line(key, keep):
     """Artifact edit: the file ends inside the first line whose first word is
     key, after its first keep(line) characters."""
@@ -1015,6 +1037,7 @@ BAD_ARTIFACTS = {
         "log_likelihood", lambda line: line.rsplit(" ", 1)[0])),
     "nb_inf_idf": ("nb", edit_line("token", lambda line: line.rsplit(" ", 1)[0] + " inf")),
     "bilstm_nan_head_bias": ("bilstm", nan_row_after("[param head.b]")),
+    "bilstm_double_space_in_row": ("bilstm", double_space_after("[param fwd.b]")),
     "bilstm_attention_short_att_v": ("bilstm_attention", drop_last_value("[param att.v]")),
     "bilstm_token_id_out_of_range": ("bilstm", set_token_id(0, 99999)),
     "bilstm_negative_token_id": ("bilstm", set_token_id(0, -5)),
@@ -1076,14 +1099,15 @@ LOADED_MODULES = (
     "from bullyguard import cli\n"
     "code = cli.main(sys.argv[1:])\n"
     "print(' '.join(sorted(m for m in sys.modules\n"
-    "                      if m.startswith('bullyguard.') or m == 'numpy')))\n"
+    "                      if m.startswith('bullyguard.')\n"
+    "                      or m in ('numpy', 'statistics', 'csv', 'json'))))\n"
     "sys.exit(code)\n"
 )
 
 
 def loaded_modules(args) -> set[str]:
-    """The bullyguard modules, and numpy if loaded, that a fresh process has
-    loaded after cli.main(args), which must return 0."""
+    """The bullyguard modules, and numpy, statistics, csv and json if loaded,
+    that a fresh process has loaded after cli.main(args), which must return 0."""
     proc = subprocess.run([sys.executable, "-c", LOADED_MODULES, *map(str, args)],
                           env=src_env(), capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
@@ -1104,10 +1128,13 @@ def bundled_models(tmp_path_factory, synthetic_corpus_path):
 
 
 NEURAL, STUDY, NUMPY = "bullyguard.neural", "bullyguard.eval", "numpy"
+# what only the corpus readers and writers, stats, the study and its reports use
+UNUSED_BY_PREDICT = {"statistics", "csv", "json", "bullyguard.metrics"}
 
 
 @pytest.mark.parametrize("family, unloaded", [
-    *((family, {NEURAL, STUDY, NUMPY}) for family in linear_models.CLASSICAL_FAMILIES),
+    *((family, {NEURAL, STUDY, NUMPY, *UNUSED_BY_PREDICT})
+      for family in linear_models.CLASSICAL_FAMILIES),
     ("bilstm", {STUDY}), ("bilstm_attention", {STUDY})])
 def test_predict_loads_only_its_family(tmp_path, bundled_models, family, unloaded):
     lines = tmp_path / "input.txt"

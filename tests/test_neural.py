@@ -1,10 +1,14 @@
 import math
+import weakref
 from dataclasses import dataclass, replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from bullyguard import neural
+from bullyguard.corpus import load_corpus
+from bullyguard.eval import prepare_neural_data
 from bullyguard.neural import (
     BLOCK_NAMES,
     PAD_ID,
@@ -31,12 +35,15 @@ from bullyguard.neural import (
     _attention_core,
     _backprop_lstm,
     _backward_from_cache,
+    _embedding_grad,
     _encoder_states,
     _forward_batch,
     _lstm_gates,
     _pack,
     _run_lstm,
+    _token_passes,
 )
+from bullyguard.preprocess import PipelineConfig, Preprocessor
 from bullyguard.rng import Rng
 
 TINY = TrainConfig(embedding_dim=4, hidden_dim=3, attention_dim=3, batch_size=2)
@@ -186,8 +193,8 @@ def test_blocks_are_twelve_fused_arrays_keyed_by_block_names():
 def lstm_cell(x_t, h_prev, c_prev, block):
     """One step of the packed core's gate arithmetic, as (h_t, c_t)."""
     gates = x_t @ block.w + h_prev @ block.u + block.b
-    c_t, tanh_c, h_t = (np.empty(gates.shape[:-1] + (block.u.shape[0],)) for _ in range(3))
-    _lstm_gates(gates, c_prev, c_t, tanh_c, h_t)
+    c_t, h_t = (np.empty(gates.shape[:-1] + (block.u.shape[0],)) for _ in range(2))
+    _lstm_gates(gates, c_prev, c_t, h_t)
     return h_t, c_t
 
 
@@ -697,7 +704,7 @@ def test_backprop_matches_per_gate_oracle():
     d_h[pack.rev[:pack.first]] += d_final[pack.rows[:pack.first]]
     x_packed = x[pack.rows, pack.cols]
     run = _run_lstm(x_packed, pack, fwd.w, fwd.u, fwd.b)
-    dx_packed, *grad = _backprop_lstm(x_packed, run, pack, fwd.w, fwd.u, d_h)
+    dx_packed, *grad = _backprop_lstm(run, pack, fwd.w, fwd.u, d_h)
     dx = np.zeros_like(dx_want)
     dx[pack.rows, pack.cols] = dx_packed
     # one fused GEMM sums over all four gates at once, so the last ulps may differ
@@ -863,7 +870,7 @@ def test_overfit_keyword_task_within_15_epochs():
     cfg = TrainConfig(batch_size=4, embedding_dim=16, hidden_dim=8, attention_dim=8,
                       learning_rate=0.01, max_epochs=15, patience=15, seed=42)
     params, trace = train(True, (ids, lens, labels), (ids, lens, labels), cfg, vocab.size)
-    preds, _ = predict_batch(params, ids, lens, cfg.batch_size)
+    preds, _ = predict_batch(params, ids, lens)
     assert (preds == labels).all()
     assert trace.stopped_epoch <= 15
 
@@ -872,3 +879,102 @@ def test_predict_batch_rejects_empty_sequences():
     params = tiny_params()
     with pytest.raises(NeuralError, match="majority fallback"):
         predict_batch(params, np.asarray([[2, 0]]), np.asarray([0]))
+
+
+# ----------------------------------------------------------------------------
+# workspaces and predict passes
+# ----------------------------------------------------------------------------
+
+def test_embedding_grad_is_add_at_bit_for_bit():
+    rng = Rng(5)
+    tokens = np.asarray([3, 0, 3, 7, 3, 0, 9, 7])
+    dx = rng.uniform_array((tokens.size, 6), -1.0, 1.0)
+    dx[1] = -0.0                    # a token whose only other row is finite
+    dx[6] = -0.0                    # a token seen once, all negative zeros
+    dx[::3, 2] = -0.0
+    dx[4, 5] = -dx[0, 5]            # a sum that cancels to zero
+    want = np.zeros((10, 6))
+    np.add.at(want, tokens, dx)
+    got = _embedding_grad(tokens, dx, want.shape)
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.fixture(scope="module")
+def corpus_data(synthetic_corpus_path, default_lexicon, default_rules):
+    """The bundled corpus's neural data at the default settings: its first
+    160 comments train, the next 20 validate."""
+    records = load_corpus(synthetic_corpus_path)
+    prep = Preprocessor(PipelineConfig(), default_lexicon, default_rules)
+    return prepare_neural_data(records[:160], records[160:180], prep, DEFAULT)
+
+
+@pytest.mark.parametrize("use_attention", [False, True], ids=["bilstm", "bilstm_attention"])
+def test_training_in_a_workspace_matches_fresh_arrays(monkeypatch, corpus_data, use_attention):
+    cfg = replace(DEFAULT, max_epochs=2, patience=2)
+    args = (use_attention, corpus_data.train, corpus_data.val, cfg, corpus_data.vocab.size)
+    reused, trace = train(*args)
+    monkeypatch.setattr(neural, "_Workspace", lambda *aliases: neural._FRESH)
+    fresh, fresh_trace = train(*args)
+    assert trace == fresh_trace
+    for name in BLOCK_NAMES:
+        assert reused.blocks[name].tobytes() == fresh.blocks[name].tobytes(), name
+
+
+def test_a_training_step_never_holds_two_batches_arrays(monkeypatch):
+    token_lists, labels = keyword_task(n=20)
+    vocab = build_neural_vocab(token_lists, DEFAULT.min_freq, DEFAULT.max_len_cap)
+    ids, lens = encode_batch(token_lists, vocab)
+    cfg = TrainConfig(batch_size=4, embedding_dim=8, hidden_dim=4, attention_dim=4,
+                      max_epochs=2, patience=2)
+    earlier = []  # weak references to every cache and gradient a batch made
+    forward, backward_from_cache = neural._forward_batch, neural._backward_from_cache
+
+    def watched_forward(*args):
+        assert all(ref() is None for ref in earlier), "an earlier batch is still alive"
+        cache = forward(*args)
+        earlier.append(weakref.ref(cache))
+        return cache
+
+    def watched_backward(*args):
+        grads = backward_from_cache(*args)
+        earlier.extend(weakref.ref(grad) for grad in grads.values())
+        return grads
+
+    monkeypatch.setattr(neural, "_forward_batch", watched_forward)
+    monkeypatch.setattr(neural, "_backward_from_cache", watched_backward)
+    train(True, (ids, lens, labels), (ids, lens, labels), cfg, vocab.size)
+    # per epoch, 5 training batches of a cache and 12 gradients, and 5 validation caches
+    assert len(earlier) == 2 * (5 * 13 + 5)
+
+
+def test_token_passes_keep_to_the_budget():
+    assert list(_token_passes([], 4)) == []
+    lens = [1, 1, 2, 3, 3, 5, 9]
+    for budget, want in [(1, [1, 1, 1, 1, 1, 1, 1]), (4, [3, 1, 1, 1, 1]),
+                         (6, [3, 2, 1, 1]), (100, [7])]:
+        parts = list(_token_passes(lens, budget))
+        assert [p.stop - p.start for p in parts] == want, budget
+        assert parts[0].start == 0 and parts[-1].stop == len(lens)
+        assert all(a.stop == b.start for a, b in zip(parts, parts[1:]))
+        assert all(sum(lens[p]) <= budget or p.stop - p.start == 1 for p in parts)
+
+
+@pytest.mark.parametrize("use_attention", [False, True])
+def test_predict_batch_scores_rows_alike_at_any_budget(use_attention):
+    params = tiny_params(seed=12, use_attention=use_attention, vocab_size=12)
+    rng = Rng(3)
+    lens = np.asarray([1 + rng.randbelow(6) for _ in range(23)])
+    ids = np.zeros((lens.size, 6), dtype=np.int64)
+    for row, n in enumerate(lens):
+        ids[row, :n] = [2 + rng.randbelow(10) for _ in range(n)]
+    one_by_one = np.stack([_softmax_logits(forward_classify(ids[i], lens[i], params))
+                           for i in range(lens.size)])
+    for budget in (1, 7, neural.PREDICT_TOKEN_BUDGET, 10**9):
+        classes, probs = predict_batch(params, ids, lens, budget)
+        np.testing.assert_allclose(probs, one_by_one, rtol=1e-12, atol=0, err_msg=str(budget))
+        np.testing.assert_array_equal(classes, one_by_one.argmax(axis=1))
+
+
+def _softmax_logits(logits):
+    e = np.exp(logits - logits.max())
+    return e / e.sum()
