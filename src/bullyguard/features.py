@@ -93,23 +93,29 @@ def transform_all(token_lists: list[list[str]], model: TfidfModel) -> list[Row]:
     L2 normalization.
     """
     vocab = model.vocabulary.token_to_id
+    idf = model.idf
+    sublinear = model.config.sublinear_tf
+    normalize = model.config.l2_normalize
+    log, sqrt = math.log, math.sqrt
     rows = []
     for tokens in token_lists:
-        counts = Counter(vocab[token] for token in tokens if token in vocab)
+        counts: dict[int, int] = {}
+        for token in tokens:
+            i = vocab.get(token)
+            if i is not None:
+                counts[i] = counts.get(i, 0) + 1
         ids = sorted(counts)
-        values = []
-        for i in ids:
-            tf = float(counts[i])
-            if model.config.sublinear_tf:
-                tf = 1.0 + math.log(tf)
-            values.append(tf * model.idf[i])
-        if model.config.l2_normalize and values:
+        if sublinear:
+            values = [(1.0 + log(float(counts[i]))) * idf[i] for i in ids]
+        else:
+            values = [float(counts[i]) * idf[i] for i in ids]
+        if normalize and values:
             # a plain left-to-right sum: sum() compensates floats on Python
             # 3.12+, which would tie the values to the Python version
             squares = 0.0
             for v in values:
                 squares += v * v
-            norm = math.sqrt(squares)
+            norm = sqrt(squares)
             values = [v / norm for v in values]
         rows.append((ids, values))
     return rows

@@ -29,7 +29,6 @@ _URL_RE = re.compile(r"(?:https?://|www\.)\S+")
 _MENTION_RE = re.compile(r"@[\w.]+")
 _HASHTAG_RE = re.compile(r"#\w+")
 _NON_ALPHA_RE = re.compile(r"[^a-z ]")
-_SPACE_RE = re.compile(r" +")
 
 
 @dataclass(frozen=True)
@@ -65,6 +64,29 @@ class StemmerRules:
     prefix_rules: tuple[PrefixRule, ...]
     forbidden_pairs: frozenset[tuple[str, str]]  # (prefix class, derivational suffix)
     min_stem_length: int = 3
+    # Built from the fields above: the prefix rules by their pattern's first
+    # letter, in file order, and the prefix classes each suffix forbids.
+    _prefixes_by_initial: dict[str, tuple[PrefixRule, ...]] = field(
+        init=False, repr=False, compare=False)
+    _forbidden_by_suffix: dict[str, frozenset[str]] = field(
+        init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if not isinstance(self.min_stem_length, int) or self.min_stem_length < 1:
+            raise LexiconError(f"min_stem_length must be an integer of at least 1, "
+                               f"got {self.min_stem_length!r}")
+        by_initial: dict[str, list[PrefixRule]] = {}
+        for rule in self.prefix_rules:
+            if not rule.pattern:
+                raise LexiconError(f"prefix rule of class {rule.cls!r} has an empty pattern")
+            by_initial.setdefault(rule.pattern[0], []).append(rule)
+        by_suffix: dict[str, set[str]] = {}
+        for cls, sfx in self.forbidden_pairs:
+            by_suffix.setdefault(sfx, set()).add(cls)
+        object.__setattr__(self, "_prefixes_by_initial",
+                           {ch: tuple(rules) for ch, rules in by_initial.items()})
+        object.__setattr__(self, "_forbidden_by_suffix",
+                           {sfx: frozenset(classes) for sfx, classes in by_suffix.items()})
 
 
 @dataclass(frozen=True)
@@ -95,7 +117,7 @@ STAGE_NAMES = ("case_fold", "clean", "normalize", "stopwords", "stem", "tokenize
 def _iter_content_lines(path: Path):
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise LexiconError(f"cannot read {path}: {exc}") from exc
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -151,7 +173,13 @@ def load_stemmer_rules(path: str | Path) -> StemmerRules:
         parts = line.split()
         directive = parts[0]
         if directive == "min_stem_length" and len(parts) == 2:
-            min_len = int(parts[1])
+            try:
+                min_len = int(parts[1])
+            except ValueError:
+                min_len = 0
+            if min_len < 1:
+                raise LexiconError(f"{path}:{lineno}: min_stem_length must be an integer "
+                                   f"of at least 1, got {parts[1]!r}")
         elif directive == "inflectional":
             inflectional.extend(parts[1:])
         elif directive == "derivational":
@@ -210,13 +238,17 @@ def clean(text: str) -> str:
     Removal order matters: URLs first (they may contain '@' or '#'), then
     mentions and hashtags (marker plus tag word), then every remaining
     non-alphabetic character becomes a space; space runs collapse and the
-    result is trimmed. Expects case-folded input.
+    result is trimmed. Expects case-folded input. A pattern runs only when
+    the text holds the literal every one of its matches starts with.
     """
-    text = _URL_RE.sub(" ", text)
-    text = _MENTION_RE.sub(" ", text)
-    text = _HASHTAG_RE.sub(" ", text)
-    text = _NON_ALPHA_RE.sub(" ", text)
-    return _SPACE_RE.sub(" ", text).strip()
+    if "http" in text or "www." in text:
+        text = _URL_RE.sub(" ", text)
+    if "@" in text:
+        text = _MENTION_RE.sub(" ", text)
+    if "#" in text:
+        text = _HASHTAG_RE.sub(" ", text)
+    # only letters and spaces are left, so split() breaks at space runs alone
+    return " ".join(_NON_ALPHA_RE.sub(" ", text).split())
 
 
 def collapse_elongation(word: str, min_run: int = 3) -> str:
@@ -226,7 +258,10 @@ def collapse_elongation(word: str, min_run: int = 3) -> str:
     Indonesian roots ("maaf", "tunggu") while squashing typographic emphasis
     ("jelekkk" -> "jelek").
     """
-    return _elongation_re(min_run).sub(r"\1", word)
+    pattern = _elongation_re(min_run)
+    if pattern.search(word) is None:
+        return word
+    return pattern.sub(r"\1", word)
 
 
 @lru_cache(maxsize=8)
@@ -259,25 +294,28 @@ def _strip_prefixes(
     """Strip up to three derivational prefixes with recoding.
 
     At each depth every matching rule's recoding variants are probed against
-    the dictionary; the first dictionary hit wins. Absent a hit, the first
-    matching variant is committed and stripping continues one level deeper.
-    Returns (dictionary hit or None, end state of the committed path).
+    the dictionary, in file order; the first dictionary hit wins. Absent a
+    hit, the first matching variant is committed and stripping continues one
+    level deeper. Returns (dictionary hit or None, end state of the committed
+    path). Only the rules whose pattern starts with the word's first letter
+    can match, so only those are tried.
     """
+    by_initial = rules._prefixes_by_initial
+    forbidden = rules._forbidden_by_suffix.get(stripped_suffix, ())
+    min_len = rules.min_stem_length
     current = word
     used: set[str] = set()
     for _ in range(3):
         committed = None
-        for rule in rules.prefix_rules:
-            if rule.cls in used:
-                continue
-            if stripped_suffix is not None and (rule.cls, stripped_suffix) in rules.forbidden_pairs:
+        for rule in by_initial.get(current[:1], ()):
+            if rule.cls in used or rule.cls in forbidden:
                 continue
             if not current.startswith(rule.pattern):
                 continue
             stem_part = current[len(rule.pattern):]
             for recode in rule.recodings:
                 candidate = recode + stem_part
-                if len(candidate) < rules.min_stem_length:
+                if len(candidate) < min_len:
                     continue
                 if candidate in roots:
                     return candidate, candidate

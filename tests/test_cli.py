@@ -1265,6 +1265,31 @@ def test_several_missing_files_name_the_first_at_any_hash_seed(tmp_path):
         assert proc.stderr == "error: config [lexicons] slang: file not found: /nonexistent/slang\n"
 
 
+@pytest.mark.parametrize("key", cli._SCHEMA["lexicons"])
+def test_lexicons_file_not_utf8_exit_1_one_line(tmp_path, capsys, key):
+    bad = tmp_path / f"{key}.bin"
+    bad.write_bytes(b"\xff\xfe not utf-8\n")
+    config = write_config(tmp_path, f"[lexicons]\n{key} = {bad}\n", name="bad.ini")
+    corpus = write_fixture_corpus(tmp_path)
+    assert main(["preprocess", "--corpus", str(corpus), "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {bad}: 'utf-8' codec can't decode byte 0xff")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("raw", ["0", "-5", "abc", "2.5"])
+def test_min_stem_length_not_a_positive_integer_exit_1_one_line(tmp_path, capsys, raw):
+    rules = tmp_path / "rules.txt"
+    text = default_lexicon_paths()["stemmer_rules"].read_text(encoding="utf-8")
+    assert text.splitlines()[2] == "min_stem_length 3"
+    rules.write_text(text.replace("min_stem_length 3", f"min_stem_length {raw}"), encoding="utf-8")
+    config = write_config(tmp_path, f"[lexicons]\nstemmer_rules = {rules}\n", name="bad.ini")
+    corpus = write_fixture_corpus(tmp_path)
+    assert main(["preprocess", "--corpus", str(corpus), "--config", str(config)]) == 1
+    assert capsys.readouterr().err == (f"error: {rules}:3: min_stem_length must be an "
+                                       f"integer of at least 1, got {raw!r}\n")
+
+
 def test_every_lexicons_key_reaches_its_loader(tmp_path):
     paths = default_lexicon_paths()
     assert tuple(paths) == cli._SCHEMA["lexicons"]

@@ -1,5 +1,6 @@
 import itertools
 import re
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -9,6 +10,7 @@ from bullyguard.preprocess import (
     LexiconError,
     NormalizationLexicon,
     PipelineConfig,
+    PrefixRule,
     Preprocessor,
     case_fold,
     clean,
@@ -377,6 +379,38 @@ def test_stemmer_rules_file_errors(tmp_path):
         load_stemmer_rules(path)
     path.write_text("min_stem_length 3\n", encoding="utf-8")
     with pytest.raises(LexiconError, match="must define"):
+        load_stemmer_rules(path)
+
+
+@pytest.mark.parametrize("raw", ["0", "-5", "abc", "3.0"])
+def test_min_stem_length_below_1_or_not_an_integer_is_refused(tmp_path, default_rules, raw):
+    path = tmp_path / "rules.txt"
+    path.write_text(f"# rules\nmin_stem_length {raw}\ninflectional nya\n", encoding="utf-8")
+    with pytest.raises(LexiconError, match=rf"^{re.escape(str(path))}:2: min_stem_length "
+                                           rf"must be an integer of at least 1, got '{raw}'$"):
+        load_stemmer_rules(path)
+    for value in (0, -5, 2.0, "3"):
+        with pytest.raises(LexiconError, match="min_stem_length must be an integer"):
+            replace(default_rules, min_stem_length=value)
+
+
+def test_min_stem_length_1_keeps_every_token_non_empty(default_lexicon, default_rules):
+    rules = replace(default_rules, min_stem_length=1)
+    tokens = Preprocessor(PipelineConfig(), default_lexicon, rules).tokens("an kan nya di")
+    assert tokens and all(re.fullmatch(r"[a-z]+", tok) for tok in tokens)
+
+
+def test_prefix_rule_with_empty_pattern_is_refused(default_rules):
+    with pytest.raises(LexiconError, match="empty pattern"):
+        replace(default_rules, prefix_rules=(PrefixRule("x", "", ("",)),))
+
+
+def test_lexicon_file_not_utf8_names_the_file(tmp_path):
+    path = tmp_path / "words.txt"
+    path.write_bytes(b"jelek\n\xff\n")
+    with pytest.raises(LexiconError, match=rf"^cannot read {re.escape(str(path))}: 'utf-8' codec"):
+        load_wordlist(path)
+    with pytest.raises(LexiconError, match=re.escape(str(path))):
         load_stemmer_rules(path)
 
 
