@@ -106,7 +106,7 @@ def cross_validate(
     folds = featurize_folds(
         token_lists, [rec.label for rec in records], k, seed, model_spec.tfidf,
     )
-    return _aggregate(fold_reports(model_spec.family, model_spec.params, folds, seed))
+    return _aggregate(fold_reports(model_spec.family, [model_spec.params], folds, seed)[0])
 
 
 @dataclass

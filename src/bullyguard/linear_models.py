@@ -15,6 +15,7 @@ Conventions shared by all three model families:
 from __future__ import annotations
 
 import functools
+import inspect
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -166,6 +167,42 @@ class LogisticRegressionModel:
     loss_history: list[float] = field(default_factory=list, repr=False)
 
 
+def _lr_stack(Xs: list[Csr], ys: list, lambdas: list[float]):
+    """LR problems as one block-diagonal Csr: problem p's rows and columns
+    follow those of the problems before it, and its bias is the column after
+    its weights, a 1 that ends each of its rows. Returns each problem's first
+    column and column count, and loss_grad(W): each problem's objective and
+    the gradient in W's layout. Every sum keeps the order of a problem alone:
+    the mat-vecs add in entry order, and each run of problems with equal row
+    count sums its rows pairwise as one (problems, rows) block."""
+    import numpy as np
+    sizes, counts = [X.n_features + 1 for X in Xs], [len(X) for X in Xs]
+    starts = np.cumsum([0] + sizes[:-1])
+    spans = list(zip(starts.tolist(), (starts + sizes - 1).tolist()))  # weights, then bias
+    S = Csr(np.concatenate([[0]] + [np.diff(X.indptr) + 1 for X in Xs]).cumsum(),
+            np.concatenate([np.insert(X.indices + a, X.indptr[1:], b)
+                            for X, (a, b) in zip(Xs, spans)]),
+            np.concatenate([np.insert(X.data, X.indptr[1:], 1.0) for X in Xs]), sum(sizes))
+    y, n_of_row = np.concatenate(ys), np.repeat(counts, counts)
+    lambda_of_col = np.repeat(lambdas, sizes)
+    runs = [(len(list(run)), n) for n, run in itertools.groupby(counts)]
+    ends = np.cumsum([0] + [k * n for k, n in runs]).tolist()
+    blocks, bias_cols = list(zip(ends, ends[1:], runs)), [b for _, b in spans]
+
+    def loss_grad(W):
+        margins = y * S.matvec(W)
+        # d/dz log(1+exp(-m)) = -y * sigmoid(-m)
+        coef = -y * (1.0 / (1.0 + np.exp(np.clip(margins, -500.0, 500.0)))) / n_of_row
+        grad = S.rmatvec(coef) + lambda_of_col * W
+        grad[bias_cols] = np.concatenate([coef[a:b].reshape(k, n).sum(axis=1)
+                                          for a, b, (k, n) in blocks])
+        per_row, half = np.logaddexp(0.0, -margins), 0.5 * lambda_of_col * W
+        return (np.concatenate([per_row[a:b].reshape(k, n).sum(axis=1) / n
+                                for a, b, (k, n) in blocks])
+                + [half[a:b] @ W[a:b] for a, b in spans]), grad
+    return starts, sizes, loss_grad
+
+
 def lr_loss_grad(
     X: Csr,
     y_signed: np.ndarray,
@@ -179,15 +216,8 @@ def lr_loss_grad(
     y in {-1, +1}; the bias is unregularized.
     """
     import numpy as np
-    n = len(X)
-    z = X.matvec(weights) + bias
-    margins = y_signed * z
-    loss = float(np.logaddexp(0.0, -margins).mean() + 0.5 * l2_lambda * weights @ weights)
-    # d/dz log(1+exp(-m)) = -y * sigmoid(-m)
-    coef = -y_signed * (1.0 / (1.0 + np.exp(np.clip(margins, -500.0, 500.0)))) / n
-    grad_w = X.rmatvec(coef) + l2_lambda * weights
-    grad_b = float(coef.sum())
-    return loss, grad_w, grad_b
+    losses, grad = _lr_stack([X], [y_signed], [l2_lambda])[2](np.append(weights, bias))
+    return float(losses[0]), grad[:-1], float(grad[-1])
 
 
 def train_lr(
@@ -205,31 +235,53 @@ def train_lr(
     which keeps descent monotone for arbitrarily strong regularization
     (grid searches deliberately probe degenerate lambdas).
     """
+    return _train_lr_stack([(X, labels01, l2_lambda, lr, epochs, grad_tol)])[0]
+
+
+def _train_lr_stack(problems: list[tuple]) -> list[LogisticRegressionModel]:
+    """train_lr on each of one or more (X, labels01, l2_lambda, lr, epochs,
+    grad_tol) problems, all in one stacked descent. A problem's weights
+    freeze when it converges, reaches its epochs or hits a non-finite loss.
+    Raises the TrainingError that training them one by one, in order, would
+    raise first, and no problem after a failed one trains on.
+    """
     import numpy as np
-    if lr <= 0:
-        raise TrainingError(f"learning rate must be positive, got {lr}")
-    if epochs < 1:
-        raise TrainingError(f"epochs must be at least 1, got {epochs}")
-    if l2_lambda < 0:
-        raise TrainingError(f"l2_lambda must be non-negative, got {l2_lambda}")
-    if l2_lambda > 0:
-        lr = min(lr, 1.0 / l2_lambda)
-    y_signed = np.asarray([1.0 if y == 1 else -1.0 for y in labels01])
-    weights = np.zeros(X.n_features, dtype=np.float64)
-    bias = 0.0
-    history = []
-    for it in range(epochs):
-        loss, grad_w, grad_b = lr_loss_grad(X, y_signed, weights, bias, l2_lambda)
-        if not math.isfinite(loss):
-            raise TrainingError(f"non-finite loss at iteration {it}")
-        history.append(loss)
-        if max(np.abs(grad_w).max(initial=0.0), abs(grad_b)) < grad_tol:
+    failures: dict[int, TrainingError] = {}  # problem index -> its error
+    for p, (_, _, l2_lambda, lr, epochs, _) in enumerate(problems):
+        if lr <= 0 or epochs < 1 or l2_lambda < 0:
+            failures[p] = TrainingError(
+                f"learning rate must be positive, got {lr}" if lr <= 0
+                else f"epochs must be at least 1, got {epochs}" if epochs < 1
+                else f"l2_lambda must be non-negative, got {l2_lambda}")
             break
-        weights -= lr * grad_w
-        bias -= lr * grad_b
-    return LogisticRegressionModel(
-        weights=weights.tolist(), bias=bias, l2_lambda=l2_lambda, loss_history=history,
-    )
+    order = sorted(range(min(failures, default=len(problems))),
+                   key=lambda p: len(problems[p][0]))  # equal row counts together
+    if not order:
+        raise failures[0]
+    Xs, labels, lambdas, lrs, epochs, tols = zip(*(problems[p] for p in order))
+    starts, sizes, loss_grad = _lr_stack(
+        Xs, [[1.0 if y == 1 else -1.0 for y in ys] for ys in labels], lambdas)
+    step = np.repeat([min(lr, 1.0 / lam) if lam > 0 else lr
+                      for lr, lam in zip(lrs, lambdas)], sizes)
+    histories: dict[int, list[float]] = {p: [] for p in order}
+    W, live, it = np.zeros(sum(sizes)), np.ones(len(order), dtype=bool), 0  # each bias last
+    while live.any():
+        losses, grad = loss_grad(W)
+        finite = np.isfinite(losses)
+        for p, loss, alive, ok in zip(order, losses.tolist(), live.tolist(), finite.tolist()):
+            if alive and not ok:
+                failures[p] = TrainingError(f"non-finite loss at iteration {it}")
+            elif alive:
+                histories[p].append(loss)
+        live &= (finite & ~(np.maximum.reduceat(np.abs(grad), starts) < tols)
+                 & (np.asarray(order) < min(failures, default=len(problems))))
+        W, it = np.where(np.repeat(live, sizes), W - step * grad, W), it + 1
+        live &= np.asarray(epochs) > it
+    if failures:
+        raise failures[min(failures)]
+    return [LogisticRegressionModel(weights=w[:-1].tolist(), bias=float(w[-1]),
+                                    l2_lambda=problems[p][2], loss_history=histories[p])
+            for p, w in sorted(zip(order, np.split(W, starts[1:])), key=lambda pw: pw[0])]
 
 
 def _margins(X: list[Row], weights: list[float], bias: float) -> list[float]:
@@ -362,20 +414,31 @@ class FeaturizedFold:
     test_labels: list[Label]
     n_features: int
 
+    @functools.cached_property
+    def train_csr(self) -> Csr:
+        """The training rows as one Csr, which every NB and LR candidate shares."""
+        return Csr.from_rows(self.train, self.n_features)
+
+
+def _labels01(labels: list[Label]) -> list[int]:
+    return [1 if lab is Label.BULLYING else 0 for lab in labels]
+
 
 def train_family(family: str, rows: list[Row], n_features: int, labels: list[Label],
-                 params: dict, seed: int = DEFAULT_SEED):
+                 params: dict, seed: int = DEFAULT_SEED, csr: Csr | None = None):
     """Dispatch to the family trainer with TF-IDF rows over n_features
     columns and Label lists as the common input.
 
     params are the trainer's keyword arguments; any it leaves out keep the
-    trainer's defaults.
+    trainer's defaults. csr, if given, is rows as a Csr, which NB and LR
+    then train on instead of building their own.
     """
+    if family in ("nb", "lr") and csr is None:
+        csr = Csr.from_rows(rows, n_features)
     if family == "nb":
-        return train_nb(Csr.from_rows(rows, n_features), labels, **params)
+        return train_nb(csr, labels, **params)
     if family == "lr":
-        return train_lr(Csr.from_rows(rows, n_features),
-                        [1 if lab is Label.BULLYING else 0 for lab in labels], **params)
+        return train_lr(csr, _labels01(labels), **params)
     if family == "svm":
         ysign = [1 if lab is Label.BULLYING else -1 for lab in labels]
         return train_svm(rows, ysign, seed=seed, n_features=n_features, **params)
@@ -444,18 +507,29 @@ def featurize_folds(
 
 def fold_reports(
     family: str,
-    params: dict,
+    candidates: list[dict],
     folds: list[FeaturizedFold],
     seed: int,
-) -> list[MetricsReport]:
-    """Train on each fold's training part and score its held-out part."""
+) -> list[list[MetricsReport]]:
+    """Each candidate's reports on the held-out folds, each trained on its
+    fold's training part. LR trains every (candidate, fold) problem in one
+    stacked descent, which raises the error that training them one by one in
+    grid order would raise first."""
     from .metrics import evaluate
 
-    reports = []
-    for fold in folds:
-        model = train_family(family, fold.train, fold.n_features, fold.train_labels, params, seed)
-        reports.append(evaluate(fold.test_labels, predict_family(family, model, fold.test)[0]))
-    return reports
+    if family == "lr":
+        signature = inspect.signature(train_lr)  # its defaults fill what params leave out
+        bound = [signature.bind(fold.train_csr, _labels01(fold.train_labels), **params)
+                 for params in candidates for fold in folds]
+        for args in bound:
+            args.apply_defaults()
+        models = iter(_train_lr_stack([args.args for args in bound]))
+    else:
+        models = (train_family(family, fold.train, fold.n_features, fold.train_labels,
+                               params, seed, fold.train_csr)
+                  for params in candidates for fold in folds)
+    return [[evaluate(fold.test_labels, predict_family(family, next(models), fold.test)[0])
+             for fold in folds] for _ in candidates]
 
 
 def grid_search(
@@ -472,12 +546,10 @@ def grid_search(
     """
     if family not in CLASSICAL_FAMILIES:
         raise TrainingError(f"unknown model family {family!r}")
-    per_candidate: list[tuple[dict, list[float]]] = []
-    candidate_reports: list[list[MetricsReport]] = []
-    for params in expand_grid(param_grid):
-        reports = fold_reports(family, params, folds, seed)
-        per_candidate.append((params, [_objective_value(r, objective) for r in reports]))
-        candidate_reports.append(reports)
+    candidates = expand_grid(param_grid)
+    candidate_reports = fold_reports(family, candidates, folds, seed)
+    per_candidate = [(params, [_objective_value(r, objective) for r in reports])
+                     for params, reports in zip(candidates, candidate_reports)]
     means = [sum(scores) / len(scores) for _, scores in per_candidate]
     best = means.index(max(means))  # the earliest maximum
     return GridSearchResult(

@@ -163,16 +163,24 @@ def load_stemmer_rules(path: str | Path) -> StemmerRules:
       ``derivational sfx1 sfx2 ...``   (ordered)
       ``prefix <class> <pattern> <recodings>``  recodings comma-separated, '-' = plain strip
       ``forbid <class> <suffix>``
+
+    ``min_stem_length`` may appear once, and each ``forbid`` line must name
+    a class some ``prefix`` line defines and a suffix some ``derivational``
+    line lists, wherever in the file those lines are.
     """
-    min_len = 3
+    min_len, min_len_line = 3, None
     inflectional: list[str] = []
     derivational: list[str] = []
     prefixes: list[PrefixRule] = []
-    forbidden: set[tuple[str, str]] = set()
+    forbids: list[tuple[int, str, str]] = []  # (line, class, suffix)
     for lineno, line in _iter_content_lines(Path(path)):
         parts = line.split()
         directive = parts[0]
         if directive == "min_stem_length" and len(parts) == 2:
+            if min_len_line is not None:
+                raise LexiconError(f"{path}:{lineno}: second min_stem_length line; "
+                                   f"line {min_len_line} already sets it")
+            min_len_line = lineno
             try:
                 min_len = int(parts[1])
             except ValueError:
@@ -188,16 +196,23 @@ def load_stemmer_rules(path: str | Path) -> StemmerRules:
             recodings = tuple("" if r == "-" else r for r in parts[3].split(","))
             prefixes.append(PrefixRule(cls=parts[1], pattern=parts[2], recodings=recodings))
         elif directive == "forbid" and len(parts) == 3:
-            forbidden.add((parts[1], parts[2]))
+            forbids.append((lineno, parts[1], parts[2]))
         else:
             raise LexiconError(f"{path}:{lineno}: bad rules directive {line!r}")
     if not inflectional or not derivational or not prefixes:
         raise LexiconError(f"{path}: rules file must define inflectional, derivational, and prefix rules")
+    for lineno, cls, sfx in forbids:
+        if cls not in {rule.cls for rule in prefixes}:
+            raise LexiconError(f"{path}:{lineno}: forbid names prefix class {cls!r}, "
+                               f"which no prefix line defines")
+        if sfx not in derivational:
+            raise LexiconError(f"{path}:{lineno}: forbid names suffix {sfx!r}, "
+                               f"which no derivational line lists")
     return StemmerRules(
         inflectional_suffixes=tuple(inflectional),
         derivational_suffixes=tuple(derivational),
         prefix_rules=tuple(prefixes),
-        forbidden_pairs=frozenset(forbidden),
+        forbidden_pairs=frozenset((cls, sfx) for _, cls, sfx in forbids),
         min_stem_length=min_len,
     )
 

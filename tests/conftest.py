@@ -1,3 +1,4 @@
+import time
 from pathlib import Path
 
 import pytest
@@ -68,3 +69,27 @@ def balanced_records(n: int, bully_text="dasar jelek", praise_text="kamu keren")
         base = bully_text if label is Label.BULLYING else praise_text
         records.append(make_record(index=i + 1, text=f"{base} nomor {i}", label=label))
     return records
+
+
+BENCHMARK_OUTPUTS = ("benchmark_tables.txt", "benchmark_report.json")
+
+
+def bundled_benchmark(out_dir: Path) -> dict[str, bytes]:
+    """One seeded ``benchmark`` run on the bundled corpus with the default
+    config: the bytes of each output file."""
+    from bullyguard.cli import main
+
+    code = main(["benchmark", "--corpus", str(SYNTHETIC_CSV), "--out-dir", str(out_dir),
+                 "--seed", "42", "--quiet"])
+    assert code == 0
+    return {name: (out_dir / name).read_bytes() for name in BENCHMARK_OUTPUTS}
+
+
+@pytest.fixture(scope="session")
+def bundled_benchmark_runs(tmp_path_factory) -> tuple[list[dict[str, bytes]], float]:
+    """Two bundled_benchmark runs, shared by the tests that read them, and the
+    seconds both took."""
+    started = time.perf_counter()
+    runs = [bundled_benchmark(tmp_path_factory.mktemp(f"benchmark_{run}"))
+            for run in ("one", "two")]
+    return runs, time.perf_counter() - started

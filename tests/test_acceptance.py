@@ -12,7 +12,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bullyguard.cli import main as cli_main
 from bullyguard.corpus import Label, load_corpus
 from bullyguard.eval import BenchmarkConfig, run_benchmark
 from bullyguard.features import TfidfConfig, fit_tfidf, transform, transform_all
@@ -279,21 +278,8 @@ def test_acceptance_8_weighted_recall_is_accuracy():
 
 # criterion 9 -----------------------------------------------------------------
 
-def test_acceptance_9_benchmark_determinism(tmp_path, synthetic_corpus_path):
-    started = time.perf_counter()
-    outputs = []
-    for run in ("one", "two"):
-        out_dir = tmp_path / run
-        code = cli_main([
-            "benchmark", "--corpus", str(synthetic_corpus_path),
-            "--out-dir", str(out_dir), "--seed", "42", "--quiet",
-        ])
-        assert code == 0
-        outputs.append({
-            name: (out_dir / name).read_bytes()
-            for name in ("benchmark_tables.txt", "benchmark_report.json")
-        })
-    elapsed = time.perf_counter() - started
+def test_acceptance_9_benchmark_determinism(bundled_benchmark_runs):
+    outputs, elapsed = bundled_benchmark_runs
     assert outputs[0] == outputs[1], "reports differ between identical runs"
     assert elapsed < 300.0, f"took {elapsed:.1f}s"
     ok(9, f"two seeded benchmark runs are byte-identical ({elapsed:.1f}s total)")

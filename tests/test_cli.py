@@ -1290,15 +1290,36 @@ def test_min_stem_length_not_a_positive_integer_exit_1_one_line(tmp_path, capsys
                                        f"integer of at least 1, got {raw!r}\n")
 
 
+@pytest.mark.parametrize("edit, message", [
+    ("forbid mee an", "forbid names prefix class 'mee', which no prefix line defines"),
+    ("forbid di anx", "forbid names suffix 'anx', which no derivational line lists"),
+    ("min_stem_length 5", "second min_stem_length line; line 3 already sets it"),
+])
+def test_rules_file_bad_forbid_or_second_min_stem_length_exit_1_one_line(
+        tmp_path, capsys, edit, message):
+    rules = tmp_path / "rules.txt"
+    text = default_lexicon_paths()["stemmer_rules"].read_text(encoding="utf-8")
+    line = len(text.splitlines()) + 1  # the edit, appended to the bundled rules
+    rules.write_text(text + edit + "\n", encoding="utf-8")
+    config = write_config(tmp_path, f"[lexicons]\nstemmer_rules = {rules}\n", name="bad.ini")
+    corpus = write_fixture_corpus(tmp_path)
+    assert main(["preprocess", "--corpus", str(corpus), "--config", str(config)]) == 1
+    assert capsys.readouterr().err == f"error: {rules}:{line}: {message}\n"
+
+
 def test_every_lexicons_key_reaches_its_loader(tmp_path):
     paths = default_lexicon_paths()
     assert tuple(paths) == cli._SCHEMA["lexicons"]
-    extra = {"slang": "zzq\tbanget", "stopwords": "zzq", "root_words": "zzq",
-             "stemmer_rules": "min_stem_length 4"}
+    edits = {  # a rules file sets min_stem_length once, so that line is replaced
+        "slang": lambda text: text + "\nzzq\tbanget\n",
+        "stopwords": lambda text: text + "\nzzq\n",
+        "root_words": lambda text: text + "\nzzq\n",
+        "stemmer_rules": lambda text: text.replace("min_stem_length 3", "min_stem_length 4"),
+    }
     lines = ["[lexicons]"]
     for key, path in paths.items():
         copy = tmp_path / path.name
-        copy.write_text(path.read_text(encoding="utf-8") + f"\n{extra[key]}\n", encoding="utf-8")
+        copy.write_text(edits[key](path.read_text(encoding="utf-8")), encoding="utf-8")
         lines.append(f"{key} = {copy}")
     config = write_config(tmp_path, "\n".join(lines) + "\n", name="lexicons.ini")
     _, rt = resolve(["train", "--out", "unused", "--config", str(config)])

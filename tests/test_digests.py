@@ -1,4 +1,4 @@
-"""SHA-256 digests of preprocessing outputs on the bundled corpus.
+"""SHA-256 digests of preprocessing and study outputs on the bundled corpus.
 
 The committed digests in ``digests.json`` pin, byte for byte:
 
@@ -7,17 +7,24 @@ The committed digests in ``digests.json`` pin, byte for byte:
   default pipeline and under the neural track's ``keep_function_words``
   pipeline (no stopword removal, no stemming);
 - ``tfidf_rows``: the ``float.hex`` TF-IDF rows of every comment, from a
-  model fitted on the whole corpus with the default settings.
+  model fitted on the whole corpus with the default settings;
+- ``benchmark_report`` and ``benchmark_tables``: ``benchmark_report.json``
+  and ``benchmark_tables.txt`` of ``bullyguard benchmark --seed 42`` with the
+  default config (acceptance test 9's run);
+- ``tune_lr_artifact`` and ``tune_lr_stdout``: the model file and what
+  ``bullyguard tune --family lr`` prints, its output path written as
+  ``MODEL``.
 
 A change that moves one of them on purpose rewrites the file for that reason
 alone:
 
     PYTHONPATH=src python tests/test_digests.py
 
-The digests were recorded under the Python version the file names. Under
-another version the test still runs; a mismatch there is a skip that names
-the outputs that moved, since case folding, the ``\\w`` and ``\\S`` classes
-and ``str.split`` follow that version's Unicode tables.
+The digests were recorded under the Python, numpy and BLAS versions the file
+names. Under another version the tests still run; a mismatch there is a skip
+that names the outputs that moved, since case folding, the ``\\w`` and ``\\S``
+classes and ``str.split`` follow that Python's Unicode tables, and the study's
+floats follow numpy's ``exp`` and ``log`` and the BLAS dot product.
 """
 
 import contextlib
@@ -25,6 +32,7 @@ import hashlib
 import io
 import json
 import platform
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
@@ -40,12 +48,14 @@ from bullyguard.preprocess import (
     load_default_stemmer_rules,
 )
 
+from conftest import bundled_benchmark
+
 DIGEST_FILE = Path(__file__).resolve().parent / "digests.json"
 CORPUS = Path(__file__).resolve().parent.parent / "data" / "comments_synthetic.csv"
 
 
-def _sha(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+def _sha(text: str | bytes) -> str:
+    return hashlib.sha256(text if isinstance(text, bytes) else text.encode("utf-8")).hexdigest()
 
 
 def _token_lines(token_lists) -> str:
@@ -72,23 +82,72 @@ def compute_digests() -> dict[str, str]:
     }
 
 
-def _python_version() -> str:
-    return ".".join(platform.python_version_tuple()[:2])
+def study_digests(benchmark: dict[str, bytes], tmp: Path) -> dict[str, str]:
+    """The digests of one bundled_benchmark run's outputs, and of a
+    ``tune --family lr`` run here, writing into tmp."""
+    model = tmp / "lr.model"
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["tune", "--family", "lr", "--corpus", str(CORPUS),
+                         "--out", str(model)]) == 0
+    return {
+        "benchmark_report": _sha(benchmark["benchmark_report.json"]),
+        "benchmark_tables": _sha(benchmark["benchmark_tables.txt"]),
+        "tune_lr_artifact": _sha(model.read_bytes()),
+        "tune_lr_stdout": _sha(out.getvalue().replace(str(model), "MODEL")),
+    }
 
 
-def test_preprocessing_outputs_match_committed_digests():
+PREPROCESSING_OUTPUTS = ("preprocess_trace", "tokens_default", "tokens_neural", "tfidf_rows")
+STUDY_OUTPUTS = ("benchmark_report", "benchmark_tables", "tune_lr_artifact", "tune_lr_stdout")
+VERSIONS = ("python", "numpy", "blas")
+
+
+def _environment(keys: tuple[str, ...]) -> dict[str, str]:
+    """The versions that keys name, from VERSIONS; numpy loads only if one
+    of them is numpy's or the BLAS's, and a build that does not name its
+    BLAS reads as "?"."""
+    environment = {"python": ".".join(platform.python_version_tuple()[:2])}
+    if {"numpy", "blas"} & set(keys):
+        import numpy as np
+
+        config = getattr(np.__config__, "CONFIG", {})
+        blas = config.get("Build Dependencies", {}).get("blas", {})
+        environment["numpy"] = np.__version__
+        environment["blas"] = f"{blas.get('name', '?')} {blas.get('version', '?')}"
+    return {key: environment[key] for key in keys}
+
+
+def _assert_unmoved(digests: dict[str, str], owned: tuple[str, ...],
+                    depends_on: tuple[str, ...]) -> None:
+    """Check that digests holds exactly the owned outputs, and fail naming
+    each one that moved, or skip if one of the versions in depends_on
+    differs from the recorded one."""
     recorded = json.loads(DIGEST_FILE.read_text(encoding="utf-8"))
-    digests = compute_digests()
-    assert set(digests) == set(recorded["outputs"])
+    assert set(PREPROCESSING_OUTPUTS + STUDY_OUTPUTS) == set(recorded["outputs"])
+    assert set(digests) == set(owned)
     moved = sorted(name for name, digest in digests.items()
                    if recorded["outputs"][name] != digest)
-    if moved and recorded["python"] != _python_version():
-        pytest.skip(f"recorded under Python {recorded['python']}; under "
-                    f"{_python_version()} these moved: {', '.join(moved)}")
+    environment = _environment(depends_on)
+    if moved and environment != {key: recorded["environment"].get(key) for key in depends_on}:
+        pytest.skip(f"recorded under {recorded['environment']}; under {environment} "
+                    f"these moved: {', '.join(moved)}")
     assert not moved, f"outputs that moved: {', '.join(moved)}"
 
 
+def test_preprocessing_outputs_match_committed_digests():
+    _assert_unmoved(compute_digests(), PREPROCESSING_OUTPUTS, ("python",))
+
+
+def test_study_outputs_match_committed_digests(bundled_benchmark_runs, tmp_path):
+    _assert_unmoved(study_digests(bundled_benchmark_runs[0][0], tmp_path),
+                    STUDY_OUTPUTS, VERSIONS)
+
+
 if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        outputs = {**compute_digests(),
+                   **study_digests(bundled_benchmark(Path(tmp)), Path(tmp))}
     DIGEST_FILE.write_text(json.dumps(
-        {"python": _python_version(), "outputs": compute_digests()}, indent=2) + "\n",
+        {"environment": _environment(VERSIONS), "outputs": outputs}, indent=2) + "\n",
         encoding="utf-8")

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -517,6 +518,16 @@ def test_grid_search_draws_the_epoch_orders_once(bundled_folds):
     grid_search("svm", DEFAULT_GRIDS["svm"], bundled_folds, 42)
     info = lm._epoch_orders.cache_info()
     assert (info.misses, info.hits) == (1, 14)
+
+
+def test_grid_search_builds_each_folds_training_csr_once(bundled_folds, monkeypatch):
+    folds = [replace(fold) for fold in bundled_folds]  # none has its Csr cached yet
+    built = []
+    from_rows = Csr.from_rows
+    monkeypatch.setattr(Csr, "from_rows", lambda rows, n: built.append(n) or from_rows(rows, n))
+    for family in ("nb", "lr"):
+        grid_search(family, DEFAULT_GRIDS[family], folds, 42)
+    assert built == [fold.n_features for fold in folds]
 
 
 def test_predict_svm_tie_and_scaling():

@@ -1,5 +1,5 @@
-"""The per-line fast paths of preprocessing and TF-IDF against the plain code
-they replaced, kept here as oracles and compared bit for bit.
+"""The fast paths of preprocessing, TF-IDF and LR training against the plain
+code they replaced, kept here as oracles and compared bit for bit.
 
 `clean` runs each removal pattern only when the text holds the literal its
 matches start with, `collapse_elongation` returns a word without a run as
@@ -7,6 +7,12 @@ it is, `stem` tries only the prefix rules whose pattern starts with the
 word's first letter, and `transform_all` counts with a plain dict. Each
 must give exactly what the code below gives: the same strings and tokens,
 and the same bits in every TF-IDF value.
+
+Logistic regression trains every (candidate, fold) problem of a grid search
+in one stacked gradient descent, and `train_lr` and `lr_loss_grad` are its
+one-problem case. Each problem must get the weights, bias and loss history
+of the one-problem loop below, bit for bit, and a grid must raise the error
+that loop raises first in grid order.
 """
 
 import itertools
@@ -15,10 +21,26 @@ import re
 from collections import Counter
 from dataclasses import replace
 
+import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from bullyguard.corpus import load_corpus
+import bullyguard.linear_models as linear_models
+from bullyguard.corpus import Label, load_corpus
 from bullyguard.features import TfidfConfig, fit_tfidf, transform_all
+from bullyguard.linear_models import (
+    DEFAULT_GRIDS,
+    Csr,
+    FeaturizedFold,
+    TrainingError,
+    expand_grid,
+    featurize_folds,
+    fold_reports,
+    lr_loss_grad,
+    predict_family,
+    train_lr,
+)
+from bullyguard.metrics import evaluate
 from bullyguard.preprocess import (
     NormalizationLexicon,
     PipelineConfig,
@@ -309,3 +331,223 @@ def test_bundled_tfidf_rows_match_counter_oracle():
         model = fit_tfidf(token_lists[:150], config)
         got = transform_all(token_lists, model)
         assert hex_rows(got) == hex_rows(oracle_transform_all(token_lists, model))
+
+
+# ----------------------------------------------------------------------------
+# logistic regression: the one-problem gradient descent
+# ----------------------------------------------------------------------------
+
+def oracle_lr_loss_grad(X, y_signed, weights, bias, l2_lambda):
+    n = len(X)
+    z = X.matvec(weights) + bias
+    margins = y_signed * z
+    loss = float(np.logaddexp(0.0, -margins).mean() + 0.5 * l2_lambda * weights @ weights)
+    coef = -y_signed * (1.0 / (1.0 + np.exp(np.clip(margins, -500.0, 500.0)))) / n
+    grad_w = X.rmatvec(coef) + l2_lambda * weights
+    grad_b = float(coef.sum())
+    return loss, grad_w, grad_b
+
+
+def oracle_train_lr(X, labels01, l2_lambda=1e-3, lr=0.1, epochs=500, grad_tol=1e-6):
+    """(weights, bias, loss history), or raises train_lr's TrainingError."""
+    if lr <= 0:
+        raise TrainingError(f"learning rate must be positive, got {lr}")
+    if epochs < 1:
+        raise TrainingError(f"epochs must be at least 1, got {epochs}")
+    if l2_lambda < 0:
+        raise TrainingError(f"l2_lambda must be non-negative, got {l2_lambda}")
+    if l2_lambda > 0:
+        lr = min(lr, 1.0 / l2_lambda)
+    y_signed = np.asarray([1.0 if y == 1 else -1.0 for y in labels01])
+    weights = np.zeros(X.n_features, dtype=np.float64)
+    bias = 0.0
+    history = []
+    for it in range(epochs):
+        loss, grad_w, grad_b = oracle_lr_loss_grad(X, y_signed, weights, bias, l2_lambda)
+        if not math.isfinite(loss):
+            raise TrainingError(f"non-finite loss at iteration {it}")
+        history.append(loss)
+        if max(np.abs(grad_w).max(initial=0.0), abs(grad_b)) < grad_tol:
+            break
+        weights -= lr * grad_w
+        bias -= lr * grad_b
+    return weights.tolist(), bias, history
+
+
+def _hex(weights, bias, history):
+    return [w.hex() for w in weights], float(bias).hex(), [loss.hex() for loss in history]
+
+
+def _labels01(labels):
+    return [1 if lab is Label.BULLYING else 0 for lab in labels]
+
+
+def _oracle_grid(candidates, folds):
+    """Each candidate's oracle result per fold, in grid order, or the first
+    error's message."""
+    try:
+        return [[oracle_train_lr(fold.train_csr, _labels01(fold.train_labels), **params)
+                 for fold in folds] for params in candidates]
+    except TrainingError as exc:
+        return str(exc)
+
+
+def _stacked_grid(candidates, folds):
+    """The models fold_reports trains for each candidate, captured as it
+    scores them."""
+    models = []
+    original = predict_family
+
+    def capture(family, model, X, threshold=0.5):
+        models.append(model)
+        return original(family, model, X, threshold)
+
+    linear_models.predict_family = capture
+    try:
+        reports = fold_reports("lr", candidates, folds, 42)
+    finally:
+        linear_models.predict_family = original
+    return reports, [models[i:i + len(folds)] for i in range(0, len(models), len(folds))]
+
+
+def assert_grid_matches_oracle(candidates, folds):
+    want = _oracle_grid(candidates, folds)
+    assert not isinstance(want, str), want
+    reports, models = _stacked_grid(candidates, folds)
+    for params, want_models, got_models, got_reports in zip(candidates, want, models, reports):
+        for fold, (weights, bias, history), model, report in zip(
+                folds, want_models, got_models, got_reports):
+            assert model.l2_lambda == params.get("l2_lambda", 1e-3)
+            assert _hex(model.weights, model.bias, model.loss_history) == _hex(
+                weights, bias, history), params
+            assert report == evaluate(fold.test_labels, predict_family(
+                "lr", type(model)(weights, bias, model.l2_lambda), fold.test)[0])
+    return want
+
+
+BUNDLED_TOKENS = Preprocessor(DEFAULT_CONFIG, LEXICON, RULES).corpus(BUNDLED_TEXTS)
+BUNDLED_LABELS = [rec.label for rec in load_corpus(SYNTHETIC_CSV)]
+
+
+def test_lr_grid_on_bundled_folds_matches_oracle():
+    folds = featurize_folds(BUNDLED_TOKENS, BUNDLED_LABELS, 5, 42)
+    assert_grid_matches_oracle(expand_grid(DEFAULT_GRIDS["lr"]), folds)
+
+
+def test_lr_grid_on_ragged_folds_with_every_setting_varied_matches_oracle():
+    # 103 comments of both classes in 4 folds: training parts of 77 and 78 rows
+    pick = list(range(0, 200, 2)) + [1, 101, 199]
+    folds = featurize_folds([BUNDLED_TOKENS[i] for i in pick],
+                            [BUNDLED_LABELS[i] for i in pick], 4, 7)
+    assert len({len(fold.train) for fold in folds}) == 2
+    grid = {"l2_lambda": [0.0, 1e-3, 0.5], "lr": [0.1, 3.0], "epochs": [1, 40],
+            "grad_tol": [1e-6, 0.02]}
+    want = assert_grid_matches_oracle(expand_grid(grid), folds)
+    # problems stop at different iterations, some by converging
+    lengths = {len(history) for per_fold in want for _, _, history in per_fold}
+    assert len(lengths) > 3
+    assert any(1 < n < 40 for n in lengths)
+
+
+def test_lr_problems_that_converge_at_different_iterations_match_oracle():
+    folds = featurize_folds(BUNDLED_TOKENS, BUNDLED_LABELS, 3, 42)
+    grid = {"l2_lambda": [0.3, 1.0, 3.0], "grad_tol": [0.01, 0.003], "epochs": [400]}
+    want = assert_grid_matches_oracle(expand_grid(grid), folds)
+    lengths = [len(history) for per_fold in want for _, _, history in per_fold]
+    assert max(lengths) < 400 and len(set(lengths)) > 3
+
+
+def _fold(train, labels, n_features):
+    """A fold of TF-IDF rows, tested on its training part."""
+    return FeaturizedFold(train=train, train_labels=labels, test=train, test_labels=labels,
+                          n_features=n_features)
+
+
+def test_lr_zero_feature_and_empty_row_problems_match_oracle():
+    B, N = Label.BULLYING, Label.NON_BULLYING
+    folds = [
+        _fold([([], [])] * 3, [B, N, B], 0),               # no feature at all
+        _fold([([], [])] * 4, [B, N, N, N], 5),            # features, but empty rows
+        _fold([([0, 2], [0.6, 0.8]), ([], []), ([1], [1.0])], [B, N, B], 3),
+    ]
+    assert_grid_matches_oracle(expand_grid({"l2_lambda": [0.0, 1e-2]}), folds)
+
+
+@pytest.mark.filterwarnings("ignore:Mean of empty slice", "ignore:invalid value")
+def test_lr_problem_without_rows_raises_oracle_error():
+    B, N = Label.BULLYING, Label.NON_BULLYING
+    folds = [_fold([([0], [1.0]), ([1], [1.0])], [B, N], 2), _fold([], [], 2)]
+    want = _oracle_grid([{"l2_lambda": 1e-3}], folds)
+    assert want == "non-finite loss at iteration 0"
+    with np.errstate(all="ignore"), pytest.raises(TrainingError) as exc:
+        fold_reports("lr", [{"l2_lambda": 1e-3}], folds, 42)
+    assert str(exc.value) == want
+
+
+@pytest.mark.parametrize("bad", [{"l2_lambda": -1e-3}, {"epochs": 0}, {"lr": 0.0}])
+def test_lr_grid_with_invalid_second_candidate_raises_oracle_error(bad):
+    folds = featurize_folds(BUNDLED_TOKENS[::3], BUNDLED_LABELS[::3], 3, 42)
+    candidates = [{"l2_lambda": 1e-3, "epochs": 5}, {"l2_lambda": 1e-3, "epochs": 5, **bad}]
+    want = _oracle_grid(candidates, folds)
+    assert isinstance(want, str)
+    with pytest.raises(TrainingError) as exc:
+        fold_reports("lr", candidates, folds, 42)
+    assert str(exc.value) == want
+
+
+def test_lr_grid_raises_the_first_divergence_in_grid_order():
+    """A problem that diverges late is raised over one later in grid order
+    that diverges early, and both over an invalid candidate after them."""
+    B, N = Label.BULLYING, Label.NON_BULLYING
+    folds = [_fold([([0], [-1.0]), ([0], [-1e50]), ([0], [1e50])], [N, B, B], 1),
+             _fold([([0], [1.0]), ([0], [-1.0])], [B, N], 1)]
+    late, early = {"l2_lambda": 0.0, "lr": 1e250}, {"l2_lambda": 0.0, "lr": 1e300}
+    with np.errstate(all="ignore"):
+        fails = [_oracle_grid([params], folds) for params in (late, early)]
+        assert fails == ["non-finite loss at iteration 3", "non-finite loss at iteration 2"]
+        for candidates in ([late, early], [early, late], [late, early, {"epochs": 0}],
+                           [{"lr": 1.0}, early, late]):
+            with pytest.raises(TrainingError) as exc:
+                fold_reports("lr", candidates, folds, 42)
+            assert str(exc.value) == _oracle_grid(candidates, folds)
+
+
+def test_lr_grid_trains_no_problem_on_after_an_earlier_one_fails(monkeypatch):
+    """Once a problem fails, the problems after it in grid order stop too, so
+    a failing grid does not run the rest of its epochs."""
+    B, N = Label.BULLYING, Label.NON_BULLYING
+    folds = [_fold([([0], [-1.0]), ([0], [-1e50]), ([0], [1e50])], [N, B, B], 1)]
+    calls, stack = [], linear_models._lr_stack
+
+    def counting_stack(*args):
+        starts, sizes, loss_grad = stack(*args)
+        return starts, sizes, lambda W: (calls.append(1), loss_grad(W))[1]
+
+    monkeypatch.setattr(linear_models, "_lr_stack", counting_stack)
+    candidates = [{"l2_lambda": 0.0, "lr": 1e300}, {"l2_lambda": 1e-3, "epochs": 500}]
+    with np.errstate(all="ignore"), pytest.raises(TrainingError) as exc:
+        fold_reports("lr", candidates, folds, 42)
+    assert str(exc.value) == "non-finite loss at iteration 2"
+    assert len(calls) == 3
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.lists(st.floats(-3, 3), min_size=4, max_size=4), min_size=1, max_size=6),
+       st.lists(st.floats(-2, 2), min_size=5, max_size=5), st.sampled_from([0.0, 1e-3, 2.0]))
+def test_lr_loss_grad_matches_oracle(dense, point, l2_lambda):
+    X = Csr.from_rows([([i for i, v in enumerate(row) if v], [v for v in row if v])
+                       for row in dense], 4)
+    y = np.asarray([1.0 if i % 3 else -1.0 for i in range(len(dense))])
+    w, b = np.asarray(point[:4]), point[4]
+    loss, grad_w, grad_b = lr_loss_grad(X, y, w, b, l2_lambda)
+    want_loss, want_w, want_b = oracle_lr_loss_grad(X, y, w, b, l2_lambda)
+    assert (loss.hex(), grad_b.hex()) == (want_loss.hex(), want_b.hex())
+    assert [g.hex() for g in grad_w.tolist()] == [g.hex() for g in want_w.tolist()]
+
+
+def test_train_lr_matches_oracle_on_whole_bundled_corpus():
+    tfidf = fit_tfidf(BUNDLED_TOKENS)
+    X = Csr.from_rows(transform_all(BUNDLED_TOKENS, tfidf), tfidf.n_features)
+    model = train_lr(X, _labels01(BUNDLED_LABELS))
+    assert _hex(model.weights, model.bias, model.loss_history) == _hex(
+        *oracle_train_lr(X, _labels01(BUNDLED_LABELS)))

@@ -394,6 +394,40 @@ def test_min_stem_length_below_1_or_not_an_integer_is_refused(tmp_path, default_
             replace(default_rules, min_stem_length=value)
 
 
+RULES_FORBID_FIRST = """forbid me an
+min_stem_length 3
+inflectional nya
+derivational i an
+prefix me me -
+prefix di di -
+"""
+
+
+def test_forbid_lines_may_come_before_what_they_name(tmp_path):
+    path = tmp_path / "rules.txt"
+    path.write_text(RULES_FORBID_FIRST, encoding="utf-8")
+    assert load_stemmer_rules(path).forbidden_pairs == {("me", "an")}
+
+
+@pytest.mark.parametrize("line, message", [
+    ("forbid mee an", "forbid names prefix class 'mee', which no prefix line defines"),
+    ("forbid di kan", "forbid names suffix 'kan', which no derivational line lists"),
+])
+def test_forbid_naming_an_undefined_class_or_suffix_is_refused(tmp_path, line, message):
+    path = tmp_path / "rules.txt"
+    path.write_text(RULES_FORBID_FIRST + line + "\n", encoding="utf-8")
+    with pytest.raises(LexiconError, match=rf"^{re.escape(str(path))}:7: {re.escape(message)}$"):
+        load_stemmer_rules(path)
+
+
+def test_second_min_stem_length_line_is_refused(tmp_path):
+    path = tmp_path / "rules.txt"
+    path.write_text(RULES_FORBID_FIRST + "min_stem_length 5\n", encoding="utf-8")
+    with pytest.raises(LexiconError, match=rf"^{re.escape(str(path))}:7: second min_stem_length "
+                                           rf"line; line 2 already sets it$"):
+        load_stemmer_rules(path)
+
+
 def test_min_stem_length_1_keeps_every_token_non_empty(default_lexicon, default_rules):
     rules = replace(default_rules, min_stem_length=1)
     tokens = Preprocessor(PipelineConfig(), default_lexicon, rules).tokens("an kan nya di")
