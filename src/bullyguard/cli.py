@@ -20,9 +20,8 @@ import itertools
 import math
 import sys
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 from . import __version__, linear_models
 from .artifact import (
@@ -39,6 +38,7 @@ from .artifact import (
 from .corpus import (
     CorpusError,
     SplitSpec,
+    TrainConfig,
     compute_stats,
     load_corpus,
     majority_label,
@@ -71,9 +71,6 @@ from .preprocess import (
 )
 from .rng import DEFAULT_SEED
 
-if TYPE_CHECKING:
-    from .neural import TrainConfig
-
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VALIDATION = 2
@@ -88,171 +85,214 @@ class ConfigError(Exception):
 # run configuration
 # ----------------------------------------------------------------------------
 
-_SCHEMA: dict[str, tuple[str, ...]] = {
-    "corpus": ("path", "delimiter", "col_index", "col_username", "col_text",
-               "col_label", "col_date", "col_target"),
-    "lexicons": ("slang", "stopwords", "root_words", "stemmer_rules"),
-    "pipeline": ("case_fold", "clean", "normalize", "remove_stopwords", "stem",
-                 "tokenize", "elongation_min_run", "neural_keep_function_words"),
-    "tfidf": ("sublinear_tf", "l2_normalize", "min_df"),
-    "model": ("family", "alpha", "l2_lambda", "lr", "epochs", "reg_lambda",
-              "threshold", "batch_size", "embedding_dim", "hidden_dim",
-              "attention_dim", "learning_rate", "max_epochs", "patience",
-              "min_improvement", "min_freq", "max_len_cap"),
-    "split": ("train_fraction", "val_fraction", "test_fraction", "seed",
-              "folds", "stratified"),
-    "tune": ("objective", "grid_alpha", "grid_l2_lambda", "grid_reg_lambda"),
-    "output": ("dir",),
+def _reader(parse, expected: str, *checks):
+    """A key's reader: parse(raw), refused with ValueError saying what it
+    expected if parse fails or the value fails one of the (ok, expected)
+    checks, the first failure named."""
+    def read(raw: str):
+        try:
+            value = parse(raw)
+        except (ValueError, KeyError):
+            raise ValueError(f"expected {expected}, got {raw!r}") from None
+        for ok, wanted in checks:
+            if not ok(value):
+                raise ValueError(f"expected {wanted}, got {raw!r}")
+        return value
+    return read
+
+
+_BOOLS = {**dict.fromkeys(("true", "yes", "1", "on"), True),
+          **dict.fromkeys(("false", "no", "0", "off"), False)}
+_FINITE = (math.isfinite, "a finite number")
+_bool = _reader(lambda raw: _BOOLS[raw.strip().lower()], "a boolean")
+_int = _reader(int, "an integer")
+_float = _reader(float, "a number", _FINITE)
+_floats = _reader(lambda raw: [float(part) for part in raw.split(",") if part.strip()],
+                  "comma-separated numbers",
+                  (lambda values: all(map(math.isfinite, values)), "finite numbers"),
+                  (bool, "at least one number"))
+_text = _reader(str, "text", (str.strip, "a non-empty value"))
+# p can reach exactly 0 or 1, so only an open-interval threshold splits both ways
+_threshold = _reader(float, "a number", _FINITE,
+                     (lambda p: 0.0 < p < 1.0, "a number strictly between 0 and 1"))
+# csv.reader takes exactly one character
+_delimiter = _reader(str, "text", (lambda raw: len(raw) == 1, "one character"))
+
+
+def _one_of(choices):
+    return _reader(str, "text", (choices.__contains__, f"one of {', '.join(choices)}"))
+
+
+def _existing_file(raw: str) -> Path:
+    if not Path(raw).exists():
+        raise ValueError(f"file not found: {raw}")
+    return Path(raw)
+
+
+def _folds(folds: int) -> int:
+    """The cross-validation folds, from --folds or [split] folds."""
+    if folds < 2:
+        raise ConfigError(f"--folds / [split] folds: expected at least 2, got {folds}")
+    return folds
+
+
+_READ_AS = {bool: _bool, int: _int, float: _float}
+
+
+def _field_rows(section: str, cls, skip: tuple[str, ...] = ()) -> dict:
+    """A row for each field of cls not in skip, read as its default's type."""
+    return {(section, f.name): _READ_AS[type(f.default)] for f in fields(cls)
+            if f.name not in skip}
+
+
+# Each classical trainer's [model] keys and their defaults: its keywords but
+# the run's seed and LR's convergence tolerance, which no config sets.
+_TRAINER_DEFAULTS = {
+    family: {name: p.default for name, p in
+             inspect.signature(getattr(linear_models, f"train_{family}")).parameters.items()
+             if p.default is not p.empty and name not in ("seed", "grad_tol")}
+    for family in CLASSICAL_FAMILIES
 }
+# [corpus] column keys -> CommentRecord fields
+_COLUMN_KEYS = {"col_index": "index", "col_username": "commenter_handle", "col_text": "text",
+                "col_label": "label", "col_date": "posted_date", "col_target": "target_handle"}
 
-# checked in this order, so a config with several missing files names the same one each run
-_FILE_KEYS = (("corpus", "path"), *(("lexicons", key) for key in _SCHEMA["lexicons"]))
+# Every accepted (section, key) and its reader. The type of a key comes from
+# the setting it fills: a dataclass field, a trainer keyword, a lexicon path
+# or a tuning grid; the keys listed by hand have no such home.
+_KEYS = {
+    ("corpus", "path"): _existing_file,
+    ("corpus", "delimiter"): _delimiter,
+    **{("corpus", key): _text for key in _COLUMN_KEYS},
+    **{("lexicons", key): _existing_file for key in default_lexicon_paths()},
+    **_field_rows("pipeline", PipelineConfig),
+    ("pipeline", "neural_keep_function_words"): _bool,
+    **_field_rows("tfidf", TfidfConfig),
+    ("model", "family"): _one_of(FAMILIES),
+    **{("model", name): _READ_AS[type(default)]
+       for defaults in _TRAINER_DEFAULTS.values() for name, default in defaults.items()},
+    ("model", "threshold"): _threshold,
+    **_field_rows("model", TrainConfig, skip=("seed", "keep_function_words")),
+    **_field_rows("split", SplitSpec, skip=("seed",)),
+    ("split", "seed"): _int,
+    ("split", "folds"): lambda raw: _folds(_int(raw)),
+    ("tune", "objective"): _one_of(tuple(OBJECTIVES)),
+    **{("tune", f"grid_{param}"): _floats for grid in DEFAULT_GRIDS.values() for param in grid},
+    ("output", "dir"): _text,
+}
+_SECTIONS = {section for section, _ in _KEYS}
 
 
-def _parse_bool(raw: str) -> bool:
-    lowered = raw.strip().lower()
-    if lowered in ("true", "yes", "1", "on"):
-        return True
-    if lowered in ("false", "no", "0", "off"):
-        return False
-    raise ValueError(raw)
+def _read_keys(path: str | Path) -> dict[tuple[str, str], object]:
+    """Each key of the config file, read by its row of _KEYS in file order,
+    so the first bad one is named."""
+    parser = configparser.ConfigParser()
+    try:
+        with open(path, encoding="utf-8") as handle:
+            parser.read_file(handle)
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    except configparser.Error as exc:
+        raise ConfigError(f"malformed config file {path}: {exc}") from exc
+    if parser.defaults():  # configparser would copy its keys into every section
+        raise ConfigError("unknown config section [DEFAULT]")
+    values = {}
+    for section in parser.sections():
+        if section not in _SECTIONS:
+            raise ConfigError(f"unknown config section [{section}]")
+        for key in parser.options(section):
+            if (section, key) not in _KEYS:
+                raise ConfigError(f"unknown config key {key!r} in section [{section}]")
+            try:  # get expands %(name)s references, and refuses a stray %
+                values[(section, key)] = _KEYS[(section, key)](parser.get(section, key))
+            except (ValueError, configparser.InterpolationError) as exc:
+                raise ConfigError(f"config [{section}] {key}: {exc}") from None
+    return values
 
 
-# each config value type: its parser and what the error message expects
-_TYPED_READERS = {bool: (_parse_bool, "a boolean"), int: (int, "an integer"),
-                  float: (float, "a number")}
+def _settings(values: dict, section: str, cls, **fixed):
+    """A cls dataclass from the section's keys that name its fields, and the
+    fields in `fixed`; the others keep their dataclass default."""
+    return cls(**{f.name: values[(section, f.name)] for f in fields(cls)
+                  if (section, f.name) in values and f.name not in fixed}, **fixed)
 
 
 @dataclass
 class RunConfig:
-    values: dict[tuple[str, str], str] = field(default_factory=dict)
+    """A run's settings: the config file's keys, each typed and checked, the
+    settings objects built from them, and the defaults for the rest."""
+    values: dict[tuple[str, str], object]
+    seed: int
+    folds: int
+    family: str
+    pipeline: PipelineConfig
+    tfidf: TfidfConfig
+    split: SplitSpec
+    neural: TrainConfig
+    trainer_params: dict[str, dict]  # each classical family's [model] keys
+    grids: dict[str, dict[str, list[float]]]
+    objective: str
+    threshold: float  # LR decision threshold on P(Bullying)
+    delimiter: str
+    column_map: dict[str, str]
 
     @classmethod
-    def load(cls, path: str | Path | None) -> "RunConfig":
-        cfg = cls()
-        if path is None:
-            return cfg
-        parser = configparser.ConfigParser()
-        try:
-            with open(path, encoding="utf-8") as handle:
-                parser.read_file(handle)
-        except OSError as exc:
-            raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-        except configparser.Error as exc:
-            raise ConfigError(f"malformed config file {path}: {exc}") from exc
-        for section in parser.sections():
-            if section not in _SCHEMA:
-                raise ConfigError(f"unknown config section [{section}]")
-            for key, value in parser.items(section):
-                if key not in _SCHEMA[section]:
-                    raise ConfigError(f"unknown config key {key!r} in section [{section}]")
-                cfg.values[(section, key)] = value
-        for section, key in _FILE_KEYS:
-            raw = cfg.values.get((section, key))
-            if raw is not None and not Path(raw).exists():
-                raise ConfigError(f"config [{section}] {key}: file not found: {raw}")
-        return cfg
+    def load(cls, path: str | Path | None, seed: int | None = None,
+             folds: int | None = None) -> "RunConfig":
+        """The settings of the config file at path (None: no file); seed and
+        folds, the command-line flags, stand over [split] seed and folds."""
+        values = {} if path is None else _read_keys(path)
 
-    def get(self, section: str, key: str, default: str | None = None) -> str | None:
+        def get(section, key, default):
+            return values.get((section, key), default)
+
+        seed = get("split", "seed", DEFAULT_SEED) if seed is None else seed
+        model = {key: value for (section, key), value in values.items() if section == "model"}
+        return cls(
+            values=values, seed=seed,
+            folds=get("split", "folds", DEFAULT_FOLDS) if folds is None else _folds(folds),
+            family=get("model", "family", "lr"),
+            pipeline=_settings(values, "pipeline", PipelineConfig),
+            tfidf=_settings(values, "tfidf", TfidfConfig),
+            split=_settings(values, "split", SplitSpec, seed=seed),
+            neural=_settings(values, "model", TrainConfig, seed=seed, keep_function_words=get(
+                "pipeline", "neural_keep_function_words", TrainConfig.keep_function_words)),
+            trainer_params={family: {k: v for k, v in model.items() if k in defaults}
+                            for family, defaults in _TRAINER_DEFAULTS.items()},
+            grids={family: {param: get("tune", f"grid_{param}", points)
+                            for param, points in grid.items()}
+                   for family, grid in DEFAULT_GRIDS.items()},
+            objective=get("tune", "objective", DEFAULT_OBJECTIVE),
+            threshold=get("model", "threshold", ModelArtifact.threshold),
+            delimiter=get("corpus", "delimiter", ";"),
+            column_map={name: values[("corpus", key)] for key, name in _COLUMN_KEYS.items()
+                        if ("corpus", key) in values},
+        )
+
+    def get(self, section: str, key: str, default=None):
         return self.values.get((section, key), default)
-
-    def get_typed(self, section: str, key: str, default: bool | int | float):
-        """The key's value read as the type of its default."""
-        raw = self.get(section, key)
-        if raw is None:
-            return default
-        parse, expected = _TYPED_READERS[type(default)]
-        try:
-            value = parse(raw)
-        except ValueError:
-            raise ConfigError(f"config [{section}] {key}: expected {expected}, got {raw!r}") from None
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ConfigError(f"config [{section}] {key}: expected a finite number, got {raw!r}")
-        return value
-
-    def get_float_list(self, section: str, key: str, default: list[float]) -> list[float]:
-        raw = self.get(section, key)
-        if raw is None:
-            return default
-        try:
-            values = [float(part) for part in raw.split(",") if part.strip()]
-        except ValueError:
-            raise ConfigError(f"config [{section}] {key}: expected comma-separated numbers") from None
-        if not all(math.isfinite(v) for v in values):
-            raise ConfigError(f"config [{section}] {key}: expected finite numbers, got {raw!r}")
-        if not values:
-            raise ConfigError(f"config [{section}] {key}: expected at least one number, got {raw!r}")
-        return values
-
-
-def _typed_keys(config: RunConfig, section: str, defaults: dict) -> dict:
-    """The keys of `defaults` that the section sets, each read as the type of
-    its default."""
-    return {key: config.get_typed(section, key, default)
-            for key, default in defaults.items() if config.get(section, key) is not None}
-
-
-def _from_section(config: RunConfig, section: str, cls, **fixed):
-    """A cls dataclass from the section's keys that name its fields. Fields in
-    `fixed` take the given value; the others keep their dataclass default."""
-    defaults = {f.name: f.default for f in fields(cls) if f.name not in fixed}
-    return cls(**_typed_keys(config, section, defaults), **fixed)
 
 
 @dataclass
-class Runtime:
-    """Everything a command needs, resolved from CLI args + config + defaults."""
-    config: RunConfig
-    seed: int
-    folds: int
-    quiet: bool
-    pipeline: PipelineConfig
-    tfidf: TfidfConfig
+class Runtime(RunConfig):
+    """Everything a command needs: its RunConfig, the lexicons that names,
+    and --quiet."""
     lexicon: NormalizationLexicon
     rules: StemmerRules
-    column_map: dict[str, str]
-    delimiter: str
-    threshold: float  # LR decision threshold on P(Bullying)
+    quiet: bool
 
 
 def _resolve_runtime(ns: argparse.Namespace) -> Runtime:
-    config = RunConfig.load(ns.config)
-    seed = (ns.seed if ns.seed is not None
-            else config.get_typed("split", "seed", DEFAULT_SEED))
-    folds = (ns.folds if ns.folds is not None
-             else config.get_typed("split", "folds", DEFAULT_FOLDS))
-    pipeline = _from_section(config, "pipeline", PipelineConfig)
-    tfidf = _from_section(config, "tfidf", TfidfConfig)
-    # p can reach exactly 0 or 1, so only an open-interval threshold splits both ways
-    threshold = config.get_typed("model", "threshold", ModelArtifact.threshold)
-    if not 0.0 < threshold < 1.0:
-        raise ConfigError(f"config [model] threshold: expected a number strictly "
-                          f"between 0 and 1, got {config.get('model', 'threshold')!r}")
-    delimiter = config.get("corpus", "delimiter", ";")
-    if len(delimiter) != 1:  # csv.reader takes exactly one character
-        raise ConfigError(f"config [corpus] delimiter: expected one character, got {delimiter!r}")
-    paths = {key: config.get("lexicons", key, str(default))
+    config = RunConfig.load(ns.config, ns.seed, ns.folds)
+    paths = {key: config.get("lexicons", key, default)
              for key, default in default_lexicon_paths().items()}
     lexicon = load_lexicon(paths["slang"], paths["stopwords"], paths["root_words"])
-    rules = load_stemmer_rules(paths["stemmer_rules"])
-    column_map = {}
-    for key, field_name in (
-        ("col_index", "index"), ("col_username", "commenter_handle"),
-        ("col_text", "text"), ("col_label", "label"),
-        ("col_date", "posted_date"), ("col_target", "target_handle"),
-    ):
-        raw = config.get("corpus", key)
-        if raw is not None:
-            column_map[field_name] = raw
-    return Runtime(
-        config=config, seed=seed, folds=folds, quiet=ns.quiet,
-        pipeline=pipeline, tfidf=tfidf, lexicon=lexicon, rules=rules,
-        column_map=column_map, delimiter=delimiter, threshold=threshold,
-    )
+    return Runtime(**vars(config), lexicon=lexicon,
+                   rules=load_stemmer_rules(paths["stemmer_rules"]), quiet=ns.quiet)
 
 
 def _corpus_path(ns: argparse.Namespace, rt: Runtime) -> Path:
-    raw = ns.corpus or rt.config.get("corpus", "path")
+    raw = ns.corpus or rt.get("corpus", "path")
     if raw is None:
         raise ConfigError("no corpus given: pass --corpus or set [corpus] path in the config")
     path = Path(raw)
@@ -278,18 +318,11 @@ def _out_file(raw: str) -> Path:
 def _out_dir(ns: argparse.Namespace, rt: Runtime) -> Path:
     """The report directory, refused before any work if a file stands where
     it or the nearest of its parents that exists should be a directory."""
-    path = Path(ns.out_dir or rt.config.get("output", "dir", "benchmark_out"))
+    path = Path(ns.out_dir or rt.get("output", "dir", "benchmark_out"))
     existing = next(p for p in (path, *path.parents) if p.exists())
     if not existing.is_dir():
         raise ConfigError(f"--out-dir {path}: not a directory: {existing}")
     return path
-
-
-def _study_folds(rt: Runtime) -> int:
-    """The cross-validation folds of tune and benchmark."""
-    if rt.folds < 2:
-        raise ConfigError(f"--folds / [split] folds: expected at least 2, got {rt.folds}")
-    return rt.folds
 
 
 def _say(rt: Runtime, message: str) -> None:
@@ -341,40 +374,11 @@ def cmd_preprocess(ns: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _neural_config(rt: Runtime) -> TrainConfig:
-    """The run's neural settings: the [model] keys that name TrainConfig
-    fields, and [pipeline] neural_keep_function_words."""
-    from .neural import TrainConfig
-
-    config = _from_section(
-        rt.config, "model", TrainConfig, seed=rt.seed,
-        keep_function_words=rt.config.get_typed(
-            "pipeline", "neural_keep_function_words", TrainConfig.keep_function_words))
-    # a cap of 0 would leave no token to classify; a min_freq below 1 keeps
-    # the same tokens as 1
-    for key in ("min_freq", "max_len_cap"):
-        if getattr(config, key) < 1:
-            raise ConfigError(f"config [model] {key}: expected at least 1, "
-                              f"got {getattr(config, key)}")
-    return config
-
-
-def _split(rt: Runtime) -> SplitSpec:
-    return _from_section(rt.config, "split", SplitSpec, seed=rt.seed)
-
-
-def _model_params(rt: Runtime, family: str) -> dict:
-    """The [model] keys that family's trainer takes and the config sets; the
-    trainer's defaults fill in the rest."""
-    trainer = getattr(linear_models, f"train_{family}")
-    return _typed_keys(rt.config, "model", {
-        name: p.default for name, p in inspect.signature(trainer).parameters.items()})
-
-
 def _train_artifact(rt: Runtime, prep: Preprocessor, records, family: str,
                     params: dict | None) -> ModelArtifact:
     """Shared by train and tune: fit one model, preprocessed by prep (which
-    runs rt's pipeline), and wrap it as an artifact."""
+    runs rt's pipeline), and wrap it as an artifact. params are a classical
+    family's trainer keywords."""
     labels = [rec.label for rec in records]
     base = ModelArtifact(
         family=family,
@@ -388,8 +392,7 @@ def _train_artifact(rt: Runtime, prep: Preprocessor, records, family: str,
         tokens = prep.corpus([r.text for r in records])
         tfidf = fit_tfidf(tokens, rt.tfidf)
         model = train_family(
-            family, transform_all(tokens, tfidf), tfidf.n_features, labels,
-            params if params is not None else _model_params(rt, family), rt.seed,
+            family, transform_all(tokens, tfidf), tfidf.n_features, labels, params, rt.seed,
         )
         base.tfidf = tfidf
         base.model = model
@@ -400,14 +403,13 @@ def _train_artifact(rt: Runtime, prep: Preprocessor, records, family: str,
     from .eval import prepare_neural_data
     from .neural import train as train_neural
 
-    neural = _neural_config(rt)
-    train_recs, val_recs, _ = stratified_split(records, _split(rt))
-    data = prepare_neural_data(train_recs, val_recs, prep, neural)
+    train_recs, val_recs, _ = stratified_split(records, rt.split)
+    data = prepare_neural_data(train_recs, val_recs, prep, rt.neural)
     dropped = data.n_dropped_train + data.n_dropped_val
     if dropped:
         print(f"note: dropped {dropped} empty documents from neural training", file=sys.stderr)
     params_out, trace = train_neural(
-        family == "bilstm_attention", data.train, data.val, neural, data.vocab.size,
+        family == "bilstm_attention", data.train, data.val, rt.neural, data.vocab.size,
     )
     _say(rt, f"stopped after epoch {trace.stopped_epoch}, best epoch {trace.best_epoch}")
     base.pipeline = data.prep.config
@@ -418,59 +420,39 @@ def _train_artifact(rt: Runtime, prep: Preprocessor, records, family: str,
     return base
 
 
-def _family(ns: argparse.Namespace, rt: Runtime) -> str:
-    return ns.family or rt.config.get("model", "family", "lr")
-
-
 def cmd_train(ns: argparse.Namespace) -> int:
     rt = _resolve_runtime(ns)
     out = _out_file(ns.out)
     records = _load_records(ns, rt)
-    family = _family(ns, rt)
+    family = ns.family or rt.family
     artifact = _train_artifact(rt, Preprocessor(rt.pipeline, rt.lexicon, rt.rules),
-                               records, family, None)
+                               records, family, rt.trainer_params.get(family))
     save_artifact(artifact, out)
     _say(rt, f"wrote {family} model to {ns.out}")
     return EXIT_OK
 
 
-def _tune_grid(rt: Runtime, family: str) -> dict[str, list]:
-    if family not in DEFAULT_GRIDS:
-        raise ConfigError(f"family {family!r} does not support grid search")
-    return {param: rt.config.get_float_list("tune", f"grid_{param}", values)
-            for param, values in DEFAULT_GRIDS[family].items()}
-
-
-def _objective(rt: Runtime) -> str:
-    objective = rt.config.get("tune", "objective", DEFAULT_OBJECTIVE)
-    if objective not in OBJECTIVES:
-        raise ConfigError(f"config [tune] objective: expected one of "
-                          f"{', '.join(OBJECTIVES)}, got {objective!r}")
-    return objective
-
-
 def cmd_tune(ns: argparse.Namespace) -> int:
     rt = _resolve_runtime(ns)
-    family = _family(ns, rt)
-    grid = _tune_grid(rt, family)
-    objective = _objective(rt)
-    k = _study_folds(rt)
+    family = ns.family or rt.family
+    if family not in CLASSICAL_FAMILIES:
+        raise ConfigError(f"family {family!r} does not support grid search")
     out = _out_file(ns.out)
     records = _load_records(ns, rt)
     prep = Preprocessor(rt.pipeline, rt.lexicon, rt.rules)
     tokens = prep.corpus([r.text for r in records])
-    folds = featurize_folds(tokens, [rec.label for rec in records], k, rt.seed, rt.tfidf)
-    result = grid_search(family, grid, folds, rt.seed, objective)
+    folds = featurize_folds(tokens, [rec.label for rec in records], rt.folds, rt.seed, rt.tfidf)
+    params = rt.trainer_params[family]
+    result = grid_search(family, rt.grids[family], folds, rt.seed, rt.objective, params)
     _say(rt, f"grid search over {len(result.per_candidate)} candidates "
-             f"({k}-fold CV, objective {objective})")
-    for params, scores in result.per_candidate:
+             f"({rt.folds}-fold CV, objective {rt.objective})")
+    for point, scores in result.per_candidate:
         mean = sum(scores) / len(scores)
-        marker = " *" if params == result.best_params else ""
-        _say(rt, f"  {params} -> mean {mean:.4f} folds "
+        marker = " *" if point == result.best_params else ""
+        _say(rt, f"  {point} -> mean {mean:.4f} folds "
                  + " ".join(f"{s:.4f}" for s in scores) + marker)
     _say(rt, f"best: {result.best_params} (mean {result.best_score:.4f})")
-    artifact = _train_artifact(rt, prep, records, family,
-                               {**_model_params(rt, family), **result.best_params})
+    artifact = _train_artifact(rt, prep, records, family, {**params, **result.best_params})
     save_artifact(artifact, out)
     _say(rt, f"wrote tuned {family} model to {ns.out}")
     return EXIT_OK
@@ -532,10 +514,9 @@ def cmd_benchmark(ns: argparse.Namespace) -> int:
 
     rt = _resolve_runtime(ns)
     config = BenchmarkConfig(
-        folds=_study_folds(rt), seed=rt.seed, split=_split(rt),
-        pipeline=rt.pipeline, tfidf=rt.tfidf,
-        grids={family: _tune_grid(rt, family) for family in CLASSICAL_FAMILIES},
-        objective=_objective(rt), neural=_neural_config(rt),
+        split=rt.split, neural=rt.neural, folds=rt.folds, seed=rt.seed,
+        pipeline=rt.pipeline, tfidf=rt.tfidf, grids=rt.grids, objective=rt.objective,
+        trainer_params=rt.trainer_params,
     )
     out_dir = _out_dir(ns, rt)
     records = _load_records(ns, rt)

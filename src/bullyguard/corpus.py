@@ -14,7 +14,7 @@ from dataclasses import KW_ONLY, dataclass, field
 from enum import Enum
 from pathlib import Path
 
-from .rng import Rng
+from .rng import DEFAULT_SEED, Rng
 
 
 class CorpusError(Exception):
@@ -89,6 +89,40 @@ class SplitSpec:
     @property
     def fractions(self) -> tuple[float, float, float]:
         return (self.train_fraction, self.val_fraction, self.test_fraction)
+
+
+@dataclass(frozen=True)
+class TrainConfig:
+    """The neural track's settings: the BiLSTM's sizes, its Adam training
+    with early stopping, and the data it trains on."""
+    batch_size: int = 32
+    embedding_dim: int = 128
+    hidden_dim: int = 64          # per direction
+    attention_dim: int = 64
+    learning_rate: float = 0.001
+    max_epochs: int = 15
+    patience: int = 3
+    min_improvement: float = 1e-4
+    seed: int = DEFAULT_SEED
+    # the neural track's data: its pipeline skips stopword removal and
+    # stemming when keep_function_words; see build_neural_vocab for the others
+    keep_function_words: bool = False
+    min_freq: int = 1
+    max_len_cap: int = 40
+
+    def __post_init__(self):
+        for name in ("batch_size", "embedding_dim", "hidden_dim", "attention_dim",
+                     "learning_rate", "max_epochs", "patience"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        if self.patience > self.max_epochs:
+            raise ValueError("patience cannot exceed max_epochs")
+        # a cap of 0 would leave no token to classify; a min_freq below 1
+        # keeps the same tokens as 1. Named as the config key that sets each.
+        for name in ("min_freq", "max_len_cap"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"config [model] {name}: expected at least 1, "
+                                 f"got {getattr(self, name)}")
 
 
 @dataclass

@@ -18,7 +18,15 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .corpus import CLASS_ORDER, CommentRecord, Label, SplitSpec, majority_label, stratified_split
+from .corpus import (
+    CLASS_ORDER,
+    CommentRecord,
+    Label,
+    SplitSpec,
+    TrainConfig,
+    majority_label,
+    stratified_split,
+)
 from .features import TfidfConfig
 from .linear_models import (
     CLASSICAL_FAMILIES,
@@ -33,7 +41,6 @@ from .linear_models import (
 from .metrics import MetricsReport, evaluate
 from .neural import (
     NeuralVocab,
-    TrainConfig,
     build_neural_vocab,
     encode_batch,
     predict_batch,
@@ -167,20 +174,16 @@ def prepare_neural_data(
 
 @dataclass(frozen=True)
 class BenchmarkConfig:
+    split: SplitSpec
+    neural: TrainConfig
     folds: int = DEFAULT_FOLDS
     seed: int = DEFAULT_SEED
-    split: SplitSpec | None = None          # defaults to SplitSpec(seed=seed)
     pipeline: PipelineConfig = field(default_factory=PipelineConfig)
     tfidf: TfidfConfig = field(default_factory=TfidfConfig)
     grids: dict[str, dict[str, list]] = field(default_factory=lambda: DEFAULT_GRIDS)
     objective: str = DEFAULT_OBJECTIVE
-    neural: TrainConfig | None = None       # defaults to TrainConfig(seed=seed)
-
-    def resolved_split(self) -> SplitSpec:
-        return self.split or SplitSpec(seed=self.seed)
-
-    def resolved_neural(self) -> TrainConfig:
-        return self.neural or TrainConfig(seed=self.seed)
+    # each classical family's trainer keywords, under every grid point
+    trainer_params: dict[str, dict] = field(default_factory=dict)
 
 
 def run_benchmark(
@@ -190,8 +193,7 @@ def run_benchmark(
     rules: StemmerRules,
 ) -> dict:
     """The study's report document: {"config", "ml_models", "dl_models"}."""
-    split = config.resolved_split()
-    train_recs, val_recs, test_recs = stratified_split(records, split)
+    train_recs, val_recs, test_recs = stratified_split(records, config.split)
 
     # classical track: grid search + k-fold CV on the training portion; the
     # folds are featurized once and the CV row is the tuned candidate's folds
@@ -205,6 +207,7 @@ def run_benchmark(
     for family in CLASSICAL_FAMILIES:
         grid = grid_search(
             family, config.grids[family], folds, config.seed, config.objective,
+            config.trainer_params.get(family, {}),
         )
         cv = _aggregate(grid.best_fold_reports)
         ml_models.append({
@@ -217,8 +220,7 @@ def run_benchmark(
     del folds  # all k folds' vectors; free them before the neural track
 
     # neural track: static split, early stopping on validation, scored on test
-    neural_cfg = config.resolved_neural()
-    data = prepare_neural_data(train_recs, val_recs, prep, neural_cfg)
+    data = prepare_neural_data(train_recs, val_recs, prep, config.neural)
     te_tok = data.prep.corpus([r.text for r in test_recs])
     test_labels = [rec.label for rec in test_recs]
     te_nonempty = [i for i, toks in enumerate(te_tok) if toks]
@@ -226,7 +228,7 @@ def run_benchmark(
 
     dl_models = []
     for use_attention in (False, True):
-        params, trace = train(use_attention, data.train, data.val, neural_cfg, data.vocab.size)
+        params, trace = train(use_attention, data.train, data.val, config.neural, data.vocab.size)
         y_pred: list[Label] = [data.majority] * len(test_recs)
         if te_nonempty:
             pred_ids, _ = predict_batch(params, te_ids, te_lens)
@@ -245,16 +247,14 @@ def run_benchmark(
     echo = {
         "folds": config.folds,
         "seed": config.seed,
-        "split": {"train": split.train_fraction, "val": split.val_fraction,
-                  "test": split.test_fraction, "stratified": split.stratified},
+        "split": {"train": config.split.train_fraction, "val": config.split.val_fraction,
+                  "test": config.split.test_fraction, "stratified": config.split.stratified},
         "objective": config.objective,
         "grids": config.grids,
         "tfidf": asdict(config.tfidf),
         "pipeline": asdict(config.pipeline),
         "neural": {
-            # every TrainConfig field but Adam's constants, which no config sets
-            **{k: v for k, v in asdict(neural_cfg).items()
-               if k not in ("beta1", "beta2", "epsilon")},
+            **asdict(config.neural),
             "vocab_size": data.vocab.size,
             "max_seq_len": data.vocab.max_seq_len,
         },

@@ -538,16 +538,19 @@ def grid_search(
     folds: list[FeaturizedFold],
     seed: int,
     objective: str = DEFAULT_OBJECTIVE,
+    params: dict | None = None,
 ) -> GridSearchResult:
     """Exhaustive search over the grid, scored by cross validation on `folds`.
 
-    Candidates are evaluated in grid order and ties keep the earliest
-    candidate.
+    Each candidate trains with params, the trainer keywords every candidate
+    shares, under its own grid point. Candidates are evaluated in grid order
+    and ties keep the earliest candidate.
     """
     if family not in CLASSICAL_FAMILIES:
         raise TrainingError(f"unknown model family {family!r}")
     candidates = expand_grid(param_grid)
-    candidate_reports = fold_reports(family, candidates, folds, seed)
+    candidate_reports = fold_reports(
+        family, [{**(params or {}), **point} for point in candidates], folds, seed)
     per_candidate = [(params, [_objective_value(r, objective) for r in reports])
                      for params, reports in zip(candidates, candidate_reports)]
     means = [sum(scores) / len(scores) for _, scores in per_candidate]

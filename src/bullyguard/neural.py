@@ -26,8 +26,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .corpus import TrainConfig
 from .linear_models import TrainingError
-from .rng import DEFAULT_SEED, Rng
+from .rng import Rng
 
 PAD_ID = 0
 UNK_ID = 1
@@ -147,33 +148,11 @@ class NeuralNetParams:
                                self.use_attention)
 
 
-@dataclass(frozen=True)
-class TrainConfig:
-    batch_size: int = 32
-    embedding_dim: int = 128
-    hidden_dim: int = 64          # per direction
-    attention_dim: int = 64
-    learning_rate: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
-    max_epochs: int = 15
-    patience: int = 3
-    min_improvement: float = 1e-4
-    seed: int = DEFAULT_SEED
-    # the neural track's data: its pipeline skips stopword removal and
-    # stemming when keep_function_words; see build_neural_vocab for the others
-    keep_function_words: bool = False
-    min_freq: int = 1
-    max_len_cap: int = 40
-
-    def __post_init__(self):
-        for name in ("batch_size", "embedding_dim", "hidden_dim", "attention_dim",
-                     "learning_rate", "max_epochs", "patience"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.patience > self.max_epochs:
-            raise ValueError("patience cannot exceed max_epochs")
+# Adam's moment decay rates and the guard added to its denominator
+# (Kingma & Ba 2015 defaults)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
 
 
 def _xavier(rng: Rng, fan_in: int, fan_out: int, shape: tuple[int, ...]) -> np.ndarray:
@@ -644,7 +623,7 @@ def adam_step(
     lr*(m/bc1) before the division by sqrt(v/bc2) + eps.
     """
     state.t += 1
-    b1, b2 = config.beta1, config.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     bc1, bc2 = 1.0 - b1 ** state.t, 1.0 - b2 ** state.t
     for name, arr in params.blocks.items():
         g, m, v = grads[name], state.m[name], state.v[name]
@@ -654,7 +633,7 @@ def adam_step(
         v *= b2
         v += np.multiply(np.square(g, out=step), 1.0 - b2, out=step)
         np.sqrt(np.divide(v, bc2, out=denom), out=denom)
-        denom += config.epsilon
+        denom += ADAM_EPSILON
         np.multiply(np.divide(m, bc1, out=step), config.learning_rate, out=step)
         arr -= np.divide(step, denom, out=step)
     return params, state

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bullyguard.corpus import Label, load_corpus
+from bullyguard.corpus import Label, SplitSpec, load_corpus
 from bullyguard.eval import BenchmarkConfig, run_benchmark
 from bullyguard.features import TfidfConfig, fit_tfidf, transform, transform_all
 from bullyguard.linear_models import (
@@ -300,7 +300,8 @@ def test_acceptance_10_original_dataset_reproduction():
     from bullyguard.preprocess import load_default_lexicon, load_default_stemmer_rules
 
     report = run_benchmark(
-        records, BenchmarkConfig(seed=42),
+        records,
+        BenchmarkConfig(seed=42, split=SplitSpec(seed=42), neural=TrainConfig(seed=42)),
         load_default_lexicon(), load_default_stemmer_rules(),
     )
     by_name = {row["name"]: row for row in report["ml_models"]}

@@ -798,6 +798,11 @@ def test_check_gradients_script_reports_every_block(flag):
 # config keys: each one reaches its dataclass field or trainer keyword
 # ----------------------------------------------------------------------------
 
+def config_keys(section):
+    """The keys cli's table accepts in a config section, in table order."""
+    return tuple(key for sec, key in cli._KEYS if sec == section)
+
+
 def resolve(argv):
     ns = cli.build_parser().parse_args(argv)
     return ns, cli._resolve_runtime(ns)
@@ -805,7 +810,7 @@ def resolve(argv):
 
 def trainer_kwargs(rt, family):
     """The keywords train_family hands the family's trainer under rt's config."""
-    params, seen = cli._model_params(rt, family), {}
+    params, seen = rt.trainer_params[family], {}
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(linear_models, f"train_{family}",  # n_features comes from the data
                       lambda X, labels, n_features=None, **kwargs: seen.update(kwargs))
@@ -816,9 +821,8 @@ def trainer_kwargs(rt, family):
 def run_settings(config):
     """What train, tune and benchmark read from a config file (or none)."""
     ns, rt = resolve(["train", "--out", "unused"] + (["--config", str(config)] if config else []))
-    study = {"split": cli._split(rt), "neural": cli._neural_config(rt),
-             "grids": {f: cli._tune_grid(rt, f) for f in linear_models.CLASSICAL_FAMILIES},
-             "objective": cli._objective(rt), "folds": cli._study_folds(rt)}
+    study = {"split": rt.split, "neural": rt.neural, "grids": rt.grids,
+             "objective": rt.objective, "folds": rt.folds}
     trainers = {}
     for family in linear_models.CLASSICAL_FAMILIES:
         signature = inspect.signature(getattr(linear_models, f"train_{family}"))
@@ -826,7 +830,7 @@ def run_settings(config):
                             if p.default is not p.empty}
         trainers[family].update(trainer_kwargs(rt, family))
     return {
-        "family": cli._family(ns, rt), "threshold": rt.threshold, "study": study,
+        "family": ns.family or rt.family, "threshold": rt.threshold, "study": study,
         "delimiter": rt.delimiter, "columns": rt.column_map, "trainers": trainers,
         "fingerprint": cli.preprocessing_fingerprint(rt.pipeline, rt.lexicon, rt.rules),
     }
@@ -889,13 +893,13 @@ def test_every_config_key_reaches_its_setting(tmp_path):
     loaded = cli.RunConfig.load(config)
     for section in ("pipeline", "tfidf", "model", "split"):
         assert {key for sec, key in loaded.values if sec == section} == \
-            set(cli._SCHEMA[section])
+            set(config_keys(section))
     ns, rt = resolve(["train", "--out", "unused", "--config", str(config)])
-    assert (rt.seed, rt.folds, rt.threshold, cli._family(ns, rt)) == (9, 3, 0.6, "svm")
+    assert (rt.seed, rt.folds, rt.threshold, ns.family or rt.family) == (9, 3, 0.6, "svm")
     assert rt.pipeline == PipelineConfig(False, False, False, False, False, False, 4)
     assert rt.tfidf == TfidfConfig(sublinear_tf=True, l2_normalize=False, min_df=2)
-    assert cli._split(rt) == SplitSpec(0.6, 0.3, 0.1, seed=9, stratified=False)
-    assert cli._neural_config(rt) == TrainConfig(
+    assert rt.split == SplitSpec(0.6, 0.3, 0.1, seed=9, stratified=False)
+    assert rt.neural == TrainConfig(
         batch_size=5, embedding_dim=6, hidden_dim=7, attention_dim=8, learning_rate=0.02,
         max_epochs=9, patience=4, min_improvement=0.003, seed=9,
         keep_function_words=True, min_freq=2, max_len_cap=11)
@@ -912,6 +916,181 @@ def test_adam_constants_are_not_config_keys(tmp_path, capsys, key):
                  "--out", str(tmp_path / "m.txt"), "--config", str(config)]) == 1
     assert capsys.readouterr().err == \
         f"error: unknown config key {key!r} in section [model]\n"
+
+
+def test_example_config_names_every_key():
+    """config.example.ini shows each accepted key, set or commented out."""
+    named, section = set(), None
+    for line in (REPO / "config.example.ini").read_text(encoding="utf-8").splitlines():
+        line = line.removeprefix("# ")
+        if match := re.fullmatch(r"\[(\w+)\]", line):
+            section = match[1]
+        elif match := re.match(r"(\w+) = ", line):
+            named.add((section, match[1]))
+    assert named == set(cli._KEYS)
+
+
+# ----------------------------------------------------------------------------
+# one config table: each key is typed and checked at load, whatever the command
+# ----------------------------------------------------------------------------
+
+# The (section, key) pairs a config could set before the table replaced the
+# hand-written list; the table accepts exactly these.
+ACCEPTED_KEYS = {
+    "corpus": ("path", "delimiter", "col_index", "col_username", "col_text",
+               "col_label", "col_date", "col_target"),
+    "lexicons": ("slang", "stopwords", "root_words", "stemmer_rules"),
+    "pipeline": ("case_fold", "clean", "normalize", "remove_stopwords", "stem",
+                 "tokenize", "elongation_min_run", "neural_keep_function_words"),
+    "tfidf": ("sublinear_tf", "l2_normalize", "min_df"),
+    "model": ("family", "alpha", "l2_lambda", "lr", "epochs", "reg_lambda",
+              "threshold", "batch_size", "embedding_dim", "hidden_dim",
+              "attention_dim", "learning_rate", "max_epochs", "patience",
+              "min_improvement", "min_freq", "max_len_cap"),
+    "split": ("train_fraction", "val_fraction", "test_fraction", "seed",
+              "folds", "stratified"),
+    "tune": ("objective", "grid_alpha", "grid_l2_lambda", "grid_reg_lambda"),
+    "output": ("dir",),
+}
+
+
+def test_table_accepts_the_same_keys():
+    assert set(cli._KEYS) == {(section, key) for section, keys in ACCEPTED_KEYS.items()
+                              for key in keys}
+
+
+# A value that each key's reader refuses, by its type or its load-time range
+# check; every key not named here takes a number, a boolean or a list of numbers.
+BAD_VALUES = {
+    ("corpus", "path"): "/nonexistent/corpus.csv",
+    ("corpus", "delimiter"): ";;",
+    **{("corpus", key): "" for key in ACCEPTED_KEYS["corpus"] if key.startswith("col_")},
+    **{("lexicons", key): f"/nonexistent/{key}" for key in ACCEPTED_KEYS["lexicons"]},
+    ("model", "family"): "bogus",
+    ("model", "threshold"): "1",
+    ("split", "folds"): "1",
+    ("tune", "objective"): "nope",
+    ("output", "dir"): "",
+}
+COMMANDS = ("stats", "preprocess", "train", "tune", "predict", "benchmark")
+
+
+def commands_with_config(tmp_path, monkeypatch, config_text):
+    """Each command's argv with config_text as its --config, on a corpus that
+    exists; reading the corpus or a model fails the test."""
+    def unreachable(*args, **kwargs):
+        raise AssertionError("read a model before the config was checked")
+    fail_if_reached(monkeypatch)
+    monkeypatch.setattr(cli, "load_artifact", unreachable)
+    corpus = ["--corpus", str(write_fixture_corpus(tmp_path))]
+    out = ["--out", str(tmp_path / "model.txt")]
+    args = {"stats": corpus, "preprocess": corpus,
+            "train": [*corpus, "--family", "nb", *out], "tune": [*corpus, "--family", "nb", *out],
+            "predict": ["--model", str(tmp_path / "nb.model")],
+            "benchmark": [*corpus, "--out-dir", str(tmp_path / "reports")]}
+    config = write_config(tmp_path, config_text, name="bad.ini")
+    return [[command, *args[command], "--quiet", "--config", str(config)] for command in COMMANDS]
+
+
+def assert_config_error_names(argv, capsys, section, key):
+    assert main(argv) == 1, argv[0]
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, argv[0]
+    assert f"[{section}] {key}: " in captured.err, (argv[0], captured.err)
+
+
+@pytest.mark.parametrize("section, key", list(cli._KEYS), ids="/".join)
+def test_malformed_config_value_exit_1_one_line_under_every_command(
+        tmp_path, capsys, monkeypatch, section, key):
+    raw = BAD_VALUES.get((section, key), "banana")
+    for argv in commands_with_config(tmp_path, monkeypatch, f"[{section}]\n{key} = {raw}\n"):
+        assert_config_error_names(argv, capsys, section, key)
+
+
+@pytest.mark.parametrize("first, second", [
+    (("tune", "objective"), ("model", "alpha")),
+    (("model", "alpha"), ("tune", "objective")),
+    (("split", "folds"), ("corpus", "path")),
+    (("lexicons", "stopwords"), ("lexicons", "slang")),
+    (("model", "threshold"), ("model", "family")),
+], ids=lambda pair: "/".join(pair))
+def test_two_bad_config_keys_name_the_first_in_file_order(
+        tmp_path, capsys, monkeypatch, first, second):
+    text = ""
+    for (section, key), previous in zip((first, second), (None, first[0])):
+        if section != previous:
+            text += f"[{section}]\n"
+        text += f"{key} = {BAD_VALUES.get((section, key), 'banana')}\n"
+    for argv in commands_with_config(tmp_path, monkeypatch, text):
+        assert_config_error_names(argv, capsys, *first)
+
+
+@pytest.mark.parametrize("text, error", [
+    ("[DEFAULT]\nseed = 3\n", "unknown config section [DEFAULT]"),
+    ("[DEFAULT]\nseed = 3\n[split]\nfolds = 3\n", "unknown config section [DEFAULT]"),
+    ("[splits]\nseed = 3\n", "unknown config section [splits]"),
+])
+def test_unknown_config_section_exit_1_one_line(tmp_path, capsys, monkeypatch, text, error):
+    """A [DEFAULT] section is refused too: configparser would give its keys
+    to every section, or to none when it stands alone."""
+    for argv in commands_with_config(tmp_path, monkeypatch, text):
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {error}\n"
+
+
+@pytest.mark.parametrize("raw", ["reports%1", "%(nowhere)s"])
+def test_config_value_with_bad_interpolation_exit_1_one_line(tmp_path, capsys, monkeypatch, raw):
+    for argv in commands_with_config(tmp_path, monkeypatch, f"[output]\ndir = {raw}\n"):
+        assert_config_error_names(argv, capsys, "output", "dir")
+
+
+TWO_CANDIDATE_INI = """\
+[model]
+epochs = 7
+lr = 0.2
+[tune]
+grid_alpha = 1.0
+grid_l2_lambda = 0.001, 0.01
+grid_reg_lambda = 0.001, 0.01
+"""
+
+
+@pytest.mark.parametrize("command", ["tune-lr", "tune-svm", "benchmark"])
+def test_model_keys_reach_every_grid_training(tmp_path, monkeypatch, command):
+    """tune and benchmark train each grid candidate on each fold under the
+    config's [model] keys, with the grid point's own key over them."""
+    lr_problems, svm_params = [], []
+    real_stack, real_svm = linear_models._train_lr_stack, linear_models.train_svm
+
+    def stack_spy(problems):
+        lr_problems.extend(problems)
+        return real_stack(problems)
+
+    def svm_spy(*args, **kwargs):
+        svm_params.append(kwargs)
+        return real_svm(*args, **kwargs)
+
+    def stop(*args, **kwargs):  # the neural track reads no [model] key under test
+        raise linear_models.TrainingError("stopped before the neural track")
+    monkeypatch.setattr(linear_models, "_train_lr_stack", stack_spy)
+    monkeypatch.setattr(linear_models, "train_svm", svm_spy)
+    monkeypatch.setattr(study, "prepare_neural_data", stop)
+    corpus = write_fixture_corpus(tmp_path)
+    config = write_config(tmp_path, TWO_CANDIDATE_INI)
+    if command == "benchmark":
+        argv, code = ["benchmark", "--out-dir", str(tmp_path / "reports")], 3
+    else:
+        argv, code = ["tune", "--family", command[5:], "--out", str(tmp_path / "m.txt")], 0
+    assert main([*argv, "--corpus", str(corpus), "--config", str(config), "--folds", "2",
+                 "--quiet"]) == code
+    # (l2_lambda, lr, epochs) of each LR problem, (reg_lambda, epochs) of each SVM training
+    lr_seen = sorted({problem[2:5] for problem in lr_problems})
+    svm_seen = sorted({(params["reg_lambda"], params["epochs"]) for params in svm_params})
+    assert lr_seen == ([] if command == "tune-svm" else [(0.001, 0.2, 7), (0.01, 0.2, 7)])
+    assert svm_seen == ([] if command == "tune-lr" else [(0.001, 7), (0.01, 7)])
+    assert len(lr_problems) + len(svm_params) == {"tune-lr": 5, "tune-svm": 5,
+                                                  "benchmark": 8}[command]
 
 
 # ----------------------------------------------------------------------------
@@ -1144,6 +1323,39 @@ def test_predict_loads_only_its_family(tmp_path, bundled_models, family, unloade
     assert (NUMPY in loaded) == (NUMPY not in unloaded)
 
 
+def test_classical_predict_with_every_config_key_loads_no_numpy(
+        tmp_path, bundled_models, synthetic_corpus_path):
+    lexicons = "".join(f"{key} = {path}\n" for key, path in default_lexicon_paths().items())
+    config = write_config(tmp_path, EVERY_KEY_INI + f"""
+[corpus]
+path = {synthetic_corpus_path}
+delimiter = ,
+col_index = no
+col_username = username
+col_text = komentar
+col_label = label
+col_date = tanggal
+col_target = akun_target
+
+[lexicons]
+{lexicons}
+[tune]
+objective = accuracy
+grid_alpha = 0.5
+grid_l2_lambda = 0.01
+grid_reg_lambda = 0.01, 0.1
+
+[output]
+dir = {tmp_path / "reports"}
+""", name="every.ini")
+    assert set(cli.RunConfig.load(config).values) == set(cli._KEYS)
+    lines = tmp_path / "input.txt"
+    lines.write_text("dasar jelek banget\nkamu keren bagus\n", encoding="utf-8")
+    loaded = loaded_modules(["predict", "--model", bundled_models["lr"], "--input", lines,
+                             "--config", config])
+    assert "bullyguard.preprocess" in loaded and not loaded & {NUMPY, NEURAL}
+
+
 def test_importing_the_cli_loads_no_numpy():
     code = "import sys, bullyguard.cli\nprint('numpy' in sys.modules)\n"
     proc = subprocess.run([sys.executable, "-c", code], env=src_env(), capture_output=True,
@@ -1243,7 +1455,7 @@ def test_missing_lexicon_path_exit_1(tmp_path):
     assert main(["stats", "--corpus", str(corpus), "--config", str(config)]) == 1
 
 
-@pytest.mark.parametrize("key", cli._SCHEMA["lexicons"])
+@pytest.mark.parametrize("key", config_keys("lexicons"))
 def test_missing_lexicons_file_exit_1_one_line(tmp_path, capsys, key):
     config = write_config(tmp_path, f"[lexicons]\n{key} = /nonexistent/{key}\n", name="bad.ini")
     corpus = write_fixture_corpus(tmp_path)
@@ -1255,7 +1467,7 @@ def test_missing_lexicons_file_exit_1_one_line(tmp_path, capsys, key):
 def test_several_missing_files_name_the_first_at_any_hash_seed(tmp_path):
     corpus = write_fixture_corpus(tmp_path)
     config = write_config(tmp_path, "[lexicons]\n" + "".join(
-        f"{key} = /nonexistent/{key}\n" for key in cli._SCHEMA["lexicons"]), name="bad.ini")
+        f"{key} = /nonexistent/{key}\n" for key in config_keys("lexicons")), name="bad.ini")
     code = "import sys, bullyguard.cli as cli; sys.exit(cli.main(sys.argv[1:]))"
     for seed in ("1", "2", "3", "4"):
         proc = subprocess.run(
@@ -1265,7 +1477,7 @@ def test_several_missing_files_name_the_first_at_any_hash_seed(tmp_path):
         assert proc.stderr == "error: config [lexicons] slang: file not found: /nonexistent/slang\n"
 
 
-@pytest.mark.parametrize("key", cli._SCHEMA["lexicons"])
+@pytest.mark.parametrize("key", config_keys("lexicons"))
 def test_lexicons_file_not_utf8_exit_1_one_line(tmp_path, capsys, key):
     bad = tmp_path / f"{key}.bin"
     bad.write_bytes(b"\xff\xfe not utf-8\n")
@@ -1309,7 +1521,7 @@ def test_rules_file_bad_forbid_or_second_min_stem_length_exit_1_one_line(
 
 def test_every_lexicons_key_reaches_its_loader(tmp_path):
     paths = default_lexicon_paths()
-    assert tuple(paths) == cli._SCHEMA["lexicons"]
+    assert tuple(paths) == config_keys("lexicons")
     edits = {  # a rules file sets min_stem_length once, so that line is replaced
         "slang": lambda text: text + "\nzzq\tbanget\n",
         "stopwords": lambda text: text + "\nzzq\n",

@@ -8,12 +8,16 @@ The committed digests in ``digests.json`` pin, byte for byte:
   pipeline (no stopword removal, no stemming);
 - ``tfidf_rows``: the ``float.hex`` TF-IDF rows of every comment, from a
   model fitted on the whole corpus with the default settings;
+- ``stats_json``: what ``bullyguard stats --json`` prints;
 - ``benchmark_report`` and ``benchmark_tables``: ``benchmark_report.json``
   and ``benchmark_tables.txt`` of ``bullyguard benchmark --seed 42`` with the
-  default config (acceptance test 9's run);
-- ``tune_lr_artifact`` and ``tune_lr_stdout``: the model file and what
-  ``bullyguard tune --family lr`` prints, its output path written as
-  ``MODEL``.
+  default config (acceptance test 9's run), and ``benchmark_ini_report`` and
+  ``benchmark_ini_tables`` the same with ``perfbench/bench.ini``;
+- ``train_<family>_artifact``: the model file ``bullyguard train`` writes for
+  nb, lr and svm;
+- ``tune_<family>_artifact`` and ``tune_<family>_stdout``: the model file and
+  what ``bullyguard tune`` prints for nb, lr and svm, its output path written
+  as ``MODEL``.
 
 A change that moves one of them on purpose rewrites the file for that reason
 alone:
@@ -41,6 +45,7 @@ import pytest
 from bullyguard import cli
 from bullyguard.corpus import load_corpus
 from bullyguard.features import fit_tfidf, transform_all
+from bullyguard.linear_models import CLASSICAL_FAMILIES
 from bullyguard.preprocess import (
     PipelineConfig,
     Preprocessor,
@@ -52,6 +57,7 @@ from conftest import bundled_benchmark
 
 DIGEST_FILE = Path(__file__).resolve().parent / "digests.json"
 CORPUS = Path(__file__).resolve().parent.parent / "data" / "comments_synthetic.csv"
+BENCH_INI = Path(__file__).resolve().parent.parent / "perfbench" / "bench.ini"
 
 
 def _sha(text: str | bytes) -> str:
@@ -62,10 +68,15 @@ def _token_lines(token_lists) -> str:
     return "".join(" ".join(tokens) + "\n" for tokens in token_lists)
 
 
-def compute_digests() -> dict[str, str]:
+def _stdout(argv: list[str]) -> str:
+    """What one successful in-process ``bullyguard`` run prints."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        assert cli.main(["preprocess", "--trace", "--corpus", str(CORPUS)]) == 0
+        assert cli.main(argv) == 0
+    return out.getvalue()
+
+
+def compute_digests() -> dict[str, str]:
     texts = [rec.text for rec in load_corpus(CORPUS)]
     lexicon, rules = load_default_lexicon(), load_default_stemmer_rules()
     default = PipelineConfig()
@@ -73,33 +84,46 @@ def compute_digests() -> dict[str, str]:
     tokens = Preprocessor(default, lexicon, rules).corpus(texts)
     rows = transform_all(tokens, fit_tfidf(tokens))
     return {
-        "preprocess_trace": _sha(out.getvalue()),
+        "preprocess_trace": _sha(_stdout(["preprocess", "--trace", "--corpus", str(CORPUS)])),
         "tokens_default": _sha(_token_lines(tokens)),
         "tokens_neural": _sha(_token_lines(Preprocessor(neural, lexicon, rules).corpus(texts))),
         "tfidf_rows": _sha("".join(
             " ".join(f"{i}:{v.hex()}" for i, v in zip(ids, values)) + "\n"
             for ids, values in rows)),
+        "stats_json": _sha(_stdout(["stats", "--json", "--corpus", str(CORPUS)])),
     }
 
 
 def study_digests(benchmark: dict[str, bytes], tmp: Path) -> dict[str, str]:
-    """The digests of one bundled_benchmark run's outputs, and of a
-    ``tune --family lr`` run here, writing into tmp."""
-    model = tmp / "lr.model"
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        assert cli.main(["tune", "--family", "lr", "--corpus", str(CORPUS),
-                         "--out", str(model)]) == 0
-    return {
+    """The digests of one bundled_benchmark run's outputs, and of the
+    ``bench.ini`` benchmark and the classical ``train`` and ``tune`` runs
+    made here, writing into tmp."""
+    ini = tmp / "ini"
+    _stdout(["benchmark", "--corpus", str(CORPUS), "--config", str(BENCH_INI),
+             "--out-dir", str(ini), "--quiet"])
+    digests = {
         "benchmark_report": _sha(benchmark["benchmark_report.json"]),
         "benchmark_tables": _sha(benchmark["benchmark_tables.txt"]),
-        "tune_lr_artifact": _sha(model.read_bytes()),
-        "tune_lr_stdout": _sha(out.getvalue().replace(str(model), "MODEL")),
+        "benchmark_ini_report": _sha((ini / "benchmark_report.json").read_bytes()),
+        "benchmark_ini_tables": _sha((ini / "benchmark_tables.txt").read_bytes()),
     }
+    for family in CLASSICAL_FAMILIES:
+        model = tmp / f"{family}.model"
+        _stdout(["train", "--family", family, "--corpus", str(CORPUS), "--out", str(model)])
+        digests[f"train_{family}_artifact"] = _sha(model.read_bytes())
+        out = _stdout(["tune", "--family", family, "--corpus", str(CORPUS), "--out", str(model)])
+        digests[f"tune_{family}_artifact"] = _sha(model.read_bytes())
+        digests[f"tune_{family}_stdout"] = _sha(out.replace(str(model), "MODEL"))
+    return digests
 
 
-PREPROCESSING_OUTPUTS = ("preprocess_trace", "tokens_default", "tokens_neural", "tfidf_rows")
-STUDY_OUTPUTS = ("benchmark_report", "benchmark_tables", "tune_lr_artifact", "tune_lr_stdout")
+PREPROCESSING_OUTPUTS = ("preprocess_trace", "tokens_default", "tokens_neural", "tfidf_rows",
+                         "stats_json")
+STUDY_OUTPUTS = ("benchmark_report", "benchmark_tables", "benchmark_ini_report",
+                 "benchmark_ini_tables",
+                 *(f"train_{family}_artifact" for family in CLASSICAL_FAMILIES),
+                 *(f"tune_{family}_{part}" for family in CLASSICAL_FAMILIES
+                   for part in ("artifact", "stdout")))
 VERSIONS = ("python", "numpy", "blas")
 
 

@@ -4,7 +4,7 @@ from dataclasses import replace
 import pytest
 
 import bullyguard.linear_models as lm
-from bullyguard.corpus import Label, stratified_split
+from bullyguard.corpus import Label, SplitSpec, stratified_split
 from bullyguard.eval import (
     BenchmarkConfig,
     ModelSpec,
@@ -76,6 +76,7 @@ def fast_benchmark_config():
             "lr": {"l2_lambda": [1e-3]},
             "svm": {"reg_lambda": [1e-3]},
         },
+        split=SplitSpec(seed=42),
         neural=FAST_NEURAL,
     )
 
@@ -148,7 +149,7 @@ def test_run_benchmark_featurizes_each_fold_once(default_lexicon, default_rules,
     monkeypatch.undo()
 
     # the CV row is the grid winner's folds, equal to a fresh CV of that candidate
-    train_recs, _, _ = stratified_split(records, config.resolved_split())
+    train_recs, _, _ = stratified_split(records, config.split)
     for row in report["ml_models"]:
         winner = row["grid"][1]
         assert row["best_params"] == winner["params"]

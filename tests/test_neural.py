@@ -10,6 +10,9 @@ from bullyguard import neural
 from bullyguard.corpus import load_corpus
 from bullyguard.eval import prepare_neural_data
 from bullyguard.neural import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPSILON,
     BLOCK_NAMES,
     PAD_ID,
     UNK_ID,
@@ -751,11 +754,11 @@ def test_adam_in_place_is_bit_identical_to_the_plain_formula():
         grads = {name: rng.uniform_array(arr.shape, -2, 2) for name, arr in want.items()}
         adam_step(params, grads, state, cfg)
         for name, g in grads.items():
-            m[name] = cfg.beta1 * m[name] + (1.0 - cfg.beta1) * g
-            v[name] = cfg.beta2 * v[name] + (1.0 - cfg.beta2) * (g * g)
-            m_hat = m[name] / (1.0 - cfg.beta1 ** t)
-            v_hat = v[name] / (1.0 - cfg.beta2 ** t)
-            want[name] -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
+            m[name] = ADAM_BETA1 * m[name] + (1.0 - ADAM_BETA1) * g
+            v[name] = ADAM_BETA2 * v[name] + (1.0 - ADAM_BETA2) * (g * g)
+            m_hat = m[name] / (1.0 - ADAM_BETA1 ** t)
+            v_hat = v[name] / (1.0 - ADAM_BETA2 ** t)
+            want[name] -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
     assert state.t == 5
     for name, arr in params.blocks.items():
         np.testing.assert_array_equal(arr, want[name], err_msg=name)
