@@ -51,6 +51,10 @@ class ArtifactError(Exception):
     """Unreadable, malformed, or incompatible model artifact."""
 
 
+class FingerprintMismatch(ArtifactError):
+    """The live preprocessing setup differs from the artifact's."""
+
+
 def _fmt(x: float) -> str:
     return format(float(x), ".12g")
 
@@ -430,14 +434,14 @@ def check_fingerprint(
 ) -> bool:
     """True when the live preprocessing setup matches the artifact's.
 
-    Raises ArtifactError on mismatch unless force is set.
+    Raises FingerprintMismatch on mismatch unless force is set.
     """
     live = preprocessing_fingerprint(artifact.pipeline, lexicon, rules)
     if live == artifact.preprocessing_fp:
         return True
     if force:
         return False
-    raise ArtifactError(
+    raise FingerprintMismatch(
         "preprocessing fingerprint mismatch: the live lexicons/rules differ from "
         "the ones this model was trained with (use --force to override)"
     )

@@ -27,6 +27,7 @@ from . import __version__, linear_models
 from .artifact import (
     FAMILIES,
     ArtifactError,
+    FingerprintMismatch,
     ModelArtifact,
     check_fingerprint,
     data_fingerprint,
@@ -36,6 +37,7 @@ from .artifact import (
     save_artifact,
 )
 from .corpus import (
+    DEFAULT_COLUMNS,
     CorpusError,
     SplitSpec,
     TrainConfig,
@@ -79,6 +81,15 @@ EXIT_TRAINING = 3
 
 class ConfigError(Exception):
     """Bad config file: unknown keys, missing files, or unparseable values."""
+
+
+# The exit code of each error a command reports, by the error's class or its
+# nearest base class here (neural.NeuralError is a TrainingError). OSError: an
+# output that cannot be written.
+_EXIT_CODES = {ConfigError: EXIT_USAGE, LexiconError: EXIT_USAGE, ArtifactError: EXIT_USAGE,
+               ValueError: EXIT_USAGE, OSError: EXIT_USAGE,
+               FingerprintMismatch: EXIT_VALIDATION, CorpusError: EXIT_VALIDATION,
+               FeatureError: EXIT_TRAINING, TrainingError: EXIT_TRAINING}
 
 
 # ----------------------------------------------------------------------------
@@ -141,7 +152,7 @@ _READ_AS = {bool: _bool, int: _int, float: _float}
 
 def _field_rows(section: str, cls, skip: tuple[str, ...] = ()) -> dict:
     """A row for each field of cls not in skip, read as its default's type."""
-    return {(section, f.name): _READ_AS[type(f.default)] for f in fields(cls)
+    return {(section, f.name): (_READ_AS[type(f.default)], f.default) for f in fields(cls)
             if f.name not in skip}
 
 
@@ -157,35 +168,40 @@ _TRAINER_DEFAULTS = {
 _COLUMN_KEYS = {"col_index": "index", "col_username": "commenter_handle", "col_text": "text",
                 "col_label": "label", "col_date": "posted_date", "col_target": "target_handle"}
 
-# Every accepted (section, key) and its reader. The type of a key comes from
-# the setting it fills: a dataclass field, a trainer keyword, a lexicon path
-# or a tuning grid; the keys listed by hand have no such home.
+# Every accepted (section, key), its reader and its default, both from the
+# setting the key fills: a dataclass field, a trainer keyword, a lexicon path
+# or a tuning grid; the keys listed by hand have no such home. A trainer
+# keyword is None, unset: LR and SVM share epochs and keep their own defaults.
 _KEYS = {
-    ("corpus", "path"): _existing_file,
-    ("corpus", "delimiter"): _delimiter,
-    **{("corpus", key): _text for key in _COLUMN_KEYS},
-    **{("lexicons", key): _existing_file for key in default_lexicon_paths()},
+    ("corpus", "path"): (_existing_file, None),
+    ("corpus", "delimiter"): (_delimiter, ";"),
+    **{("corpus", key): (_text, DEFAULT_COLUMNS[name]) for key, name in _COLUMN_KEYS.items()},
+    **{("lexicons", key): (_existing_file, path) for key, path in default_lexicon_paths().items()},
     **_field_rows("pipeline", PipelineConfig),
-    ("pipeline", "neural_keep_function_words"): _bool,
+    ("pipeline", "neural_keep_function_words"): (_bool, TrainConfig.keep_function_words),
     **_field_rows("tfidf", TfidfConfig),
-    ("model", "family"): _one_of(FAMILIES),
-    **{("model", name): _READ_AS[type(default)]
+    ("model", "family"): (_one_of(FAMILIES), "lr"),
+    **{("model", name): (_READ_AS[type(default)], None)
        for defaults in _TRAINER_DEFAULTS.values() for name, default in defaults.items()},
-    ("model", "threshold"): _threshold,
+    ("model", "threshold"): (_threshold, ModelArtifact.threshold),
     **_field_rows("model", TrainConfig, skip=("seed", "keep_function_words")),
     **_field_rows("split", SplitSpec, skip=("seed",)),
-    ("split", "seed"): _int,
-    ("split", "folds"): lambda raw: _folds(_int(raw)),
-    ("tune", "objective"): _one_of(tuple(OBJECTIVES)),
-    **{("tune", f"grid_{param}"): _floats for grid in DEFAULT_GRIDS.values() for param in grid},
-    ("output", "dir"): _text,
+    ("split", "seed"): (_int, DEFAULT_SEED),
+    ("split", "folds"): (lambda raw: _folds(_int(raw)), DEFAULT_FOLDS),
+    ("tune", "objective"): (_one_of(tuple(OBJECTIVES)), DEFAULT_OBJECTIVE),
+    **{("tune", f"grid_{param}"): (_floats, points)
+       for grid in DEFAULT_GRIDS.values() for param, points in grid.items()},
+    ("output", "dir"): (_text, "benchmark_out"),
 }
 _SECTIONS = {section for section, _ in _KEYS}
+_PATH_KEYS = {("corpus", "path"), ("output", "dir"), *(k for k in _KEYS if k[0] == "lexicons")}
+_PATH_SECTIONS = ("corpus", "lexicons", "output")  # a report names its inputs by digest
 
 
 def _read_keys(path: str | Path) -> dict[tuple[str, str], object]:
     """Each key of the config file, read by its row of _KEYS in file order,
-    so the first bad one is named."""
+    so the first bad one is named. A relative path in it is relative to the
+    file's directory."""
     parser = configparser.ConfigParser()
     try:
         with open(path, encoding="utf-8") as handle:
@@ -204,76 +220,87 @@ def _read_keys(path: str | Path) -> dict[tuple[str, str], object]:
             if (section, key) not in _KEYS:
                 raise ConfigError(f"unknown config key {key!r} in section [{section}]")
             try:  # get expands %(name)s references, and refuses a stray %
-                values[(section, key)] = _KEYS[(section, key)](parser.get(section, key))
+                raw = parser.get(section, key)
+                if (section, key) in _PATH_KEYS and raw:
+                    raw = str(Path(path).parent / raw)
+                values[(section, key)] = _KEYS[(section, key)][0](raw)
             except (ValueError, configparser.InterpolationError) as exc:
                 raise ConfigError(f"config [{section}] {key}: {exc}") from None
     return values
 
 
 def _settings(values: dict, section: str, cls, **fixed):
-    """A cls dataclass from the section's keys that name its fields, and the
-    fields in `fixed`; the others keep their dataclass default."""
+    """A cls dataclass from the section's keys named as its fields, and `fixed`."""
     return cls(**{f.name: values[(section, f.name)] for f in fields(cls)
-                  if (section, f.name) in values and f.name not in fixed}, **fixed)
+                  if f.name not in fixed}, **fixed)
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
-    """A run's settings: the config file's keys, each typed and checked, the
-    settings objects built from them, and the defaults for the rest."""
+    """A run's settings: every key of _KEYS resolved, and the settings
+    objects built from them. Built only by RunConfig.of."""
     values: dict[tuple[str, str], object]
-    seed: int
-    folds: int
-    family: str
     pipeline: PipelineConfig
     tfidf: TfidfConfig
     split: SplitSpec
     neural: TrainConfig
-    trainer_params: dict[str, dict]  # each classical family's [model] keys
+    trainer_params: dict[str, dict]  # each classical family's trainer keywords
     grids: dict[str, dict[str, list[float]]]
-    objective: str
-    threshold: float  # LR decision threshold on P(Bullying)
-    delimiter: str
     column_map: dict[str, str]
+    seed = property(lambda self: self.values["split", "seed"])
+    folds = property(lambda self: self.values["split", "folds"])
+    family = property(lambda self: self.values["model", "family"])
+    objective = property(lambda self: self.values["tune", "objective"])
+    threshold = property(lambda self: self.values["model", "threshold"])  # LR, on P(Bullying)
+    delimiter = property(lambda self: self.values["corpus", "delimiter"])
+
+    @classmethod
+    def of(cls, keys: dict[tuple[str, str], object]) -> "RunConfig":
+        """The settings of keys, typed values by (section, key), over the defaults."""
+        if unknown := set(keys) - set(_KEYS):
+            raise ConfigError(f"unknown config keys {sorted(unknown)}")
+        values = {key: default for key, (_, default) in _KEYS.items()} | keys
+        seed, keep = values["split", "seed"], values["pipeline", "neural_keep_function_words"]
+        return cls(
+            values=values,
+            pipeline=_settings(values, "pipeline", PipelineConfig),
+            tfidf=_settings(values, "tfidf", TfidfConfig),
+            split=_settings(values, "split", SplitSpec, seed=seed),
+            neural=_settings(values, "model", TrainConfig, seed=seed, keep_function_words=keep),
+            trainer_params={family: {**defaults, **{key: values["model", key] for key in defaults
+                                                    if values["model", key] is not None}}
+                            for family, defaults in _TRAINER_DEFAULTS.items()},
+            grids={family: {param: values["tune", f"grid_{param}"] for param in grid}
+                   for family, grid in DEFAULT_GRIDS.items()},
+            column_map={name: values["corpus", key] for key, name in _COLUMN_KEYS.items()},
+        )
 
     @classmethod
     def load(cls, path: str | Path | None, seed: int | None = None,
              folds: int | None = None) -> "RunConfig":
         """The settings of the config file at path (None: no file); seed and
         folds, the command-line flags, stand over [split] seed and folds."""
-        values = {} if path is None else _read_keys(path)
+        keys = {} if path is None else _read_keys(path)
+        if seed is not None:
+            keys["split", "seed"] = seed
+        if folds is not None:
+            keys["split", "folds"] = _folds(folds)
+        return cls.of(keys)
 
-        def get(section, key, default):
-            return values.get((section, key), default)
+    def get(self, section: str, key: str):
+        return self.values[section, key]
 
-        seed = get("split", "seed", DEFAULT_SEED) if seed is None else seed
-        model = {key: value for (section, key), value in values.items() if section == "model"}
-        return cls(
-            values=values, seed=seed,
-            folds=get("split", "folds", DEFAULT_FOLDS) if folds is None else _folds(folds),
-            family=get("model", "family", "lr"),
-            pipeline=_settings(values, "pipeline", PipelineConfig),
-            tfidf=_settings(values, "tfidf", TfidfConfig),
-            split=_settings(values, "split", SplitSpec, seed=seed),
-            neural=_settings(values, "model", TrainConfig, seed=seed, keep_function_words=get(
-                "pipeline", "neural_keep_function_words", TrainConfig.keep_function_words)),
-            trainer_params={family: {k: v for k, v in model.items() if k in defaults}
-                            for family, defaults in _TRAINER_DEFAULTS.items()},
-            grids={family: {param: get("tune", f"grid_{param}", points)
-                            for param, points in grid.items()}
-                   for family, grid in DEFAULT_GRIDS.items()},
-            objective=get("tune", "objective", DEFAULT_OBJECTIVE),
-            threshold=get("model", "threshold", ModelArtifact.threshold),
-            delimiter=get("corpus", "delimiter", ";"),
-            column_map={name: values[("corpus", key)] for key, name in _COLUMN_KEYS.items()
-                        if ("corpus", key) in values},
-        )
-
-    def get(self, section: str, key: str, default=None):
-        return self.values.get((section, key), default)
+    def echo(self) -> dict:
+        """Every setting outside the file sections, by section in table
+        order, and each classical family's trainer keywords."""
+        echo = {}
+        for (section, key), value in self.values.items():
+            if section not in _PATH_SECTIONS:
+                echo.setdefault(section, {})[key] = value
+        return {**echo, "trainers": self.trainer_params}
 
 
-@dataclass
+@dataclass(frozen=True)
 class Runtime(RunConfig):
     """Everything a command needs: its RunConfig, the lexicons that names,
     and --quiet."""
@@ -284,11 +311,9 @@ class Runtime(RunConfig):
 
 def _resolve_runtime(ns: argparse.Namespace) -> Runtime:
     config = RunConfig.load(ns.config, ns.seed, ns.folds)
-    paths = {key: config.get("lexicons", key, default)
-             for key, default in default_lexicon_paths().items()}
-    lexicon = load_lexicon(paths["slang"], paths["stopwords"], paths["root_words"])
-    return Runtime(**vars(config), lexicon=lexicon,
-                   rules=load_stemmer_rules(paths["stemmer_rules"]), quiet=ns.quiet)
+    slang, stopwords, roots, rules = (config.get("lexicons", k) for k in default_lexicon_paths())
+    return Runtime(**vars(config), lexicon=load_lexicon(slang, stopwords, roots),
+                   rules=load_stemmer_rules(rules), quiet=ns.quiet)
 
 
 def _corpus_path(ns: argparse.Namespace, rt: Runtime) -> Path:
@@ -302,7 +327,7 @@ def _corpus_path(ns: argparse.Namespace, rt: Runtime) -> Path:
 
 
 def _load_records(ns: argparse.Namespace, rt: Runtime):
-    return load_corpus(_corpus_path(ns, rt), rt.delimiter, rt.column_map or None)
+    return load_corpus(_corpus_path(ns, rt), rt.delimiter, rt.column_map)
 
 
 def _out_file(raw: str) -> Path:
@@ -318,7 +343,7 @@ def _out_file(raw: str) -> Path:
 def _out_dir(ns: argparse.Namespace, rt: Runtime) -> Path:
     """The report directory, refused before any work if a file stands where
     it or the nearest of its parents that exists should be a directory."""
-    path = Path(ns.out_dir or rt.get("output", "dir", "benchmark_out"))
+    path = Path(ns.out_dir or rt.get("output", "dir"))
     existing = next(p for p in (path, *path.parents) if p.exists())
     if not existing.is_dir():
         raise ConfigError(f"--out-dir {path}: not a directory: {existing}")
@@ -446,6 +471,7 @@ def cmd_tune(ns: argparse.Namespace) -> int:
     result = grid_search(family, rt.grids[family], folds, rt.seed, rt.objective, params)
     _say(rt, f"grid search over {len(result.per_candidate)} candidates "
              f"({rt.folds}-fold CV, objective {rt.objective})")
+    _say(rt, f"trainer settings under each grid point: {params}")
     for point, scores in result.per_candidate:
         mean = sum(scores) / len(scores)
         marker = " *" if point == result.best_params else ""
@@ -510,18 +536,13 @@ def cmd_predict(ns: argparse.Namespace) -> int:
 def cmd_benchmark(ns: argparse.Namespace) -> int:
     import json
 
-    from .eval import BenchmarkConfig, render_benchmark_tables, run_benchmark
+    from .eval import render_benchmark_tables, run_benchmark
 
     rt = _resolve_runtime(ns)
-    config = BenchmarkConfig(
-        split=rt.split, neural=rt.neural, folds=rt.folds, seed=rt.seed,
-        pipeline=rt.pipeline, tfidf=rt.tfidf, grids=rt.grids, objective=rt.objective,
-        trainer_params=rt.trainer_params,
-    )
     out_dir = _out_dir(ns, rt)
     records = _load_records(ns, rt)
     started = time.perf_counter()
-    report = run_benchmark(records, config, rt.lexicon, rt.rules)
+    report = run_benchmark(records, rt, rt.lexicon, rt.rules)
     elapsed = time.perf_counter() - started
     out_dir.mkdir(parents=True, exist_ok=True)
     tables = render_benchmark_tables(report)
@@ -605,22 +626,9 @@ def main(argv: list[str] | None = None) -> int:
     ns = parser.parse_args(argv)
     try:
         return ns.func(ns)
-    except (ConfigError, LexiconError) as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ArtifactError as exc:
-        code = EXIT_VALIDATION if "fingerprint" in str(exc) else EXIT_USAGE
-        print(f"error: {exc}", file=sys.stderr)
-        return code
-    except CorpusError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except (FeatureError, TrainingError) as exc:  # neural.NeuralError is a TrainingError
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_TRAINING
-    except (ValueError, OSError) as exc:  # OSError: an output that cannot be written
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return next(_EXIT_CODES[cls] for cls in type(exc).__mro__ if cls in _EXIT_CODES)
 
 
 if __name__ == "__main__":

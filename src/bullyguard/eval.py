@@ -15,14 +15,15 @@ from __future__ import annotations
 
 import statistics
 from dataclasses import asdict, dataclass, field, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .artifact import data_fingerprint, preprocessing_fingerprint
 from .corpus import (
     CLASS_ORDER,
     CommentRecord,
     Label,
-    SplitSpec,
     TrainConfig,
     majority_label,
     stratified_split,
@@ -30,9 +31,6 @@ from .corpus import (
 from .features import TfidfConfig
 from .linear_models import (
     CLASSICAL_FAMILIES,
-    DEFAULT_FOLDS,
-    DEFAULT_GRIDS,
-    DEFAULT_OBJECTIVE,
     TrainingError,
     featurize_folds,
     fold_reports,
@@ -53,7 +51,9 @@ from .preprocess import (
     StemmerRules,
     preprocess_corpus,
 )
-from .rng import DEFAULT_SEED
+
+if TYPE_CHECKING:  # the study takes cli's RunConfig but never imports cli
+    from .cli import RunConfig
 
 ML_ROW_NAMES = {"nb": "Naive Bayes", "lr": "Logistic Regression", "svm": "SVM"}
 DL_ROW_NAMES = {False: "BiLSTM", True: "BiLSTM+Attention"}
@@ -172,27 +172,14 @@ def prepare_neural_data(
 # benchmark
 # ----------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BenchmarkConfig:
-    split: SplitSpec
-    neural: TrainConfig
-    folds: int = DEFAULT_FOLDS
-    seed: int = DEFAULT_SEED
-    pipeline: PipelineConfig = field(default_factory=PipelineConfig)
-    tfidf: TfidfConfig = field(default_factory=TfidfConfig)
-    grids: dict[str, dict[str, list]] = field(default_factory=lambda: DEFAULT_GRIDS)
-    objective: str = DEFAULT_OBJECTIVE
-    # each classical family's trainer keywords, under every grid point
-    trainer_params: dict[str, dict] = field(default_factory=dict)
-
-
 def run_benchmark(
     records: list[CommentRecord],
-    config: BenchmarkConfig,
+    config: RunConfig,
     lexicon: NormalizationLexicon,
     rules: StemmerRules,
 ) -> dict:
-    """The study's report document: {"config", "ml_models", "dl_models"}."""
+    """The study's report document: {"config", "ml_models", "dl_models"}.
+    "config" is config's echo, the sizes of the data and the inputs' digests."""
     train_recs, val_recs, test_recs = stratified_split(records, config.split)
 
     # classical track: grid search + k-fold CV on the training portion; the
@@ -207,7 +194,7 @@ def run_benchmark(
     for family in CLASSICAL_FAMILIES:
         grid = grid_search(
             family, config.grids[family], folds, config.seed, config.objective,
-            config.trainer_params.get(family, {}),
+            config.trainer_params[family],
         )
         cv = _aggregate(grid.best_fold_reports)
         ml_models.append({
@@ -244,25 +231,11 @@ def run_benchmark(
             "empty_test_fallbacks": len(te_tok) - len(te_nonempty),
         })
 
-    echo = {
-        "folds": config.folds,
-        "seed": config.seed,
-        "split": {"train": config.split.train_fraction, "val": config.split.val_fraction,
-                  "test": config.split.test_fraction, "stratified": config.split.stratified},
-        "objective": config.objective,
-        "grids": config.grids,
-        "tfidf": asdict(config.tfidf),
-        "pipeline": asdict(config.pipeline),
-        "neural": {
-            **asdict(config.neural),
-            "vocab_size": data.vocab.size,
-            "max_seq_len": data.vocab.max_seq_len,
-        },
-        "n_records": len(records),
-        "n_train": len(train_recs),
-        "n_val": len(val_recs),
-        "n_test": len(test_recs),
-    }
+    echo = {**config.echo(), "data_fingerprint": data_fingerprint(records),
+            "preprocessing_fingerprint": preprocessing_fingerprint(prep.config, lexicon, rules),
+            "data": {"n_records": len(records), "n_train": len(train_recs),
+                     "n_val": len(val_recs), "n_test": len(test_recs),
+                     "vocab_size": data.vocab.size, "max_seq_len": data.vocab.max_seq_len}}
     return {"config": echo, "ml_models": ml_models, "dl_models": dl_models}
 
 
@@ -301,18 +274,18 @@ def render_benchmark_tables(report: dict) -> str:
         ]
         for row in report["dl_models"]
     ]
-    echo = report["config"]
+    split, data = report["config"]["split"], report["config"]["data"]
     parts = [
         "Classical model comparison "
-        f"({echo['folds']}-fold cross validation on the training split, "
+        f"({split['folds']}-fold cross validation on the training split, "
         "weighted averages, mean over folds)",
         _format_table(["Model", "Accuracy", "Precision", "Recall", "F1-Score"], ml_rows),
         "",
         "Neural model comparison (held-out test split)",
         _format_table(["Model", "Accuracy", "F1 Macro", "F1 Weighted"], dl_rows),
         "",
-        f"seed: {echo['seed']}  folds: {echo['folds']}  "
-        f"records: {echo['n_records']} "
-        f"(train {echo['n_train']} / val {echo['n_val']} / test {echo['n_test']})",
+        f"seed: {split['seed']}  folds: {split['folds']}  "
+        f"records: {data['n_records']} "
+        f"(train {data['n_train']} / val {data['n_val']} / test {data['n_test']})",
     ]
     return "\n".join(parts) + "\n"

@@ -274,6 +274,20 @@ def test_tune_lists_all_candidates(tmp_path, capsys):
     assert "best:" in out
 
 
+def test_tune_prints_its_trainer_settings_once_above_the_grid(tmp_path, capsys):
+    corpus = write_fixture_corpus(tmp_path)
+    config = write_config(tmp_path, "[model]\nepochs = 7\n[tune]\ngrid_reg_lambda = 0.01, 0.1\n")
+    argv = ["tune", "--corpus", str(corpus), "--family", "svm", "--folds", "2",
+            "--out", str(tmp_path / "svm.txt"), "--config", str(config)]
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    settings = "trainer settings under each grid point: {'reg_lambda': 0.001, 'epochs': 7}"
+    assert lines.count(settings) == 1
+    assert lines.index(settings) < min(i for i, line in enumerate(lines) if " folds " in line)
+    assert main([*argv, "--quiet"]) == 0
+    assert capsys.readouterr().out == ""
+
+
 def test_predict_empty_line_majority_warning(tmp_path, capsys):
     corpus = write_fixture_corpus(tmp_path)
     model_path = tmp_path / "model.txt"
@@ -843,6 +857,35 @@ def test_example_config_restates_the_defaults(monkeypatch):
     assert run_settings(example) == run_settings(None)
 
 
+def test_example_config_runs_from_any_directory(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["stats", "--config", str(REPO / "config.example.ini")]) == 0
+    assert "records" in capsys.readouterr().out
+
+
+def test_config_paths_are_relative_to_the_config_file(tmp_path, monkeypatch):
+    conf = tmp_path / "conf"
+    conf.mkdir()
+    write_fixture_corpus(conf)
+    lexicons = {key: path.name for key, path in default_lexicon_paths().items()}
+    for key, path in default_lexicon_paths().items():
+        (conf / lexicons[key]).write_bytes(path.read_bytes())
+    config = write_config(conf, "[corpus]\npath = corpus.csv\n[output]\ndir = reports\n"
+                          "[lexicons]\n" + "".join(f"{k} = {v}\n" for k, v in lexicons.items()))
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    monkeypatch.chdir(elsewhere)
+    loaded = cli.RunConfig.load(Path("..") / "conf" / config.name)
+    assert loaded.get("corpus", "path") == Path("../conf/corpus.csv")
+    assert Path(loaded.get("output", "dir")) == Path("../conf/reports")
+    for key, name in lexicons.items():
+        assert loaded.get("lexicons", key) == Path("../conf") / name
+    # a command-line path stays relative to the working directory
+    write_fixture_corpus(elsewhere, name="corpus.csv")
+    ns, rt = resolve(["stats", "--corpus", "corpus.csv", "--config", str(config)])
+    assert cli._corpus_path(ns, rt) == Path("corpus.csv")
+
+
 EVERY_KEY_INI = """\
 [pipeline]
 case_fold = false
@@ -906,6 +949,47 @@ def test_every_config_key_reaches_its_setting(tmp_path):
     assert trainer_kwargs(rt, "nb") == {"alpha": 0.5}
     assert trainer_kwargs(rt, "lr") == {"l2_lambda": 0.02, "lr": 0.3, "epochs": 7}
     assert trainer_kwargs(rt, "svm") == {"reg_lambda": 0.04, "epochs": 7, "seed": 9}
+
+
+# Each split fraction moves with another, so that the three still sum to 1.
+FRACTION_PARTNERS = {"train_fraction": "val_fraction", "val_fraction": "train_fraction",
+                     "test_fraction": "train_fraction"}
+ECHO_VALUES = {("model", "family"): "svm", ("model", "threshold"): 0.25,
+               ("tune", "objective"): "accuracy", ("model", "epochs"): 7}
+
+
+def other_value(section, key, default):
+    """A valid value of the key other than its default."""
+    if (section, key) in ECHO_VALUES:
+        return ECHO_VALUES[section, key]
+    if default is None:  # a classical trainer keyword, unset
+        return 0.25
+    if isinstance(default, bool):
+        return not default
+    if isinstance(default, list):
+        return [0.5]
+    return default + 1 if isinstance(default, int) else default / 2
+
+
+ECHOED_KEYS = [key for key in cli._KEYS if key[0] not in ("corpus", "lexicons", "output")]
+
+
+@pytest.mark.parametrize("section, key", ECHOED_KEYS, ids=[f"{s}/{k}" for s, k in ECHOED_KEYS])
+def test_echo_names_every_setting(section, key):
+    default = cli.RunConfig.of({})
+    keys = {(section, key): other_value(section, key, default.get(section, key))}
+    if key in FRACTION_PARTNERS:
+        partner = FRACTION_PARTNERS[key]
+        keys = {(section, key): default.get(section, key) + 0.05,
+                (section, partner): default.get(section, partner) - 0.05}
+    value, default_echo = keys[section, key], default.echo()
+    echo = cli.RunConfig.of(keys).echo()
+    assert echo != default_echo
+    assert echo[section][key] == value
+    json.dumps(echo)  # the report writes it as JSON
+    for family in linear_models.CLASSICAL_FAMILIES:  # each trainer it reaches echoes it
+        if key in default_echo["trainers"][family]:
+            assert echo["trainers"][family][key] == value
 
 
 @pytest.mark.parametrize("key", ["beta1", "beta2", "epsilon"])
@@ -1230,6 +1314,11 @@ BAD_ARTIFACTS = {
         "use_attention", lambda line: "use_attention false")),
     "lr_duplicate_token_id": ("lr", set_token_id(1, 0)),
     "lr_negative_token_id": ("lr", set_token_id(0, -1)),
+    # a parse error that quotes a fingerprint line is a malformed artifact, not a mismatch
+    "lr_no_data_fingerprint": ("lr", lambda lines: [
+        line for line in lines if not line.startswith("data_fingerprint ")]),
+    "lr_garbled_data_fingerprint": ("lr", edit_line(
+        "data_fingerprint", lambda line: line.replace(" ", "=", 1))),
 }
 
 
@@ -1610,4 +1699,4 @@ def test_benchmark_writes_reports(tmp_path, capsys, monkeypatch):
     payload = json.loads((out_dir / "benchmark_report.json").read_text(encoding="utf-8"))
     assert len(payload["ml_models"]) == 3
     assert len(payload["dl_models"]) == 2
-    assert payload["config"]["folds"] == 2
+    assert payload["config"]["split"]["folds"] == 2

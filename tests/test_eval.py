@@ -1,18 +1,17 @@
 import json
-from dataclasses import replace
 
 import pytest
 
 import bullyguard.linear_models as lm
-from bullyguard.corpus import Label, SplitSpec, stratified_split
+from bullyguard.artifact import data_fingerprint, preprocessing_fingerprint
+from bullyguard.cli import RunConfig
+from bullyguard.corpus import Label, stratified_split
 from bullyguard.eval import (
-    BenchmarkConfig,
     ModelSpec,
     cross_validate,
     render_benchmark_tables,
     run_benchmark,
 )
-from bullyguard.neural import TrainConfig
 from conftest import balanced_records, make_record
 
 B, N = Label.BULLYING, Label.NON_BULLYING
@@ -28,10 +27,10 @@ def separable_corpus(n_half=12):
     return records
 
 
-FAST_NEURAL = TrainConfig(
-    batch_size=8, embedding_dim=8, hidden_dim=4, attention_dim=4,
-    learning_rate=0.05, max_epochs=3, patience=3, seed=42,
-)
+FAST_NEURAL = {("model", "batch_size"): 8, ("model", "embedding_dim"): 8,
+               ("model", "hidden_dim"): 4, ("model", "attention_dim"): 4,
+               ("model", "learning_rate"): 0.05, ("model", "max_epochs"): 3,
+               ("model", "patience"): 3}
 
 
 def test_cross_validate_structural_k2(default_lexicon, default_rules):
@@ -67,18 +66,17 @@ def test_cross_validate_rejects_bad_k(default_lexicon, default_rules):
                        default_lexicon, default_rules)
 
 
-def fast_benchmark_config():
-    return BenchmarkConfig(
-        folds=2,
-        seed=42,
-        grids={
-            "nb": {"alpha": [1.0]},
-            "lr": {"l2_lambda": [1e-3]},
-            "svm": {"reg_lambda": [1e-3]},
-        },
-        split=SplitSpec(seed=42),
-        neural=FAST_NEURAL,
-    )
+def fast_benchmark_config(keys=None):
+    """A small network, 2 folds and one grid point per family, under keys."""
+    return RunConfig.of({
+        **FAST_NEURAL,
+        ("split", "folds"): 2,
+        ("split", "seed"): 42,
+        ("tune", "grid_alpha"): [1.0],
+        ("tune", "grid_l2_lambda"): [1e-3],
+        ("tune", "grid_reg_lambda"): [1e-3],
+        **(keys or {}),
+    })
 
 
 def test_run_benchmark_structure(default_lexicon, default_rules):
@@ -102,6 +100,20 @@ def test_run_benchmark_structure(default_lexicon, default_rules):
     assert set(report) == {"config", "ml_models", "dl_models"}
     assert len(report["ml_models"]) == 3 and len(report["dl_models"]) == 2
     assert "elapsed" not in json.dumps(report)
+
+
+def test_run_benchmark_config_is_the_echo_the_data_and_the_input_digests(
+        default_lexicon, default_rules):
+    records = separable_corpus(20)
+    config = fast_benchmark_config()
+    echo = run_benchmark(records, config, default_lexicon, default_rules)["config"]
+    assert echo.pop("data_fingerprint") == data_fingerprint(records)
+    assert echo.pop("preprocessing_fingerprint") == \
+        preprocessing_fingerprint(config.pipeline, default_lexicon, default_rules)
+    data = echo.pop("data")
+    assert (data["n_records"], data["n_train"], data["n_val"], data["n_test"]) == (40, 32, 4, 4)
+    assert data["vocab_size"] > 2 and data["max_seq_len"] >= 1
+    assert echo == config.echo()
 
 
 def test_run_benchmark_deterministic_rendering(default_lexicon, default_rules):
@@ -131,10 +143,11 @@ def test_run_benchmark_featurizes_each_fold_once(default_lexicon, default_rules,
     records = separable_corpus(20)
     records[4] = make_record(index=995, text="dasar jelek bagus nomor9", label=N)
     # over-regularized first candidates lose, so each winner is the second
-    config = replace(fast_benchmark_config(), folds=3, grids={
-        "nb": {"alpha": [50.0, 0.1]},
-        "lr": {"l2_lambda": [10.0, 1e-3]},
-        "svm": {"reg_lambda": [10.0, 1e-3]},
+    config = fast_benchmark_config({
+        ("split", "folds"): 3,
+        ("tune", "grid_alpha"): [50.0, 0.1],
+        ("tune", "grid_l2_lambda"): [10.0, 1e-3],
+        ("tune", "grid_reg_lambda"): [10.0, 1e-3],
     })
     fits = []
     real_fit = lm.fit_tfidf
