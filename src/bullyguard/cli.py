@@ -124,8 +124,8 @@ _floats = _reader(lambda raw: [float(part) for part in raw.split(",") if part.st
                   (bool, "at least one number"))
 _text = _reader(str, "text", (str.strip, "a non-empty value"))
 # p can reach exactly 0 or 1, so only an open-interval threshold splits both ways
-_threshold = _reader(float, "a number", _FINITE,
-                     (lambda p: 0.0 < p < 1.0, "a number strictly between 0 and 1"))
+_OPEN_UNIT = (lambda p: 0.0 < p < 1.0, "a number strictly between 0 and 1")
+_threshold = _reader(float, "a number", _FINITE, _OPEN_UNIT)
 # csv.reader takes exactly one character
 _delimiter = _reader(str, "text", (lambda raw: len(raw) == 1, "one character"))
 
@@ -256,10 +256,14 @@ class RunConfig:
 
     @classmethod
     def of(cls, keys: dict[tuple[str, str], object]) -> "RunConfig":
-        """The settings of keys, typed values by (section, key), over the defaults."""
+        """The settings of keys, typed values by (section, key), over the defaults;
+        the folds and the threshold are checked here, whoever supplies them."""
         if unknown := set(keys) - set(_KEYS):
             raise ConfigError(f"unknown config keys {sorted(unknown)}")
         values = {key: default for key, (_, default) in _KEYS.items()} | keys
+        _folds(values["split", "folds"])
+        if not _OPEN_UNIT[0](threshold := values["model", "threshold"]):
+            raise ConfigError(f"[model] threshold: expected {_OPEN_UNIT[1]}, got {threshold!r}")
         seed, keep = values["split", "seed"], values["pipeline", "neural_keep_function_words"]
         return cls(
             values=values,
@@ -280,23 +284,17 @@ class RunConfig:
              folds: int | None = None) -> "RunConfig":
         """The settings of the config file at path (None: no file); seed and
         folds, the command-line flags, stand over [split] seed and folds."""
+        flags = {("split", "seed"): seed, ("split", "folds"): folds}
         keys = {} if path is None else _read_keys(path)
-        if seed is not None:
-            keys["split", "seed"] = seed
-        if folds is not None:
-            keys["split", "folds"] = _folds(folds)
-        return cls.of(keys)
-
-    def get(self, section: str, key: str):
-        return self.values[section, key]
+        return cls.of(keys | {key: flag for key, flag in flags.items() if flag is not None})
 
     def echo(self) -> dict:
-        """Every setting outside the file sections, by section in table
-        order, and each classical family's trainer keywords."""
+        """Every setting outside the file sections, by section in table order,
+        but the trainer keywords, unset by default: each family's, resolved."""
         echo = {}
-        for (section, key), value in self.values.items():
-            if section not in _PATH_SECTIONS:
-                echo.setdefault(section, {})[key] = value
+        for (section, key), (_, default) in _KEYS.items():
+            if section not in _PATH_SECTIONS and default is not None:
+                echo.setdefault(section, {})[key] = self.values[section, key]
         return {**echo, "trainers": self.trainer_params}
 
 
@@ -311,13 +309,14 @@ class Runtime(RunConfig):
 
 def _resolve_runtime(ns: argparse.Namespace) -> Runtime:
     config = RunConfig.load(ns.config, ns.seed, ns.folds)
-    slang, stopwords, roots, rules = (config.get("lexicons", k) for k in default_lexicon_paths())
+    slang, stopwords, roots, rules = (config.values["lexicons", key]
+                                      for key in default_lexicon_paths())
     return Runtime(**vars(config), lexicon=load_lexicon(slang, stopwords, roots),
                    rules=load_stemmer_rules(rules), quiet=ns.quiet)
 
 
 def _corpus_path(ns: argparse.Namespace, rt: Runtime) -> Path:
-    raw = ns.corpus or rt.get("corpus", "path")
+    raw = ns.corpus or rt.values["corpus", "path"]
     if raw is None:
         raise ConfigError("no corpus given: pass --corpus or set [corpus] path in the config")
     path = Path(raw)
@@ -343,7 +342,7 @@ def _out_file(raw: str) -> Path:
 def _out_dir(ns: argparse.Namespace, rt: Runtime) -> Path:
     """The report directory, refused before any work if a file stands where
     it or the nearest of its parents that exists should be a directory."""
-    path = Path(ns.out_dir or rt.get("output", "dir"))
+    path = Path(ns.out_dir or rt.values["output", "dir"])
     existing = next(p for p in (path, *path.parents) if p.exists())
     if not existing.is_dir():
         raise ConfigError(f"--out-dir {path}: not a directory: {existing}")

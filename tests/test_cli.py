@@ -641,6 +641,19 @@ def fail_if_reached(monkeypatch):
     monkeypatch.setattr(cli.Preprocessor, "corpus", unreachable)
 
 
+@pytest.mark.parametrize("key, value, message", [
+    (("split", "folds"), 1, "--folds / [split] folds: expected at least 2, got 1"),
+    (("model", "threshold"), 2.0,
+     "[model] threshold: expected a number strictly between 0 and 1, got 2.0"),
+    (("model", "threshold"), 0.0,
+     "[model] threshold: expected a number strictly between 0 and 1, got 0.0"),
+])
+def test_run_config_of_checks_the_folds_and_threshold_of_any_caller(key, value, message):
+    with pytest.raises(cli.ConfigError) as raised:
+        cli.RunConfig.of({key: value})
+    assert str(raised.value) == message
+
+
 @pytest.mark.parametrize("command, via", [
     ("tune", "flag"), ("tune", "config"), ("benchmark", "flag"), ("benchmark", "config")])
 def test_folds_below_2_exit_1_one_line(tmp_path, capsys, monkeypatch, command, via):
@@ -853,7 +866,7 @@ def run_settings(config):
 def test_example_config_restates_the_defaults(monkeypatch):
     monkeypatch.chdir(REPO)  # its [corpus] path is relative to the checkout
     example = REPO / "config.example.ini"
-    assert cli.RunConfig.load(example).get("corpus", "path") is not None
+    assert cli.RunConfig.load(example).values["corpus", "path"] is not None
     assert run_settings(example) == run_settings(None)
 
 
@@ -876,10 +889,10 @@ def test_config_paths_are_relative_to_the_config_file(tmp_path, monkeypatch):
     elsewhere.mkdir()
     monkeypatch.chdir(elsewhere)
     loaded = cli.RunConfig.load(Path("..") / "conf" / config.name)
-    assert loaded.get("corpus", "path") == Path("../conf/corpus.csv")
-    assert Path(loaded.get("output", "dir")) == Path("../conf/reports")
+    assert loaded.values["corpus", "path"] == Path("../conf/corpus.csv")
+    assert Path(loaded.values["output", "dir"]) == Path("../conf/reports")
     for key, name in lexicons.items():
-        assert loaded.get("lexicons", key) == Path("../conf") / name
+        assert loaded.values["lexicons", key] == Path("../conf") / name
     # a command-line path stays relative to the working directory
     write_fixture_corpus(elsewhere, name="corpus.csv")
     ns, rt = resolve(["stats", "--corpus", "corpus.csv", "--config", str(config)])
@@ -933,10 +946,9 @@ stratified = false
 
 def test_every_config_key_reaches_its_setting(tmp_path):
     config = write_config(tmp_path, EVERY_KEY_INI, name="every.ini")
-    loaded = cli.RunConfig.load(config)
+    read = cli._read_keys(config)
     for section in ("pipeline", "tfidf", "model", "split"):
-        assert {key for sec, key in loaded.values if sec == section} == \
-            set(config_keys(section))
+        assert {key for sec, key in read if sec == section} == set(config_keys(section))
     ns, rt = resolve(["train", "--out", "unused", "--config", str(config)])
     assert (rt.seed, rt.folds, rt.threshold, ns.family or rt.family) == (9, 3, 0.6, "svm")
     assert rt.pipeline == PipelineConfig(False, False, False, False, False, False, 4)
@@ -976,20 +988,24 @@ ECHOED_KEYS = [key for key in cli._KEYS if key[0] not in ("corpus", "lexicons", 
 
 @pytest.mark.parametrize("section, key", ECHOED_KEYS, ids=[f"{s}/{k}" for s, k in ECHOED_KEYS])
 def test_echo_names_every_setting(section, key):
-    default = cli.RunConfig.of({})
-    keys = {(section, key): other_value(section, key, default.get(section, key))}
+    default = cli.RunConfig.of({}).values
+    keys = {(section, key): other_value(section, key, default[section, key])}
     if key in FRACTION_PARTNERS:
         partner = FRACTION_PARTNERS[key]
-        keys = {(section, key): default.get(section, key) + 0.05,
-                (section, partner): default.get(section, partner) - 0.05}
-    value, default_echo = keys[section, key], default.echo()
+        keys = {(section, key): default[section, key] + 0.05,
+                (section, partner): default[section, partner] - 0.05}
+    value, default_echo = keys[section, key], cli.RunConfig.of({}).echo()
     echo = cli.RunConfig.of(keys).echo()
     assert echo != default_echo
-    assert echo[section][key] == value
     json.dumps(echo)  # the report writes it as JSON
-    for family in linear_models.CLASSICAL_FAMILIES:  # each trainer it reaches echoes it
-        if key in default_echo["trainers"][family]:
-            assert echo["trainers"][family][key] == value
+    reached = [family for family in linear_models.CLASSICAL_FAMILIES
+               if key in default_echo["trainers"][family]] if section == "model" else []
+    for family in reached:  # a trainer keyword is echoed as each trainer it reaches ran it
+        assert echo["trainers"][family][key] == value
+    # once: under trainers if it is a trainer keyword, else in its section
+    assert (key in echo[section]) != bool(reached)
+    if not reached:
+        assert echo[section][key] == value
 
 
 @pytest.mark.parametrize("key", ["beta1", "beta2", "epsilon"])
@@ -1437,7 +1453,7 @@ grid_reg_lambda = 0.01, 0.1
 [output]
 dir = {tmp_path / "reports"}
 """, name="every.ini")
-    assert set(cli.RunConfig.load(config).values) == set(cli._KEYS)
+    assert set(cli._read_keys(config)) == set(cli._KEYS)
     lines = tmp_path / "input.txt"
     lines.write_text("dasar jelek banget\nkamu keren bagus\n", encoding="utf-8")
     loaded = loaded_modules(["predict", "--model", bundled_models["lr"], "--input", lines,
