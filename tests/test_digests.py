@@ -14,7 +14,12 @@ The committed digests in ``digests.json`` pin, byte for byte:
   default config (acceptance test 9's run), and ``benchmark_ini_report`` and
   ``benchmark_ini_tables`` the same with ``perfbench/bench.ini``;
 - ``train_<family>_artifact``: the model file ``bullyguard train`` writes for
-  nb, lr and svm;
+  nb, lr and svm, and for bilstm and bilstm_attention with
+  ``perfbench/bench.ini``;
+- ``predict_<family>_stdout`` and ``predict_<family>_stderr``: what
+  ``bullyguard predict`` with each of those five models prints for
+  ``PREDICT_INPUT``, the corpus texts plus an empty line, an emoji-only line
+  and a 5,000-character line;
 - ``tune_<family>_artifact`` and ``tune_<family>_stdout``: the model file and
   what ``bullyguard tune`` prints for nb, lr and svm, its output path written
   as ``MODEL``.
@@ -43,6 +48,7 @@ from pathlib import Path
 import pytest
 
 from bullyguard import cli
+from bullyguard.artifact import FAMILIES
 from bullyguard.corpus import load_corpus
 from bullyguard.features import fit_tfidf, transform_all
 from bullyguard.linear_models import CLASSICAL_FAMILIES
@@ -68,12 +74,29 @@ def _token_lines(token_lists) -> str:
     return "".join(" ".join(tokens) + "\n" for tokens in token_lists)
 
 
-def _stdout(argv: list[str]) -> str:
-    """What one successful in-process ``bullyguard`` run prints."""
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
+def _run(argv: list[str]) -> tuple[str, str]:
+    """What one successful in-process ``bullyguard`` run prints to stdout
+    and to stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         assert cli.main(argv) == 0
-    return out.getvalue()
+    return out.getvalue(), err.getvalue()
+
+
+def _stdout(argv: list[str]) -> str:
+    return _run(argv)[0]
+
+
+# The predict input: the corpus texts, then the edge lines a stream carries
+# (empty, emoji only, longer than any model's max_seq_len).
+EDGE_LINES = ("", "\U0001F621\U0001F92C\U0001F480", ("dasar jelek bego bgt " * 250)[:5000])
+
+
+def predict_input(tmp: Path) -> Path:
+    path = tmp / "predict_input.txt"
+    lines = [rec.text for rec in load_corpus(CORPUS)] + list(EDGE_LINES)
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    return path
 
 
 def compute_digests() -> dict[str, str]:
@@ -96,7 +119,7 @@ def compute_digests() -> dict[str, str]:
 
 def study_digests(benchmark: dict[str, bytes], tmp: Path) -> dict[str, str]:
     """The digests of one bundled_benchmark run's outputs, and of the
-    ``bench.ini`` benchmark and the classical ``train`` and ``tune`` runs
+    ``bench.ini`` benchmark and the ``train``, ``predict`` and ``tune`` runs
     made here, writing into tmp."""
     ini = tmp / "ini"
     _stdout(["benchmark", "--corpus", str(CORPUS), "--config", str(BENCH_INI),
@@ -107,10 +130,17 @@ def study_digests(benchmark: dict[str, bytes], tmp: Path) -> dict[str, str]:
         "benchmark_ini_report": _sha((ini / "benchmark_report.json").read_bytes()),
         "benchmark_ini_tables": _sha((ini / "benchmark_tables.txt").read_bytes()),
     }
-    for family in CLASSICAL_FAMILIES:
+    texts = predict_input(tmp)
+    for family in FAMILIES:
         model = tmp / f"{family}.model"
-        _stdout(["train", "--family", family, "--corpus", str(CORPUS), "--out", str(model)])
+        config = [] if family in CLASSICAL_FAMILIES else ["--config", str(BENCH_INI)]
+        _stdout(["train", "--family", family, "--corpus", str(CORPUS), "--out", str(model),
+                 "--quiet", *config])
         digests[f"train_{family}_artifact"] = _sha(model.read_bytes())
+        out, err = _run(["predict", "--model", str(model), "--input", str(texts)])
+        digests[f"predict_{family}_stdout"], digests[f"predict_{family}_stderr"] = _sha(out), _sha(err)
+        if family not in CLASSICAL_FAMILIES:
+            continue
         out = _stdout(["tune", "--family", family, "--corpus", str(CORPUS), "--out", str(model)])
         digests[f"tune_{family}_artifact"] = _sha(model.read_bytes())
         digests[f"tune_{family}_stdout"] = _sha(out.replace(str(model), "MODEL"))
@@ -121,7 +151,9 @@ PREPROCESSING_OUTPUTS = ("preprocess_trace", "tokens_default", "tokens_neural", 
                          "stats_json")
 STUDY_OUTPUTS = ("benchmark_report", "benchmark_tables", "benchmark_ini_report",
                  "benchmark_ini_tables",
-                 *(f"train_{family}_artifact" for family in CLASSICAL_FAMILIES),
+                 *(f"{command}_{family}_{part}" for family in FAMILIES
+                   for command, part in (("train", "artifact"), ("predict", "stdout"),
+                                         ("predict", "stderr"))),
                  *(f"tune_{family}_{part}" for family in CLASSICAL_FAMILIES
                    for part in ("artifact", "stdout")))
 VERSIONS = ("python", "numpy", "blas")
