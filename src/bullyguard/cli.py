@@ -135,6 +135,9 @@ def _one_of(choices):
 
 
 def _existing_file(raw: str) -> Path:
+    if not raw or Path(raw).is_dir():  # Path("") is ".", a directory
+        what = f"a directory: {raw}" if raw else "an empty value"
+        raise ValueError(f"expected a file, got {what}")
     if not Path(raw).exists():
         raise ValueError(f"file not found: {raw}")
     return Path(raw)
@@ -319,10 +322,7 @@ def _corpus_path(ns: argparse.Namespace, rt: Runtime) -> Path:
     raw = ns.corpus or rt.values["corpus", "path"]
     if raw is None:
         raise ConfigError("no corpus given: pass --corpus or set [corpus] path in the config")
-    path = Path(raw)
-    if not path.exists():
-        raise ConfigError(f"corpus file not found: {path}")
-    return path
+    return _existing_file(str(raw))
 
 
 def _load_records(ns: argparse.Namespace, rt: Runtime):

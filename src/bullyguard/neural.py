@@ -7,10 +7,11 @@ forward state and the position-0 backward state -> linear head -> softmax.
 
 Everything runs in float64 numpy with hand-written reverse-mode gradients.
 The LSTMs run on a packed batch: rows sorted by length, real tokens only,
-step-major; one input GEMM covers every step, and each step then touches
-only the rows still running. Padding is never read, so padded positions have
-zero states and gradients, and extra padding leaves the logits bit-exactly
-unchanged. Training is deterministic under the pinned PRNG seed.
+step-major; one GEMM over the distinct token ids gives every input x @ w,
+and each step then touches only the rows still running. Padding is never
+read, so padded positions have zero states and gradients, and extra padding
+leaves the logits bit-exactly unchanged. Training is deterministic under
+the pinned PRNG seed.
 
 `train` and `predict_batch` each give their passes one workspace: the arrays
 that grow with the batch, but for the embedding gradient, are written into its
@@ -230,13 +231,12 @@ class _Workspace(_Fresh):
         return arr
 
 
-# Without a backward pass nothing reads a direction's inputs, gates and cell
-# states once its h is computed: the backward direction reuses the forward
-# direction's buffers, and attention the inputs' and gates' (the runs in the
-# cache are then stale).
+# Without a backward pass nothing reads a direction's gates and cell states
+# once its h is computed: the backward direction and then attention reuse
+# the forward direction's buffers (the runs in the cache are then stale).
 _FORWARD_ONLY = {
-    **{f"bwd.{part}": f"fwd.{part}" for part in ("x", "gates", "c")},
-    "states": "fwd.x", "att.u": "fwd.gates",
+    **{f"bwd.{part}": f"fwd.{part}" for part in ("gates", "c")},
+    "states": "fwd.gates", "att.u": "fwd.c",
 }
 
 
@@ -305,33 +305,44 @@ def _pack(valid_lens: np.ndarray) -> _Pack:
     )
 
 
+def _input_gates(tokens: np.ndarray, params: NeuralNetParams):
+    """(slot, {direction: x @ w + b once per distinct id of tokens}), id's row slot[id]."""
+    p = params.blocks
+    # a mask, not np.unique, whose first call in a process allocates ~1.2 MB
+    seen = np.zeros(p["embedding"].shape[0], dtype=bool)
+    seen[tokens] = True
+    distinct = np.flatnonzero(seen)
+    # one row would take numpy's gemv, which rounds unlike gemm: a lone id gets two
+    x = p["embedding"][np.resize(distinct, max(distinct.size, min(tokens.size, 2)))]
+    tables = {d: x @ p[f"{d}.w"] for d in ("fwd", "bwd")}
+    for d, table in tables.items():
+        table += p[f"{d}.b"]
+    return np.cumsum(seen) - 1, tables
+
+
 @dataclass
 class _LstmRun:
     """One direction's forward pass, in packed (N, .) arrays."""
-    x: np.ndarray       # the inputs
     gates: np.ndarray   # activated i, f, o, g
     c: np.ndarray
     h: np.ndarray
 
 
-def _run_lstm(x: np.ndarray, pack: _Pack, w: np.ndarray, u: np.ndarray,
-              b: np.ndarray, ws: _Fresh = _FRESH, name: str = "fwd") -> _LstmRun:
-    """Unidirectional pass over the packed inputs x (N, D) with one
-    direction's w, u and b, into ws under that direction's name. One GEMM
-    gives x @ w for every packed row, which becomes the activated gates: per
-    step only the recurrent GEMM and the gate arithmetic run, on the rows
-    still running.
+def _run_lstm(gates: np.ndarray, pack: _Pack, u: np.ndarray,
+              ws: _Fresh = _FRESH, name: str = "fwd") -> _LstmRun:
+    """Unidirectional pass from the packed input gates (N, 4H) with one
+    direction's u, into ws under that direction's name. The gates become
+    the activated gates: per step only the recurrent GEMM and the gate
+    arithmetic run, on the rows still running.
     """
-    n, h_dim = x.shape[0], u.shape[0]
-    gates = np.matmul(x, w, out=ws.take(f"{name}.gates", n, 4 * h_dim))
-    gates += b
+    n, h_dim = gates.shape[0], u.shape[0]
     c, h = ws.take(f"{name}.c", n, h_dim), ws.take(f"{name}.h", n, h_dim)
     for now, before in pack.steps:
         if before is not None:
             gates[now] += h[before] @ u
         c_prev = 0.0 if before is None else c[before]
         _lstm_gates(gates[now], c_prev, c[now], h[now])
-    return _LstmRun(x, gates, c, h)
+    return _LstmRun(gates, c, h)
 
 
 def _encoder_states(pack: _Pack, fwd: _LstmRun, bwd: _LstmRun, batch: int,
@@ -388,6 +399,7 @@ def _forward_batch(
     valid_lens: np.ndarray,
     params: NeuralNetParams,
     ws: _Fresh = _FRESH,
+    gates: tuple | None = None,  # _input_gates's; by default, the batch's own
 ) -> _ForwardCache:
     ids = np.asarray(ids, dtype=np.int64)
     if ids.ndim != 2:
@@ -400,13 +412,13 @@ def _forward_batch(
     p = params.blocks
     pack = _pack(valid_lens)
     tokens = ids[pack.rows, pack.cols]
-    n, d = tokens.size, params.embedding_dim
+    slot, tables = gates or _input_gates(tokens, params)
     # mode="clip" skips the bounds check that would make take copy through a
-    # temporary; encode_batch gives ids inside the embedding
-    x = np.take(p["embedding"], tokens, axis=0, out=ws.take("fwd.x", n, d), mode="clip")
-    fwd = _run_lstm(x, pack, p["fwd.w"], p["fwd.u"], p["fwd.b"], ws, "fwd")
-    x = np.take(p["embedding"], tokens[pack.rev], axis=0, out=ws.take("bwd.x", n, d), mode="clip")
-    bwd = _run_lstm(x, pack, p["bwd.w"], p["bwd.u"], p["bwd.b"], ws, "bwd")
+    # temporary; every slot is a row of its table
+    fwd, bwd = (_run_lstm(np.take(tables[d], rows, axis=0, mode="clip",
+                                  out=ws.take(f"{d}.gates", tokens.size, tables[d].shape[1])),
+                          pack, p[f"{d}.u"], ws, d)
+                for d, rows in (("fwd", slot[tokens]), ("bwd", slot[tokens[pack.rev]])))
     states = att_weights = att_u = None
     if params.use_attention:
         states = _encoder_states(pack, fwd, bwd, ids.shape[0], ws)
@@ -451,6 +463,7 @@ def batch_loss(cache: _ForwardCache, labels: np.ndarray) -> float:
 
 def _backprop_lstm(
     run: _LstmRun,
+    x: np.ndarray,    # (N, D) the packed inputs
     pack: _Pack,
     w: np.ndarray,
     u: np.ndarray,
@@ -464,7 +477,7 @@ def _backprop_lstm(
     Only the recurrence runs per step; the gradients of w, u and b and of
     the inputs are one GEMM or sum each over all packed rows.
     """
-    (n_rows, d), h_dim = run.x.shape, u.shape[0]
+    (n_rows, d), h_dim = x.shape, u.shape[0]
     da = ws.take("da", n_rows, 4 * h_dim)  # gradient on the gate pre-activations
     # a row that ends at step t was not touched by later steps: its dh, dc are 0
     dh = np.zeros((pack.first, h_dim))
@@ -491,7 +504,7 @@ def _backprop_lstm(
     h_prev = np.take(run.h, pack.prev, axis=0, mode="clip",
                      out=ws.take("tmp", n_rows - pack.first, h_dim))
     return (np.matmul(da, w.T, out=ws.take(f"{name}.dx", n_rows, d)),
-            np.matmul(run.x.T, da, out=ws.take(f"d.{name}.w", d, 4 * h_dim)),
+            np.matmul(x.T, da, out=ws.take(f"d.{name}.w", d, 4 * h_dim)),
             np.matmul(h_prev.T, da[pack.first:], out=ws.take(f"d.{name}.u", h_dim, 4 * h_dim)),
             np.sum(da, axis=0, out=ws.take(f"d.{name}.b", 4 * h_dim)))
 
@@ -548,10 +561,15 @@ def _backward_from_cache(
         d_fwd_h[last] = d_features[first, :h_dim]
         d_bwd_h[last] = d_features[first, h_dim:]
 
+    def inputs(tokens):  # one buffer: a direction's x is dead after its backprop
+        return np.take(p["embedding"], tokens, axis=0, mode="clip",
+                       out=ws.take("x", n, params.embedding_dim))
+
     dx, d_fwd_w, d_fwd_u, d_fwd_b = _backprop_lstm(
-        cache.fwd, pack, p["fwd.w"], p["fwd.u"], d_fwd_h, ws, "fwd")
+        cache.fwd, inputs(cache.tokens), pack, p["fwd.w"], p["fwd.u"], d_fwd_h, ws, "fwd")
     dx_bwd, d_bwd_w, d_bwd_u, d_bwd_b = _backprop_lstm(
-        cache.bwd, pack, p["bwd.w"], p["bwd.u"], d_bwd_h, ws, "bwd")
+        cache.bwd, inputs(cache.tokens[pack.rev]), pack, p["bwd.w"], p["bwd.u"], d_bwd_h,
+        ws, "bwd")
     dx += np.take(dx_bwd, pack.rev, axis=0, mode="clip", out=ws.take("tmp", *dx.shape))
 
     grads = {
@@ -794,7 +812,7 @@ def predict_batch(
 
     The rows run sorted by length, shortest first, in passes of at most
     token_budget real tokens, so short rows share a pass and a pass carries
-    little padding; every pass writes into one workspace.
+    little padding; the passes share one workspace and one input-gate table.
     """
     ids = np.asarray(ids, dtype=np.int64)
     valid_lens = np.asarray(valid_lens, dtype=np.int64)
@@ -803,9 +821,11 @@ def predict_batch(
     order = np.argsort(valid_lens, kind="stable")
     probs = np.empty((ids.shape[0], 2))
     ws = _Workspace(_FORWARD_ONLY)
+    gates = _input_gates(ids[np.arange(ids.shape[1]) < valid_lens[:, None]], params)
     for part in _token_passes(valid_lens[order].tolist(), token_budget):
         rows = order[part]
-        probs[rows] = _softmax(_forward_batch(ids[rows], valid_lens[rows], params, ws).logits)
+        probs[rows] = _softmax(
+            _forward_batch(ids[rows], valid_lens[rows], params, ws, gates).logits)
     return probs.argmax(axis=1), probs
 
 

@@ -1569,6 +1569,24 @@ def test_missing_lexicons_file_exit_1_one_line(tmp_path, capsys, key):
         f"error: config [lexicons] {key}: file not found: /nonexistent/{key}\n"
 
 
+@pytest.mark.parametrize("key", [("corpus", "path")] + [("lexicons", key)
+                                                        for key in config_keys("lexicons")],
+                         ids=lambda key: ".".join(key))
+@pytest.mark.parametrize("value", ["", "DIR"], ids=["empty", "directory"])
+def test_config_file_key_empty_or_a_directory_exit_1_one_line(tmp_path, capsys, key, value):
+    corpus = write_fixture_corpus(tmp_path)
+    value = str(tmp_path) if value == "DIR" else value
+    config = write_config(tmp_path, f"[{key[0]}]\n{key[1]} = {value}\n", name="bad.ini")
+    assert main(["stats", "--corpus", str(corpus), "--config", str(config)]) == 1
+    got = f"a directory: {tmp_path}" if value else "an empty value"
+    assert capsys.readouterr().err == f"error: config [{key[0]}] {key[1]}: expected a file, got {got}\n"
+
+
+def test_corpus_flag_naming_a_directory_exit_1_one_line(tmp_path, capsys):
+    assert main(["stats", "--corpus", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == f"error: expected a file, got a directory: {tmp_path}\n"
+
+
 def test_several_missing_files_name_the_first_at_any_hash_seed(tmp_path):
     corpus = write_fixture_corpus(tmp_path)
     config = write_config(tmp_path, "[lexicons]\n" + "".join(

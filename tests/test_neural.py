@@ -706,8 +706,8 @@ def test_backprop_matches_per_gate_oracle():
     d_h = d_out[pack.rows, pack.cols]
     d_h[pack.rev[:pack.first]] += d_final[pack.rows[:pack.first]]
     x_packed = x[pack.rows, pack.cols]
-    run = _run_lstm(x_packed, pack, fwd.w, fwd.u, fwd.b)
-    dx_packed, *grad = _backprop_lstm(run, pack, fwd.w, fwd.u, d_h)
+    run = _run_lstm(x_packed @ fwd.w + fwd.b, pack, fwd.u)
+    dx_packed, *grad = _backprop_lstm(run, x_packed, pack, fwd.w, fwd.u, d_h)
     dx = np.zeros_like(dx_want)
     dx[pack.rows, pack.cols] = dx_packed
     # one fused GEMM sums over all four gates at once, so the last ulps may differ

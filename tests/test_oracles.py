@@ -13,20 +13,32 @@ in one stacked gradient descent, and `train_lr` and `lr_loss_grad` are its
 one-problem case. Each problem must get the weights, bias and loss history
 of the one-problem loop below, bit for bit, and a grid must raise the error
 that loop raises first in grid order.
+
+A neural `predict_batch` computes the input gates x @ w + b once per distinct
+token id of the call and gathers each packed row's from that table. Its
+probabilities must equal, bit for bit, those of the forward below, which
+multiplies every packed token of every pass by w, and its traced memory
+peak, in a fresh process, must not exceed that forward's.
 """
 
 import itertools
 import math
+import os
 import re
+import subprocess
+import sys
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import bullyguard.linear_models as linear_models
-from bullyguard.corpus import Label, load_corpus
+from bullyguard import neural
+from bullyguard.corpus import Label, TrainConfig, load_corpus
 from bullyguard.features import TfidfConfig, fit_tfidf, transform_all
 from bullyguard.linear_models import (
     DEFAULT_GRIDS,
@@ -41,6 +53,16 @@ from bullyguard.linear_models import (
     train_lr,
 )
 from bullyguard.metrics import evaluate
+from bullyguard.neural import (
+    PREDICT_TOKEN_BUDGET,
+    UNK_ID,
+    NeuralVocab,
+    build_neural_vocab,
+    encode_batch,
+    init_params,
+    predict_batch,
+)
+from bullyguard.rng import Rng
 from bullyguard.preprocess import (
     NormalizationLexicon,
     PipelineConfig,
@@ -551,3 +573,139 @@ def test_train_lr_matches_oracle_on_whole_bundled_corpus():
     model = train_lr(X, _labels01(BUNDLED_LABELS))
     assert _hex(model.weights, model.bias, model.loss_history) == _hex(
         *oracle_train_lr(X, _labels01(BUNDLED_LABELS)))
+
+
+# ----------------------------------------------------------------------------
+# neural predict: input gates per packed token
+# ----------------------------------------------------------------------------
+
+# the forward's workspace aliases without a backward pass
+ORACLE_FORWARD_ONLY = {
+    **{f"bwd.{part}": f"fwd.{part}" for part in ("x", "gates", "c")},
+    "states": "fwd.x", "att.u": "fwd.gates",
+}
+
+
+def oracle_run_lstm(x, pack, w, u, b, ws, name):
+    n, h_dim = x.shape[0], u.shape[0]
+    gates = np.matmul(x, w, out=ws.take(f"{name}.gates", n, 4 * h_dim))
+    gates += b
+    c, h = ws.take(f"{name}.c", n, h_dim), ws.take(f"{name}.h", n, h_dim)
+    for now, before in pack.steps:
+        if before is not None:
+            gates[now] += h[before] @ u
+        c_prev = 0.0 if before is None else c[before]
+        neural._lstm_gates(gates[now], c_prev, c[now], h[now])
+    return neural._LstmRun(gates, c, h)
+
+
+def oracle_logits(ids, valid_lens, params, ws):
+    p = params.blocks
+    pack = neural._pack(valid_lens)
+    tokens = ids[pack.rows, pack.cols]
+    n, d = tokens.size, params.embedding_dim
+    x = np.take(p["embedding"], tokens, axis=0, out=ws.take("fwd.x", n, d), mode="clip")
+    fwd = oracle_run_lstm(x, pack, p["fwd.w"], p["fwd.u"], p["fwd.b"], ws, "fwd")
+    x = np.take(p["embedding"], tokens[pack.rev], axis=0, out=ws.take("bwd.x", n, d), mode="clip")
+    bwd = oracle_run_lstm(x, pack, p["bwd.w"], p["bwd.u"], p["bwd.b"], ws, "bwd")
+    if params.use_attention:
+        states = neural._encoder_states(pack, fwd, bwd, ids.shape[0], ws)
+        features = neural._attention_core(states, valid_lens, params, ws)[0]
+    else:
+        last = pack.rev[:pack.first]
+        features = np.zeros((ids.shape[0], 2 * params.hidden_dim))
+        features[pack.rows[:pack.first]] = np.concatenate([fwd.h[last], bwd.h[last]], axis=1)
+    return features @ p["head.w"] + p["head.b"]
+
+
+def oracle_predict_probs(params, ids, valid_lens, token_budget=PREDICT_TOKEN_BUDGET):
+    order = np.argsort(valid_lens, kind="stable")
+    probs = np.empty((ids.shape[0], 2))
+    ws = neural._Workspace(ORACLE_FORWARD_ONLY)
+    for part in neural._token_passes(valid_lens[order].tolist(), token_budget):
+        rows = order[part]
+        probs[rows] = neural._softmax(oracle_logits(ids[rows], valid_lens[rows], params, ws))
+    return probs
+
+
+NEURAL_TOKENS = Preprocessor(NEURAL_CONFIG, LEXICON, RULES).corpus(BUNDLED_TEXTS)
+# the words seen twice in the first 150 comments: the others are UNK, and the
+# words only the first 100 use never occur in CHUNK_TOKENS
+NEURAL_VOCAB = build_neural_vocab(NEURAL_TOKENS[:150], 2, TrainConfig.max_len_cap)
+CHUNK_TOKENS = list(itertools.islice(itertools.cycle(NEURAL_TOKENS[100:]), 256))
+LONG_ROW = 300  # tokens, more than PREDICT_TOKEN_BUDGET
+NEURAL_SEED = 11
+
+
+@pytest.fixture(scope="module", params=[False, True], ids=["bilstm", "bilstm_attention"])
+def neural_params(request):
+    return init_params(NEURAL_VOCAB.size, TrainConfig(), request.param, Rng(NEURAL_SEED))
+
+
+def test_predict_chunk_has_unk_ids_and_misses_some_vocabulary_ids():
+    ids, lens = encode_batch(CHUNK_TOKENS, NEURAL_VOCAB)
+    real = ids[np.arange(ids.shape[1]) < lens[:, None]]
+    assert UNK_ID in real
+    assert set(range(2, NEURAL_VOCAB.size)) - set(real.tolist())
+
+
+@pytest.mark.parametrize("budget", [1, 7, PREDICT_TOKEN_BUDGET, 10**9])
+def test_predict_batch_matches_per_token_gates_oracle(neural_params, budget):
+    long_tokens = list(itertools.islice(itertools.cycle(NEURAL_TOKENS[199]), LONG_ROW))
+    ids, lens = encode_batch(CHUNK_TOKENS + [long_tokens],
+                             NeuralVocab(NEURAL_VOCAB.token_to_id, LONG_ROW))
+    _, probs = predict_batch(neural_params, ids, lens, budget)
+    assert np.array_equal(probs, oracle_predict_probs(neural_params, ids, lens, budget))
+
+
+@pytest.mark.parametrize("rows", [[[2]], [[UNK_ID] * 8] * 3, [[5] * 8, [5] * 5], [[3, 9]]],
+                         ids=["one_token", "all_unk", "one_id_repeated", "two_ids"])
+def test_predict_batch_matches_oracle_on_calls_with_one_or_two_ids(neural_params, rows):
+    lens = np.asarray([len(row) for row in rows])
+    ids = np.zeros((len(rows), lens.max()), dtype=np.int64)
+    for i, row in enumerate(rows):
+        ids[i, :len(row)] = row
+    _, probs = predict_batch(neural_params, ids, lens)
+    assert np.array_equal(probs, oracle_predict_probs(neural_params, ids, lens))
+
+
+def _traced_peak(run):
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# predict_batch's traced peak in a fresh process, where the first call of a
+# numpy routine pays its set-up: np.unique's first call traces ~1.2 MB
+FRESH_PEAK = """
+import sys, tracemalloc
+import numpy as np
+from bullyguard.corpus import TrainConfig
+from bullyguard.neural import init_params, predict_batch
+from bullyguard.rng import Rng
+ids, lens = np.load(sys.argv[1]), np.load(sys.argv[2])
+params = init_params(int(sys.argv[3]), TrainConfig(), sys.argv[4] == "True", Rng(int(sys.argv[5])))
+tracemalloc.start()
+predict_batch(params, ids, lens)
+print(tracemalloc.get_traced_memory()[1])
+"""
+
+
+def test_predict_batch_peaks_no_higher_than_per_token_gates_oracle(tmp_path):
+    ids, lens = encode_batch(CHUNK_TOKENS, NEURAL_VOCAB)
+    np.save(tmp_path / "ids.npy", ids)
+    np.save(tmp_path / "lens.npy", lens)
+    src = str(Path(neural.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for use_attention in (False, True):
+        args = (NEURAL_VOCAB.size, use_attention, NEURAL_SEED)
+        proc = subprocess.run([sys.executable, "-c", FRESH_PEAK, str(tmp_path / "ids.npy"),
+                               str(tmp_path / "lens.npy"), *map(str, args)],
+                              env=env, capture_output=True, text=True, check=True)
+        params = init_params(NEURAL_VOCAB.size, TrainConfig(), use_attention, Rng(NEURAL_SEED))
+        want = _traced_peak(lambda: oracle_predict_probs(params, ids, lens))
+        assert int(proc.stdout) <= want, (use_attention, int(proc.stdout), want)
