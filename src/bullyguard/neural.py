@@ -311,13 +311,13 @@ def _input_gates(tokens: np.ndarray, params: NeuralNetParams):
     # a mask, not np.unique, whose first call in a process allocates ~1.2 MB
     seen = np.zeros(p["embedding"].shape[0], dtype=bool)
     seen[tokens] = True
-    distinct = np.flatnonzero(seen)
+    distinct = seen.nonzero()[0]
     # one row would take numpy's gemv, which rounds unlike gemm: a lone id gets two
-    x = p["embedding"][np.resize(distinct, max(distinct.size, min(tokens.size, 2)))]
+    x = p["embedding"][distinct.repeat(2) if distinct.size == 1 < tokens.size else distinct]
     tables = {d: x @ p[f"{d}.w"] for d in ("fwd", "bwd")}
     for d, table in tables.items():
         table += p[f"{d}.b"]
-    return np.cumsum(seen) - 1, tables
+    return seen.cumsum(dtype=np.intp) - 1, tables
 
 
 @dataclass

@@ -1572,14 +1572,15 @@ def test_missing_lexicons_file_exit_1_one_line(tmp_path, capsys, key):
 @pytest.mark.parametrize("key", [("corpus", "path")] + [("lexicons", key)
                                                         for key in config_keys("lexicons")],
                          ids=lambda key: ".".join(key))
-@pytest.mark.parametrize("value", ["", "DIR"], ids=["empty", "directory"])
-def test_config_file_key_empty_or_a_directory_exit_1_one_line(tmp_path, capsys, key, value):
+@pytest.mark.parametrize("directory", [False, True], ids=["empty", "directory"])
+def test_config_file_key_empty_or_a_directory_exit_1_one_line(tmp_path, capsys, key, directory):
     corpus = write_fixture_corpus(tmp_path)
-    value = str(tmp_path) if value == "DIR" else value
-    config = write_config(tmp_path, f"[{key[0]}]\n{key[1]} = {value}\n", name="bad.ini")
+    (section, name), value = key, str(tmp_path) if directory else ""
+    config = write_config(tmp_path, f"[{section}]\n{name} = {value}\n", name="bad.ini")
     assert main(["stats", "--corpus", str(corpus), "--config", str(config)]) == 1
-    got = f"a directory: {tmp_path}" if value else "an empty value"
-    assert capsys.readouterr().err == f"error: config [{key[0]}] {key[1]}: expected a file, got {got}\n"
+    got = f"a directory: {tmp_path}" if directory else "an empty value"
+    assert capsys.readouterr().err == \
+        f"error: config [{section}] {name}: expected a file, got {got}\n"
 
 
 def test_corpus_flag_naming_a_directory_exit_1_one_line(tmp_path, capsys):

@@ -17,9 +17,9 @@ The committed digests in ``digests.json`` pin, byte for byte:
   nb, lr and svm, and for bilstm and bilstm_attention with
   ``perfbench/bench.ini``;
 - ``predict_<family>_stdout`` and ``predict_<family>_stderr``: what
-  ``bullyguard predict`` with each of those five models prints for
-  ``PREDICT_INPUT``, the corpus texts plus an empty line, an emoji-only line
-  and a 5,000-character line;
+  ``bullyguard predict`` with each of those five models prints for the
+  corpus texts plus ``EDGE_LINES``: an empty line, an emoji-only line and a
+  5,000-character line;
 - ``tune_<family>_artifact`` and ``tune_<family>_stdout``: the model file and
   what ``bullyguard tune`` prints for nb, lr and svm, its output path written
   as ``MODEL``.
@@ -138,7 +138,8 @@ def study_digests(benchmark: dict[str, bytes], tmp: Path) -> dict[str, str]:
                  "--quiet", *config])
         digests[f"train_{family}_artifact"] = _sha(model.read_bytes())
         out, err = _run(["predict", "--model", str(model), "--input", str(texts)])
-        digests[f"predict_{family}_stdout"], digests[f"predict_{family}_stderr"] = _sha(out), _sha(err)
+        digests[f"predict_{family}_stdout"] = _sha(out)
+        digests[f"predict_{family}_stderr"] = _sha(err)
         if family not in CLASSICAL_FAMILIES:
             continue
         out = _stdout(["tune", "--family", family, "--corpus", str(CORPUS), "--out", str(model)])
