@@ -1,8 +1,10 @@
+import os
 import time
 from pathlib import Path
 
 import pytest
 
+import bullyguard
 from bullyguard.corpus import CommentRecord, Label
 from bullyguard.preprocess import (
     NormalizationLexicon,
@@ -13,6 +15,13 @@ from bullyguard.preprocess import (
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SYNTHETIC_CSV = REPO_ROOT / "data" / "comments_synthetic.csv"
+
+
+def src_env() -> dict[str, str]:
+    """The environment with this checkout's package first on PYTHONPATH."""
+    src = str(Path(bullyguard.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
 @pytest.fixture(scope="session")

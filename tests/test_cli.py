@@ -3,7 +3,6 @@ import importlib.util
 import inspect
 import io
 import json
-import os
 import re
 import subprocess
 import sys
@@ -11,7 +10,6 @@ from pathlib import Path
 
 import pytest
 
-import bullyguard
 from bullyguard import cli, eval as study, linear_models, neural
 from bullyguard.artifact import ArtifactError, load_artifact, predict_text
 from bullyguard.cli import PREDICT_CHUNK_LINES, main
@@ -19,18 +17,11 @@ from bullyguard.corpus import Label, SplitSpec, write_corpus
 from bullyguard.features import TfidfConfig
 from bullyguard.neural import BLOCK_NAMES, TrainConfig
 from bullyguard.preprocess import PipelineConfig, default_lexicon_paths, run_pipeline
-from conftest import make_record
+from conftest import make_record, src_env
 
 B, N = Label.BULLYING, Label.NON_BULLYING
 REPO = Path(__file__).resolve().parents[1]
 PERFBENCH = REPO / "perfbench"
-
-
-def src_env() -> dict[str, str]:
-    """The environment with this checkout's package first on PYTHONPATH."""
-    src = str(Path(bullyguard.__file__).resolve().parents[1])
-    return dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
 def write_fixture_corpus(tmp_path, n_half=10, name="corpus.csv"):

@@ -23,14 +23,12 @@ peak, in a fresh process, must not exceed that forward's.
 
 import itertools
 import math
-import os
 import re
 import subprocess
 import sys
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -76,7 +74,7 @@ from bullyguard.preprocess import (
     stem,
 )
 
-from conftest import SYNTHETIC_CSV
+from conftest import SYNTHETIC_CSV, src_env
 
 # ----------------------------------------------------------------------------
 # oracles: the code the fast paths replaced
@@ -698,14 +696,11 @@ def test_predict_batch_peaks_no_higher_than_per_token_gates_oracle(tmp_path):
     ids, lens = encode_batch(CHUNK_TOKENS, NEURAL_VOCAB)
     np.save(tmp_path / "ids.npy", ids)
     np.save(tmp_path / "lens.npy", lens)
-    src = str(Path(neural.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     for use_attention in (False, True):
         args = (NEURAL_VOCAB.size, use_attention, NEURAL_SEED)
         proc = subprocess.run([sys.executable, "-c", FRESH_PEAK, str(tmp_path / "ids.npy"),
                                str(tmp_path / "lens.npy"), *map(str, args)],
-                              env=env, capture_output=True, text=True, check=True)
+                              env=src_env(), capture_output=True, text=True, check=True)
         params = init_params(NEURAL_VOCAB.size, TrainConfig(), use_attention, Rng(NEURAL_SEED))
         want = _traced_peak(lambda: oracle_predict_probs(params, ids, lens))
         assert int(proc.stdout) <= want, (use_attention, int(proc.stdout), want)
