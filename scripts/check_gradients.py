@@ -19,8 +19,9 @@ import sys
 
 import numpy as np
 
-from bullyguard.neural import TrainConfig, gradient_check, init_params
+from bullyguard.neural import TrainConfig, init_params
 from bullyguard.rng import Rng
+from gradcheck import gradient_check
 
 
 def main() -> int:

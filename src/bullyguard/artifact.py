@@ -16,12 +16,13 @@ the same thing.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .corpus import CLASS_ORDER, CommentRecord, Label
+from .base import CLASS_ORDER, Label
 from .features import TfidfConfig, TfidfModel, Vocabulary, transform_all
 from .linear_models import (
     CLASSICAL_FAMILIES,
@@ -38,8 +39,9 @@ from .preprocess import (
 )
 
 # neural and numpy are imported only where a neural artifact is read or
-# scored, so a classical predict never loads them
+# scored, so a classical predict never loads them; nor does it load corpus
 if TYPE_CHECKING:
+    from .corpus import CommentRecord
     from .neural import NeuralNetParams, NeuralVocab
 
 FORMAT_VERSION = 2  # version 2 stores one fused w, u, b per LSTM direction
@@ -171,7 +173,18 @@ def _classical_lines(artifact: ModelArtifact) -> list[str]:
     return lines
 
 
+def _param_lines(params: NeuralNetParams):
+    """Each block's header, shape and rows, one line at a time."""
+    for name, arr in params.blocks.items():
+        yield f"[param {name}]"
+        yield "shape " + " ".join(str(d) for d in arr.shape)
+        for row in arr.reshape(arr.shape[0], -1) if arr.ndim > 1 else arr.reshape(1, -1):
+            yield _fmt_row(row.tolist())
+
+
 def save_artifact(artifact: ModelArtifact, path: str | Path) -> None:
+    """Write the artifact line by line; everything but the neural parameter
+    rows is built and checked before the file is opened."""
     lines = [
         f"{MAGIC} {FORMAT_VERSION}",
         f"family {artifact.family}",
@@ -182,6 +195,7 @@ def save_artifact(artifact: ModelArtifact, path: str | Path) -> None:
         f"data_fingerprint {artifact.data_fp}",
     ]
     lines.extend(_flag_lines("pipeline", artifact.pipeline))
+    rows = ()  # the neural parameter rows, formatted as they are written
     if artifact.family in CLASSICAL_FAMILIES:
         if artifact.tfidf is None or artifact.model is None:
             raise ArtifactError("classical artifact requires a fitted tfidf model and classifier")
@@ -200,13 +214,10 @@ def save_artifact(artifact: ModelArtifact, path: str | Path) -> None:
             f"vocab {vocab.size}",
         ])
         lines.extend(_token_lines(vocab.token_to_id, lambda idx: ""))
-        for name, arr in params.blocks.items():
-            lines.append(f"[param {name}]")
-            lines.append("shape " + " ".join(str(d) for d in arr.shape))
-            matrix = arr.reshape(arr.shape[0], -1) if arr.ndim > 1 else arr.reshape(1, -1)
-            lines.extend(_fmt_row(row) for row in matrix.tolist())
-    lines.append("end")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        rows = _param_lines(params)
+    with Path(path).open("w", encoding="utf-8") as handle:
+        for line in itertools.chain(lines, rows, ["end"]):
+            handle.write(line + "\n")
 
 
 # ----------------------------------------------------------------------------

@@ -8,13 +8,15 @@ Each command imports what it runs: the study code (``eval``) and the neural
 network (``neural``) load only in ``benchmark`` and in a neural ``train``, and
 ``neural`` also when ``predict`` reads a neural model. numpy loads only where
 a model is trained or a neural model is read, so a classical ``predict``
-never imports it.
+never imports it. Nor does any ``predict`` import the corpus loader
+(``corpus``) or the PRNG (``rng``): the label space and the settings types
+it shares with the other commands live in ``base``, and ``configparser``
+loads only with ``--config``.
 """
 
 from __future__ import annotations
 
 import argparse
-import configparser
 import inspect
 import itertools
 import math
@@ -36,17 +38,7 @@ from .artifact import (
     preprocessing_fingerprint,
     save_artifact,
 )
-from .corpus import (
-    DEFAULT_COLUMNS,
-    CorpusError,
-    SplitSpec,
-    TrainConfig,
-    compute_stats,
-    load_corpus,
-    majority_label,
-    stratified_split,
-    validate_corpus,
-)
+from .base import DEFAULT_COLUMNS, DEFAULT_SEED, CorpusError, SplitSpec, TrainConfig
 from .features import FeatureError, TfidfConfig, fit_tfidf, transform_all
 from .linear_models import (
     CLASSICAL_FAMILIES,
@@ -71,7 +63,6 @@ from .preprocess import (
     load_stemmer_rules,
     run_pipeline_trace,
 )
-from .rng import DEFAULT_SEED
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -205,6 +196,8 @@ def _read_keys(path: str | Path) -> dict[tuple[str, str], object]:
     """Each key of the config file, read by its row of _KEYS in file order,
     so the first bad one is named. A relative path in it is relative to the
     file's directory."""
+    import configparser
+
     parser = configparser.ConfigParser()
     try:
         with open(path, encoding="utf-8") as handle:
@@ -326,6 +319,8 @@ def _corpus_path(ns: argparse.Namespace, rt: Runtime) -> Path:
 
 
 def _load_records(ns: argparse.Namespace, rt: Runtime):
+    from .corpus import load_corpus
+
     return load_corpus(_corpus_path(ns, rt), rt.delimiter, rt.column_map)
 
 
@@ -359,6 +354,8 @@ def _say(rt: Runtime, message: str) -> None:
 # ----------------------------------------------------------------------------
 
 def cmd_stats(ns: argparse.Namespace) -> int:
+    from .corpus import compute_stats, validate_corpus
+
     rt = _resolve_runtime(ns)
     records = _load_records(ns, rt)
     report = validate_corpus(records)
@@ -403,6 +400,8 @@ def _train_artifact(rt: Runtime, prep: Preprocessor, records, family: str,
     """Shared by train and tune: fit one model, preprocessed by prep (which
     runs rt's pipeline), and wrap it as an artifact. params are a classical
     family's trainer keywords."""
+    from .corpus import majority_label, stratified_split
+
     labels = [rec.label for rec in records]
     base = ModelArtifact(
         family=family,

@@ -20,14 +20,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .artifact import data_fingerprint, preprocessing_fingerprint
-from .corpus import (
-    CLASS_ORDER,
-    CommentRecord,
-    Label,
-    TrainConfig,
-    majority_label,
-    stratified_split,
-)
+from .base import CLASS_ORDER, Label, TrainConfig
+from .corpus import CommentRecord, majority_label, stratified_split
 from .features import TfidfConfig
 from .linear_models import (
     CLASSICAL_FAMILIES,

@@ -21,9 +21,8 @@ import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from .corpus import CLASS_ORDER, Label, kfold_split
+from .base import CLASS_ORDER, DEFAULT_SEED, Label
 from .features import Row, TfidfConfig, fit_tfidf, transform_all
-from .rng import DEFAULT_SEED, Rng
 
 if TYPE_CHECKING:
     import numpy as np
@@ -203,23 +202,6 @@ def _lr_stack(Xs: list[Csr], ys: list, lambdas: list[float]):
     return starts, sizes, loss_grad
 
 
-def lr_loss_grad(
-    X: Csr,
-    y_signed: np.ndarray,
-    weights: np.ndarray,
-    bias: float,
-    l2_lambda: float,
-) -> tuple[float, np.ndarray, float]:
-    """Objective and gradient of the regularized logistic loss.
-
-    J = (1/N) sum log(1 + exp(-y (Xw + b))) + (lambda/2) ||w||^2 with
-    y in {-1, +1}; the bias is unregularized.
-    """
-    import numpy as np
-    losses, grad = _lr_stack([X], [y_signed], [l2_lambda])[2](np.append(weights, bias))
-    return float(losses[0]), grad[:-1], float(grad[-1])
-
-
 def train_lr(
     X: Csr,
     labels01: list[int],
@@ -326,6 +308,7 @@ SVM_MAX_MAGNITUDE = 1e12
 def _epoch_orders(seed: int, n: int, epochs: int) -> np.ndarray:
     """train_svm's example order per epoch, read-only and shared by every
     training with the same seed, row count and epochs (a grid search's)."""
+    from .rng import Rng
     return Rng(seed).permutations(n, epochs)
 
 
@@ -491,6 +474,7 @@ def featurize_folds(
     The TF-IDF model is fitted on each fold's training documents only; the
     held-out fold is transformed with that model, never fitted on.
     """
+    from .corpus import kfold_split
     folds = []
     for train_idx, test_idx in kfold_split(labels, k, seed):
         train_tokens = [token_lists[i] for i in train_idx]

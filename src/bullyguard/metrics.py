@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .corpus import CLASS_ORDER, Label
+from .base import CLASS_ORDER, Label
 
 
 @dataclass(frozen=True)

@@ -24,12 +24,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .corpus import TrainConfig
+from .base import TrainConfig
 from .linear_models import TrainingError
-from .rng import Rng
+
+if TYPE_CHECKING:  # only training draws, so predict never loads the PRNG
+    from .rng import Rng
 
 PAD_ID = 0
 UNK_ID = 1
@@ -595,20 +598,6 @@ def _embedding_grad(tokens: np.ndarray, dx: np.ndarray, shape: tuple[int, int],
     return np.bincount(slots.ravel(), weights=dx.ravel(), minlength=v * d).reshape(v, d)
 
 
-def backward(
-    batch: tuple[np.ndarray, np.ndarray, np.ndarray],
-    params: NeuralNetParams,
-) -> dict[str, np.ndarray]:
-    """Exact gradients of the mean batch cross-entropy w.r.t. every block.
-
-    ``batch`` is (ids (B,T), valid_lens (B,), labels (B,)). Raises on any
-    non-finite gradient, naming the offending parameter block.
-    """
-    ids, valid_lens, labels = batch
-    cache = _forward_batch(ids, valid_lens, params)
-    return _backward_from_cache(cache, np.asarray(labels, dtype=np.int64), params)
-
-
 # ----------------------------------------------------------------------------
 # Adam
 # ----------------------------------------------------------------------------
@@ -749,6 +738,7 @@ def train(
     if np.any(train_lens == 0) or np.any(val_lens == 0):
         raise NeuralError("empty sequences must be dropped before training")
 
+    from .rng import Rng
     rng = Rng(config.seed)
     params = init_params(vocab_size, config, use_attention, rng)
     state = init_adam_state(params)
@@ -827,78 +817,3 @@ def predict_batch(
         probs[rows] = _softmax(
             _forward_batch(ids[rows], valid_lens[rows], params, ws, gates).logits)
     return probs.argmax(axis=1), probs
-
-
-# ----------------------------------------------------------------------------
-# gradient checking
-# ----------------------------------------------------------------------------
-
-@dataclass
-class GradCheckReport:
-    per_block: dict[str, float]
-    n_checked: int
-    tolerance: float
-
-    @property
-    def max_rel_error(self) -> float:
-        return max(self.per_block.values())
-
-    @property
-    def passed(self) -> bool:
-        return self.max_rel_error < self.tolerance
-
-    def render_text(self) -> str:
-        lines = [f"gradient check over {self.n_checked} coordinates"]
-        for name, err in self.per_block.items():
-            lines.append(f"  {name}: max rel err {err:.3e}")
-        verdict = "pass" if self.passed else "FAIL"
-        lines.append(f"  overall: {self.max_rel_error:.3e} "
-                     f"({verdict} at tolerance {self.tolerance:.0e})")
-        return "\n".join(lines)
-
-
-def gradient_check(
-    params: NeuralNetParams,
-    batch: tuple[np.ndarray, np.ndarray, np.ndarray],
-    h: float = 1e-5,
-    tolerance: float = 1e-4,
-    n_per_block: int = 20,
-    seed: int = 0,
-) -> GradCheckReport:
-    """Central finite differences vs analytic gradients, per parameter block.
-
-    Samples up to n_per_block coordinates per block (all of them for small
-    blocks) with the pinned PRNG. Relative error uses the symmetric form
-    |a - n| / max(|a|, |n|, 1e-12).
-    """
-    ids, valid_lens, labels = batch
-    ids = np.asarray(ids, dtype=np.int64)
-    valid_lens = np.asarray(valid_lens, dtype=np.int64)
-    labels = np.asarray(labels, dtype=np.int64)
-    analytic = backward((ids, valid_lens, labels), params)
-    rng = Rng(seed)
-    per_block: dict[str, float] = {}
-    n_checked = 0
-
-    def loss_now() -> float:
-        return batch_loss(_forward_batch(ids, valid_lens, params), labels)
-
-    for name, arr in params.blocks.items():
-        flat = arr.reshape(-1)
-        k = min(n_per_block, flat.size)
-        coords = rng.sample_indices(flat.size, k)
-        worst = 0.0
-        for idx in coords:
-            original = flat[idx]
-            flat[idx] = original + h
-            loss_plus = loss_now()
-            flat[idx] = original - h
-            loss_minus = loss_now()
-            flat[idx] = original
-            numeric = (loss_plus - loss_minus) / (2.0 * h)
-            a = float(analytic[name].reshape(-1)[idx])
-            rel = abs(a - numeric) / max(abs(a), abs(numeric), 1e-12)
-            worst = max(worst, rel)
-            n_checked += 1
-        per_block[name] = worst
-    return GradCheckReport(per_block=per_block, n_checked=n_checked, tolerance=tolerance)

@@ -35,10 +35,10 @@ from __future__ import annotations
 import functools
 from typing import TYPE_CHECKING
 
+from .base import DEFAULT_SEED  # re-exported: the seed of a run that sets none
+
 if TYPE_CHECKING:
     import numpy as np
-
-DEFAULT_SEED = 42  # the seed of a run that sets none: its split, folds, SVM and BiLSTM
 
 _MASK64 = (1 << 64) - 1
 _DOUBLE_UNIT = 1.0 / (1 << 53)
@@ -242,14 +242,3 @@ class Rng:
             if t + 1 == last_steps:
                 self._s = [int(w[-1]) for w in words]
         return out.T.reshape(-1)[:n]
-
-    def sample_indices(self, n: int, k: int) -> list[int]:
-        """k distinct indices from range(n), in draw order."""
-        if k > n:
-            raise ValueError("cannot sample more indices than available")
-        pool = list(range(n))
-        picked = []
-        for _ in range(k):
-            j = self.randbelow(len(pool))
-            picked.append(pool.pop(j))
-        return picked

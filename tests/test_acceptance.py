@@ -18,7 +18,6 @@ from bullyguard.eval import run_benchmark
 from bullyguard.features import TfidfConfig, fit_tfidf, transform, transform_all
 from bullyguard.linear_models import (
     Csr,
-    lr_loss_grad,
     predict_lr,
     predict_nb,
     predict_svm,
@@ -34,15 +33,16 @@ from bullyguard.neural import (
     build_neural_vocab,
     encode_batch,
     forward_classify,
-    gradient_check,
     init_params,
     predict_batch,
     train,
 )
 from bullyguard.rng import Rng
+from gradcheck import gradient_check
 from test_features import dense as dense_row, dense_tfidf_oracle
 from test_linear_models import csr, nb_posterior_oracle, rows, separable_toy, sv
 from test_neural import attention, keyword_task
+from test_oracles import lr_loss_grad
 
 B, N = Label.BULLYING, Label.NON_BULLYING
 DEFAULT = TrainConfig()  # its min_freq and max_len_cap build each vocabulary

@@ -628,7 +628,7 @@ def fail_if_reached(monkeypatch):
     """Make loading or preprocessing the corpus fail the test."""
     def unreachable(*args, **kwargs):
         raise AssertionError("read the corpus before the arguments were checked")
-    monkeypatch.setattr(cli, "load_corpus", unreachable)
+    monkeypatch.setattr("bullyguard.corpus.load_corpus", unreachable)
     monkeypatch.setattr(cli.Preprocessor, "corpus", unreachable)
 
 
@@ -1374,15 +1374,16 @@ LOADED_MODULES = (
     "from bullyguard import cli\n"
     "code = cli.main(sys.argv[1:])\n"
     "print(' '.join(sorted(m for m in sys.modules\n"
-    "                      if m.startswith('bullyguard.')\n"
-    "                      or m in ('numpy', 'statistics', 'csv', 'json'))))\n"
+    "                      if m.partition('.')[0] == 'bullyguard'\n"
+    "                      or m in ('numpy', 'statistics', 'csv', 'json', 'configparser'))))\n"
     "sys.exit(code)\n"
 )
 
 
 def loaded_modules(args) -> set[str]:
-    """The bullyguard modules, and numpy, statistics, csv and json if loaded,
-    that a fresh process has loaded after cli.main(args), which must return 0."""
+    """The bullyguard package and modules, and numpy, statistics, csv, json
+    and configparser if loaded, that a fresh process has loaded after
+    cli.main(args), which must return 0."""
     proc = subprocess.run([sys.executable, "-c", LOADED_MODULES, *map(str, args)],
                           env=src_env(), capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
@@ -1405,6 +1406,10 @@ def bundled_models(tmp_path_factory, synthetic_corpus_path):
 NEURAL, STUDY, NUMPY = "bullyguard.neural", "bullyguard.eval", "numpy"
 # what only the corpus readers and writers, stats, the study and its reports use
 UNUSED_BY_PREDICT = {"statistics", "csv", "json", "bullyguard.metrics"}
+# all a classical predict loads: scoring, and base's label space and settings
+# types; not the corpus loader, the PRNG or, without --config, configparser
+CLASSICAL_PREDICT = {"bullyguard", *(f"bullyguard.{name}" for name in (
+    "base", "cli", "artifact", "features", "linear_models", "preprocess"))}
 
 
 @pytest.mark.parametrize("family, unloaded", [
@@ -1417,6 +1422,9 @@ def test_predict_loads_only_its_family(tmp_path, bundled_models, family, unloade
     loaded = loaded_modules(["predict", "--model", bundled_models[family], "--input", lines])
     assert "bullyguard.artifact" in loaded and not loaded & unloaded
     assert (NUMPY in loaded) == (NUMPY not in unloaded)
+    assert not loaded & {"bullyguard.corpus", "bullyguard.rng", "configparser"}
+    neural = set() if family in linear_models.CLASSICAL_FAMILIES else {NEURAL, NUMPY}
+    assert loaded == CLASSICAL_PREDICT | neural
 
 
 def test_classical_predict_with_every_config_key_loads_no_numpy(
@@ -1450,6 +1458,8 @@ dir = {tmp_path / "reports"}
     loaded = loaded_modules(["predict", "--model", bundled_models["lr"], "--input", lines,
                              "--config", config])
     assert "bullyguard.preprocess" in loaded and not loaded & {NUMPY, NEURAL}
+    assert not loaded & {"bullyguard.corpus", "bullyguard.rng"}
+    assert loaded == CLASSICAL_PREDICT | {"configparser"}
 
 
 def test_importing_the_cli_loads_no_numpy():
@@ -1496,30 +1506,64 @@ def wrong_block_shape(lines):
     return lines[:i + 1] + ["shape 3"] + lines[i + 2:]
 
 
-@pytest.mark.parametrize("case", ["neural_min_freq", "neural_block_shape", "svm_reg_lambda"])
+# a corpus row with five of the six fields
+MALFORMED_CSV = ("no;username;komentar;label;tanggal;akun_target\n"
+                 "1;a;kamu jelek;Bullying;2024-01-01\n")
+
+
+@pytest.mark.parametrize("case", [
+    "neural_min_freq", "neural_block_shape", "svm_reg_lambda", "stats_strict_duplicates",
+    "train_malformed_csv", "tune_too_few_records", "predict_split_fraction",
+    "predict_patience"])
 def test_exit_codes_hold_when_the_raising_module_loads_late(tmp_path, trained_models, case):
-    corpus = write_fixture_corpus(tmp_path)
+    """Each command's error ends in its exit code and one stderr line, also
+    when the module that raises it (neural, corpus) loads only inside the
+    command; a predict config is refused before the model or input is read."""
+    corpus = write_fixture_corpus(tmp_path)  # its texts repeat: a duplicate for --strict
+    first = "error: "  # the start of the one stderr line
     if case == "neural_min_freq":
         config = write_config(tmp_path, FAST_MODEL_INI.replace(
             "[model]\n", "[model]\nmin_freq = 100000\n"), name="bad.ini")
         args, code = ["train", "--family", "bilstm", "--corpus", corpus, "--config", config,
                       "--out", tmp_path / "m.txt"], 3
+        said = "min_freq"
     elif case == "neural_block_shape":
         model = tmp_path / "bad.model"
         lines = trained_models["bilstm"].read_text(encoding="utf-8").splitlines()
         model.write_text("\n".join(wrong_block_shape(lines)) + "\n", encoding="utf-8")
         text = tmp_path / "input.txt"
         text.write_text("halo bodoh jelek anjing\n", encoding="utf-8")
-        args, code = ["predict", "--model", model, "--input", text], 1
-    else:
+        args, code, said = ["predict", "--model", model, "--input", text], 1, "shape"
+    elif case == "svm_reg_lambda":
         config = write_config(tmp_path, "[model]\nreg_lambda = 1e-320\n", name="bad.ini")
         args, code = ["train", "--family", "svm", "--corpus", corpus, "--config", config,
                       "--out", tmp_path / "m.txt"], 3
+        said = "reg_lambda"
+    elif case == "stats_strict_duplicates":  # the report goes to stdout
+        args, code = ["stats", "--strict", "--corpus", corpus], 2
+        first, said = "strict mode: ", "validation failures"
+    elif case == "train_malformed_csv":
+        bad = tmp_path / "bad.csv"
+        bad.write_text(MALFORMED_CSV, encoding="utf-8")
+        args, code = ["train", "--family", "nb", "--corpus", bad, "--out", tmp_path / "m.txt"], 2
+        said = "line 2: expected 6 fields, found 5"
+    elif case == "tune_too_few_records":  # kfold_split's CorpusError
+        small = write_fixture_corpus(tmp_path, n_half=2, name="small.csv")
+        args, code = ["tune", "--family", "nb", "--folds", "3", "--corpus", small,
+                      "--out", tmp_path / "m.txt"], 2
+        said = "fewer than k=3"
+    else:  # neither the model nor the input exists: the config is refused first
+        section, said = (("[split]\ntrain_fraction = 1.5\n", "split fractions")
+                         if case == "predict_split_fraction"
+                         else ("[model]\npatience = 100\n", "patience cannot exceed"))
+        config = write_config(tmp_path, section, name="bad.ini")
+        args, code = ["predict", "--model", tmp_path / "none.model", "--input",
+                      tmp_path / "none.txt", "--config", config], 1
     proc = run_module_cli([*args, "--quiet"])
     assert proc.returncode == code
-    assert proc.stdout == ""
-    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
-    assert "Traceback" not in proc.stderr
+    assert (proc.stdout == "") == (case != "stats_strict_duplicates")
+    assert proc.stderr.startswith(first) and proc.stderr.count("\n") == 1
+    assert said in proc.stderr and "Traceback" not in proc.stderr
     assert not (tmp_path / "m.txt").exists()
 
 

@@ -17,7 +17,6 @@ from bullyguard.linear_models import (
     expand_grid,
     featurize_folds,
     grid_search,
-    lr_loss_grad,
     nb_log_scores,
     predict_family,
     predict_lr,
@@ -30,6 +29,7 @@ from bullyguard.linear_models import (
 from bullyguard.preprocess import PipelineConfig, preprocess_corpus
 from bullyguard.rng import Rng
 from test_features import FLOATS, MAX_ROWS, N_COLS, ROWS, csr_rows, py_rows
+from test_oracles import lr_loss_grad
 
 B, N = Label.BULLYING, Label.NON_BULLYING
 

@@ -21,13 +21,11 @@ from bullyguard.neural import (
     NeuralNetParams,
     TrainConfig,
     adam_step,
-    backward,
     batch_loss,
     build_neural_vocab,
     encode_batch,
     encode_pad,
     forward_classify,
-    gradient_check,
     init_adam_state,
     init_params,
     iter_batches,
@@ -48,6 +46,7 @@ from bullyguard.neural import (
 )
 from bullyguard.preprocess import PipelineConfig, Preprocessor
 from bullyguard.rng import Rng
+from gradcheck import backward, gradient_check
 
 TINY = TrainConfig(embedding_dim=4, hidden_dim=3, attention_dim=3, batch_size=2)
 DEFAULT = TrainConfig()  # its min_freq and max_len_cap build each vocabulary

@@ -9,10 +9,11 @@ must give exactly what the code below gives: the same strings and tokens,
 and the same bits in every TF-IDF value.
 
 Logistic regression trains every (candidate, fold) problem of a grid search
-in one stacked gradient descent, and `train_lr` and `lr_loss_grad` are its
-one-problem case. Each problem must get the weights, bias and loss history
-of the one-problem loop below, bit for bit, and a grid must raise the error
-that loop raises first in grid order.
+in one stacked gradient descent, and `train_lr` and `lr_loss_grad` (below,
+which the LR gradient tests read) are its one-problem case. Each problem
+must get the weights, bias and loss history of the one-problem loop below,
+bit for bit, and a grid must raise the error that loop raises first in grid
+order.
 
 A neural `predict_batch` computes the input gates x @ w + b once per distinct
 token id of the call and gathers each packed row's from that table. Its
@@ -46,7 +47,6 @@ from bullyguard.linear_models import (
     expand_grid,
     featurize_folds,
     fold_reports,
-    lr_loss_grad,
     predict_family,
     train_lr,
 )
@@ -356,6 +356,18 @@ def test_bundled_tfidf_rows_match_counter_oracle():
 # ----------------------------------------------------------------------------
 # logistic regression: the one-problem gradient descent
 # ----------------------------------------------------------------------------
+
+def lr_loss_grad(X, y_signed, weights, bias, l2_lambda):
+    """Objective and gradient of the regularized logistic loss, as the
+    one-problem case of the stack train_lr descends:
+
+    J = (1/N) sum log(1 + exp(-y (Xw + b))) + (lambda/2) ||w||^2 with
+    y in {-1, +1}; the bias is unregularized.
+    """
+    losses, grad = linear_models._lr_stack([X], [y_signed], [l2_lambda])[2](
+        np.append(weights, bias))
+    return float(losses[0]), grad[:-1], float(grad[-1])
+
 
 def oracle_lr_loss_grad(X, y_signed, weights, bias, l2_lambda):
     n = len(X)
