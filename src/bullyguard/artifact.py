@@ -478,7 +478,6 @@ def predict_texts(
     if prep.config != artifact.pipeline:
         raise ValueError("the preprocessor's pipeline differs from the model's")
     token_lists = prep.corpus(texts)
-    predictions = [_fallback(artifact) for _ in texts]
     if artifact.family in CLASSICAL_FAMILIES:
         rows = [i for i, tokens in enumerate(token_lists) if tokens]
         X = transform_all([token_lists[i] for i in rows], artifact.tfidf)
@@ -493,9 +492,10 @@ def predict_texts(
         classes, probs = predict_batch(artifact.model, ids[rows], lens[rows])
         labels = [CLASS_ORDER[cls] for cls in classes.tolist()]
         scores = probs[np.arange(len(rows)), classes].tolist()
+    predictions: list[Prediction | None] = [None] * len(texts)
     for row, label, score in zip(rows, labels, scores):
         predictions[row] = Prediction(label, score, False)
-    return predictions
+    return [pred or Prediction(artifact.majority_label, 0.0, True) for pred in predictions]
 
 
 def predict_text(
@@ -507,6 +507,3 @@ def predict_text(
     """Classify one raw comment; see predict_texts."""
     return predict_texts(artifact, [text], Preprocessor(artifact.pipeline, lexicon, rules))[0]
 
-
-def _fallback(artifact: ModelArtifact) -> Prediction:
-    return Prediction(label=artifact.majority_label, score=0.0, empty_input=True)

@@ -59,12 +59,15 @@ class SplitSpec:
     seed: int
     stratified: bool = True
 
-    def __post_init__(self):
+    def __post_init__(self):  # each message starts with the fields it refuses
         fractions = (self.train_fraction, self.val_fraction, self.test_fraction)
-        if any(not 0.0 < f < 1.0 for f in fractions):
-            raise ValueError(f"split fractions must lie in (0, 1), got {fractions}")
+        names = ("train_fraction", "val_fraction", "test_fraction")
+        if bad := [name for name, f in zip(names, fractions) if not 0.0 < f < 1.0]:
+            raise ValueError(f"{', '.join(bad)}: split fractions must lie in (0, 1), "
+                             f"got {fractions}")
         if abs(sum(fractions) - 1.0) > 1e-9:
-            raise ValueError(f"split fractions must sum to 1, got {sum(fractions)!r}")
+            raise ValueError(f"{', '.join(names)}: split fractions must sum to 1, "
+                             f"got {sum(fractions)!r}")
 
     @property
     def fractions(self) -> tuple[float, float, float]:
@@ -90,16 +93,16 @@ class TrainConfig:
     min_freq: int = 1
     max_len_cap: int = 40
 
-    def __post_init__(self):
+    def __post_init__(self):  # each message starts with the fields it refuses
         for name in ("batch_size", "embedding_dim", "hidden_dim", "attention_dim",
                      "learning_rate", "max_epochs", "patience"):
             if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+                raise ValueError(f"{name}: must be positive, got {getattr(self, name)}")
         if self.patience > self.max_epochs:
-            raise ValueError("patience cannot exceed max_epochs")
+            raise ValueError(f"patience, max_epochs: patience cannot exceed max_epochs, "
+                             f"got {self.patience} > {self.max_epochs}")
         # a cap of 0 would leave no token to classify; a min_freq below 1
-        # keeps the same tokens as 1. Named as the config key that sets each.
+        # keeps the same tokens as 1
         for name in ("min_freq", "max_len_cap"):
             if getattr(self, name) < 1:
-                raise ValueError(f"config [model] {name}: expected at least 1, "
-                                 f"got {getattr(self, name)}")
+                raise ValueError(f"{name}: expected at least 1, got {getattr(self, name)}")

@@ -226,9 +226,13 @@ def _read_keys(path: str | Path) -> dict[tuple[str, str], object]:
 
 
 def _settings(values: dict, section: str, cls, **fixed):
-    """A cls dataclass from the section's keys named as its fields, and `fixed`."""
-    return cls(**{f.name: values[(section, f.name)] for f in fields(cls)
-                  if f.name not in fixed}, **fixed)
+    """A cls dataclass from the section's keys named as its fields, and `fixed`.
+    Its checks' messages start with the fields they refuse: the config keys."""
+    try:
+        return cls(**{f.name: values[(section, f.name)] for f in fields(cls)
+                      if f.name not in fixed}, **fixed)
+    except ValueError as exc:
+        raise ConfigError(f"config [{section}] {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -522,12 +526,14 @@ def cmd_predict(ns: argparse.Namespace) -> int:
     lines = _predict_input_lines(ns.input)
     lineno = 0
     while chunk := list(itertools.islice(lines, PREDICT_CHUNK_LINES)):
+        out = []  # one write per chunk
         for pred in predict_texts(artifact, chunk, prep):
             lineno += 1
             if pred.empty_input:
                 print(f"warning: line {lineno} preprocessed to empty; "
                       f"using majority class", file=sys.stderr)
-            print(f"{pred.label.value}\t{pred.score:.6f}")
+            out.append(f"{pred.label.value}\t{pred.score:.6f}\n")
+        sys.stdout.write("".join(out))
     return EXIT_OK
 
 

@@ -105,16 +105,15 @@ def transform_all(token_lists: list[list[str]], model: TfidfModel) -> list[Row]:
             if i is not None:
                 counts[i] = counts.get(i, 0) + 1
         ids = sorted(counts)
-        if sublinear:
-            values = [(1.0 + log(float(counts[i]))) * idf[i] for i in ids]
-        else:
-            values = [float(counts[i]) * idf[i] for i in ids]
+        values = []
+        # a plain left-to-right sum: sum() compensates floats on Python 3.12+,
+        # which would tie the values to the Python version
+        squares = 0.0
+        for i in ids:  # an int count converts to float exactly, as float() would
+            v = ((1.0 + log(counts[i])) if sublinear else counts[i]) * idf[i]
+            values.append(v)
+            squares += v * v
         if normalize and values:
-            # a plain left-to-right sum: sum() compensates floats on Python
-            # 3.12+, which would tie the values to the Python version
-            squares = 0.0
-            for v in values:
-                squares += v * v
             norm = sqrt(squares)
             values = [v / norm for v in values]
         rows.append((ids, values))

@@ -14,9 +14,9 @@ load_stemmer_rules); packaged starter files live under bullyguard/data.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass, field
-from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 
@@ -28,7 +28,10 @@ class LexiconError(Exception):
 _URL_RE = re.compile(r"(?:https?://|www\.)\S+")
 _MENTION_RE = re.compile(r"@[\w.]+")
 _HASHTAG_RE = re.compile(r"#\w+")
-_NON_ALPHA_RE = re.compile(r"[^a-z ]")
+# Every byte but a-z as a space. UTF-8 writes each non-ASCII character with
+# bytes >= 0x80 alone, so the words of an encoded text mapped through this
+# table are exactly the text's runs of a-z.
+_LETTER_BYTES = bytes(b if 97 <= b <= 122 else 32 for b in range(256))
 
 
 @dataclass(frozen=True)
@@ -64,9 +67,15 @@ class StemmerRules:
     prefix_rules: tuple[PrefixRule, ...]
     forbidden_pairs: frozenset[tuple[str, str]]  # (prefix class, derivational suffix)
     min_stem_length: int = 3
-    # Built from the fields above: the prefix rules by their pattern's first
-    # letter, in file order, and the prefix classes each suffix forbids.
-    _prefixes_by_initial: dict[str, tuple[PrefixRule, ...]] = field(
+    # Built from the fields above: the prefix rules, as (class, pattern,
+    # recodings), by their pattern's first letter and each suffix list by its
+    # suffixes' last letter, in file order, and the prefix classes each
+    # suffix forbids.
+    _prefixes_by_initial: dict[str, tuple[tuple[str, str, tuple[str, ...]], ...]] = field(
+        init=False, repr=False, compare=False)
+    _inflectional_by_final: dict[str, tuple[str, ...]] = field(
+        init=False, repr=False, compare=False)
+    _derivational_by_final: dict[str, tuple[str, ...]] = field(
         init=False, repr=False, compare=False)
     _forbidden_by_suffix: dict[str, frozenset[str]] = field(
         init=False, repr=False, compare=False)
@@ -75,16 +84,23 @@ class StemmerRules:
         if not isinstance(self.min_stem_length, int) or self.min_stem_length < 1:
             raise LexiconError(f"min_stem_length must be an integer of at least 1, "
                                f"got {self.min_stem_length!r}")
-        by_initial: dict[str, list[PrefixRule]] = {}
         for rule in self.prefix_rules:
             if not rule.pattern:
                 raise LexiconError(f"prefix rule of class {rule.cls!r} has an empty pattern")
-            by_initial.setdefault(rule.pattern[0], []).append(rule)
+        if "" in self.inflectional_suffixes + self.derivational_suffixes:
+            raise LexiconError("suffix rules hold an empty suffix")
         by_suffix: dict[str, set[str]] = {}
         for cls, sfx in self.forbidden_pairs:
             by_suffix.setdefault(sfx, set()).add(cls)
-        object.__setattr__(self, "_prefixes_by_initial",
-                           {ch: tuple(rules) for ch, rules in by_initial.items()})
+        for name, items, key in (
+                ("_prefixes_by_initial", [(r.cls, r.pattern, r.recodings) for r in self.prefix_rules],
+                 lambda rule: rule[1][0]),
+                ("_inflectional_by_final", self.inflectional_suffixes, lambda sfx: sfx[-1]),
+                ("_derivational_by_final", self.derivational_suffixes, lambda sfx: sfx[-1])):
+            groups: dict[str, list] = {}
+            for item in items:
+                groups.setdefault(key(item), []).append(item)
+            object.__setattr__(self, name, {ch: tuple(group) for ch, group in groups.items()})
         object.__setattr__(self, "_forbidden_by_suffix",
                            {sfx: frozenset(classes) for sfx, classes in by_suffix.items()})
 
@@ -103,8 +119,10 @@ class PipelineConfig:
     def __post_init__(self):
         if self.elongation_min_run < 2:
             raise ValueError(
-                f"elongation_min_run must be at least 2, got {self.elongation_min_run}")
+                f"elongation_min_run: expected at least 2, got {self.elongation_min_run}")
 
+
+_CLEAN_ONLY = PipelineConfig(case_fold=False)  # stage 2 alone, as clean runs it
 
 # The six stages in their fixed order, as run_pipeline_trace names their states.
 STAGE_NAMES = ("case_fold", "clean", "normalize", "stopwords", "stem", "tokenize")
@@ -253,17 +271,9 @@ def clean(text: str) -> str:
     Removal order matters: URLs first (they may contain '@' or '#'), then
     mentions and hashtags (marker plus tag word), then every remaining
     non-alphabetic character becomes a space; space runs collapse and the
-    result is trimmed. Expects case-folded input. A pattern runs only when
-    the text holds the literal every one of its matches starts with.
+    result is trimmed. Expects case-folded input.
     """
-    if "http" in text or "www." in text:
-        text = _URL_RE.sub(" ", text)
-    if "@" in text:
-        text = _MENTION_RE.sub(" ", text)
-    if "#" in text:
-        text = _HASHTAG_RE.sub(" ", text)
-    # only letters and spaces are left, so split() breaks at space runs alone
-    return " ".join(_NON_ALPHA_RE.sub(" ", text).split())
+    return " ".join(_clean_words(text, _CLEAN_ONLY)[1])
 
 
 def collapse_elongation(word: str, min_run: int = 3) -> str:
@@ -273,18 +283,16 @@ def collapse_elongation(word: str, min_run: int = 3) -> str:
     Indonesian roots ("maaf", "tunggu") while squashing typographic emphasis
     ("jelekkk" -> "jelek").
     """
-    pattern = _elongation_re(min_run)
-    if pattern.search(word) is None:
-        return word
-    return pattern.sub(r"\1", word)
+    pattern = _ELONGATION_RES.get(min_run)
+    if pattern is None:  # compiled once per threshold: building costs more than applying
+        if min_run < 2:
+            raise ValueError("min_run must be at least 2")
+        pattern = _ELONGATION_RES[min_run] = re.compile(r"(.)\1{%d,}" % (min_run - 1))
+    return pattern.sub(_RUN_LETTER, word)
 
 
-@lru_cache(maxsize=8)
-def _elongation_re(min_run: int) -> re.Pattern[str]:
-    """Compiled once per threshold: building it costs more than applying it."""
-    if min_run < 2:
-        raise ValueError("min_run must be at least 2")
-    return re.compile(r"(.)\1{%d,}" % (min_run - 1))
+_ELONGATION_RES: dict[int, re.Pattern[str]] = {}
+_RUN_LETTER = operator.itemgetter(1)  # a run's letter; cheaper than the template r"\1"
 
 
 def normalize_slang(word: str, lexicon: NormalizationLexicon) -> str:
@@ -319,27 +327,25 @@ def _strip_prefixes(
     forbidden = rules._forbidden_by_suffix.get(stripped_suffix, ())
     min_len = rules.min_stem_length
     current = word
-    used: set[str] = set()
-    for _ in range(3):
+    used: tuple[str, ...] = ()
+    for _ in (1, 2, 3):
         committed = None
-        for rule in by_initial.get(current[:1], ()):
-            if rule.cls in used or rule.cls in forbidden:
+        for cls, pattern, recodings in by_initial.get(current[:1], ()):
+            if not current.startswith(pattern) or cls in used or cls in forbidden:
                 continue
-            if not current.startswith(rule.pattern):
-                continue
-            stem_part = current[len(rule.pattern):]
-            for recode in rule.recodings:
+            stem_part = current[len(pattern):]
+            for recode in recodings:
                 candidate = recode + stem_part
                 if len(candidate) < min_len:
                     continue
                 if candidate in roots:
                     return candidate, candidate
                 if committed is None:
-                    committed = (candidate, rule.cls)
+                    committed, committed_cls = candidate, cls
         if committed is None:
             break
-        current, cls = committed
-        used.add(cls)
+        current = committed
+        used += (committed_cls,)
     return None, current
 
 
@@ -355,32 +361,29 @@ def stem(word: str, rules: StemmerRules, lexicon: NormalizationLexicon) -> str:
     min_stem_length.
     """
     roots = lexicon.root_words
-    if not word:
-        return word
-    if word in roots:
+    if not word or word in roots:
         return word
 
+    # only the suffixes that end in the word's last letter can match
+    min_len = rules.min_stem_length
     base = word
-    for sfx in rules.inflectional_suffixes:
-        if base.endswith(sfx) and len(base) - len(sfx) >= rules.min_stem_length:
-            base = base[: -len(sfx)]
+    for sfx in rules._inflectional_by_final.get(word[-1], ()):
+        if word.endswith(sfx) and len(word) - len(sfx) >= min_len:
+            base = word[: -len(sfx)]
+            if base in roots:
+                return base
             break
-    if base in roots:
-        return base
 
-    deriv_candidates: list[tuple[str, str]] = []
-    for sfx in rules.derivational_suffixes:
-        if base.endswith(sfx) and len(base) - len(sfx) >= rules.min_stem_length:
+    # the prefix search tries the first derivational candidate, then the
+    # base, then the other candidates
+    search_order: list[tuple[str, str | None]] = [(base, None)]
+    for sfx in rules._derivational_by_final.get(base[-1], ()):
+        if base.endswith(sfx) and len(base) - len(sfx) >= min_len:
             candidate = base[: -len(sfx)]
             if candidate in roots:
                 return candidate
-            deriv_candidates.append((candidate, sfx))
-
-    search_order: list[tuple[str, str | None]] = []
-    if deriv_candidates:
-        search_order.append(deriv_candidates[0])
-    search_order.append((base, None))
-    search_order.extend(deriv_candidates[1:])
+            search_order.insert(0 if len(search_order) == 1 else len(search_order),
+                                (candidate, sfx))
 
     fallback: str | None = None
     for candidate, sfx in search_order:
@@ -389,15 +392,24 @@ def stem(word: str, rules: StemmerRules, lexicon: NormalizationLexicon) -> str:
             return hit
         if fallback is None:
             fallback = end_state
-    return fallback if fallback is not None else base
+    return fallback
 
 
-def _clean_words(text: str, config: PipelineConfig) -> tuple[str, str, list[str]]:
-    """Stages 1-2: the text after case folding, after cleaning, and the
-    cleaned text's whitespace words."""
-    folded = case_fold(text) if config.case_fold else text
-    cleaned = clean(folded) if config.clean else folded
-    return folded, cleaned, tokenize(cleaned)
+def _clean_words(text: str, config: PipelineConfig) -> tuple[str, list[str]]:
+    """Stages 1-2: the text after case folding, and the whitespace words of
+    the text after cleaning. A removal pattern runs only when the text holds
+    the literal every one of its matches starts with."""
+    folded = text = case_fold(text) if config.case_fold else text
+    if not config.clean:
+        return folded, tokenize(folded)
+    if "http" in text or "www." in text:
+        text = _URL_RE.sub(" ", text)
+    if "@" in text:
+        text = _MENTION_RE.sub(" ", text)
+    if "#" in text:
+        text = _HASHTAG_RE.sub(" ", text)
+    letters = text.encode("utf-8", "surrogatepass").translate(_LETTER_BYTES)
+    return folded, letters.decode("ascii").split()
 
 
 def _word_stages(
@@ -405,21 +417,21 @@ def _word_stages(
     config: PipelineConfig,
     lexicon: NormalizationLexicon,
     rules: StemmerRules,
-) -> tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...]]:
+) -> tuple[list[str], list[str], list[str]]:
     """Stages 3-5 of one cleaned word: its tokens after normalization, after
-    stopword removal and after stemming. Calls the module-level stage
-    functions, so that wrappers installed on them see every call."""
-    tokens = [word]
-    if config.normalize:
-        word = collapse_elongation(word, config.elongation_min_run)
-        tokens = [tok for tok in normalize_slang(word, lexicon).split(" ") if tok]
-    normalized = tuple(tokens)
-    if config.remove_stopwords:
-        tokens = remove_stopwords(tokens, lexicon)
-    kept = tuple(tokens)
-    if config.stem:
-        tokens = [stem(tok, rules, lexicon) for tok in tokens]
-    return normalized, kept, tuple(tokens)
+    stopword removal and after stemming; a stage that is off passes its
+    input list on. Calls the module-level stage functions, so that wrappers
+    installed on them see every call."""
+    # the word and every slang value hold no empty token to drop
+    normalized = (normalize_slang(collapse_elongation(word, config.elongation_min_run),
+                                  lexicon).split() if config.normalize else [word])
+    kept = remove_stopwords(normalized, lexicon) if config.remove_stopwords else normalized
+    if not config.stem:
+        return normalized, kept, kept
+    stemmed = []
+    for tok in kept:  # a comprehension costs more, for the usual one token
+        stemmed.append(stem(tok, rules, lexicon))
+    return normalized, kept, stemmed
 
 
 def run_pipeline(
@@ -444,7 +456,8 @@ def run_pipeline_trace(
     strings for stages 1-2 and token lists afterwards. Disabled stages pass
     their input through.
     """
-    folded, cleaned, words = _clean_words(text, config)
+    folded, words = _clean_words(text, config)
+    cleaned = " ".join(words) if config.clean else folded
     states: tuple[list[str], ...] = ([], [], [])  # normalize, stopwords, stem
     for word in words:
         for state, tokens in zip(states, _word_stages(word, config, lexicon, rules)):
@@ -481,16 +494,16 @@ class Preprocessor:
     _memo: dict[str, tuple[str, ...]] = field(default_factory=dict, init=False, repr=False)
 
     def tokens(self, text: str) -> list[str]:
-        memo = self._memo
+        memo, recall = self._memo, self._memo.get
         out: list[str] = []
-        for word in _clean_words(text, self.config)[-1]:
-            done = memo.get(word)
+        for word in _clean_words(text, self.config)[1]:
+            done = recall(word)
             if done is None:
-                done = _word_stages(word, self.config, self.lexicon, self.rules)[-1]
                 if len(memo) >= _MEMO_LIMIT:
                     memo.clear()
-                memo[word] = done
-            out.extend(done)
+                stages = _word_stages(word, self.config, self.lexicon, self.rules)
+                done = memo[word] = tuple(stages[-1])  # a tuple is smaller than a list
+            out += done
         return out
 
     def corpus(self, texts: list[str]) -> list[list[str]]:

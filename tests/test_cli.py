@@ -184,7 +184,7 @@ def test_preprocess_elongation_min_run_below_2_exit_1(tmp_path, capsys):
     assert main(["preprocess", "--corpus", str(corpus), "--config", str(config)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: elongation_min_run must be at least 2, got 1\n"
+    assert captured.err == "error: config [pipeline] elongation_min_run: expected at least 2, got 1\n"
 
 
 def test_preprocess_negative_limit_exit_1_one_line(tmp_path, capsys):
@@ -1514,7 +1514,7 @@ MALFORMED_CSV = ("no;username;komentar;label;tanggal;akun_target\n"
 @pytest.mark.parametrize("case", [
     "neural_min_freq", "neural_block_shape", "svm_reg_lambda", "stats_strict_duplicates",
     "train_malformed_csv", "tune_too_few_records", "predict_split_fraction",
-    "predict_patience"])
+    "predict_patience", "predict_batch_size"])
 def test_exit_codes_hold_when_the_raising_module_loads_late(tmp_path, trained_models, case):
     """Each command's error ends in its exit code and one stderr line, also
     when the module that raises it (neural, corpus) loads only inside the
@@ -1553,9 +1553,19 @@ def test_exit_codes_hold_when_the_raising_module_loads_late(tmp_path, trained_mo
                       "--out", tmp_path / "m.txt"], 2
         said = "fewer than k=3"
     else:  # neither the model nor the input exists: the config is refused first
-        section, said = (("[split]\ntrain_fraction = 1.5\n", "split fractions")
-                         if case == "predict_split_fraction"
-                         else ("[model]\npatience = 100\n", "patience cannot exceed"))
+        section, said = {
+            "predict_split_fraction": (
+                "[split]\ntrain_fraction = 1.5\n",
+                "error: config [split] train_fraction: split fractions must lie in (0, 1), "
+                "got (1.5, 0.1, 0.1)\n"),
+            "predict_patience": (
+                "[model]\npatience = 100\n",
+                "error: config [model] patience, max_epochs: patience cannot exceed "
+                "max_epochs, got 100 > 15\n"),
+            "predict_batch_size": (
+                "[model]\nbatch_size = 0\n",
+                "error: config [model] batch_size: must be positive, got 0\n"),
+        }[case]
         config = write_config(tmp_path, section, name="bad.ini")
         args, code = ["predict", "--model", tmp_path / "none.model", "--input",
                       tmp_path / "none.txt", "--config", config], 1

@@ -2,11 +2,16 @@
 code they replaced, kept here as oracles and compared bit for bit.
 
 `clean` runs each removal pattern only when the text holds the literal its
-matches start with, `collapse_elongation` returns a word without a run as
-it is, `stem` tries only the prefix rules whose pattern starts with the
-word's first letter, and `transform_all` counts with a plain dict. Each
-must give exactly what the code below gives: the same strings and tokens,
-and the same bits in every TF-IDF value.
+matches start with and takes the runs of a-z from the encoded text's bytes,
+`collapse_elongation` substitutes with a compiled pattern it keeps in a
+dict, `stem` tries only the prefix rules whose pattern starts with the
+word's first letter and the suffixes that end in its last letter, and
+`transform_all` counts with a plain dict and sums the squares as it builds
+a row. The pipeline hands stages 3-5 one cleaned word at a time as lists,
+and `predict_texts` builds a majority fallback only for the texts that
+preprocess to nothing. Each must give exactly what the code below gives:
+the same strings, tokens and stage traces, and the same bits in every
+TF-IDF value and score.
 
 Logistic regression trains every (candidate, fold) problem of a grid search
 in one stacked gradient descent, and `train_lr` and `lr_loss_grad` (below,
@@ -37,6 +42,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import bullyguard.linear_models as linear_models
 from bullyguard import neural
+from bullyguard.artifact import ModelArtifact, Prediction, predict_texts
 from bullyguard.corpus import Label, TrainConfig, load_corpus
 from bullyguard.features import TfidfConfig, fit_tfidf, transform_all
 from bullyguard.linear_models import (
@@ -66,15 +72,18 @@ from bullyguard.preprocess import (
     PipelineConfig,
     Preprocessor,
     PrefixRule,
+    STAGE_NAMES,
     StemmerRules,
     clean,
     collapse_elongation,
     load_default_lexicon,
     load_default_stemmer_rules,
+    run_pipeline_trace,
     stem,
 )
 
 from conftest import SYNTHETIC_CSV, src_env
+from generate_corpus import generate
 
 # ----------------------------------------------------------------------------
 # oracles: the code the fast paths replaced
@@ -204,6 +213,46 @@ def oracle_transform_all(token_lists, model):
     return rows
 
 
+def oracle_word_stages(word, config, lexicon, rules):
+    """Stages 3-5 of one cleaned word as the tuple-building per-word
+    function gave them: its tokens after each stage."""
+    tokens = [word]
+    if config.normalize:
+        word = oracle_collapse_elongation(word, config.elongation_min_run)
+        tokens = [tok for tok in lexicon.slang_map.get(word, word).split(" ") if tok]
+    normalized = tuple(tokens)
+    if config.remove_stopwords:
+        tokens = [tok for tok in tokens if tok not in lexicon.stopwords]
+    kept = tuple(tokens)
+    if config.stem:
+        tokens = [oracle_stem(tok, rules, lexicon) for tok in tokens]
+    return normalized, kept, tuple(tokens)
+
+
+def oracle_trace(text, config, lexicon, rules):
+    """run_pipeline_trace when stages 1-2 gave the folded text, the cleaned
+    text and the cleaned text split again."""
+    folded = text.lower() if config.case_fold else text
+    cleaned = oracle_clean(folded) if config.clean else folded
+    states = ([], [], [])
+    for word in cleaned.split():
+        for state, tokens in zip(states, oracle_word_stages(word, config, lexicon, rules)):
+            state.extend(tokens)
+    return list(zip(STAGE_NAMES, (folded, cleaned, *states, list(states[-1]))))
+
+
+def oracle_predict_texts(artifact, token_lists):
+    """A classical predict_texts over preprocessed texts that builds a
+    majority fallback for every text, then overwrites the non-empty ones."""
+    predictions = [Prediction(artifact.majority_label, 0.0, True) for _ in token_lists]
+    rows = [i for i, tokens in enumerate(token_lists) if tokens]
+    X = oracle_transform_all([token_lists[i] for i in rows], artifact.tfidf)
+    labels, scores = predict_family(artifact.family, artifact.model, X, artifact.threshold)
+    for row, label, score in zip(rows, labels, scores):
+        predictions[row] = Prediction(label, score, False)
+    return predictions
+
+
 # ----------------------------------------------------------------------------
 # inputs
 # ----------------------------------------------------------------------------
@@ -299,6 +348,25 @@ def test_prefix_rules_sharing_a_first_letter_keep_file_order():
     assert results[0] != results[2]  # the order changed what was stripped
 
 
+def test_suffix_rules_sharing_a_last_letter_keep_file_order():
+    # suffixes that end alike, one the tail of another: the first in file
+    # order that fits is stripped, and derivational candidates keep theirs
+    prefixes = (PrefixRule("x", "di", ("",)),)
+    words = ["makannya", "makana", "dimakankan", "makanan", "dibacakan", "kana", "ikan", "an"]
+    roots = replace(NO_ROOTS, root_words=frozenset({"makan", "baca", "bacak"}))
+    results = []
+    for inflectional, derivational in ((("a", "nya", "ya"), ("an", "kan", "n")),
+                                       (("nya", "ya", "a"), ("kan", "n", "an"))):
+        for min_len in (1, 3):
+            rules = StemmerRules(inflectional, derivational, prefixes, frozenset(),
+                                 min_stem_length=min_len)
+            for lexicon in (NO_ROOTS, roots):
+                got = [stem(w, rules, lexicon) for w in words]
+                assert got == [oracle_stem(w, rules, lexicon) for w in words], rules
+                results.append(got)
+    assert results[0] != results[4]  # the order changed what was stripped
+
+
 @settings(max_examples=200, deadline=None)
 @given(LINES, st.sampled_from([2, 3, 4]))
 def test_preprocessor_matches_oracle_pipeline(line, min_run):
@@ -351,6 +419,95 @@ def test_bundled_tfidf_rows_match_counter_oracle():
         model = fit_tfidf(token_lists[:150], config)
         got = transform_all(token_lists, model)
         assert hex_rows(got) == hex_rows(oracle_transform_all(token_lists, model))
+
+
+# ----------------------------------------------------------------------------
+# the per-line and per-word pipeline, its TF-IDF rows and predict_texts
+# ----------------------------------------------------------------------------
+
+ELONGATED = ["jelekkk", "mantappp", "bgtttt", "bangettt", "kerennnn", "aaa", "maaf", "sihhh"]
+MULTI_TOKEN_SLANG = sorted(key for key, value in LEXICON.slang_map.items() if " " in value)
+MARKUP = ["http://t.co/x", "https://contoh.id/a?b=1", "www.contoh.id/abc", "@nama_1",
+          "@nama.panjang", "#viral", "#Tag_2", "😂", "😂😂", "❤️", "🙏🏻", "!!", "...", "123"]
+PIPELINE_WORDS = (st.sampled_from(ELONGATED) | st.sampled_from(MULTI_TOKEN_SLANG)
+                  | st.sampled_from(SLANG_KEYS) | st.sampled_from(sorted(LEXICON.stopwords))
+                  | st.sampled_from(sorted(LEXICON.root_words)) | st.sampled_from(AFFIXED_WORDS)
+                  | st.sampled_from(MARKUP))
+# words, some upper-cased, each followed by a separator; [] is the empty line
+PIPELINE_LINES = st.lists(
+    st.tuples(PIPELINE_WORDS, st.sampled_from([" ", "  ", "! ", ",", "\t", ""]), st.booleans()),
+    max_size=12,
+).map(lambda parts: "".join((w.upper() if up else w) + sep for w, sep, up in parts))
+# every on/off combination of the five stages that act, and two other run thresholds
+PIPELINE_CONFIGS = [PipelineConfig(*flags) for flags in itertools.product((True, False), repeat=5)]
+PIPELINE_CONFIGS += [replace(DEFAULT_CONFIG, elongation_min_run=r) for r in (2, 4)]
+
+
+def assert_pipeline_matches_oracle(texts, config):
+    want = [oracle_trace(text, config, LEXICON, RULES) for text in texts]
+    assert [run_pipeline_trace(text, config, LEXICON, RULES) for text in texts] == want
+    prep = Preprocessor(config, LEXICON, RULES)
+    assert prep.corpus(texts) == [trace[-1][1] for trace in want]
+    assert prep.corpus(texts) == [trace[-1][1] for trace in want]  # from the memo
+    return [trace[-1][1] for trace in want]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(PIPELINE_LINES)
+@example("")
+@example("😂😂 ❤️")
+@example("@user_1 #viral http://t.co/x www.contoh.id")
+@example("JELEKKK bgt sihhh @nama.panjang makasih gpp yang kamu mempermainkannya!!")
+def test_pipeline_trace_and_tokens_match_oracle(line):
+    for config in PIPELINE_CONFIGS:
+        assert_pipeline_matches_oracle([line], config)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.lists(PIPELINE_LINES, min_size=1, max_size=8), st.lists(PIPELINE_LINES, max_size=8))
+def test_tfidf_rows_of_pipeline_lines_match_oracle(fit_lines, lines):
+    fit_docs = assert_pipeline_matches_oracle(fit_lines, DEFAULT_CONFIG)
+    if not any(fit_docs):
+        fit_docs.append(["kata"])
+    docs = assert_pipeline_matches_oracle(lines, DEFAULT_CONFIG) + fit_docs
+    for config in TFIDF_CONFIGS:
+        model = fit_tfidf(fit_docs, config)
+        assert hex_rows(transform_all(docs, model)) == hex_rows(oracle_transform_all(docs, model))
+
+
+GENERATED_TEXTS = [rec.text for rec in generate(2000, 3)]
+
+
+@pytest.fixture(scope="module")
+def generated_tokens():
+    """The default pipeline's tokens of a 2,000-comment generated corpus,
+    checked against the oracle."""
+    return assert_pipeline_matches_oracle(GENERATED_TEXTS, DEFAULT_CONFIG)
+
+
+def test_generated_corpus_pipeline_matches_oracle(generated_tokens):
+    assert_pipeline_matches_oracle(GENERATED_TEXTS, NEURAL_CONFIG)
+    for config in TFIDF_CONFIGS:
+        model = fit_tfidf(generated_tokens[:1500], config)
+        assert hex_rows(transform_all(generated_tokens, model)) == hex_rows(
+            oracle_transform_all(generated_tokens, model))
+
+
+@pytest.mark.parametrize("family", ["nb", "lr", "svm"])
+def test_predict_texts_matches_oracle_on_generated_corpus(generated_tokens, family):
+    tfidf = fit_tfidf(BUNDLED_TOKENS)
+    model = linear_models.train_family(family, transform_all(BUNDLED_TOKENS, tfidf),
+                                       tfidf.n_features, BUNDLED_LABELS, {}, 42)
+    artifact = ModelArtifact(family, 42, Label.NON_BULLYING, "", "", DEFAULT_CONFIG,
+                             model=model, tfidf=tfidf, threshold=0.7)
+    texts = GENERATED_TEXTS + ["😂😂", "", "@nama #tag"]
+    prep = Preprocessor(DEFAULT_CONFIG, LEXICON, RULES)  # one memo for every chunk
+    got = [pred for start in range(0, len(texts), 256)
+           for pred in predict_texts(artifact, texts[start:start + 256], prep)]
+    want = oracle_predict_texts(artifact, generated_tokens + [[], [], []])
+    assert [(p.label, p.score.hex(), p.empty_input) for p in got] == [
+        (p.label, p.score.hex(), p.empty_input) for p in want]
+    assert sum(p.empty_input for p in got) >= 3
 
 
 # ----------------------------------------------------------------------------

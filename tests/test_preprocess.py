@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from bullyguard import preprocess
+from bullyguard.corpus import load_corpus
 from bullyguard.preprocess import (
     LexiconError,
     NormalizationLexicon,
@@ -67,7 +68,7 @@ def test_collapse_elongation_threshold_configurable():
     assert collapse_elongation("maaf", min_run=2) == "maf"
     with pytest.raises(ValueError):
         collapse_elongation("x", min_run=1)
-    with pytest.raises(ValueError, match="elongation_min_run must be at least 2"):
+    with pytest.raises(ValueError, match="elongation_min_run: expected at least 2"):
         PipelineConfig(elongation_min_run=1)
 
 
@@ -225,8 +226,6 @@ def test_pipeline_idempotent_and_clean_output(tiny_lexicon, default_rules, words
 def test_pipeline_idempotent_on_synthetic_corpus(
     synthetic_corpus_path, default_lexicon, default_rules,
 ):
-    from bullyguard.corpus import load_corpus
-
     config = PipelineConfig()
     for rec in load_corpus(synthetic_corpus_path):
         tokens = run_pipeline(rec.text, config, default_lexicon, default_rules)
@@ -318,6 +317,42 @@ def test_preprocessor_memo_stays_bounded(monkeypatch, default_lexicon, default_r
         assert prep.tokens(text) == want[-1][1]
         assert run_pipeline_trace(text, config, default_lexicon, default_rules) == want
         assert len(prep._memo) <= 5
+
+
+def _stem_inputs(word, lexicon):
+    """The tokens a cleaned word hands to stem under the default pipeline,
+    from the public stage functions."""
+    normalized = normalize_slang(collapse_elongation(word), lexicon).split(" ")
+    return remove_stopwords([tok for tok in normalized if tok], lexicon)
+
+
+def test_stem_is_called_through_its_module_binding(monkeypatch, default_lexicon,
+                                                   default_rules, synthetic_corpus_path):
+    """perfbench's tracer counts preprocess.stem_calls, and from them the
+    stem distinct and fallback ratios, by wrapping the module's stem. The
+    pipeline must call that binding once per stem input of each memo miss,
+    in order; a locally bound stem would leave the wrapper uncalled."""
+    texts = [rec.text for rec in load_corpus(synthetic_corpus_path)]
+    config = PipelineConfig()
+    want_tokens = Preprocessor(config, default_lexicon, default_rules).corpus(texts)
+    want_traces = [run_pipeline_trace(t, config, default_lexicon, default_rules) for t in texts]
+    calls = []
+
+    def counting_stem(word, rules, lexicon):
+        calls.append(word)
+        return stem(word, rules, lexicon)
+
+    monkeypatch.setattr(preprocess, "stem", counting_stem)
+    text_words = [clean(case_fold(text)).split() for text in texts]
+    misses = dict.fromkeys(word for words in text_words for word in words)
+    assert Preprocessor(config, default_lexicon, default_rules).corpus(texts) == want_tokens
+    assert calls == [tok for word in misses for tok in _stem_inputs(word, default_lexicon)]
+    assert len(calls) > len(texts)
+    calls.clear()
+    traces = [run_pipeline_trace(t, config, default_lexicon, default_rules) for t in texts]
+    assert traces == want_traces
+    assert calls == [tok for words in text_words for word in words
+                     for tok in _stem_inputs(word, default_lexicon)]
 
 
 # ----------------------------------------------------------------------------
@@ -437,6 +472,13 @@ def test_min_stem_length_1_keeps_every_token_non_empty(default_lexicon, default_
 def test_prefix_rule_with_empty_pattern_is_refused(default_rules):
     with pytest.raises(LexiconError, match="empty pattern"):
         replace(default_rules, prefix_rules=(PrefixRule("x", "", ("",)),))
+
+
+@pytest.mark.parametrize("field", ["inflectional_suffixes", "derivational_suffixes"])
+def test_empty_suffix_is_refused(default_rules, field):
+    # an empty suffix would strip a whole word: word[:-0] is ""
+    with pytest.raises(LexiconError, match="empty suffix"):
+        replace(default_rules, **{field: ("nya", "")})
 
 
 def test_lexicon_file_not_utf8_names_the_file(tmp_path):
