@@ -159,9 +159,8 @@ ADAM_BETA2 = 0.999
 ADAM_EPSILON = 1e-8
 
 
-def _xavier(rng: Rng, fan_in: int, fan_out: int, shape: tuple[int, ...]) -> np.ndarray:
-    limit = float(np.sqrt(6.0 / (fan_in + fan_out)))
-    return rng.uniform_array(shape, -limit, limit)
+def _xavier(fan_in: int, fan_out: int) -> float:
+    return float(np.sqrt(6.0 / (fan_in + fan_out)))
 
 
 def init_params(
@@ -174,24 +173,34 @@ def init_params(
 
     Embedding rows ~ U(-0.05, 0.05); every weight matrix Xavier-uniform;
     biases zero except the forget gate at 1.0. Attention parameters are drawn
-    even for the plain model so both variants share the draw sequence.
+    even for the plain model so both variants share the draw sequence. All
+    weights come from one bulk U(0, 1) draw, scaled in place segment by
+    segment with the arithmetic of `Rng.uniform_array`, and every weight
+    block is a view of it.
     """
     d, h, a = config.embedding_dim, config.hidden_dim, config.attention_dim
-    blocks = {"embedding": rng.uniform_array((vocab_size, d), -0.05, 0.05)}
+    # an LSTM's w and u are one draw per gate in the order i, f, o, g
+    draws = [("embedding", (vocab_size, d), 0.05)]
     for direction in ("fwd", "bwd"):
-        # one Xavier draw per gate in the order i, f, o, g, all of w before u
-        blocks[f"{direction}.w"] = np.concatenate(
-            [_xavier(rng, d, h, (d, h)) for _ in range(4)], axis=1)
-        blocks[f"{direction}.u"] = np.concatenate(
-            [_xavier(rng, h, h, (h, h)) for _ in range(4)], axis=1)
+        draws += [(f"{direction}.w", (4, d, h), _xavier(d, h)),
+                  (f"{direction}.u", (4, h, h), _xavier(h, h))]
+    draws += [("att.w", (2 * h, a), _xavier(2 * h, a)), ("att.v", (a,), _xavier(a, 1)),
+              ("head.w", (2 * h, 2), _xavier(2 * h, 2))]
+    sizes = [math.prod(shape) for _, shape, _ in draws]
+    u = rng.uniform_array((sum(sizes),), 0.0, 1.0)
+    blocks = {}
+    for (name, shape, bound), seg in zip(draws, np.split(u, np.cumsum(sizes)[:-1])):
+        seg *= bound - -bound  # -bound + (bound - -bound) * u, as uniform_array(shape, -bound, bound)
+        seg -= bound
+        if len(shape) == 3:  # gate k becomes columns k*h:(k+1)*h of a (rows, 4h) block
+            seg[:] = seg.reshape(shape).transpose(1, 0, 2).reshape(-1)
+            shape = (shape[1], 4 * h)
+        blocks[name] = seg.reshape(shape)
+    for direction in ("fwd", "bwd"):
         b = blocks[f"{direction}.b"] = np.zeros(4 * h)
         b[h:2 * h] = 1.0  # forget-gate bias 1.0 eases early memory carry
-    blocks["att.w"] = _xavier(rng, 2 * h, a, (2 * h, a))
-    blocks["att.v"] = _xavier(rng, a, 1, (a,))
-    blocks["att.b"] = np.zeros(a)
-    blocks["head.w"] = _xavier(rng, 2 * h, 2, (2 * h, 2))
-    blocks["head.b"] = np.zeros(2)
-    return NeuralNetParams(blocks, use_attention)
+    blocks["att.b"], blocks["head.b"] = np.zeros(a), np.zeros(2)
+    return NeuralNetParams({name: blocks[name] for name in BLOCK_NAMES}, use_attention)
 
 
 # ----------------------------------------------------------------------------
@@ -747,9 +756,9 @@ def train(
     trace = TrainTrace()
     best_params = params.copy()
 
-    order = list(range(n))
+    order = np.arange(n)
     for epoch in range(1, config.max_epochs + 1):
-        rng.shuffle(order)
+        order = order[rng.permutations(n, 1)[0]]  # as rng.shuffle(order) would leave it
         loss_sum = 0.0
         for chunk in iter_batches(n, config.batch_size, order):
             cache = _forward_batch(train_ids[chunk], train_lens[chunk], params, ws)

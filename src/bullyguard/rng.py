@@ -20,14 +20,12 @@ and the test oracle. ``uniform_array`` and ``permutations`` draw the same stream
 in bulk: the xoshiro256** step is linear over GF(2), so a block of outputs
 comes from up to 256 lanes, each started at a jump-ahead of the state and
 each giving 64 consecutive outputs, all advanced in lockstep as numpy
-``uint64`` arrays. A block leaves the state exactly where as many scalar
-``next_u64`` calls would. numpy is imported by the bulk draws only, so a
-command that draws nothing in bulk never loads it.
-
-``permutations`` replaces the generator ``shuffles``: it returns the orders
-of successive shuffles as one read-only array, which a caller can keep and
-share, and leaves the state where the last shuffle would, so other draws may
-follow at once.
+``uint64`` arrays. A jump-ahead is one gather from a table of the jump matrix
+applied to each value of each of the state's 64 nibbles, then one XOR
+reduction (Haramoto et al. 2008). A block leaves the state exactly where as
+many scalar ``next_u64`` calls would. Weight initialization, batch order and
+the SVM's reshuffles all draw in bulk. numpy is imported by the bulk draws
+only, so a command that draws nothing in bulk never loads it.
 """
 
 from __future__ import annotations
@@ -44,7 +42,6 @@ _MASK64 = (1 << 64) - 1
 _DOUBLE_UNIT = 1.0 / (1 << 53)
 _LANE = 64                # consecutive outputs per lane of a bulk draw
 _BLOCK = 256 * _LANE      # outputs per bulk draw: the jump table covers 256 lanes
-_ROW_CHUNK = 32           # matrix rows per step of _jump, so temporaries stay <= 256 KB
 
 
 def _splitmix64(state: int) -> tuple[int, int]:
@@ -74,51 +71,42 @@ def _step_lanes(s0, s1, s2, s3) -> np.ndarray:
     return out
 
 
-def _jump(rows: np.ndarray, states: np.ndarray) -> np.ndarray:
-    """GF(2) matrix times each state: rows (256, 4) and states (B, 4) packed
-    little-endian (bit 64*w + b is bit b of word w); returns (B, 4).
-
-    Output bit i is the parity of (row i AND state).
-    """
+def _jump(table: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """Each state (B, 4) times the GF(2) matrix of a `_nibble_table`; returns
+    (B, 4). Bit 64*w + b of a state is bit b of word w, and the product is
+    the XOR of the table entries of the state's 64 nibbles."""
     import numpy as np
-    out = np.zeros_like(states)
-    for c in range(0, 256, _ROW_CHUNK):
-        both = rows[c:c + _ROW_CHUNK, None, :] & states[None, :, :]
-        folded = both[..., 0] ^ both[..., 1] ^ both[..., 2] ^ both[..., 3]
-        bits = (np.bitwise_count(folded) & 1).astype(np.uint64)
-        shifts = np.arange(c % 64, c % 64 + _ROW_CHUNK, dtype=np.uint64)[:, None]
-        out[:, c // 64] |= np.bitwise_or.reduce(bits << shifts, axis=0)
-    return out
+    nibbles = (states[:, :, None] >> np.arange(0, 64, 4, dtype=np.uint64)) & np.uint64(15)
+    index = nibbles.reshape(len(states), 64).T.view(np.int64) + np.arange(0, 1024, 16)[:, None]
+    return np.bitwise_xor.reduce(table[index], axis=0)  # (64, B, 4) -> (B, 4)
 
 
-def _pack(bits: np.ndarray) -> np.ndarray:
-    """(256, 256) 0/1 matrix -> its rows packed as (256, 4) uint64."""
+def _nibble_table(cols: np.ndarray) -> np.ndarray:
+    """Columns (256, 4) of a GF(2) matrix -> its lookup table (64 * 16, 4),
+    whose entry 16p + k is the matrix times nibble value k at position p."""
     import numpy as np
-    packed = np.ascontiguousarray(np.packbits(bits, axis=1, bitorder="little"))
-    return packed.view("<u8").astype(np.uint64)
-
-
-def _transpose(cols: np.ndarray) -> np.ndarray:
-    """Packed columns (256, 4) of a GF(2) matrix -> its packed rows."""
-    import numpy as np
-    return _pack(np.unpackbits(cols.astype("<u8").view(np.uint8), axis=1, bitorder="little").T)
+    table = np.zeros((64, 16, 4), dtype=np.uint64)
+    cols = cols.reshape(64, 4, 4)  # [nibble position, bit of the nibble, word]
+    for b in range(4):
+        table[:, 1 << b:2 << b] = table[:, :1 << b] ^ cols[:, b, None]
+    return table.reshape(1024, 4)
 
 
 @functools.cache
 def _jump_table() -> np.ndarray:
-    """Packed rows of A^(64 * 2^k) for k = 0..7, shape (8, 256, 4), where A is
-    one xoshiro256** step. Built on the first bulk draw, then kept."""
+    """Nibble tables of A^(64 * 2^k) for k = 0..7, shape (8, 1024, 4), where A
+    is one xoshiro256** step. Built on the first bulk draw, then kept."""
     import numpy as np
-    basis = _pack(np.eye(256, dtype=np.uint8))
+    basis = np.packbits(np.eye(256, dtype=np.uint8), axis=1, bitorder="little").view("<u8")
     words = [basis[:, w].copy() for w in range(4)]
     for _ in range(_LANE):
         _step_lanes(*words)
     cols = np.stack(words, axis=1)  # column i of A^64 is A^64 applied to bit i
-    table = [_transpose(cols)]
-    while len(table) < 8:
-        cols = _jump(table[-1], cols)  # the columns of M @ M
-        table.append(_transpose(cols))
-    out = np.stack(table)
+    tables = [_nibble_table(cols)]
+    while len(tables) < 8:
+        cols = _jump(tables[-1], cols)  # the columns of M @ M
+        tables.append(_nibble_table(cols))
+    out = np.stack(tables)
     out.flags.writeable = False
     return out
 
@@ -153,9 +141,9 @@ class Rng:
         return (self.next_u64() >> 11) * _DOUBLE_UNIT
 
     def randbelow(self, n: int) -> int:
-        """Unbiased integer in [0, n)."""
-        if n <= 0:
-            raise ValueError("randbelow() requires n >= 1")
+        """Unbiased integer in [0, n), for 1 <= n <= 2**64."""
+        if not 0 < n <= 1 << 64:  # above 2**64 no word is accepted
+            raise ValueError("randbelow() requires 1 <= n <= 2**64")
         limit = (1 << 64) - ((1 << 64) % n)
         while True:
             u = self.next_u64()
@@ -228,11 +216,11 @@ class Rng:
         starts = np.empty((lanes, 4), dtype=np.uint64)
         starts[0] = self._s
         have = 1
-        for rows in _jump_table():  # lanes [have, 2*have) jump 64*have from lanes [0, have)
+        for table in _jump_table():  # lanes [have, 2*have) jump 64*have from lanes [0, have)
             if have >= lanes:
                 break
             new = min(have, lanes - have)
-            starts[have:have + new] = _jump(rows, starts[:new])
+            starts[have:have + new] = _jump(table, starts[:new])
             have += new
         words = [starts[:, w].copy() for w in range(4)]
         out = np.empty((_LANE, lanes), dtype=np.uint64)

@@ -25,8 +25,16 @@ token id of the call and gathers each packed row's from that table. Its
 probabilities must equal, bit for bit, those of the forward below, which
 multiplies every packed token of every pass by w, and its traced memory
 peak, in a fresh process, must not exceed that forward's.
+
+The PRNG jumps its bulk-draw lanes ahead with one nibble lookup table per
+jump matrix; every level must give the words of the packed-row parity
+product below. `init_params` takes all its weights from one bulk draw, and
+`train` each epoch's batch order from `Rng.permutations`; they must give the
+bytes and the PRNG state of one `uniform_array` call per weight block or
+gate, and the orders of successive scalar `Rng.shuffle` calls.
 """
 
+import functools
 import itertools
 import math
 import re
@@ -41,7 +49,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import bullyguard.linear_models as linear_models
-from bullyguard import neural
+from bullyguard import neural, rng
 from bullyguard.artifact import ModelArtifact, Prediction, predict_texts
 from bullyguard.corpus import Label, TrainConfig, load_corpus
 from bullyguard.features import TfidfConfig, fit_tfidf, transform_all
@@ -60,6 +68,7 @@ from bullyguard.metrics import evaluate
 from bullyguard.neural import (
     PREDICT_TOKEN_BUDGET,
     UNK_ID,
+    NeuralNetParams,
     NeuralVocab,
     build_neural_vocab,
     encode_batch,
@@ -873,3 +882,161 @@ def test_predict_batch_peaks_no_higher_than_per_token_gates_oracle(tmp_path):
         params = init_params(NEURAL_VOCAB.size, TrainConfig(), use_attention, Rng(NEURAL_SEED))
         want = _traced_peak(lambda: oracle_predict_probs(params, ids, lens))
         assert int(proc.stdout) <= want, (use_attention, int(proc.stdout), want)
+
+
+# ----------------------------------------------------------------------------
+# the PRNG's jump-ahead: packed-row parity products
+# ----------------------------------------------------------------------------
+
+def oracle_jump(rows, states):
+    """GF(2) matrix times each state: rows (256, 4) and states (B, 4) packed
+    little-endian; output bit i is the parity of (row i AND state)."""
+    out = np.zeros_like(states)
+    for c in range(0, 256, 32):
+        both = rows[c:c + 32, None, :] & states[None, :, :]
+        folded = both[..., 0] ^ both[..., 1] ^ both[..., 2] ^ both[..., 3]
+        bits = (np.bitwise_count(folded) & 1).astype(np.uint64)
+        shifts = np.arange(c % 64, c % 64 + 32, dtype=np.uint64)[:, None]
+        out[:, c // 64] |= np.bitwise_or.reduce(bits << shifts, axis=0)
+    return out
+
+
+def oracle_pack(bits):
+    """(256, 256) 0/1 matrix -> its rows packed as (256, 4) uint64."""
+    packed = np.ascontiguousarray(np.packbits(bits, axis=1, bitorder="little"))
+    return packed.view("<u8").astype(np.uint64)
+
+
+def oracle_transpose(cols):
+    """Packed columns (256, 4) of a GF(2) matrix -> its packed rows."""
+    return oracle_pack(np.unpackbits(cols.astype("<u8").view(np.uint8), axis=1, bitorder="little").T)
+
+
+@functools.cache
+def oracle_jump_table():
+    """Packed rows of A^(64 * 2^k) for k = 0..7, shape (8, 256, 4)."""
+    basis = oracle_pack(np.eye(256, dtype=np.uint8))
+    words = [basis[:, w].copy() for w in range(4)]
+    for _ in range(64):
+        rng._step_lanes(*words)
+    cols = np.stack(words, axis=1)
+    table = [oracle_transpose(cols)]
+    while len(table) < 8:
+        cols = oracle_jump(table[-1], cols)
+        table.append(oracle_transpose(cols))
+    return np.stack(table)
+
+
+def scalar_states(seed, count):
+    r = Rng(seed)
+    return np.array([[r.next_u64() for _ in range(4)] for _ in range(count)], dtype=np.uint64)
+
+
+@pytest.mark.parametrize("count", [1, 2, 255, 256])
+def test_every_jump_table_level_matches_packed_row_oracle(count):
+    table = rng._jump_table()
+    assert table.shape == (8, 64 * 16, 4) and not table.flags.writeable
+    states = scalar_states(count, count)
+    for level, rows in enumerate(oracle_jump_table()):
+        assert rng._jump(table[level], states).tolist() == oracle_jump(rows, states).tolist(), level
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
+def test_jump_table_levels_equal_scalar_steps(seed):
+    # level k jumps 64 * 2^k outputs ahead: level 0 is 64 next_u64 steps
+    scalar = Rng(seed)
+    for level, table in enumerate(rng._jump_table()):
+        start = np.array([scalar._s], dtype=np.uint64)
+        for _ in range(64 << level):
+            scalar.next_u64()
+        assert rng._jump(table, start).tolist() == [scalar._s], level
+
+
+# ----------------------------------------------------------------------------
+# neural init: one uniform_array call per weight block or gate
+# ----------------------------------------------------------------------------
+
+def oracle_init_params(vocab_size, config, use_attention, stream):
+    d, h, a = config.embedding_dim, config.hidden_dim, config.attention_dim
+
+    def xavier(fan_in, fan_out, shape):
+        limit = float(np.sqrt(6.0 / (fan_in + fan_out)))
+        return stream.uniform_array(shape, -limit, limit)
+
+    blocks = {"embedding": stream.uniform_array((vocab_size, d), -0.05, 0.05)}
+    for direction in ("fwd", "bwd"):
+        blocks[f"{direction}.w"] = np.concatenate([xavier(d, h, (d, h)) for _ in range(4)], axis=1)
+        blocks[f"{direction}.u"] = np.concatenate([xavier(h, h, (h, h)) for _ in range(4)], axis=1)
+        b = blocks[f"{direction}.b"] = np.zeros(4 * h)
+        b[h:2 * h] = 1.0
+    blocks["att.w"] = xavier(2 * h, a, (2 * h, a))
+    blocks["att.v"] = xavier(a, 1, (a,))
+    blocks["att.b"] = np.zeros(a)
+    blocks["head.w"] = xavier(2 * h, 2, (2 * h, 2))
+    blocks["head.b"] = np.zeros(2)
+    return NeuralNetParams(blocks, use_attention)
+
+
+INIT_CASES = {
+    "default_dims": (50, TrainConfig()),
+    "all_dims_1": (2, TrainConfig(embedding_dim=1, hidden_dim=1, attention_dim=1)),
+    # 130 * 128 = 16,640 embedding words: past the first 16,384-word block
+    "embedding_crosses_a_block": (130, TrainConfig()),
+}
+
+
+@pytest.mark.parametrize("use_attention", [False, True], ids=["bilstm", "bilstm_attention"])
+@pytest.mark.parametrize("case", list(INIT_CASES))
+def test_one_draw_init_params_matches_per_block_oracle(monkeypatch, case, use_attention):
+    vocab_size, config = INIT_CASES[case]
+    real_uniform_array = Rng.uniform_array
+    calls = []
+
+    def counted(self, *args):
+        calls.append(self)
+        return real_uniform_array(self, *args)
+
+    monkeypatch.setattr(Rng, "uniform_array", counted)
+    bulk, scalar = Rng(5), Rng(5)
+    got = init_params(vocab_size, config, use_attention, bulk)
+    assert calls == [bulk]
+    want = oracle_init_params(vocab_size, config, use_attention, scalar)
+    assert calls.count(scalar) == 20
+    assert list(got.blocks) == list(want.blocks) and got.use_attention == use_attention
+    for name, arr in want.blocks.items():
+        assert got.blocks[name].shape == arr.shape, name
+        assert got.blocks[name].dtype == arr.dtype and got.blocks[name].tobytes() == arr.tobytes(), name
+    assert bulk._s == scalar._s
+
+
+# ----------------------------------------------------------------------------
+# neural training: each epoch's batch order is one more scalar shuffle
+# ----------------------------------------------------------------------------
+
+@pytest.mark.parametrize("rows, max_epochs, patience", [(16, 15, 2), (1, 3, 3)],
+                         ids=["stops_early", "one_training_row"])
+def test_train_epoch_orders_equal_successive_scalar_shuffles(monkeypatch, rows, max_epochs, patience):
+    seen = []
+    real_iter_batches = neural.iter_batches
+
+    def recording(n, batch_size, order=None):
+        if order is not None:  # a training epoch; evaluation passes no order
+            seen.append(np.asarray(order).tolist())
+        return real_iter_batches(n, batch_size, order)
+
+    monkeypatch.setattr(neural, "iter_batches", recording)
+    ids, lens = encode_batch(NEURAL_TOKENS[:rows], NEURAL_VOCAB)
+    labels = np.asarray(_labels01(BUNDLED_LABELS[:rows]))
+    config = TrainConfig(batch_size=4, embedding_dim=4, hidden_dim=3, attention_dim=3,
+                         learning_rate=0.1, max_epochs=max_epochs, patience=patience, seed=9)
+    # the validation labels are flipped, so the loss there soon rises
+    _, trace = neural.train(True, (ids, lens, labels), (ids, lens, 1 - labels),
+                            config, NEURAL_VOCAB.size)
+    assert len(seen) == trace.stopped_epoch
+    assert (trace.stopped_epoch < max_epochs) == (patience < max_epochs)
+    scalar = Rng(config.seed)
+    oracle_init_params(NEURAL_VOCAB.size, config, True, scalar)
+    order = list(range(rows))
+    for epoch, got in enumerate(seen, 1):
+        scalar.shuffle(order)
+        assert got == order, epoch

@@ -52,6 +52,15 @@ def test_randbelow_rejects_nonpositive():
         Rng(1).randbelow(0)
 
 
+def test_randbelow_accepts_2_pow_64_and_rejects_larger():
+    # above 2**64 the rejection limit 2**64 - 2**64 % n is 0: no word is accepted
+    r, words = Rng(1), Rng(1)
+    assert r.randbelow(2**64) == words.next_u64()
+    for n in (2**64 + 1, 2**65, 3 * 2**64 - 1):
+        with pytest.raises(ValueError, match="randbelow"):
+            Rng(1).randbelow(n)
+
+
 @given(st.integers(min_value=0, max_value=2**32), st.integers(min_value=0, max_value=60))
 def test_shuffle_is_permutation(seed, n):
     items = list(range(n))
