@@ -173,19 +173,15 @@ def init_params(
 
     Embedding rows ~ U(-0.05, 0.05); every weight matrix Xavier-uniform;
     biases zero except the forget gate at 1.0. Attention parameters are drawn
-    even for the plain model so both variants share the draw sequence. All
-    weights come from one bulk U(0, 1) draw, scaled in place segment by
-    segment with the arithmetic of `Rng.uniform_array`, and every weight
-    block is a view of it.
+    even for the plain model so both variants share the draw sequence. Every
+    weight block is a view of one bulk U(0, 1) draw, scaled as `uniform_array`.
     """
     d, h, a = config.embedding_dim, config.hidden_dim, config.attention_dim
     # an LSTM's w and u are one draw per gate in the order i, f, o, g
-    draws = [("embedding", (vocab_size, d), 0.05)]
-    for direction in ("fwd", "bwd"):
-        draws += [(f"{direction}.w", (4, d, h), _xavier(d, h)),
-                  (f"{direction}.u", (4, h, h), _xavier(h, h))]
-    draws += [("att.w", (2 * h, a), _xavier(2 * h, a)), ("att.v", (a,), _xavier(a, 1)),
-              ("head.w", (2 * h, 2), _xavier(2 * h, 2))]
+    lstm = [(f"{direction}.{kind}", (4, rows, h), _xavier(rows, h))
+            for direction in ("fwd", "bwd") for kind, rows in (("w", d), ("u", h))]
+    draws = [("embedding", (vocab_size, d), 0.05), *lstm, ("att.w", (2 * h, a), _xavier(2 * h, a)),
+             ("att.v", (a,), _xavier(a, 1)), ("head.w", (2 * h, 2), _xavier(2 * h, 2))]
     sizes = [math.prod(shape) for _, shape, _ in draws]
     u = rng.uniform_array((sum(sizes),), 0.0, 1.0)
     blocks = {}
@@ -725,6 +721,17 @@ def evaluate_loss(
     return total_loss / n, correct / n
 
 
+def _epoch_orders(rng: Rng, n: int, epochs: int):
+    """Yields the order after each of `epochs` successive rng.shuffle calls on
+    range(n), drawn in bulk as many epochs as fit one 16,384-word PRNG block."""
+    order, per_draw = np.arange(n), max(1, (1 << 14) // n)
+    for first in range(0, epochs, per_draw):
+        start = order
+        for row in rng.permutations(n, min(per_draw, epochs - first)):
+            order = start[row]  # row is what those shuffles make of range(n)
+            yield order
+
+
 def train(
     use_attention: bool,
     train_data: tuple[np.ndarray, np.ndarray, np.ndarray],
@@ -756,9 +763,7 @@ def train(
     trace = TrainTrace()
     best_params = params.copy()
 
-    order = np.arange(n)
-    for epoch in range(1, config.max_epochs + 1):
-        order = order[rng.permutations(n, 1)[0]]  # as rng.shuffle(order) would leave it
+    for epoch, order in enumerate(_epoch_orders(rng, n, config.max_epochs), 1):
         loss_sum = 0.0
         for chunk in iter_batches(n, config.batch_size, order):
             cache = _forward_batch(train_ids[chunk], train_lens[chunk], params, ws)

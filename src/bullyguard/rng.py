@@ -20,9 +20,8 @@ and the test oracle. ``uniform_array`` and ``permutations`` draw the same stream
 in bulk: the xoshiro256** step is linear over GF(2), so a block of outputs
 comes from up to 256 lanes, each started at a jump-ahead of the state and
 each giving 64 consecutive outputs, all advanced in lockstep as numpy
-``uint64`` arrays. A jump-ahead is one gather from a table of the jump matrix
-applied to each value of each of the state's 64 nibbles, then one XOR
-reduction (Haramoto et al. 2008). A block leaves the state exactly where as
+``uint64`` arrays. A jump-ahead XORs a table's images of the state's 64
+nibbles (Haramoto et al. 2008). A block leaves the state exactly where as
 many scalar ``next_u64`` calls would. Weight initialization, batch order and
 the SVM's reshuffles all draw in bulk. numpy is imported by the bulk draws
 only, so a command that draws nothing in bulk never loads it.
@@ -72,9 +71,8 @@ def _step_lanes(s0, s1, s2, s3) -> np.ndarray:
 
 
 def _jump(table: np.ndarray, states: np.ndarray) -> np.ndarray:
-    """Each state (B, 4) times the GF(2) matrix of a `_nibble_table`; returns
-    (B, 4). Bit 64*w + b of a state is bit b of word w, and the product is
-    the XOR of the table entries of the state's 64 nibbles."""
+    """Each state (B, 4), whose bit 64*w + b is bit b of word w, times the GF(2)
+    matrix of a `_nibble_table`: the XOR of its 64 nibbles' table entries."""
     import numpy as np
     nibbles = (states[:, :, None] >> np.arange(0, 64, 4, dtype=np.uint64)) & np.uint64(15)
     index = nibbles.reshape(len(states), 64).T.view(np.int64) + np.arange(0, 1024, 16)[:, None]

@@ -1040,3 +1040,21 @@ def test_train_epoch_orders_equal_successive_scalar_shuffles(monkeypatch, rows, 
     for epoch, got in enumerate(seen, 1):
         scalar.shuffle(order)
         assert got == order, epoch
+
+
+def test_epoch_orders_across_bulk_draws_equal_successive_scalar_shuffles(monkeypatch):
+    counts = []
+    real_permutations = Rng.permutations
+
+    def recording(self, n, count):
+        counts.append(count)
+        return real_permutations(self, n, count)
+
+    monkeypatch.setattr(Rng, "permutations", recording)
+    bulk, scalar = Rng(4), Rng(4)
+    order = list(range(2000))
+    for epoch, got in enumerate(neural._epoch_orders(bulk, 2000, 20), 1):
+        scalar.shuffle(order)
+        assert got.tolist() == order, epoch
+    assert counts == [8, 8, 4]  # 16,384 // 2,000 epochs per bulk draw
+    assert bulk._s == scalar._s
