@@ -182,7 +182,7 @@ _KEYS = {
     **_field_rows("split", SplitSpec, skip=("seed",)),
     ("split", "seed"): (_int, DEFAULT_SEED),
     ("split", "folds"): (lambda raw: _folds(_int(raw)), DEFAULT_FOLDS),
-    ("tune", "objective"): (_one_of(tuple(OBJECTIVES)), DEFAULT_OBJECTIVE),
+    ("tune", "objective"): (_one_of(OBJECTIVES), DEFAULT_OBJECTIVE),
     **{("tune", f"grid_{param}"): (_floats, points)
        for grid in DEFAULT_GRIDS.values() for param, points in grid.items()},
     ("output", "dir"): (_text, "benchmark_out"),
@@ -358,7 +358,7 @@ def _say(rt: Runtime, message: str) -> None:
 # ----------------------------------------------------------------------------
 
 def cmd_stats(ns: argparse.Namespace) -> int:
-    from .corpus import compute_stats, validate_corpus
+    from .corpus import compute_stats, stats_text, validate_corpus, validation_text
 
     rt = _resolve_runtime(ns)
     records = _load_records(ns, rt)
@@ -367,13 +367,12 @@ def cmd_stats(ns: argparse.Namespace) -> int:
     if ns.json:
         import json
 
-        print(json.dumps({"validation": report.to_dict(), "stats": stats.to_dict()},
-                         indent=2, sort_keys=True))
+        print(json.dumps({"validation": report, "stats": stats}, indent=2, sort_keys=True))
     else:
-        print(stats.render_text())
+        print(stats_text(stats))
         print()
-        print(report.render_text())
-    if ns.strict and not report.clean:
+        print(validation_text(report))
+    if ns.strict and (report["duplicates"] or report["missing_fields"]):
         print("strict mode: corpus has validation failures", file=sys.stderr)
         return EXIT_VALIDATION
     return EXIT_OK

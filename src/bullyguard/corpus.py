@@ -5,6 +5,10 @@ with six columns (header ``no;username;komentar;label;tanggal;akun_target`` by
 default, remappable via a column map). Fields containing the delimiter, a
 double quote, or a newline are double-quoted with embedded quotes doubled
 (RFC-4180 conventions with ';' as the delimiter).
+
+validate_corpus and compute_stats return the JSON-ready records that
+``stats --json`` prints, keyed by label value; validation_text and
+stats_text render them as ``stats`` prints them.
 """
 
 from __future__ import annotations
@@ -33,87 +37,6 @@ class CommentRecord:
     label: Label
     posted_date: str
     target_handle: str
-
-
-@dataclass
-class ValidationReport:
-    n_records: int
-    duplicates: list[tuple[int, int]]  # (first position, later position), 0-based
-    missing_fields: list[tuple[int, str]]  # (position, field name)
-    class_counts: dict[Label, int]
-
-    @property
-    def balanced(self) -> bool:
-        counts = [self.class_counts.get(label, 0) for label in CLASS_ORDER]
-        return all(c > 0 for c in counts) and max(counts) == min(counts)
-
-    @property
-    def clean(self) -> bool:
-        return not self.duplicates and not self.missing_fields
-
-    def render_text(self) -> str:
-        lines = [f"records: {self.n_records}"]
-        for label in CLASS_ORDER:
-            lines.append(f"class {label.value}: {self.class_counts.get(label, 0)}")
-        lines.append(f"balanced: {'yes' if self.balanced else 'no'}")
-        lines.append(f"duplicate texts: {len(self.duplicates)}")
-        for i, j in self.duplicates:
-            lines.append(f"  duplicate: rows {i} and {j}")
-        lines.append(f"missing fields: {len(self.missing_fields)}")
-        for pos, name in self.missing_fields:
-            lines.append(f"  missing: row {pos} field {name}")
-        return "\n".join(lines)
-
-    def to_dict(self) -> dict:
-        return {
-            "n_records": self.n_records,
-            "duplicates": [list(pair) for pair in self.duplicates],
-            "missing_fields": [list(item) for item in self.missing_fields],
-            "class_counts": {label.value: self.class_counts.get(label, 0) for label in CLASS_ORDER},
-            "balanced": self.balanced,
-        }
-
-
-@dataclass
-class CorpusStats:
-    n_total: int
-    n_per_class: dict[Label, int]
-    char_len_min: float
-    char_len_max: float
-    char_len_median: float
-    char_len_mean: float
-    char_len_stddev: float
-    avg_words_per_class: dict[Label, float]
-
-    def render_text(self) -> str:
-        lines = [
-            f"comments: {self.n_total}",
-            f"char length min/max: {self.char_len_min:.0f}/{self.char_len_max:.0f}",
-            f"char length median: {self.char_len_median:.2f}",
-            f"char length mean: {self.char_len_mean:.2f}",
-            f"char length stddev: {self.char_len_stddev:.2f}",
-        ]
-        for label in CLASS_ORDER:
-            if label in self.n_per_class:
-                lines.append(
-                    f"class {label.value}: {self.n_per_class[label]} comments, "
-                    f"avg words {self.avg_words_per_class[label]:.2f}"
-                )
-        return "\n".join(lines)
-
-    def to_dict(self) -> dict:
-        return {
-            "n_total": self.n_total,
-            "n_per_class": {label.value: n for label, n in self.n_per_class.items()},
-            "char_len": {
-                "min": self.char_len_min,
-                "max": self.char_len_max,
-                "median": self.char_len_median,
-                "mean": self.char_len_mean,
-                "stddev": self.char_len_stddev,
-            },
-            "avg_words_per_class": {label.value: v for label, v in self.avg_words_per_class.items()},
-        }
 
 
 def _resolve_columns(header: list[str], column_map: dict[str, str] | None) -> dict[str, int]:
@@ -257,8 +180,10 @@ def write_corpus(
             (quote_all if any("\r" in f for f in row) else writer).writerow(row)
 
 
-def validate_corpus(records: list[CommentRecord]) -> ValidationReport:
-    """Data-quality report: exact duplicate texts, empty fields, class counts."""
+def validate_corpus(records: list[CommentRecord]) -> dict:
+    """Data-quality report: exact duplicate texts as [first, later] position
+    pairs, empty fields as [position, field name] pairs (positions 0-based),
+    both class counts, and whether the classes are balanced."""
     if not records:
         raise ValueError("validate_corpus requires a non-empty record list")
     seen: dict[str, int] = {}
@@ -267,23 +192,26 @@ def validate_corpus(records: list[CommentRecord]) -> ValidationReport:
     counts: Counter = Counter()
     for pos, rec in enumerate(records):
         if rec.text in seen:
-            duplicates.append((seen[rec.text], pos))
+            duplicates.append([seen[rec.text], pos])
         else:
             seen[rec.text] = pos
         for name in ("text", "commenter_handle", "posted_date", "target_handle"):
             if not getattr(rec, name).strip():
-                missing.append((pos, name))
+                missing.append([pos, name])
         counts[rec.label] += 1
-    return ValidationReport(
-        n_records=len(records),
-        duplicates=duplicates,
-        missing_fields=missing,
-        class_counts=dict(counts),
-    )
+    class_counts = [counts[label] for label in CLASS_ORDER]
+    return {
+        "n_records": len(records),
+        "duplicates": duplicates,
+        "missing_fields": missing,
+        "class_counts": {label.value: n for label, n in zip(CLASS_ORDER, class_counts)},
+        "balanced": min(class_counts) > 0 and max(class_counts) == min(class_counts),
+    }
 
 
-def compute_stats(records: list[CommentRecord]) -> CorpusStats:
-    """Descriptive statistics over raw text: character lengths and word counts.
+def compute_stats(records: list[CommentRecord]) -> dict:
+    """Descriptive statistics over raw text: character lengths, and the
+    comments and mean word count of each label present.
 
     Word counts split on whitespace runs. The standard deviation is the
     population form (divide by N).
@@ -293,23 +221,52 @@ def compute_stats(records: list[CommentRecord]) -> CorpusStats:
     if not records:
         raise ValueError("compute_stats requires a non-empty record list")
     lengths = [len(rec.text) for rec in records]
-    per_class_words: dict[Label, list[int]] = {}
-    per_class_counts: Counter = Counter()
+    per_class_words: dict[str, list[int]] = {}
     for rec in records:
-        per_class_counts[rec.label] += 1
-        per_class_words.setdefault(rec.label, []).append(len(rec.text.split()))
-    return CorpusStats(
-        n_total=len(records),
-        n_per_class=dict(per_class_counts),
-        char_len_min=float(min(lengths)),
-        char_len_max=float(max(lengths)),
-        char_len_median=float(statistics.median(lengths)),
-        char_len_mean=float(statistics.fmean(lengths)),
-        char_len_stddev=float(statistics.pstdev(lengths)),
-        avg_words_per_class={
-            label: statistics.fmean(words) for label, words in per_class_words.items()
+        per_class_words.setdefault(rec.label.value, []).append(len(rec.text.split()))
+    return {
+        "n_total": len(records),
+        "n_per_class": {value: len(words) for value, words in per_class_words.items()},
+        "char_len": {
+            "min": float(min(lengths)),
+            "max": float(max(lengths)),
+            "median": float(statistics.median(lengths)),
+            "mean": float(statistics.fmean(lengths)),
+            "stddev": float(statistics.pstdev(lengths)),
         },
-    )
+        "avg_words_per_class": {
+            value: statistics.fmean(words) for value, words in per_class_words.items()
+        },
+    }
+
+
+def stats_text(stats: dict) -> str:
+    """The text form of compute_stats' record."""
+    char_len = stats["char_len"]
+    lines = [
+        f"comments: {stats['n_total']}",
+        f"char length min/max: {char_len['min']:.0f}/{char_len['max']:.0f}",
+        f"char length median: {char_len['median']:.2f}",
+        f"char length mean: {char_len['mean']:.2f}",
+        f"char length stddev: {char_len['stddev']:.2f}",
+    ]
+    for label in CLASS_ORDER:
+        if label.value in stats["n_per_class"]:
+            lines.append(f"class {label.value}: {stats['n_per_class'][label.value]} comments, "
+                         f"avg words {stats['avg_words_per_class'][label.value]:.2f}")
+    return "\n".join(lines)
+
+
+def validation_text(report: dict) -> str:
+    """The text form of validate_corpus' record."""
+    lines = [f"records: {report['n_records']}"]
+    lines.extend(f"class {value}: {n}" for value, n in report["class_counts"].items())
+    lines.append(f"balanced: {'yes' if report['balanced'] else 'no'}")
+    lines.append(f"duplicate texts: {len(report['duplicates'])}")
+    lines.extend(f"  duplicate: rows {i} and {j}" for i, j in report["duplicates"])
+    lines.append(f"missing fields: {len(report['missing_fields'])}")
+    lines.extend(f"  missing: row {pos} field {name}" for pos, name in report["missing_fields"])
+    return "\n".join(lines)
 
 
 def _apportion(n: int, fractions: tuple[float, ...]) -> list[int]:

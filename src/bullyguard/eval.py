@@ -8,7 +8,11 @@ on the validation part and are scored once on the test part.
 
 The benchmark returns its report as the JSON-ready document that the
 ``benchmark`` command writes, and the tables render from that document; both
-are deterministic for a given seed.
+are deterministic for a given seed. A classical row holds the CV record that
+cross_validate returns: ``fold_reports``, the metrics records of the held-out
+folds, and ``cv_mean`` and ``cv_std``, each score's mean and sample std over
+them, keyed by the flat names of metrics.SCORES. A neural row's
+``test_report`` is one metrics record.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from .linear_models import (
     fold_reports,
     grid_search,
 )
-from .metrics import MetricsReport, evaluate
+from .metrics import SCORES, evaluate, score
 from .neural import (
     NeuralVocab,
     build_neural_vocab,
@@ -61,31 +65,13 @@ class ModelSpec:
     pipeline: PipelineConfig = field(default_factory=PipelineConfig)
 
 
-@dataclass
-class CrossValResult:
-    fold_reports: list[MetricsReport]
-    mean: dict[str, float]
-    std: dict[str, float]
-
-
-def _report_values(report: MetricsReport) -> dict[str, float]:
-    return {
-        "accuracy": report.accuracy,
-        "precision_weighted": report.weighted_precision,
-        "recall_weighted": report.weighted_recall,
-        "f1_weighted": report.weighted_f1,
-        "precision_macro": report.macro_precision,
-        "recall_macro": report.macro_recall,
-        "f1_macro": report.macro_f1,
-    }
-
-
-def _aggregate(reports: list[MetricsReport]) -> CrossValResult:
-    """Mean and sample std over k >= 2 folds' reports."""
-    values = [_report_values(r) for r in reports]
-    mean = {k: statistics.fmean(v[k] for v in values) for k in values[0]}
-    std = {k: statistics.stdev(v[k] for v in values) for k in values[0]}
-    return CrossValResult(fold_reports=reports, mean=mean, std=std)
+def _aggregate(reports: list[dict]) -> dict:
+    """The CV record of k >= 2 folds' reports: the reports, and each score's
+    mean and sample std over them."""
+    values = {name: [score(r, name) for r in reports] for name in SCORES}
+    return {"fold_reports": reports,
+            "cv_mean": {name: statistics.fmean(v) for name, v in values.items()},
+            "cv_std": {name: statistics.stdev(v) for name, v in values.items()}}
 
 
 def cross_validate(
@@ -95,8 +81,9 @@ def cross_validate(
     seed: int,
     lexicon: NormalizationLexicon,
     rules: StemmerRules,
-) -> CrossValResult:
-    """Stratified k-fold CV of one classical model spec.
+) -> dict:
+    """Stratified k-fold CV of one classical model spec, as the CV record
+    {"fold_reports", "cv_mean", "cv_std"}.
 
     Per fold: featurizer fitted on the fold-training documents only, model
     trained there, metrics computed on the held-out fold.
@@ -190,13 +177,11 @@ def run_benchmark(
             family, config.grids[family], folds, config.seed, config.objective,
             config.trainer_params[family],
         )
-        cv = _aggregate(grid.best_fold_reports)
         ml_models.append({
             "name": ML_ROW_NAMES[family], "family": family, "best_params": grid.best_params,
             "grid": [{"params": params, "fold_scores": scores}
                      for params, scores in grid.per_candidate],
-            "cv_mean": cv.mean, "cv_std": cv.std,
-            "fold_reports": [r.to_dict() for r in cv.fold_reports],
+            **_aggregate(grid.best_fold_reports),
         })
     del folds  # all k folds' vectors; free them before the neural track
 
@@ -218,7 +203,7 @@ def run_benchmark(
         dl_models.append({
             "name": DL_ROW_NAMES[use_attention],
             "use_attention": use_attention,
-            "test_report": evaluate(test_labels, y_pred).to_dict(),
+            "test_report": evaluate(test_labels, y_pred),
             **asdict(trace),  # per-epoch losses and accuracies, stopping epochs
             "dropped_empty_train": data.n_dropped_train,
             "dropped_empty_val": data.n_dropped_val,

@@ -27,8 +27,6 @@ from .features import Row, TfidfConfig, fit_tfidf, transform_all
 if TYPE_CHECKING:
     import numpy as np
 
-    from .metrics import MetricsReport
-
 
 class TrainingError(Exception):
     """Invalid training request or diverged optimization."""
@@ -45,8 +43,8 @@ DEFAULT_GRIDS: dict[str, dict[str, list]] = {
     "svm": {"reg_lambda": [1e-4, 1e-3, 1e-2]},
 }
 DEFAULT_OBJECTIVE = "f1_weighted"
-# Each objective grid_search can score by, and the MetricsReport field it reads.
-OBJECTIVES = {"f1_weighted": "weighted_f1", "f1_macro": "macro_f1", "accuracy": "accuracy"}
+# The scores (metrics.SCORES names) grid_search can select by.
+OBJECTIVES = ("f1_weighted", "f1_macro", "accuracy")
 
 
 @dataclass(frozen=True, eq=False)
@@ -385,7 +383,7 @@ class GridSearchResult:
     best_params: dict
     best_score: float
     per_candidate: list[tuple[dict, list[float]]]
-    best_fold_reports: list[MetricsReport]  # the winning candidate's held-out folds
+    best_fold_reports: list[dict]  # the winning candidate's held-out folds' reports
 
 
 @dataclass
@@ -444,13 +442,6 @@ def predict_family(
     raise TrainingError(f"unknown model family {family!r}")
 
 
-def _objective_value(report: MetricsReport, objective: str) -> float:
-    try:
-        return getattr(report, OBJECTIVES[objective])
-    except KeyError:
-        raise TrainingError(f"unknown objective {objective!r}") from None
-
-
 def expand_grid(param_grid: dict[str, list]) -> list[dict]:
     """Cartesian product in key order, values in listed order."""
     if not param_grid:
@@ -494,7 +485,7 @@ def fold_reports(
     candidates: list[dict],
     folds: list[FeaturizedFold],
     seed: int,
-) -> list[list[MetricsReport]]:
+) -> list[list[dict]]:
     """Each candidate's reports on the held-out folds, each trained on its
     fold's training part. LR trains every (candidate, fold) problem in one
     stacked descent, which raises the error that training them one by one in
@@ -530,12 +521,16 @@ def grid_search(
     shares, under its own grid point. Candidates are evaluated in grid order
     and ties keep the earliest candidate.
     """
+    from .metrics import score
+
     if family not in CLASSICAL_FAMILIES:
         raise TrainingError(f"unknown model family {family!r}")
+    if objective not in OBJECTIVES:
+        raise TrainingError(f"unknown objective {objective!r}")
     candidates = expand_grid(param_grid)
     candidate_reports = fold_reports(
         family, [{**(params or {}), **point} for point in candidates], folds, seed)
-    per_candidate = [(params, [_objective_value(r, objective) for r in reports])
+    per_candidate = [(params, [score(r, objective) for r in reports])
                      for params, reports in zip(candidates, candidate_reports)]
     means = [sum(scores) / len(scores) for _, scores in per_candidate]
     best = means.index(max(means))  # the earliest maximum

@@ -1,5 +1,13 @@
 """Confusion-matrix metrics: accuracy, precision, recall, F1 (macro/weighted).
 
+A report is the JSON-ready record the benchmark stores: ``accuracy``,
+``per_class`` (keyed by label value, each with ``precision``, ``recall``,
+``f1`` and ``support``), the ``macro`` and ``weighted`` means of
+``precision``, ``recall`` and ``f1``, and ``zero_division``. SCORES names its
+seven scores flat (``accuracy``, ``f1_weighted``, ``recall_macro``, ...), as
+the CV means and the grid objective use them, and score(report, name) reads
+one.
+
 Zero-denominator cases (a class never predicted, or absent from y_true) score
 0 for the affected metric and set the zero_division flag on the report.
 Weighted recall equals accuracy by algebraic identity; that property is relied
@@ -8,74 +16,22 @@ on by the benchmark tables and enforced by the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .base import CLASS_ORDER, Label
 
+SCORES = ("accuracy", "precision_weighted", "recall_weighted", "f1_weighted",
+          "precision_macro", "recall_macro", "f1_macro")
 
-@dataclass(frozen=True)
-class ConfusionMatrix:
+
+def score(report: dict, name: str) -> float:
+    """The score SCORES names: accuracy, or "<metric>_<mean>" as report[mean][metric]."""
+    if name == "accuracy":
+        return report["accuracy"]
+    metric, mean = name.split("_")
+    return report[mean][metric]
+
+
+def confusion(y_true: list[Label], y_pred: list[Label]) -> tuple[tuple[int, int], tuple[int, int]]:
     """counts[i][j] = number of examples with true class i predicted as j."""
-    counts: tuple[tuple[int, int], tuple[int, int]]
-
-    @property
-    def total(self) -> int:
-        return sum(sum(row) for row in self.counts)
-
-    def to_dict(self) -> dict:
-        return {
-            "classes": [label.value for label in CLASS_ORDER],
-            "counts": [list(row) for row in self.counts],
-        }
-
-
-@dataclass
-class ClassMetrics:
-    precision: float
-    recall: float
-    f1: float
-    support: int
-
-
-@dataclass
-class MetricsReport:
-    accuracy: float
-    per_class: dict[Label, ClassMetrics]
-    macro_precision: float
-    macro_recall: float
-    macro_f1: float
-    weighted_precision: float
-    weighted_recall: float
-    weighted_f1: float
-    zero_division: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "accuracy": self.accuracy,
-            "per_class": {
-                label.value: {
-                    "precision": m.precision,
-                    "recall": m.recall,
-                    "f1": m.f1,
-                    "support": m.support,
-                }
-                for label, m in self.per_class.items()
-            },
-            "macro": {
-                "precision": self.macro_precision,
-                "recall": self.macro_recall,
-                "f1": self.macro_f1,
-            },
-            "weighted": {
-                "precision": self.weighted_precision,
-                "recall": self.weighted_recall,
-                "f1": self.weighted_f1,
-            },
-            "zero_division": self.zero_division,
-        }
-
-
-def confusion(y_true: list[Label], y_pred: list[Label]) -> ConfusionMatrix:
     if len(y_true) != len(y_pred):
         raise ValueError(f"length mismatch: {len(y_true)} true vs {len(y_pred)} predicted")
     if not y_true:
@@ -83,7 +39,7 @@ def confusion(y_true: list[Label], y_pred: list[Label]) -> ConfusionMatrix:
     counts = [[0, 0], [0, 0]]
     for t, p in zip(y_true, y_pred):
         counts[t.index][p.index] += 1
-    return ConfusionMatrix(counts=(tuple(counts[0]), tuple(counts[1])))
+    return tuple(counts[0]), tuple(counts[1])
 
 
 def _safe_div(num: float, den: float) -> tuple[float, bool]:
@@ -92,55 +48,35 @@ def _safe_div(num: float, den: float) -> tuple[float, bool]:
     return num / den, False
 
 
-def metrics(cm: ConfusionMatrix) -> MetricsReport:
-    total = cm.total
+def metrics(counts: tuple[tuple[int, int], tuple[int, int]]) -> dict:
+    """The report of a 2x2 count matrix, as confusion returns it."""
+    total = sum(sum(row) for row in counts)
     if total <= 0:
         raise ValueError("confusion matrix is empty")
-    per_class: dict[Label, ClassMetrics] = {}
+    per_class = {}
     zero_division = False
     for label in CLASS_ORDER:
         i = label.index
-        tp = cm.counts[i][i]
-        fp = sum(cm.counts[j][i] for j in range(2) if j != i)
-        fn = sum(cm.counts[i][j] for j in range(2) if j != i)
+        tp, fp, fn = counts[i][i], counts[1 - i][i], counts[i][1 - i]
         precision, z1 = _safe_div(tp, tp + fp)
         recall, z2 = _safe_div(tp, tp + fn)
         f1, z3 = _safe_div(2.0 * precision * recall, precision + recall)
         zero_division = zero_division or z1 or z2 or z3
-        per_class[label] = ClassMetrics(
-            precision=precision, recall=recall, f1=f1, support=tp + fn,
-        )
-    accuracy = sum(cm.counts[i][i] for i in range(2)) / total
-    supports = [per_class[label].support for label in CLASS_ORDER]
-    n_classes = len(CLASS_ORDER)
-
-    def macro(attr: str) -> float:
-        return sum(getattr(per_class[label], attr) for label in CLASS_ORDER) / n_classes
-
-    def weighted(attr: str) -> float:
-        return sum(
-            getattr(per_class[label], attr) * s
-            for label, s in zip(CLASS_ORDER, supports)
-        ) / total
-
-    weighted_recall = weighted("recall")
+        per_class[label.value] = {"precision": precision, "recall": recall, "f1": f1,
+                                  "support": tp + fn}
+    accuracy = (counts[0][0] + counts[1][1]) / total
+    rows = per_class.values()
+    macro = {m: sum(row[m] for row in rows) / len(rows) for m in ("precision", "recall", "f1")}
+    weighted = {m: sum(row[m] * row["support"] for row in rows) / total
+                for m in ("precision", "recall", "f1")}
     # algebraic identity: sum_c support_c * (TP_c / support_c) / total
-    if abs(weighted_recall - accuracy) > 1e-9:
+    if abs(weighted["recall"] - accuracy) > 1e-9:
         raise AssertionError(
-            f"weighted recall {weighted_recall!r} diverged from accuracy {accuracy!r}"
+            f"weighted recall {weighted['recall']!r} diverged from accuracy {accuracy!r}"
         )
-    return MetricsReport(
-        accuracy=accuracy,
-        per_class=per_class,
-        macro_precision=macro("precision"),
-        macro_recall=macro("recall"),
-        macro_f1=macro("f1"),
-        weighted_precision=weighted("precision"),
-        weighted_recall=weighted_recall,
-        weighted_f1=weighted("f1"),
-        zero_division=zero_division,
-    )
+    return {"accuracy": accuracy, "per_class": per_class, "macro": macro,
+            "weighted": weighted, "zero_division": zero_division}
 
 
-def evaluate(y_true: list[Label], y_pred: list[Label]) -> MetricsReport:
+def evaluate(y_true: list[Label], y_pred: list[Label]) -> dict:
     return metrics(confusion(y_true, y_pred))

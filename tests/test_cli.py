@@ -72,6 +72,37 @@ def test_stats_balanced(tmp_path, capsys):
     assert "comments: 20" in out
 
 
+def test_stats_text_output(tmp_path, capsys):
+    records = [
+        make_record(index=1, text="dasar jelek bego", label=B),
+        make_record(index=2, text="kamu keren", label=N),
+        make_record(index=3, text="dasar jelek bego", label=B),
+        make_record(index=4, text="bagus sekali kak", label=N, date=""),
+        make_record(index=5, text="jelek", label=B),
+    ]
+    path = tmp_path / "corpus.csv"
+    write_corpus(records, path)
+    assert main(["stats", "--corpus", str(path)]) == 0
+    assert capsys.readouterr().out == (
+        "comments: 5\n"
+        "char length min/max: 5/16\n"
+        "char length median: 16.00\n"
+        "char length mean: 12.60\n"
+        "char length stddev: 4.45\n"
+        "class Bullying: 3 comments, avg words 2.33\n"
+        "class Non-bullying: 2 comments, avg words 2.50\n"
+        "\n"
+        "records: 5\n"
+        "class Bullying: 3\n"
+        "class Non-bullying: 2\n"
+        "balanced: no\n"
+        "duplicate texts: 1\n"
+        "  duplicate: rows 0 and 2\n"
+        "missing fields: 1\n"
+        "  missing: row 3 field posted_date\n"
+    )
+
+
 def test_stats_json(tmp_path, capsys):
     corpus = write_fixture_corpus(tmp_path)
     assert main(["stats", "--corpus", str(corpus), "--json"]) == 0

@@ -13,6 +13,7 @@ from bullyguard.corpus import (
     majority_label,
     stratified_split,
     validate_corpus,
+    validation_text,
     write_corpus,
 )
 from conftest import balanced_records, make_record
@@ -194,29 +195,29 @@ def test_validate_duplicates():
         make_record(index=3, text="sama persis"),
     ]
     report = validate_corpus(records)
-    assert report.duplicates == [(0, 2)]
-    assert not report.clean
+    assert report["duplicates"] == [[0, 2]]
+    assert report["duplicates"] or report["missing_fields"]
 
 
 def test_validate_duplicate_is_case_sensitive():
     records = [make_record(index=1, text="Halo"), make_record(index=2, text="halo")]
-    assert validate_corpus(records).duplicates == []
+    assert validate_corpus(records)["duplicates"] == []
 
 
 def test_validate_balanced_counts():
     report = validate_corpus(balanced_records(650))
-    assert report.class_counts[Label.BULLYING] == 325
-    assert report.class_counts[Label.NON_BULLYING] == 325
-    assert report.balanced
-    assert "balanced: yes" in report.render_text()
+    assert report["class_counts"][Label.BULLYING.value] == 325
+    assert report["class_counts"][Label.NON_BULLYING.value] == 325
+    assert report["balanced"]
+    assert "balanced: yes" in validation_text(report)
 
 
 def test_validate_missing_fields():
     records = [make_record(index=1), make_record(index=2, text="  ", date="")]
     report = validate_corpus(records)
-    assert (1, "text") in report.missing_fields
-    assert (1, "posted_date") in report.missing_fields
-    assert not report.clean
+    assert [1, "text"] in report["missing_fields"]
+    assert [1, "posted_date"] in report["missing_fields"]
+    assert report["duplicates"] or report["missing_fields"]
 
 
 def test_validate_empty_input_rejected():
@@ -234,22 +235,23 @@ def test_stats_hand_case():
         make_record(index=2, text="abcdef", label=Label.NON_BULLYING),
     ]
     stats = compute_stats(records)
-    assert stats.char_len_mean == pytest.approx(5.5)
-    assert stats.char_len_min == 5 and stats.char_len_max == 6
-    assert stats.char_len_median == pytest.approx(5.5)
-    assert stats.char_len_stddev == pytest.approx(0.5)  # population form
-    assert stats.avg_words_per_class[Label.BULLYING] == pytest.approx(2.0)
-    assert stats.avg_words_per_class[Label.NON_BULLYING] == pytest.approx(1.0)
+    char_len = stats["char_len"]
+    assert char_len["mean"] == pytest.approx(5.5)
+    assert char_len["min"] == 5 and char_len["max"] == 6
+    assert char_len["median"] == pytest.approx(5.5)
+    assert char_len["stddev"] == pytest.approx(0.5)  # population form
+    assert stats["avg_words_per_class"][Label.BULLYING.value] == pytest.approx(2.0)
+    assert stats["avg_words_per_class"][Label.NON_BULLYING.value] == pytest.approx(1.0)
 
 
 def test_stats_single_record_stddev_zero():
     stats = compute_stats([make_record()])
-    assert stats.char_len_stddev == 0.0
+    assert stats["char_len"]["stddev"] == 0.0
 
 
 def test_stats_sample_stddev_flag():
     records = [make_record(index=1, text="ab"), make_record(index=2, text="abcd")]
-    pop = compute_stats(records).char_len_stddev
+    pop = compute_stats(records)["char_len"]["stddev"]
     assert pop == pytest.approx(1.0)
 
 
@@ -266,7 +268,7 @@ def test_stats_word_counts_match_bruteforce(texts):
     for rec in records:
         by_class.setdefault(rec.label, []).append(len(rec.text.split()))
     for label, counts in by_class.items():
-        assert stats.avg_words_per_class[label] == pytest.approx(sum(counts) / len(counts))
+        assert stats["avg_words_per_class"][label.value] == pytest.approx(sum(counts) / len(counts))
 
 
 # ----------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from bullyguard.eval import (
     render_benchmark_tables,
     run_benchmark,
 )
+from bullyguard.metrics import SCORES
 from conftest import balanced_records, make_record
 
 B, N = Label.BULLYING, Label.NON_BULLYING
@@ -38,9 +39,9 @@ def test_cross_validate_structural_k2(default_lexicon, default_rules):
     spec = ModelSpec(family="nb", params={"alpha": 1.0})
     result = cross_validate(spec, records, k=2, seed=1,
                             lexicon=default_lexicon, rules=default_rules)
-    assert len(result.fold_reports) == 2
+    assert len(result["fold_reports"]) == 2
     for key in ("accuracy", "f1_weighted", "f1_macro"):
-        assert key in result.mean and key in result.std
+        assert key in result["cv_mean"] and key in result["cv_std"]
 
 
 def test_cross_validate_lr_separable_perfect(default_lexicon, default_rules):
@@ -48,8 +49,8 @@ def test_cross_validate_lr_separable_perfect(default_lexicon, default_rules):
     spec = ModelSpec(family="lr", params={"l2_lambda": 1e-4, "lr": 0.5, "epochs": 400})
     result = cross_validate(spec, records, k=3, seed=42,
                             lexicon=default_lexicon, rules=default_rules)
-    assert result.mean["accuracy"] == pytest.approx(1.0)
-    assert result.std["accuracy"] == pytest.approx(0.0, abs=1e-12)
+    assert result["cv_mean"]["accuracy"] == pytest.approx(1.0)
+    assert result["cv_std"]["accuracy"] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_cross_validate_deterministic(default_lexicon, default_rules):
@@ -57,7 +58,7 @@ def test_cross_validate_deterministic(default_lexicon, default_rules):
     spec = ModelSpec(family="svm", params={"reg_lambda": 1e-3, "epochs": 30})
     r1 = cross_validate(spec, records, 2, 5, default_lexicon, default_rules)
     r2 = cross_validate(spec, records, 2, 5, default_lexicon, default_rules)
-    assert r1.mean == r2.mean and r1.std == r2.std
+    assert r1["cv_mean"] == r2["cv_mean"] and r1["cv_std"] == r2["cv_std"]
 
 
 def test_cross_validate_rejects_bad_k(default_lexicon, default_rules):
@@ -170,5 +171,6 @@ def test_run_benchmark_featurizes_each_fold_once(default_lexicon, default_rules,
         spec = ModelSpec(family=row["family"], params=row["best_params"])
         fresh = cross_validate(spec, train_recs, config.folds, config.seed,
                                default_lexicon, default_rules)
-        assert row["fold_reports"] == [r.to_dict() for r in fresh.fold_reports]
-        assert row["cv_mean"] == fresh.mean and row["cv_std"] == fresh.std
+        assert row["fold_reports"] == fresh["fold_reports"]
+        assert row["cv_mean"] == fresh["cv_mean"] and row["cv_std"] == fresh["cv_std"]
+        assert set(row["cv_mean"]) == set(row["cv_std"]) == set(SCORES)

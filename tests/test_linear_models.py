@@ -674,13 +674,22 @@ def test_grid_tie_keeps_earliest():
     assert result.best_params == {"alpha": 1.0}
 
 
-def test_grid_unknown_family_or_objective():
+def test_grid_unknown_family_or_objective(monkeypatch):
     tokens, labels = token_corpus()
     folds = featurize_folds(tokens, labels, 2, 1)
     with pytest.raises(TrainingError, match="unknown model family"):
         grid_search("forest", {"x": [1]}, folds, seed=1)
-    with pytest.raises(TrainingError, match="unknown objective"):
-        grid_search("nb", {"alpha": [1.0]}, folds, seed=1, objective="roc_auc")
+    trained = []
+    for name in ("train_nb", "_train_lr_stack", "train_svm"):
+        def spy(*args, name=name, real=getattr(lm, name), **kwargs):
+            trained.append(name)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(lm, name, spy)
+    for family, grid in (("nb", {"alpha": [0.5, 1.0]}), ("lr", {"l2_lambda": [1e-3]}),
+                         ("svm", {"reg_lambda": [1e-3]})):
+        with pytest.raises(TrainingError, match="unknown objective"):
+            grid_search(family, grid, folds, seed=1, objective="roc_auc")
+    assert trained == []  # refused before any candidate trains
 
 
 def test_grid_never_fits_on_test_fold(monkeypatch):

@@ -2,7 +2,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bullyguard.corpus import CLASS_ORDER, Label
-from bullyguard.metrics import ConfusionMatrix, confusion, evaluate, metrics
+from bullyguard.linear_models import OBJECTIVES
+from bullyguard.metrics import SCORES, confusion, evaluate, metrics, score
 
 B, N = Label.BULLYING, Label.NON_BULLYING
 
@@ -23,18 +24,16 @@ def tally_oracle(y_true, y_pred):
 
 
 def test_confusion_spec_example():
-    cm = confusion([B, B, N, N], [B, N, N, N])
-    assert cm.counts == ((1, 1), (0, 2))
+    assert confusion([B, B, N, N], [B, N, N, N]) == ((1, 1), (0, 2))
 
 
 def test_confusion_perfect_offdiagonal_zero():
-    cm = confusion([B, N, B], [B, N, B])
-    assert cm.counts[0][1] == 0 and cm.counts[1][0] == 0
+    counts = confusion([B, N, B], [B, N, B])
+    assert counts[0][1] == 0 and counts[1][0] == 0
 
 
 def test_confusion_single_predicted_class():
-    cm = confusion([B, N, B, N], [B, B, B, B])
-    assert cm.counts == ((2, 0), (2, 0))
+    assert confusion([B, N, B, N], [B, B, B, B]) == ((2, 0), (2, 0))
 
 
 def test_confusion_length_mismatch():
@@ -45,39 +44,44 @@ def test_confusion_length_mismatch():
 
 
 def test_metrics_hand_case():
-    cm = ConfusionMatrix(counts=((40, 5), (10, 45)))
-    report = metrics(cm)
-    assert report.accuracy == pytest.approx(0.85)
-    m0 = report.per_class[B]
-    assert m0.precision == pytest.approx(0.8)
-    assert m0.recall == pytest.approx(40 / 45)
-    assert m0.f1 == pytest.approx(2 * 0.8 * (40 / 45) / (0.8 + 40 / 45))
-    assert m0.support == 45
-    m1 = report.per_class[N]
-    assert m1.precision == pytest.approx(0.9)
-    assert m1.recall == pytest.approx(45 / 55)
-    assert report.macro_f1 == pytest.approx((m0.f1 + m1.f1) / 2)
-    assert report.weighted_f1 == pytest.approx((45 * m0.f1 + 55 * m1.f1) / 100)
-    assert not report.zero_division
+    report = metrics(((40, 5), (10, 45)))
+    assert report["accuracy"] == pytest.approx(0.85)
+    m0 = report["per_class"][B.value]
+    assert m0["precision"] == pytest.approx(0.8)
+    assert m0["recall"] == pytest.approx(40 / 45)
+    assert m0["f1"] == pytest.approx(2 * 0.8 * (40 / 45) / (0.8 + 40 / 45))
+    assert m0["support"] == 45
+    m1 = report["per_class"][N.value]
+    assert m1["precision"] == pytest.approx(0.9)
+    assert m1["recall"] == pytest.approx(45 / 55)
+    assert report["macro"]["f1"] == pytest.approx((m0["f1"] + m1["f1"]) / 2)
+    assert report["weighted"]["f1"] == pytest.approx((45 * m0["f1"] + 55 * m1["f1"]) / 100)
+    assert not report["zero_division"]
+    # each flat score name reads its nested field
+    assert score(report, "accuracy") == report["accuracy"]
+    for name in SCORES[1:]:
+        metric, mean = name.split("_")
+        assert score(report, name) == report[mean][metric]
+    assert set(OBJECTIVES) <= set(SCORES)
 
 
 def test_metrics_perfect():
-    report = metrics(ConfusionMatrix(counts=((7, 0), (0, 3))))
-    for value in (report.accuracy, report.macro_f1, report.weighted_f1,
-                  report.weighted_precision, report.macro_precision):
+    report = metrics(((7, 0), (0, 3)))
+    for value in (report["accuracy"], report["macro"]["f1"], report["weighted"]["f1"],
+                  report["weighted"]["precision"], report["macro"]["precision"]):
         assert value == pytest.approx(1.0)
 
 
 def test_metrics_degenerate_single_class_prediction():
-    report = metrics(ConfusionMatrix(counts=((5, 0), (5, 0))))
-    other = report.per_class[N]
-    assert other.precision == 0.0 and other.recall == 0.0 and other.f1 == 0.0
-    assert report.zero_division
+    report = metrics(((5, 0), (5, 0)))
+    other = report["per_class"][N.value]
+    assert other["precision"] == 0.0 and other["recall"] == 0.0 and other["f1"] == 0.0
+    assert report["zero_division"]
 
 
 def test_weighted_recall_equals_accuracy_hand():
-    report = metrics(ConfusionMatrix(counts=((13, 7), (2, 28))))
-    assert report.weighted_recall == pytest.approx(report.accuracy, abs=1e-12)
+    report = metrics(((13, 7), (2, 28)))
+    assert report["weighted"]["recall"] == pytest.approx(report["accuracy"], abs=1e-12)
 
 
 @settings(max_examples=200, deadline=None)
@@ -86,9 +90,8 @@ def test_weighted_recall_equals_accuracy_hand():
     st.integers(0, 50), st.integers(0, 50),
 ).filter(lambda c: sum(c) > 0))
 def test_weighted_recall_accuracy_identity_property(cells):
-    cm = ConfusionMatrix(counts=((cells[0], cells[1]), (cells[2], cells[3])))
-    report = metrics(cm)
-    assert abs(report.weighted_recall - report.accuracy) <= 1e-12
+    report = metrics(((cells[0], cells[1]), (cells[2], cells[3])))
+    assert abs(report["weighted"]["recall"] - report["accuracy"]) <= 1e-12
 
 
 @settings(max_examples=100, deadline=None)
@@ -101,14 +104,14 @@ def test_metrics_match_bruteforce_tally(pairs):
     y_pred = [p for _, p in pairs]
     report = evaluate(y_true, y_pred)
     accuracy, per_class = tally_oracle(y_true, y_pred)
-    assert report.accuracy == pytest.approx(accuracy, abs=1e-12)
+    assert report["accuracy"] == pytest.approx(accuracy, abs=1e-12)
     for label in CLASS_ORDER:
         precision, recall, f1, support = per_class[label]
-        got = report.per_class[label]
-        assert got.precision == pytest.approx(precision, abs=1e-12)
-        assert got.recall == pytest.approx(recall, abs=1e-12)
-        assert got.f1 == pytest.approx(f1, abs=1e-12)
-        assert got.support == support
+        got = report["per_class"][label.value]
+        assert got["precision"] == pytest.approx(precision, abs=1e-12)
+        assert got["recall"] == pytest.approx(recall, abs=1e-12)
+        assert got["f1"] == pytest.approx(f1, abs=1e-12)
+        assert got["support"] == support
 
 
 @settings(max_examples=100, deadline=None)
@@ -122,5 +125,5 @@ def test_macro_f1_invariant_under_relabeling(pairs):
     y_pred = [p for _, p in pairs]
     direct = evaluate(y_true, y_pred)
     swapped = evaluate([swap[t] for t in y_true], [swap[p] for p in y_pred])
-    assert direct.macro_f1 == pytest.approx(swapped.macro_f1, abs=1e-12)
-    assert direct.accuracy == pytest.approx(swapped.accuracy, abs=1e-12)
+    assert direct["macro"]["f1"] == pytest.approx(swapped["macro"]["f1"], abs=1e-12)
+    assert direct["accuracy"] == pytest.approx(swapped["accuracy"], abs=1e-12)
