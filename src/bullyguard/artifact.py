@@ -18,9 +18,8 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
-from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .base import CLASS_ORDER, Label
 from .features import TfidfConfig, TfidfModel, Vocabulary, transform_all
@@ -74,7 +73,7 @@ def preprocessing_fingerprint(
 ) -> str:
     """SHA-256 over a canonical rendering of the preprocessing setup."""
     parts = [
-        "pipeline:" + ",".join(f"{k}={int(v)}" for k, v in asdict(pipeline).items()),
+        "pipeline:" + ",".join(f"{k}={int(v)}" for k, v in pipeline._asdict().items()),
         "slang:" + ";".join(f"{k}={v}" for k, v in sorted(lexicon.slang_map.items())),
         "stopwords:" + ";".join(sorted(lexicon.stopwords)),
         "roots:" + ";".join(sorted(lexicon.root_words)),
@@ -102,22 +101,21 @@ def data_fingerprint(records: list[CommentRecord]) -> str:
     return h.hexdigest()
 
 
-@dataclass
 class ModelArtifact:
-    family: str
-    seed: int
-    majority_label: Label
-    preprocessing_fp: str
-    data_fp: str
-    pipeline: PipelineConfig
-    model: NaiveBayesModel | LogisticRegressionModel | LinearSvmModel | NeuralNetParams | None = None
-    tfidf: TfidfModel | None = None  # classical families
-    threshold: float = 0.5  # LR only
-    neural_vocab: NeuralVocab | None = None
+    """A model and its header; tfidf and the threshold belong to the
+    classical families (the threshold to LR), neural_vocab to the neural ones."""
 
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ArtifactError(f"unknown model family {self.family!r}")
+    def __init__(self, family: str, seed: int, majority_label: Label, preprocessing_fp: str,
+                 data_fp: str, pipeline: PipelineConfig,
+                 model: NaiveBayesModel | LogisticRegressionModel | LinearSvmModel
+                 | NeuralNetParams | None = None, tfidf: TfidfModel | None = None,
+                 threshold: float = 0.5, neural_vocab: NeuralVocab | None = None):
+        if family not in FAMILIES:
+            raise ArtifactError(f"unknown model family {family!r}")
+        self.family, self.seed, self.majority_label = family, seed, majority_label
+        self.preprocessing_fp, self.data_fp, self.pipeline = preprocessing_fp, data_fp, pipeline
+        self.model, self.tfidf, self.threshold = model, tfidf, threshold
+        self.neural_vocab = neural_vocab
 
 
 # Per classical family, in file order: the model class, its scalar keys and
@@ -135,9 +133,10 @@ _CLASSICAL_SECTIONS = {
 # ----------------------------------------------------------------------------
 
 def _flag_lines(section: str, config) -> list[str]:
-    """One line per dataclass field; the booleans as true/false, the others as numbers."""
+    """One line per field of the settings record; the booleans as
+    true/false, the others as numbers."""
     return [f"[{section}]"] + [
-        f"{k} {str(v).lower() if isinstance(v, bool) else v}" for k, v in asdict(config).items()]
+        f"{k} {str(v).lower() if isinstance(v, bool) else v}" for k, v in config._asdict().items()]
 
 
 def _token_lines(token_to_id: dict[str, int], rest) -> list[str]:
@@ -154,7 +153,7 @@ def _classical_lines(artifact: ModelArtifact) -> list[str]:
     """[tfidf], then the family's section."""
     tfidf, model = artifact.tfidf, artifact.model
     lines = _flag_lines("tfidf", tfidf.config) + [
-        f"n_documents {tfidf.vocabulary.n_documents}", f"vocab {len(tfidf.vocabulary)}"]
+        f"n_documents {tfidf.vocabulary.n_documents}", f"vocab {tfidf.n_features}"]
     lines += _token_lines(tfidf.vocabulary.token_to_id, lambda idx: (
         f" {tfidf.vocabulary.document_frequency[idx]} {_fmt(tfidf.idf[idx])}"))
     _, scalars, rows = _CLASSICAL_SECTIONS[artifact.family]
@@ -259,8 +258,8 @@ def _parse_flags(cur: _Cursor, section: str, cls):
     """The section written by _flag_lines, as a cls instance."""
     cur.section(section)
     return cls(**{
-        f.name: (_parse_bool if isinstance(f.default, bool) else int)(cur.expect_kv(f.name))
-        for f in fields(cls)})
+        name: (_parse_bool if isinstance(default, bool) else int)(cur.expect_kv(name))
+        for name, default in cls._field_defaults.items()})
 
 
 def _parse_tokens(cur: _Cursor, kind: str, n: int, first: int,
@@ -341,7 +340,7 @@ def _parse_floats(raw: str, size: int, name: str) -> list[float]:
 def load_artifact(path: str | Path) -> ModelArtifact:
     try:  # only the lines outlive this statement, not the whole-file string
         lines = Path(path).read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ArtifactError(f"cannot read model file {path}: {exc}") from exc
     try:
         return _parse_artifact(path, lines)
@@ -430,8 +429,7 @@ def _parse_artifact(path: str | Path, lines: list[str]) -> ModelArtifact:
 # prediction
 # ----------------------------------------------------------------------------
 
-@dataclass
-class Prediction:
+class Prediction(NamedTuple):
     label: Label
     score: float
     empty_input: bool  # true when the text preprocessed to nothing

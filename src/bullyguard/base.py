@@ -7,10 +7,34 @@ reads no corpus and draws nothing, such as ``predict``, loads neither.
 
 from __future__ import annotations
 
-from dataclasses import KW_ONLY, dataclass
 from enum import Enum
+from typing import NamedTuple
 
 DEFAULT_SEED = 42  # the seed of a run that sets none: its split, folds, SVM and BiLSTM
+
+
+def checked(record):
+    """The NamedTuple class record as a subclass of the same name whose every
+    build, by the constructor, _make or _replace, runs record._check on the
+    new instance. The subclass has a __dict__, for what _check derives."""
+    def new(cls, *args, **kwargs):
+        self = record.__new__(cls, *args, **kwargs)
+        self._check()
+        return self
+    return type(record.__name__, (record,), {
+        "__new__": new, "_make": classmethod(lambda cls, values: cls(*values)),
+        "__doc__": record.__doc__, "__module__": record.__module__,
+        "__qualname__": record.__qualname__})
+
+
+def keyword_defaults(fn) -> dict:
+    """fn's parameters that have a default, name -> default, in order; a
+    wrapper's (functools.wraps) are those of the function it wraps."""
+    while hasattr(fn, "__wrapped__"):
+        fn = fn.__wrapped__
+    code, defaults = fn.__code__, fn.__defaults__ or ()
+    names = code.co_varnames[code.co_argcount - len(defaults):code.co_argcount]
+    return {**dict(zip(names, defaults)), **(fn.__kwdefaults__ or {})}
 
 
 class CorpusError(Exception):
@@ -50,16 +74,17 @@ DEFAULT_COLUMNS: dict[str, str] = {
 }
 
 
-@dataclass(frozen=True)
-class SplitSpec:
+@checked
+class SplitSpec(NamedTuple):
     train_fraction: float = 0.8
     val_fraction: float = 0.1
     test_fraction: float = 0.1
-    _: KW_ONLY
-    seed: int
+    seed: int | None = None  # required: every split names its seed
     stratified: bool = True
 
-    def __post_init__(self):  # each message starts with the fields it refuses
+    def _check(self):  # each message starts with the fields it refuses
+        if self.seed is None:
+            raise TypeError("SplitSpec requires a seed")
         fractions = (self.train_fraction, self.val_fraction, self.test_fraction)
         names = ("train_fraction", "val_fraction", "test_fraction")
         if bad := [name for name, f in zip(names, fractions) if not 0.0 < f < 1.0]:
@@ -74,8 +99,8 @@ class SplitSpec:
         return (self.train_fraction, self.val_fraction, self.test_fraction)
 
 
-@dataclass(frozen=True)
-class TrainConfig:
+@checked
+class TrainConfig(NamedTuple):
     """The neural track's settings: the BiLSTM's sizes, its Adam training
     with early stopping, and the data it trains on."""
     batch_size: int = 32
@@ -93,7 +118,7 @@ class TrainConfig:
     min_freq: int = 1
     max_len_cap: int = 40
 
-    def __post_init__(self):  # each message starts with the fields it refuses
+    def _check(self):  # each message starts with the fields it refuses
         for name in ("batch_size", "embedding_dim", "hidden_dim", "attention_dim",
                      "learning_rate", "max_epochs", "patience"):
             if getattr(self, name) <= 0:

@@ -17,12 +17,10 @@ loads only with ``--config``.
 from __future__ import annotations
 
 import argparse
-import inspect
 import itertools
 import math
 import sys
 import time
-from dataclasses import dataclass, fields
 from pathlib import Path
 
 from . import __version__, linear_models
@@ -38,7 +36,14 @@ from .artifact import (
     preprocessing_fingerprint,
     save_artifact,
 )
-from .base import DEFAULT_COLUMNS, DEFAULT_SEED, CorpusError, SplitSpec, TrainConfig
+from .base import (
+    DEFAULT_COLUMNS,
+    DEFAULT_SEED,
+    CorpusError,
+    SplitSpec,
+    TrainConfig,
+    keyword_defaults,
+)
 from .features import FeatureError, TfidfConfig, fit_tfidf, transform_all
 from .linear_models import (
     CLASSICAL_FAMILIES,
@@ -145,17 +150,18 @@ _READ_AS = {bool: _bool, int: _int, float: _float}
 
 
 def _field_rows(section: str, cls, skip: tuple[str, ...] = ()) -> dict:
-    """A row for each field of cls not in skip, read as its default's type."""
-    return {(section, f.name): (_READ_AS[type(f.default)], f.default) for f in fields(cls)
-            if f.name not in skip}
+    """A row for each field of the settings record cls not in skip, read as
+    its default's type."""
+    return {(section, name): (_READ_AS[type(default)], default)
+            for name, default in cls._field_defaults.items() if name not in skip}
 
 
 # Each classical trainer's [model] keys and their defaults: its keywords but
 # the run's seed and LR's convergence tolerance, which no config sets.
 _TRAINER_DEFAULTS = {
-    family: {name: p.default for name, p in
-             inspect.signature(getattr(linear_models, f"train_{family}")).parameters.items()
-             if p.default is not p.empty and name not in ("seed", "grad_tol")}
+    family: {name: default for name, default in
+             keyword_defaults(getattr(linear_models, f"train_{family}")).items()
+             if name not in ("seed", "grad_tol")}
     for family in CLASSICAL_FAMILIES
 }
 # [corpus] column keys -> CommentRecord fields
@@ -163,7 +169,7 @@ _COLUMN_KEYS = {"col_index": "index", "col_username": "commenter_handle", "col_t
                 "col_label": "label", "col_date": "posted_date", "col_target": "target_handle"}
 
 # Every accepted (section, key), its reader and its default, both from the
-# setting the key fills: a dataclass field, a trainer keyword, a lexicon path
+# setting the key fills: a settings record's field, a trainer keyword, a lexicon path
 # or a tuning grid; the keys listed by hand have no such home. A trainer
 # keyword is None, unset: LR and SVM share epochs and keep their own defaults.
 _KEYS = {
@@ -172,12 +178,13 @@ _KEYS = {
     **{("corpus", key): (_text, DEFAULT_COLUMNS[name]) for key, name in _COLUMN_KEYS.items()},
     **{("lexicons", key): (_existing_file, path) for key, path in default_lexicon_paths().items()},
     **_field_rows("pipeline", PipelineConfig),
-    ("pipeline", "neural_keep_function_words"): (_bool, TrainConfig.keep_function_words),
+    ("pipeline", "neural_keep_function_words"):
+        (_bool, TrainConfig._field_defaults["keep_function_words"]),
     **_field_rows("tfidf", TfidfConfig),
     ("model", "family"): (_one_of(FAMILIES), "lr"),
     **{("model", name): (_READ_AS[type(default)], None)
        for defaults in _TRAINER_DEFAULTS.values() for name, default in defaults.items()},
-    ("model", "threshold"): (_threshold, ModelArtifact.threshold),
+    ("model", "threshold"): (_threshold, keyword_defaults(ModelArtifact.__init__)["threshold"]),
     **_field_rows("model", TrainConfig, skip=("seed", "keep_function_words")),
     **_field_rows("split", SplitSpec, skip=("seed",)),
     ("split", "seed"): (_int, DEFAULT_SEED),
@@ -226,33 +233,40 @@ def _read_keys(path: str | Path) -> dict[tuple[str, str], object]:
 
 
 def _settings(values: dict, section: str, cls, **fixed):
-    """A cls dataclass from the section's keys named as its fields, and `fixed`.
-    Its checks' messages start with the fields they refuse: the config keys."""
+    """A cls settings record from the section's keys named as its fields,
+    and `fixed`. Its checks' messages start with the fields they refuse: the
+    config keys."""
     try:
-        return cls(**{f.name: values[(section, f.name)] for f in fields(cls)
-                      if f.name not in fixed}, **fixed)
+        return cls(**{name: values[(section, name)] for name in cls._fields
+                      if name not in fixed}, **fixed)
     except ValueError as exc:
         raise ConfigError(f"config [{section}] {exc}") from None
 
 
-@dataclass(frozen=True)
 class RunConfig:
     """A run's settings: every key of _KEYS resolved, and the settings
     objects built from them. Built only by RunConfig.of."""
-    values: dict[tuple[str, str], object]
-    pipeline: PipelineConfig
-    tfidf: TfidfConfig
-    split: SplitSpec
-    neural: TrainConfig
-    trainer_params: dict[str, dict]  # each classical family's trainer keywords
-    grids: dict[str, dict[str, list[float]]]
-    column_map: dict[str, str]
     seed = property(lambda self: self.values["split", "seed"])
     folds = property(lambda self: self.values["split", "folds"])
     family = property(lambda self: self.values["model", "family"])
     objective = property(lambda self: self.values["tune", "objective"])
     threshold = property(lambda self: self.values["model", "threshold"])  # LR, on P(Bullying)
     delimiter = property(lambda self: self.values["corpus", "delimiter"])
+
+    def __init__(self, values: dict[tuple[str, str], object]):
+        seed, keep = values["split", "seed"], values["pipeline", "neural_keep_function_words"]
+        self.values = values
+        self.pipeline = _settings(values, "pipeline", PipelineConfig)
+        self.tfidf = _settings(values, "tfidf", TfidfConfig)
+        self.split = _settings(values, "split", SplitSpec, seed=seed)
+        self.neural = _settings(values, "model", TrainConfig, seed=seed, keep_function_words=keep)
+        self.trainer_params = {  # each classical family's trainer keywords
+            family: {**defaults, **{key: values["model", key] for key in defaults
+                                    if values["model", key] is not None}}
+            for family, defaults in _TRAINER_DEFAULTS.items()}
+        self.grids = {family: {param: values["tune", f"grid_{param}"] for param in grid}
+                      for family, grid in DEFAULT_GRIDS.items()}
+        self.column_map = {name: values["corpus", key] for key, name in _COLUMN_KEYS.items()}
 
     @classmethod
     def of(cls, keys: dict[tuple[str, str], object]) -> "RunConfig":
@@ -264,20 +278,7 @@ class RunConfig:
         _folds(values["split", "folds"])
         if not _OPEN_UNIT[0](threshold := values["model", "threshold"]):
             raise ConfigError(f"[model] threshold: expected {_OPEN_UNIT[1]}, got {threshold!r}")
-        seed, keep = values["split", "seed"], values["pipeline", "neural_keep_function_words"]
-        return cls(
-            values=values,
-            pipeline=_settings(values, "pipeline", PipelineConfig),
-            tfidf=_settings(values, "tfidf", TfidfConfig),
-            split=_settings(values, "split", SplitSpec, seed=seed),
-            neural=_settings(values, "model", TrainConfig, seed=seed, keep_function_words=keep),
-            trainer_params={family: {**defaults, **{key: values["model", key] for key in defaults
-                                                    if values["model", key] is not None}}
-                            for family, defaults in _TRAINER_DEFAULTS.items()},
-            grids={family: {param: values["tune", f"grid_{param}"] for param in grid}
-                   for family, grid in DEFAULT_GRIDS.items()},
-            column_map={name: values["corpus", key] for key, name in _COLUMN_KEYS.items()},
-        )
+        return cls(values)
 
     @classmethod
     def load(cls, path: str | Path | None, seed: int | None = None,
@@ -298,21 +299,22 @@ class RunConfig:
         return {**echo, "trainers": self.trainer_params}
 
 
-@dataclass(frozen=True)
 class Runtime(RunConfig):
-    """Everything a command needs: its RunConfig, the lexicons that names,
-    and --quiet."""
-    lexicon: NormalizationLexicon
-    rules: StemmerRules
-    quiet: bool
+    """Everything a command needs: its RunConfig's settings, the lexicons
+    they name, and --quiet."""
+
+    def __init__(self, config: RunConfig, lexicon: NormalizationLexicon,
+                 rules: StemmerRules, quiet: bool):
+        vars(self).update(vars(config))
+        self.lexicon, self.rules, self.quiet = lexicon, rules, quiet
 
 
 def _resolve_runtime(ns: argparse.Namespace) -> Runtime:
     config = RunConfig.load(ns.config, ns.seed, ns.folds)
     slang, stopwords, roots, rules = (config.values["lexicons", key]
                                       for key in default_lexicon_paths())
-    return Runtime(**vars(config), lexicon=load_lexicon(slang, stopwords, roots),
-                   rules=load_stemmer_rules(rules), quiet=ns.quiet)
+    return Runtime(config, load_lexicon(slang, stopwords, roots), load_stemmer_rules(rules),
+                   ns.quiet)
 
 
 def _corpus_path(ns: argparse.Namespace, rt: Runtime) -> Path:
@@ -493,7 +495,8 @@ def _predict_input_lines(source: str):
     """The predict input, one line at a time, without line terminators.
 
     stdin splits at newlines only; an --input file splits like
-    str.splitlines() over the whole file.
+    str.splitlines() over the whole file, and a line that is not UTF-8 is
+    refused by its number.
     """
     if source == "-":
         for line in sys.stdin:
@@ -503,14 +506,20 @@ def _predict_input_lines(source: str):
     if not path.exists():
         raise ConfigError(f"input file not found: {path}")
     try:
-        handle = path.open(encoding="utf-8")
+        handle = path.open("rb")
     except OSError as exc:
         raise ConfigError(f"cannot read input file {path}: {exc.strerror}") from None
     with handle:
-        for line in handle:
-            # each universal-newline line ends at a splitlines() boundary,
-            # so splitting it again yields the same pieces as the whole file
-            yield from line.splitlines()
+        lineno = 0
+        for raw in handle:  # each ends at b"\n", a splitlines() boundary
+            try:
+                lines = raw.decode("utf-8").splitlines()
+            except UnicodeDecodeError as exc:  # the line of the first bad byte
+                lineno += len((raw[:exc.start].decode("utf-8") + "-").splitlines())
+                raise ConfigError(f"cannot read input file {path}: line {lineno}: "
+                                  f"not valid UTF-8 ({exc.reason})") from None
+            lineno += len(lines)
+            yield from lines
 
 
 def cmd_predict(ns: argparse.Namespace) -> int:

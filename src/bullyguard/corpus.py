@@ -14,8 +14,8 @@ stats_text render them as ``stats`` prints them.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 # the shared label space and settings types live in base; importing them from
 # here keeps working
@@ -29,8 +29,7 @@ def majority_label(labels: list[Label]) -> Label:
     return max(CLASS_ORDER, key=lambda label: counts[label])  # max keeps the first
 
 
-@dataclass(frozen=True)
-class CommentRecord:
+class CommentRecord(NamedTuple):
     index: int
     commenter_handle: str
     text: str

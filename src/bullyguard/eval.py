@@ -18,8 +18,7 @@ them, keyed by the flat names of metrics.SCORES. A neural row's
 from __future__ import annotations
 
 import statistics
-from dataclasses import asdict, dataclass, field, replace
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -57,12 +56,11 @@ ML_ROW_NAMES = {"nb": "Naive Bayes", "lr": "Logistic Regression", "svm": "SVM"}
 DL_ROW_NAMES = {False: "BiLSTM", True: "BiLSTM+Attention"}
 
 
-@dataclass(frozen=True)
-class ModelSpec:
+class ModelSpec(NamedTuple):
     family: str
-    params: dict = field(default_factory=dict)
-    tfidf: TfidfConfig = field(default_factory=TfidfConfig)
-    pipeline: PipelineConfig = field(default_factory=PipelineConfig)
+    params: dict = {}  # the trainer's keywords; read, never written
+    tfidf: TfidfConfig = TfidfConfig()
+    pipeline: PipelineConfig = PipelineConfig()
 
 
 def _aggregate(reports: list[dict]) -> dict:
@@ -97,8 +95,7 @@ def cross_validate(
     return _aggregate(fold_reports(model_spec.family, [model_spec.params], folds, seed)[0])
 
 
-@dataclass
-class NeuralData:
+class NeuralData(NamedTuple):
     """Encoded train/validation sets without the documents that preprocess to
     empty; the vocabulary and majority class come from the kept training ones.
     """
@@ -119,7 +116,7 @@ def prepare_neural_data(
 ) -> NeuralData:
     """The neural track's data under config's data settings."""
     if config.keep_function_words:
-        pipeline = replace(prep.config, remove_stopwords=False, stem=False)
+        pipeline = prep.config._replace(remove_stopwords=False, stem=False)
         prep = Preprocessor(pipeline, prep.lexicon, prep.rules)
 
     def kept(recs):
@@ -204,7 +201,7 @@ def run_benchmark(
             "name": DL_ROW_NAMES[use_attention],
             "use_attention": use_attention,
             "test_report": evaluate(test_labels, y_pred),
-            **asdict(trace),  # per-epoch losses and accuracies, stopping epochs
+            **vars(trace),  # per-epoch losses and accuracies, stopping epochs
             "dropped_empty_train": data.n_dropped_train,
             "dropped_empty_val": data.n_dropped_val,
             "empty_test_fallbacks": len(te_tok) - len(te_nonempty),

@@ -10,39 +10,33 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class FeatureError(Exception):
     """Invalid featurization request (e.g. empty corpus)."""
 
 
-@dataclass(frozen=True)
-class TfidfConfig:
+class TfidfConfig(NamedTuple):
     sublinear_tf: bool = False
     l2_normalize: bool = True
     min_df: int = 1
 
 
-@dataclass
-class Vocabulary:
+class Vocabulary(NamedTuple):
     token_to_id: dict[str, int]
     document_frequency: dict[int, int]
     n_documents: int
 
-    def __len__(self) -> int:
-        return len(self.token_to_id)
 
-
-@dataclass
-class TfidfModel:
+class TfidfModel(NamedTuple):
     vocabulary: Vocabulary
     idf: list[float]
     config: TfidfConfig
 
     @property
     def n_features(self) -> int:
-        return len(self.vocabulary)
+        return len(self.vocabulary.token_to_id)
 
 
 # One TF-IDF document: its column ids, strictly increasing, and their values.

@@ -15,13 +15,11 @@ Conventions shared by all three model families:
 from __future__ import annotations
 
 import functools
-import inspect
 import itertools
 import math
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
-from .base import CLASS_ORDER, DEFAULT_SEED, Label
+from .base import CLASS_ORDER, DEFAULT_SEED, Label, keyword_defaults
 from .features import Row, TfidfConfig, fit_tfidf, transform_all
 
 if TYPE_CHECKING:
@@ -47,7 +45,6 @@ DEFAULT_OBJECTIVE = "f1_weighted"
 OBJECTIVES = ("f1_weighted", "f1_macro", "accuracy")
 
 
-@dataclass(frozen=True, eq=False)
 class Csr:
     """Compressed sparse rows for the NB and LR trainers: row r holds
     data[indptr[r]:indptr[r + 1]] at the columns indices[indptr[r]:indptr[r + 1]],
@@ -56,14 +53,15 @@ class Csr:
     Both mat-vecs sum each output in entry order starting from 0.0, so their
     results do not depend on how many rows are multiplied together.
     """
-    indptr: np.ndarray   # int64, n_rows + 1 offsets into indices and data
-    indices: np.ndarray  # int64 column ids
-    data: np.ndarray     # float64 non-zero values
-    n_features: int
 
-    def __post_init__(self):
-        if len(self.indices) != len(self.data):
+    def __init__(self, indptr: np.ndarray, indices: np.ndarray, data: np.ndarray,
+                 n_features: int):
+        if len(indices) != len(data):
             raise ValueError("indices and data must have equal length")
+        self.indptr = indptr    # int64, n_rows + 1 offsets into indices and data
+        self.indices = indices  # int64 column ids
+        self.data = data        # float64 non-zero values
+        self.n_features = n_features
 
     @classmethod
     def from_rows(cls, rows: list[Row], n_features: int) -> Csr:
@@ -97,8 +95,7 @@ class Csr:
 # multinomial Naive Bayes
 # ----------------------------------------------------------------------------
 
-@dataclass
-class NaiveBayesModel:
+class NaiveBayesModel(NamedTuple):
     log_prior: list[float]             # 2 values, indexed by class id
     log_likelihood: list[list[float]]  # 2 rows of V values
     alpha: float
@@ -156,12 +153,11 @@ def predict_nb(X: list[Row], model: NaiveBayesModel) -> tuple[list[Label], list[
 # logistic regression (full-batch gradient descent)
 # ----------------------------------------------------------------------------
 
-@dataclass
-class LogisticRegressionModel:
+class LogisticRegressionModel(NamedTuple):
     weights: list[float]
     bias: float
     l2_lambda: float
-    loss_history: list[float] = field(default_factory=list, repr=False)
+    loss_history: list[float] | tuple = ()  # per iteration; () when read from an artifact
 
 
 def _lr_stack(Xs: list[Csr], ys: list, lambdas: list[float]):
@@ -290,8 +286,7 @@ def predict_lr(
 # linear SVM (Pegasos stochastic subgradient)
 # ----------------------------------------------------------------------------
 
-@dataclass
-class LinearSvmModel:
+class LinearSvmModel(NamedTuple):
     weights: list[float]
     bias: float
     reg_lambda: float
@@ -378,22 +373,21 @@ def predict_svm(X: list[Row], model: LinearSvmModel) -> tuple[list[Label], list[
 # grid search
 # ----------------------------------------------------------------------------
 
-@dataclass
-class GridSearchResult:
+class GridSearchResult(NamedTuple):
     best_params: dict
     best_score: float
     per_candidate: list[tuple[dict, list[float]]]
     best_fold_reports: list[dict]  # the winning candidate's held-out folds' reports
 
 
-@dataclass
 class FeaturizedFold:
     """One CV fold, featurized by a TF-IDF model fitted on its training part."""
-    train: list[Row]
-    train_labels: list[Label]
-    test: list[Row]
-    test_labels: list[Label]
-    n_features: int
+
+    def __init__(self, train: list[Row], train_labels: list[Label], test: list[Row],
+                 test_labels: list[Label], n_features: int):
+        self.train, self.train_labels = train, train_labels
+        self.test, self.test_labels = test, test_labels
+        self.n_features = n_features
 
     @functools.cached_property
     def train_csr(self) -> Csr:
@@ -493,12 +487,10 @@ def fold_reports(
     from .metrics import evaluate
 
     if family == "lr":
-        signature = inspect.signature(train_lr)  # its defaults fill what params leave out
-        bound = [signature.bind(fold.train_csr, _labels01(fold.train_labels), **params)
-                 for params in candidates for fold in folds]
-        for args in bound:
-            args.apply_defaults()
-        models = iter(_train_lr_stack([args.args for args in bound]))
+        defaults = keyword_defaults(train_lr)  # they fill what params leave out
+        models = iter(_train_lr_stack([
+            (fold.train_csr, _labels01(fold.train_labels), *(defaults | params).values())
+            for params in candidates for fold in folds]))
     else:
         models = (train_family(family, fold.train, fold.n_features, fold.train_labels,
                                params, seed, fold.train_csr)

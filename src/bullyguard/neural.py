@@ -23,8 +23,7 @@ arrays.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -47,8 +46,7 @@ class NeuralError(TrainingError):
 # vocabulary and encoding
 # ----------------------------------------------------------------------------
 
-@dataclass
-class NeuralVocab:
+class NeuralVocab(NamedTuple):
     token_to_id: dict[str, int]  # real tokens only; ids start at 2
     max_seq_len: int
 
@@ -88,23 +86,27 @@ def build_neural_vocab(
     return NeuralVocab(token_to_id=token_to_id, max_seq_len=max(1, min(max_len_cap, p95)))
 
 
-def encode_pad(tokens: list[str], vocab: NeuralVocab) -> tuple[list[int], int]:
-    """Map tokens to ids (UNK for OOV), truncate, post-pad with PAD.
+def encode_pad(tokens: list[str], vocab: NeuralVocab,
+               width: int | None = None) -> tuple[list[int], int]:
+    """Map tokens to ids (UNK for OOV), truncate to max_seq_len, post-pad
+    with PAD to width (default max_seq_len).
 
-    Returns the padded id sequence of length max_seq_len and the true length
-    before padding.
+    Returns the padded id sequence and the true length before padding.
     """
     ids = [vocab.token_to_id.get(tok, UNK_ID) for tok in tokens[: vocab.max_seq_len]]
     length = len(ids)
-    ids.extend([PAD_ID] * (vocab.max_seq_len - length))
+    ids.extend([PAD_ID] * ((vocab.max_seq_len if width is None else width) - length))
     return ids, length
 
 
 def encode_batch(token_lists: list[list[str]], vocab: NeuralVocab) -> tuple[np.ndarray, np.ndarray]:
-    ids = np.empty((len(token_lists), vocab.max_seq_len), dtype=np.int64)
+    """The encode_pad rows and lengths, padded only to the longest row:
+    padding is never read, and max_seq_len may far exceed any row."""
+    width = min(vocab.max_seq_len, max(map(len, token_lists), default=0))
+    ids = np.empty((len(token_lists), width), dtype=np.int64)
     lens = np.empty(len(token_lists), dtype=np.int64)
     for row, tokens in enumerate(token_lists):
-        seq, length = encode_pad(tokens, vocab)
+        seq, length = encode_pad(tokens, vocab, width)
         ids[row] = seq
         lens[row] = length
     return ids, lens
@@ -130,8 +132,7 @@ def block_shapes(vocab_size: int, d: int, h: int, a: int) -> dict[str, tuple[int
                                   (2 * h, a), (a,), (a,), (2 * h, 2), (2,))))
 
 
-@dataclass
-class NeuralNetParams:
+class NeuralNetParams(NamedTuple):
     blocks: dict[str, np.ndarray]  # keyed by BLOCK_NAMES, in that order
     use_attention: bool
 
@@ -276,8 +277,7 @@ def _lstm_gates(gates, c_prev, c_t, h_t) -> None:
     h_t *= o
 
 
-@dataclass
-class _Pack:
+class _Pack(NamedTuple):
     """Where a batch's real tokens sit in the packed layout of both directions.
 
     Rows are sorted by length, longest first and stable, so the rows still
@@ -328,8 +328,7 @@ def _input_gates(tokens: np.ndarray, params: NeuralNetParams):
     return seen.cumsum(dtype=np.intp) - 1, tables
 
 
-@dataclass
-class _LstmRun:
+class _LstmRun(NamedTuple):
     """One direction's forward pass, in packed (N, .) arrays."""
     gates: np.ndarray   # activated i, f, o, g
     c: np.ndarray
@@ -389,8 +388,7 @@ def _attention_core(
     return context, weights, u
 
 
-@dataclass
-class _ForwardCache:
+class _ForwardCache(NamedTuple):
     pack: _Pack
     tokens: np.ndarray   # (N,) token id of each forward packed row
     fwd: _LstmRun
@@ -607,12 +605,13 @@ def _embedding_grad(tokens: np.ndarray, dx: np.ndarray, shape: tuple[int, int],
 # Adam
 # ----------------------------------------------------------------------------
 
-@dataclass
 class AdamState:
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
-    scratch: np.ndarray  # (2, largest block size): the update's temporaries
-    t: int = 0
+    """Adam's moments per block, its step count t, and scratch: (2, largest
+    block size), the update's temporaries."""
+
+    def __init__(self, m: dict[str, np.ndarray], v: dict[str, np.ndarray],
+                 scratch: np.ndarray, t: int = 0):
+        self.m, self.v, self.scratch, self.t = m, v, scratch, t
 
 
 def init_adam_state(params: NeuralNetParams) -> AdamState:
@@ -655,13 +654,18 @@ def adam_step(
 # training loop with early stopping
 # ----------------------------------------------------------------------------
 
-@dataclass
 class TrainTrace:
-    train_losses: list[float] = field(default_factory=list)
-    val_losses: list[float] = field(default_factory=list)
-    val_accuracies: list[float] = field(default_factory=list)
-    stopped_epoch: int = 0
-    best_epoch: int = 0
+    """Per-epoch losses and validation accuracies, and the epochs training
+    stopped at and took its parameters from."""
+
+    def __init__(self):
+        self.train_losses: list[float] = []
+        self.val_losses: list[float] = []
+        self.val_accuracies: list[float] = []
+        self.stopped_epoch = self.best_epoch = 0
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, TrainTrace) and vars(self) == vars(other)
 
 
 class EarlyStopper:

@@ -16,9 +16,11 @@ from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
+from typing import NamedTuple
+
+from .base import checked
 
 
 class LexiconError(Exception):
@@ -34,13 +36,13 @@ _HASHTAG_RE = re.compile(r"#\w+")
 _LETTER_BYTES = bytes(b if 97 <= b <= 122 else 32 for b in range(256))
 
 
-@dataclass(frozen=True)
-class NormalizationLexicon:
+@checked
+class NormalizationLexicon(NamedTuple):
     slang_map: dict[str, str]
     stopwords: frozenset[str]
     root_words: frozenset[str]
 
-    def __post_init__(self):
+    def _check(self):
         for slang, canonical in self.slang_map.items():
             if slang != slang.lower() or any(ch.isspace() for ch in slang):
                 raise LexiconError(f"slang key must be lowercase and whitespace-free: {slang!r}")
@@ -53,34 +55,24 @@ class NormalizationLexicon:
                 raise LexiconError(f"stopword must be lowercase: {word!r}")
 
 
-@dataclass(frozen=True)
-class PrefixRule:
+class PrefixRule(NamedTuple):
     cls: str            # prefix family; a family is stripped at most once
     pattern: str        # literal prefix to remove
     recodings: tuple[str, ...]  # replacement initial(s) to try; "" = plain strip
 
 
-@dataclass(frozen=True)
-class StemmerRules:
+@checked
+class StemmerRules(NamedTuple):
+    """_check also builds the indexes the stemmer reads: the prefix rules by
+    their pattern's first letter and each suffix list by its suffixes' last
+    letter, in file order, and the prefix classes each suffix forbids."""
     inflectional_suffixes: tuple[str, ...]
     derivational_suffixes: tuple[str, ...]
     prefix_rules: tuple[PrefixRule, ...]
     forbidden_pairs: frozenset[tuple[str, str]]  # (prefix class, derivational suffix)
     min_stem_length: int = 3
-    # Built from the fields above: the prefix rules, as (class, pattern,
-    # recodings), by their pattern's first letter and each suffix list by its
-    # suffixes' last letter, in file order, and the prefix classes each
-    # suffix forbids.
-    _prefixes_by_initial: dict[str, tuple[tuple[str, str, tuple[str, ...]], ...]] = field(
-        init=False, repr=False, compare=False)
-    _inflectional_by_final: dict[str, tuple[str, ...]] = field(
-        init=False, repr=False, compare=False)
-    _derivational_by_final: dict[str, tuple[str, ...]] = field(
-        init=False, repr=False, compare=False)
-    _forbidden_by_suffix: dict[str, frozenset[str]] = field(
-        init=False, repr=False, compare=False)
 
-    def __post_init__(self):
+    def _check(self):
         if not isinstance(self.min_stem_length, int) or self.min_stem_length < 1:
             raise LexiconError(f"min_stem_length must be an integer of at least 1, "
                                f"got {self.min_stem_length!r}")
@@ -93,20 +85,18 @@ class StemmerRules:
         for cls, sfx in self.forbidden_pairs:
             by_suffix.setdefault(sfx, set()).add(cls)
         for name, items, key in (
-                ("_prefixes_by_initial", [(r.cls, r.pattern, r.recodings) for r in self.prefix_rules],
-                 lambda rule: rule[1][0]),
+                ("_prefixes_by_initial", self.prefix_rules, lambda rule: rule.pattern[0]),
                 ("_inflectional_by_final", self.inflectional_suffixes, lambda sfx: sfx[-1]),
                 ("_derivational_by_final", self.derivational_suffixes, lambda sfx: sfx[-1])):
             groups: dict[str, list] = {}
             for item in items:
                 groups.setdefault(key(item), []).append(item)
-            object.__setattr__(self, name, {ch: tuple(group) for ch, group in groups.items()})
-        object.__setattr__(self, "_forbidden_by_suffix",
-                           {sfx: frozenset(classes) for sfx, classes in by_suffix.items()})
+            setattr(self, name, {ch: tuple(group) for ch, group in groups.items()})
+        self._forbidden_by_suffix = {sfx: frozenset(classes) for sfx, classes in by_suffix.items()}
 
 
-@dataclass(frozen=True)
-class PipelineConfig:
+@checked
+class PipelineConfig(NamedTuple):
     """Stage enable flags, in the fixed stage order."""
     case_fold: bool = True
     clean: bool = True
@@ -116,7 +106,7 @@ class PipelineConfig:
     tokenize: bool = True           # final materialization; kept for stage traces
     elongation_min_run: int = 3
 
-    def __post_init__(self):
+    def _check(self):
         if self.elongation_min_run < 2:
             raise ValueError(
                 f"elongation_min_run: expected at least 2, got {self.elongation_min_run}")
@@ -479,7 +469,6 @@ def preprocess_corpus(
 _MEMO_LIMIT = 65_536
 
 
-@dataclass(frozen=True, eq=False)
 class Preprocessor:
     """The pipeline of one (config, lexicon, rules), with a per-word memo.
 
@@ -488,10 +477,11 @@ class Preprocessor:
     up to _MEMO_LIMIT distinct words and then starts over; a memo is valid
     only for the config, lexicon and rules it was built with.
     """
-    config: PipelineConfig
-    lexicon: NormalizationLexicon
-    rules: StemmerRules
-    _memo: dict[str, tuple[str, ...]] = field(default_factory=dict, init=False, repr=False)
+
+    def __init__(self, config: PipelineConfig, lexicon: NormalizationLexicon,
+                 rules: StemmerRules):
+        self.config, self.lexicon, self.rules = config, lexicon, rules
+        self._memo: dict[str, tuple[str, ...]] = {}
 
     def tokens(self, text: str) -> list[str]:
         memo, recall = self._memo, self._memo.get

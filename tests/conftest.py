@@ -40,7 +40,7 @@ def synthetic_corpus_path() -> Path:
     return SYNTHETIC_CSV
 
 
-@pytest.fixture(scope="session")  # frozen dataclass, safe to share
+@pytest.fixture(scope="session")  # a named tuple, safe to share
 def tiny_lexicon() -> NormalizationLexicon:
     return NormalizationLexicon(
         slang_map={"bgt": "banget", "gk": "tidak", "b3go": "bego"},

@@ -823,6 +823,29 @@ def test_benchmark_tracer_counts_a_traced_svm_training(tmp_path, capsys, synthet
     assert capsys.readouterr().out == untraced
 
 
+def test_benchmark_tracer_leaves_a_traced_lr_tuning_as_it_was(tmp_path, capsys,
+                                                              synthetic_corpus_path):
+    """The tracer wraps train_lr, whose defaults the grid search reads: a
+    traced `tune --family lr` prints what an untraced run prints and counts
+    the final training's iterations."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", PERFBENCH / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    argv = ["tune", "--corpus", str(synthetic_corpus_path), "--family", "lr",
+            "--out", str(tmp_path / "lr.model")]
+    assert main(argv) == 0
+    untraced = capsys.readouterr().out
+    recorder = tracer.Tracer()
+    recorder.install(tracer.package_modules())
+    try:
+        assert cli.main(argv) == 0
+    finally:
+        recorder.uninstall()
+    assert recorder.counters["linear_models.lr_iters"] > 0
+    assert recorder.missing == set()
+    assert capsys.readouterr().out == untraced
+
+
 def test_generate_corpus_script_reproduces_the_bundled_corpus(tmp_path):
     out = tmp_path / "corpus.csv"
     proc = subprocess.run([sys.executable, str(REPO / "scripts" / "generate_corpus.py"),
@@ -843,8 +866,23 @@ def test_check_gradients_script_reports_every_block(flag):
     assert block_lines == list(BLOCK_NAMES)
 
 
+def test_predict_cost_script_reports_every_case_and_both_shares(tmp_path, trained_models):
+    lines = tmp_path / "input.txt"
+    lines.write_text("dasar jelek banget\nkamu keren bagus\nhalo\n", encoding="utf-8")
+    proc = subprocess.run([sys.executable, str(REPO / "scripts" / "predict_cost.py"),
+                           "--runs", "2", "--model", str(trained_models["lr"]),
+                           "--input", str(lines)],
+                          env=src_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    cases = re.findall(r"^  (\w+) +median +[\d.]+  quartiles \[", proc.stdout, re.M)
+    assert cases == ["pass", "empty", "input"]
+    assert re.search(r"^  package share \(empty - pass\): -?[\d.]+ ms$", proc.stdout, re.M)
+    assert re.search(r"^  per-line share \(input - empty\): -?[\d.]+ ms over 3 lines, ",
+                     proc.stdout, re.M)
+
+
 # ----------------------------------------------------------------------------
-# config keys: each one reaches its dataclass field or trainer keyword
+# config keys: each one reaches its settings field or trainer keyword
 # ----------------------------------------------------------------------------
 
 def config_keys(section):
@@ -1357,6 +1395,8 @@ BAD_ARTIFACTS = {
         line for line in lines if not line.startswith("data_fingerprint ")]),
     "lr_garbled_data_fingerprint": ("lr", edit_line(
         "data_fingerprint", lambda line: line.replace(" ", "=", 1))),
+    # written as the byte 0xff (surrogateescape)
+    "lr_not_utf8": ("lr", lambda lines: ["\udcff" + lines[0], *lines[1:]]),
 }
 
 
@@ -1365,7 +1405,7 @@ def test_bad_artifact_exit_code_one_line(tmp_path, capsys, trained_models, case)
     family, edit = BAD_ARTIFACTS[case]
     lines = trained_models[family].read_text(encoding="utf-8").splitlines()
     model = tmp_path / "bad.model"
-    model.write_text("\n".join(edit(lines)) + "\n", encoding="utf-8")
+    model.write_text("\n".join(edit(lines)) + "\n", encoding="utf-8", errors="surrogateescape")
     text = tmp_path / "input.txt"
     text.write_text("halo bodoh jelek anjing\n", encoding="utf-8")
     capsys.readouterr()
@@ -1376,6 +1416,37 @@ def test_bad_artifact_exit_code_one_line(tmp_path, capsys, trained_models, case)
     assert "Traceback" not in captured.err
     with pytest.raises(ArtifactError):  # rejected on load, not when first used
         load_artifact(model)
+
+
+@pytest.mark.parametrize("bad", ["model", "input"])
+def test_model_or_input_not_utf8_exit_1_names_it(tmp_path, capsys, trained_models, bad):
+    model, text = tmp_path / "model.txt", tmp_path / "input.txt"
+    model.write_bytes((b"\xff" if bad == "model" else b"") + trained_models["lr"].read_bytes())
+    # the bad byte is on the third line as str.splitlines() counts them
+    text.write_bytes(b"halo\r\nkamu\rjelek \xff\nbodoh\n" if bad == "input" else b"halo\n")
+    capsys.readouterr()
+    assert main(["predict", "--model", str(model), "--input", str(text)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: cannot read model file {model}: 'utf-8' codec can't decode byte 0xff in "
+        f"position 0: invalid start byte\n" if bad == "model" else
+        f"error: cannot read input file {text}: line 3: not valid UTF-8 (invalid start byte)\n")
+
+
+def test_neural_predict_allocates_by_its_rows_not_max_seq_len(tmp_path, trained_models):
+    """A neural artifact's max_seq_len caps each row's tokens; the id array
+    is as wide as the longest row, so a huge cap costs no memory."""
+    text = tmp_path / "input.txt"
+    text.write_text("halo bodoh\n", encoding="utf-8")  # shorter than any max_seq_len
+    lines = trained_models["bilstm"].read_text(encoding="utf-8").splitlines()
+    huge = tmp_path / "huge.model"
+    huge.write_text("\n".join(edit_line("max_seq_len", lambda line: "max_seq_len 100000000000")(
+        lines)) + "\n", encoding="utf-8")
+    procs = [run_module_cli(["predict", "--quiet", "--model", model, "--input", text])
+             for model in (trained_models["bilstm"], huge)]
+    assert [(proc.returncode, proc.stderr) for proc in procs] == [(0, "")] * 2
+    assert procs[1].stdout == procs[0].stdout and procs[0].stdout.count("\n") == 1
 
 
 def test_import_and_predict_build_no_jump_table(tmp_path, trained_models):
@@ -1406,19 +1477,23 @@ LOADED_MODULES = (
     "code = cli.main(sys.argv[1:])\n"
     "print(' '.join(sorted(m for m in sys.modules\n"
     "                      if m.partition('.')[0] == 'bullyguard'\n"
-    "                      or m in ('numpy', 'statistics', 'csv', 'json', 'configparser'))))\n"
+    "                      or m in ('numpy', 'statistics', 'csv', 'json', 'configparser',\n"
+    "                               'dataclasses', 'inspect'))))\n"
     "sys.exit(code)\n"
 )
 
 
 def loaded_modules(args) -> set[str]:
-    """The bullyguard package and modules, and numpy, statistics, csv, json
-    and configparser if loaded, that a fresh process has loaded after
-    cli.main(args), which must return 0."""
+    """The bullyguard package and modules, and numpy, statistics, csv, json,
+    configparser, dataclasses and inspect if loaded, that a fresh process has
+    loaded after cli.main(args), which must return 0. No command loads
+    dataclasses."""
     proc = subprocess.run([sys.executable, "-c", LOADED_MODULES, *map(str, args)],
                           env=src_env(), capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    return set(proc.stdout.splitlines()[-1].split())
+    loaded = set(proc.stdout.splitlines()[-1].split())
+    assert "dataclasses" not in loaded
+    return loaded
 
 
 @pytest.fixture(scope="module")
@@ -1435,10 +1510,12 @@ def bundled_models(tmp_path_factory, synthetic_corpus_path):
 
 
 NEURAL, STUDY, NUMPY = "bullyguard.neural", "bullyguard.eval", "numpy"
+INSPECT = "inspect"  # numpy imports it; nothing in the package does
 # what only the corpus readers and writers, stats, the study and its reports use
 UNUSED_BY_PREDICT = {"statistics", "csv", "json", "bullyguard.metrics"}
 # all a classical predict loads: scoring, and base's label space and settings
-# types; not the corpus loader, the PRNG or, without --config, configparser
+# types; not the corpus loader, the PRNG, inspect or, without --config,
+# configparser
 CLASSICAL_PREDICT = {"bullyguard", *(f"bullyguard.{name}" for name in (
     "base", "cli", "artifact", "features", "linear_models", "preprocess"))}
 
@@ -1454,7 +1531,7 @@ def test_predict_loads_only_its_family(tmp_path, bundled_models, family, unloade
     assert "bullyguard.artifact" in loaded and not loaded & unloaded
     assert (NUMPY in loaded) == (NUMPY not in unloaded)
     assert not loaded & {"bullyguard.corpus", "bullyguard.rng", "configparser"}
-    neural = set() if family in linear_models.CLASSICAL_FAMILIES else {NEURAL, NUMPY}
+    neural = set() if family in linear_models.CLASSICAL_FAMILIES else {NEURAL, NUMPY, INSPECT}
     assert loaded == CLASSICAL_PREDICT | neural
 
 
@@ -1493,11 +1570,12 @@ dir = {tmp_path / "reports"}
     assert loaded == CLASSICAL_PREDICT | {"configparser"}
 
 
-def test_importing_the_cli_loads_no_numpy():
-    code = "import sys, bullyguard.cli\nprint('numpy' in sys.modules)\n"
+def test_importing_the_cli_loads_no_numpy():  # nor dataclasses or inspect
+    code = ("import sys, bullyguard.cli\n"
+            "print(*(m in sys.modules for m in ('numpy', 'dataclasses', 'inspect')))\n")
     proc = subprocess.run([sys.executable, "-c", code], env=src_env(), capture_output=True,
                           text=True, timeout=120)
-    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
+    assert (proc.returncode, proc.stdout) == (0, "False False False\n"), proc.stderr
 
 
 @pytest.mark.parametrize("args", [

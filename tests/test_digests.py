@@ -42,7 +42,6 @@ import io
 import json
 import platform
 import tempfile
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -103,7 +102,7 @@ def compute_digests() -> dict[str, str]:
     texts = [rec.text for rec in load_corpus(CORPUS)]
     lexicon, rules = load_default_lexicon(), load_default_stemmer_rules()
     default = PipelineConfig()
-    neural = replace(default, remove_stopwords=False, stem=False)
+    neural = default._replace(remove_stopwords=False, stem=False)
     tokens = Preprocessor(default, lexicon, rules).corpus(texts)
     rows = transform_all(tokens, fit_tfidf(tokens))
     return {

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,6 +12,7 @@ from bullyguard.linear_models import (
     DEFAULT_GRIDS,
     SVM_MAX_MAGNITUDE,
     Csr,
+    FeaturizedFold,
     TrainingError,
     expand_grid,
     featurize_folds,
@@ -521,7 +521,8 @@ def test_grid_search_draws_the_epoch_orders_once(bundled_folds):
 
 
 def test_grid_search_builds_each_folds_training_csr_once(bundled_folds, monkeypatch):
-    folds = [replace(fold) for fold in bundled_folds]  # none has its Csr cached yet
+    folds = [FeaturizedFold(fold.train, fold.train_labels, fold.test, fold.test_labels,
+                            fold.n_features) for fold in bundled_folds]  # none has its Csr cached yet
     built = []
     from_rows = Csr.from_rows
     monkeypatch.setattr(Csr, "from_rows", lambda rows, n: built.append(n) or from_rows(rows, n))

@@ -1,6 +1,6 @@
 import math
 import weakref
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
@@ -116,7 +116,7 @@ def test_vocab_rejects_min_freq_that_no_token_reaches():
 
 def test_encode_pad_spec_case():
     vocab = build_neural_vocab([["a", "c", "a", "b"]], DEFAULT.min_freq, DEFAULT.max_len_cap)
-    vocab.max_seq_len = 4
+    vocab = vocab._replace(max_seq_len=4)
     ids, length = encode_pad(["a", "zzz"], vocab)
     assert ids == [2, UNK_ID, PAD_ID, PAD_ID]
     assert length == 2
@@ -204,7 +204,7 @@ def bilstm_forward(ids, valid_len, params):
     """The packed core's encoder states for one sequence: (T, 2H), zeros at
     padded positions. Without attention a zero valid_len is allowed."""
     ids = np.asarray(ids, dtype=np.int64).reshape(1, -1)
-    cache = _forward_batch(ids, [valid_len], replace(params, use_attention=False))
+    cache = _forward_batch(ids, [valid_len], params._replace(use_attention=False))
     states = _encoder_states(cache.pack, cache.fwd, cache.bwd, 1)[0]
     return np.pad(states, ((0, ids.shape[1] - states.shape[0]), (0, 0)))
 
@@ -912,7 +912,7 @@ def corpus_data(synthetic_corpus_path, default_lexicon, default_rules):
 
 @pytest.mark.parametrize("use_attention", [False, True], ids=["bilstm", "bilstm_attention"])
 def test_training_in_a_workspace_matches_fresh_arrays(monkeypatch, corpus_data, use_attention):
-    cfg = replace(DEFAULT, max_epochs=2, patience=2)
+    cfg = DEFAULT._replace(max_epochs=2, patience=2)
     args = (use_attention, corpus_data.train, corpus_data.val, cfg, corpus_data.vocab.size)
     reused, trace = train(*args)
     monkeypatch.setattr(neural, "_Workspace", lambda *aliases: neural._FRESH)
@@ -934,7 +934,7 @@ def test_a_training_step_never_holds_two_batches_arrays(monkeypatch):
     def watched_forward(*args):
         assert all(ref() is None for ref in earlier), "an earlier batch is still alive"
         cache = forward(*args)
-        earlier.append(weakref.ref(cache))
+        earlier.append(weakref.ref(cache.logits))  # a named tuple takes none; it holds these
         return cache
 
     def watched_backward(*args):

@@ -42,7 +42,6 @@ import subprocess
 import sys
 import tracemalloc
 from collections import Counter
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -275,7 +274,7 @@ SLANG_KEYS = sorted(LEXICON.slang_map)
 SAMPLE_ROOTS = ["kata", "pukul", "tulis", "sapu", "renang", "ajar", "ikut", "lihat",
                 "main", "baik", "nyanyi", "jelek", "gambar", "dengar", "opini"]
 DEFAULT_CONFIG = PipelineConfig()
-NEURAL_CONFIG = replace(DEFAULT_CONFIG, remove_stopwords=False, stem=False)
+NEURAL_CONFIG = DEFAULT_CONFIG._replace(remove_stopwords=False, stem=False)
 
 
 def _affixed_words():
@@ -350,7 +349,7 @@ def test_prefix_rules_sharing_a_first_letter_keep_file_order():
     for order in (shared, shared[::-1], shared[1:] + shared[:1]):
         rules = StemmerRules(("nya",), ("an",), tuple(order),
                              frozenset({("y", "an")}), min_stem_length=1)
-        for lexicon in (NO_ROOTS, replace(NO_ROOTS, root_words=frozenset({"akan", "pukul"}))):
+        for lexicon in (NO_ROOTS, NO_ROOTS._replace(root_words=frozenset({"akan", "pukul"}))):
             got = [stem(w, rules, lexicon) for w in words]
             assert got == [oracle_stem(w, rules, lexicon) for w in words], order
             results.append(got)
@@ -362,7 +361,7 @@ def test_suffix_rules_sharing_a_last_letter_keep_file_order():
     # order that fits is stripped, and derivational candidates keep theirs
     prefixes = (PrefixRule("x", "di", ("",)),)
     words = ["makannya", "makana", "dimakankan", "makanan", "dibacakan", "kana", "ikan", "an"]
-    roots = replace(NO_ROOTS, root_words=frozenset({"makan", "baca", "bacak"}))
+    roots = NO_ROOTS._replace(root_words=frozenset({"makan", "baca", "bacak"}))
     results = []
     for inflectional, derivational in ((("a", "nya", "ya"), ("an", "kan", "n")),
                                        (("nya", "ya", "a"), ("kan", "n", "an"))):
@@ -380,7 +379,7 @@ def test_suffix_rules_sharing_a_last_letter_keep_file_order():
 @given(LINES, st.sampled_from([2, 3, 4]))
 def test_preprocessor_matches_oracle_pipeline(line, min_run):
     for config in (DEFAULT_CONFIG, NEURAL_CONFIG):
-        config = replace(config, elongation_min_run=min_run)
+        config = config._replace(elongation_min_run=min_run)
         prep = Preprocessor(config, LEXICON, RULES)
         want = oracle_tokens(line, config, LEXICON, RULES)
         assert prep.tokens(line) == want
@@ -390,7 +389,7 @@ def test_preprocessor_matches_oracle_pipeline(line, min_run):
 def test_every_bundled_comment_matches_oracle():
     for min_run in (2, 3, 4):
         for config in (DEFAULT_CONFIG, NEURAL_CONFIG):
-            config = replace(config, elongation_min_run=min_run)
+            config = config._replace(elongation_min_run=min_run)
             prep = Preprocessor(config, LEXICON, RULES)
             for text in BUNDLED_TEXTS:
                 assert clean(text.lower()) == oracle_clean(text.lower())
@@ -449,7 +448,7 @@ PIPELINE_LINES = st.lists(
 ).map(lambda parts: "".join((w.upper() if up else w) + sep for w, sep, up in parts))
 # every on/off combination of the five stages that act, and two other run thresholds
 PIPELINE_CONFIGS = [PipelineConfig(*flags) for flags in itertools.product((True, False), repeat=5)]
-PIPELINE_CONFIGS += [replace(DEFAULT_CONFIG, elongation_min_run=r) for r in (2, 4)]
+PIPELINE_CONFIGS += [DEFAULT_CONFIG._replace(elongation_min_run=r) for r in (2, 4)]
 
 
 def assert_pipeline_matches_oracle(texts, config):
@@ -807,7 +806,7 @@ def oracle_predict_probs(params, ids, valid_lens, token_budget=PREDICT_TOKEN_BUD
 NEURAL_TOKENS = Preprocessor(NEURAL_CONFIG, LEXICON, RULES).corpus(BUNDLED_TEXTS)
 # the words seen twice in the first 150 comments: the others are UNK, and the
 # words only the first 100 use never occur in CHUNK_TOKENS
-NEURAL_VOCAB = build_neural_vocab(NEURAL_TOKENS[:150], 2, TrainConfig.max_len_cap)
+NEURAL_VOCAB = build_neural_vocab(NEURAL_TOKENS[:150], 2, TrainConfig().max_len_cap)
 CHUNK_TOKENS = list(itertools.islice(itertools.cycle(NEURAL_TOKENS[100:]), 256))
 LONG_ROW = 300  # tokens, more than PREDICT_TOKEN_BUDGET
 NEURAL_SEED = 11

@@ -1,6 +1,5 @@
 import itertools
 import re
-from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -426,7 +425,7 @@ def test_min_stem_length_below_1_or_not_an_integer_is_refused(tmp_path, default_
         load_stemmer_rules(path)
     for value in (0, -5, 2.0, "3"):
         with pytest.raises(LexiconError, match="min_stem_length must be an integer"):
-            replace(default_rules, min_stem_length=value)
+            default_rules._replace(min_stem_length=value)
 
 
 RULES_FORBID_FIRST = """forbid me an
@@ -464,21 +463,21 @@ def test_second_min_stem_length_line_is_refused(tmp_path):
 
 
 def test_min_stem_length_1_keeps_every_token_non_empty(default_lexicon, default_rules):
-    rules = replace(default_rules, min_stem_length=1)
+    rules = default_rules._replace(min_stem_length=1)
     tokens = Preprocessor(PipelineConfig(), default_lexicon, rules).tokens("an kan nya di")
     assert tokens and all(re.fullmatch(r"[a-z]+", tok) for tok in tokens)
 
 
 def test_prefix_rule_with_empty_pattern_is_refused(default_rules):
     with pytest.raises(LexiconError, match="empty pattern"):
-        replace(default_rules, prefix_rules=(PrefixRule("x", "", ("",)),))
+        default_rules._replace(prefix_rules=(PrefixRule("x", "", ("",)),))
 
 
 @pytest.mark.parametrize("field", ["inflectional_suffixes", "derivational_suffixes"])
 def test_empty_suffix_is_refused(default_rules, field):
     # an empty suffix would strip a whole word: word[:-0] is ""
     with pytest.raises(LexiconError, match="empty suffix"):
-        replace(default_rules, **{field: ("nya", "")})
+        default_rules._replace(**{field: ("nya", "")})
 
 
 def test_lexicon_file_not_utf8_names_the_file(tmp_path):
