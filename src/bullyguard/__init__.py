@@ -7,4 +7,12 @@ BiLSTM classifier with optional additive attention, evaluation and
 benchmarking utilities, and a command-line interface.
 """
 
+import os
+
 __version__ = "0.1.0"
+
+# A BLAS or OpenMP thread count above 1 can change the bytes of a trained
+# artifact, so unless the user set one, numpy (not loaded yet) runs on one.
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+if not any(map(os.environ.get, _THREAD_VARS)):
+    os.environ.update(dict.fromkeys(_THREAD_VARS, "1"))

@@ -495,12 +495,16 @@ def _predict_input_lines(source: str):
     """The predict input, one line at a time, without line terminators.
 
     stdin splits at newlines only; an --input file splits like
-    str.splitlines() over the whole file, and a line that is not UTF-8 is
-    refused by its number.
+    str.splitlines() over the whole file. Either is read as UTF-8 whatever
+    the locale, and a line that is not is refused by its number.
     """
     if source == "-":
-        for line in sys.stdin:
-            yield line.rstrip("\n")
+        for lineno, raw in enumerate(sys.stdin.buffer, 1):
+            try:
+                yield raw.decode().rstrip("\n")
+            except UnicodeDecodeError as exc:
+                raise ConfigError(f"cannot read standard input: line {lineno}: "
+                                  f"not valid UTF-8 ({exc.reason})") from None
         return
     path = Path(source)
     if not path.exists():

@@ -305,6 +305,25 @@ def _epoch_orders(seed: int, n: int, epochs: int) -> np.ndarray:
     return Rng(seed).permutations(n, epochs)
 
 
+@functools.lru_cache(maxsize=2)
+def _svm_scales(reg_lambda: float, steps: int) -> np.ndarray:
+    """The scale train_svm's steps multiply out, before each collapse check, by the
+    loop's IEEE operations in order (multiply.accumulate runs in sequence); read-only
+    and shared by every training with the same reg_lambda and steps (a candidate's folds)."""
+    import numpy as np
+    with np.errstate(all="ignore"):  # train_svm refuses the weights an overflow gives
+        factors = 1.0 - 1.0 / (reg_lambda * np.arange(1.0, steps + 1)) * reg_lambda
+        scales, done, scale = np.empty(steps), 0, 1.0
+        while done < steps:  # runs of at most 1,024 steps bound what a collapse recomputes
+            run = np.multiply.accumulate(np.concatenate(([scale], factors[done:done + 1024])))[1:]
+            low = np.flatnonzero(run < 1e-9)  # a collapse: the next step starts at 1.0
+            n = int(low[0]) + 1 if len(low) else len(run)
+            scales[done:done + n] = run[:n]
+            done, scale = done + n, 1.0 if len(low) else run[-1]
+    scales.flags.writeable = False
+    return scales
+
+
 def train_svm(
     X: list[Row],
     labels_signed: list[int],
@@ -329,30 +348,39 @@ def train_svm(
         raise TrainingError(f"epochs must be at least 1, got {epochs}")
     if not len(X):
         raise TrainingError("cannot train on an empty dataset")
+    n = len(X)
     # each step sums its row in Python, in entry order; a numpy dot would reorder it
-    rows = [(tuple(zip(ids, values)), y) for (ids, values), y in zip(X, labels_signed)]
+    rows = [tuple(zip(ids, values)) for ids, values in X]
+    ys = [float(y) for y in labels_signed]
+    scales = _svm_scales(reg_lambda, n * epochs)
     v = [0.0] * n_features
+    # dots[r] holds while changes, the count of hinge steps and collapses, is dot_at[r]
+    dots, dot_at, changes = [0.0] * n, [-1] * n, 0
     scale = 1.0
     bias = 0.0
     t = 0
-    for order in _epoch_orders(seed, len(X), epochs):
-        for idx in order.tolist():
+    for epoch, order in enumerate(_epoch_orders(seed, n, epochs)):
+        for idx, scale_after in zip(order.tolist(), scales[epoch * n:(epoch + 1) * n].tolist()):
             t += 1
-            eta = 1.0 / (reg_lambda * t)
-            pairs, y = rows[idx]
-            dot = 0.0
-            for i, x in pairs:
-                dot += x * v[i]
-            margin = y * (scale * dot + bias)
-            scale *= 1.0 - eta * reg_lambda
+            if dot_at[idx] != changes:
+                dot = 0.0
+                for i, x in rows[idx]:
+                    dot += x * v[i]
+                dots[idx], dot_at[idx] = dot, changes
+            y = ys[idx]
+            margin = y * (scale * dots[idx] + bias)
+            scale = scale_after
             if scale < 1e-9:  # the first step takes the scale to 0 or one ulp above it
                 v = [scale * w for w in v]
                 scale = 1.0
+                changes += 1
             if margin < 1.0:
-                step = eta * y / scale
-                for i, x in pairs:
+                eta = y / (reg_lambda * t)  # exactly 1/(lambda*t) times the +-1 label
+                step = eta / scale
+                for i, x in rows[idx]:
                     v[i] += step * x
-                bias += eta * y
+                bias += eta
+                changes += 1
     weights = [scale * w for w in v]
     if not all(map(math.isfinite, weights + [bias])):
         raise TrainingError(f"SVM training diverged to non-finite weights or bias "

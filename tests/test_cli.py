@@ -339,6 +339,11 @@ PREDICT_VARIANTS = [
 LONG_VARIANT = PREDICT_VARIANTS[5]
 
 
+def stdin_of(text: str) -> io.TextIOWrapper:
+    """A stand-in for sys.stdin, which predict reads through its byte buffer."""
+    return io.TextIOWrapper(io.BytesIO(text.encode("utf-8")), encoding="utf-8", newline="\n")
+
+
 def expected_predict_output(artifact, texts, lexicon, rules):
     """stdout and stderr lines of predict, built from per-line predict_text."""
     out, err = [], []
@@ -386,7 +391,7 @@ def test_predict_chunks_match_per_line(tmp_path, capsys, monkeypatch, family, tr
     captured = capsys.readouterr()
     assert (captured.out.splitlines(), captured.err.splitlines()) == expected
 
-    monkeypatch.setattr(sys, "stdin", io.StringIO("\n".join(texts) + "\n"))
+    monkeypatch.setattr(sys, "stdin", stdin_of("\n".join(texts) + "\n"))
     assert main(["predict", "--model", str(model_path), "--config", str(config)]) == 0
     captured = capsys.readouterr()
     assert (captured.out.splitlines(), captured.err.splitlines()) == expected
@@ -427,7 +432,7 @@ def test_predict_empty_stdin(tmp_path, capsys, monkeypatch):
     main(["train", "--corpus", str(corpus), "--family", "lr",
           "--out", str(model_path), "--quiet"])
     capsys.readouterr()
-    monkeypatch.setattr(sys, "stdin", io.StringIO(""))
+    monkeypatch.setattr(sys, "stdin", stdin_of(""))
     assert main(["predict", "--model", str(model_path)]) == 0
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -1607,6 +1612,67 @@ def run_module_cli(args) -> subprocess.CompletedProcess:
     only when the command reaches it."""
     return subprocess.run([sys.executable, "-m", "bullyguard.cli", *map(str, args)],
                           env=src_env(), capture_output=True, text=True, timeout=300)
+
+
+@pytest.mark.parametrize("locale", ["C", "C.UTF-8"])
+def test_predict_stdin_reads_utf8_whatever_the_locale(tmp_path, trained_models, locale):
+    """stdin decodes as UTF-8 like --input, and a line that is not UTF-8 is
+    refused by its number, though Python would read it with surrogateescape."""
+    model, env = str(trained_models["lr"]), dict(src_env(), LC_ALL=locale)
+    text = tmp_path / "input.txt"
+    text.write_bytes("halo 😂 bodoh\nkamu keren\n".encode("utf-8"))
+    argv = [sys.executable, "-m", "bullyguard.cli", "predict", "--model", model]
+    by_file = subprocess.run([*argv, "--input", str(text)], env=env, capture_output=True,
+                             timeout=300)
+    by_stdin = subprocess.run(argv, input=text.read_bytes(), env=env, capture_output=True,
+                              timeout=300)
+    assert by_file.returncode == by_stdin.returncode == 0, by_stdin.stderr
+    assert by_stdin.stdout == by_file.stdout and by_stdin.stdout.count(b"\n") == 2
+    bad = subprocess.run(argv, input=b"halo\n\xff jelek\n", env=env, capture_output=True,
+                         timeout=300)
+    assert (bad.returncode, bad.stdout) == (1, b"")
+    assert bad.stderr == (b"error: cannot read standard input: line 2: not valid UTF-8 "
+                          b"(invalid start byte)\n")
+
+
+def test_predict_stdin_splits_at_newlines_only(trained_models, default_lexicon, default_rules):
+    proc = subprocess.run([sys.executable, "-m", "bullyguard.cli", "predict", "--model",
+                           str(trained_models["lr"])], input=b"halo\rjelek\r\nkamu keren\n",
+                          env=src_env(), capture_output=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    expected = expected_predict_output(load_artifact(trained_models["lr"]),
+                                       ["halo\rjelek\r", "kamu keren"], default_lexicon,
+                                       default_rules)
+    assert (proc.stdout.decode().split("\n"), proc.stderr.decode().split("\n")) == (
+        expected[0] + [""], expected[1] + [""])
+
+
+def test_unset_blas_threads_train_the_artifact_of_one_thread(tmp_path, synthetic_corpus_path):
+    """With no BLAS or OpenMP thread count set, a neural train runs numpy on one
+    thread: at batch 256 more threads have written another artifact."""
+    config = write_config(tmp_path, "[model]\nbatch_size = 256\nmax_epochs = 3\n")
+    unset = {k: v for k, v in src_env().items()
+             if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    artifacts = []
+    for name, env in [("unset", unset), ("one", dict(unset, OPENBLAS_NUM_THREADS="1"))]:
+        out = tmp_path / f"{name}.model"
+        proc = subprocess.run([sys.executable, "-m", "bullyguard.cli", "train", "--family",
+                               "bilstm", "--corpus", str(synthetic_corpus_path), "--config",
+                               str(config), "--out", str(out), "--quiet"],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        artifacts.append(out.read_bytes())
+    assert artifacts[0] == artifacts[1]
+
+
+def test_readme_exit_codes_name_the_classes_mapped_to_them():
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    listed = readme.split("Exit codes, chosen by the class of the error")[1].split("\n\n")[1]
+    named = {int(code): set(re.findall(r"`([A-Z][A-Za-z]*)`", text))
+             for code, text in re.findall(r"^- `(\d)` (.*?)(?=^- `|\Z)", listed, re.M | re.S)}
+    mapped = {code: {cls.__name__ for cls, to in cli._EXIT_CODES.items() if to == code}
+              for code in named}
+    assert sorted(named) == [0, 1, 2, 3] and named == mapped
 
 
 def wrong_block_shape(lines):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -510,6 +511,80 @@ def test_svm_bit_identical_to_reference_on_bundled_folds(bundled_folds, reg_lamb
         signed = [1 if lab is B else -1 for lab in fold.train_labels]
         assert_bit_identical_to_reference(fold.train, fold.n_features, signed, reg_lambda,
                                           200, 42)
+
+
+def scales_reference(reg_lambda, steps):
+    """The scale of each step before its collapse check, a step at a time."""
+    scale, scales = 1.0, []
+    for t in range(1, steps + 1):
+        scale *= 1.0 - 1.0 / (reg_lambda * t) * reg_lambda
+        scales.append(scale)
+        if scale < 1e-9:
+            scale = 1.0
+    return np.array(scales)
+
+
+@pytest.mark.parametrize("reg_lambda", [1e-4, 0.013, 1.0, 1e308, math.inf, 1e-320, 5e-324])
+def test_svm_scales_bit_identical_to_a_step_at_a_time(reg_lambda):
+    # 1e308 leaves the scale at 1.0 from t = 2 on without a collapse; inf makes it NaN;
+    # 1e-320 and 5e-324 collapse at every step, across the bulk runs' boundaries
+    lm._svm_scales.cache_clear()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy overflow warning would reach stderr
+        scales = lm._svm_scales(reg_lambda, 2500)
+    assert scales.tobytes() == scales_reference(reg_lambda, 2500).tobytes()
+    assert not scales.flags.writeable
+
+
+@pytest.mark.parametrize("reg_lambda", [1e-6, 1.0])
+def test_svm_bit_identical_to_reference_rare_and_frequent_hinge_steps(reg_lambda):
+    # 1e-6 on a separable set: long runs of steps that change nothing, so most
+    # dots are reused; 1: a hinge step, and a changed weight, every few steps
+    dense, labels01 = separable_toy(7)
+    dense = [[x + 0.1 * (k % 3), y] for k, (x, y) in enumerate(dense)]
+    signed = [1 if y == 1 else -1 for y in labels01]
+    assert_bit_identical_to_reference(rows(dense), 2, signed, reg_lambda, 300, 5)
+
+
+def test_svm_bit_identical_to_reference_empty_and_duplicate_rows():
+    X = py_rows([{}, {0: 0.5, 2: 0.25}, {}, {0: 0.5, 2: 0.25}, {1: 1.0}, {1: 1.0}, {2: 0.75}])
+    for signed in ([1, 1, -1, 1, -1, -1, 1], [-1, -1, -1, 1, 1, 1, -1]):
+        for reg_lambda in (1e-3, 0.013, 0.5):
+            assert_bit_identical_to_reference(X, 4, signed, reg_lambda, 40, 11)
+
+
+def test_svm_bit_identical_to_reference_with_more_keys_than_the_cache_holds():
+    X = py_rows([{0: 0.5, 2: 0.25}, {1: 1.0}, {0: 0.25, 1: 0.5}, {2: 1.0}, {}])
+    signed = [1, -1, 1, -1, 1]
+    lm._svm_scales.cache_clear()
+    keys = [(reg_lambda, epochs) for epochs in (30, 31) for reg_lambda in (1e-3, 1e-2, 0.1)]
+    for reg_lambda, epochs in keys + keys:  # each key evicted before it comes back
+        assert_bit_identical_to_reference(X, 3, signed, reg_lambda, epochs, 2)
+    info = lm._svm_scales.cache_info()
+    assert (info.misses, info.hits, info.maxsize) == (12, 0, 2)
+
+
+def test_svm_grid_over_unequal_folds_bit_identical_to_reference(
+        synthetic_corpus_path, default_lexicon, default_rules, monkeypatch):
+    records = load_corpus(synthetic_corpus_path)[:161]
+    tokens = preprocess_corpus([r.text for r in records], PipelineConfig(),
+                               default_lexicon, default_rules)
+    folds = featurize_folds(tokens, [r.label for r in records], 5, 42)
+    assert sorted({len(fold.train) for fold in folds}) == [128, 129]
+    trained = []
+    real = lm.train_svm
+    monkeypatch.setattr(lm, "train_svm", lambda X, y, **kw: trained.append(
+        (X, y, kw, real(X, y, **kw))) or trained[-1][-1])
+    lm._svm_scales.cache_clear()
+    grid_search("svm", DEFAULT_GRIDS["svm"], folds, 42)
+    info = lm._svm_scales.cache_info()
+    assert (info.misses, info.hits) == (6, 9)  # each candidate's two training sizes
+    assert len(trained) == 15
+    for X, signed, kw, model in trained:
+        weights, bias = pegasos_reference(X, kw["n_features"], signed, kw["reg_lambda"],
+                                          200, kw["seed"])
+        assert np.asarray(model.weights).tobytes() == weights.tobytes()
+        assert np.float64(model.bias).tobytes() == np.float64(bias).tobytes()
 
 
 def test_grid_search_draws_the_epoch_orders_once(bundled_folds):
