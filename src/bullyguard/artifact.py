@@ -265,13 +265,16 @@ def _parse_flags(cur: _Cursor, section: str, cls):
 def _parse_tokens(cur: _Cursor, kind: str, n: int, first: int,
                   n_fields: int) -> tuple[dict[str, int], list[list[str]]]:
     """n lines `token t id ...` of n_fields words, with the ids first ..
-    first + n - 1 each once; token -> id and the further words by id - first."""
+    first + n - 1 each once and each token once; token -> id and the further
+    words by id - first."""
     token_to_id: dict[str, int] = {}
     rest: list = [None] * n
     for _ in range(n):
         parts = cur.next().split(" ")
         if len(parts) != n_fields or parts[0] != "token":
             raise ArtifactError(f"bad {kind} token line: {parts!r}")
+        if parts[1] in token_to_id:
+            raise ArtifactError(f"{kind} token {parts[1]!r} is repeated")
         idx = int(parts[2])
         if not first <= idx < first + n or rest[idx - first] is not None:
             raise ArtifactError(f"{kind} token id {idx} is repeated or outside "

@@ -325,9 +325,13 @@ def _corpus_path(ns: argparse.Namespace, rt: Runtime) -> Path:
 
 
 def _load_records(ns: argparse.Namespace, rt: Runtime):
+    """The corpus's records; a corpus of a header and no comments is refused."""
     from .corpus import load_corpus
 
-    return load_corpus(_corpus_path(ns, rt), rt.delimiter, rt.column_map)
+    path = _corpus_path(ns, rt)
+    if not (records := load_corpus(path, rt.delimiter, rt.column_map)):
+        raise CorpusError(f"{path}: no comments after the header row")
+    return records
 
 
 def _out_file(raw: str) -> Path:
@@ -407,45 +411,30 @@ def _train_artifact(rt: Runtime, prep: Preprocessor, records, family: str,
     family's trainer keywords."""
     from .corpus import majority_label, stratified_split
 
-    labels = [rec.label for rec in records]
-    base = ModelArtifact(
-        family=family,
-        seed=rt.seed,
-        majority_label=majority_label(labels),
-        preprocessing_fp="",
-        data_fp=data_fingerprint(records),
-        pipeline=rt.pipeline,
-    )
+    data_fp = data_fingerprint(records)
     if family in CLASSICAL_FAMILIES:
+        labels = [rec.label for rec in records]
         tokens = prep.corpus([r.text for r in records])
         tfidf = fit_tfidf(tokens, rt.tfidf)
         model = train_family(
             family, transform_all(tokens, tfidf), tfidf.n_features, labels, params, rt.seed,
         )
-        base.tfidf = tfidf
-        base.model = model
-        base.threshold = rt.threshold
-        base.preprocessing_fp = preprocessing_fingerprint(rt.pipeline, rt.lexicon, rt.rules)
-        return base
+        return ModelArtifact(
+            family, rt.seed, majority_label(labels),
+            preprocessing_fingerprint(rt.pipeline, rt.lexicon, rt.rules), data_fp, rt.pipeline,
+            model, tfidf, rt.threshold,
+        )
     # neural families: split for early stopping, drop empty documents
-    from .eval import prepare_neural_data
-    from .neural import train as train_neural
+    from .eval import _train_neural_artifact, prepare_neural_data
 
     train_recs, val_recs, _ = stratified_split(records, rt.split)
     data = prepare_neural_data(train_recs, val_recs, prep, rt.neural)
     dropped = data.n_dropped_train + data.n_dropped_val
     if dropped:
         print(f"note: dropped {dropped} empty documents from neural training", file=sys.stderr)
-    params_out, trace = train_neural(
-        family == "bilstm_attention", data.train, data.val, rt.neural, data.vocab.size,
-    )
+    artifact, trace = _train_neural_artifact(family, data, rt.neural, data_fp)
     _say(rt, f"stopped after epoch {trace.stopped_epoch}, best epoch {trace.best_epoch}")
-    base.pipeline = data.prep.config
-    base.majority_label = data.majority
-    base.neural_vocab = data.vocab
-    base.model = params_out
-    base.preprocessing_fp = preprocessing_fingerprint(data.prep.config, rt.lexicon, rt.rules)
-    return base
+    return artifact
 
 
 def cmd_train(ns: argparse.Namespace) -> int:

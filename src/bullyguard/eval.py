@@ -4,7 +4,9 @@ The benchmark mirrors the study design: the three TF-IDF models are tuned by
 grid search and scored with stratified k-fold cross validation on the
 training portion (fold featurizers fitted on fold-training documents only),
 while the two neural models use the static 80/10/10 split with early stopping
-on the validation part and are scored once on the test part.
+on the validation part and are scored once on the test part, each built as
+the artifact ``train`` writes and scored by artifact.predict_texts, as
+``predict`` scores it.
 
 The benchmark returns its report as the JSON-ready document that the
 ``benchmark`` command writes, and the tables render from that document; both
@@ -22,8 +24,8 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .artifact import data_fingerprint, preprocessing_fingerprint
-from .base import CLASS_ORDER, Label, TrainConfig
+from .artifact import ModelArtifact, data_fingerprint, predict_texts, preprocessing_fingerprint
+from .base import Label, TrainConfig
 from .corpus import CommentRecord, majority_label, stratified_split
 from .features import TfidfConfig
 from .linear_models import (
@@ -34,13 +36,7 @@ from .linear_models import (
     grid_search,
 )
 from .metrics import SCORES, evaluate, score
-from .neural import (
-    NeuralVocab,
-    build_neural_vocab,
-    encode_batch,
-    predict_batch,
-    train,
-)
+from .neural import NeuralVocab, TrainTrace, build_neural_vocab, encode_batch, train
 from .preprocess import (
     NormalizationLexicon,
     PipelineConfig,
@@ -53,7 +49,7 @@ if TYPE_CHECKING:  # the study takes cli's RunConfig but never imports cli
     from .cli import RunConfig
 
 ML_ROW_NAMES = {"nb": "Naive Bayes", "lr": "Logistic Regression", "svm": "SVM"}
-DL_ROW_NAMES = {False: "BiLSTM", True: "BiLSTM+Attention"}
+DL_ROW_NAMES = {"bilstm": "BiLSTM", "bilstm_attention": "BiLSTM+Attention"}
 
 
 class ModelSpec(NamedTuple):
@@ -146,6 +142,20 @@ def prepare_neural_data(
     )
 
 
+def _train_neural_artifact(family: str, data: NeuralData, config: TrainConfig,
+                           data_fp: str) -> tuple[ModelArtifact, TrainTrace]:
+    """A BiLSTM of family trained on data, as the artifact `train` writes
+    (data_fp: its records' data_fingerprint), and its training trace."""
+    params, trace = train(family == "bilstm_attention", data.train, data.val, config,
+                          data.vocab.size)
+    prep = data.prep
+    return ModelArtifact(
+        family, config.seed, data.majority,
+        preprocessing_fingerprint(prep.config, prep.lexicon, prep.rules), data_fp,
+        prep.config, params, neural_vocab=data.vocab,
+    ), trace
+
+
 # ----------------------------------------------------------------------------
 # benchmark
 # ----------------------------------------------------------------------------
@@ -182,32 +192,27 @@ def run_benchmark(
         })
     del folds  # all k folds' vectors; free them before the neural track
 
-    # neural track: static split, early stopping on validation, scored on test
+    # neural track: static split, early stopping on validation, and each
+    # model scored on test as `predict` scores the artifact `train` writes
     data = prepare_neural_data(train_recs, val_recs, prep, config.neural)
-    te_tok = data.prep.corpus([r.text for r in test_recs])
+    data_fp = data_fingerprint(records)
+    test_texts = [rec.text for rec in test_recs]
     test_labels = [rec.label for rec in test_recs]
-    te_nonempty = [i for i, toks in enumerate(te_tok) if toks]
-    te_ids, te_lens = encode_batch([te_tok[i] for i in te_nonempty], data.vocab)
-
     dl_models = []
-    for use_attention in (False, True):
-        params, trace = train(use_attention, data.train, data.val, config.neural, data.vocab.size)
-        y_pred: list[Label] = [data.majority] * len(test_recs)
-        if te_nonempty:
-            pred_ids, _ = predict_batch(params, te_ids, te_lens)
-            for pos, cls in zip(te_nonempty, pred_ids):
-                y_pred[pos] = CLASS_ORDER[int(cls)]
+    for family, name in DL_ROW_NAMES.items():
+        model, trace = _train_neural_artifact(family, data, config.neural, data_fp)
+        preds = predict_texts(model, test_texts, data.prep)
         dl_models.append({
-            "name": DL_ROW_NAMES[use_attention],
-            "use_attention": use_attention,
-            "test_report": evaluate(test_labels, y_pred),
+            "name": name,
+            "use_attention": model.model.use_attention,
+            "test_report": evaluate(test_labels, [pred.label for pred in preds]),
             **vars(trace),  # per-epoch losses and accuracies, stopping epochs
             "dropped_empty_train": data.n_dropped_train,
             "dropped_empty_val": data.n_dropped_val,
-            "empty_test_fallbacks": len(te_tok) - len(te_nonempty),
+            "empty_test_fallbacks": sum(pred.empty_input for pred in preds),
         })
 
-    echo = {**config.echo(), "data_fingerprint": data_fingerprint(records),
+    echo = {**config.echo(), "data_fingerprint": data_fp,
             "preprocessing_fingerprint": preprocessing_fingerprint(prep.config, lexicon, rules),
             "data": {"n_records": len(records), "n_train": len(train_recs),
                      "n_val": len(val_recs), "n_test": len(test_recs),

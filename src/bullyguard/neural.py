@@ -725,17 +725,6 @@ def evaluate_loss(
     return total_loss / n, correct / n
 
 
-def _epoch_orders(rng: Rng, n: int, epochs: int):
-    """Yields the order after each of `epochs` successive rng.shuffle calls on
-    range(n), drawn in bulk as many epochs as fit one 16,384-word PRNG block."""
-    order, per_draw = np.arange(n), max(1, (1 << 14) // n)
-    for first in range(0, epochs, per_draw):
-        start = order
-        for row in rng.permutations(n, min(per_draw, epochs - first)):
-            order = start[row]  # row is what those shuffles make of range(n)
-            yield order
-
-
 def train(
     use_attention: bool,
     train_data: tuple[np.ndarray, np.ndarray, np.ndarray],
@@ -767,7 +756,7 @@ def train(
     trace = TrainTrace()
     best_params = params.copy()
 
-    for epoch, order in enumerate(_epoch_orders(rng, n, config.max_epochs), 1):
+    for epoch, order in enumerate(rng.permutations(n, config.max_epochs), 1):
         loss_sum = 0.0
         for chunk in iter_batches(n, config.batch_size, order):
             cache = _forward_batch(train_ids[chunk], train_lens[chunk], params, ws)

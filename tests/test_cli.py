@@ -1,3 +1,5 @@
+import ast
+import collections
 import functools
 import importlib.util
 import inspect
@@ -13,8 +15,9 @@ import pytest
 from bullyguard import cli, eval as study, linear_models, neural
 from bullyguard.artifact import ArtifactError, load_artifact, predict_text
 from bullyguard.cli import PREDICT_CHUNK_LINES, main
-from bullyguard.corpus import Label, SplitSpec, write_corpus
+from bullyguard.corpus import Label, SplitSpec, load_corpus, stratified_split, write_corpus
 from bullyguard.features import TfidfConfig
+from bullyguard.metrics import evaluate
 from bullyguard.neural import BLOCK_NAMES, TrainConfig
 from bullyguard.preprocess import PipelineConfig, default_lexicon_paths, run_pipeline
 from conftest import make_record, src_env
@@ -453,6 +456,71 @@ def test_predict_input_directory_exit_1(tmp_path, capsys):
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith(f"error: cannot read input file {input_dir}")
     assert "Traceback" not in captured.err
+
+
+# FAST_MODEL_INI with 2 folds and one grid point per classical family
+FAST_STUDY_INI = FAST_MODEL_INI + """folds = 2
+
+[tune]
+grid_alpha = 1.0
+grid_l2_lambda = 0.001
+grid_reg_lambda = 0.001
+"""
+
+
+def test_benchmark_neural_rows_are_what_predict_prints_for_the_train_artifacts(
+        tmp_path, capsys, synthetic_corpus_path):
+    config = write_config(tmp_path, FAST_STUDY_INI)
+    split = cli.RunConfig.load(config).split
+    records = load_corpus(synthetic_corpus_path)
+    # the split follows the labels and the seed alone, so it survives the edit
+    test_indices = [rec.index for rec in stratified_split(records, split)[2]]
+    emptied = set(test_indices[:2])
+    records = [rec._replace(text="!!! 123") if rec.index in emptied else rec
+               for rec in records]
+    test_recs = stratified_split(records, split)[2]
+    assert [rec.index for rec in test_recs] == test_indices
+    corpus = tmp_path / "corpus.csv"
+    write_corpus(records, corpus)
+    common = ["--corpus", str(corpus), "--config", str(config), "--quiet"]
+    assert main(["benchmark", *common, "--out-dir", str(tmp_path / "reports")]) == 0
+    report = json.loads((tmp_path / "reports" / "benchmark_report.json").read_text("utf-8"))
+    inputs = tmp_path / "test.txt"
+    inputs.write_text("".join(rec.text + "\n" for rec in test_recs), encoding="utf-8")
+    for family, row in zip(("bilstm", "bilstm_attention"), report["dl_models"], strict=True):
+        model = tmp_path / f"{family}.model"
+        assert main(["train", *common, "--family", family, "--out", str(model)]) == 0
+        capsys.readouterr()
+        assert main(["predict", "--model", str(model), "--input", str(inputs)]) == 0
+        captured = capsys.readouterr()
+        printed = [Label.parse(line.split("\t")[0]) for line in captured.out.splitlines()]
+        assert len(printed) == len(test_recs)
+        assert row["test_report"] == json.loads(json.dumps(
+            evaluate([rec.label for rec in test_recs], printed)))
+        assert row["empty_test_fallbacks"] == captured.err.count("using majority class") == 2
+
+
+HEADER_ONLY_COMMANDS = {
+    "stats": [], "preprocess": [],
+    "train-nb": ["--family", "nb", "--out", "model.txt"],
+    "train-bilstm": ["--family", "bilstm", "--out", "model.txt"],
+    "tune": ["--family", "nb", "--out", "model.txt"],
+    "benchmark": ["--out-dir", "reports"],
+}
+
+
+@pytest.mark.parametrize("case", HEADER_ONLY_COMMANDS)
+def test_header_only_corpus_exit_2_one_line_writes_nothing(tmp_path, capsys, monkeypatch,
+                                                           case):
+    monkeypatch.chdir(tmp_path)
+    corpus = tmp_path / "corpus.csv"
+    write_corpus([], corpus)
+    command = case.split("-")[0]
+    assert main([command, "--corpus", str(corpus), *HEADER_ONLY_COMMANDS[case]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {corpus}: no comments after the header row\n"
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["corpus.csv"]
 
 
 @pytest.mark.parametrize("command", ["train", "tune", "benchmark"])
@@ -1423,6 +1491,24 @@ def test_bad_artifact_exit_code_one_line(tmp_path, capsys, trained_models, case)
         load_artifact(model)
 
 
+@pytest.mark.parametrize("family, kind", [("lr", "tfidf"), ("bilstm", "neural")])
+def test_repeated_token_exit_1_names_it(tmp_path, capsys, trained_models, family, kind):
+    lines = trained_models[family].read_text(encoding="utf-8").splitlines()
+    first, second = [i for i, line in enumerate(lines) if line.startswith("token ")][:2]
+    token = lines[first].split(" ")[1]
+    parts = lines[second].split(" ")
+    lines[second] = " ".join([parts[0], token, *parts[2:]])
+    model = tmp_path / "bad.model"
+    model.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    text = tmp_path / "input.txt"
+    text.write_text("halo bodoh jelek anjing\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["predict", "--model", str(model), "--input", str(text)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {kind} token {token!r} is repeated\n"
+
+
 @pytest.mark.parametrize("bad", ["model", "input"])
 def test_model_or_input_not_utf8_exit_1_names_it(tmp_path, capsys, trained_models, bad):
     model, text = tmp_path / "model.txt", tmp_path / "input.txt"
@@ -1538,6 +1624,37 @@ def test_predict_loads_only_its_family(tmp_path, bundled_models, family, unloade
     assert not loaded & {"bullyguard.corpus", "bullyguard.rng", "configparser"}
     neural = set() if family in linear_models.CLASSICAL_FAMILIES else {NEURAL, NUMPY, INSPECT}
     assert loaded == CLASSICAL_PREDICT | neural
+
+
+def test_unreferenced_public_names_are_the_ones_only_the_tracer_keeps():
+    """The public top-level functions and classes of the package that no
+    other module, no other part of their own module, no script and no
+    perfbench file but the tracer names: the tracer alone keeps them alive."""
+    def names(nodes):
+        found = set()
+        for node in (sub for top in nodes for sub in ast.walk(top)):
+            if isinstance(node, ast.Name):
+                found.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                found.add(node.attr)
+            elif isinstance(node, ast.alias):
+                found.add(node.name.rsplit(".", 1)[-1])
+        return found
+
+    modules = {path.stem: ast.parse(path.read_text(encoding="utf-8")).body
+               for path in sorted((REPO / "src" / "bullyguard").glob("*.py"))}
+    readers = [*REPO.glob("scripts/*.py"),
+               *(path for path in PERFBENCH.glob("*.py") if path.name != "tracer.py")]
+    outside = names(ast.parse(path.read_text(encoding="utf-8")) for path in readers)
+    # per name, the top-level statements of the package that name it
+    naming = collections.Counter(
+        name for body in modules.values() for node in body for name in names([node]))
+    unreferenced = [
+        f"{module}.{node.name}" for module, body in modules.items() for node in body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+        and node.name not in outside and naming[node.name] == (node.name in names([node]))]
+    assert unreferenced == ["eval.cross_validate", "features.transform",
+                            "neural.forward_classify", "preprocess.run_pipeline"]
 
 
 def test_classical_predict_with_every_config_key_loads_no_numpy(
