@@ -549,7 +549,9 @@ def _backward_from_cache(
                           out=ws.take("d_z", *u.shape))
         tmp = np.square(u, out=ws.take("tmp", *u.shape))
         d_z *= np.subtract(1.0, tmp, out=tmp)
-        d_att_w = np.einsum("bth,bta->ha", s, d_z, out=ws.take("d.att.w", *p["att.w"].shape))
+        # one GEMM over the (B * T, 2H) and (B * T, A) rows; padding rows are zero
+        d_att_w = np.matmul(s.reshape(-1, 2 * h_dim).T, d_z.reshape(-1, u.shape[2]),
+                            out=ws.take("d.att.w", *p["att.w"].shape))
         d_att_b = np.sum(d_z, axis=(0, 1), out=ws.take("d.att.b", u.shape[2]))
         d_states += np.matmul(d_z, p["att.w"].T, out=ws.take("tmp", *s.shape))
         # each packed row's gradient, read through the (B * T, 2H) layout
@@ -606,8 +608,8 @@ def _embedding_grad(tokens: np.ndarray, dx: np.ndarray, shape: tuple[int, int],
 # ----------------------------------------------------------------------------
 
 class AdamState:
-    """Adam's moments per block, its step count t, and scratch: (2, largest
-    block size), the update's temporaries."""
+    """Adam's moments per block, its step count t, and scratch: an array of
+    the largest block's size, the update's temporary."""
 
     def __init__(self, m: dict[str, np.ndarray], v: dict[str, np.ndarray],
                  scratch: np.ndarray, t: int = 0):
@@ -618,7 +620,7 @@ def init_adam_state(params: NeuralNetParams) -> AdamState:
     return AdamState(
         m={name: np.zeros_like(arr) for name, arr in params.blocks.items()},
         v={name: np.zeros_like(arr) for name, arr in params.blocks.items()},
-        scratch=np.empty((2, max(arr.size for arr in params.blocks.values()))),
+        scratch=np.empty(max(arr.size for arr in params.blocks.values())),
         t=0,
     )
 
@@ -629,24 +631,30 @@ def adam_step(
     state: AdamState,
     config: TrainConfig,
 ) -> tuple[NeuralNetParams, AdamState]:
-    """Standard bias-corrected Adam update, applied in place through the
-    state's scratch rows in the plain formula's order: b1*m + (1-b1)*g, and
-    lr*(m/bc1) before the division by sqrt(v/bc2) + eps.
+    """Bias-corrected Adam, applied in place through the state's scratch in
+    Kingma & Ba's (2015, section 2) cheaper order: the corrections fold
+    into the step size lr_t = lr*sqrt(bc2)/bc1 and the guard
+    eps_hat = eps*sqrt(bc2), and each weight moves by
+    lr_t * (m / (sqrt(v) + eps_hat)), with m = b1*m + (1-b1)*g. In real
+    arithmetic this is lr*(m/bc1) / (sqrt(v/bc2) + eps).
     """
     state.t += 1
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     bc1, bc2 = 1.0 - b1 ** state.t, 1.0 - b2 ** state.t
+    lr_t = config.learning_rate * math.sqrt(bc2) / bc1
+    eps_hat = ADAM_EPSILON * math.sqrt(bc2)
     for name, arr in params.blocks.items():
         g, m, v = grads[name], state.m[name], state.v[name]
-        step, denom = (row[:arr.size].reshape(arr.shape) for row in state.scratch)
+        step = state.scratch[:arr.size].reshape(arr.shape)
         m *= b1
         m += np.multiply(g, 1.0 - b1, out=step)
         v *= b2
         v += np.multiply(np.square(g, out=step), 1.0 - b2, out=step)
-        np.sqrt(np.divide(v, bc2, out=denom), out=denom)
-        denom += ADAM_EPSILON
-        np.multiply(np.divide(m, bc1, out=step), config.learning_rate, out=step)
-        arr -= np.divide(step, denom, out=step)
+        np.sqrt(v, out=step)
+        step += eps_hat
+        np.divide(m, step, out=step)
+        step *= lr_t
+        arr -= step
     return params, state
 
 
@@ -756,7 +764,7 @@ def train(
     trace = TrainTrace()
     best_params = params.copy()
 
-    for epoch, order in enumerate(rng.permutations(n, config.max_epochs), 1):
+    for epoch, order in enumerate(rng.iter_permutations(n, config.max_epochs), 1):
         loss_sum = 0.0
         for chunk in iter_batches(n, config.batch_size, order):
             cache = _forward_batch(train_ids[chunk], train_lens[chunk], params, ws)

@@ -23,8 +23,9 @@ each giving 64 consecutive outputs, all advanced in lockstep as numpy
 ``uint64`` arrays. A jump-ahead XORs a table's images of the state's 64
 nibbles (Haramoto et al. 2008). A block leaves the state exactly where as
 many scalar ``next_u64`` calls would. Weight initialization, batch order and
-the SVM's reshuffles all draw in bulk. numpy is imported by the bulk draws
-only, so a command that draws nothing in bulk never loads it.
+the SVM's reshuffles all draw in bulk; ``iter_permutations`` draws batch
+orders a block at a time, as training reaches them. numpy is imported by the
+bulk draws only, so a command that draws nothing in bulk never loads it.
 """
 
 from __future__ import annotations
@@ -35,6 +36,8 @@ from typing import TYPE_CHECKING
 from .base import DEFAULT_SEED  # re-exported: the seed of a run that sets none
 
 if TYPE_CHECKING:
+    from collections.abc import Iterator
+
     import numpy as np
 
 _MASK64 = (1 << 64) - 1
@@ -188,6 +191,22 @@ class Rng:
                 row[:] = items
         out.flags.writeable = False
         return out
+
+    def iter_permutations(self, n: int, count: int) -> Iterator[np.ndarray]:
+        """The rows of `permutations(n, count)`, drawn as they are reached.
+
+        Each draw takes one bulk draw's worth of shuffles (one epoch when an
+        epoch needs more than a block) and composes them onto the last order
+        so far, so memory stays bounded however large count is. The state
+        ends as after every shuffle drawn so far.
+        """
+        import numpy as np
+        last = np.arange(n, dtype=np.int32)
+        per_draw = max(1, _BLOCK // max(1, n - 1))
+        for first in range(0, count, per_draw):
+            orders = last[self.permutations(n, min(per_draw, count - first))]
+            yield from orders
+            last = orders[-1]
 
     def uniform(self, a: float, b: float) -> float:
         return a + (b - a) * self.random()

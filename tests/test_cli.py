@@ -8,6 +8,7 @@ import json
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -1766,20 +1767,46 @@ def test_predict_stdin_splits_at_newlines_only(trained_models, default_lexicon, 
 
 def test_unset_blas_threads_train_the_artifact_of_one_thread(tmp_path, synthetic_corpus_path):
     """With no BLAS or OpenMP thread count set, a neural train runs numpy on one
-    thread: at batch 256 more threads have written another artifact."""
+    thread: at batch 256 more threads have written another artifact. The
+    attention model's weight gradient is a BLAS product too."""
     config = write_config(tmp_path, "[model]\nbatch_size = 256\nmax_epochs = 3\n")
     unset = {k: v for k, v in src_env().items()
              if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
-    artifacts = []
-    for name, env in [("unset", unset), ("one", dict(unset, OPENBLAS_NUM_THREADS="1"))]:
-        out = tmp_path / f"{name}.model"
-        proc = subprocess.run([sys.executable, "-m", "bullyguard.cli", "train", "--family",
-                               "bilstm", "--corpus", str(synthetic_corpus_path), "--config",
-                               str(config), "--out", str(out), "--quiet"],
-                              env=env, capture_output=True, text=True, timeout=300)
-        assert proc.returncode == 0, proc.stderr
+    for family in ("bilstm", "bilstm_attention"):
+        artifacts = []
+        for name, env in [("unset", unset), ("one", dict(unset, OPENBLAS_NUM_THREADS="1"))]:
+            out = tmp_path / f"{family}-{name}.model"
+            proc = subprocess.run([sys.executable, "-m", "bullyguard.cli", "train", "--family",
+                                   family, "--corpus", str(synthetic_corpus_path), "--config",
+                                   str(config), "--out", str(out), "--quiet"],
+                                  env=env, capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            artifacts.append(out.read_bytes())
+        assert artifacts[0] == artifacts[1], family
+
+
+def test_max_epochs_far_beyond_the_stop_draws_epoch_orders_as_reached(tmp_path,
+                                                                     synthetic_corpus_path):
+    """Early stopping ends a max_epochs = 10**6 run as it ends a 200-epoch one:
+    the same artifact, in bounded memory. Drawing every epoch order up front
+    would take 4 bytes per training row and epoch, some 600 MB here."""
+    model = ("[model]\nbatch_size = 64\nembedding_dim = 8\nhidden_dim = 4\n"
+             "attention_dim = 4\nlearning_rate = 0.05\npatience = 2\n")
+    artifacts, peaks = [], []
+    for max_epochs in (200, 10 ** 6):
+        config = write_config(tmp_path, f"{model}max_epochs = {max_epochs}\n",
+                              name=f"e{max_epochs}.ini")
+        out = tmp_path / f"e{max_epochs}.model"
+        tracemalloc.start()
+        try:
+            assert main(["train", "--family", "bilstm", "--corpus", str(synthetic_corpus_path),
+                         "--config", str(config), "--out", str(out), "--quiet"]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
         artifacts.append(out.read_bytes())
     assert artifacts[0] == artifacts[1]
+    assert peaks[1] < peaks[0] + 2 ** 20, peaks
 
 
 def test_readme_exit_codes_name_the_classes_mapped_to_them():

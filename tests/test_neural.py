@@ -742,6 +742,7 @@ def test_adam_first_step_is_signed_lr():
 
 
 def test_adam_in_place_is_bit_identical_to_the_plain_formula():
+    # the plain expression in the folded order: lr_t * (m / (sqrt(v) + eps_hat))
     cfg = TrainConfig(embedding_dim=4, hidden_dim=3, attention_dim=3, learning_rate=0.01)
     params = tiny_params(seed=9)
     want = {name: arr.copy() for name, arr in params.blocks.items()}
@@ -752,17 +753,55 @@ def test_adam_in_place_is_bit_identical_to_the_plain_formula():
     for t in range(1, 6):
         grads = {name: rng.uniform_array(arr.shape, -2, 2) for name, arr in want.items()}
         adam_step(params, grads, state, cfg)
+        lr_t = cfg.learning_rate * math.sqrt(1.0 - ADAM_BETA2 ** t) / (1.0 - ADAM_BETA1 ** t)
+        eps_hat = ADAM_EPSILON * math.sqrt(1.0 - ADAM_BETA2 ** t)
+        for name, g in grads.items():
+            m[name] = ADAM_BETA1 * m[name] + (1.0 - ADAM_BETA1) * g
+            v[name] = ADAM_BETA2 * v[name] + (1.0 - ADAM_BETA2) * (g * g)
+            want[name] -= lr_t * (m[name] / (np.sqrt(v[name]) + eps_hat))
+    assert state.t == 5
+    for name, arr in params.blocks.items():
+        np.testing.assert_array_equal(arr, want[name], err_msg=name)
+        np.testing.assert_array_equal(state.m[name], m[name], err_msg=name)
+        np.testing.assert_array_equal(state.v[name], v[name], err_msg=name)
+
+
+def test_adam_folded_order_matches_the_textbook_update():
+    """Over 1,200 steps the folded update stays within rtol 1e-12 of Kingma &
+    Ba's Algorithm 1, lr*m_hat / (sqrt(v_hat) + eps), including blocks whose
+    gradients are so small that eps dominates the denominator and a block
+    whose gradient is all zero."""
+    cfg = TrainConfig(embedding_dim=4, hidden_dim=3, attention_dim=3, learning_rate=0.01)
+    params = tiny_params(seed=5)
+    for arr in params.blocks.values():  # from zero, each block is minus its summed updates
+        arr.fill(0.0)
+    want = {name: arr.copy() for name, arr in params.blocks.items()}
+    m = {name: np.zeros_like(arr) for name, arr in want.items()}
+    v = {name: np.zeros_like(arr) for name, arr in want.items()}
+    # per block a gradient scale: eps dominates from about 1e-9 down, and
+    # att.v's gradient is all zero
+    scales = dict(zip(BLOCK_NAMES, [1.0, 1e-3, 1e-9, 1e-12, 3.0, 1e-14,
+                                    1e-10, 0.5, 0.0, 1e-11, 2.0, 1e-13]))
+    sizes = [want[name].size for name in BLOCK_NAMES]
+    steps = 1200
+    draws = Rng(11).uniform_array((steps, sum(sizes)), -1.0, 1.0)
+    state = init_adam_state(params)
+    for t, row in enumerate(draws, 1):
+        grads = {name: scales[name] * seg.reshape(want[name].shape)
+                 for name, seg in zip(BLOCK_NAMES, np.split(row, np.cumsum(sizes)[:-1]))}
+        adam_step(params, grads, state, cfg)
         for name, g in grads.items():
             m[name] = ADAM_BETA1 * m[name] + (1.0 - ADAM_BETA1) * g
             v[name] = ADAM_BETA2 * v[name] + (1.0 - ADAM_BETA2) * (g * g)
             m_hat = m[name] / (1.0 - ADAM_BETA1 ** t)
             v_hat = v[name] / (1.0 - ADAM_BETA2 ** t)
             want[name] -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
-    assert state.t == 5
+    assert state.t == steps
     for name, arr in params.blocks.items():
-        np.testing.assert_array_equal(arr, want[name], err_msg=name)
-        np.testing.assert_array_equal(state.m[name], m[name], err_msg=name)
-        np.testing.assert_array_equal(state.v[name], v[name], err_msg=name)
+        np.testing.assert_allclose(arr, want[name], rtol=1e-12, atol=0, err_msg=name)
+    assert not params.blocks["att.v"].any()
+    # the two orders round differently, so the comparison is not of one code path
+    assert any((arr != want[name]).any() for name, arr in params.blocks.items())
 
 
 def test_adam_statefulness():

@@ -29,8 +29,8 @@ peak, in a fresh process, must not exceed that forward's.
 The PRNG jumps its bulk-draw lanes ahead with one nibble lookup table per
 jump matrix; every level must give the words of the packed-row parity
 product below. `init_params` takes all its weights from one bulk draw, and
-`train` each epoch's batch order from `Rng.permutations`; they must give the
-bytes and the PRNG state of one `uniform_array` call per weight block or
+`train` each epoch's batch order from `Rng.iter_permutations`; they must give
+the bytes and the PRNG state of one `uniform_array` call per weight block or
 gate, and the orders of successive scalar `Rng.shuffle` calls.
 """
 

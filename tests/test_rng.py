@@ -148,6 +148,22 @@ def test_permutations_epochs_longer_than_a_block():
     assert bulk._s == scalar._s
 
 
+@pytest.mark.parametrize("n", [1, 2, 7, 160, 800, 3000])
+def test_iter_permutations_equal_one_bulk_call(n):
+    # counts that span two draws and part of a third: each draw's orders are
+    # composed onto the last order of the draw before
+    count = 2 * max(1, 16384 // max(1, n - 1)) + 3
+    drawn, bulk = Rng(5), Rng(5)
+    got = np.array(list(drawn.iter_permutations(n, count)), dtype=np.int32).reshape(count, n)
+    np.testing.assert_array_equal(got, bulk.permutations(n, count))
+    assert drawn._s == bulk._s
+
+
+def test_iter_permutations_draw_only_what_is_reached():
+    orders = Rng(6).iter_permutations(800, 10 ** 9)  # 3.2 TB drawn up front
+    assert next(orders).tolist() == Rng(6).permutations(800, 1)[0].tolist()
+
+
 def test_permutations_are_read_only():
     orders = Rng(1).permutations(5, 3)
     assert not orders.flags.writeable
