@@ -5,7 +5,9 @@ Runs three cases N times each, interleaved so that a drift in CPU speed hits
 every case alike, with bytecode writing off (PYTHONDONTWRITEBYTECODE=1), as
 perfbench runs its children:
 
-  pass   python3 -c pass: the bare interpreter
+  pass   the bare interpreter, ended as the CLI ends a run: with os._exit,
+         without the interpreter's teardown (python3 -c "import os;
+         os._exit(0)"), so that empty - pass holds no teardown either
   empty  predict --quiet --model MODEL over empty input: the interpreter and
          the package's start-up
   input  predict --quiet --model MODEL over the input file
@@ -51,7 +53,7 @@ def cpu_seconds(argv: list[str], stdin: str, env: dict[str, str]) -> float:
 
 def case_commands(model: str, input_path: str) -> dict[str, tuple[list[str], str]]:
     predict = [sys.executable, "-m", "bullyguard.cli", "predict", "--quiet", "--model", model]
-    return {"pass": ([sys.executable, "-c", "pass"], os.devnull),
+    return {"pass": ([sys.executable, "-c", "import os; os._exit(0)"], os.devnull),
             "empty": (predict, os.devnull),
             "input": (predict, input_path)}
 
@@ -83,7 +85,8 @@ def main(argv: list[str] | None = None) -> int:
                 argv_, stdin = commands[case]
                 times[tree, case].append(1e3 * cpu_seconds(argv_, stdin, env))
 
-    print(f"CPU ms per process, {ns.runs} interleaved runs per case, bytecode writing off")
+    print(f"CPU ms per process, {ns.runs} interleaved runs per case, bytecode writing off; "
+          f"pass ends in os._exit, as the CLI does")
     for tree in trees:
         print(f"\n{tree}")
         medians = {}

@@ -17,8 +17,11 @@ loads only with ``--config``.
 from __future__ import annotations
 
 import argparse
+import atexit
+import contextlib
 import itertools
 import math
+import os
 import sys
 import time
 from pathlib import Path
@@ -81,9 +84,9 @@ class ConfigError(Exception):
 
 # The exit code of each error a command reports, by the error's class or its
 # nearest base class here (neural.NeuralError is a TrainingError). OSError: an
-# output that cannot be written.
+# output that cannot be written; MemoryError: a size the machine cannot allocate.
 _EXIT_CODES = {ConfigError: EXIT_USAGE, LexiconError: EXIT_USAGE, ArtifactError: EXIT_USAGE,
-               ValueError: EXIT_USAGE, OSError: EXIT_USAGE,
+               ValueError: EXIT_USAGE, OSError: EXIT_USAGE, MemoryError: EXIT_USAGE,
                FingerprintMismatch: EXIT_VALIDATION, CorpusError: EXIT_VALIDATION,
                FeatureError: EXIT_TRAINING, TrainingError: EXIT_TRAINING}
 
@@ -630,11 +633,23 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     ns = parser.parse_args(argv)
     try:
-        return ns.func(ns)
+        code = ns.func(ns)
+        sys.stdout.flush()  # so that a write failing at the end is an error like any other
+        return code
     except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(_EXIT_CODES[cls] for cls in type(exc).__mro__ if cls in _EXIT_CODES)
 
 
+def run(argv: list[str] | None = None):
+    """The process entry: main, atexit handlers, a stdio flush, and os._exit: no teardown."""
+    code = main(argv)
+    atexit._run_exitfuncs()
+    for stream in (sys.stdout, sys.stderr):
+        with contextlib.suppress(OSError):  # stdout may hold a write main reported failing
+            stream.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

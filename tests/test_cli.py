@@ -5,6 +5,7 @@ import importlib.util
 import inspect
 import io
 import json
+import os
 import re
 import subprocess
 import sys
@@ -801,6 +802,107 @@ def test_failed_write_exit_1_one_line(tmp_path, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: [Errno 28] No space left on device: '{out_path}'\n"
+
+
+def buffered_env() -> dict[str, str]:
+    """src_env() with the child's stdout block-buffered, as it is to a file or
+    pipe unless PYTHONUNBUFFERED is set."""
+    return {key: value for key, value in src_env().items() if key != "PYTHONUNBUFFERED"}
+
+
+@pytest.mark.parametrize("n_lines", [1, 3000])
+def test_unwritable_buffered_stdout_exit_1_one_line(tmp_path, trained_models, n_lines):
+    """A block-buffered stdout on a full device: the write that fails, the
+    final flush (1 line) or an earlier chunk's (3,000 lines), is reported once,
+    and ending the process does not report it again."""
+    if not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full")
+    text = tmp_path / "lines.txt"
+    text.write_text("kamu jelek\n" * n_lines, encoding="utf-8")
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "bullyguard.cli", "predict", "--model",
+                               str(trained_models["lr"]), "--input", str(text)],
+                              stdout=full, stderr=subprocess.PIPE, env=buffered_env(),
+                              text=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (1, "error: [Errno 28] No space left on device\n")
+
+
+def test_unallocatable_size_exit_1_one_line(tmp_path, synthetic_corpus_path):
+    """A size no machine can allocate is one error line with numpy's size; the
+    child's address space is capped at 4 GiB, so nothing real is allocated."""
+    resource = pytest.importorskip("resource")
+    config = write_config(tmp_path, FAST_MODEL_INI.replace("hidden_dim = 4",
+                                                           "hidden_dim = 10000000"))
+    out = tmp_path / "model.txt"
+    proc = subprocess.run(
+        [sys.executable, "-m", "bullyguard.cli", "train", "--family", "bilstm", "--corpus",
+         str(synthetic_corpus_path), "--config", str(config), "--out", str(out), "--quiet"],
+        env=src_env(), capture_output=True, text=True, timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30)))
+    assert proc.returncode == 1
+    assert re.fullmatch(r"error: Unable to allocate [\d.]+ PiB for an array with shape "
+                        r"\(\d+,\) and data type float64\n", proc.stderr), proc.stderr
+    assert not out.exists()
+
+
+def test_ending_the_process_keeps_every_output(tmp_path, capsys, synthetic_corpus_path):
+    """`python -m bullyguard.cli` ends in cli.run, without the interpreter's
+    teardown, and writes what main writes in-process: files, stdout and the
+    exit code, also the predictions a run printed before an error."""
+    config = write_config(tmp_path, FAST_MODEL_INI + "\n[tune]\ngrid_alpha = 1.0\n"
+                          "grid_l2_lambda = 0.001\ngrid_reg_lambda = 0.001\n")
+    lines = tmp_path / "lines.txt"
+    lines.write_text("dasar jelek bego\nkamu keren bagus\n😂\n", encoding="utf-8")
+    bad = tmp_path / "bad.txt"  # the first chunk is printed, then line 257 is refused
+    bad.write_bytes(b"kamu jelek\n" * PREDICT_CHUNK_LINES + b"\xff\n")
+    common = ["--corpus", str(synthetic_corpus_path), "--config", str(config), "--quiet"]
+    outputs = {}
+    for side in ("main", "child"):
+        out = tmp_path / side
+        out.mkdir()
+        commands = [(["train", "--family", "lr", "--out", out / "lr.model", *common], 0),
+                    (["train", "--family", "bilstm", "--out", out / "bilstm.model", *common], 0),
+                    (["benchmark", "--folds", "2", "--out-dir", out / "reports", *common], 0),
+                    (["predict", "--model", out / "lr.model", "--input", lines], 0),
+                    (["predict", "--model", out / "bilstm.model", "--input", bad], 1)]
+        printed = []
+        for argv, code in commands:
+            argv = list(map(str, argv))
+            if side == "main":
+                assert main(argv) == code
+                printed.append(capsys.readouterr().out)
+            else:
+                proc = subprocess.run([sys.executable, "-m", "bullyguard.cli", *argv],
+                                      env=buffered_env(), capture_output=True, text=True,
+                                      timeout=300)
+                assert proc.returncode == code, proc.stderr
+                printed.append(proc.stdout)
+        files = {path.relative_to(out): path.read_bytes()
+                 for path in sorted(out.rglob("*")) if path.is_file()}
+        outputs[side] = files, printed
+    files, printed = outputs["main"]
+    assert len(files) == 4 and [text.count("\n") for text in printed[3:]] == [
+        3, PREDICT_CHUNK_LINES]
+    assert outputs["child"] == outputs["main"]
+
+
+def test_run_runs_the_atexit_handlers_and_keeps_the_exit_code(tmp_path):
+    """cli.run, the console script's entry, ends with os._exit: a handler
+    registered before it still runs, what it prints is flushed after it, and
+    the code main returns is the process's."""
+    pyproject = (REPO / "pyproject.toml").read_text(encoding="utf-8")
+    assert 'bullyguard = "bullyguard.cli:run"' in pyproject
+    code = ("import atexit, sys\nfrom bullyguard import cli\n"
+            "atexit.register(print, 'handler ran')\ncli.run(sys.argv[1:])\n")
+    header_only = tmp_path / "empty.csv"
+    write_corpus([], header_only)
+    for corpus, expected in [(write_fixture_corpus(tmp_path), 0), (header_only, 2)]:
+        proc = subprocess.run([sys.executable, "-c", code, "stats", "--corpus", str(corpus)],
+                              env=buffered_env(), capture_output=True, text=True, timeout=120)
+        assert proc.returncode == expected, proc.stderr
+        assert proc.stdout.endswith("handler ran\n")
+    assert proc.stdout == "handler ran\n"
+    assert proc.stderr == f"error: {header_only}: no comments after the header row\n"
 
 
 def test_cli_import_does_not_load_scipy():
